@@ -30,8 +30,10 @@ import (
 	"time"
 
 	"cbar/internal/rng"
+	"cbar/internal/router"
 	"cbar/internal/routing"
 	"cbar/internal/sim"
+	"cbar/internal/traffic"
 )
 
 // BenchResult is one benchmark's measurement.
@@ -115,6 +117,33 @@ func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load floa
 		// broken and the numbers would record an empty network.
 		if b.N > 1000 && net.NumGenerated == gen0 {
 			b.Fatal("no traffic generated during measurement")
+		}
+	}
+}
+
+// stepBenchSaturated measures the injected cycle at an operating point
+// past saturation, from the stalled steady state (see
+// sim.NewStepBenchSaturated). Reaching it takes thousands of cycles, so
+// the warmed network is built on the first call and kept across
+// testing.Benchmark's calls with growing b.N: each just steps it
+// further.
+func stepBenchSaturated(s sim.Scale, algo routing.Algo, w sim.Workload, load float64) func(b *testing.B) {
+	var (
+		net *router.Network
+		inj *traffic.Injector
+	)
+	return func(b *testing.B) {
+		if net == nil {
+			var err error
+			if net, inj, err = sim.NewStepBenchSaturated(s, algo, w, load); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			inj.Cycle()
+			net.Step()
 		}
 	}
 }
@@ -381,6 +410,13 @@ func main() {
 		{"StepSmallMin", 0, stepBench(sim.Small, routing.Min, 0.3, false, false)},
 		{"StepSmallECtN", 0, stepBench(sim.Small, routing.ECtN, 0.3, false, false)},
 		{"StepSmallPB", 0, stepBench(sim.Small, routing.PB, 0.3, false, false)},
+		// The past-saturation entries track blocked-router parking: MIN
+		// under ADV+1 pins at 1/(a*p) with every NIC full and nearly
+		// every head blocked on credits (the regime where a revisit per
+		// cycle cost 200+ Route calls per grant); OLM at 0.4 misroutes
+		// and re-samples its blocked heads, so fewer of its routers park.
+		{"StepSmallMinAdvSat", 0, stepBenchSaturated(sim.Small, routing.Min, sim.ADV(1), 0.4)},
+		{"StepSmallOLMAdv04", 0, stepBenchSaturated(sim.Small, routing.OLM, sim.ADV(1), 0.4)},
 		{"StepSmallIdle", 0, stepBench(sim.Small, routing.Base, 0.01, false, false)},
 		{"StepSmallFullScanIdle", 0, stepBench(sim.Small, routing.Base, 0.01, true, false)},
 		// The faults-idle entry carries a quiescent fault plan (one event

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"cbar"
+	"cbar/internal/prof"
 )
 
 func main() {
@@ -38,8 +39,14 @@ func main() {
 		workers   = flag.Int("workers", 0, "shard workers per simulated network (0 = auto, 1 = sequential; results are identical at any count)")
 		congSpec  = flag.String("congestion", "off", "congestion management: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min)")
 		faultSpec = flag.String("faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	die(err)
+	defer func() { die(stopProf()) }()
 
 	algo, err := cbar.ParseAlgorithm(*algoName)
 	die(err)

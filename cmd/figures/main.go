@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"cbar"
+	"cbar/internal/prof"
 )
 
 func main() {
@@ -40,8 +41,14 @@ func main() {
 		congSpec  = flag.String("congestion", "off", "congestion management for every simulation of the experiment: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min)")
 		faultSpec = flag.String("faults", "off", "fault plan for every simulation of the experiment: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'")
 		outDir    = flag.String("out", "", "directory for CSV files (default: stdout)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	die(err)
+	defer func() { die(stopProf()) }()
 
 	// SIGINT/SIGTERM cancel cooperatively: completed experiments' CSV
 	// files stay on disk and the process exits with status 130.
@@ -86,7 +93,7 @@ func main() {
 			Congestion: cong, Faults: faults, Ctx: ctx,
 		}
 		if *outDir == "" {
-			dieOrInterrupt(cbar.RunExperimentOpts(id, scale, opt, os.Stdout))
+			dieOrInterrupt(cbar.RunExperimentOpts(id, scale, opt, os.Stdout), stopProf)
 		} else {
 			die(os.MkdirAll(*outDir, 0o755))
 			path := filepath.Join(*outDir, fmt.Sprintf("%s_%s.csv", id, scale))
@@ -94,7 +101,7 @@ func main() {
 			die(err)
 			err = cbar.RunExperimentOpts(id, scale, opt, f)
 			cerr := f.Close()
-			dieOrInterrupt(err)
+			dieOrInterrupt(err, stopProf)
 			die(cerr)
 			fmt.Fprintf(os.Stderr, "   wrote %s\n", path)
 		}
@@ -110,10 +117,12 @@ func die(err error) {
 }
 
 // dieOrInterrupt is die with the conventional 130 exit for a run cut
-// short by SIGINT/SIGTERM; everything written so far stays flushed.
-func dieOrInterrupt(err error) {
+// short by SIGINT/SIGTERM; everything written so far stays flushed, the
+// profiles included (stopProf).
+func dieOrInterrupt(err error, stopProf func() error) {
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "figures: interrupted, completed output flushed")
+		die(stopProf())
 		os.Exit(130)
 	}
 	die(err)

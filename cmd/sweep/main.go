@@ -59,6 +59,7 @@ import (
 	"syscall"
 
 	"cbar"
+	"cbar/internal/prof"
 )
 
 func main() {
@@ -76,8 +77,14 @@ func main() {
 		maxMeas   = flag.Int64("maxmeasure", 0, "adaptive: hard cap on measured cycles per seed (0 = 4x the measurement window)")
 		congSpec  = flag.String("congestion", "off", "congestion management: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min); adds marked,notified,throttled,shed columns when enabled")
 		faultSpec = flag.String("faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'; adds dropped,retried,unroutable columns when enabled")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the sweep ends")
 	)
 	flag.Parse()
+
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	die(err)
+	defer func() { die(stopProf()) }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -140,6 +147,7 @@ func main() {
 		rs, err := cbar.Sweep(cfg, traf, loads, opt)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "sweep: interrupted, completed rows flushed")
+			die(stopProf())
 			os.Exit(130)
 		}
 		die(err)

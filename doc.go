@@ -213,6 +213,33 @@
 // skip-samples the next injecting node geometrically, so a steady-state
 // cycle allocates no memory at all.
 //
+// Blocked-router parking. Past saturation most head packets are blocked
+// on credits, and re-evaluating them every cycle is work proportional
+// to the backlog, not to what changes. A router therefore leaves the
+// route set — parks — after a route/allocate visit that changed
+// nothing: no head-of-queue hook fired, the router's random stream was
+// not advanced, no fault kill was flagged and the allocator granted
+// nothing. The heads keep their stored requests. Every mutation that
+// can alter a decision or its admissibility at the router wakes it
+// before the next route phase: a head arrival, a tail departure, a
+// credit return or an output-buffer free handled at the router, a NIC
+// push into its injection buffers, any applied fault event or resolved
+// kill, and a change to algorithm state shared beyond the router
+// (Network.WakeGroup, which ECtN's combine calls for every group it
+// recombines). A blocked head then costs one Route call per state
+// change instead of one per cycle — under MIN at ADV+1 that is the
+// difference between 200+ and a few dozen calls per grant — and a
+// fabric whose heads are all blocked is quiet, so such spans are also
+// open to elision and to the parallel stepper's quiet path. What makes
+// this exact is the contract on Algorithm.Route (router/algorithm.go):
+// a call that does not draw from the router's random stream must be
+// idempotent and may read only the packet, the deciding router's own
+// state and state whose every change wakes that router. Randomized
+// re-sampling of a blocked head is untouched: the draw keeps the
+// router in the set. FullScan visits every router every cycle and is
+// the oracle (TestParkingEquivalence); CheckInvariants replays the
+// decision of every parked head.
+//
 // The routing-algorithm layer is event-driven on the same principle.
 // Each output port's occupancy is a running counter updated at its three
 // mutation points (allocation grant, credit return, output-buffer free),
@@ -333,7 +360,20 @@
 //     occupancy (written only via Router.occDelta, which fires the
 //     threshold watchers), credit/output-buffer counters, ECN-hot
 //     flags, active-set membership — may only be assigned inside their
-//     registered mutator functions.
+//     registered mutator functions. The parking state is held the same
+//     way: Router.parked is set only by stepShard's park pass and
+//     cleared only by Router.wake, so the documented wake set is the
+//     whole wake set, and Network.WakeGroup is barrier-only (it writes
+//     another router's shard's route set, legal only at BeginCycle).
+//   - The Route contract (dynamic, not a detlint rule): parking is
+//     bit-identical to visiting every router every cycle only while
+//     every Algorithm.Route honours the idempotence-and-inputs rule of
+//     router/algorithm.go. It is pinned per mechanism by
+//     TestParkingEquivalence against the FullScan oracle at workers
+//     1/2/4 with elision on and off, and audited at run time by
+//     CheckInvariants, which re-decides every parked head on a copy
+//     and requires the stored request back with the random stream
+//     untouched.
 //   - Float accumulation order (floatorder): no compound float
 //     assignment inside a loop whose iteration order is
 //     nondeterministic; float addition is not associative, and

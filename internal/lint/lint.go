@@ -259,13 +259,18 @@ func DefaultConfig() *Config {
 			router + ".Network.applyFaultEvent":     {router + ".Network.applyFaults"},
 			router + ".Network.mergeOutboxes":       {router + ".Network.stepParallel"},
 			router + ".Algorithm.BeginCycle":        {router + ".Network.Step", router + ".Network.stepParallel"},
+			// WakeGroup re-arms parked routers from algorithm code: it
+			// writes the owning shard's route set, so it belongs to the
+			// BeginCycle barrier, where ECtN's combine calls it (fault
+			// application, at the same barrier, wakes every group).
+			router + ".Network.WakeGroup": {routing + ".ectnAlg.BeginCycle", router + ".Network.applyFaults"},
 			// Quiet-cycle elision (elide.go) runs between Steps, with all
 			// workers quiescent: the horizon queries read cross-shard
 			// state (rings, active sets, the injector RNG) and ElideTo
 			// moves the clock itself. Their only sanctioned call sites
 			// are the elision-aware cycle loops.
-			router + ".Network.ElideTo":      {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
-			router + ".Network.ElideHorizon": {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
+			router + ".Network.ElideTo":        {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
+			router + ".Network.ElideHorizon":   {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.NextEventCycle": {router + ".Network.ElideHorizon"},
 			router + ".Network.Quiet":          {router + ".Network.ElideHorizon"},
 			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
@@ -298,7 +303,19 @@ func DefaultConfig() *Config {
 		// credits/outFree only by the grant path, the event handler and
 		// the fault kill-reversal sweep; ecnHot only by the watcher Build
 		// registers; active-set membership only by the set's own methods.
+		// The parking state has one writer pair each: parked is set by the
+		// park pass of stepShard and cleared by wake (the single re-arm
+		// point — a second clearing site would be a wake the documented
+		// wake set does not list); parkable is the per-cycle verdict
+		// routePhase computes and a grant revokes. The minimal-port memo
+		// is written where it is computed and cleared on enqueue.
 		Fields: []FieldRule{
+			{Type: router + ".Router", Field: "parked",
+				Writers: []string{router + ".Network.stepShard", router + ".Router.wake"}},
+			{Type: router + ".Router", Field: "parkable",
+				Writers: []string{router + ".Router.routePhase", router + ".Router.grant"}},
+			{Type: router + ".Packet", Field: "minOut",
+				Writers: []string{router + ".Router.MinimalOut", router + ".Packet.resetQueueState"}},
 			{Type: router + ".outPort", Field: "occ",
 				Writers: []string{router + ".Router.occDelta"}},
 			{Type: router + ".outPort", Field: "occCap",

@@ -2,8 +2,8 @@ package router
 
 // Request is a routing decision for the packet at the head of an input
 // VC: the desired output port and downstream VC. OK=false means the
-// algorithm declines to request this cycle (the packet stalls and will be
-// asked again next cycle).
+// algorithm declines to request for now (the packet stalls and is asked
+// again at the router's next route visit).
 type Request struct {
 	Out int
 	VC  int
@@ -20,8 +20,9 @@ type Request struct {
 //     arrivals update ECtN partial counters here);
 //   - OnHead: a packet reached the head of an input VC for the first
 //     time (contention counters increment here, §III-B);
-//   - Route: called every cycle for every unrouted head packet; the
-//     decision may change from cycle to cycle (in-transit adaptivity);
+//   - Route: called for every unrouted head packet on every cycle its
+//     router is in the route set; the decision may change from call to
+//     call (in-transit adaptivity). See the Route contract below;
 //   - OnGrant: switch allocation succeeded; path commitments (Valiant
 //     phase changes, misroute flags) are recorded here;
 //   - OnDequeue: the packet's tail left the input queue (contention
@@ -29,6 +30,35 @@ type Request struct {
 //
 // BeginCycle runs once per cycle before routing and hosts periodic
 // group-level exchanges (PB saturation broadcast, ECtN combine).
+//
+// The Route contract. The fabric stops visiting a router whose heads are
+// all blocked and whose last visit changed nothing (blocked-router
+// parking, see Network.stepShard), and visits it again only after one of
+// the mutations listed at Router.wake. That is sound exactly when a
+// repeated Route call on unchanged inputs is a no-op, so:
+//
+//   - a Route call that does not advance r.RNG must be idempotent — the
+//     same Request again, and no further change to the packet or to
+//     algorithm state (a one-time source decision that records itself on
+//     the packet is fine: the second call finds it recorded);
+//   - such a call may read only the packet, the topology and
+//     configuration, router r's own fabric state as exposed by Credits,
+//     OutFree, CanAccept, Occupancy, PortAlive and the input-queue
+//     accessors, r's own algorithm state (Contention, Ectn) — each of
+//     which changes only through an event that wakes r — and state shared
+//     beyond r whose every change is followed by Network.WakeGroup for
+//     r's group before the next route phase (ECtN's combined arrays);
+//   - it must not read the clock (Network.Now, Router.LinkBusy): time
+//     passing wakes nobody.
+//
+// A call that draws from r.RNG is exempt — the draw itself keeps the
+// router in the route set for the next cycle — which is what lets the
+// randomized mechanisms re-sample a blocked head every cycle exactly as
+// before, and lets PB read its group's saturation flags inside its
+// one-time (always drawing) source decision. FullScan ignores parking
+// and is the oracle: TestParkingEquivalence pins every shipped
+// mechanism, and CheckInvariants replays the decision of every parked
+// head.
 //
 // Algorithms are called from a single goroutine per network; they need no
 // internal locking.

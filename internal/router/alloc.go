@@ -98,6 +98,7 @@ func (r *Router) grant(port, vc, out int) {
 	}
 	r.in[port].unrouted--
 	r.unrouted--
+	r.parkable = false
 
 	switch o.kind {
 	case Local:

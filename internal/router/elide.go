@@ -11,7 +11,10 @@ import (
 // A cycle is quiet when this cycle's calendar buckets are empty and every
 // shard's active sets are empty (quietCycle — the same predicate the
 // parallel stepper's fork-skipping fast path uses) and no fault work is
-// due. Stepping such a cycle handles no events, drains no NICs, routes
+// due. Parked routers (stepShard) are not in the route set: heads that
+// are all blocked do not make a cycle busy, so a stalled fabric waiting
+// on a long link's credits is quiet until the credit event's cycle.
+// Stepping such a cycle handles no events, drains no NICs, routes
 // nothing, serializes nothing; the only state change is now++ — unless
 // the algorithm's BeginCycle does periodic work (an ECtN combine) or a
 // reference-scan mode recomputes state every cycle. So when the network

@@ -205,3 +205,76 @@ func TestPacketFreelistRecycles(t *testing.T) {
 		t.Log(got)
 	}
 }
+
+// TestParkedRouterInvariants drives the parking scheduler white-box: a
+// burst through single-packet buffers blocks heads on credits, so routers
+// must park (leave the route set with unrouted heads), the invariant
+// sweep must accept them, every credit return must bring its router
+// back, and the sweep must catch a mutation that skips the wake.
+func TestParkedRouterInvariants(t *testing.T) {
+	cfg := smallCfg()
+	cfg.BufLocal = cfg.PacketSize
+	cfg.BufOut = cfg.PacketSize
+	n, err := Build(cfg, testMin{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := n.Cfg.Topo.P * 1 // node on router 1, one local hop from router 0
+	for i := 0; i < 8; i++ {
+		if !n.Inject(0, dst) {
+			t.Fatal("inject refused")
+		}
+	}
+	var parked *Router
+	for cycle := 0; cycle < 200 && parked == nil; cycle++ {
+		n.Step()
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		for _, r := range n.Routers {
+			if r.parked {
+				parked = r
+			}
+		}
+	}
+	if parked == nil {
+		t.Fatal("no router ever parked behind single-packet buffers")
+	}
+	if parked.unrouted == 0 || parked.shard.routeActive.has(int32(parked.ID)) {
+		t.Fatalf("router %d parked with %d unrouted heads, in route set %v",
+			parked.ID, parked.unrouted, parked.shard.routeActive.has(int32(parked.ID)))
+	}
+
+	// Hand a blocked head the credits and output space it waits for
+	// without waking its router — what a mutation point that forgot
+	// wake() would do. The sweep must object.
+	var held *Packet
+	for port := range parked.in {
+		for vc := range parked.in[port].vcs {
+			if p := parked.in[port].vcs[vc].headPkt(); p != nil && !p.Granted && p.reqValid {
+				held = p
+			}
+		}
+	}
+	if held == nil {
+		t.Fatal("parked router holds no stored request")
+	}
+	o := &parked.out[held.reqOut]
+	credits, outFree, occ := o.credits[held.reqVC], o.outFree, o.occ
+	o.credits[held.reqVC], o.outFree = o.creditCap[held.reqVC], o.outCap
+	o.occ -= (o.credits[held.reqVC] - credits) + (o.outFree - outFree)
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a parked router whose stored request is grantable")
+	}
+	o.credits[held.reqVC], o.outFree, o.occ = credits, outFree, occ
+
+	if !n.Drain(1 << 16) {
+		t.Fatalf("parked routers were never woken: %d packets stuck", n.InFlight)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n.NumDelivered != 8 {
+		t.Fatalf("delivered %d of 8", n.NumDelivered)
+	}
+}

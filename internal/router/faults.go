@@ -366,6 +366,13 @@ func (n *Network) applyFaults() {
 	}
 	if changed {
 		n.computeComponentsInto(f.comp)
+		// A fault event moves liveness flags, reachability, credits,
+		// occupancies and (through the kills' OnDequeue) contention
+		// counters on routers far from the failed component: every
+		// parked router gets a fresh visit.
+		for g := range n.groups {
+			n.WakeGroup(g)
+		}
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
@@ -530,8 +537,8 @@ func (n *Network) killGrantedResidue(r *Router, p *Packet) {
 			if ip.vcs[vc].headPkt() != nil {
 				ip.unrouted++
 				r.unrouted++
-				r.shard.routeActive.add(int32(r.ID))
 			}
+			r.wake()
 			n.Alg.OnDequeue(r, p, port, vc)
 			if ip.upRouter >= 0 {
 				n.faults.defCred = append(n.faults.defCred, deferredCredit{
@@ -717,8 +724,8 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 	if vq.headPkt() != nil {
 		ip.unrouted++
 		r.unrouted++
-		r.shard.routeActive.add(pk.router)
 	}
+	r.wake()
 	n.Alg.OnDequeue(r, p, int(pk.port), int(pk.vc))
 	if ip.upRouter >= 0 {
 		up := n.Routers[ip.upRouter]
@@ -742,7 +749,12 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 // faultAdjust post-processes a routing decision when a fault plan is
 // active. It runs inside the shard-parallel route phase but touches only
 // the deciding router's state (its RNG, its shard's pendingKills list),
-// preserving the parallel determinism contract. Three outcomes:
+// preserving the parallel determinism contract. It also keeps the
+// parking rule's side of the Route contract: the two outcomes that are
+// not repeatable leave a trace routePhase sees (a flagged kill, a random
+// draw), so the router stays in the route set; the pass-through reads
+// only liveness and reachability, which change only with an applied
+// fault event — and that wakes every parked router. Three outcomes:
 //
 //   - The destination is unreachable: flag the head for an Unroutable
 //     kill at the next sequential point and request nothing.

@@ -435,10 +435,12 @@ func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
 // decisions, Speedup allocation iterations and link serialization.
 //
 // The per-cycle phases run over the active sets (NICs with backlog,
-// routers with unrouted heads, routers with staged output), so the cost
-// of a cycle is proportional to traffic, not topology size. The phase
-// barriers and the per-phase ascending-id visit order are identical to
-// the original full scan, which remains available behind FullScan.
+// routers with unrouted heads that can still move, routers with staged
+// output), so the cost of a cycle is proportional to traffic that
+// changes state, not topology size or the number of blocked heads (see
+// stepShard for the parking rule). The phase barriers and the per-phase
+// ascending-id visit order are identical to the original full scan,
+// which remains available behind FullScan.
 // With Workers > 1 the phases run sharded across worker goroutines
 // (stepParallel); the result is cycle-for-cycle identical to sequential
 // stepping — see parallel.go for the determinism argument.
@@ -471,9 +473,9 @@ func (n *Network) Step() {
 }
 
 // stepFull is the original full-scan cycle loop: every NIC, every router,
-// every phase, regardless of activity. Kept for the cycle-exactness
-// equivalence tests and as the reference semantics (sequential mode
-// only).
+// every phase, regardless of activity — parked routers included, so it
+// never relies on a wake. Kept for the cycle-exactness equivalence tests
+// and as the reference semantics (sequential mode only).
 func (n *Network) stepFull() {
 	for i := range n.nics {
 		n.nicDrain(i)
@@ -497,6 +499,19 @@ func (n *Network) stepFull() {
 // pruned lazily as each list is scanned; activation happens at the
 // mutation points (Inject, event handling, nicDrain). Scans compact the
 // sorted id slice in place, so a steady-state cycle allocates nothing.
+//
+// Blocked-router parking: a router whose visit this cycle changed
+// nothing — its routePhase fired no OnHead, drew no random number and
+// flagged no kill (Router.parkable), and the allocation iterations
+// granted none of its heads — leaves the route set with its heads'
+// requests stored. By the Route contract (algorithm.go) the same visit
+// next cycle would recompute the same requests and the allocator would
+// refuse them again, until one of the mutations listed at Router.wake
+// happens; each of those re-arms the router before the next route
+// phase. A head blocked on credits therefore costs one Route call per
+// state change, not one per cycle, and a fabric whose heads are all
+// blocked is quiet (elide.go). FullScan visits every router every cycle
+// and is the oracle this is pinned against.
 //
 // No phase reads or writes state outside the shard (routing decisions
 // consult only the deciding router and its own group's broadcast state;
@@ -532,13 +547,26 @@ func (n *Network) stepShard(sh *netShard) {
 			sh.allocList = append(sh.allocList, r)
 		}
 	}
-	sh.routeActive.setLive(routeLive)
 
 	for it := 0; it < n.Cfg.Speedup; it++ {
 		for _, r := range sh.allocList {
 			r.allocate()
 		}
 	}
+
+	// Park the routers whose visit was a no-op. Nothing adds to the
+	// route set between sorted() and here (grants only schedule future
+	// events), so compacting a second time honors setLive's contract.
+	routeKept := routeLive[:0]
+	for _, id := range routeLive {
+		if r := n.Routers[id]; r.parkable {
+			r.parked = true
+			sh.routeActive.drop(id)
+			continue
+		}
+		routeKept = append(routeKept, id)
+	}
+	sh.routeActive.setLive(routeKept)
 
 	links := sh.linkActive.sorted()
 	linkLive := links[:0]
@@ -552,6 +580,20 @@ func (n *Network) stepShard(sh *netShard) {
 		r.linkPhase()
 	}
 	sh.linkActive.setLive(linkLive)
+}
+
+// WakeGroup re-arms every parked router of group g. Algorithms call it
+// whenever they change state that Route reads beyond the deciding
+// router — ECtN's combined arrays are the one shipped case — which is
+// what lets the Route contract (algorithm.go) allow such reads. It is a
+// sequential-point call (BeginCycle, fault application): it touches the
+// route set of the shard that owns g.
+func (n *Network) WakeGroup(g int) {
+	for _, r := range n.groups[g] {
+		if r.parked {
+			r.wake()
+		}
+	}
 }
 
 // Run advances the simulation by `cycles` cycles, eliding quiet spans
@@ -604,17 +646,18 @@ func (n *Network) nicDrain(i int) {
 	if newHead {
 		ip.unrouted++
 		r.unrouted++
-		r.shard.routeActive.add(int32(r.ID))
 	}
+	r.wake()
 	q.linkFreeAt = n.now + int64(size)
 	n.Alg.OnArrive(r, p, port, best)
 }
 
 // handle applies one scheduled event. Events are also the activation
-// points of the active-set scheduler: a head arrival or an exposed next
-// head puts its router on the route list, staged output work puts the
-// router on the link list, and returning credits or freed output space
-// re-arm a router that may have been blocked on them. Every mutation is
+// points of the active-set scheduler: staged output work puts the router
+// on the link list, and every event that can change a routing decision
+// or its admissibility at the router — an arrival, a tail departure,
+// returning credits, freed output space — re-arms it for the route phase
+// (Router.wake states the whole wake set). Every mutation is
 // confined to the target router's shard (activation flags, buffer and
 // credit state, algorithm hook state keyed by the router or its group);
 // deliveries are collected on the shard and replayed at the handle
@@ -639,8 +682,8 @@ func (n *Network) handle(ev *event) {
 		if newHead {
 			ip.unrouted++
 			r.unrouted++
-			r.shard.routeActive.add(ev.router)
 		}
+		r.wake()
 		n.Alg.OnArrive(r, p, int(ev.port), int(ev.vc))
 
 	case evTailLeave:
@@ -658,8 +701,11 @@ func (n *Network) handle(ev *event) {
 			// (only heads are), so it needs routing.
 			ip.unrouted++
 			r.unrouted++
-			r.shard.routeActive.add(ev.router)
 		}
+		// Even with no next head the departure matters to the heads of
+		// the other queues: OnDequeue lowers the contention counters
+		// their decisions read.
+		r.wake()
 		n.Alg.OnDequeue(r, p, int(ev.port), int(ev.vc))
 		if ip.upRouter >= 0 {
 			up := n.Routers[ip.upRouter]
@@ -672,11 +718,9 @@ func (n *Network) handle(ev *event) {
 		r := n.Routers[ev.router]
 		r.out[ev.port].credits[ev.vc] += ev.size
 		r.occDelta(int(ev.port), -ev.size)
-		// A head blocked on these credits keeps its router in the route
-		// set (unrouted > 0 prevents pruning), so this add is usually a
-		// flag-check no-op; it is kept as insurance against any future
-		// scheduler that prunes more aggressively.
-		r.shard.routeActive.add(ev.router)
+		// Load-bearing: a router whose heads were all blocked on these
+		// credits has parked, and this is what brings it back.
+		r.wake()
 
 	case evPipeDone:
 		r := n.Routers[ev.router]
@@ -689,7 +733,7 @@ func (n *Network) handle(ev *event) {
 		r := n.Routers[ev.router]
 		r.out[ev.port].outFree += ev.size
 		r.occDelta(int(ev.port), -ev.size)
-		r.shard.routeActive.add(ev.router)
+		r.wake()
 
 	case evDeliver:
 		// Counters, the OnDeliver observer and freelist recycling run at

@@ -84,6 +84,12 @@ type Packet struct {
 
 	// --- per-queue transient state (reset on every enqueue) ---
 
+	// minOut memoises Router.MinimalOut for the current queue: the
+	// minimal output port plus one, so the zero value means "not computed
+	// yet" and a hand-built Packet{} is correct. (Declared ahead of
+	// TailArrive so it sits in the padding after Attempt: the struct
+	// stays in its 80-byte size class.)
+	minOut int16
 	// TailArrive is the cycle the packet's tail finishes arriving into
 	// its current input queue; the tail cannot leave earlier.
 	TailArrive int64
@@ -110,6 +116,7 @@ func (p *Packet) resetQueueState(tailArrive int64) {
 	p.Granted = false
 	p.reqValid = false
 	p.reqEscape = false
+	p.minOut = 0
 	p.CountedPort = -1
 	p.CountedLink = -1
 }

@@ -56,6 +56,11 @@ import "sync"
 //     packet is never touched by two shards in the same cycle.
 //   - Sequential entry points (Inject, BeginCycle, OnDeliver replay,
 //     mailbox merge) run with all workers quiescent.
+//   - Blocked-router parking (stepShard) is shard-local on both sides: a
+//     router parks on its own shard's verdict and is woken by events
+//     handled on its own shard, or at the sequential point (fault
+//     application, WakeGroup from BeginCycle). Which routers are parked
+//     is therefore the same at every worker count.
 //
 // Per-router rng.New(seed, id+1) streams make every random decision
 // shard-local, and per-shard active sets keep the ascending-id visit
@@ -179,6 +184,7 @@ func (n *Network) stepParallel() {
 // it). Stale active-set entries (a drained NIC not yet pruned) count as
 // work — the phase scan would prune them — which only defers the
 // pruning to the next busy cycle and changes no observable state.
+// Parked routers are in no set, so a fabric of blocked heads is quiet.
 func (n *Network) quietCycle(idx int64) bool {
 	if n.faultsPending() {
 		return false

@@ -126,12 +126,24 @@ type Router struct {
 	// down marks a failed router (faults.go): its ports are dead, its
 	// queues were drained, Inject refuses its nodes.
 	down bool
+	// parked marks a router that left the route set with unrouted heads
+	// still queued: its last route/allocate visit changed nothing and
+	// nothing can change the next one until an event re-arms it (wake).
+	// The heads keep their stored requests. See stepShard for the parking
+	// rule and wake for the re-arm set.
+	parked bool
+	// parkable is the current cycle's verdict, valid between routePhase
+	// and the end of the allocation iterations: routePhase sets it when
+	// the visit fired no OnHead, drew no random number and flagged no
+	// kill; a grant clears it.
+	parkable bool
 
 	queued int // packets currently in input queues
 	staged int // packets currently in output buffers or being serialized
 	// unrouted counts head packets across all input VCs that have not
-	// been granted; the router needs routePhase/allocate service exactly
-	// while it is nonzero, which is what keeps it in the route set.
+	// been granted; the router needs routePhase/allocate service while
+	// it is nonzero and its heads can still move: it stays in the route
+	// set until every head is granted, or until it parks.
 	unrouted int32
 
 	// stagedPorts lists the output ports with staged packets, ascending
@@ -297,6 +309,47 @@ func (r *Router) occDelta(port int, delta int32) {
 	}
 }
 
+// MinimalOut returns the minimal output port toward p's destination from
+// r. The port is memoised on the packet for its stay in the current
+// input queue (resetQueueState clears it on every enqueue), so the
+// topology's div/mod chain runs once per hop instead of once per
+// re-evaluation and again at grant.
+func (r *Router) MinimalOut(p *Packet) int {
+	if p.minOut != 0 {
+		return int(p.minOut) - 1
+	}
+	out := r.net.Topo.MinimalNextPort(r.ID, int(p.Dst))
+	p.minOut = int16(out) + 1
+	return out
+}
+
+// wake re-arms r for route/allocate service. It is the single re-arm
+// point of the parking scheduler, called from every mutation that can
+// change a routing decision at r or its admissibility:
+//
+//   - an event handled at r that touches what Route or CanAccept read:
+//     evHeadArrive (new head, OnArrive), evTailLeave (next head exposed,
+//     OnDequeue lowers contention counters), evCredit and evOutFree
+//     (credits, output space, occupancy);
+//   - a nicDrain push into one of r's injection VCs;
+//   - a fault kill that pops one of r's queues, and — for every parked
+//     router — any applied fault-plan event (liveness, reachability and
+//     the accounting reversals are not confined to one router);
+//   - a change to algorithm state shared beyond r: WakeGroup.
+//
+// evPipeDone and the link phase do not wake: the output stage's queue
+// and link timer are read by neither Route nor the allocator.
+//
+// A router without unrouted heads has nothing to route and is never
+// parked, so it stays off the set: whatever gives it a head calls wake
+// after counting it.
+func (r *Router) wake() {
+	r.parked = false
+	if r.unrouted > 0 {
+		r.shard.routeActive.add(int32(r.ID))
+	}
+}
+
 // CanAccept reports whether output `port`, downstream VC vc, can accept a
 // whole packet of `size` phits right now (the VCT admission rule used by
 // the allocator).
@@ -325,6 +378,10 @@ func (r *Router) LinkBusy(port int) bool { return r.out[port].linkFreeAt > r.net
 // (or absent) are skipped via the unrouted counters — scanning them
 // would be a guaranteed no-op, so the reqPorts rebuild only ever visits
 // ports that can actually contribute a request.
+//
+// It also sets parkable: the visit fired no OnHead, left r.RNG where it
+// was and flagged no kill, so by the Route contract (algorithm.go)
+// repeating it on unchanged state would store the same requests again.
 func (r *Router) routePhase() {
 	r.reqPorts = r.reqPorts[:0]
 	if r.unrouted == 0 {
@@ -332,6 +389,9 @@ func (r *Router) routePhase() {
 	}
 	alg := r.net.Alg
 	faults := r.net.faults != nil
+	rng0 := *r.RNG
+	kills0 := len(r.shard.pendingKills)
+	quiet := true
 	for port := range r.in {
 		ip := &r.in[port]
 		if ip.unrouted == 0 {
@@ -345,13 +405,10 @@ func (r *Router) routePhase() {
 			}
 			if !p.HeadSeen {
 				p.HeadSeen = true
+				quiet = false
 				alg.OnHead(r, p, port, vc)
 			}
-			req := alg.Route(r, p, port, vc)
-			if faults {
-				p.reqEscape = false
-				req = r.faultAdjust(p, port, vc, req)
-			}
+			req := r.decide(alg, faults, p, port, vc)
 			p.reqValid = req.OK
 			if req.OK {
 				p.reqOut = int16(req.Out)
@@ -363,6 +420,18 @@ func (r *Router) routePhase() {
 			r.reqPorts = append(r.reqPorts, int16(port))
 		}
 	}
+	r.parkable = quiet && *r.RNG == rng0 && len(r.shard.pendingKills) == kills0
+}
+
+// decide is one routing decision for head packet p: the algorithm's
+// Route, post-processed by the fault escape when a plan is active.
+func (r *Router) decide(alg Algorithm, faults bool, p *Packet, port, vc int) Request {
+	req := alg.Route(r, p, port, vc)
+	if faults {
+		p.reqEscape = false
+		req = r.faultAdjust(p, port, vc, req)
+	}
+	return req
 }
 
 // checkInvariants verifies credit and buffer accounting; used by tests.
@@ -433,10 +502,20 @@ func (r *Router) checkInvariants() error {
 	if r.unrouted != totUnrouted {
 		return fmt.Errorf("router %d: unrouted %d but counted %d", r.ID, r.unrouted, totUnrouted)
 	}
-	// A router with routable work must be on the route set's radar
-	// (in-set flags are cleared only when unrouted drops to zero).
-	if totUnrouted > 0 && !r.shard.routeActive.has(int32(r.ID)) {
-		return fmt.Errorf("router %d: %d unrouted heads but not in route set", r.ID, totUnrouted)
+	// A router with routable work must be on the route set's radar, or
+	// parked: in-set flags are cleared only when unrouted drops to zero
+	// or when the router parks.
+	inSet := r.shard.routeActive.has(int32(r.ID))
+	if totUnrouted > 0 && !inSet && !r.parked {
+		return fmt.Errorf("router %d: %d unrouted heads but neither in route set nor parked", r.ID, totUnrouted)
+	}
+	if r.parked {
+		if totUnrouted == 0 || inSet {
+			return fmt.Errorf("router %d: parked with %d unrouted heads, in route set %v", r.ID, totUnrouted, inSet)
+		}
+		if err := r.checkParked(); err != nil {
+			return err
+		}
 	}
 	var stagedQ int
 	for port := range r.out {
@@ -450,6 +529,54 @@ func (r *Router) checkInvariants() error {
 	}
 	if stagedQ > 0 && !r.shard.linkActive.has(int32(r.ID)) {
 		return fmt.Errorf("router %d: %d staged packets but not in link set", r.ID, stagedQ)
+	}
+	return nil
+}
+
+// checkParked audits a parked router against the parking rule: no head
+// holds a request the allocator could grant, and a fresh routing
+// decision on a copy of each head reproduces the stored request without
+// touching the router's random stream or flagging a kill. A failure
+// means a wake is missing from some mutation point, or an algorithm
+// breaks the Route contract.
+func (r *Router) checkParked() error {
+	alg := r.net.Alg
+	faults := r.net.faults != nil
+	size := int32(r.net.Cfg.PacketSize)
+	rng0 := *r.RNG
+	kills0 := len(r.shard.pendingKills)
+	for port := range r.in {
+		ip := &r.in[port]
+		for vc := range ip.vcs {
+			p := ip.vcs[vc].headPkt()
+			if p == nil || p.Granted {
+				continue
+			}
+			if !p.HeadSeen {
+				return fmt.Errorf("router %d in %d vc %d: parked with a head whose OnHead never fired", r.ID, port, vc)
+			}
+			if p.reqValid && r.CanAccept(int(p.reqOut), int(p.reqVC), size) {
+				return fmt.Errorf("router %d in %d vc %d: parked but its request (out %d vc %d) is grantable",
+					r.ID, port, vc, p.reqOut, p.reqVC)
+			}
+			cp := *p
+			req := r.decide(alg, faults, &cp, port, vc)
+			drew, killed := *r.RNG != rng0, len(r.shard.pendingKills) != kills0
+			*r.RNG = rng0
+			r.shard.pendingKills = r.shard.pendingKills[:kills0]
+			if drew || killed {
+				return fmt.Errorf("router %d in %d vc %d: parked but a fresh decision drew a random number (%v) or flagged a kill (%v)",
+					r.ID, port, vc, drew, killed)
+			}
+			same := req.OK == p.reqValid && cp.reqEscape == p.reqEscape
+			if same && req.OK {
+				same = int16(req.Out) == p.reqOut && int8(req.VC) == p.reqVC
+			}
+			if !same {
+				return fmt.Errorf("router %d in %d vc %d: parked with stored request (ok %v out %d vc %d) but a fresh decision gives (ok %v out %d vc %d)",
+					r.ID, port, vc, p.reqValid, p.reqOut, p.reqVC, req.OK, req.Out, req.VC)
+			}
+		}
 	}
 	return nil
 }

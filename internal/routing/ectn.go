@@ -91,19 +91,26 @@ func (a *ectnAlg) Attach(n *router.Network) {
 // BeginCycle runs the periodic group-wide combine: every group in the
 // reference mode, only the dirty groups otherwise. An idle period —
 // no partial changed anywhere — costs O(1).
+//
+// The combined arrays are the one piece of state Route reads that an
+// event at the deciding router does not announce, so every recombined
+// group is woken (router.Network.WakeGroup): a parked router's stored
+// injection decisions are re-evaluated against the new sums.
 func (a *ectnAlg) BeginCycle(n *router.Network) {
 	if n.Now()%a.period != 0 {
 		return
 	}
 	if a.fullCombine {
-		for _, group := range a.ectn {
+		for g, group := range a.ectn {
 			core.CombineGroupInto(a.scratch, group)
+			n.WakeGroup(g)
 		}
 		return
 	}
 	//lint:alloc non-escaping visitor: Drain only invokes it, so it stays on the stack
 	a.dirty.Drain(func(g int32) {
 		core.CombineGroupInto(a.scratch, a.ectn[g])
+		n.WakeGroup(int(g))
 	})
 }
 

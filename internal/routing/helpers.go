@@ -51,9 +51,9 @@ func request(r *router.Router, p *router.Packet, out int) router.Request {
 }
 
 // minimalOut returns the minimal output toward the packet's final
-// destination from router r.
+// destination from router r (memoised per queue stay by the fabric).
 func minimalOut(r *router.Router, p *router.Packet) int {
-	return r.Net().Topo.MinimalNextPort(r.ID, int(p.Dst))
+	return r.MinimalOut(p)
 }
 
 // phaseDest returns the node the packet is currently steering toward:

@@ -143,6 +143,31 @@ func BenchmarkStepPaperBurstyIdle(b *testing.B) {
 	benchStepWorkload(b, Paper, routing.Base, UN().WithBurst(50, 150, 0), 0.01)
 }
 
+// The past-saturation benchmarks are the regime blocked-router parking
+// exists for: ADV+1 offered at 0.4, where MIN pins at 1/(a*p) with
+// nearly every head blocked on credits, and OLM misroutes while
+// re-sampling its blocked heads every cycle.
+func benchStepSaturated(b *testing.B, s Scale, algo routing.Algo, w Workload, load float64) {
+	b.Helper()
+	net, inj, err := NewStepBenchSaturated(s, algo, w, load)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inj.Cycle()
+		net.Step()
+	}
+}
+
+func BenchmarkStepSmallMinAdvSat(b *testing.B) {
+	benchStepSaturated(b, Small, routing.Min, ADV(1), 0.4)
+}
+
+func BenchmarkStepSmallOLMAdv04(b *testing.B) {
+	benchStepSaturated(b, Small, routing.OLM, ADV(1), 0.4)
+}
+
 // The worker benchmarks measure the shard-parallel stepper against the
 // sequential stepper at a loaded operating point (30% uniform load, the
 // acceptance regime of the parallel-stepper change): both run the exact

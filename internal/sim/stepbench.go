@@ -98,6 +98,34 @@ func NewStepBenchWorkers(s Scale, algo routing.Algo, w Workload, load float64, f
 	return net, inj, nil
 }
 
+// NewStepBenchSaturated is NewStepBenchWorkload for an operating point
+// past saturation. There the NIC queues fill at the rate offered load
+// exceeds accepted load, and until they are full the packet population
+// grows and Step allocates for it (freelist misses, queue growth) —
+// thousands of cycles beyond StepBenchWarmup. The benchmark measures the
+// stalled steady state, so the network is stepped in StepBenchWarmup
+// windows until a window grows the in-flight population by less than
+// 0.1 %; from there a cycle allocates nothing, which cmd/bench gates.
+func NewStepBenchSaturated(s Scale, algo routing.Algo, w Workload, load float64) (*router.Network, *traffic.Injector, error) {
+	net, inj, err := NewStepBenchWorkload(s, algo, w, load, false, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	const maxWindows = 100
+	for win := 0; win < maxWindows; win++ {
+		before := net.InFlight
+		for i := 0; i < StepBenchWarmup; i++ {
+			inj.Cycle()
+			net.Step()
+		}
+		if (net.InFlight-before)*1000 < before {
+			return net, inj, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("sim: %v at load %g: in-flight population still growing after %d cycles; not a saturated operating point",
+		algo, load, (maxWindows+1)*StepBenchWarmup)
+}
+
 // NewStepBenchFaults builds a step benchmark with a quiescent fault
 // plan: one LinkDown scheduled far past any benchmark horizon, so the
 // fault engine is allocated and its per-cycle pending check runs, but
