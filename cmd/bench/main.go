@@ -88,62 +88,48 @@ func effectiveBenchtime(flagValue string) string {
 	return flagValue
 }
 
-// stepBench returns a benchmark function measuring one injected cycle,
-// using the same shared harness as the in-tree BenchmarkStep* suite.
-// fullScan selects the every-component fabric loop; refScan the
-// full-recompute reference algorithm state (polled PB saturation flags,
-// combine-every-group ECtN).
-func stepBench(s sim.Scale, algo routing.Algo, load float64, fullScan, refScan bool) func(b *testing.B) {
-	return stepBenchWorkload(s, algo, sim.UN(), load, fullScan, refScan)
-}
+// spec abbreviates the shared harness's operating-point struct.
+type spec = sim.StepBenchSpec
 
-// stepBenchWorkload is stepBench for an arbitrary workload — the bursty
-// and hotspot entries pin the stateful calendar injector's cycle cost
-// beside the Bernoulli fast path.
-func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load float64, fullScan, refScan bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchWorkload(s, algo, w, load, fullScan, refScan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		// A long measured run generating nothing means the injector is
-		// broken and the numbers would record an empty network.
-		if b.N > 1000 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
+// stepCycles is the literal per-cycle body every Step row and the
+// end-to-end run time: n injected cycles, stepped one by one. The rows
+// measure Step itself, so unlike every measurement in package sim this
+// loop must not elide quiet cycles.
+func stepCycles(net *router.Network, inj *traffic.Injector, n int) {
+	for i := 0; i < n; i++ {
+		inj.Cycle()
+		net.Step()
 	}
 }
 
-// stepBenchSaturated measures the injected cycle at an operating point
-// past saturation, from the stalled steady state (see
-// sim.NewStepBenchSaturated). Reaching it takes thousands of cycles, so
-// the warmed network is built on the first call and kept across
-// testing.Benchmark's calls with growing b.N: each just steps it
+// stepBench returns a benchmark function measuring one injected cycle
+// at the operating point, built and warmed by the same shared harness
+// as the in-tree BenchmarkStep* suite (see sim.StepBenchSpec for the
+// knobs: workload, shard workers, reference scans, quiescent faults).
+// Reaching a Saturated point's stalled steady state takes thousands of
+// cycles, so its warmed network is built on the first call and kept
+// across testing.Benchmark's calls with growing b.N: each just steps it
 // further.
-func stepBenchSaturated(s sim.Scale, algo routing.Algo, w sim.Workload, load float64) func(b *testing.B) {
+func stepBench(sp spec) func(b *testing.B) {
 	var (
 		net *router.Network
 		inj *traffic.Injector
 	)
 	return func(b *testing.B) {
-		if net == nil {
+		if net == nil || !sp.Saturated {
 			var err error
-			if net, inj, err = sim.NewStepBenchSaturated(s, algo, w, load); err != nil {
+			if net, inj, err = sim.NewStepBench(sp); err != nil {
 				b.Fatal(err)
 			}
 		}
+		gen0 := net.NumGenerated
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
+		stepCycles(net, inj, b.N)
+		// A long measured run generating nothing means the injector is
+		// broken and the numbers would record an empty network.
+		if b.N > 1000 && net.NumGenerated == gen0 {
+			b.Fatal("no traffic generated during measurement")
 		}
 	}
 }
@@ -156,7 +142,7 @@ func stepBenchSaturated(s sim.Scale, algo routing.Algo, w sim.Workload, load flo
 // acceptance bar of the elision change is >= 10x their cycles/sec.
 func stepBenchElideIdle(s sim.Scale) func(b *testing.B) {
 	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBench(s, routing.Base, sim.ElideIdleLoad, false, false)
+		net, inj, err := sim.NewStepBench(spec{Scale: s, Algo: routing.Base, Load: sim.ElideIdleLoad})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,51 +156,6 @@ func stepBenchElideIdle(s sim.Scale) func(b *testing.B) {
 			sim.Advance(net, inj, sim.ElideIdleSpan)
 		}
 		if b.N > 100 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
-}
-
-// stepBenchFaults measures the injected cycle under a quiescent fault
-// plan (see sim.NewStepBenchFaults): the fault engine is live but never
-// fires, so the entry pins its hot-path overhead against StepSmallIdle.
-func stepBenchFaults(s sim.Scale, algo routing.Algo, load float64) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchFaults(s, algo, load)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		if b.N > 1000 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
-}
-
-// stepBenchWorkers measures the same injected cycle with the network
-// stepped by `workers` shard workers — the cycles are bit-identical to
-// the sequential stepper's, so the delta against a Workers1 entry is
-// pure parallel speedup minus barrier cost.
-func stepBenchWorkers(s sim.Scale, load float64, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchWorkers(s, routing.Base, sim.UN(), load, false, false, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		if b.N > 1000 && net.NumGenerated == gen0 {
 			b.Fatal("no traffic generated during measurement")
 		}
 	}
@@ -355,17 +296,14 @@ func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
 
 func endToEnd(cycles int64) (EndToEnd, error) {
 	const load = 0.3
-	net, inj, err := sim.NewStepBench(sim.Small, routing.Base, load, false, false)
+	net, inj, err := sim.NewStepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: load})
 	if err != nil {
 		return EndToEnd{}, err
 	}
 	delivered0 := net.NumDelivered
 	phits0 := net.DeliveredPhits
 	start := time.Now()
-	for i := int64(0); i < cycles; i++ {
-		inj.Cycle()
-		net.Step()
-	}
+	stepCycles(net, inj, int(cycles))
 	wall := time.Since(start)
 	return EndToEnd{
 		Scale:        "small",
@@ -405,25 +343,25 @@ func main() {
 		workers int // 0 in the table means sequential (recorded as 1)
 		fn      func(b *testing.B)
 	}{
-		{"StepTinyBase", 0, stepBench(sim.Tiny, routing.Base, 0.3, false, false)},
-		{"StepSmallBase", 0, stepBench(sim.Small, routing.Base, 0.3, false, false)},
-		{"StepSmallMin", 0, stepBench(sim.Small, routing.Min, 0.3, false, false)},
-		{"StepSmallECtN", 0, stepBench(sim.Small, routing.ECtN, 0.3, false, false)},
-		{"StepSmallPB", 0, stepBench(sim.Small, routing.PB, 0.3, false, false)},
+		{"StepTinyBase", 0, stepBench(spec{Scale: sim.Tiny, Algo: routing.Base, Load: 0.3})},
+		{"StepSmallBase", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3})},
+		{"StepSmallMin", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Min, Load: 0.3})},
+		{"StepSmallECtN", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.3})},
+		{"StepSmallPB", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.3})},
 		// The past-saturation entries track blocked-router parking: MIN
 		// under ADV+1 pins at 1/(a*p) with every NIC full and nearly
 		// every head blocked on credits (the regime where a revisit per
 		// cycle cost 200+ Route calls per grant); OLM at 0.4 misroutes
 		// and re-samples its blocked heads, so fewer of its routers park.
-		{"StepSmallMinAdvSat", 0, stepBenchSaturated(sim.Small, routing.Min, sim.ADV(1), 0.4)},
-		{"StepSmallOLMAdv04", 0, stepBenchSaturated(sim.Small, routing.OLM, sim.ADV(1), 0.4)},
-		{"StepSmallIdle", 0, stepBench(sim.Small, routing.Base, 0.01, false, false)},
-		{"StepSmallFullScanIdle", 0, stepBench(sim.Small, routing.Base, 0.01, true, false)},
+		{"StepSmallMinAdvSat", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Min, Workload: sim.ADV(1), Load: 0.4, Saturated: true})},
+		{"StepSmallOLMAdv04", 0, stepBench(spec{Scale: sim.Small, Algo: routing.OLM, Workload: sim.ADV(1), Load: 0.4, Saturated: true})},
+		{"StepSmallIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01})},
+		{"StepSmallFullScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01, FullScan: true})},
 		// The faults-idle entry carries a quiescent fault plan (one event
 		// scheduled far past the horizon): pinned beside StepSmallIdle,
 		// the delta is the fault engine's hot-path cost, which must stay
 		// ~zero — the engine only spends cycles when events fire.
-		{"StepSmallFaultsIdle", 0, stepBenchFaults(sim.Small, routing.Base, 0.01)},
+		{"StepSmallFaultsIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01, QuiescentFaults: true})},
 		// The PB/ECtN idle benchmarks track the event-driven algorithm
 		// layer; the RefScan variants pin the retained full-recompute
 		// reference (the original polled implementation) beside them.
@@ -433,30 +371,30 @@ func main() {
 		// cycles/sec sits beside the per-cycle Idle entries above.
 		{"StepSmallElideIdle", 0, stepBenchElideIdle(sim.Small)},
 		{"StepPaperElideIdle", 0, stepBenchElideIdle(sim.Paper)},
-		{"StepSmallPBIdle", 0, stepBench(sim.Small, routing.PB, 0.01, false, false)},
-		{"StepSmallPBRefScanIdle", 0, stepBench(sim.Small, routing.PB, 0.01, false, true)},
-		{"StepSmallECtNIdle", 0, stepBench(sim.Small, routing.ECtN, 0.01, false, false)},
-		{"StepSmallECtNRefScanIdle", 0, stepBench(sim.Small, routing.ECtN, 0.01, false, true)},
+		{"StepSmallPBIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.01})},
+		{"StepSmallPBRefScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.01, RefScan: true})},
+		{"StepSmallECtNIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.01})},
+		{"StepSmallECtNRefScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.01, RefScan: true})},
 		// The bursty/hotspot idle entries track the stateful calendar
 		// injector beside the Bernoulli skip-sampler: same scale, same
 		// load, different arrival process — the delta is the cost of
 		// per-node source state.
-		{"StepSmallBurstyIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01, false, false)},
-		{"StepSmallHotspotIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.HotspotUN(0.2, 8), 0.01, false, false)},
-		{"StepPaperIdle", 0, stepBench(sim.Paper, routing.Base, 0.01, false, false)},
-		{"StepPaperBurstyIdle", 0, stepBenchWorkload(sim.Paper, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01, false, false)},
-		{"StepPaperPBIdle", 0, stepBench(sim.Paper, routing.PB, 0.01, false, false)},
-		{"StepPaperPBRefScanIdle", 0, stepBench(sim.Paper, routing.PB, 0.01, false, true)},
-		{"StepPaperECtNIdle", 0, stepBench(sim.Paper, routing.ECtN, 0.01, false, false)},
+		{"StepSmallBurstyIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Workload: sim.UN().WithBurst(50, 150, 0), Load: 0.01})},
+		{"StepSmallHotspotIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Workload: sim.HotspotUN(0.2, 8), Load: 0.01})},
+		{"StepPaperIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.01})},
+		{"StepPaperBurstyIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Workload: sim.UN().WithBurst(50, 150, 0), Load: 0.01})},
+		{"StepPaperPBIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.PB, Load: 0.01})},
+		{"StepPaperPBRefScanIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.PB, Load: 0.01, RefScan: true})},
+		{"StepPaperECtNIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.ECtN, Load: 0.01})},
 		// The workers entries track the shard-parallel stepper beside
 		// the sequential stepper at a loaded operating point (30% UN,
 		// the parallel-stepper acceptance regime); the cycles are
 		// bit-identical, so the cycles/sec ratio is pure parallel
 		// speedup minus barrier cost. Meaningful on a multi-core host.
-		{"StepSmallWorkers1", 1, stepBenchWorkers(sim.Small, 0.3, 1)},
-		{"StepSmallWorkers4", 4, stepBenchWorkers(sim.Small, 0.3, 4)},
-		{"StepPaperWorkers1", 1, stepBenchWorkers(sim.Paper, 0.3, 1)},
-		{"StepPaperWorkers4", 4, stepBenchWorkers(sim.Paper, 0.3, 4)},
+		{"StepSmallWorkers1", 1, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3, Workers: 1})},
+		{"StepSmallWorkers4", 4, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3, Workers: 4})},
+		{"StepPaperWorkers1", 1, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.3, Workers: 1})},
+		{"StepPaperWorkers4", 4, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.3, Workers: 4})},
 		{"StepSmallBurstDrain", 0, burstDrainBench(&burstCycles)},
 	}
 

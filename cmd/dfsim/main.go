@@ -25,8 +25,8 @@ func main() {
 		pFlag     = flag.Int("p", 0, "nodes per router (custom topology)")
 		aFlag     = flag.Int("a", 0, "routers per group (custom topology)")
 		hFlag     = flag.Int("h", 0, "global links per router (custom topology)")
-		algoName  = flag.String("routing", "base", "routing mechanism: min|val|pb|olm|base|hybrid|ectn")
-		trafName  = flag.String("traffic", "un", "traffic: un | adv+N | mix:F,N (F = uniform fraction)")
+		algoName  = flag.String("routing", "base", "routing mechanism: min|val|pb|olm|base|hybrid|ectn|basep")
+		trafName  = flag.String("traffic", "un", "traffic: un | adv+N | mix:F,N | hotspot:F,H | perm:shift+K | perm:complement | tornado | burst:ON,OFF[,PEAK]; +burst:/+skew: suffixes compose")
 		traf2Name = flag.String("traffic2", "adv+1", "post-switch traffic for -transient")
 		load      = flag.Float64("load", 0.2, "offered load in phits/(node*cycle)")
 		warmup    = flag.Int64("warmup", 0, "warmup cycles (0 = scale default)")

@@ -38,6 +38,18 @@
 //
 // # Measurement methodology
 //
+// Every measurement is one act, written once in internal/sim: one
+// constructor builds the point (fabric, pattern schedule, injector),
+// one driver (point.advance) moves it to the boundary its caller names,
+// and one measurement window — a delivery accumulator plus a snapshot
+// of the link-busy, congestion and fault counters taken when it opens —
+// turns the span up to the cycle it closes into a [SteadyResult]. Fixed
+// mode opens the window at Warmup, adaptive mode at its MSER boundary;
+// a transient trace attaches a time-bucketing delivery observer in the
+// window's place. Repeats and grids (sweeps, figure grids, ablations, a
+// transient's seeds) run as one flat point×seed grid on one bounded
+// worker pool.
+//
 // Steady-state measurement has two modes. The default fixed mode is
 // the paper's §IV methodology: simulate [SteadyOptions].Warmup cycles
 // unmeasured, record deliveries for Measure cycles, repeat over Seeds
@@ -278,13 +290,16 @@
 // Idle time costs events, not cycles. When a cycle is provably quiet —
 // no fault event pending and, on every shard, empty event rings and
 // empty active sets — nothing in the fabric can change until the next
-// scheduled event, so the runner jumps the clock straight to it instead
-// of stepping through the gap. The jump target is the minimum of the
-// next event-ring occupancy, the next calendar injection, the next
-// retransmit due-time, the next ECtN combine tick, the next fault
-// event, and the measurement boundary that called for the advance
-// (warmup end, adaptive bucket end, transient trace edge), so every
-// measurement series keeps its exact geometry.
+// scheduled event, so the driver (internal/sim's point.advance, the
+// one cycle loop every measurement runs through) jumps the clock
+// straight to it instead of stepping through the gap. The jump target
+// is the minimum of the next event-ring occupancy, the next calendar
+// injection, the next retransmit due-time, the next ECtN combine tick,
+// the next fault event, and the boundary the driver was asked to
+// advance to (warmup end, adaptive bucket end, end of a transient
+// trace), so every measurement series keeps its exact geometry. That
+// boundary is the only cap the driver adds: it polls its context on a
+// cycle stride but never shortens a jump to do so.
 //
 // Elision is an optimization, never a semantic: an elided span consumes
 // exactly the PRNG draws that stepping it would have, so results are
@@ -354,7 +369,11 @@
 //     be taken as function values, and may not be reachable through
 //     the call graph from the parallel phase roots (the shard worker
 //     bodies and the routing hook surface Route/OnHead/OnArrive/
-//     OnDequeue/OnGrant).
+//     OnDequeue/OnGrant). The same registry keeps the cycle loop
+//     single: Injector.Cycle and internal/sim's jump step elideStep
+//     are barrier-only with point.advance as their one caller, so a
+//     second cycle loop in a deterministic package is a finding
+//     (cmd/bench keeps one literal body: its rows time Step itself).
 //   - Field encapsulation (fieldenc): the accounting fields the
 //     invariant auditor and the watcher pipeline lean on — port
 //     occupancy (written only via Router.occDelta, which fires the

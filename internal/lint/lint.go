@@ -267,13 +267,15 @@ func DefaultConfig() *Config {
 			// Quiet-cycle elision (elide.go) runs between Steps, with all
 			// workers quiescent: the horizon queries read cross-shard
 			// state (rings, active sets, the injector RNG) and ElideTo
-			// moves the clock itself. Their only sanctioned call sites
-			// are the elision-aware cycle loops.
+			// moves the clock itself. Their only sanctioned callers are Run,
+			// Drain and sim's one driver, point.advance (elideStep its jump).
 			router + ".Network.ElideTo":        {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.ElideHorizon":   {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.NextEventCycle": {router + ".Network.ElideHorizon"},
 			router + ".Network.Quiet":          {router + ".Network.ElideHorizon"},
 			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
+			"cbar/internal/sim.elideStep":      {"cbar/internal/sim.point.advance"},
+			traffic + ".Injector.Cycle":        {"cbar/internal/sim.point.advance"},
 			// Algorithm implementations: their BeginCycle bodies are
 			// reached only through the interface dispatch above, never
 			// called directly inside package routing.

@@ -28,10 +28,11 @@ func AblationECtNPeriod(s Scale, b Budget, w io.Writer) error {
 	load := transientLoad(s)
 	fmt.Fprintf(w, "# ablation: ECtN exchange period (UN->ADV+1 at load %.2f)\n", load)
 	fmt.Fprintln(w, "period_cycles,early_misrouted_pct,late_misrouted_pct")
+	b.Pre = 0 // the trace starts at the switch
 	for _, period := range []int64{25, 50, 100, 200, 400} {
-		cfg := NewConfig(s.Params(), routing.ECtN)
+		cfg := b.config(s, routing.ECtN)
 		cfg.Opts.ECtNPeriod = period
-		r, err := RunTransient(cfg, UN(), ADV(1), load, b.TransientWarmup, 0, b.Post, b.Bucket, b.Seeds)
+		r, err := RunTransient(cfg, UN(), ADV(1), load, b)
 		if err != nil {
 			return err
 		}
@@ -45,20 +46,19 @@ func AblationECtNPeriod(s Scale, b Budget, w io.Writer) error {
 // AblationSpeedup measures uniform-traffic throughput near saturation
 // with and without the 2× allocator speedup.
 func AblationSpeedup(s Scale, b Budget, w io.Writer) error {
-	fmt.Fprintln(w, "# ablation: allocator internal speedup (UN at high load, Base)")
-	fmt.Fprintln(w, "speedup,load,avg_latency_cycles,accepted_phits_node_cycle")
+	var pts []gridPoint
 	for _, speedup := range []int{1, 2, 3} {
 		for _, load := range []float64{0.5, 0.8} {
-			cfg := NewConfig(s.Params(), routing.Base)
+			cfg := b.config(s, routing.Base)
 			cfg.Router.Speedup = speedup
-			r, err := RunSteadyBudget(cfg, UN(), load, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%d,%.2f,%.2f,%.4f\n", speedup, load, r.AvgLatency, r.Accepted)
+			pts = append(pts, gridPoint{cfg, UN(), load})
 		}
 	}
-	return nil
+	return steadyTable(w, b, "# ablation: allocator internal speedup (UN at high load, Base)",
+		"speedup,load,avg_latency_cycles,accepted_phits_node_cycle", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%d,%.2f,%.2f,%.4f", pt.c.Router.Speedup, pt.load, r.AvgLatency, r.Accepted)
+		})
 }
 
 // AblationLocalVCs measures adversarial throughput for Base with 3
@@ -66,20 +66,19 @@ func AblationSpeedup(s Scale, b Budget, w io.Writer) error {
 // misroute budget guard.
 func AblationLocalVCs(s Scale, b Budget, w io.Writer) error {
 	h := s.Params().H
-	fmt.Fprintf(w, "# ablation: local VC count under ADV+%d (Base)\n", h)
-	fmt.Fprintln(w, "local_vcs,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_local_frac")
+	var pts []gridPoint
 	for _, vcs := range []int{3, 4} {
 		for _, load := range []float64{0.15, 0.3} {
-			cfg := NewConfig(s.Params(), routing.Base)
+			cfg := b.config(s, routing.Base)
 			cfg.Router.VCsLocal = vcs
-			r, err := RunSteadyBudget(cfg, ADV(h), load, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%d,%.2f,%.2f,%.4f,%.4f\n", vcs, load, r.AvgLatency, r.Accepted, r.MisroutedLocal)
+			pts = append(pts, gridPoint{cfg, ADV(h), load})
 		}
 	}
-	return nil
+	return steadyTable(w, b, fmt.Sprintf("# ablation: local VC count under ADV+%d (Base)", h),
+		"local_vcs,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_local_frac", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%d,%.2f,%.2f,%.4f,%.4f", pt.c.Router.VCsLocal, pt.load, r.AvgLatency, r.Accepted, r.MisroutedLocal)
+		})
 }
 
 // AblationThresholdBounds pins Base's threshold at the exact §VI-A
@@ -87,28 +86,22 @@ func AblationLocalVCs(s Scale, b Budget, w io.Writer) error {
 // count — and reports both traffic classes.
 func AblationThresholdBounds(s Scale, b Budget, w io.Writer) error {
 	p := s.Params()
-	cfg := NewConfig(p, routing.Base)
+	cfg := b.config(s, routing.Base)
 	meanVCs := cfg.Router.MeanVCsPerPort()
 	lower := int32(meanVCs + 0.5)
 	upper := int32(p.P)
-	fmt.Fprintf(w, "# ablation: Base threshold at the §VI-A bounds (meanVCs=%.2f -> lower %d, p=%d -> upper %d)\n",
-		meanVCs, lower, p.P, upper)
-	fmt.Fprintln(w, "threshold,traffic,avg_latency_cycles,accepted_phits_node_cycle")
+	var pts []gridPoint
 	for _, th := range []int32{lower, upper} {
-		for _, tc := range []struct {
-			w    Workload
-			load float64
-		}{{UN(), 0.5}, {ADV(1), 0.2}} {
-			c := cfg
-			c.Opts.BaseTh = th
-			r, err := RunSteadyBudget(c, tc.w, tc.load, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%d,%s,%.2f,%.4f\n", th, r.Workload, r.AvgLatency, r.Accepted)
-		}
+		cfg.Opts.BaseTh = th
+		pts = append(pts, gridPoint{cfg, UN(), 0.5}, gridPoint{cfg, ADV(1), 0.2})
 	}
-	return nil
+	return steadyTable(w, b,
+		fmt.Sprintf("# ablation: Base threshold at the §VI-A bounds (meanVCs=%.2f -> lower %d, p=%d -> upper %d)",
+			meanVCs, lower, p.P, upper),
+		"threshold,traffic,avg_latency_cycles,accepted_phits_node_cycle", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%d,%s,%.2f,%.4f", pt.c.Opts.BaseTh, r.Workload, r.AvgLatency, r.Accepted)
+		})
 }
 
 // AblationStatisticalTrigger contrasts Base's hard threshold with the
@@ -117,19 +110,17 @@ func AblationThresholdBounds(s Scale, b Budget, w io.Writer) error {
 // nonminimally while the minimal path sits empty; the statistical
 // variant keeps the minimal path carrying a share.
 func AblationStatisticalTrigger(s Scale, b Budget, w io.Writer) error {
-	fmt.Fprintln(w, "# ablation: §VI-C statistical misrouting trigger under ADV+1")
-	fmt.Fprintln(w, "algo,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac")
+	var pts []gridPoint
 	for _, algo := range []routing.Algo{routing.Base, routing.BaseProb} {
 		for _, load := range []float64{0.1, 0.2} {
-			cfg := NewConfig(s.Params(), algo)
-			r, err := RunSteadyBudget(cfg, ADV(1), load, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s,%.2f,%.2f,%.4f,%.4f\n", r.Algo, load, r.AvgLatency, r.Accepted, r.MisroutedGlobal)
+			pts = append(pts, gridPoint{b.config(s, algo), ADV(1), load})
 		}
 	}
-	return nil
+	return steadyTable(w, b, "# ablation: §VI-C statistical misrouting trigger under ADV+1",
+		"algo,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%s,%.2f,%.2f,%.4f,%.4f", r.Algo, pt.load, r.AvgLatency, r.Accepted, r.MisroutedGlobal)
+		})
 }
 
 // windowMean averages series values whose time lies in [lo, hi).
@@ -151,20 +142,10 @@ func windowMean(r TransientResult, lo, hi int64, series []float64) float64 {
 // AblationExperiments returns the ablation set in registry form.
 func AblationExperiments() []Experiment {
 	return []Experiment{
-		{"abl-ectn-period", "Ablation: ECtN exchange period vs adaptation speed", func(s Scale, b Budget, w io.Writer) error {
-			return AblationECtNPeriod(s, b, w)
-		}},
-		{"abl-speedup", "Ablation: allocator internal speedup vs throughput", func(s Scale, b Budget, w io.Writer) error {
-			return AblationSpeedup(s, b, w)
-		}},
-		{"abl-local-vcs", "Ablation: local VC count under ADV+h", func(s Scale, b Budget, w io.Writer) error {
-			return AblationLocalVCs(s, b, w)
-		}},
-		{"abl-th-bounds", "Ablation: Base threshold at the §VI-A bounds", func(s Scale, b Budget, w io.Writer) error {
-			return AblationThresholdBounds(s, b, w)
-		}},
-		{"abl-statistical", "Ablation: §VI-C statistical trigger vs Base under ADV+1", func(s Scale, b Budget, w io.Writer) error {
-			return AblationStatisticalTrigger(s, b, w)
-		}},
+		{"abl-ectn-period", "Ablation: ECtN exchange period vs adaptation speed", AblationECtNPeriod},
+		{"abl-speedup", "Ablation: allocator internal speedup vs throughput", AblationSpeedup},
+		{"abl-local-vcs", "Ablation: local VC count under ADV+h", AblationLocalVCs},
+		{"abl-th-bounds", "Ablation: Base threshold at the §VI-A bounds", AblationThresholdBounds},
+		{"abl-statistical", "Ablation: §VI-C statistical trigger vs Base under ADV+1", AblationStatisticalTrigger},
 	}
 }

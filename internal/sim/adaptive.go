@@ -5,7 +5,6 @@ import (
 
 	"cbar/internal/router"
 	"cbar/internal/stats"
-	"cbar/internal/traffic"
 )
 
 // Adaptive measurement engine. Instead of the paper's fixed
@@ -70,16 +69,6 @@ const (
 	// transient spike cannot short-circuit a healthy run.
 	satConsecutive = 2
 )
-
-// measureSeed runs one seed of a steady-state point under the budget's
-// measurement mode: the fixed-window steadySeed (bit-identical to the
-// pre-adaptive implementation) or the adaptive engine.
-func measureSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	if b.Adaptive {
-		return adaptiveSeed(c, w, load, b, seed)
-	}
-	return steadySeed(b.Ctx, c, w, load, b.Warmup, b.Measure, seed)
-}
 
 // satDetector watches for the two signatures of an offered load past the
 // saturation point: the in-flight packet population growing without
@@ -151,209 +140,114 @@ func (d *satDetector) saturated() bool {
 }
 
 // adaptiveSeed runs one seed's steady-state experiment under the
-// adaptive engine. Like steadySeed it leaves the latency summary fields
-// to reduceSteady (via the returned histogram); unlike steadySeed the
-// windows are data-driven: warmup ends when MSER says the transient is
-// over (capped by b.Warmup), measurement ends when the batch-means CIs
-// hit b.CIRelWidth (capped by b.MaxMeasure), and the saturation
-// detector can cut either phase short.
+// adaptive engine. It is steadySeed with data-driven boundaries: the
+// point advances one bucket at a time, the window's lap accumulators
+// feed the per-bucket series, warmup ends — and the measurement window
+// opens — when MSER says the transient is over (capped by b.Warmup),
+// measurement ends when the batch-means CIs hit b.CIRelWidth (capped by
+// b.MaxMeasure), and the saturation detector can cut either phase
+// short. Jumps are capped at the bucket boundary, so every bucket's
+// bookkeeping (series entries, saturation samples) still runs; an
+// elided sub-span delivers nothing, so the synthesized bucket is
+// exactly what stepping it would have produced.
 func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	net, err := BuildNetwork(c, seed)
+	p, err := steadyPoint(c, w, load, seed)
 	if err != nil {
 		return SteadyResult{}, nil, err
 	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, seed^0x9E3779B97F4A7C15)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	nodes := float64(net.Topo.Nodes)
-
-	// Delivery observer: per-bucket accumulators plus the running
-	// aggregate statistics. The aggregates (and the histogram) are reset
-	// at the warmup/measurement boundary, so after the run they cover
-	// exactly the measurement window.
-	var (
-		hist    = stats.NewHistogram(latencyHistCap)
-		hops    stats.Welford
-		phits   uint64
-		misG    uint64
-		misL    uint64
-		counted uint64
-		bSum    float64
-		bCnt    uint64
-		bPhits  uint64
-	)
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		lat := now - p.GenTime
-		bSum += float64(lat)
-		bCnt++
-		bPhits += uint64(p.Size)
-		hist.Add(lat)
-		hops.Add(float64(p.TotalHops))
-		phits += uint64(p.Size)
-		if p.GlobalMisroute {
-			misG++
-		}
-		if p.LocalMisroutes > 0 {
-			misL++
-		}
-		counted++
-	}
-
-	var cyc int64
-	runBucket := func() {
-		bSum, bCnt, bPhits = 0, 0, 0
-		// Jumps are capped at the bucket boundary, so every bucket's
-		// bookkeeping (series entries, saturation samples) still runs;
-		// an elided sub-span delivers nothing, so the synthesized bucket
-		// is exactly what stepping it would have produced.
-		end := net.Now() + adaptiveBucket
-		for net.Now() < end {
-			if elideStep(net, inj, end) {
-				continue
+	nodes := float64(p.net.Topo.Nodes)
+	// The first window covers the run from cycle 0: it feeds the warmup
+	// series, and is what gets reported if the point saturates before
+	// any measurement — the whole run, flagged, so the point still
+	// carries throughput/latency evidence.
+	win := p.open()
+	sat := newSatDetector(p.net, w.Source)
+	// runPhase runs buckets until `done` (asked every adaptiveCheckEvery
+	// buckets) ends it, capCycles are spent, or the point saturates.
+	runPhase := func(capCycles int64, bucket func(latSum float64, count, phits uint64), done func(buckets int) bool) (saturated bool, err error) {
+		start := p.net.Now()
+		for buckets := 1; ; buckets++ {
+			if err := p.advance(b.Ctx, p.net.Now()+adaptiveBucket); err != nil {
+				return false, err
 			}
-			inj.Cycle()
-			net.Step()
+			sat.sample(p.net)
+			bucket(win.lap())
+			if buckets%adaptiveCheckEvery == 0 {
+				if sat.saturated() {
+					return true, nil
+				}
+				if done(buckets) {
+					return false, nil
+				}
+			}
+			if p.net.Now()-start >= capCycles {
+				return false, nil
+			}
 		}
-		cyc += adaptiveBucket
 	}
-
-	sat := newSatDetector(net, w.Source)
-	saturated := false
 
 	// Phase 1: warmup detection. The latency series carries the last
 	// seen bucket mean through empty buckets — before the first delivery
 	// it is zero, which MSER correctly treats as part of the transient.
 	var warmSeries []float64
 	lastMean := 0.0
-	warmupDone := false
-	for !warmupDone && !saturated {
-		if err := ctxErr(b.Ctx); err != nil {
-			return SteadyResult{}, nil, err
-		}
-		runBucket()
-		sat.sample(net)
-		if bCnt > 0 {
-			lastMean = bSum / float64(bCnt)
-		}
-		warmSeries = append(warmSeries, lastMean)
-		if len(warmSeries)%adaptiveCheckEvery == 0 {
-			if sat.saturated() {
-				saturated = true
-				break
+	saturated, err := runPhase(b.Warmup, // the fixed budget's warmup is the cap
+		func(latSum float64, count, _ uint64) {
+			if count > 0 {
+				lastMean = latSum / float64(count)
 			}
-			if len(warmSeries) >= adaptiveMinWarmupBuckets {
-				if _, ok := stats.MSERTruncate(warmSeries, adaptiveMSERBatch); ok {
-					warmupDone = true
-				}
+			warmSeries = append(warmSeries, lastMean)
+		},
+		func(buckets int) bool {
+			if buckets < adaptiveMinWarmupBuckets {
+				return false
 			}
-		}
-		if cyc >= b.Warmup { // the fixed budget's warmup is the cap
-			warmupDone = true
-		}
+			_, ok := stats.MSERTruncate(warmSeries, adaptiveMSERBatch)
+			return ok
+		})
+	if err != nil {
+		return SteadyResult{}, nil, err
 	}
 
-	// Phase boundary: everything before this cycle is discarded warmup.
-	truncWarm := cyc
-	var busyLocal0, busyGlobal0 int64
-	var marked0, notified0, shed0, throttled0 uint64
-	var dropped0, retried0, unroutable0 uint64
 	var ciLat, ciAcc float64
 	converged := false
-	measStart := cyc
 	if !saturated {
-		hist = stats.NewHistogram(latencyHistCap)
-		hops.Reset()
-		phits, misG, misL, counted = 0, 0, 0, 0
-		_, busyLocal0, busyGlobal0 = net.LinkBusy()
-		marked0, notified0, shed0 = net.NumMarked, net.NumNotified, net.NumShed
-		throttled0 = inj.Throttled()
-		dropped0, retried0, unroutable0 = net.NumDropped, inj.Retried(), net.NumUnroutable
-
-		// Phase 2: CI-driven measurement.
+		// Phase boundary: everything before this cycle is discarded
+		// warmup. Phase 2: CI-driven measurement.
+		win = p.open()
 		var latB, thrB []float64
-		buckets := 0
-		for {
-			if err := ctxErr(b.Ctx); err != nil {
-				return SteadyResult{}, nil, err
-			}
-			runBucket()
-			sat.sample(net)
-			buckets++
-			if bCnt > 0 {
-				latB = append(latB, bSum/float64(bCnt))
-			}
-			thrB = append(thrB, float64(bPhits)/(adaptiveBucket*nodes))
-			if buckets%adaptiveCheckEvery == 0 {
-				if sat.saturated() {
-					saturated = true
-					break
+		saturated, err = runPhase(b.MaxMeasure,
+			func(latSum float64, count, phits uint64) {
+				if count > 0 {
+					latB = append(latB, latSum/float64(count))
 				}
-				if buckets >= adaptiveMinMeasureBuckets {
-					lm, lh, ok1 := stats.BatchMeansCI(latB, adaptiveBatches)
-					tm, th, ok2 := stats.BatchMeansCI(thrB, adaptiveBatches)
-					if ok1 && ok2 {
-						ciLat, ciAcc = lh, th
-					}
-					// The decorrelation guard: a CI batch must span at
-					// least half a mean latency — the correlation
-					// timescale of the bucket-mean series — or
-					// neighboring batch means share in-flight packets
-					// and the CI is optimistic.
-					batchCycles := float64(buckets/adaptiveBatches) * adaptiveBucket
-					if ok1 && ok2 && lm > 0 && tm > 0 && 2*batchCycles >= lm &&
-						lh <= b.CIRelWidth*lm && th <= b.CIRelWidth*tm {
-						converged = true
-						break
-					}
+				thrB = append(thrB, float64(phits)/(adaptiveBucket*nodes))
+			},
+			func(buckets int) bool {
+				if buckets < adaptiveMinMeasureBuckets {
+					return false
 				}
-			}
-			if int64(buckets)*adaptiveBucket >= b.MaxMeasure {
-				break
-			}
+				lm, lh, ok1 := stats.BatchMeansCI(latB, adaptiveBatches)
+				tm, th, ok2 := stats.BatchMeansCI(thrB, adaptiveBatches)
+				if ok1 && ok2 {
+					ciLat, ciAcc = lh, th
+				}
+				// The decorrelation guard: a CI batch must span at least
+				// half a mean latency — the correlation timescale of the
+				// bucket-mean series — or neighboring batch means share
+				// in-flight packets and the CI is optimistic.
+				batchCycles := float64(buckets/adaptiveBatches) * adaptiveBucket
+				converged = ok1 && ok2 && lm > 0 && tm > 0 && 2*batchCycles >= lm &&
+					lh <= b.CIRelWidth*lm && th <= b.CIRelWidth*tm
+				return converged
+			})
+		if err != nil {
+			return SteadyResult{}, nil, err
 		}
 	}
 
-	measure := cyc - measStart
-	if measure == 0 {
-		// Saturated before any measurement: report the whole run so the
-		// point still carries throughput/latency evidence, flagged.
-		measure = cyc
-		truncWarm = 0
-	}
-	_, busyLocal1, busyGlobal1 := net.LinkBusy()
-	_, nLocal, nGlobal := net.LinkCounts()
-	res := SteadyResult{
-		Algo:           c.Algo.String(),
-		Workload:       w.Name(),
-		Load:           load,
-		Accepted:       float64(phits) / (float64(measure) * nodes),
-		Delivered:      counted,
-		AvgHops:        hops.Mean(),
-		UtilLocal:      float64(busyLocal1-busyLocal0) / (float64(measure) * float64(nLocal)),
-		UtilGlobal:     float64(busyGlobal1-busyGlobal0) / (float64(measure) * float64(nGlobal)),
-		Seeds:          1,
-		CIHalfLatency:  ciLat,
-		CIHalfAccepted: ciAcc,
-		MeasuredCycles: measure,
-		WarmupCycles:   truncWarm,
-		Saturated:      saturated,
-		Converged:      converged,
-		Marked:         net.NumMarked - marked0,
-		Notified:       net.NumNotified - notified0,
-		Throttled:      inj.Throttled() - throttled0,
-		Shed:           net.NumShed - shed0,
-		Dropped:        net.NumDropped - dropped0,
-		Retried:        inj.Retried() - retried0,
-		Unroutable:     net.NumUnroutable - unroutable0,
-	}
-	if counted > 0 {
-		res.MisroutedGlobal = float64(misG) / float64(counted)
-		res.MisroutedLocal = float64(misL) / float64(counted)
-	}
-	return res, hist, nil
+	res := win.close()
+	res.CIHalfLatency, res.CIHalfAccepted = ciLat, ciAcc
+	res.Saturated, res.Converged = saturated, converged
+	return res, win.hist, nil
 }

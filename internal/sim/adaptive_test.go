@@ -132,13 +132,13 @@ func TestBudgetValidation(t *testing.T) {
 	}
 	// Transient: bucket wider than the post window, negative pre, and
 	// non-positive bucket/seeds all error.
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 200, 0, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, transientBudget(500, 100, 200, 0, 1)); err == nil {
 		t.Error("bucket 0 accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, -1, 200, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, transientBudget(500, -1, 200, 10, 1)); err == nil {
 		t.Error("negative pre accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 200, 10, 0); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, transientBudget(500, 100, 200, 10, 0)); err == nil {
 		t.Error("0 transient seeds accepted")
 	}
 }

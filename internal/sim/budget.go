@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cbar/internal/router"
+	"cbar/internal/routing"
 )
 
 // Budget sizes an experiment run: simulation windows, repeats and the
@@ -88,6 +89,17 @@ func DefaultBudget(s Scale) Budget {
 			Loads: []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
 		}
 	}
+}
+
+// config returns the Table I configuration for (scale, mechanism) with
+// the budget's Workers, Congestion and Faults threaded in. Every
+// experiment builds its configs here, so none can drop a budget field.
+func (b Budget) config(s Scale, algo routing.Algo) Config {
+	c := NewConfig(s.Params(), algo)
+	c.Router.Workers = b.Workers
+	c.Router.Congestion = b.Congestion
+	c.Router.Faults = b.Faults
+	return c
 }
 
 // steadyDefaults fills the zero-valued adaptive knobs from their

@@ -23,18 +23,7 @@ func congestionRun(t *testing.T, c Config, w Workload, load float64, cycles int6
 	t.Helper()
 	c.Router.Workers = workers
 	c.Router.Congestion = congestionOn()
-	net, err := BuildNetwork(c, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, inj := testPoint(t, c, w, load)
 	var trace []string
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d marks=%d gen=%d",

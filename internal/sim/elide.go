@@ -3,6 +3,7 @@ package sim
 import (
 	"cbar/internal/router"
 	"cbar/internal/traffic"
+	"context"
 )
 
 // Quiet-cycle elision for the (injector, network) pair: the network
@@ -10,12 +11,12 @@ import (
 // (router.Network.ElideHorizon) and the injector knows its next arrival
 // (traffic.Injector.NextArrival); the clock may jump to the earlier of
 // the two. Both queries are exact — elided spans are bit-identical to
-// stepping them — so every cycle loop in this package elides freely,
-// capping jumps only at its own bookkeeping boundaries (measurement
-// buckets, warmup ends) so per-bucket series are synthesized exactly as
-// the stepping path would have produced them.
+// stepping them — so the driver (point.advance) elides freely, capping
+// jumps only at its caller's bookkeeping boundary (measurement bucket,
+// warmup end) so per-bucket series are synthesized exactly as the
+// stepping path would have produced them.
 
-// elisionOff pins every loop in this package to plain stepping. Only
+// elisionOff pins the driver to plain stepping. Only
 // the equivalence tests flip it (to prove elided runs bit-identical to
 // stepped ones); production code never sets it.
 var elisionOff bool
@@ -23,6 +24,7 @@ var elisionOff bool
 // elideStep tries to jump the pair over a quiet span, at most to the
 // absolute cycle `target`; it reports whether the clock advanced. When
 // it returns false the caller must run one normal inj.Cycle + net.Step.
+// Only the driver calls it (detlint: barrier-only).
 func elideStep(net *router.Network, inj *traffic.Injector, target int64) bool {
 	if elisionOff {
 		return false
@@ -41,17 +43,10 @@ func elideStep(net *router.Network, inj *traffic.Injector, target int64) bool {
 	return true
 }
 
-// Advance runs the pair for `cycles` cycles — the canonical
-// inj.Cycle(); net.Step() loop with quiet spans elided. Benchmarks and
-// tests drive deep-idle regimes through it; the measurement loops
-// inline the same pattern with their own bucket caps.
+// Advance runs the pair for `cycles` cycles through the driver — quiet
+// spans elided, as every measurement runs. Benchmarks and tests drive
+// deep-idle regimes through it.
 func Advance(net *router.Network, inj *traffic.Injector, cycles int64) {
-	end := net.Now() + cycles
-	for net.Now() < end {
-		if elideStep(net, inj, end) {
-			continue
-		}
-		inj.Cycle()
-		net.Step()
-	}
+	p := point{net: net, inj: inj}
+	_ = p.advance(context.Background(), net.Now()+cycles) // Background never cancels
 }

@@ -20,18 +20,7 @@ import (
 func elideRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int, elide bool) (trace, drops []string, hist map[int64]uint64, inj *traffic.Injector, net *router.Network, stepped int64) {
 	t.Helper()
 	c.Router.Workers = workers
-	net, err := BuildNetwork(c, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err = w.injector(net, traffic.Constant(pat), load, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, inj = testPoint(t, c, w, load)
 	hist = make(map[int64]uint64)
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d att=%d",
@@ -252,7 +241,7 @@ func TestElisionMeasurementBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		transient, err := RunTransient(c, UN(), ADV(1), 0.01, 600, 300, 600, 50, 2)
+		transient, err := RunTransient(c, UN(), ADV(1), 0.01, transientBudget(600, 300, 600, 50, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"cbar/internal/routing"
-	"cbar/internal/stats"
 )
 
 // transientLoad returns the offered load of the Figures 7-9 experiments:
@@ -84,77 +83,27 @@ type sweepKey struct {
 	load float64
 }
 
-// sweepSteady runs a full (algorithm × load) steady-state grid with all
-// points and seeds in one parallel worker pool.
+// sweepSteady runs a full (algorithm × load) steady-state grid as one
+// runGrid call; mutate, when non-nil, adjusts each algorithm's config.
 func sweepSteady(s Scale, algos []routing.Algo, w Workload, loads []float64, b Budget,
 	mutate func(*Config)) (map[sweepKey]SteadyResult, error) {
-	b = b.steadyDefaults()
-	if err := b.validateSteady(); err != nil {
-		return nil, err
-	}
-	type job struct {
-		key  sweepKey
-		seed uint64
-	}
-	var jobs []job
+	var pts []gridPoint
 	for _, a := range algos {
-		for _, l := range loads {
-			for sd := 0; sd < b.Seeds; sd++ {
-				jobs = append(jobs, job{sweepKey{a, l}, seedFor(sd)})
-			}
-		}
-	}
-	perJob := make([]SteadyResult, len(jobs))
-	perHist := make([]*stats.Histogram, len(jobs))
-	requested := b.Workers
-	if requested == 0 && len(algos) > 0 {
-		// Probe the mutated config for auto-shard eligibility (e.g. a
-		// mutate that grows PacketSize past the handoff-ordering bound
-		// must keep its runs sequential rather than fail Build).
-		probe := NewConfig(s.Params(), algos[0])
-		if mutate != nil {
-			mutate(&probe)
-		}
-		if !autoShardable(probe.Router) {
-			requested = 1
-		}
-	}
-	perRun, taskWorkers := planWorkers(requested, len(jobs))
-	err := forEachTaskN(len(jobs), taskWorkers, func(i int) error {
-		cfg := NewConfig(s.Params(), jobs[i].key.algo)
-		cfg.Router.Workers = perRun
-		cfg.Router.Congestion = b.Congestion
-		cfg.Router.Faults = b.Faults
+		cfg := b.config(s, a)
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		var err error
-		perJob[i], perHist[i], err = measureSeed(cfg, w, jobs[i].key.load, b, jobs[i].seed)
-		return err
-	})
+		for _, l := range loads {
+			pts = append(pts, gridPoint{cfg, w, l})
+		}
+	}
+	rs, err := runGrid(pts, b)
 	if err != nil {
 		return nil, err
 	}
-	// Group in first-appearance order of the job list so the reduction
-	// runs in a deterministic sequence (jobs is built load-major, so the
-	// order is also the output order of the tables).
-	grouped := map[sweepKey][]int{}
-	var keys []sweepKey
-	for i, j := range jobs {
-		if _, ok := grouped[j.key]; !ok {
-			keys = append(keys, j.key)
-		}
-		grouped[j.key] = append(grouped[j.key], i)
-	}
-	out := make(map[sweepKey]SteadyResult, len(grouped))
-	for _, k := range keys {
-		idx := grouped[k]
-		rs := make([]SteadyResult, len(idx))
-		hs := make([]*stats.Histogram, len(idx))
-		for i, j := range idx {
-			rs[i], hs[i] = perJob[j], perHist[j]
-		}
-		out[k] = reduceSteady(rs, hs)
+	out := make(map[sweepKey]SteadyResult, len(rs))
+	for i, pt := range pts {
+		out[sweepKey{pt.c.Algo, pt.load}] = rs[i]
 	}
 	return out, nil
 }
@@ -199,24 +148,35 @@ func runFig5c(s Scale, b Budget, w io.Writer) error {
 		fmt.Sprintf("Fig 5c: adversarial ADV+h (h=%d), requires local misrouting in the intermediate group", h))
 }
 
-func runFig6(s Scale, b Budget, w io.Writer) error {
-	load := mixLoad(s)
-	fracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	fmt.Fprintf(w, "# Fig 6: mixed ADV+1/UN traffic at load %.2f (0%% = pure ADV+1)\n", load)
-	fmt.Fprintln(w, "uniform_pct,algo,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac")
-	for _, frac := range fracs {
-		for _, a := range adaptiveAlgos {
-			cfg := NewConfig(s.Params(), a)
-			cfg.Router.Congestion = b.Congestion
-			cfg.Router.Faults = b.Faults
-			r, err := RunSteadyBudget(cfg, MixUN(frac, 1), load, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%.0f,%s,%.2f,%.4f,%.4f\n", frac*100, r.Algo, r.AvgLatency, r.Accepted, r.MisroutedGlobal)
-		}
+// steadyTable prints a steady-state table: the title comment and header
+// lines, then one row per grid point, all points measured as one
+// runGrid call.
+func steadyTable(w io.Writer, b Budget, title, header string, pts []gridPoint, row func(pt gridPoint, r SteadyResult) string) error {
+	fmt.Fprintln(w, title)
+	fmt.Fprintln(w, header)
+	rs, err := runGrid(pts, b)
+	if err != nil {
+		return err
+	}
+	for i, r := range rs {
+		fmt.Fprintln(w, row(pts[i], r))
 	}
 	return nil
+}
+
+func runFig6(s Scale, b Budget, w io.Writer) error {
+	load := mixLoad(s)
+	var pts []gridPoint
+	for _, frac := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
+		for _, a := range adaptiveAlgos {
+			pts = append(pts, gridPoint{b.config(s, a), MixUN(frac, 1), load})
+		}
+	}
+	return steadyTable(w, b, fmt.Sprintf("# Fig 6: mixed ADV+1/UN traffic at load %.2f (0%% = pure ADV+1)", load),
+		"uniform_pct,algo,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%.0f,%s,%.2f,%.4f,%.4f", pt.w.UniformFrac*100, r.Algo, r.AvgLatency, r.Accepted, r.MisroutedGlobal)
+		})
 }
 
 func writeTransientTable(w io.Writer, results []TransientResult) {
@@ -230,32 +190,24 @@ func writeTransientTable(w io.Writer, results []TransientResult) {
 
 func runTransientFigure(s Scale, b Budget, w io.Writer, algos []routing.Algo, post int64,
 	mutate func(*Config), title string) error {
-	// Validate the transient windows this figure will actually run with
-	// (Post or PostLong) before building any network, mirroring the
-	// upfront validateSteady of the sweep experiments — a bad budget
-	// fails in microseconds instead of after the first algorithm's runs.
-	vb := b
-	vb.Post = post
-	if err := vb.validateTransient(); err != nil {
-		return err
-	}
+	// The figure traces Post or PostLong cycles past the switch.
+	// RunTransient validates the windows before building any network, so
+	// a bad budget fails in microseconds, on the first algorithm.
+	b.Post = post
 	load := transientLoad(s)
-	fmt.Fprintf(w, "# %s (UN->ADV+1 at t=0, load %.2f)\n", title, load)
 	results := make([]TransientResult, len(algos))
 	for i, a := range algos {
-		cfg := NewConfig(s.Params(), a)
-		cfg.Router.Workers = b.Workers
-		cfg.Router.Congestion = b.Congestion
-		cfg.Router.Faults = b.Faults
+		cfg := b.config(s, a)
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		r, err := RunTransientCtx(b.Ctx, cfg, UN(), ADV(1), load, b.TransientWarmup, b.Pre, post, b.Bucket, b.Seeds)
+		r, err := RunTransient(cfg, UN(), ADV(1), load, b)
 		if err != nil {
 			return err
 		}
 		results[i] = r
 	}
+	fmt.Fprintf(w, "# %s (UN->ADV+1 at t=0, load %.2f)\n", title, load)
 	writeTransientTable(w, results)
 	return nil
 }
@@ -299,33 +251,25 @@ func fig10Thresholds(s Scale) (un, adv []int32) {
 }
 
 func runFig10(s Scale, b Budget, w io.Writer, workload Workload, ths []int32, ref routing.Algo, title string) error {
-	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintln(w, "load,threshold,avg_latency_cycles,accepted_phits_node_cycle")
+	// Per load: one Base point per threshold, then the oblivious
+	// reference curve (MIN for UN, VAL for ADV).
+	var pts []gridPoint
 	for _, l := range b.Loads {
 		for _, th := range ths {
-			cfg := NewConfig(s.Params(), routing.Base)
-			cfg.Router.Workers = b.Workers
-			cfg.Router.Congestion = b.Congestion
-			cfg.Router.Faults = b.Faults
+			cfg := b.config(s, routing.Base)
 			cfg.Opts.BaseTh = th
-			r, err := RunSteadyBudget(cfg, workload, l, b)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%.3f,th=%d,%.2f,%.4f\n", l, th, r.AvgLatency, r.Accepted)
+			pts = append(pts, gridPoint{cfg, workload, l})
 		}
-		// Oblivious reference curve (MIN for UN, VAL for ADV).
-		refCfg := NewConfig(s.Params(), ref)
-		refCfg.Router.Workers = b.Workers
-		refCfg.Router.Congestion = b.Congestion
-		refCfg.Router.Faults = b.Faults
-		r, err := RunSteadyBudget(refCfg, workload, l, b)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%.3f,%s,%.2f,%.4f\n", l, r.Algo, r.AvgLatency, r.Accepted)
+		pts = append(pts, gridPoint{b.config(s, ref), workload, l})
 	}
-	return nil
+	return steadyTable(w, b, "# "+title, "load,threshold,avg_latency_cycles,accepted_phits_node_cycle", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			label := r.Algo
+			if pt.c.Algo == routing.Base {
+				label = fmt.Sprintf("th=%d", pt.c.Opts.BaseTh)
+			}
+			return fmt.Sprintf("%.3f,%s,%.2f,%.4f", r.Load, label, r.AvgLatency, r.Accepted)
+		})
 }
 
 func runFig10a(s Scale, b Budget, w io.Writer) error {
@@ -341,11 +285,8 @@ func runFig10b(s Scale, b Budget, w io.Writer) error {
 }
 
 func runVIA(s Scale, b Budget, w io.Writer) error {
-	cfg := NewConfig(s.Params(), routing.Base)
-	cfg.Router.Workers = b.Workers
-	cfg.Router.Congestion = b.Congestion
-	cfg.Router.Faults = b.Faults
-	got, err := MeanSaturatedContention(cfg, 0.95, b.Warmup, b.Measure/4, 1)
+	cfg := b.config(s, routing.Base)
+	got, err := MeanSaturatedContention(b.Ctx, cfg, 0.95, b.Warmup, b.Measure/4, 1)
 	if err != nil {
 		return err
 	}

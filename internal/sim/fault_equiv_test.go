@@ -34,18 +34,7 @@ func faultRun(t *testing.T, c Config, w Workload, load float64, cycles int64, wo
 	t.Helper()
 	c.Router.Workers = workers
 	c.Router.Faults = faultPlan()
-	net, err := BuildNetwork(c, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err = w.injector(net, traffic.Constant(pat), load, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, inj = testPoint(t, c, w, load)
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d att=%d",
 			now, p.ID, p.Src, p.Dst, p.TotalHops, p.GlobalMisroute, p.LocalMisroutes, p.GenTime, p.Attempt))

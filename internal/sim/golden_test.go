@@ -1,0 +1,48 @@
+package sim
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// goldenFigures are the experiment ids pinned byte for byte as
+// testdata/golden/ID_tiny.csv at the repository root: one grid figure,
+// one transient trace, one threshold sweep and the steady and transient
+// ablations, so the figure writers, the transient tracer and the grid
+// pool are pinned across commits like the sweeps of the root package's
+// golden_test.go. CI diffs the same files against the cmd/figures
+// binary. Regenerate with:
+//
+//	go run ./cmd/figures -scale tiny -seeds 1 -out testdata/golden \
+//	    -fig fig6,fig7,fig10a,abl-speedup,abl-ectn-period
+var goldenFigures = []string{"fig6", "fig7", "fig10a", "abl-speedup", "abl-ectn-period"}
+
+func TestGoldenFigures(t *testing.T) {
+	t.Parallel()
+	for _, id := range goldenFigures {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			e, ok := FindExperiment(id)
+			if !ok {
+				t.Fatalf("unknown experiment %q", id)
+			}
+			// cmd/figures -scale tiny -seeds 1: the scale's default budget
+			// with one repeat.
+			b := DefaultBudget(Tiny)
+			b.Seeds = 1
+			var got strings.Builder
+			if err := e.Run(Tiny, b, &got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", id+"_tiny.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Errorf("golden mismatch for %s:\n--- want\n%s--- got\n%s", id, want, got.String())
+			}
+		})
+	}
+}

@@ -21,20 +21,9 @@ import (
 func parallelRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int) ([]string, map[int64]uint64, *router.Network) {
 	t.Helper()
 	c.Router.Workers = workers
-	net, err := BuildNetwork(c, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, inj := testPoint(t, c, w, load)
 	if got := net.Workers(); got != workers {
 		t.Fatalf("built %d workers, want %d", got, workers)
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, 31)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var trace []string
 	hist := make(map[int64]uint64)

@@ -50,20 +50,8 @@ func stressFaults(routers int, cycles int64) router.FaultConfig {
 func parkRun(t *testing.T, c Config, arm parkArm, cycles, tail int64) parkResult {
 	t.Helper()
 	c.Router.Workers = arm.workers
-	net, err := BuildNetwork(c, 2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, inj := testPoint(t, c, ADV(1), 0.6)
 	net.FullScan = arm.fullScan
-	w := ADV(1)
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), 0.6, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res := parkResult{net: net, inj: inj}
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		res.trace = append(res.trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d att=%d ecn=%d",

@@ -9,9 +9,9 @@ import (
 	"cbar/internal/traffic"
 )
 
-func mustStepBench(b *testing.B, s Scale, algo routing.Algo, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector) {
+func mustStepBench(b *testing.B, sp StepBenchSpec) (*router.Network, *traffic.Injector) {
 	b.Helper()
-	net, inj, err := NewStepBench(s, algo, load, fullScan, refScan)
+	net, inj, err := NewStepBench(sp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func benchStep(b *testing.B, s Scale, algo routing.Algo, load float64) {
 
 func benchStepMode(b *testing.B, s Scale, algo routing.Algo, load float64, fullScan, refScan bool) {
 	b.Helper()
-	net, inj := mustStepBench(b, s, algo, load, fullScan, refScan)
+	net, inj := mustStepBench(b, StepBenchSpec{Scale: s, Algo: algo, Load: load, FullScan: fullScan, RefScan: refScan})
 	gen0 := net.NumGenerated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,7 +61,7 @@ func BenchmarkStepPaperIdle(b *testing.B) { benchStep(b, Paper, routing.Base, 0.
 // the elision change is >= 10x their cycles/sec.
 func benchElideIdle(b *testing.B, s Scale, algo routing.Algo, load float64) {
 	b.Helper()
-	net, inj := mustStepBench(b, s, algo, load, false, false)
+	net, inj := mustStepBench(b, StepBenchSpec{Scale: s, Algo: algo, Load: load})
 	if err := ElideIdleWarm(net, inj); err != nil {
 		b.Fatal(err)
 	}
@@ -116,10 +116,7 @@ func BenchmarkStepPaperECtNIdle(b *testing.B) { benchStep(b, Paper, routing.ECtN
 // particular (16512 mostly-silent sources).
 func benchStepWorkload(b *testing.B, s Scale, algo routing.Algo, w Workload, load float64) {
 	b.Helper()
-	net, inj, err := NewStepBenchWorkload(s, algo, w, load, false, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	net, inj := mustStepBench(b, StepBenchSpec{Scale: s, Algo: algo, Workload: w, Load: load})
 	gen0 := net.NumGenerated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,10 +146,7 @@ func BenchmarkStepPaperBurstyIdle(b *testing.B) {
 // re-sampling its blocked heads every cycle.
 func benchStepSaturated(b *testing.B, s Scale, algo routing.Algo, w Workload, load float64) {
 	b.Helper()
-	net, inj, err := NewStepBenchSaturated(s, algo, w, load)
-	if err != nil {
-		b.Fatal(err)
-	}
+	net, inj := mustStepBench(b, StepBenchSpec{Scale: s, Algo: algo, Workload: w, Load: load, Saturated: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inj.Cycle()
@@ -177,10 +171,7 @@ func BenchmarkStepSmallOLMAdv04(b *testing.B) {
 // comparison lives inside one benchmark run.
 func benchStepWorkers(b *testing.B, s Scale, load float64, workers int) {
 	b.Helper()
-	net, inj, err := NewStepBenchWorkers(s, routing.Base, UN(), load, false, false, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
+	net, inj := mustStepBench(b, StepBenchSpec{Scale: s, Algo: routing.Base, Load: load, Workers: workers})
 	gen0 := net.NumGenerated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,9 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"cbar/internal/router"
 	"cbar/internal/routing"
@@ -255,31 +252,6 @@ func skewWeights(frac, share float64, nodes int) ([]float64, error) {
 	return w, nil
 }
 
-// injector builds the right injector for the workload: the bit-identical
-// homogeneous fast path when the source spec is zero, the stateful
-// calendar path otherwise.
-func (w Workload) injector(net *router.Network, sched *traffic.Schedule, load float64, seed uint64) (*traffic.Injector, error) {
-	if w.Source.homogeneous() {
-		return traffic.NewInjector(net, sched, load, seed)
-	}
-	spec := traffic.SourceSpec{
-		OnMean:   w.Source.OnMean,
-		OffMean:  w.Source.OffMean,
-		PeakLoad: w.Source.PeakLoad,
-	}
-	if w.Source.Bursty {
-		spec.Kind = traffic.OnOffArrivals
-	}
-	if w.Source.SkewFrac != 0 {
-		weights, err := skewWeights(w.Source.SkewFrac, w.Source.SkewShare, net.Topo.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		spec.Weights = weights
-	}
-	return traffic.NewSourceInjector(net, sched, load, seed, spec)
-}
-
 // SteadyResult aggregates a steady-state measurement across seeds.
 type SteadyResult struct {
 	Algo     string
@@ -347,124 +319,30 @@ type SteadyResult struct {
 	Unroutable uint64 // packets aimed at (or caught in) a partition
 }
 
-// latencyHistCap bounds the latency histogram; latencies beyond it still
-// count toward the mean but saturate percentile reporting.
-const latencyHistCap = 1 << 15
-
-// steadySeed runs one seed's steady-state experiment. Latency summary
-// fields (AvgLatency, P50, P99, OverflowFrac) are left zero: they are
-// computed by reduceSteady from the returned histogram, so multi-seed
-// reductions can merge histograms and take exact cross-seed percentiles
-// instead of averaging per-seed ones.
-func steadySeed(ctx context.Context, c Config, w Workload, load float64, warmup, measure int64, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	net, err := BuildNetwork(c, seed)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, seed^0x9E3779B97F4A7C15)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	var (
-		hist    = stats.NewHistogram(latencyHistCap)
-		hops    stats.Welford
-		phits   uint64
-		misG    uint64
-		misL    uint64
-		counted uint64
-	)
-	measStart := warmup
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		if now < measStart {
-			return
-		}
-		hist.Add(now - p.GenTime)
-		hops.Add(float64(p.TotalHops))
-		phits += uint64(p.Size)
-		if p.GlobalMisroute {
-			misG++
-		}
-		if p.LocalMisroutes > 0 {
-			misL++
-		}
-		counted++
-	}
-	var busyLocal0, busyGlobal0 int64
-	var marked0, notified0, shed0, throttled0 uint64
-	var dropped0, retried0, unroutable0 uint64
-	// The network starts at cycle 0, so net.Now() doubles as the loop
-	// counter. Quiet spans are elided (elideStep), capped at the warmup
-	// boundary so the counter snapshot lands exactly at cycle `warmup`;
-	// skipped cycles deliver nothing and mutate no counter, so the
-	// result is bit-identical to stepping them.
-	for cyc := net.Now(); cyc < warmup+measure; cyc = net.Now() {
-		if cyc == warmup {
-			_, busyLocal0, busyGlobal0 = net.LinkBusy()
-			marked0, notified0, shed0 = net.NumMarked, net.NumNotified, net.NumShed
-			throttled0 = inj.Throttled()
-			dropped0, retried0, unroutable0 = net.NumDropped, inj.Retried(), net.NumUnroutable
-		}
-		if cyc%adaptiveBucket == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return SteadyResult{}, nil, err
-			}
-		}
-		bound := warmup + measure
-		if cyc < warmup {
-			bound = warmup
-		}
-		if elideStep(net, inj, bound) {
-			continue
-		}
-		inj.Cycle()
-		net.Step()
-	}
-	_, busyLocal1, busyGlobal1 := net.LinkBusy()
-	_, nLocal, nGlobal := net.LinkCounts()
-	res := SteadyResult{
-		Algo:           c.Algo.String(),
-		Workload:       w.Name(),
-		Load:           load,
-		Accepted:       float64(phits) / (float64(measure) * float64(net.Topo.Nodes)),
-		Delivered:      counted,
-		AvgHops:        hops.Mean(),
-		UtilLocal:      float64(busyLocal1-busyLocal0) / (float64(measure) * float64(nLocal)),
-		UtilGlobal:     float64(busyGlobal1-busyGlobal0) / (float64(measure) * float64(nGlobal)),
-		Seeds:          1,
-		MeasuredCycles: measure,
-		WarmupCycles:   warmup,
-		Marked:         net.NumMarked - marked0,
-		Notified:       net.NumNotified - notified0,
-		Throttled:      inj.Throttled() - throttled0,
-		Shed:           net.NumShed - shed0,
-		Dropped:        net.NumDropped - dropped0,
-		Retried:        inj.Retried() - retried0,
-		Unroutable:     net.NumUnroutable - unroutable0,
-	}
-	if counted > 0 {
-		res.MisroutedGlobal = float64(misG) / float64(counted)
-		res.MisroutedLocal = float64(misL) / float64(counted)
-	}
-	return res, hist, nil
+// steadyPoint builds one seed's steady-state system: w's pattern for the
+// whole run, the injector seeded from the run seed.
+func steadyPoint(c Config, w Workload, load float64, seed uint64) (*point, error) {
+	return newPoint(c, w, load, seed, seed^0x9E3779B97F4A7C15)
 }
 
-// ctxErr reports a cancelled context (nil contexts never cancel); the
-// cycle loops poll it once per measurement bucket so a cancelled sweep
-// stops mid-run at bucket granularity.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+// steadySeed runs one seed's fixed-window steady-state experiment:
+// `warmup` cycles unmeasured, then a window over the next `measure`.
+// The window opens exactly at cycle `warmup` because the first advance
+// is bounded there. The histogram is returned beside the result for
+// reduceSteady (see window.close).
+func steadySeed(ctx context.Context, c Config, w Workload, load float64, warmup, measure int64, seed uint64) (SteadyResult, *stats.Histogram, error) {
+	p, err := steadyPoint(c, w, load, seed)
+	if err != nil {
+		return SteadyResult{}, nil, err
 	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-		return nil
+	if err := p.advance(ctx, warmup); err != nil {
+		return SteadyResult{}, nil, err
 	}
+	win := p.open()
+	if err := p.advance(ctx, warmup+measure); err != nil {
+		return SteadyResult{}, nil, err
+	}
+	return win.close(), win.hist, nil
 }
 
 // seedFor returns the run seed of repeat i, shared by every steady
@@ -498,59 +376,21 @@ func SweepSteady(c Config, w Workload, loads []float64, warmup, measure int64, s
 	return SweepSteadyBudget(c, w, loads, Budget{Warmup: warmup, Measure: measure, Seeds: seeds})
 }
 
-// SweepSteadyBudget measures a whole load grid. The load×seed grid is
-// flattened through one bounded worker pool, so a sweep never
-// oversubscribes the machine the way per-load pools would. When the
-// grid is at least GOMAXPROCS wide, grid parallelism alone saturates
-// the machine and every run steps sequentially; a narrower grid (the
-// common paper-scale case: few loads, few seeds) spreads the idle cores
-// inside each run as shard workers (router.Config.Workers — results are
-// cycle-for-cycle identical at any worker count). An explicit
-// c.Router.Workers is respected instead of the automatic split (b.Workers
-// is used when the config leaves it unset). The returned slice is
-// ordered like loads.
+// SweepSteadyBudget measures a whole load grid as one runGrid call, so
+// the load×seed grid shares one bounded worker pool (see grid.go for
+// the worker split; b.Workers is used when c.Router.Workers is unset).
+// The returned slice is ordered like loads.
 //
 // With b.Adaptive set, each (load, seed) point runs the adaptive
 // measurement engine (MSER warmup truncation, batch-means CI stopping,
 // saturation short-circuit) instead of the fixed windows; see
-// adaptiveSeed. The fixed path is the default and is bit-identical to
-// the pre-adaptive implementation.
+// adaptiveSeed. The fixed path is the default.
 func SweepSteadyBudget(c Config, w Workload, loads []float64, b Budget) ([]SteadyResult, error) {
-	b = b.steadyDefaults()
-	if err := b.validateSteady(); err != nil {
-		return nil, err
+	pts := make([]gridPoint, len(loads))
+	for i, l := range loads {
+		pts[i] = gridPoint{c, w, l}
 	}
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("sim: empty load grid")
-	}
-	tasks := len(loads) * b.Seeds
-	requested := c.Router.Workers
-	if requested == 0 {
-		requested = b.Workers
-	}
-	if requested == 0 && !autoShardable(c.Router) {
-		requested = 1
-	}
-	perRun, taskWorkers := planWorkers(requested, tasks)
-	c.Router.Workers = perRun
-	results := make([]SteadyResult, tasks)
-	hists := make([]*stats.Histogram, tasks)
-	err := forEachTaskN(tasks, taskWorkers, func(k int) error {
-		if err := ctxErr(b.Ctx); err != nil {
-			return err
-		}
-		r, h, err := measureSeed(c, w, loads[k/b.Seeds], b, seedFor(k%b.Seeds))
-		results[k], hists[k] = r, h
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SteadyResult, len(loads))
-	for li := range loads {
-		out[li] = reduceSteady(results[li*b.Seeds:(li+1)*b.Seeds], hists[li*b.Seeds:(li+1)*b.Seeds])
-	}
-	return out, nil
+	return runGrid(pts, b)
 }
 
 // reduceSteady reduces per-seed results to one measurement: scalar
@@ -559,50 +399,30 @@ func SweepSteadyBudget(c Config, w Workload, loads []float64, b Budget) ([]Stead
 // biased for the tail (each seed's P99 is a noisy order statistic whose
 // mean is not the P99 of the pooled distribution).
 func reduceSteady(rs []SteadyResult, hists []*stats.Histogram) SteadyResult {
-	out := rs[0]
+	var out SteadyResult
+	out.Algo, out.Workload, out.Load = rs[0].Algo, rs[0].Workload, rs[0].Load
+	out.Seeds, out.Converged = len(rs), true
 	merged := hists[0]
-	var acc, misG, misL, hops, utilL, utilG float64
-	var delivered uint64
+	var ciLat2, ciAcc2 float64
 	for i, r := range rs {
-		acc += r.Accepted
-		misG += r.MisroutedGlobal
-		misL += r.MisroutedLocal
-		hops += r.AvgHops
-		utilL += r.UtilLocal
-		utilG += r.UtilGlobal
-		delivered += r.Delivered
 		if i > 0 {
 			merged.Merge(hists[i])
 		}
-	}
-	n := float64(len(rs))
-	out.Accepted = acc / n
-	out.MisroutedGlobal = misG / n
-	out.MisroutedLocal = misL / n
-	out.AvgHops = hops / n
-	out.UtilLocal = utilL / n
-	out.UtilGlobal = utilG / n
-	out.AvgLatency = merged.Mean()
-	out.P50 = merged.Percentile(0.50)
-	out.P99 = merged.Percentile(0.99)
-	out.OverflowFrac = merged.OverflowFrac()
-	out.Delivered = delivered
-	out.Seeds = len(rs)
-	// Measurement-accounting reduction: seed CIs are independent, so the
-	// half-width of the averaged estimate is sqrt(sum half^2)/n; cycle
-	// costs add up, warmup lengths average, saturation is sticky and
-	// convergence must hold for every seed.
-	out.MeasuredCycles, out.WarmupCycles = 0, 0
-	out.Saturated, out.Converged = false, true
-	var ciLat2, ciAcc2 float64
-	var warm int64
-	out.Marked, out.Notified, out.Throttled, out.Shed = 0, 0, 0, 0
-	out.Dropped, out.Retried, out.Unroutable = 0, 0, 0
-	for _, r := range rs {
-		out.MeasuredCycles += r.MeasuredCycles
-		warm += r.WarmupCycles
+		out.Accepted += r.Accepted
+		out.MisroutedGlobal += r.MisroutedGlobal
+		out.MisroutedLocal += r.MisroutedLocal
+		out.AvgHops += r.AvgHops
+		out.UtilLocal += r.UtilLocal
+		out.UtilGlobal += r.UtilGlobal
+		out.Delivered += r.Delivered
+		// Measurement accounting: seed CIs are independent, so the
+		// half-width of the averaged estimate is sqrt(sum half^2)/n; cycle
+		// costs add up, warmup lengths average, saturation is sticky and
+		// convergence must hold for every seed.
 		ciLat2 += r.CIHalfLatency * r.CIHalfLatency
 		ciAcc2 += r.CIHalfAccepted * r.CIHalfAccepted
+		out.MeasuredCycles += r.MeasuredCycles
+		out.WarmupCycles += r.WarmupCycles
 		out.Saturated = out.Saturated || r.Saturated
 		out.Converged = out.Converged && r.Converged
 		out.Marked += r.Marked
@@ -613,9 +433,20 @@ func reduceSteady(rs []SteadyResult, hists []*stats.Histogram) SteadyResult {
 		out.Retried += r.Retried
 		out.Unroutable += r.Unroutable
 	}
-	out.WarmupCycles = warm / int64(len(rs))
+	n := float64(len(rs))
+	out.Accepted /= n
+	out.MisroutedGlobal /= n
+	out.MisroutedLocal /= n
+	out.AvgHops /= n
+	out.UtilLocal /= n
+	out.UtilGlobal /= n
+	out.WarmupCycles /= int64(len(rs))
 	out.CIHalfLatency = math.Sqrt(ciLat2) / n
 	out.CIHalfAccepted = math.Sqrt(ciAcc2) / n
+	out.AvgLatency = merged.Mean()
+	out.P50 = merged.Percentile(0.50)
+	out.P99 = merged.Percentile(0.99)
+	out.OverflowFrac = merged.OverflowFrac()
 	return out
 }
 
@@ -636,9 +467,11 @@ type TransientResult struct {
 	MisroutedPct []float64
 }
 
-// RunTransient warms the network with workload `before` for `warmup`
-// cycles, switches to `after`, and traces deliveries from `pre` cycles
-// before the switch until `post` cycles after it, averaged over seeds.
+// RunTransient warms the network with workload `before` for
+// b.TransientWarmup cycles, switches to `after`, and traces deliveries
+// from b.Pre cycles before the switch until b.Post cycles after it in
+// b.Bucket-wide buckets, averaged over b.Seeds repeats on the grid pool
+// (forEachRun; b.Ctx cancels cooperatively).
 //
 // Only the destination pattern switches: the arrival process is
 // `before`'s for the whole run. An `after` workload carrying a
@@ -649,219 +482,64 @@ type TransientResult struct {
 // the pattern change coincides with a partial-array distribution, the
 // scenario of Figure 7 ("the traffic changed exactly when the partial
 // counters were being distributed").
-func RunTransient(c Config, before, after Workload, load float64, warmup, pre, post, bucket int64, seeds int) (TransientResult, error) {
-	return RunTransientCtx(nil, c, before, after, load, warmup, pre, post, bucket, seeds)
-}
-
-// RunTransientCtx is RunTransient with cooperative cancellation: the
-// per-seed cycle loops poll ctx once per measurement bucket and the
-// seed pool between tasks. A nil ctx never cancels.
-func RunTransientCtx(ctx context.Context, c Config, before, after Workload, load float64, warmup, pre, post, bucket int64, seeds int) (TransientResult, error) {
-	tb := Budget{TransientWarmup: warmup, Pre: pre, Post: post, Bucket: bucket, Seeds: seeds}
-	if err := tb.validateTransient(); err != nil {
+func RunTransient(c Config, before, after Workload, load float64, b Budget) (TransientResult, error) {
+	if err := b.validateTransient(); err != nil {
 		return TransientResult{}, err
 	}
 	if !after.Source.homogeneous() && after.Source != before.Source {
 		return TransientResult{}, fmt.Errorf("sim: transient arrival process is %q's for the whole run; %q's source spec would be ignored — put it on the pre-switch workload",
 			before.Name(), after.Name())
 	}
+	warmup := b.TransientWarmup
 	if p := c.Opts.ECtNPeriod; p > 0 && warmup%p != 0 {
 		warmup += p - warmup%p
 	}
-	nBuckets := int((pre + post) / bucket)
-	latSeries := make([]*stats.TimeSeries, seeds)
-	misSeries := make([]*stats.TimeSeries, seeds)
-	// Like SweepSteady: seed-grid parallelism when there are enough
-	// seeds, intra-run shard workers for the idle cores when not.
-	requested := c.Router.Workers
-	if requested == 0 && !autoShardable(c.Router) {
-		requested = 1
-	}
-	perRun, taskWorkers := planWorkers(requested, seeds)
-	c.Router.Workers = perRun
-	err := forEachTaskN(seeds, taskWorkers, func(i int) error {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
+	nBuckets := int((b.Pre + b.Post) / b.Bucket)
+	latSeries := make([]*stats.TimeSeries, b.Seeds)
+	misSeries := make([]*stats.TimeSeries, b.Seeds)
+	err := forEachRun([]gridPoint{{c, before, load}}, b, func(i int, c Config) error {
 		seed := uint64(i)*0x2000003 + 17
-		net, err := BuildNetwork(c, seed)
+		p, err := newPoint(c, before, load, seed, seed^0xA5A5A5A5, phase{warmup, after})
 		if err != nil {
 			return err
 		}
-		patBefore, err := before.Pattern(net.Topo)
-		if err != nil {
-			return err
-		}
-		patAfter, err := after.Pattern(net.Topo)
-		if err != nil {
-			return err
-		}
-		sched, err := traffic.NewSchedule(
-			traffic.Phase{FromCycle: 0, Pattern: patBefore},
-			traffic.Phase{FromCycle: warmup, Pattern: patAfter},
-		)
-		if err != nil {
-			return err
-		}
-		// The arrival process follows the pre-switch workload's source
-		// spec; the schedule switches only the destination pattern.
-		inj, err := before.injector(net, sched, load, seed^0xA5A5A5A5)
-		if err != nil {
-			return err
-		}
-		lat := stats.NewTimeSeries(-pre, bucket, nBuckets)
-		mis := stats.NewTimeSeries(-pre, bucket, nBuckets)
-		net.OnDeliver = func(p *router.Packet, now int64) {
+		lat := stats.NewTimeSeries(-b.Pre, b.Bucket, nBuckets)
+		mis := stats.NewTimeSeries(-b.Pre, b.Bucket, nBuckets)
+		// The trace is a delivery observer, not a window: it buckets by
+		// time relative to the switch and keeps no aggregate.
+		p.net.OnDeliver = func(pkt *router.Packet, now int64) {
 			rel := now - warmup
-			lat.Add(rel, float64(now-p.GenTime))
+			lat.Add(rel, float64(now-pkt.GenTime))
 			v := 0.0
-			if p.GlobalMisroute {
+			if pkt.GlobalMisroute {
 				v = 100.0
 			}
 			mis.Add(rel, v)
 		}
-		// Quiet spans elide bit-identically (long-OFF bursty warmups are
-		// the motivating case). The destination-pattern switch at cycle
-		// `warmup` needs no jump cap: arrival times never depend on the
-		// pattern, and a jump lands on the next arrival, which then draws
-		// its destination from the schedule in force at that cycle.
-		for cyc := net.Now(); cyc < warmup+post; cyc = net.Now() {
-			if cyc%adaptiveBucket == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-			}
-			if elideStep(net, inj, warmup+post) {
-				continue
-			}
-			inj.Cycle()
-			net.Step()
-		}
-		latSeries[i] = lat
-		misSeries[i] = mis
-		return nil
+		latSeries[i], misSeries[i] = lat, mis
+		// One advance to the end of the run: the pattern switch at cycle
+		// `warmup` needs no jump cap, since arrival times never depend on
+		// the pattern and a jump lands on the next arrival, which then
+		// draws its destination from the schedule in force at that cycle.
+		return p.advance(b.Ctx, warmup+b.Post)
 	})
 	if err != nil {
 		return TransientResult{}, err
 	}
-	for i := 1; i < seeds; i++ {
+	for i := 1; i < b.Seeds; i++ {
 		latSeries[0].Merge(latSeries[i])
 		misSeries[0].Merge(misSeries[i])
 	}
-	res := TransientResult{Algo: c.Algo.String(), BucketWidth: bucket}
+	res := TransientResult{Algo: c.Algo.String(), BucketWidth: b.Bucket}
 	for i := 0; i < latSeries[0].Buckets(); i++ {
 		if latSeries[0].CountAt(i) == 0 {
 			continue
 		}
-		res.Times = append(res.Times, latSeries[0].BucketTime(i)+bucket/2)
+		res.Times = append(res.Times, latSeries[0].BucketTime(i)+b.Bucket/2)
 		res.Latency = append(res.Latency, latSeries[0].Mean(i))
 		res.MisroutedPct = append(res.MisroutedPct, misSeries[0].Mean(i))
 	}
 	return res, nil
-}
-
-// autoShardable reports whether a run with this router config may be
-// sharded by the automatic worker split: router.Build rejects Workers >
-// 1 for configs whose cross-shard packet handoffs would not be
-// barrier-ordered (PipelineLatency + LatencyGlobal must exceed
-// PacketSize), so auto mode must keep such configs sequential — they
-// were valid sequential sweeps before sharding existed and must stay
-// so on every core count. An explicit Workers > 1 request still
-// surfaces the Build error, since the caller asked for the impossible.
-func autoShardable(rc router.Config) bool {
-	return rc.PipelineLatency+rc.LatencyGlobal > rc.PacketSize
-}
-
-// planWorkers splits GOMAXPROCS between grid tasks and intra-run shard
-// workers: a grid at least GOMAXPROCS wide keeps each run sequential
-// (grid parallelism already saturates the machine), a narrower grid
-// hands the idle cores to each run as shard workers. An explicit
-// requested count (> 0) is honored up to GOMAXPROCS — the sweep pool
-// never oversubscribes the machine, so a -workers request beyond the
-// core count is clamped (unlike a direct BuildNetwork, which takes the
-// config verbatim); the task pool is then sized so tasks × per-run
-// workers never exceeds GOMAXPROCS.
-func planWorkers(requested, tasks int) (perRun, taskWorkers int) {
-	maxProcs := runtime.GOMAXPROCS(0)
-	perRun = requested
-	if perRun <= 0 {
-		perRun = maxProcs / tasks
-		if perRun < 1 {
-			perRun = 1
-		}
-	}
-	if perRun > maxProcs {
-		perRun = maxProcs
-	}
-	taskWorkers = maxProcs / perRun
-	if taskWorkers < 1 {
-		taskWorkers = 1
-	}
-	return perRun, taskWorkers
-}
-
-// forEachTask runs f(0..n-1) on up to GOMAXPROCS goroutines and returns
-// the first error. It is the one bounded worker pool every repeat/grid
-// entry point funnels through, so nested parallelism cannot multiply
-// into more than GOMAXPROCS concurrently-simulated networks.
-func forEachTask(n int, f func(i int) error) error {
-	return forEachTaskN(n, runtime.GOMAXPROCS(0), f)
-}
-
-// forEachTaskN is forEachTask with an explicit worker-pool size (used
-// when each task itself runs shard workers, so the product stays within
-// GOMAXPROCS). A panicking task is recovered in its worker and
-// converted to an error carrying the panic value and stack, which —
-// like any task error — cancels the tasks not yet started and is
-// returned to the caller; sibling workers finish their current task and
-// exit rather than wedging mid-sweep.
-func forEachTaskN(n, workers int, f func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	run := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("sim: task %d panicked: %v\n%s", i, r, debug.Stack())
-			}
-		}()
-		return f(i)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		ferr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				bad := ferr != nil
-				mu.Unlock()
-				if bad || i >= n {
-					return
-				}
-				if err := run(i); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ferr
 }
 
 // MeanSaturatedContention runs the §VI-A diagnostic: uniform traffic at
@@ -869,35 +547,24 @@ func forEachTaskN(n, workers int, f func(i int) error) error {
 // contention-counter value per output port averaged over the final
 // `sample` cycles. Under saturation the paper estimates it at the mean
 // number of VCs per input port (2.74 for the Table I router).
-func MeanSaturatedContention(c Config, load float64, warmup, sample int64, seed uint64) (float64, error) {
+func MeanSaturatedContention(ctx context.Context, c Config, load float64, warmup, sample int64, seed uint64) (float64, error) {
 	c.Algo = routing.Base
-	net, err := BuildNetwork(c, seed)
+	p, err := newPoint(c, UN(), load, seed, seed)
 	if err != nil {
 		return 0, err
 	}
-	pat, err := UN().Pattern(net.Topo)
-	if err != nil {
+	if err := p.advance(ctx, warmup); err != nil {
 		return 0, err
 	}
-	inj, err := traffic.NewInjector(net, traffic.Constant(pat), load, seed)
-	if err != nil {
-		return 0, err
-	}
-	// Both loops step every cycle, deliberately un-elided: at a
-	// saturating load the network is never quiet (so elision could not
-	// fire anyway), and the sampling loop reads the contention counters
-	// once per cycle — its observable is the per-cycle trajectory
-	// itself, which a clock jump would undersample.
-	for cyc := int64(0); cyc < warmup; cyc++ {
-		inj.Cycle()
-		net.Step()
-	}
+	// The observable is the per-cycle counter trajectory itself, which a
+	// clock jump would undersample: advance one cycle at a time.
 	var acc stats.Welford
-	ports := float64(net.Topo.Radix())
-	for cyc := int64(0); cyc < sample; cyc++ {
-		inj.Cycle()
-		net.Step()
-		for _, r := range net.Routers {
+	ports := float64(p.net.Topo.Radix())
+	for end := warmup + sample; p.net.Now() < end; {
+		if err := p.advance(ctx, p.net.Now()+1); err != nil {
+			return 0, err
+		}
+		for _, r := range p.net.Routers {
 			acc.Add(float64(r.Contention.Sum()) / ports)
 		}
 	}

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"cbar/internal/router"
 	"cbar/internal/routing"
 	"cbar/internal/stats"
 	"cbar/internal/topology"
+	"cbar/internal/traffic"
 )
 
 func tinyCfg(a routing.Algo) Config { return NewConfig(Tiny.Params(), a) }
@@ -219,7 +222,7 @@ func TestFig7Shape_TransientAdaptation(t *testing.T) {
 	t.Parallel()
 	const load = 0.35
 	run := func(a routing.Algo) TransientResult {
-		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, 1200, 100, 600, 20, 2)
+		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, transientBudget(1200, 100, 600, 20, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +272,7 @@ func TestFig9Shape_ECtNFlatAfterConvergence(t *testing.T) {
 	t.Parallel()
 	const load = 0.2
 	run := func(a routing.Algo) TransientResult {
-		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, 1200, 0, 1600, 50, 2)
+		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, transientBudget(1200, 0, 1600, 50, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +301,7 @@ func TestFig9Shape_ECtNFlatAfterConvergence(t *testing.T) {
 func TestMeanSaturatedContention(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Base)
-	got, err := MeanSaturatedContention(c, 0.95, 1500, 300, 1)
+	got, err := MeanSaturatedContention(context.Background(), c, 0.95, 1500, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +314,17 @@ func TestMeanSaturatedContention(t *testing.T) {
 
 func TestRunTransientValidation(t *testing.T) {
 	c := tinyCfg(routing.Base)
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 50, 100, 600, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, transientBudget(50, 100, 600, 10, 1)); err == nil {
 		t.Fatal("warmup < pre accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 5, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, transientBudget(500, 100, 5, 10, 1)); err == nil {
 		t.Fatal("post < bucket accepted")
 	}
 }
 
 func TestRunTransientTimesRelative(t *testing.T) {
 	t.Parallel()
-	r, err := RunTransient(tinyCfg(routing.Min), UN(), ADV(1), 0.1, 600, 100, 200, 10, 1)
+	r, err := RunTransient(tinyCfg(routing.Min), UN(), ADV(1), 0.1, transientBudget(600, 100, 200, 10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +345,7 @@ func TestRunTransientTimesRelative(t *testing.T) {
 }
 
 func TestForEachTaskErrorPropagates(t *testing.T) {
-	err := forEachTask(8, func(i int) error {
+	err := forEachTaskN(8, 4, func(i int) error {
 		if i == 3 {
 			return errTest
 		}
@@ -351,6 +354,22 @@ func TestForEachTaskErrorPropagates(t *testing.T) {
 	if err != errTest {
 		t.Fatalf("got %v", err)
 	}
+}
+
+// testPoint builds the system the equivalence tests drive by hand,
+// through the production constructor, at their fixed seeds.
+func testPoint(t testing.TB, c Config, w Workload, load float64) (*router.Network, *traffic.Injector) {
+	t.Helper()
+	p, err := newPoint(c, w, load, 2025, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.net, p.inj
+}
+
+// transientBudget is the Budget of a bare transient run.
+func transientBudget(warmup, pre, post, bucket int64, seeds int) Budget {
+	return Budget{TransientWarmup: warmup, Pre: pre, Post: post, Bucket: bucket, Seeds: seeds}
 }
 
 var errTest = &simTestError{}

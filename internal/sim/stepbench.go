@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"cbar/internal/rng"
@@ -32,7 +33,7 @@ const (
 
 // ElideIdleWarm deterministically warms every lazily-grown pool an
 // ElideIdle measurement span can touch: one packet through every NIC
-// (first-touch queue backing arrays, the packet freelist), stepped to
+// (first-touch queue backing arrays, the packet freelist), advanced to
 // delivery. At deep idle the statistical StepBenchWarmup leaves most
 // sources untouched, so without this the first-touch growth trickles
 // through the measured spans and allocs/op decays with b.N — a flaky
@@ -42,9 +43,8 @@ func ElideIdleWarm(net *router.Network, inj *traffic.Injector) error {
 	for src := 0; src < nodes; src++ {
 		net.Inject(src, (src+nodes/2)%nodes)
 	}
-	for i := 0; i < 1<<20 && net.InFlight > 0; i++ {
-		inj.Cycle()
-		net.Step()
+	for deadline := net.Now() + 1<<20; net.InFlight > 0 && net.Now() < deadline; {
+		Advance(net, inj, 1)
 	}
 	if net.InFlight > 0 {
 		return fmt.Errorf("sim: elide warm burst did not drain")
@@ -52,107 +52,73 @@ func ElideIdleWarm(net *router.Network, inj *traffic.Injector) error {
 	return nil
 }
 
-// NewStepBench builds a network and injector at the given scale,
-// algorithm and uniform offered load, applies the step modes — fullScan
-// selects the every-component fabric loop, refScan the full-recompute
-// reference algorithm state (polled PB flags, combine-every-group ECtN)
-// — and warms the network into steady state.
-func NewStepBench(s Scale, algo routing.Algo, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector, error) {
-	return NewStepBenchWorkload(s, algo, UN(), load, fullScan, refScan)
+// StepBenchSpec is one step-benchmark operating point. The zero values
+// are the common case: uniform traffic, sequential stepping, the
+// production fabric loop and algorithm state, no faults.
+type StepBenchSpec struct {
+	Scale    Scale
+	Algo     routing.Algo
+	Workload Workload
+	Load     float64
+	// Workers is the shard worker count (0 or 1: sequential), so the
+	// suite can pin the parallel stepper's cycles/sec beside the
+	// sequential stepper at the same operating points (the two are
+	// cycle-for-cycle identical, so every other knob is comparable).
+	Workers int
+	// FullScan selects the every-component fabric loop, RefScan the
+	// full-recompute reference algorithm state (polled PB flags,
+	// combine-every-group ECtN).
+	FullScan, RefScan bool
+	// QuiescentFaults arms a fault plan that never fires: one LinkDown
+	// scheduled far past any benchmark horizon, so the fault engine is
+	// allocated and its per-cycle pending check runs. Pinned beside the
+	// plain idle entry, the delta is the fault layer's hot-path
+	// overhead — which must stay ~zero.
+	QuiescentFaults bool
+	// Saturated marks an operating point past saturation. There the NIC
+	// queues fill at the rate offered load exceeds accepted load, and
+	// until they are full the packet population grows and Step allocates
+	// for it (freelist misses, queue growth) — thousands of cycles beyond
+	// StepBenchWarmup. The benchmark measures the stalled steady state,
+	// so the network is advanced in StepBenchWarmup windows until a
+	// window grows the in-flight population by less than 0.1 %; from
+	// there a cycle allocates nothing, which cmd/bench gates.
+	Saturated bool
 }
 
-// NewStepBenchWorkload is NewStepBench for an arbitrary workload
-// (pattern and arrival process), so the benchmark suite can pin the
-// cost of the stateful calendar injector beside the Bernoulli fast
-// path at the same operating points.
-func NewStepBenchWorkload(s Scale, algo routing.Algo, w Workload, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector, error) {
-	return NewStepBenchWorkers(s, algo, w, load, fullScan, refScan, 1)
-}
-
-// NewStepBenchWorkers is NewStepBenchWorkload with an explicit shard
-// worker count, so the benchmark suite can pin the parallel stepper's
-// cycles/sec beside the sequential stepper at the same operating points
-// (the two are cycle-for-cycle identical, so every other knob is
-// comparable).
-func NewStepBenchWorkers(s Scale, algo routing.Algo, w Workload, load float64, fullScan, refScan bool, workers int) (*router.Network, *traffic.Injector, error) {
-	c := NewConfig(s.Params(), algo)
-	c.Opts.ReferenceScan = refScan
-	c.Router.Workers = workers
-	net, err := BuildNetwork(c, 1)
+// NewStepBench builds the spec's network and injector through the same
+// point constructor the measurements use and warms it into steady
+// state through the driver.
+func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) {
+	c := NewConfig(sp.Scale.Params(), sp.Algo)
+	c.Opts.ReferenceScan = sp.RefScan
+	c.Router.Workers = sp.Workers
+	if sp.QuiescentFaults {
+		c.Router.Faults = router.FaultConfig{Events: []router.FaultEvent{
+			{Kind: router.LinkDown, Router: 0, Port: int16(sp.Scale.Params().P), Cycle: 1 << 40},
+		}}
+	}
+	p, err := newPoint(c, sp.Workload, sp.Load, 1, 2)
 	if err != nil {
 		return nil, nil, err
 	}
-	net.FullScan = fullScan
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		return nil, nil, err
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < StepBenchWarmup; i++ {
-		inj.Cycle()
-		net.Step()
-	}
-	return net, inj, nil
-}
-
-// NewStepBenchSaturated is NewStepBenchWorkload for an operating point
-// past saturation. There the NIC queues fill at the rate offered load
-// exceeds accepted load, and until they are full the packet population
-// grows and Step allocates for it (freelist misses, queue growth) —
-// thousands of cycles beyond StepBenchWarmup. The benchmark measures the
-// stalled steady state, so the network is stepped in StepBenchWarmup
-// windows until a window grows the in-flight population by less than
-// 0.1 %; from there a cycle allocates nothing, which cmd/bench gates.
-func NewStepBenchSaturated(s Scale, algo routing.Algo, w Workload, load float64) (*router.Network, *traffic.Injector, error) {
-	net, inj, err := NewStepBenchWorkload(s, algo, w, load, false, false)
-	if err != nil {
-		return nil, nil, err
+	p.net.FullScan = sp.FullScan
+	// Background never cancels, so advance cannot fail here.
+	ctx := context.Background()
+	_ = p.advance(ctx, StepBenchWarmup)
+	if !sp.Saturated {
+		return p.net, p.inj, nil
 	}
 	const maxWindows = 100
 	for win := 0; win < maxWindows; win++ {
-		before := net.InFlight
-		for i := 0; i < StepBenchWarmup; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		if (net.InFlight-before)*1000 < before {
-			return net, inj, nil
+		before := p.net.InFlight
+		_ = p.advance(ctx, p.net.Now()+StepBenchWarmup)
+		if (p.net.InFlight-before)*1000 < before {
+			return p.net, p.inj, nil
 		}
 	}
 	return nil, nil, fmt.Errorf("sim: %v at load %g: in-flight population still growing after %d cycles; not a saturated operating point",
-		algo, load, (maxWindows+1)*StepBenchWarmup)
-}
-
-// NewStepBenchFaults builds a step benchmark with a quiescent fault
-// plan: one LinkDown scheduled far past any benchmark horizon, so the
-// fault engine is allocated and its per-cycle pending check runs, but
-// no event ever fires. Pinned beside the plain idle entry, the delta is
-// the fault layer's hot-path overhead — which must stay ~zero.
-func NewStepBenchFaults(s Scale, algo routing.Algo, load float64) (*router.Network, *traffic.Injector, error) {
-	c := NewConfig(s.Params(), algo)
-	c.Router.Faults = router.FaultConfig{Events: []router.FaultEvent{
-		{Kind: router.LinkDown, Router: 0, Port: int16(s.Params().P), Cycle: 1 << 40},
-	}}
-	net, err := BuildNetwork(c, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	pat, err := UN().Pattern(net.Topo)
-	if err != nil {
-		return nil, nil, err
-	}
-	inj, err := traffic.NewInjector(net, traffic.Constant(pat), load, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < StepBenchWarmup; i++ {
-		inj.Cycle()
-		net.Step()
-	}
-	return net, inj, nil
+		sp.Algo, sp.Load, (maxWindows+1)*StepBenchWarmup)
 }
 
 // BurstDrainStep runs one episode of the burst-then-drain benchmark: a

@@ -194,7 +194,7 @@ func TestReduceSteadyOverflowFrac(t *testing.T) {
 // switch).
 func TestTransientBurstySmoke(t *testing.T) {
 	t.Parallel()
-	r, err := RunTransient(tinyCfg(routing.Base), UN().WithBurst(30, 90, 0), ADV(1), 0.25, 800, 100, 300, 20, 1)
+	r, err := RunTransient(tinyCfg(routing.Base), UN().WithBurst(30, 90, 0), ADV(1), 0.25, transientBudget(800, 100, 300, 20, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +208,11 @@ func TestTransientBurstySmoke(t *testing.T) {
 // pre-switch process drives the whole run), so it must be rejected.
 func TestTransientRejectsAfterSourceMismatch(t *testing.T) {
 	c := tinyCfg(routing.Base)
-	if _, err := RunTransient(c, UN(), ADV(1).WithBurst(50, 200, 0), 0.2, 600, 100, 200, 20, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1).WithBurst(50, 200, 0), 0.2, transientBudget(600, 100, 200, 20, 1)); err == nil {
 		t.Fatal("after-workload source spec silently dropped")
 	}
 	// Matching specs on both sides are fine.
-	if _, err := RunTransient(c, UN().WithBurst(50, 200, 0), ADV(1).WithBurst(50, 200, 0), 0.2, 600, 100, 200, 20, 1); err != nil {
+	if _, err := RunTransient(c, UN().WithBurst(50, 200, 0), ADV(1).WithBurst(50, 200, 0), 0.2, transientBudget(600, 100, 200, 20, 1)); err != nil {
 		t.Fatal(err)
 	}
 }

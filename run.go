@@ -274,8 +274,8 @@ func RunTransient(c Config, before, after Traffic, load float64, opt TransientOp
 		return TransientResult{}, err
 	}
 	opt = opt.withDefaults(c)
-	r, err := sim.RunTransient(sc, before.inner, after.inner, load,
-		opt.Warmup, opt.Pre, opt.Post, opt.Bucket, opt.Seeds)
+	r, err := sim.RunTransient(sc, before.inner, after.inner, load, sim.Budget{
+		TransientWarmup: opt.Warmup, Pre: opt.Pre, Post: opt.Post, Bucket: opt.Bucket, Seeds: opt.Seeds})
 	if err != nil {
 		return TransientResult{}, err
 	}
