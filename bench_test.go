@@ -252,7 +252,8 @@ func BenchmarkVIA_CounterSaturation(b *testing.B) {
 }
 
 // BenchmarkAblation_ECtNPeriod: design-choice ablation — a longer
-// exchange period delays group-wide adaptation (DESIGN.md).
+// exchange period delays group-wide adaptation (the abl-ectn-period
+// study; internal/sim/ablations.go states the trade-off).
 func BenchmarkAblation_ECtNPeriod(b *testing.B) {
 	early := func(period int64) float64 {
 		cfg := NewConfig(Tiny, ECtN)

@@ -11,151 +11,76 @@ import (
 )
 
 // Algorithm identifies one of the seven routing mechanisms of the
-// paper's evaluation.
-type Algorithm int
+// paper's evaluation (or the §VI-C extension). It is an alias of the
+// engine's routing.Algo: String returns the canonical name ("MIN",
+// "PB", "Base", ...) that ParseAlgorithm accepts and result CSVs print,
+// and IsContentionBased reports whether the mechanism is one of the
+// paper's contention-counter mechanisms.
+type Algorithm = routing.Algo
 
 // The mechanisms, in the paper's presentation order.
 const (
 	// MIN is oblivious hierarchical minimal routing.
-	MIN Algorithm = iota
+	MIN = routing.Min
 	// VAL is Valiant routing through a random intermediate node.
-	VAL
+	VAL = routing.Valiant
 	// PB is PiggyBacking, the source-routed congestion-based adaptive
 	// baseline (Jiang et al., ISCA 2009).
-	PB
+	PB = routing.PB
 	// OLM is Opportunistic Local Misrouting, the in-transit
 	// congestion-based adaptive baseline (García et al., ICPP 2013).
-	OLM
+	OLM = routing.OLM
 	// Base is the paper's contention-counter mechanism (§III-B).
-	Base
+	Base = routing.Base
 	// Hybrid combines contention counters with credit occupancy
 	// (§III-C).
-	Hybrid
+	Hybrid = routing.Hybrid
 	// ECtN adds Explicit Contention Notification: group-wide combined
 	// contention counters (§III-D).
-	ECtN
+	ECtN = routing.ECtN
 	// BaseP is the statistical-trigger extension of §VI-C (described
 	// but not evaluated by the paper): the misrouting probability grows
 	// with the counter value, so the minimal path keeps a traffic
 	// share.
-	BaseP
+	BaseP = routing.BaseProb
 )
 
 // Algorithms returns all mechanisms in presentation order: the paper's
 // evaluated seven followed by the §VI-C extension.
-func Algorithms() []Algorithm {
-	return []Algorithm{MIN, VAL, PB, OLM, Base, Hybrid, ECtN, BaseP}
-}
+func Algorithms() []Algorithm { return routing.All() }
 
 // EvaluatedAlgorithms returns only the seven mechanisms of the paper's
 // evaluation section.
-func EvaluatedAlgorithms() []Algorithm {
-	return []Algorithm{MIN, VAL, PB, OLM, Base, Hybrid, ECtN}
-}
-
-func (a Algorithm) internal() (routing.Algo, error) {
-	switch a {
-	case MIN:
-		return routing.Min, nil
-	case VAL:
-		return routing.Valiant, nil
-	case PB:
-		return routing.PB, nil
-	case OLM:
-		return routing.OLM, nil
-	case Base:
-		return routing.Base, nil
-	case Hybrid:
-		return routing.Hybrid, nil
-	case ECtN:
-		return routing.ECtN, nil
-	case BaseP:
-		return routing.BaseProb, nil
-	}
-	return 0, fmt.Errorf("cbar: unknown algorithm %d", int(a))
-}
-
-// String returns the mechanism's canonical name ("MIN", "PB", "Base",
-// ...), as ParseAlgorithm accepts and result CSVs print.
-func (a Algorithm) String() string {
-	in, err := a.internal()
-	if err != nil {
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-	return in.String()
-}
+func EvaluatedAlgorithms() []Algorithm { return routing.Evaluated() }
 
 // ParseAlgorithm resolves a case-insensitive mechanism name
 // ("min", "val", "pb", "olm", "base", "hybrid", "ectn").
-func ParseAlgorithm(s string) (Algorithm, error) {
-	in, err := routing.Parse(s)
-	if err != nil {
-		return 0, err
-	}
-	for _, a := range Algorithms() {
-		if got, _ := a.internal(); got == in {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("cbar: unmapped algorithm %q", s)
-}
-
-// IsContentionBased reports whether the mechanism is one of the paper's
-// contention-counter mechanisms.
-func (a Algorithm) IsContentionBased() bool {
-	in, err := a.internal()
-	return err == nil && in.IsContentionBased()
-}
+func ParseAlgorithm(s string) (Algorithm, error) { return routing.Parse(s) }
 
 // Scale selects a canned network size. The simulation model is identical
 // at every scale; thresholds are rescaled per the paper's §VI-A
-// analysis.
-type Scale int
+// analysis. It is an alias of the engine's sim.Scale: String returns
+// the canonical name ("tiny", "small", "paper") that ParseScale
+// accepts. A value that is none of the three constants describes no
+// network, and every entry point rejects it.
+type Scale = sim.Scale
 
 // Canned scales.
 const (
 	// Tiny is p=4,a=4,h=2: 9 groups, 36 routers, 144 nodes. For tests
 	// and interactive exploration.
-	Tiny Scale = iota
+	Tiny = sim.Tiny
 	// Small is p=4,a=8,h=4: 33 groups, 264 routers, 1056 nodes, with
 	// the paper's balanced proportions (a=2h, p=h). The default for
 	// figure regeneration on a laptop.
-	Small
+	Small = sim.Small
 	// Paper is the exact Table I system: p=8,a=16,h=8, 129 groups,
 	// 2064 routers with 31 ports, 16512 nodes.
-	Paper
+	Paper = sim.Paper
 )
 
-func (s Scale) internal() sim.Scale {
-	switch s {
-	case Small:
-		return sim.Small
-	case Paper:
-		return sim.Paper
-	default:
-		return sim.Tiny
-	}
-}
-
-// String returns the scale's canonical name ("tiny", "small",
-// "paper"), as ParseScale accepts.
-func (s Scale) String() string { return s.internal().String() }
-
 // ParseScale resolves "tiny", "small" or "paper".
-func ParseScale(v string) (Scale, error) {
-	in, err := sim.ParseScale(v)
-	if err != nil {
-		return 0, err
-	}
-	switch in {
-	case sim.Small:
-		return Small, nil
-	case sim.Paper:
-		return Paper, nil
-	default:
-		return Tiny, nil
-	}
-}
+func ParseScale(v string) (Scale, error) { return sim.ParseScale(v) }
 
 // Config describes a simulation: topology, mechanism and every Table I
 // micro-architecture and policy parameter. Zero-valued fields keep their
@@ -218,15 +143,14 @@ type Config struct {
 // NewConfig returns the fully populated Table I configuration for the
 // scale and mechanism.
 func NewConfig(s Scale, a Algorithm) Config {
-	p := s.internal().Params()
+	p := s.Params()
 	return NewConfigFor(p.P, p.A, p.H, a)
 }
 
 // NewConfigFor is NewConfig for an arbitrary topology (p nodes/router,
 // a routers/group, h global links/router).
 func NewConfigFor(p, a, h int, alg Algorithm) Config {
-	tp := topology.Params{P: p, A: a, H: h}
-	rc := sim.NewConfig(tp, routing.Min) // algorithm applied at build
+	rc := sim.NewConfig(topology.Params{P: p, A: a, H: h}, alg)
 	return Config{
 		P: p, A: a, H: h,
 		Algorithm:       alg,
@@ -253,54 +177,45 @@ func NewConfigFor(p, a, h int, alg Algorithm) Config {
 	}
 }
 
-// internal converts the public config to the simulation config,
-// validating the algorithm.
-func (c Config) internal() (sim.Config, error) {
-	alg, err := c.Algorithm.internal()
-	if err != nil {
-		return sim.Config{}, err
+// setIf overrides *dst with v unless v is zero — the "zero keeps the
+// default" rule of Config and the option structs.
+func setIf[T int | int32 | int64](dst *T, v T) {
+	if v != 0 {
+		*dst = v
 	}
-	tp := topology.Params{P: c.P, A: c.A, H: c.H}
-	sc := sim.NewConfig(tp, alg)
-	// Apply every explicit field; NewConfig pre-filled the struct, so
-	// zero values here mean the caller built Config by hand — fall
-	// back to defaults for those.
-	setIf := func(dst *int, v int) {
-		if v != 0 {
-			*dst = v
-		}
-	}
-	setIf(&sc.Router.PacketSize, c.PacketSize)
-	setIf(&sc.Router.VCsInjection, c.VCsInjection)
-	setIf(&sc.Router.VCsLocal, c.VCsLocal)
-	setIf(&sc.Router.VCsGlobal, c.VCsGlobal)
-	setIf(&sc.Router.BufInjection, c.BufInjection)
-	setIf(&sc.Router.BufLocal, c.BufLocal)
-	setIf(&sc.Router.BufGlobal, c.BufGlobal)
-	setIf(&sc.Router.BufOut, c.BufOut)
-	setIf(&sc.Router.LatencyLocal, c.LatencyLocal)
-	setIf(&sc.Router.LatencyGlobal, c.LatencyGlobal)
-	setIf(&sc.Router.PipelineLatency, c.PipelineLatency)
-	setIf(&sc.Router.Speedup, c.Speedup)
-	setIf(&sc.Router.NICQueuePackets, c.NICQueuePackets)
-	sc.Router.Workers = c.Workers
-	sc.Router.Congestion = c.Congestion.internal()
-	sc.Router.Faults = c.Faults.internal()
-	set32 := func(dst *int32, v int) {
-		if v != 0 {
-			*dst = int32(v)
-		}
-	}
-	set32(&sc.Opts.BaseTh, c.BaseTh)
-	set32(&sc.Opts.HybridTh, c.HybridTh)
-	set32(&sc.Opts.CombinedTh, c.CombinedTh)
-	set32(&sc.Opts.OLMRelPct, c.OLMRelPct)
-	set32(&sc.Opts.HybridRelPct, c.HybridRelPct)
-	set32(&sc.Opts.PBSatPackets, c.PBSatPackets)
-	if c.ECtNPeriod != 0 {
-		sc.Opts.ECtNPeriod = c.ECtNPeriod
-	}
-	return sc, nil
+}
+
+// internal translates the flat public config to the simulation config —
+// the one conversion the facade keeps, because Config really is a
+// different format (flat Table I fields over sim.Config's Router, Algo
+// and Opts). NewConfig pre-filled the struct, so a zero field means the
+// caller built Config by hand: it falls back to the default. An unknown
+// Algorithm is rejected when the network is built.
+func (c Config) internal() sim.Config {
+	sc := sim.NewConfig(topology.Params{P: c.P, A: c.A, H: c.H}, c.Algorithm)
+	r, o := &sc.Router, &sc.Opts
+	setIf(&r.PacketSize, c.PacketSize)
+	setIf(&r.VCsInjection, c.VCsInjection)
+	setIf(&r.VCsLocal, c.VCsLocal)
+	setIf(&r.VCsGlobal, c.VCsGlobal)
+	setIf(&r.BufInjection, c.BufInjection)
+	setIf(&r.BufLocal, c.BufLocal)
+	setIf(&r.BufGlobal, c.BufGlobal)
+	setIf(&r.BufOut, c.BufOut)
+	setIf(&r.LatencyLocal, c.LatencyLocal)
+	setIf(&r.LatencyGlobal, c.LatencyGlobal)
+	setIf(&r.PipelineLatency, c.PipelineLatency)
+	setIf(&r.Speedup, c.Speedup)
+	setIf(&r.NICQueuePackets, c.NICQueuePackets)
+	r.Workers, r.Congestion, r.Faults = c.Workers, c.Congestion, c.Faults
+	setIf(&o.BaseTh, int32(c.BaseTh))
+	setIf(&o.HybridTh, int32(c.HybridTh))
+	setIf(&o.CombinedTh, int32(c.CombinedTh))
+	setIf(&o.OLMRelPct, int32(c.OLMRelPct))
+	setIf(&o.HybridRelPct, int32(c.HybridRelPct))
+	setIf(&o.PBSatPackets, int32(c.PBSatPackets))
+	setIf(&o.ECtNPeriod, c.ECtNPeriod)
+	return sc
 }
 
 // Nodes returns the number of compute nodes of the configured topology.
@@ -463,12 +378,26 @@ func parseTrafficPattern(ls, orig string) (Traffic, error) {
 			return Traffic{}, fmt.Errorf("cbar: bad shift offset in %q: %v", orig, err)
 		}
 		return ShiftPermutation(k), nil
-	case strings.HasPrefix(ls, "hotspot:"):
-		frac, hot, err := parseFracInt(strings.TrimPrefix(ls, "hotspot:"))
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: hotspot traffic must be hotspot:FRAC,NODES, got %q: %v", orig, err)
+	case strings.HasPrefix(ls, "hotspot:"), strings.HasPrefix(ls, "mix:"):
+		// Both are NAME:FRAC,N — a traffic share and a node count
+		// (hotspot) or group offset (mix).
+		name, args, _ := strings.Cut(ls, ":")
+		f, err := splitFields(args, 2, 2)
+		var frac float64
+		var n int
+		if err == nil {
+			frac, err = strconv.ParseFloat(f[0], 64)
 		}
-		return Hotspot(frac, hot), nil
+		if err == nil {
+			n, err = strconv.Atoi(f[1])
+		}
+		if err != nil {
+			return Traffic{}, fmt.Errorf("cbar: %s traffic must be %s:FRAC,N, got %q: %v", name, name, orig, err)
+		}
+		if name == "mix" {
+			return Mixed(frac, n), nil
+		}
+		return Hotspot(frac, n), nil
 	case strings.HasPrefix(ls, "burst:"):
 		// A bare burst spec means uniform destinations with bursty
 		// arrivals.
@@ -481,73 +410,52 @@ func parseTrafficPattern(ls, orig string) (Traffic, error) {
 			return Traffic{}, fmt.Errorf("cbar: bad adversarial offset in %q: %v", orig, err)
 		}
 		return Adversarial(off), nil
-	case strings.HasPrefix(ls, "mix:"):
-		frac, off, err := parseFracInt(strings.TrimPrefix(ls, "mix:"))
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: mix traffic must be mix:FRAC,OFFSET, got %q: %v", orig, err)
-		}
-		return Mixed(frac, off), nil
 	}
 	return Traffic{}, fmt.Errorf("cbar: unknown traffic %q (un | adv+N | mix:F,N | hotspot:F,H | perm:shift+K | perm:complement | tornado | burst:ON,OFF[,PEAK] | +burst/+skew suffixes)", orig)
 }
 
-// applyTrafficMod applies one "burst:..." or "skew:..." modifier.
+// applyTrafficMod applies one "burst:ON,OFF[,PEAK]" or "skew:FRAC,SHARE"
+// modifier; both take float parameters only.
 func applyTrafficMod(t Traffic, mod, orig string) (Traffic, error) {
-	switch {
-	case strings.HasPrefix(mod, "burst:"):
-		parts := strings.Split(strings.TrimPrefix(mod, "burst:"), ",")
-		if len(parts) != 2 && len(parts) != 3 {
-			return Traffic{}, fmt.Errorf("cbar: burst must be burst:ON,OFF[,PEAK], got %q", orig)
-		}
-		var vals [3]float64
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return Traffic{}, fmt.Errorf("cbar: bad burst parameter %q: %v", p, err)
-			}
-			vals[i] = v
-		}
-		return t.WithBurst(vals[0], vals[1], vals[2]), nil
-	case strings.HasPrefix(mod, "skew:"):
-		frac, share, err := parseFracFrac(strings.TrimPrefix(mod, "skew:"))
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: skew must be skew:FRAC,SHARE, got %q: %v", orig, err)
-		}
-		return t.WithSkew(frac, share), nil
+	name, args, _ := strings.Cut(mod, ":")
+	most, form := 2, "skew:FRAC,SHARE"
+	switch name {
+	case "skew":
+	case "burst":
+		most, form = 3, "burst:ON,OFF[,PEAK]"
+	default:
+		return Traffic{}, fmt.Errorf("cbar: unknown traffic modifier %q in %q", mod, orig)
 	}
-	return Traffic{}, fmt.Errorf("cbar: unknown traffic modifier %q in %q", mod, orig)
+	f, err := splitFields(args, 2, most)
+	if err != nil {
+		return Traffic{}, fmt.Errorf("cbar: %s must be %s, got %q: %v", name, form, orig, err)
+	}
+	var v [3]float64
+	for i, p := range f {
+		if v[i], err = strconv.ParseFloat(p, 64); err != nil {
+			return Traffic{}, fmt.Errorf("cbar: bad %s parameter %q in %q: %v", name, p, orig, err)
+		}
+	}
+	if name == "burst" {
+		return t.WithBurst(v[0], v[1], v[2]), nil
+	}
+	return t.WithSkew(v[0], v[1]), nil
 }
 
-// parseFracInt parses "FLOAT,INT".
-func parseFracInt(s string) (float64, int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("want two comma-separated values")
+// splitFields splits s on ',' into at least least and at most most
+// space-trimmed fields. It is the one comma-list helper of the traffic
+// and fault grammars; the typed strconv call stays with the caller,
+// which knows the width of the field it fills.
+func splitFields(s string, least, most int) ([]string, error) {
+	f := strings.Split(s, ",")
+	if len(f) < least || len(f) > most {
+		if least == most {
+			return nil, fmt.Errorf("want %d comma-separated values, got %d", least, len(f))
+		}
+		return nil, fmt.Errorf("want %d to %d comma-separated values, got %d", least, most, len(f))
 	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil {
-		return 0, 0, err
+	for i := range f {
+		f[i] = strings.TrimSpace(f[i])
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return 0, 0, err
-	}
-	return f, n, nil
-}
-
-// parseFracFrac parses "FLOAT,FLOAT".
-func parseFracFrac(s string) (float64, float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("want two comma-separated values")
-	}
-	a, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
+	return f, nil
 }

@@ -2,6 +2,7 @@ package cbar
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -43,6 +44,20 @@ func TestScaleRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseScale("huge"); err == nil {
 		t.Error("bad scale accepted")
+	}
+}
+
+// TestUnknownScaleRejected: a Scale outside the three constants used to
+// simulate Tiny through the facade and Paper inside the engine. It is no
+// network now, and both entry-point families say so.
+func TestUnknownScaleRejected(t *testing.T) {
+	opt := SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}
+	if _, err := RunSteady(NewConfig(Scale(9), MIN), Uniform(), 0.1, opt); err == nil || !strings.Contains(err.Error(), "topology") {
+		t.Errorf("RunSteady at Scale(9) = %v, want the topology error", err)
+	}
+	err := RunExperimentOpts("fig5a", Scale(9), ExperimentOptions{Seeds: 1}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "Scale(9)") {
+		t.Errorf("RunExperimentOpts at Scale(9) = %v, want an error naming the scale", err)
 	}
 }
 

@@ -3,6 +3,9 @@
 //   - an exported identifier of the public cbar package — top-level
 //     type, function, method, const, var, exported struct field or
 //     interface method — has no doc comment, or
+//   - an exported field of an internal/... struct that the public
+//     package re-exports through a type alias has none (the alias is the
+//     public name, so its fields are public surface too), or
 //   - a CLI flag registered in any cmd/*/main.go does not appear
 //     (backtick-quoted, as `-name`) in README.md.
 //
@@ -41,39 +44,133 @@ func main() {
 }
 
 // checkPackageDocs parses the public package in root (non-test files
-// only) and reports every exported identifier without a doc comment. A
-// grouped const/var spec is covered by its block comment; a struct
-// field or interface method accepts a trailing line comment.
+// only) and checks it with checkDocs, resolving aliases into the
+// module's internal packages on disk.
 func checkPackageDocs(root string) []string {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, root, func(fi os.FileInfo) bool {
+	files, err := parseDir(fset, root)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	var prefix string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if module, ok := strings.CutPrefix(line, "module "); ok {
+			prefix = strings.TrimSpace(module) + "/"
+		}
+	}
+	return checkDocs(fset, files, func(importPath string) ([]*ast.File, error) {
+		rel, ok := strings.CutPrefix(importPath, prefix)
+		if !ok || !strings.HasPrefix(rel, "internal/") {
+			return nil, nil
+		}
+		return parseDir(fset, filepath.Join(root, filepath.FromSlash(rel)))
+	})
+}
+
+// parseDir parses the non-test Go files of one directory, with comments.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
-		return []string{fmt.Sprintf("docscheck: parsing %s: %v", root, err)}
+		return nil, fmt.Errorf("parsing %s: %v", dir, err)
 	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return files, nil
+}
 
+// checkDocs reports every exported identifier of the public package's
+// files without a doc comment. A grouped const/var spec is covered by
+// its block comment; a struct field or interface method accepts a
+// trailing line comment. An exported alias `type T = pkg.U` is followed:
+// load returns the files of the imported package (nil when it is not one
+// of the module's internal packages), and U's fields are held to the
+// same rule as a struct declared in place.
+func checkDocs(fset *token.FileSet, files []*ast.File, load func(importPath string) ([]*ast.File, error)) []string {
 	var out []string
 	report := func(pos token.Pos, kind, name string) {
 		p := fset.Position(pos)
 		out = append(out, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, kind, name))
 	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Name.IsExported() && exportedRecv(d) && d.Doc == nil {
-						report(d.Pos(), funcKind(d), funcName(d))
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && exportedRecv(d) && d.Doc == nil {
+					report(d.Pos(), funcKind(d), funcName(d))
+				}
+			case *ast.GenDecl:
+				checkGenDecl(d, report)
+				for _, spec := range d.Specs {
+					if s, ok := spec.(*ast.TypeSpec); ok && s.Assign.IsValid() && s.Name.IsExported() {
+						if err := checkAliasTarget(file, s, load, report); err != nil {
+							p := fset.Position(s.Pos())
+							out = append(out, fmt.Sprintf("%s:%d: alias %s: %v", p.Filename, p.Line, s.Name.Name, err))
+						}
 					}
-				case *ast.GenDecl:
-					checkGenDecl(d, report)
 				}
 			}
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// checkAliasTarget resolves `type T = pkg.U` through file's imports and,
+// when U is a struct of one of the module's internal packages, checks
+// its exported fields, reported as T's.
+func checkAliasTarget(file *ast.File, s *ast.TypeSpec, load func(string) ([]*ast.File, error), report func(token.Pos, string, string)) error {
+	sel, ok := s.Type.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	pkgName, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	var importPath string
+	for _, imp := range file.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if name == pkgName.Name {
+			importPath = path
+		}
+	}
+	target, err := load(importPath)
+	if err != nil || target == nil {
+		return err
+	}
+	for _, f := range target {
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != sel.Sel.Name {
+					continue
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					checkFieldList(s.Name.Name+" (= "+pkgName.Name+"."+ts.Name.Name+")", "field", st.Fields, report)
+				}
+				return nil
+			}
+		}
+	}
+	return fmt.Errorf("%s declares no type %s", importPath, sel.Sel.Name)
 }
 
 // exportedRecv reports whether a function is free-standing or a method

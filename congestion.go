@@ -9,57 +9,18 @@ import (
 )
 
 // Congestion configures the optional congestion-management layer:
-// ECN-style marking at hot output ports, delayed notifications back to
-// the traffic source, a per-source AIMD injection throttle and NIC-side
-// packet shedding under saturation. The zero value leaves the layer off,
-// in which case the simulation is bit-identical to a build without it.
+// ECN-style marking at hot output ports (MarkPct), delayed
+// notifications back to the traffic source (NotifyLatency), a
+// per-source AIMD injection throttle (DecreasePct, RecoverPct,
+// RecoverEvery, HoldCycles, MinRatePct) and NIC-side packet shedding
+// under saturation (ShedCap). The zero value leaves the layer off, in
+// which case the simulation is bit-identical to a build without it.
 // With Enabled set, zero-valued knobs take their documented defaults.
-type Congestion struct {
-	// Enabled turns the layer on.
-	Enabled bool
-	// MarkPct is the output-port occupancy threshold, in percent of the
-	// port's credit capacity, above which traversing packets are marked
-	// (default 70).
-	MarkPct int
-	// NotifyLatency is the delay in cycles between a marked packet's
-	// delivery and the congestion notification reaching its source's
-	// injection throttle (default LatencyLocal+LatencyGlobal).
-	NotifyLatency int
-	// ShedCap is the NIC backlog, in packets, at which new injections
-	// are shed instead of queued (default NICQueuePackets/4).
-	ShedCap int
-	// DecreasePct is the AIMD multiplicative-decrease factor in percent:
-	// a notification cuts the source's injection rate to this fraction
-	// of its current value (default 50).
-	DecreasePct int
-	// RecoverPct is the additive-increase step in percentage points of
-	// line rate (default 5).
-	RecoverPct int
-	// RecoverEvery is the additive-increase period in cycles
-	// (default 2x NotifyLatency).
-	RecoverEvery int64
-	// HoldCycles is the post-decrease hold-off during which further
-	// notifications are ignored, absorbing the in-flight notification
-	// wave from a single congestion event (default NotifyLatency).
-	HoldCycles int64
-	// MinRatePct floors the throttled injection rate in percent of line
-	// rate (default 10).
-	MinRatePct int
-}
-
-func (g Congestion) internal() router.CongestionConfig {
-	return router.CongestionConfig{
-		Enabled:       g.Enabled,
-		MarkPct:       g.MarkPct,
-		NotifyLatency: g.NotifyLatency,
-		ShedCap:       g.ShedCap,
-		DecreasePct:   g.DecreasePct,
-		RecoverPct:    g.RecoverPct,
-		RecoverEvery:  g.RecoverEvery,
-		HoldCycles:    g.HoldCycles,
-		MinRatePct:    g.MinRatePct,
-	}
-}
+//
+// Congestion is an alias of the engine's own declaration;
+// `go doc cbar/internal/router.CongestionConfig` documents every knob
+// and its default.
+type Congestion = router.CongestionConfig
 
 // ParseCongestion resolves a congestion-management specification string:
 //

@@ -36,6 +36,25 @@
 // order statistics, with SteadyResult.OverflowFrac flagging saturated
 // tails).
 //
+// # Public types
+//
+// Every concept has one declaration. The engine's own types are the
+// public ones: [SteadyResult] and [TransientResult] alias
+// internal/sim's result rows, [Congestion], [Faults], [FaultEvent] and
+// [FaultKind] alias internal/router's configuration structs,
+// [Algorithm] aliases internal/routing's mechanism enum and [Scale]
+// internal/sim's, each with its constants re-exported under the public
+// names (MIN ... BaseP, Tiny/Small/Paper, LinkDown ... RouterUp). An
+// alias has no declaration of its own to print, so field-by-field
+// documentation lives with the struct — `go doc
+// cbar/internal/sim.SteadyResult`, `go doc
+// cbar/internal/router.FaultConfig`, `go doc
+// cbar/internal/router.CongestionConfig` — and cmd/docscheck holds
+// those fields to the same every-exported-field-is-documented rule as
+// the structs declared here. Only [Config] (Table I as flat fields over
+// the engine's nested configuration) and the opaque [Traffic] are
+// facade types with a translation behind them.
+//
 // # Measurement methodology
 //
 // Every measurement is one act, written once in internal/sim: one
@@ -242,7 +261,7 @@
 // change instead of one per cycle — under MIN at ADV+1 that is the
 // difference between 200+ and a few dozen calls per grant — and a
 // fabric whose heads are all blocked is quiet, so such spans are also
-// open to elision and to the parallel stepper's quiet path. What makes
+// open to elision and to Step's quiet-cycle shortcut. What makes
 // this exact is the contract on Algorithm.Route (router/algorithm.go):
 // a call that does not draw from the router's random stream must be
 // idempotent and may read only the packet, the deciding router's own
@@ -278,10 +297,13 @@
 // the handle barrier in ascending destination order. Every routing
 // decision consults only the deciding router and its own group's
 // broadcast state, and per-router RNG streams keep random choices
-// shard-local, so the parallel stepper is cycle-for-cycle and
-// bit-for-bit identical to the sequential one at every worker count
-// (pinned by TestParallelStepEquivalence) — the -workers flag changes
-// wall-clock time and nothing else. Sweeps split GOMAXPROCS
+// shard-local, so stepping is cycle-for-cycle and bit-for-bit
+// identical at every worker count (pinned by
+// TestParallelStepEquivalence) — the -workers flag changes wall-clock
+// time and nothing else. Sequential stepping is not a second stepper
+// but the one-shard case of the same Step body: the caller is shard
+// 0's worker, and with no other shard it forks no goroutine and has no
+// mailbox to drain. Sweeps split GOMAXPROCS
 // automatically: wide load×seed grids parallelize across runs, narrow
 // (paper-scale) grids shard inside each run.
 //
@@ -365,7 +387,7 @@
 //     replay, fault-event application, Alg.BeginCycle and the outbox
 //     merge mutate cross-shard state with no synchronization of their
 //     own; they are registered barrier-only and may only be called
-//     from their registered call sites in Step/stepParallel, may never
+//     from their registered call site, the one cycle body Step, may never
 //     be taken as function values, and may not be reachable through
 //     the call graph from the parallel phase roots (the shard worker
 //     bodies and the routing hook surface Route/OnHead/OnArrive/
@@ -422,8 +444,8 @@
 //     panic arguments are exempt, registered ColdPath functions
 //     (fault application, invariant sweeps) prune the walk, and a
 //     reviewed `//lint:alloc <reason>` states why a remaining
-//     allocation is not steady-state (freelist warm-up, amortized
-//     ring doubling, non-escaping predicates). Stale or reason-less
+//     allocation is not steady-state (freelist warm-up, the per-cycle
+//     worker fork, non-escaping predicates). Stale or reason-less
 //     annotations are findings themselves.
 //
 // The registry of contracts lives in lint.DefaultConfig; new

@@ -8,139 +8,45 @@ import (
 	"cbar/internal/router"
 )
 
-// FaultKind enumerates the fault-plan event types.
-type FaultKind int
+// Faults is a deterministic fault plan: scheduled link/router failures
+// and repairs (Events), an optional random link-failure expansion
+// (RandomPct, RandomAt, RandomSeed), and the source retransmission
+// policy for killed packets (RetryLimit, RetryBase). The zero value
+// schedules nothing and is bit-inert — the simulation is identical to a
+// build without the fault engine. Enabled reports whether the plan
+// schedules any fault; String renders it in the canonical ParseFaults
+// syntax, so ParseFaults(f.String()) reproduces f.
+//
+// Faults, FaultEvent and FaultKind are aliases of the engine's own
+// declarations; `go doc cbar/internal/router.FaultConfig` documents
+// every field.
+type Faults = router.FaultConfig
+
+// FaultEvent is one scheduled fault: at cycle Cycle, Kind is applied to
+// router Router (and, for link events, its output port Port). Events
+// are applied at the sequential point of the cycle, so fault state is
+// bit-identical at every worker count.
+type FaultEvent = router.FaultEvent
+
+// FaultKind enumerates the fault-plan event types; its String is the
+// spec-clause name ("linkdown", "routerup", ...) ParseFaults accepts.
+type FaultKind = router.FaultKind
 
 // Fault event kinds.
 const (
 	// LinkDown fails one directed cable pair: the link behind output
 	// port Port of router Router and its reverse direction.
-	LinkDown FaultKind = iota
+	LinkDown = router.LinkDown
 	// LinkUp repairs a previously failed link.
-	LinkUp
+	LinkUp = router.LinkUp
 	// RouterDown fails a whole router: every attached link (including
 	// its NICs' injection/ejection channels) goes dead and its queued
 	// packets are killed.
-	RouterDown
+	RouterDown = router.RouterDown
 	// RouterUp repairs a previously failed router (links that were also
 	// failed individually stay down until their own LinkUp).
-	RouterUp
+	RouterUp = router.RouterUp
 )
-
-// String returns the kind's spec-clause name ("linkdown", "routerup",
-// ...), as ParseFaults accepts.
-func (k FaultKind) String() string {
-	switch k {
-	case LinkDown:
-		return "linkdown"
-	case LinkUp:
-		return "linkup"
-	case RouterDown:
-		return "routerdown"
-	case RouterUp:
-		return "routerup"
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
-// FaultEvent is one scheduled fault: at cycle Cycle, the given kind is
-// applied to router Router (and, for link events, its output port
-// Port). Events are applied at the sequential point of the cycle, so
-// fault state — and every downstream effect — is bit-identical at every
-// worker count.
-type FaultEvent struct {
-	// Kind selects what fails or recovers.
-	Kind FaultKind
-	// Router is the affected router id.
-	Router int
-	// Port is the router-side output port of a link event (ignored for
-	// router events). Ports order injection, then local, then global
-	// channels; only local/global ports can fail individually.
-	Port int
-	// Cycle is when the event applies (at the cycle's sequential point).
-	Cycle int64
-}
-
-// Faults is a deterministic fault plan: scheduled link/router failures
-// and repairs, an optional random link-failure expansion, and the
-// source retransmission policy for killed packets. The zero value
-// schedules nothing and is bit-inert — the simulation is identical to a
-// build without the fault engine.
-type Faults struct {
-	// Events are explicitly scheduled faults, in any order (the engine
-	// sorts them by cycle).
-	Events []FaultEvent
-	// RandomPct, when positive, additionally fails that percentage of
-	// the topology's global cables (at least one) at cycle RandomAt,
-	// drawn from RandomSeed. The expansion is deterministic: same
-	// topology, same seed, same cables.
-	RandomPct float64
-	// RandomAt is the cycle the random expansion applies at.
-	RandomAt int64
-	// RandomSeed seeds the random cable draw (0 is a valid seed).
-	RandomSeed uint64
-	// RetryLimit, when positive, makes the traffic sources retransmit
-	// killed packets up to this many times with exponential backoff
-	// (RetryBase<<attempt cycles; RetryBase defaults to
-	// LatencyLocal+LatencyGlobal). 0 — the default — drops and counts.
-	RetryLimit int
-	// RetryBase overrides the backoff base in cycles (0 = default).
-	RetryBase int64
-}
-
-// Enabled reports whether the plan schedules any fault.
-func (f Faults) Enabled() bool { return len(f.Events) > 0 || f.RandomPct > 0 }
-
-func (f Faults) internal() router.FaultConfig {
-	fc := router.FaultConfig{
-		RandomPct:  f.RandomPct,
-		RandomAt:   f.RandomAt,
-		RandomSeed: f.RandomSeed,
-		RetryLimit: f.RetryLimit,
-		RetryBase:  f.RetryBase,
-	}
-	for _, e := range f.Events {
-		fc.Events = append(fc.Events, router.FaultEvent{
-			Kind:   router.FaultKind(e.Kind),
-			Router: int32(e.Router),
-			Port:   int16(e.Port),
-			Cycle:  e.Cycle,
-		})
-	}
-	return fc
-}
-
-// String renders the plan in the canonical ParseFaults syntax
-// ("off" for the zero value). ParseFaults(f.String()) reproduces f.
-func (f Faults) String() string {
-	var parts []string
-	for _, e := range f.Events {
-		switch e.Kind {
-		case LinkDown, LinkUp:
-			parts = append(parts, fmt.Sprintf("%s:%d,%d@%d", e.Kind, e.Router, e.Port, e.Cycle))
-		default:
-			parts = append(parts, fmt.Sprintf("%s:%d@%d", e.Kind, e.Router, e.Cycle))
-		}
-	}
-	if f.RandomPct > 0 {
-		p := fmt.Sprintf("random:%s%%@%d", strconv.FormatFloat(f.RandomPct, 'g', -1, 64), f.RandomAt)
-		if f.RandomSeed != 0 {
-			p += "," + strconv.FormatUint(f.RandomSeed, 10)
-		}
-		parts = append(parts, p)
-	}
-	if f.RetryLimit > 0 {
-		p := "retry:" + strconv.Itoa(f.RetryLimit)
-		if f.RetryBase != 0 {
-			p += "," + strconv.FormatInt(f.RetryBase, 10)
-		}
-		parts = append(parts, p)
-	}
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, "+")
-}
 
 // ParseFaults resolves a fault-plan specification string:
 //
@@ -170,140 +76,123 @@ func ParseFaults(s string) (Faults, error) {
 		if !ok {
 			return Faults{}, fmt.Errorf("cbar: fault spec %q in %q is not kind:args (linkdown linkup routerdown routerup random retry)", part, s)
 		}
+		var err error
 		switch name {
-		case "linkdown", "linkup", "routerdown", "routerup":
-			e, err := parseFaultEvent(name, rest)
-			if err != nil {
-				return Faults{}, fmt.Errorf("cbar: bad fault spec %q in %q: %v", part, s, err)
-			}
-			f.Events = append(f.Events, e)
 		case "random":
 			if f.RandomPct > 0 {
 				return Faults{}, fmt.Errorf("cbar: duplicate random spec in %q", s)
 			}
-			pct, at, seed, err := parseRandomFaults(rest)
-			if err != nil {
-				return Faults{}, fmt.Errorf("cbar: bad random fault spec %q in %q: %v", part, s, err)
-			}
-			f.RandomPct, f.RandomAt, f.RandomSeed = pct, at, seed
+			err = parseRandomFaults(&f, rest)
 		case "retry":
 			if f.RetryLimit > 0 {
 				return Faults{}, fmt.Errorf("cbar: duplicate retry spec in %q", s)
 			}
-			limit, base, err := parseRetry(rest)
-			if err != nil {
-				return Faults{}, fmt.Errorf("cbar: bad retry spec %q in %q: %v", part, s, err)
-			}
-			f.RetryLimit, f.RetryBase = limit, base
+			err = parseRetry(&f, rest)
 		default:
-			return Faults{}, fmt.Errorf("cbar: unknown fault kind %q in %q (linkdown linkup routerdown routerup random retry)", name, s)
+			kind := LinkDown
+			for kind <= RouterUp && kind.String() != name {
+				kind++
+			}
+			if kind > RouterUp {
+				return Faults{}, fmt.Errorf("cbar: unknown fault kind %q in %q (linkdown linkup routerdown routerup random retry)", name, s)
+			}
+			var e FaultEvent
+			if e, err = parseFaultEvent(kind, rest); err == nil {
+				f.Events = append(f.Events, e)
+			}
+		}
+		if err != nil {
+			return Faults{}, fmt.Errorf("cbar: bad fault spec %q in %q: %v", part, s, err)
 		}
 	}
 	return f, nil
 }
 
 // parseFaultEvent parses "R,P@C" (link kinds) or "R@C" (router kinds).
-func parseFaultEvent(name, rest string) (FaultEvent, error) {
-	target, cycStr, ok := strings.Cut(rest, "@")
+// Ids are parsed at the width of the fields that hold them, so an
+// out-of-range router or port is an error, never a wrapped-around id.
+func parseFaultEvent(kind FaultKind, rest string) (FaultEvent, error) {
+	target, cycle, ok := strings.Cut(rest, "@")
 	if !ok {
 		return FaultEvent{}, fmt.Errorf("missing @CYCLE")
 	}
-	cyc, err := strconv.ParseInt(strings.TrimSpace(cycStr), 10, 64)
+	cyc, err := strconv.ParseInt(strings.TrimSpace(cycle), 10, 64)
 	if err != nil {
 		return FaultEvent{}, fmt.Errorf("bad cycle: %v", err)
 	}
-	e := FaultEvent{Cycle: cyc}
-	switch name {
-	case "linkdown":
-		e.Kind = LinkDown
-	case "linkup":
-		e.Kind = LinkUp
-	case "routerdown":
-		e.Kind = RouterDown
-	case "routerup":
-		e.Kind = RouterUp
+	n, form := 1, "ROUTER@CYCLE"
+	if kind == LinkDown || kind == LinkUp {
+		n, form = 2, "ROUTER,PORT@CYCLE"
 	}
-	if e.Kind == LinkDown || e.Kind == LinkUp {
-		r, p, err := parseIntPair(target)
-		if err != nil {
-			return FaultEvent{}, fmt.Errorf("want ROUTER,PORT@CYCLE: %v", err)
-		}
-		e.Router, e.Port = r, p
-	} else {
-		r, err := strconv.Atoi(strings.TrimSpace(target))
-		if err != nil {
-			return FaultEvent{}, fmt.Errorf("want ROUTER@CYCLE: %v", err)
-		}
-		e.Router = r
+	ids, err := splitFields(target, n, n)
+	var r, p int64
+	if err == nil {
+		r, err = strconv.ParseInt(ids[0], 10, 32)
 	}
-	return e, nil
+	if err == nil && n == 2 {
+		p, err = strconv.ParseInt(ids[1], 10, 16)
+	}
+	if err != nil {
+		return FaultEvent{}, fmt.Errorf("want %s: %v", form, err)
+	}
+	return FaultEvent{Kind: kind, Router: int32(r), Port: int16(p), Cycle: cyc}, nil
 }
 
-// parseRandomFaults parses "F%@C[,SEED]".
-func parseRandomFaults(rest string) (pct float64, at int64, seed uint64, err error) {
+// parseRandomFaults parses "F%@C[,SEED]" into f's random clause.
+func parseRandomFaults(f *Faults, rest string) error {
 	pctStr, tail, ok := strings.Cut(rest, "@")
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("missing @CYCLE")
+		return fmt.Errorf("missing @CYCLE")
 	}
-	pctStr = strings.TrimSuffix(strings.TrimSpace(pctStr), "%")
-	pct, err = strconv.ParseFloat(pctStr, 64)
+	pct, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(pctStr), "%"), 64)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad percentage: %v", err)
+		return fmt.Errorf("bad percentage: %v", err)
 	}
 	// Negated comparison so NaN (which fails both directed checks) is
 	// rejected too.
 	if !(pct > 0 && pct <= 100) {
-		return 0, 0, 0, fmt.Errorf("percentage %v outside (0,100]", pct)
+		return fmt.Errorf("percentage %v outside (0,100]", pct)
 	}
-	atStr, seedStr, hasSeed := strings.Cut(tail, ",")
-	at, err = strconv.ParseInt(strings.TrimSpace(atStr), 10, 64)
+	args, err := splitFields(tail, 1, 2)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad cycle: %v", err)
+		return err
 	}
-	if hasSeed {
-		seed, err = strconv.ParseUint(strings.TrimSpace(seedStr), 10, 64)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("bad seed: %v", err)
+	at, err := strconv.ParseInt(args[0], 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad cycle: %v", err)
+	}
+	var seed uint64
+	if len(args) == 2 {
+		if seed, err = strconv.ParseUint(args[1], 10, 64); err != nil {
+			return fmt.Errorf("bad seed: %v", err)
 		}
 	}
-	return pct, at, seed, nil
+	f.RandomPct, f.RandomAt, f.RandomSeed = pct, at, seed
+	return nil
 }
 
-// parseRetry parses "N[,BASE]".
-func parseRetry(rest string) (limit int, base int64, err error) {
-	nStr, baseStr, hasBase := strings.Cut(rest, ",")
-	limit, err = strconv.Atoi(strings.TrimSpace(nStr))
+// parseRetry parses "N[,BASE]" into f's retransmission policy.
+func parseRetry(f *Faults, rest string) error {
+	args, err := splitFields(rest, 1, 2)
 	if err != nil {
-		return 0, 0, fmt.Errorf("bad limit: %v", err)
+		return err
+	}
+	limit, err := strconv.Atoi(args[0])
+	if err != nil {
+		return fmt.Errorf("bad limit: %v", err)
 	}
 	if limit < 1 {
-		return 0, 0, fmt.Errorf("limit %d must be >= 1", limit)
+		return fmt.Errorf("limit %d must be >= 1", limit)
 	}
-	if hasBase {
-		base, err = strconv.ParseInt(strings.TrimSpace(baseStr), 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad backoff base: %v", err)
+	var base int64
+	if len(args) == 2 {
+		if base, err = strconv.ParseInt(args[1], 10, 64); err != nil {
+			return fmt.Errorf("bad backoff base: %v", err)
 		}
 		if base < 1 {
-			return 0, 0, fmt.Errorf("backoff base %d must be >= 1", base)
+			return fmt.Errorf("backoff base %d must be >= 1", base)
 		}
 	}
-	return limit, base, nil
-}
-
-// parseIntPair parses "INT,INT".
-func parseIntPair(s string) (int, int, error) {
-	a, b, ok := strings.Cut(s, ",")
-	if !ok {
-		return 0, 0, fmt.Errorf("want two comma-separated values")
-	}
-	x, err := strconv.Atoi(strings.TrimSpace(a))
-	if err != nil {
-		return 0, 0, err
-	}
-	y, err := strconv.Atoi(strings.TrimSpace(b))
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, y, nil
+	f.RetryLimit, f.RetryBase = limit, base
+	return nil
 }

@@ -73,6 +73,7 @@ func FuzzParseFaults(f *testing.F) {
 		"linkdown:3,7@500+linkup:3,7@2500+retry:3,200",
 		"random:5%@1000+retry:3", "retry:1",
 		"", "linkdown:", "random:nan%@5", "random:101%@5", "retry:0", "retry:3+retry:3",
+		"linkdown:4294967299,65541@10", "linkdown:2147483647,32767@10",
 	} {
 		f.Add(s)
 	}

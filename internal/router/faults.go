@@ -3,6 +3,8 @@ package router
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"cbar/internal/rng"
 	"cbar/internal/topology"
@@ -55,7 +57,8 @@ import (
 // exponential backoff (package traffic consumes the OnDrop callback).
 // The base mode is drop-and-count.
 
-// FaultKind discriminates fault events.
+// FaultKind enumerates the fault-plan event types (re-exported, with its
+// constants, by the public cbar package).
 type FaultKind uint8
 
 const (
@@ -69,6 +72,8 @@ const (
 	RouterUp
 )
 
+// String returns the kind's spec-clause name ("linkdown", "routerup",
+// ...), as cbar.ParseFaults accepts.
 func (k FaultKind) String() string {
 	switch k {
 	case LinkDown:
@@ -80,24 +85,38 @@ func (k FaultKind) String() string {
 	case RouterUp:
 		return "routerup"
 	}
-	return "invalid"
+	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
 
-// FaultEvent is one scheduled fault: Kind applied to Router (and, for
-// link events, the link on output Port) at the start of Cycle.
+// FaultEvent is one scheduled fault: at cycle Cycle, the given kind is
+// applied to router Router (and, for link events, its output port
+// Port). Events are applied at the sequential point of the cycle, so
+// fault state — and every downstream effect — is bit-identical at every
+// worker count.
 type FaultEvent struct {
-	Kind   FaultKind
+	// Kind selects what fails or recovers.
+	Kind FaultKind
+	// Router is the affected router id.
 	Router int32
-	Port   int16 // link events only; ignored for router events
-	Cycle  int64
+	// Port is the router-side output port of a link event (ignored for
+	// router events). Ports order injection, then local, then global
+	// channels; only local/global ports can fail individually.
+	Port int16
+	// Cycle is when the event applies (at the cycle's sequential point).
+	Cycle int64
 }
 
-// FaultConfig is the fault-injection plan. The zero value schedules
-// nothing and is bit-inert: no state is allocated, no hot-path branch is
-// taken beyond one nil check per cycle.
+// FaultConfig is the deterministic fault plan (re-exported as
+// cbar.Faults): scheduled link/router failures and repairs, an optional
+// random link-failure expansion, and the source retransmission policy
+// for killed packets. The zero value schedules nothing and is
+// bit-inert: no state is allocated, no hot-path branch is taken beyond
+// one nil check per cycle, and the simulation is identical to a build
+// without the fault engine.
 type FaultConfig struct {
-	// Events is the explicit fault schedule. Events are applied in
-	// ascending cycle order (stable for equal cycles: listed order).
+	// Events is the explicit fault schedule, in any order: events are
+	// applied in ascending cycle order (stable for equal cycles: listed
+	// order).
 	Events []FaultEvent
 
 	// RandomPct, when positive, additionally fails that percentage of
@@ -106,8 +125,10 @@ type FaultConfig struct {
 	// stream seeded by RandomSeed. The expansion happens at Build, so
 	// the same (topology, pct, seed) triple always fails the same
 	// cables.
-	RandomPct  float64
-	RandomAt   int64
+	RandomPct float64
+	// RandomAt is the cycle the random expansion applies at.
+	RandomAt int64
+	// RandomSeed seeds the random cable draw (0 is a valid seed).
 	RandomSeed uint64
 
 	// RetryLimit, when positive, makes the traffic injector re-offer a
@@ -124,6 +145,38 @@ type FaultConfig struct {
 // Enabled reports whether the plan schedules any fault.
 func (fc FaultConfig) Enabled() bool {
 	return len(fc.Events) > 0 || fc.RandomPct > 0
+}
+
+// String renders the plan in the canonical cbar.ParseFaults syntax
+// ("off" for the zero value). ParseFaults(fc.String()) reproduces fc.
+func (fc FaultConfig) String() string {
+	var parts []string
+	for _, e := range fc.Events {
+		switch e.Kind {
+		case LinkDown, LinkUp:
+			parts = append(parts, fmt.Sprintf("%s:%d,%d@%d", e.Kind, e.Router, e.Port, e.Cycle))
+		default:
+			parts = append(parts, fmt.Sprintf("%s:%d@%d", e.Kind, e.Router, e.Cycle))
+		}
+	}
+	if fc.RandomPct > 0 {
+		p := fmt.Sprintf("random:%s%%@%d", strconv.FormatFloat(fc.RandomPct, 'g', -1, 64), fc.RandomAt)
+		if fc.RandomSeed != 0 {
+			p += "," + strconv.FormatUint(fc.RandomSeed, 10)
+		}
+		parts = append(parts, p)
+	}
+	if fc.RetryLimit > 0 {
+		p := "retry:" + strconv.Itoa(fc.RetryLimit)
+		if fc.RetryBase != 0 {
+			p += "," + strconv.FormatInt(fc.RetryBase, 10)
+		}
+		parts = append(parts, p)
+	}
+	if len(parts) == 0 {
+		return "off"
+	}
+	return strings.Join(parts, "+")
 }
 
 // Resolved returns the configuration with zero-valued knobs replaced by

@@ -78,12 +78,14 @@ type Network struct {
 	pktID uint64
 
 	// Shard state. Routers (and their NICs) are partitioned into
-	// `workers` contiguous blocks of whole groups; each shard owns the
-	// calendar-ring slice, active sets and mailboxes for its block. With
-	// workers == 1 there is exactly one shard and stepping is the
+	// contiguous blocks of whole groups, one per worker; each shard owns
+	// the calendar-ring slice, active sets and mailboxes for its block.
+	// With one worker there is exactly one shard and stepping is the
 	// sequential active-set loop over it.
-	workers int
-	shards  []netShard
+	shards []netShard
+	// fork synchronizes Step with the per-cycle workers of shards 1..W-1
+	// (forkShards); nil with one shard.
+	fork *shardFork
 	// shardOf maps a router id to its owning shard.
 	shardOf []int16
 
@@ -97,7 +99,7 @@ type Network struct {
 	// are cycle-for-cycle identical (the equivalence tests pin this); the
 	// flag exists for those tests and for debugging scheduler suspicions.
 	// It applies only to sequential stepping (Workers <= 1) and is
-	// ignored by the shard-parallel stepper.
+	// ignored when Step runs more than one shard.
 	FullScan bool
 
 	// Aggregate counters, maintained by the fabric.
@@ -198,8 +200,8 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 				"router: workers %d needs PipelineLatency+LatencyGlobal (%d) > PacketSize (%d) so cross-shard handoffs are barrier-ordered",
 				workers, cfg.PipelineLatency+cfg.LatencyGlobal, cfg.PacketSize)
 		}
+		n.fork = new(shardFork)
 	}
-	n.workers = workers
 
 	horizon := max64(int64(cfg.LatencyGlobal), int64(cfg.LatencyLocal)) +
 		int64(cfg.PipelineLatency) + int64(cfg.PacketSize) + 8
@@ -309,7 +311,7 @@ func (n *Network) NICBacklog(i int) int { return n.nics[i].len() }
 
 // Workers returns the number of shard workers stepping this network
 // (1 = sequential).
-func (n *Network) Workers() int { return n.workers }
+func (n *Network) Workers() int { return len(n.shards) }
 
 // ShardOfGroup returns the worker shard that owns group g. Algorithm
 // state that is mutated from per-router hooks and aggregated globally
@@ -420,7 +422,7 @@ func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
 	if cycle-n.now > n.mask {
 		panic(fmt.Sprintf("router: event horizon exceeded: +%d cycles > ring %d", cycle-n.now, n.mask+1))
 	}
-	if n.workers > 1 {
+	if len(n.shards) > 1 {
 		if t := n.shardOf[ev.router]; int32(t) != src.id {
 			src.outbox[t] = append(src.outbox[t], timedEvent{cycle: cycle, ev: ev})
 			return
@@ -441,33 +443,58 @@ func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
 // stepShard for the parking rule). The phase barriers and the per-phase
 // ascending-id visit order are identical to the original full scan,
 // which remains available behind FullScan.
-// With Workers > 1 the phases run sharded across worker goroutines
-// (stepParallel); the result is cycle-for-cycle identical to sequential
-// stepping — see parallel.go for the determinism argument.
+//
+// There is one body for every worker count: the two sections and two
+// barriers of parallel.go, with the caller as coordinator and shard 0's
+// worker. With one shard nothing is forked, waited on or merged; with
+// more, forkShards runs the other shards' sections on goroutines of
+// their own, cycle-for-cycle identical to sequential stepping.
+//
+// A quiet cycle (no scheduled events, no active components anywhere)
+// skips both sections: every phase would be a no-op, so only the
+// sequential BeginCycle runs. The FullScan oracle is exempt — it must
+// not depend on the active sets and wakes it is the reference for.
 func (n *Network) Step() {
-	if n.workers > 1 {
-		n.stepParallel()
+	idx := n.now & n.mask
+	f := n.fork // nil with one shard: the caller is the only worker
+	full := n.FullScan && f == nil
+	if !full && n.quietCycle(idx) {
+		n.Alg.BeginCycle(n)
+		n.now++
 		return
 	}
-	sh := &n.shards[0]
-	idx := n.now & n.mask
-	bucket := sh.ring[idx]
-	for i := range bucket {
-		n.handle(&bucket[i])
+
+	// Section 1: event handling, one bucket per shard.
+	if f != nil {
+		n.forkShards(f, idx)
 	}
-	sh.ring[idx] = bucket[:0]
+	n.handleShardBucket(&n.shards[0], idx)
+	if f != nil {
+		f.handled.Wait()
+	}
+
+	// Handle barrier: the sequential point, workers parked.
 	n.replayDeliveries()
 	n.replayNotifications()
 	if n.faults != nil {
 		n.applyFaults()
 	}
-
 	n.Alg.BeginCycle(n)
 
-	if n.FullScan {
+	// Section 2: NIC drain, routing, allocation, link serialization.
+	if f != nil {
+		close(f.resume)
+	}
+	if full {
 		n.stepFull()
 	} else {
-		n.stepShard(sh)
+		n.stepShard(&n.shards[0])
+	}
+
+	// Cycle barrier: route cross-shard events to their target rings.
+	if f != nil {
+		f.stepped.Wait()
+		n.mergeOutboxes()
 	}
 	n.now++
 }

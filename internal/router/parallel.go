@@ -4,10 +4,12 @@ import "sync"
 
 // Shard-parallel stepping.
 //
-// With Config.Workers = W > 1 the network is partitioned into W shards
-// of contiguous whole groups (router ids are contiguous per group, so a
+// The network is partitioned into W = Config.Workers shards of
+// contiguous whole groups (router ids are contiguous per group, so a
 // shard owns contiguous router and node id ranges). Each Step runs two
-// parallel sections with barriers between them:
+// sections with a barrier after each — in parallel across the shards
+// when W > 1, on the calling goroutine alone when W = 1, where the
+// barriers cost nothing and there are no mailboxes to drain:
 //
 //	section 1  event handling: each shard drains its own calendar-ring
 //	           bucket for this cycle.
@@ -121,60 +123,37 @@ type notifyRec struct {
 	sev  int8
 }
 
-// stepParallel is Step with Workers > 1: the two parallel sections with
-// their barriers, as described at the top of this file. The calling
-// goroutine coordinates and doubles as shard 0's worker; each cycle
-// forks the remaining shards once — the worker runs its handle section,
-// parks on the mid-cycle barrier while the coordinator replays
-// deliveries and runs BeginCycle, then runs its main section — so no
-// goroutines outlive the call and nothing leaks when a Network is
-// dropped mid-run. A quiet cycle (no scheduled events, no active
-// components anywhere) skips the fork entirely: every phase would be a
-// no-op, so only the sequential BeginCycle runs.
-func (n *Network) stepParallel() {
-	idx := n.now & n.mask
-	if n.quietCycle(idx) {
-		n.Alg.BeginCycle(n)
-		n.now++
-		return
-	}
+// shardFork is the synchronization state of one cycle's fork: the
+// workers of shards 1..W-1 against the coordinator, which is the
+// goroutine that called Step and doubles as shard 0's worker.
+type shardFork struct {
+	// handled and stepped count the forked workers still inside
+	// section 1 and section 2.
+	handled, stepped sync.WaitGroup
+	// resume is closed by the coordinator to open section 2.
+	resume chan struct{}
+}
 
-	var hDone, mDone sync.WaitGroup
-	hDone.Add(n.workers - 1)
-	mDone.Add(n.workers - 1)
+// forkShards starts this cycle's worker for every shard but the first:
+// the worker runs its handle section, parks on resume while the
+// coordinator replays deliveries and runs BeginCycle, then runs its main
+// section — so no goroutines outlive the Step call and nothing leaks
+// when a Network is dropped mid-run.
+func (n *Network) forkShards(f *shardFork, idx int64) {
+	f.handled.Add(len(n.shards) - 1)
+	f.stepped.Add(len(n.shards) - 1)
 	//lint:alloc per-cycle coordinator channel; fixed cost accounted in the alloc baselines
-	resume := make(chan struct{})
-	for s := 1; s < n.workers; s++ {
+	f.resume = make(chan struct{})
+	for s := 1; s < len(n.shards); s++ {
 		//lint:alloc per-cycle worker launch; the goroutine and its closure do not outlive this step
-		go func(sh *netShard) {
+		go func(sh *netShard, resume <-chan struct{}) {
 			n.handleShardBucket(sh, idx)
-			hDone.Done()
+			f.handled.Done()
 			<-resume
 			n.stepShard(sh)
-			mDone.Done()
-		}(&n.shards[s])
+			f.stepped.Done()
+		}(&n.shards[s], f.resume)
 	}
-
-	// Section 1: event handling, one bucket per shard.
-	n.handleShardBucket(&n.shards[0], idx)
-	hDone.Wait()
-
-	// Handle barrier: sequential coordinator work.
-	n.replayDeliveries()
-	n.replayNotifications()
-	if n.faults != nil {
-		n.applyFaults()
-	}
-	n.Alg.BeginCycle(n)
-
-	// Section 2: NIC drain, routing, allocation, link serialization.
-	close(resume)
-	n.stepShard(&n.shards[0])
-	mDone.Wait()
-
-	// Cycle barrier: route cross-shard events to their target rings.
-	n.mergeOutboxes()
-	n.now++
 }
 
 // quietCycle reports whether this cycle has no work anywhere: empty

@@ -56,7 +56,9 @@ type vcQueue struct {
 }
 
 func newVCQueue(capPhits, packetSize int) vcQueue {
-	// The ring never holds more packets than fit in the buffer.
+	// The ring never holds more packets than fit in the buffer: every
+	// packet is packetSize phits, so push's overflow check fires before
+	// the ring could run out of slots.
 	slots := capPhits / packetSize
 	if slots < 1 {
 		slots = 1
@@ -87,15 +89,6 @@ func (q *vcQueue) headPkt() *Packet {
 func (q *vcQueue) push(p *Packet) {
 	if q.usedPhits+p.Size > q.capPhits {
 		panic("router: input VC overflow; upstream credit accounting is broken")
-	}
-	if q.n == len(q.pkts) {
-		//lint:alloc amortized ring doubling; capacity persists, so steady state stops growing
-		grown := make([]*Packet, 2*len(q.pkts))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.pkts[(q.head+i)%len(q.pkts)]
-		}
-		q.pkts = grown
-		q.head = 0
 	}
 	q.pkts[(q.head+q.n)%len(q.pkts)] = p
 	q.n++

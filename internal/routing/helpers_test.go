@@ -29,7 +29,8 @@ func TestLocalVCBase(t *testing.T) {
 }
 
 // TestNextVCLadder walks the canonical paths and checks the requested VC
-// indices follow the ascending ladder of DESIGN.md.
+// indices follow the ascending-VC ladder of the package comment
+// (routing.go).
 func TestNextVCLadder(t *testing.T) {
 	n := helperNet(t, Valiant) // 4 local VCs
 	r := n.Routers[0]

@@ -25,12 +25,14 @@ import (
 	"cbar/internal/router"
 )
 
-// Algo identifies a routing mechanism.
+// Algo identifies a routing mechanism. The public package re-exports it
+// as cbar.Algorithm and the constants as cbar.MIN ... cbar.BaseP, which
+// carry the per-mechanism descriptions.
 type Algo int
 
-// The seven mechanisms of the paper's evaluation, plus BaseProb, the
-// §VI-C statistical-trigger extension the paper describes but leaves
-// unexplored.
+// The seven mechanisms of the paper's evaluation, in its presentation
+// order, plus BaseProb, the §VI-C statistical-trigger extension the
+// paper describes but leaves unexplored.
 const (
 	Min Algo = iota
 	Valiant
@@ -50,6 +52,8 @@ func All() []Algo { return []Algo{Min, Valiant, PB, OLM, Base, Hybrid, ECtN, Bas
 // section (without the §VI-C extension).
 func Evaluated() []Algo { return []Algo{Min, Valiant, PB, OLM, Base, Hybrid, ECtN} }
 
+// String returns the mechanism's canonical name ("MIN", "PB", "Base",
+// ...), as Parse accepts and result CSVs print.
 func (a Algo) String() string {
 	switch a {
 	case Min:
@@ -72,7 +76,8 @@ func (a Algo) String() string {
 	return fmt.Sprintf("Algo(%d)", int(a))
 }
 
-// Parse resolves a case-insensitive mechanism name.
+// Parse resolves a case-insensitive mechanism name ("min", "val", "pb",
+// "olm", "base", "hybrid", "ectn", "base-p" and their long forms).
 func Parse(s string) (Algo, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "min", "minimal":

@@ -7,8 +7,9 @@ import (
 	"cbar/internal/routing"
 )
 
-// Ablations quantify the design choices called out in DESIGN.md beyond
-// the paper's own figures:
+// Ablations quantify design choices beyond the paper's own figures (the
+// abl-* experiment ids; the root doc.go's "Measurement methodology"
+// section says how their grids run):
 //
 //   - the ECtN exchange period (the paper fixes 100 cycles and discusses
 //     cheaper encodings in §VI-B — the period is the latency/overhead

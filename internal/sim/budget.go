@@ -67,7 +67,8 @@ type Budget struct {
 }
 
 // DefaultBudget returns a budget tuned to the scale: the paper's windows
-// at Paper scale, laptop-friendly ones below it.
+// at Paper scale, laptop-friendly ones below it, and the zero Budget
+// (which validation rejects) for a value that is no canned scale.
 func DefaultBudget(s Scale) Budget {
 	switch s {
 	case Tiny:
@@ -82,13 +83,14 @@ func DefaultBudget(s Scale) Budget {
 			TransientWarmup: 2000, Pre: 100, Post: 800, PostLong: 1600, Bucket: 20,
 			Loads: []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
 		}
-	default: // Paper: §IV-B windows (warmup + 15k measured cycles, 10 repeats)
+	case Paper: // §IV-B windows (warmup + 15k measured cycles, 10 repeats)
 		return Budget{
 			Warmup: 15000, Measure: 15000, Seeds: 10,
 			TransientWarmup: 10000, Pre: 100, Post: 800, PostLong: 1600, Bucket: 10,
 			Loads: []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
 		}
 	}
+	return Budget{}
 }
 
 // config returns the Table I configuration for (scale, mechanism) with

@@ -52,7 +52,7 @@ func Experiments() []Experiment {
 }
 
 // AllExperiments returns the paper's figures followed by the ablation
-// studies of DESIGN.md.
+// studies (ablations.go).
 func AllExperiments() []Experiment {
 	return append(Experiments(), AblationExperiments()...)
 }

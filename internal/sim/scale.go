@@ -10,9 +10,12 @@ import (
 	"cbar/internal/topology"
 )
 
-// Scale selects one of the canned network sizes. The simulator code is
-// identical at every scale; only topology parameters and the
-// §VI-A-scaled thresholds change.
+// Scale selects one of the canned network sizes (re-exported as
+// cbar.Scale). The simulator code is identical at every scale; only
+// topology parameters and the §VI-A-scaled thresholds change. A value
+// outside the three constants is not a network: Params and
+// DefaultBudget return zero values for it, which topology and budget
+// validation reject.
 type Scale int
 
 // Canned scales.
@@ -20,14 +23,17 @@ const (
 	// Tiny: p=4,a=4,h=2 — 9 groups, 36 routers, 144 nodes. Used by the
 	// test suite and the quickstart example.
 	Tiny Scale = iota
-	// Small: p=4,a=8,h=4 — 33 groups, 264 routers, 1056 nodes. The
-	// default for benchmarks and figure regeneration on a laptop.
+	// Small: p=4,a=8,h=4 — 33 groups, 264 routers, 1056 nodes, with the
+	// paper's balanced proportions (a=2h, p=h). The default for
+	// benchmarks and figure regeneration on a laptop.
 	Small
 	// Paper: p=8,a=16,h=8 — 129 groups, 2064 routers, 16512 nodes,
 	// 31-port routers; the exact Table I system.
 	Paper
 )
 
+// String returns the scale's canonical name ("tiny", "small",
+// "paper"), as ParseScale accepts.
 func (s Scale) String() string {
 	switch s {
 	case Tiny:
@@ -53,16 +59,18 @@ func ParseScale(s string) (Scale, error) {
 	return 0, fmt.Errorf("sim: unknown scale %q (tiny|small|paper)", s)
 }
 
-// Params returns the topology parameters of a scale.
+// Params returns the topology parameters of a scale, or the zero Params
+// (which topology.New rejects) for a value that is none of the three.
 func (s Scale) Params() topology.Params {
 	switch s {
 	case Tiny:
 		return topology.Params{P: 4, A: 4, H: 2}
 	case Small:
 		return topology.Params{P: 4, A: 8, H: 4}
-	default:
+	case Paper:
 		return topology.Params{P: 8, A: 16, H: 8}
 	}
+	return topology.Params{}
 }
 
 // ScaledOptions returns Table I policy options with the contention

@@ -252,42 +252,46 @@ func skewWeights(frac, share float64, nodes int) ([]float64, error) {
 	return w, nil
 }
 
-// SteadyResult aggregates a steady-state measurement across seeds.
+// SteadyResult reports a steady-state measurement aggregated across
+// seeds. It is the one declaration of the result row: the public
+// package re-exports it as cbar.SteadyResult.
 type SteadyResult struct {
-	Algo     string
-	Workload string
-	// Load is the offered load in phits/(node·cycle).
+	// Algo and Workload name the simulated mechanism and traffic pattern
+	// (routing.Algo.String and the cbar.ParseTraffic spec forms).
+	Algo, Workload string
+	// Load is the offered load in phits/(node·cycle); with 8-phit
+	// packets and 10-byte phits at 1 GHz this is tenths of 10 GB/s.
 	Load float64
-	// AvgLatency is the mean packet latency in cycles (generation to
-	// tail delivery, NIC queueing included).
+	// AvgLatency is the mean packet latency in cycles, generation to
+	// tail delivery (NIC source queueing included).
 	AvgLatency float64
-	// P50/P99 latency percentiles in cycles.
+	// P50 and P99 are latency percentiles in cycles.
 	P50, P99 int64
 	// Accepted is the delivered throughput in phits/(node·cycle).
 	Accepted float64
-	// MisroutedGlobal/MisroutedLocal are the fractions of delivered
-	// packets that took a nonminimal global/local hop.
-	MisroutedGlobal float64
-	MisroutedLocal  float64
-	// AvgHops is the mean router-to-router hop count.
+	// MisroutedGlobal is the fraction of delivered packets that took a
+	// nonminimal global hop; MisroutedLocal likewise for local hops.
+	MisroutedGlobal, MisroutedLocal float64
+	// AvgHops is the mean number of router-to-router hops.
 	AvgHops float64
-	// UtilLocal/UtilGlobal are the mean utilizations (0..1) of local
-	// and global links over the measurement window.
-	UtilLocal  float64
-	UtilGlobal float64
+	// UtilLocal and UtilGlobal are the mean utilizations (0..1) of the
+	// local and global links over the measurement window — useful for
+	// spotting which tier saturates first (global links under ADV+1,
+	// source-group local links under ADV+h).
+	UtilLocal, UtilGlobal float64
 	// OverflowFrac is the fraction of measured latencies at or above the
-	// histogram cap: nonzero means P50/P99 may be saturated at the cap
-	// and the true tail is worse than reported (typical past the
-	// saturation load).
+	// latency-histogram cap. Nonzero means P50/P99 are saturated at the
+	// cap and the true tail is worse than reported — typical when the
+	// offered load exceeds the saturation throughput.
 	OverflowFrac float64
-	// Delivered packets counted across all seeds' windows.
+	// Delivered counts packets measured across all seeds' windows.
 	Delivered uint64
-	Seeds     int
+	// Seeds is the number of averaged repeats.
+	Seeds int
 	// CIHalfLatency and CIHalfAccepted are the 95% confidence half-widths
 	// of AvgLatency and Accepted from the adaptive engine's batch-means
 	// estimator, combined across seeds. Zero in fixed-window mode.
-	CIHalfLatency  float64
-	CIHalfAccepted float64
+	CIHalfLatency, CIHalfAccepted float64
 	// MeasuredCycles is the total number of measured cycles summed over
 	// all seeds (Measure x Seeds in fixed-window mode; whatever the
 	// stopping rule actually spent in adaptive mode).
@@ -308,15 +312,15 @@ type SteadyResult struct {
 	// summed across seeds; all zero unless the run's router config
 	// enables congestion management (router.CongestionConfig).
 	Marked    uint64 // delivered packets carrying ECN marks
-	Notified  uint64 // notifications delivered back to sources
+	Notified  uint64 // notifications replayed to sources
 	Throttled uint64 // injection attempts deferred/suppressed by AIMD
-	Shed      uint64 // injection attempts shed at the NIC shed cap
+	Shed      uint64 // injection attempts dropped at the NIC shed cap
 	// Fault-injection activity over the measurement windows, summed
 	// across seeds; all zero unless the run's router config schedules
 	// faults (router.FaultConfig).
 	Dropped    uint64 // packets killed on failing links/routers
-	Retried    uint64 // dropped packets successfully re-injected
-	Unroutable uint64 // packets aimed at (or caught in) a partition
+	Retried    uint64 // killed packets successfully re-injected by their sources
+	Unroutable uint64 // packets aimed at (or caught inside) a partitioned region
 }
 
 // steadyPoint builds one seed's steady-state system: w's pattern for the
@@ -450,14 +454,18 @@ func reduceSteady(rs []SteadyResult, hists []*stats.Histogram) SteadyResult {
 	return out
 }
 
-// TransientResult is the averaged trace of a traffic-switch experiment:
-// per-bucket mean latency and globally-misrouted percentage of the
-// packets delivered in that bucket, on a time axis relative to the
-// switch instant (negative = before the switch).
+// TransientResult is the averaged trace of a traffic-switch experiment
+// (re-exported as cbar.TransientResult): per-bucket mean latency and
+// globally-misrouted percentage of the packets delivered in that
+// bucket, on a time axis relative to the switch instant (negative =
+// before the switch).
 type TransientResult struct {
-	Algo        string
+	// Algo names the traced mechanism (routing.Algo.String form).
+	Algo string
+	// BucketWidth is the trace averaging width in cycles.
 	BucketWidth int64
-	// Times are bucket centers in cycles relative to the switch.
+	// Times are bucket centers in cycles relative to the switch
+	// (negative = before).
 	Times []int64
 	// Latency[i] is the mean delivery latency of bucket i (NaN-free:
 	// empty buckets are omitted from Times/Latency/MisroutedPct).

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"cbar/internal/sim"
+	"cbar/internal/topology"
 )
 
 // SteadyOptions sizes a steady-state measurement. Zero values take the
@@ -47,147 +48,41 @@ type SteadyOptions struct {
 func (o SteadyOptions) budget(c Config) sim.Budget {
 	def := sim.DefaultBudget(scaleOf(c))
 	b := sim.Budget{
-		Warmup: o.Warmup, Measure: o.Measure, Seeds: o.Seeds,
+		Warmup: def.Warmup, Measure: def.Measure, Seeds: def.Seeds,
 		Adaptive: o.Adaptive, CIRelWidth: o.CIRelWidth, MaxMeasure: o.MaxMeasure,
 		Ctx: o.Ctx,
 	}
-	if b.Warmup == 0 {
-		b.Warmup = def.Warmup
-	}
-	if b.Measure == 0 {
-		b.Measure = def.Measure
-	}
-	if b.Seeds == 0 {
-		b.Seeds = def.Seeds
-	}
+	setIf(&b.Warmup, o.Warmup)
+	setIf(&b.Measure, o.Measure)
+	setIf(&b.Seeds, o.Seeds)
 	return b
 }
 
 // scaleOf classifies a config by node count, for defaulting budgets.
-func scaleOf(c Config) sim.Scale {
+func scaleOf(c Config) Scale {
 	switch n := c.Nodes(); {
 	case n <= 300:
-		return sim.Tiny
+		return Tiny
 	case n <= 4000:
-		return sim.Small
+		return Small
 	default:
-		return sim.Paper
+		return Paper
 	}
 }
 
-// SteadyResult reports a steady-state measurement.
-type SteadyResult struct {
-	// Algo and Workload name the simulated mechanism and traffic pattern
-	// (Algorithm.String and the ParseTraffic spec forms).
-	Algo, Workload string
-	// Load is the offered load in phits/(node·cycle); with 8-phit
-	// packets and 10-byte phits at 1 GHz this is tenths of 10 GB/s.
-	Load float64
-	// AvgLatency is the mean packet latency in cycles, generation to
-	// tail delivery (source queueing included).
-	AvgLatency float64
-	// P50 and P99 are latency percentiles in cycles.
-	P50, P99 int64
-	// Accepted is the delivered throughput in phits/(node·cycle).
-	Accepted float64
-	// MisroutedGlobal is the fraction of delivered packets that took a
-	// nonminimal global hop; MisroutedLocal likewise for local hops.
-	MisroutedGlobal, MisroutedLocal float64
-	// AvgHops is the mean number of router-to-router hops.
-	AvgHops float64
-	// UtilLocal and UtilGlobal are the mean utilizations (0..1) of the
-	// local and global links over the measurement window — useful for
-	// spotting which tier saturates first (global links under ADV+1,
-	// source-group local links under ADV+h).
-	UtilLocal, UtilGlobal float64
-	// OverflowFrac is the fraction of measured latencies at or above
-	// the latency-histogram cap. Nonzero means the reported percentiles
-	// are saturated at the cap (the true tail is worse) — typical when
-	// the offered load exceeds the saturation throughput.
-	OverflowFrac float64
-	// Delivered counts packets measured across all seeds.
-	Delivered uint64
-	// Seeds is the number of averaged repeats.
-	Seeds int
-	// CIHalfLatency and CIHalfAccepted are the 95% confidence
-	// half-widths of AvgLatency and Accepted from the adaptive engine's
-	// batch-means estimator, combined across seeds (zero in fixed mode).
-	CIHalfLatency, CIHalfAccepted float64
-	// MeasuredCycles is the total number of measured cycles summed over
-	// all seeds — Measure x Seeds in fixed mode, whatever the stopping
-	// rule actually spent in adaptive mode.
-	MeasuredCycles int64
-	// WarmupCycles is the mean unmeasured warmup prefix per seed (the
-	// MSER-truncated length in adaptive mode).
-	WarmupCycles int64
-	// Saturated reports that the adaptive saturation detector cut at
-	// least one seed short: the point does not converge at this load
-	// and its averages describe a growing transient.
-	Saturated bool
-	// Converged reports that every seed reached the relative-CI target
-	// (adaptive mode only; always false in fixed mode).
-	Converged bool
-	// Congestion-management activity over the measurement windows,
-	// summed across seeds; all zero unless Config.Congestion is enabled.
-	// Marked counts delivered packets carrying ECN marks, Notified the
-	// notifications replayed to sources, Throttled the injection
-	// attempts deferred or suppressed by the AIMD throttle, and Shed the
-	// injection attempts dropped at the NIC shed cap.
-	Marked, Notified, Throttled, Shed uint64
-	// Fault-injection activity over the measurement windows, summed
-	// across seeds; all zero unless Config.Faults schedules faults.
-	// Dropped counts packets killed on failing links or routers, Retried
-	// the killed packets successfully re-injected by their sources, and
-	// Unroutable the packets aimed at (or caught inside) a partitioned
-	// region of the fabric.
-	Dropped, Retried, Unroutable uint64
-}
-
-func fromSimSteady(r sim.SteadyResult) SteadyResult {
-	return SteadyResult{
-		Algo:            r.Algo,
-		Workload:        r.Workload,
-		Load:            r.Load,
-		AvgLatency:      r.AvgLatency,
-		P50:             r.P50,
-		P99:             r.P99,
-		Accepted:        r.Accepted,
-		MisroutedGlobal: r.MisroutedGlobal,
-		MisroutedLocal:  r.MisroutedLocal,
-		AvgHops:         r.AvgHops,
-		UtilLocal:       r.UtilLocal,
-		UtilGlobal:      r.UtilGlobal,
-		OverflowFrac:    r.OverflowFrac,
-		Delivered:       r.Delivered,
-		Seeds:           r.Seeds,
-		CIHalfLatency:   r.CIHalfLatency,
-		CIHalfAccepted:  r.CIHalfAccepted,
-		MeasuredCycles:  r.MeasuredCycles,
-		WarmupCycles:    r.WarmupCycles,
-		Saturated:       r.Saturated,
-		Converged:       r.Converged,
-		Marked:          r.Marked,
-		Notified:        r.Notified,
-		Throttled:       r.Throttled,
-		Shed:            r.Shed,
-		Dropped:         r.Dropped,
-		Retried:         r.Retried,
-		Unroutable:      r.Unroutable,
-	}
-}
+// SteadyResult reports a steady-state measurement: offered Load,
+// AvgLatency with its P50/P99 percentiles, Accepted throughput, the
+// MisroutedGlobal/MisroutedLocal fractions, link utilizations, the
+// adaptive engine's confidence half-widths and Saturated/Converged
+// verdicts, and the congestion-management and fault-injection counters.
+// It is an alias of the engine's own result row;
+// `go doc cbar/internal/sim.SteadyResult` documents every field.
+type SteadyResult = sim.SteadyResult
 
 // RunSteady measures latency and throughput at one offered load
 // (phits/(node·cycle), in [0,1]).
 func RunSteady(c Config, t Traffic, load float64, opt SteadyOptions) (SteadyResult, error) {
-	sc, err := c.internal()
-	if err != nil {
-		return SteadyResult{}, err
-	}
-	r, err := sim.RunSteadyBudget(sc, t.inner, load, opt.budget(c))
-	if err != nil {
-		return SteadyResult{}, err
-	}
-	return fromSimSteady(r), nil
+	return sim.RunSteadyBudget(c.internal(), t.inner, load, opt.budget(c))
 }
 
 // Sweep measures a whole load grid. Every (load, seed) point of the
@@ -198,19 +93,7 @@ func Sweep(c Config, t Traffic, loads []float64, opt SteadyOptions) ([]SteadyRes
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("cbar: empty load grid")
 	}
-	sc, err := c.internal()
-	if err != nil {
-		return nil, err
-	}
-	rs, err := sim.SweepSteadyBudget(sc, t.inner, loads, opt.budget(c))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SteadyResult, len(rs))
-	for i, r := range rs {
-		out[i] = fromSimSteady(r)
-	}
-	return out, nil
+	return sim.SweepSteadyBudget(c.internal(), t.inner, loads, opt.budget(c))
 }
 
 // TransientOptions sizes a traffic-switch experiment.
@@ -227,83 +110,51 @@ type TransientOptions struct {
 	Seeds int
 }
 
-// withDefaults fills zero-valued windows from the scale defaults.
-// Explicitly negative values pass through so the simulation layer's
-// validation rejects them with a clear error instead of silently
-// substituting a default.
-func (o TransientOptions) withDefaults(c Config) TransientOptions {
+// budget fills zero-valued windows from the scale defaults. Explicitly
+// negative values pass through so the simulation layer's validation
+// rejects them with a clear error instead of silently substituting a
+// default.
+func (o TransientOptions) budget(c Config) sim.Budget {
 	def := sim.DefaultBudget(scaleOf(c))
-	if o.Warmup == 0 {
-		o.Warmup = def.TransientWarmup
+	b := sim.Budget{
+		TransientWarmup: def.TransientWarmup, Pre: def.Pre, Post: def.Post,
+		Bucket: def.Bucket, Seeds: def.Seeds,
 	}
-	if o.Pre == 0 {
-		o.Pre = def.Pre
-	}
-	if o.Post == 0 {
-		o.Post = def.Post
-	}
-	if o.Bucket == 0 {
-		o.Bucket = def.Bucket
-	}
-	if o.Seeds == 0 {
-		o.Seeds = def.Seeds
-	}
-	return o
+	setIf(&b.TransientWarmup, o.Warmup)
+	setIf(&b.Pre, o.Pre)
+	setIf(&b.Post, o.Post)
+	setIf(&b.Bucket, o.Bucket)
+	setIf(&b.Seeds, o.Seeds)
+	return b
 }
 
-// TransientResult is a traced response to a traffic-pattern switch.
-type TransientResult struct {
-	// Algo names the traced mechanism (Algorithm.String form).
-	Algo string
-	// Times are bucket centers in cycles relative to the switch
-	// (negative = before).
-	Times []int64
-	// Latency is the mean latency of packets delivered in each bucket.
-	Latency []float64
-	// MisroutedPct is the percentage (0-100) of packets delivered in
-	// each bucket that had taken a nonminimal global hop.
-	MisroutedPct []float64
-}
+// TransientResult is a traced response to a traffic-pattern switch:
+// per-bucket Times (cycles relative to the switch), mean Latency and
+// MisroutedPct of the named Algo. It is an alias of the engine's own
+// trace type; `go doc cbar/internal/sim.TransientResult` documents
+// every field.
+type TransientResult = sim.TransientResult
 
 // RunTransient warms the network under `before`, switches to `after` at
 // t=0 and traces per-bucket delivery latency and misrouted percentage
 // (the Figures 7-9 experiments).
 func RunTransient(c Config, before, after Traffic, load float64, opt TransientOptions) (TransientResult, error) {
-	sc, err := c.internal()
-	if err != nil {
-		return TransientResult{}, err
-	}
-	opt = opt.withDefaults(c)
-	r, err := sim.RunTransient(sc, before.inner, after.inner, load, sim.Budget{
-		TransientWarmup: opt.Warmup, Pre: opt.Pre, Post: opt.Post, Bucket: opt.Bucket, Seeds: opt.Seeds})
-	if err != nil {
-		return TransientResult{}, err
-	}
-	return TransientResult{
-		Algo:         r.Algo,
-		Times:        r.Times,
-		Latency:      r.Latency,
-		MisroutedPct: r.MisroutedPct,
-	}, nil
+	return sim.RunTransient(c.internal(), before.inner, after.inner, load, opt.budget(c))
 }
 
 // ExperimentIDs lists the paper's reproducible tables and figures —
 // fig5a-fig5c, fig6, fig7, fig8, fig9, fig10a, fig10b and "via" (the
 // §VI-A saturated-counter analysis) — followed by the ablation studies
 // (abl-*).
-func ExperimentIDs() []string {
-	var ids []string
-	for _, e := range sim.AllExperiments() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
+func ExperimentIDs() []string { return experimentIDs(sim.AllExperiments()) }
 
 // FigureIDs lists only the paper's tables and figures (no ablations).
-func FigureIDs() []string {
-	var ids []string
-	for _, e := range sim.Experiments() {
-		ids = append(ids, e.ID)
+func FigureIDs() []string { return experimentIDs(sim.Experiments()) }
+
+func experimentIDs(es []sim.Experiment) []string {
+	ids := make([]string, len(es))
+	for i, e := range es {
+		ids[i] = e.ID
 	}
 	return ids
 }
@@ -365,23 +216,22 @@ func RunExperimentOpts(id string, s Scale, opt ExperimentOptions, w io.Writer) e
 	if !ok {
 		return fmt.Errorf("cbar: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
-	b := sim.DefaultBudget(s.internal())
-	// 0 means scale default; anything else (negative included) reaches
-	// the budget validation, matching RunSteady/Sweep.
-	if opt.Seeds != 0 {
-		b.Seeds = opt.Seeds
+	if s.Params() == (topology.Params{}) {
+		return fmt.Errorf("cbar: unknown scale %v (tiny|small|paper)", s)
 	}
 	if opt.Seeds < 0 {
 		// Some experiments (e.g. "via") never consume Seeds, so reject
 		// here rather than rely on the experiment's own entry points.
 		return fmt.Errorf("cbar: seeds %d must be >= 1 (0 = scale default)", opt.Seeds)
 	}
+	b := sim.DefaultBudget(s)
+	setIf(&b.Seeds, opt.Seeds)
 	b.Workers = opt.Workers
-	b.Congestion = opt.Congestion.internal()
-	b.Faults = opt.Faults.internal()
+	b.Congestion = opt.Congestion
+	b.Faults = opt.Faults
 	b.Ctx = opt.Ctx
 	b.Adaptive = opt.Adaptive
 	b.CIRelWidth = opt.CIRelWidth
 	b.MaxMeasure = opt.MaxMeasure
-	return e.Run(s.internal(), b, w)
+	return e.Run(s, b, w)
 }
