@@ -203,10 +203,18 @@ func allocAllowance(base int64) int64 {
 	return base + slack
 }
 
+// firstTouchAmortized names the rows whose allocs/op is a first-touch
+// count divided by b.N (see compareBaseline): the elision spans and the
+// Paper-scale idle rows.
+func firstTouchAmortized(name string) bool {
+	return strings.HasSuffix(name, "ElideIdle") ||
+		strings.HasPrefix(name, "StepPaper") && strings.HasSuffix(name, "Idle")
+}
+
 // compareBaseline diffs the fresh measurements against a committed
 // baseline report and returns the process exit code. Allocs/op growth
-// fails (except on the amortized ElideIdle span benchmarks, where it
-// only annotates — see the inline comment); ns/op regressions fail
+// fails (except on the first-touch-amortized rows, where it only
+// annotates — see the inline comment); ns/op regressions fail
 // unless nsWarnOnly, which turns them into GitHub warning annotations
 // (shared CI runners make wall time noisy, while allocation counts stay
 // deterministic). Benchmarks present on only one side are reported and
@@ -243,13 +251,23 @@ func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
 		delete(baseline, cur.Name)
 		status := "ok"
 		if allowed := allocAllowance(b.AllocsPerOp); cur.AllocsPerOp > allowed {
-			// The ElideIdle spans inject Poisson-random arrivals whose
-			// delivery paths lazily first-touch output-port FIFOs, so
-			// their amortized allocs/op depends on b.N and the draw —
-			// not a deterministic count like the fixed per-cycle
-			// benchmarks. Annotate instead of failing.
-			if strings.HasSuffix(cur.Name, "ElideIdle") {
-				fmt.Printf("::warning title=allocs/op above baseline (amortized span benchmark)::%s allocs/op %d > baseline %d (allowed %d)\n",
+			// The ElideIdle spans and the Paper-scale idle rows inject
+			// arrivals whose delivery paths lazily first-touch FIFOs, so
+			// their amortized allocs/op depends on b.N — on how fast the
+			// host ran — and the draw, not a deterministic count like
+			// the loaded and Small per-cycle benchmarks. Annotate
+			// instead of failing. Still needed with the pooled calendar
+			// and fixed-size active sets: a memory profile of
+			// StepPaperIdle attributes the Step allocations to fifo[T]
+			// first pushes (64k output stages, 16.5k NIC queues, one
+			// small backing array each: 115k of 122k) and
+			// packet-freelist misses (6k), which 1 % load spreads over
+			// far more cycles than a run; the calendar's chunk pool
+			// accounts for ~500, all in warm-up. The same build reads
+			// 6 to 9 allocs/op on that row as b.N moves, which is why
+			// the Paper idle rows joined the ElideIdle ones here.
+			if firstTouchAmortized(cur.Name) {
+				fmt.Printf("::warning title=allocs/op above baseline (first-touch-amortized benchmark)::%s allocs/op %d > baseline %d (allowed %d)\n",
 					cur.Name, cur.AllocsPerOp, b.AllocsPerOp, allowed)
 				status = "warn"
 			} else {
@@ -322,7 +340,7 @@ func main() {
 	out := flag.String("o", "BENCH_step.json", "output file (- for stdout)")
 	e2eCycles := flag.Int64("cycles", 20000, "end-to-end run length in cycles")
 	compare := flag.String("compare", "", "baseline BENCH_step.json to gate against: rerun the step suite and exit nonzero on allocs/op growth or a >2.5x ns/op regression instead of writing a report")
-	benchtime := flag.String("benchtime", "", "per-benchmark measurement time (default 1s). For -compare, keep it at the baseline's own benchtime: a much shorter window inflates allocs/op, since one-off amortized allocations (ring/active-set growth) stop averaging out over few iterations")
+	benchtime := flag.String("benchtime", "", "per-benchmark measurement time (default 1s). For -compare, keep it at the baseline's own benchtime: a much shorter window inflates allocs/op, since one-off amortized allocations (FIFO first pushes, calendar chunk-pool misses) stop averaging out over few iterations")
 	nsWarnOnly := flag.Bool("ns-warn-only", false, "with -compare: report ns/op regressions as GitHub warning annotations without failing (for noisy shared runners); allocs/op growth still fails")
 	testing.Init()
 	flag.Parse()
@@ -345,6 +363,9 @@ func main() {
 	}{
 		{"StepTinyBase", 0, stepBench(spec{Scale: sim.Tiny, Algo: routing.Base, Load: 0.3})},
 		{"StepSmallBase", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3})},
+		// UN 0.5 is the loaded point with the most events in flight below
+		// saturation: the row the event calendar's working set shows in.
+		{"StepSmallBase05", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.5})},
 		{"StepSmallMin", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Min, Load: 0.3})},
 		{"StepSmallECtN", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.3})},
 		{"StepSmallPB", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.3})},

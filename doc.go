@@ -234,15 +234,49 @@
 // # Performance architecture
 //
 // The per-cycle cost of the simulator scales with traffic, not topology
-// size. Network.Step services three intrusive active sets — NICs with
-// backlog, routers with unrouted head packets and routers with staged
-// output work — whose membership is updated at the mutation points
-// (injection, event handling, allocation grants), so an idle component
-// costs nothing. Between cycles, work in flight lives on a calendar
-// event ring sized to the maximum link+pipeline horizon. Delivered
-// packets are recycled through a freelist and traffic generation
-// skip-samples the next injecting node geometrically, so a steady-state
-// cycle allocates no memory at all.
+// size. Network.Step services three active sets — NICs with backlog,
+// routers with unrouted head packets and routers with staged output
+// work — whose membership is updated at the mutation points (injection,
+// event handling, allocation grants), so an idle component costs
+// nothing. Delivered packets are recycled through a freelist and
+// traffic generation skip-samples the next injecting node
+// geometrically, so a steady-state cycle allocates no memory at all.
+//
+// The active sets. A set is one bit per id of its shard's range plus a
+// population count (router/activeset.go). A phase scans the words in
+// order and peels the set bits of each lowest first, which is the
+// ascending-id order of the full scan — the order every equivalence
+// test pins — with no list to keep sorted. A scan reads each word once,
+// so the phase may drop the id it is visiting (a drained NIC, a router
+// whose heads were all granted, a router that parks), and an add is
+// never lost. (The sets used to be id lists sorted before each scan and
+// compacted after it, with a rule that nothing be added between the
+// two; the rule went with the lists.) The count includes entries that
+// are stale until the next scan prunes them, and a non-zero count makes
+// a cycle busy: the quiet-cycle test is unchanged.
+//
+// The event calendar. Between cycles, work in flight lives on a
+// calendar: per shard, one bucket per cycle of a ring sized to the
+// maximum link+pipeline horizon (128 slots for Table I). A bucket is an
+// event count and a chain of 1 KB chunks of 42 events drawn from the
+// shard's pool (router/calendar.go). Scheduling appends at the tail
+// chunk; event handling reads the chain front to back, and the fault
+// sweep takes a chain off and appends its survivors back in the order
+// it read them, so events leave a bucket in exactly the order they were
+// scheduled — the only ordering the engine relies on, and the same one
+// a plain slice per bucket gave. A chunk goes back to the pool the
+// moment it has been read and the pool is a stack, so the chunk the
+// handlers' own new events need next is the one still in cache, and the
+// memory a loaded run cycles through is its live events plus one partly
+// filled chunk per occupied bucket (~0.55 MB for a Small network at UN
+// 0.5, 1.13x the bytes of its live events) — not 128 slices each grown
+// to its own peak and revisited a ring period later (~4 MB, over the
+// L2). A chunk is allocated only when the pool is empty, which happens
+// while the run's live-event peak is still rising and never at Network
+// construction (one reviewed `//lint:alloc`, like the packet
+// freelist's miss); the chunks are separate allocations rather than one
+// slab grown by append because the slab's outgrown copies are garbage
+// at exactly the moment the resident set peaks.
 //
 // Blocked-router parking. Past saturation most head packets are blocked
 // on credits, and re-evaluating them every cycle is work proportional
@@ -310,13 +344,13 @@
 // # Quiet-cycle elision
 //
 // Idle time costs events, not cycles. When a cycle is provably quiet —
-// no fault event pending and, on every shard, empty event rings and
-// empty active sets — nothing in the fabric can change until the next
+// no fault event pending and, on every shard, an empty calendar bucket
+// and empty active sets — nothing in the fabric can change until the next
 // scheduled event, so the driver (internal/sim's point.advance, the
 // one cycle loop every measurement runs through) jumps the clock
 // straight to it instead of stepping through the gap. The jump target
-// is the minimum of the next event-ring occupancy, the next calendar
-// injection, the next retransmit due-time, the next ECtN combine tick,
+// is the minimum of the next occupied calendar bucket, the next
+// source-calendar injection, the next retransmit due-time, the next ECtN combine tick,
 // the next fault event, and the boundary the driver was asked to
 // advance to (warmup end, adaptive bucket end, end of a transient
 // trace), so every measurement series keeps its exact geometry. That

@@ -11,7 +11,7 @@ import (
 // watcher pipeline through Router.occDelta (a raw write would skip the
 // watchers and desynchronize congestion notifications between runs);
 // the credit/outFree counters are conserved quantities audited by
-// CheckInvariants; the active-set slices carry a sortedLen watermark
+// CheckInvariants; the active-set bit words carry a population count
 // that is only valid while mutation goes through the set's own methods.
 // Each registered field may be assigned (or ++/--'d) only inside its
 // sanctioned writer functions from the Config registry.

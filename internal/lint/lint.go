@@ -304,7 +304,9 @@ func DefaultConfig() *Config {
 		// written only by occDelta (the watcher-firing mutation point);
 		// credits/outFree only by the grant path, the event handler and
 		// the fault kill-reversal sweep; ecnHot only by the watcher Build
-		// registers; active-set membership only by the set's own methods.
+		// registers; active-set membership only by the set's own methods,
+		// and the calendar's chunk pool and bucket fill counts only by the
+		// calendar's (CheckInvariants audits their sum).
 		// The parking state has one writer pair each: parked is set by the
 		// park pass of stepShard and cleared by wake (the single re-arm
 		// point — a second clearing site would be a wake the documented
@@ -332,12 +334,14 @@ func DefaultConfig() *Config {
 				Writers: []string{router + ".Build"}},
 			{Type: router + ".outPort", Field: "markTh",
 				Writers: []string{router + ".newRouter", router + ".Build"}},
-			{Type: router + ".activeSet", Field: "ids",
-				Writers: []string{router + ".activeSet.add", router + ".activeSet.setLive"}},
-			{Type: router + ".activeSet", Field: "in",
+			{Type: router + ".activeSet", Field: "words",
 				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop"}},
-			{Type: router + ".activeSet", Field: "sortedLen",
-				Writers: []string{router + ".activeSet.sorted", router + ".activeSet.setLive"}},
+			{Type: router + ".activeSet", Field: "count",
+				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop"}},
+			{Type: router + ".netShard", Field: "freeChunks",
+				Writers: []string{router + ".netShard.extend", router + ".netShard.release"}},
+			{Type: router + ".calBucket", Field: "n",
+				Writers: []string{router + ".netShard.push"}},
 		},
 
 		// --- shardisolation (see shardiso.go) ---
@@ -432,7 +436,6 @@ func DefaultConfig() *Config {
 		// steady-state capacity (each is compacted with [:0] or popped at
 		// its drain point, never reallocated per cycle).
 		PooledSlices: []FieldRef{
-			{Type: router + ".netShard", Field: "ring"},
 			{Type: router + ".netShard", Field: "outbox"},
 			{Type: router + ".netShard", Field: "delivered"},
 			{Type: router + ".netShard", Field: "notified"},
@@ -443,7 +446,6 @@ func DefaultConfig() *Config {
 			{Type: router + ".Router", Field: "reqPorts"},
 			{Type: router + ".Router", Field: "stagedPorts"},
 			{Type: router + ".Router", Field: "dirtyOut"},
-			{Type: router + ".activeSet", Field: "ids"},
 			{Type: router + ".fifo", Field: "buf"},
 			{Type: core + ".GroupDirty", Field: "lanes"},
 			{Type: core + ".GroupDirty", Field: "drain"},

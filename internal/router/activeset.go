@@ -1,85 +1,70 @@
 package router
 
-import "slices"
+import "math/bits"
 
-// activeSet is a dirty-list of component ids (routers or NICs) that may
-// need servicing next cycle. Membership is deduplicated by per-id in-set
-// flags, additions are O(1) at the mutation points (Inject, event
-// handling, grant), and stale entries are pruned lazily while the Step
-// loop scans the set. Ids are sorted before each scan so active-set
-// stepping visits components in exactly the order the full scan would —
-// this is what makes the two step modes cycle-for-cycle identical.
+// activeSet is the set of component ids (routers or NICs) that may need
+// servicing next cycle: one bit per id and a population count. Additions
+// are O(1) at the mutation points (Inject, event handling, grant), and
+// stale entries are pruned lazily while the Step loop scans the set. A
+// scan walks the words in order and peels each word's set bits lowest
+// first (scan, idAt), so active-set stepping visits components in
+// exactly the ascending order the full scan would — this is what makes
+// the two step modes cycle-for-cycle identical — with nothing to sort. A
+// scan reads each word once: it may drop the id it is visiting, and an
+// add is never lost (a bit set behind the scan waits for the next one).
 type activeSet struct {
-	ids []int32
-	in  []bool
-	// base offsets the in-set flags: the set covers ids [base,
-	// base+len(in)), so a shard's sets cost memory proportional to the
-	// shard, not the topology.
+	words []uint64
+	// count is the number of set bits, stale entries included; zero is
+	// the quiet-cycle test.
+	count int
+	// base offsets the bits: the set covers ids [base, base+64*len(words)),
+	// so a shard's sets cost memory proportional to the shard, not the
+	// topology.
 	base int32
-	// sortedLen is the length of the already-sorted prefix: everything
-	// the last sorted() call ordered, minus nothing — compaction via
-	// setLive preserves order, so only ids appended since then (the
-	// suffix) can be out of place.
-	sortedLen int
 }
 
 // newActiveSet returns an empty set over the id range [lo, hi).
 func newActiveSet(lo, hi int32) activeSet {
-	return activeSet{base: lo, in: make([]bool, hi-lo)}
+	return activeSet{base: lo, words: make([]uint64, (hi-lo+63)/64)}
+}
+
+// bit locates id's bit: its word and its mask within the word.
+func (s *activeSet) bit(id int32) (*uint64, uint64) {
+	i := uint32(id - s.base)
+	return &s.words[i>>6], 1 << (i & 63)
 }
 
 // add marks id active. Duplicate adds are cheap no-ops.
 func (s *activeSet) add(id int32) {
-	if !s.in[id-s.base] {
-		s.in[id-s.base] = true
-		s.ids = append(s.ids, id)
+	if w, m := s.bit(id); *w&m == 0 {
+		*w |= m
+		s.count++
 	}
 }
 
 // has reports whether id is currently in the set (invariant checks).
-func (s *activeSet) has(id int32) bool { return s.in[id-s.base] }
+func (s *activeSet) has(id int32) bool { w, m := s.bit(id); return *w&m != 0 }
 
-// sorted orders the pending ids ascending and returns them. The caller
-// scans the result, keeps live ids by compacting in place (the returned
-// slice aliases s.ids) and stores the compacted slice back via setLive.
-//
-// Steady state appends only a handful of ids per cycle onto a sorted
-// prefix, where a direct insertion pass beats the generic sort's setup
-// cost by an order of magnitude; a large unsorted suffix (a burst's worth
-// of activations) falls back to the real sort.
-func (s *activeSet) sorted() []int32 {
-	ids := s.ids
-	if suffix := len(ids) - s.sortedLen; suffix > 32 {
-		slices.Sort(ids)
-	} else {
-		for i := s.sortedLen; i < len(ids); i++ {
-			v := ids[i]
-			j := i - 1
-			for j >= 0 && ids[j] > v {
-				ids[j+1] = ids[j]
-				j--
-			}
-			ids[j+1] = v
-		}
+// drop removes id; dropping a non-member is a no-op, like a duplicate add.
+func (s *activeSet) drop(id int32) {
+	if w, m := s.bit(id); *w&m != 0 {
+		*w &^= m
+		s.count--
 	}
-	s.sortedLen = len(ids)
-	return ids
 }
 
-// drop clears id's in-set flag; the caller is responsible for removing it
-// from the slice (by not copying it during compaction).
-func (s *activeSet) drop(id int32) { s.in[id-s.base] = false }
+// scan returns the words a phase peels members from, in order: none
+// when the set is empty, so an idle phase costs one compare and a
+// near-idle cycle does not pay for the width of the topology.
+func (s *activeSet) scan() []uint64 {
+	if s.count == 0 {
+		return nil
+	}
+	return s.words
+}
 
-// setLive installs the compacted live prefix produced by a scan.
-// Compaction preserves order, so the whole slice stays sorted.
-//
-// Contract: add() must not be called on a set between its sorted() and
-// setLive() calls — setLive would truncate the appended id while its
-// in-flag stays true, permanently excluding the component. The Step
-// phases honor this: each phase only add()s to *other* sets (nicDrain
-// activates routers, never NICs; routing and link phases activate
-// nothing directly, only via future events).
-func (s *activeSet) setLive(ids []int32) {
-	s.ids = ids
-	s.sortedLen = len(ids)
+// idAt returns the lowest id among the set bits w of word wi of scan; a
+// phase peels them with w &= w - 1 (see stepShard).
+func (s *activeSet) idAt(wi int, w uint64) int32 {
+	return s.base + int32(wi<<6+bits.TrailingZeros64(w))
 }

@@ -25,9 +25,11 @@ func (r *Router) allocate() {
 		port := int(port16)
 		ip := &r.in[port]
 		nv := len(ip.vcs)
-		start := r.rrVC[port]
-		for k := 1; k <= nv; k++ {
-			vc := (start + k) % nv
+		vc := r.rrVC[port]
+		for k := 0; k < nv; k++ {
+			if vc++; vc >= nv {
+				vc = 0
+			}
 			p := ip.vcs[vc].headPkt()
 			if p == nil || p.Granted || !p.reqValid {
 				continue

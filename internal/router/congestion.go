@@ -15,7 +15,7 @@ import "fmt"
 //     path only reads a bool: a packet granted through a hot port gets its
 //     ECNMarks count incremented, piggybacked to the destination.
 //   - Notification. When a marked packet is delivered, an evNotify event
-//     is scheduled NotifyLatency cycles later on the ring of the shard
+//     is scheduled NotifyLatency cycles later on the calendar of the shard
 //     owning the source's router, carrying the source node and the mark
 //     count as severity — the congestion signal travelling back through
 //     the fabric's own calendar, not an oracle side channel. Notifications

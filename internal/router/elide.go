@@ -21,9 +21,9 @@ import (
 // is quiet, the clock can advance directly to the earliest cycle at
 // which anything can happen:
 //
-//   - the next occupied calendar-ring bucket (future head arrivals,
-//     credit returns, pipeline completions, deliveries, congestion
-//     notifications — every in-flight effect lives on the ring);
+//   - the next occupied calendar bucket (future head arrivals, credit
+//     returns, pipeline completions, deliveries, congestion
+//     notifications — every in-flight effect lives on the calendar);
 //   - the next scheduled fault event;
 //   - the next cycle the algorithm's BeginCycle does observable work
 //     (CycleHorizon).
@@ -67,7 +67,7 @@ func (n *Network) Quiet() bool {
 }
 
 // NextEventCycle returns the earliest future cycle holding a scheduled
-// event: the first occupied calendar-ring bucket across all shards, and
+// event: the first occupied calendar bucket across all shards, and
 // the next unapplied fault-plan event. It returns NoPendingCycle when
 // nothing is scheduled at all. Call it with the current cycle's buckets
 // drained (Quiet); the scan is allocation-free and costs O(shards x
@@ -81,7 +81,7 @@ func (n *Network) NextEventCycle() int64 {
 			if next <= c {
 				break
 			}
-			if len(sh.ring[c&n.mask]) != 0 {
+			if sh.cal[c&n.mask].n != 0 {
 				next = c
 				break
 			}

@@ -303,8 +303,8 @@ type pendingKill struct {
 }
 
 // deferredCredit is an upstream credit return owed by a kill, scheduled
-// after the calendar sweep (the sweep must not mutate ring buckets while
-// iterating them).
+// after the calendar sweep (the sweep must not push onto the calendar
+// while walking it).
 type deferredCredit struct {
 	router int32
 	port   int16
@@ -621,9 +621,13 @@ func (n *Network) sweepFaultVictims() {
 	f := n.faults
 	for s := range n.shards {
 		sh := &n.shards[s]
-		for b := range sh.ring {
-			for i := range sh.ring[b] {
-				n.faultScanEvent(&sh.ring[b][i])
+		for b := range sh.cal {
+			c := sh.cal[b].head
+			for left := sh.cal[b].n; left > 0; left -= chunkEvents {
+				for i := range min(left, chunkEvents) {
+					n.faultScanEvent(&c.ev[i])
+				}
+				c = c.next
 			}
 		}
 		for t := range sh.outbox {
@@ -637,41 +641,31 @@ func (n *Network) sweepFaultVictims() {
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
-		for b := range sh.ring {
-			bucket := sh.ring[b]
-			w := 0
-			for i := range bucket {
-				if bucket[i].pkt != nil {
-					if _, dead := f.victims[bucket[i].pkt]; dead {
-						continue
-					}
-				}
-				bucket[w] = bucket[i]
-				w++
-			}
-			for i := w; i < len(bucket); i++ {
-				bucket[i] = event{}
-			}
-			sh.ring[b] = bucket[:w]
+		for b := range sh.cal {
+			sh.filterBucket(int64(b), f)
 		}
 		for t := range sh.outbox {
 			mb := sh.outbox[t]
 			w := 0
 			for i := range mb {
-				if mb[i].ev.pkt != nil {
-					if _, dead := f.victims[mb[i].ev.pkt]; dead {
-						continue
-					}
+				if !f.isVictim(&mb[i].ev) {
+					mb[w] = mb[i]
+					w++
 				}
-				mb[w] = mb[i]
-				w++
 			}
-			for i := w; i < len(mb); i++ {
-				mb[i] = timedEvent{}
-			}
+			clear(mb[w:])
 			sh.outbox[t] = mb[:w]
 		}
 	}
+}
+
+// isVictim reports whether ev carries a packet of the victim set.
+func (f *faultState) isVictim(ev *event) bool {
+	if ev.pkt == nil {
+		return false
+	}
+	_, victim := f.victims[ev.pkt]
+	return victim
 }
 
 // faultScanEvent is sweepFaultVictims' phase A on one event.
@@ -716,8 +710,8 @@ func (f *faultState) noteVictim(p *Packet) {
 }
 
 // flushDeferredCredits schedules the upstream credit returns collected
-// by the kills. This runs at a sequential point, so appending straight
-// onto the target router's ring is safe at any worker count (the same
+// by the kills. This runs at a sequential point, so pushing straight
+// onto the target router's calendar is safe at any worker count (the same
 // contract Inject relies on). Same-port credits commute, so bucket
 // insertion order does not affect the simulation.
 func (n *Network) flushDeferredCredits() {
@@ -732,7 +726,7 @@ func (n *Network) flushDeferredCredits() {
 
 // finalizeFaultVictims counts and recycles the victims of one fault
 // application, in ascending packet-ID order — discovery order differs
-// across worker counts (ring contents are sharded), the ID order does
+// across worker counts (calendar contents are sharded), the ID order does
 // not, so the OnDrop callback sequence is bit-identical everywhere.
 func (n *Network) finalizeFaultVictims() {
 	f := n.faults

@@ -79,7 +79,7 @@ type Network struct {
 
 	// Shard state. Routers (and their NICs) are partitioned into
 	// contiguous blocks of whole groups, one per worker; each shard owns
-	// the calendar-ring slice, active sets and mailboxes for its block.
+	// the calendar buckets, active sets and mailboxes for its block.
 	// With one worker there is exactly one shard and stepping is the
 	// sequential active-set loop over it.
 	shards []netShard
@@ -227,7 +227,7 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		sh.routerHi = sh.groupHi * int32(topo.A)
 		sh.nodeLo = sh.routerLo * int32(topo.P)
 		sh.nodeHi = sh.routerHi * int32(topo.P)
-		sh.ring = make([][]event, ringSize)
+		sh.cal = make([]calBucket, ringSize)
 		sh.nicActive = newActiveSet(sh.nodeLo, sh.nodeHi)
 		sh.routeActive = newActiveSet(sh.routerLo, sh.routerHi)
 		sh.linkActive = newActiveSet(sh.routerLo, sh.routerHi)
@@ -410,17 +410,14 @@ func (n *Network) inject(src, dst int, attempt int8) bool {
 
 // scheduleFrom appends an event strictly in the future, generated while
 // servicing shard src. An event targeting a router of the same shard
-// goes straight onto that shard's calendar ring; a cross-shard event is
-// appended to the (src, dst) mailbox instead and drained into dst's ring
-// at the cycle barrier, in ascending (source shard, generation order) —
-// see parallel.go. With one worker every event is same-shard and the
-// path is the original direct ring append.
+// goes straight onto that shard's calendar; a cross-shard event is
+// appended to the (src, dst) mailbox instead and drained into dst's
+// calendar at the cycle barrier, in ascending (source shard, generation
+// order) — see parallel.go. With one worker every event is same-shard
+// and the path is the direct calendar push.
 func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
-	if cycle <= n.now {
-		panic(fmt.Sprintf("router: scheduling event kind %d at cycle %d <= now %d", ev.kind, cycle, n.now))
-	}
-	if cycle-n.now > n.mask {
-		panic(fmt.Sprintf("router: event horizon exceeded: +%d cycles > ring %d", cycle-n.now, n.mask+1))
+	if d := cycle - n.now; d <= 0 || d > n.mask {
+		n.badSchedule(cycle, ev.kind)
 	}
 	if len(n.shards) > 1 {
 		if t := n.shardOf[ev.router]; int32(t) != src.id {
@@ -428,8 +425,14 @@ func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
 			return
 		}
 	}
-	idx := cycle & n.mask
-	src.ring[idx] = append(src.ring[idx], ev)
+	src.push(cycle&n.mask, ev)
+}
+
+// badSchedule is scheduleFrom's failure path, out of line so that the
+// hot path carries no formatting code.
+func (n *Network) badSchedule(cycle int64, kind evKind) {
+	panic(fmt.Sprintf("router: scheduling event kind %d at cycle %d, outside the calendar's reach (now %d, now+%d]",
+		kind, cycle, n.now, n.mask))
 }
 
 // Step advances the simulation by one cycle: scheduled events, the
@@ -523,9 +526,9 @@ func (n *Network) stepFull() {
 // stepShard services one shard's active sets through the NIC-drain,
 // routing, allocation and link phases. Stale entries (drained NICs,
 // routers whose heads were all granted, emptied output stages) are
-// pruned lazily as each list is scanned; activation happens at the
-// mutation points (Inject, event handling, nicDrain). Scans compact the
-// sorted id slice in place, so a steady-state cycle allocates nothing.
+// pruned lazily as each set is scanned; activation happens at the
+// mutation points (Inject, event handling, nicDrain), and no phase adds
+// to the set it is scanning.
 //
 // Blocked-router parking: a router whose visit this cycle changed
 // nothing — its routePhase fired no OnHead, drew no random number and
@@ -547,31 +550,30 @@ func (n *Network) stepFull() {
 // stepping the shards run this function concurrently without internal
 // barriers.
 func (n *Network) stepShard(sh *netShard) {
-	nics := sh.nicActive.sorted()
-	nicLive := nics[:0]
-	for _, id := range nics {
-		if n.nics[id].len() == 0 {
-			sh.nicActive.drop(id)
-			continue
+	for wi, w := range sh.nicActive.scan() {
+		for ; w != 0; w &= w - 1 {
+			id := sh.nicActive.idAt(wi, w)
+			if n.nics[id].len() == 0 {
+				sh.nicActive.drop(id)
+				continue
+			}
+			n.nicDrain(int(id))
 		}
-		nicLive = append(nicLive, id)
-		n.nicDrain(int(id))
 	}
-	sh.nicActive.setLive(nicLive)
 
 	sh.allocList = sh.allocList[:0]
-	routers := sh.routeActive.sorted()
-	routeLive := routers[:0]
-	for _, id := range routers {
-		r := n.Routers[id]
-		if r.unrouted == 0 {
-			sh.routeActive.drop(id)
-			continue
-		}
-		routeLive = append(routeLive, id)
-		r.routePhase()
-		if len(r.reqPorts) > 0 {
-			sh.allocList = append(sh.allocList, r)
+	for wi, w := range sh.routeActive.scan() {
+		for ; w != 0; w &= w - 1 {
+			id := sh.routeActive.idAt(wi, w)
+			r := n.Routers[id]
+			if r.unrouted == 0 {
+				sh.routeActive.drop(id)
+				continue
+			}
+			r.routePhase()
+			if len(r.reqPorts) > 0 {
+				sh.allocList = append(sh.allocList, r)
+			}
 		}
 	}
 
@@ -581,32 +583,29 @@ func (n *Network) stepShard(sh *netShard) {
 		}
 	}
 
-	// Park the routers whose visit was a no-op. Nothing adds to the
-	// route set between sorted() and here (grants only schedule future
-	// events), so compacting a second time honors setLive's contract.
-	routeKept := routeLive[:0]
-	for _, id := range routeLive {
-		if r := n.Routers[id]; r.parkable {
-			r.parked = true
-			sh.routeActive.drop(id)
-			continue
+	// Park the routers whose visit was a no-op: the set still holds
+	// exactly the routers the route phase visited.
+	for wi, w := range sh.routeActive.scan() {
+		for ; w != 0; w &= w - 1 {
+			id := sh.routeActive.idAt(wi, w)
+			if r := n.Routers[id]; r.parkable {
+				r.parked = true
+				sh.routeActive.drop(id)
+			}
 		}
-		routeKept = append(routeKept, id)
 	}
-	sh.routeActive.setLive(routeKept)
 
-	links := sh.linkActive.sorted()
-	linkLive := links[:0]
-	for _, id := range links {
-		r := n.Routers[id]
-		if r.staged == 0 {
-			sh.linkActive.drop(id)
-			continue
+	for wi, w := range sh.linkActive.scan() {
+		for ; w != 0; w &= w - 1 {
+			id := sh.linkActive.idAt(wi, w)
+			r := n.Routers[id]
+			if r.staged == 0 {
+				sh.linkActive.drop(id)
+				continue
+			}
+			r.linkPhase()
 		}
-		linkLive = append(linkLive, id)
-		r.linkPhase()
 	}
-	sh.linkActive.setLive(linkLive)
 }
 
 // WakeGroup re-arms every parked router of group g. Algorithms call it
@@ -800,8 +799,8 @@ func (n *Network) replayDeliveries() {
 			if p.ECNMarks > 0 {
 				// The destination echoes the congestion marks back to the
 				// source as an evNotify, one reverse-path latency later.
-				// This runs at a sequential point, so appending straight
-				// onto the target shard's ring is safe at any worker
+				// This runs at a sequential point, so pushing straight
+				// onto the target shard's calendar is safe at any worker
 				// count (the same contract Inject relies on), and the
 				// event carries no packet pointer — the packet is
 				// recycled below.
@@ -916,6 +915,17 @@ func (n *Network) CheckInvariants() error {
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
+		// Every event chunk is on one bucket's chain or in the pool.
+		held := 0
+		for c := sh.freeChunks; c != nil && held <= sh.numChunks; c = c.next {
+			held++
+		}
+		for b := range sh.cal {
+			held += (int(sh.cal[b].n) + chunkEvents - 1) / chunkEvents
+		}
+		if held != sh.numChunks {
+			return fmt.Errorf("router: shard %d: calendar holds or pools %d event chunks, allocated %d", s, held, sh.numChunks)
+		}
 		if len(sh.delivered) != 0 {
 			return fmt.Errorf("router: shard %d holds %d unreplayed deliveries between cycles", s, len(sh.delivered))
 		}

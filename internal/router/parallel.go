@@ -11,7 +11,7 @@ import "sync"
 // when W > 1, on the calling goroutine alone when W = 1, where the
 // barriers cost nothing and there are no mailboxes to drain:
 //
-//	section 1  event handling: each shard drains its own calendar-ring
+//	section 1  event handling: each shard drains its own calendar
 //	           bucket for this cycle.
 //	barrier    deliveries collected by the shards are replayed in
 //	           ascending shard order (counters, OnDeliver, freelist)
@@ -23,7 +23,7 @@ import "sync"
 //	           link serialization, each shard over its own active sets
 //	           (stepShard).
 //	barrier    cross-shard mailboxes are drained into the target shards'
-//	           rings in ascending (source shard, generation seq) order,
+//	           calendars in ascending (source shard, generation seq) order,
 //	           and the cycle counter advances.
 //
 // Why this is cycle-for-cycle identical to sequential stepping:
@@ -75,17 +75,21 @@ type timedEvent struct {
 }
 
 // netShard owns a contiguous block of whole groups: their routers, NICs,
-// the calendar-ring slice holding events that target them, the active
-// sets that schedule them, and the outgoing cross-shard mailboxes.
+// the calendar of events that target them, the active sets that schedule
+// them, and the outgoing cross-shard mailboxes.
 type netShard struct {
 	id                 int32
 	groupLo, groupHi   int32 // owned groups [lo, hi)
 	routerLo, routerHi int32 // owned router ids [lo, hi)
 	nodeLo, nodeHi     int32 // owned node ids [lo, hi)
 
-	// ring is the calendar ring of events targeting this shard's
-	// routers, indexed by cycle & mask.
-	ring [][]event
+	// cal is the calendar of events targeting this shard's routers, one
+	// bucket per ring slot (cycle & mask). freeChunks heads the stack of
+	// the numChunks event chunks allocated so far that are on no bucket's
+	// chain (calendar.go).
+	cal        []calBucket
+	freeChunks *eventChunk
+	numChunks  int
 
 	// Active-set scheduler state over the owned id ranges.
 	nicActive   activeSet
@@ -170,25 +174,33 @@ func (n *Network) quietCycle(idx int64) bool {
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
-		if len(sh.ring[idx]) != 0 || len(sh.nicActive.ids) != 0 ||
-			len(sh.routeActive.ids) != 0 || len(sh.linkActive.ids) != 0 {
+		if sh.cal[idx].n != 0 || sh.nicActive.count != 0 ||
+			sh.routeActive.count != 0 || sh.linkActive.count != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// handleShardBucket drains one shard's calendar bucket for this cycle.
+// handleShardBucket drains one shard's calendar bucket for this cycle,
+// front to back. Each chunk returns to the pool as soon as it is read,
+// so the events its handlers schedule refill it while it is still in
+// cache; they go to other buckets, never onto the chain being walked.
 func (n *Network) handleShardBucket(sh *netShard, idx int64) {
-	bucket := sh.ring[idx]
-	for i := range bucket {
-		n.handle(&bucket[i])
+	c, left := sh.cal[idx].head, sh.cal[idx].n
+	sh.cal[idx] = calBucket{}
+	for ; left > 0; left -= chunkEvents {
+		for i := range min(left, chunkEvents) {
+			n.handle(&c.ev[i])
+		}
+		next := c.next
+		sh.release(c)
+		c = next
 	}
-	sh.ring[idx] = bucket[:0]
 }
 
 // mergeOutboxes drains every cross-shard mailbox into its target shard's
-// calendar ring. For each target the sources are visited in ascending
+// calendar. For each target the sources are visited in ascending
 // shard order and each mailbox in generation order, so a target bucket
 // receives cross-shard events in ascending (source shard, seq) — the
 // same relative order the sequential stepper's ascending-id phase scans
@@ -204,8 +216,7 @@ func (n *Network) mergeOutboxes() {
 				continue
 			}
 			for i := range mb {
-				idx := mb[i].cycle & n.mask
-				dst.ring[idx] = append(dst.ring[idx], mb[i].ev)
+				dst.push(mb[i].cycle&n.mask, mb[i].ev)
 			}
 			n.shards[s].outbox[t] = mb[:0]
 		}

@@ -90,7 +90,13 @@ func (q *vcQueue) push(p *Packet) {
 	if q.usedPhits+p.Size > q.capPhits {
 		panic("router: input VC overflow; upstream credit accounting is broken")
 	}
-	q.pkts[(q.head+q.n)%len(q.pkts)] = p
+	// Ring indices wrap by compare, not %: the slot count is a run-time
+	// value, and a divide per hop is the dearest instruction here.
+	i := q.head + q.n
+	if i >= len(q.pkts) {
+		i -= len(q.pkts)
+	}
+	q.pkts[i] = p
 	q.n++
 	q.usedPhits += p.Size
 }
@@ -102,7 +108,9 @@ func (q *vcQueue) pop() *Packet {
 	}
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
-	q.head = (q.head + 1) % len(q.pkts)
+	if q.head++; q.head == len(q.pkts) {
+		q.head = 0
+	}
 	q.n--
 	q.usedPhits -= p.Size
 	if q.usedPhits < 0 {

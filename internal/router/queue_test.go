@@ -32,3 +32,33 @@ func TestVCQueueRingIsFixed(t *testing.T) {
 	}()
 	q.push(&Packet{Size: size})
 }
+
+// TestVCQueueWrapAgainstReference pins the compare-and-wrap ring
+// indexing at slot counts 1, 2 and 32: a seeded push/pop stream that
+// laps the ring many times pops in exactly the order of a slice FIFO.
+func TestVCQueueWrapAgainstReference(t *testing.T) {
+	const size = 8
+	for _, slots := range []int{1, 2, 32} {
+		q := newVCQueue(slots*size, size)
+		if len(q.pkts) != slots {
+			t.Fatalf("built %d slots, want %d", len(q.pkts), slots)
+		}
+		var ref []*Packet
+		rng := newTestRand(uint64(slots))
+		for step := 0; step < 50*slots+100; step++ {
+			if len(ref) < slots && (len(ref) == 0 || rng()%2 == 0) {
+				p := &Packet{ID: uint64(step), Size: size}
+				q.push(p)
+				ref = append(ref, p)
+			} else {
+				if q.headPkt() != ref[0] || q.pop() != ref[0] {
+					t.Fatalf("%d slots, step %d: head or pop is not the reference's packet %d", slots, step, ref[0].ID)
+				}
+				ref = ref[1:]
+			}
+			if q.len() != len(ref) || q.free() != int32((slots-len(ref))*size) {
+				t.Fatalf("%d slots, step %d: len %d free %d with %d queued", slots, step, q.len(), q.free(), len(ref))
+			}
+		}
+	}
+}

@@ -102,8 +102,8 @@ func (o *outPort) qPop() outEntry   { return o.q.pop() }
 type Router struct {
 	ID  int
 	net *Network
-	// shard is the network shard that owns this router: its calendar
-	// ring, active sets and outgoing mailboxes. With one worker every
+	// shard is the network shard that owns this router: its calendar,
+	// active sets and outgoing mailboxes. With one worker every
 	// router shares the single shard.
 	shard *netShard
 

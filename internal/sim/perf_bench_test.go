@@ -45,6 +45,11 @@ func benchStepMode(b *testing.B, s Scale, algo routing.Algo, load float64, fullS
 func BenchmarkStepTinyBase(b *testing.B)  { benchStep(b, Tiny, routing.Base, 0.3) }
 func BenchmarkStepSmallBase(b *testing.B) { benchStep(b, Small, routing.Base, 0.3) }
 func BenchmarkStepSmallMin(b *testing.B)  { benchStep(b, Small, routing.Min, 0.3) }
+
+// BenchmarkStepSmallBase05 is the loaded point with the most events in
+// flight below saturation, where the calendar's working set is largest.
+func BenchmarkStepSmallBase05(b *testing.B) { benchStep(b, Small, routing.Base, 0.5) }
+
 func BenchmarkStepSmallECtN(b *testing.B) { benchStep(b, Small, routing.ECtN, 0.3) }
 func BenchmarkStepSmallIdle(b *testing.B) { benchStep(b, Small, routing.Base, 0.01) }
 
