@@ -88,10 +88,7 @@ func effectiveBenchtime(flagValue string) string {
 	return flagValue
 }
 
-// spec abbreviates the shared harness's operating-point struct.
-type spec = sim.StepBenchSpec
-
-// stepCycles is the literal per-cycle body every Step row and the
+// stepCycles is the literal per-cycle body every OpCycle row and the
 // end-to-end run time: n injected cycles, stepped one by one. The rows
 // measure Step itself, so unlike every measurement in package sim this
 // loop must not elide quiet cycles.
@@ -102,85 +99,53 @@ func stepCycles(net *router.Network, inj *traffic.Injector, n int) {
 	}
 }
 
-// stepBench returns a benchmark function measuring one injected cycle
-// at the operating point, built and warmed by the same shared harness
-// as the in-tree BenchmarkStep* suite (see sim.StepBenchSpec for the
-// knobs: workload, shard workers, reference scans, quiescent faults).
+// rowBench returns the benchmark body of one sim.StepBenchSuite row — the
+// one body behind both the BENCH_step.json record (testing.Benchmark in
+// main) and `go test -bench Step ./cmd/bench` (b.Run in BenchmarkStep).
+// The operating point is built and warmed by the shared harness; each
+// call leaves the simulated cycles one op covered in *cyclesPerOp.
 // Reaching a Saturated point's stalled steady state takes thousands of
 // cycles, so its warmed network is built on the first call and kept
-// across testing.Benchmark's calls with growing b.N: each just steps it
-// further.
-func stepBench(sp spec) func(b *testing.B) {
+// across the calls with growing b.N: each just steps it further.
+func rowBench(row sim.StepBenchRow, cyclesPerOp *float64) func(b *testing.B) {
 	var (
 		net *router.Network
 		inj *traffic.Injector
 	)
 	return func(b *testing.B) {
-		if net == nil || !sp.Saturated {
+		if net == nil || !row.Spec.Saturated {
 			var err error
-			if net, inj, err = sim.NewStepBench(sp); err != nil {
+			if net, inj, err = sim.NewStepBench(row.Spec); err != nil {
 				b.Fatal(err)
 			}
 		}
-		gen0 := net.NumGenerated
+		gen0, start := net.NumGenerated, net.Now()
 		b.ReportAllocs()
 		b.ResetTimer()
-		stepCycles(net, inj, b.N)
-		// A long measured run generating nothing means the injector is
-		// broken and the numbers would record an empty network.
-		if b.N > 1000 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
-}
-
-// stepBenchElideIdle measures the quiet-cycle elision path: one op
-// advances sim.ElideIdleSpan cycles of a deep-idle network through
-// sim.Advance, which jumps the clock between events instead of
-// stepping every cycle. The entry's cycles/sec is span-normalized, so
-// it compares directly against the per-cycle Idle entries — the
-// acceptance bar of the elision change is >= 10x their cycles/sec.
-func stepBenchElideIdle(s sim.Scale) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBench(spec{Scale: s, Algo: routing.Base, Load: sim.ElideIdleLoad})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.ElideIdleWarm(net, inj); err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Advance(net, inj, sim.ElideIdleSpan)
-		}
-		if b.N > 100 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
-}
-
-// burstDrainBench measures a burst followed by a full drain, reporting
-// the drained cycles per op via the returned counter.
-func burstDrainBench(cycles *float64) func(b *testing.B) {
-	return func(b *testing.B) {
-		c := sim.NewConfig(sim.Small.Params(), routing.Base)
-		net, err := sim.BuildNetwork(c, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := rng.New(3, 9)
-		start := net.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.BurstDrainStep(net, r); err != nil {
-				b.Fatal(err)
+		switch row.Spec.Op {
+		case sim.OpCycle:
+			stepCycles(net, inj, b.N)
+		case sim.OpElideSpan:
+			for i := 0; i < b.N; i++ {
+				sim.Advance(net, inj, sim.ElideIdleSpan)
+			}
+		case sim.OpBurstDrain:
+			burst := rng.New(3, 9)
+			for i := 0; i < b.N; i++ {
+				if err := sim.BurstDrainStep(net, burst); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.StopTimer()
-		*cycles = float64(net.Now()-start) / float64(b.N)
+		cycles := net.Now() - start
+		*cyclesPerOp = float64(cycles) / float64(b.N)
+		// A long measured run generating nothing means the injector is
+		// broken and the numbers would record an empty network (short
+		// probe runs at low load can legitimately generate nothing).
+		if cycles > 1000 && net.NumGenerated == gen0 {
+			b.Fatal("no traffic generated during measurement")
+		}
 	}
 }
 
@@ -300,7 +265,7 @@ func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
 	}
 	for name := range baseline {
 		if name == "StepSmallBurstDrain" {
-			continue // excluded from compare runs by design
+			continue // excluded from compare runs by design (sim.OpBurstDrain)
 		}
 		fmt.Printf("%-26s in baseline but not measured — skipped\n", name)
 	}
@@ -314,7 +279,7 @@ func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
 
 func endToEnd(cycles int64) (EndToEnd, error) {
 	const load = 0.3
-	net, inj, err := sim.NewStepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: load})
+	net, inj, err := sim.NewStepBench(sim.StepBenchSpec{Scale: sim.Small, Algo: routing.Base, Load: load})
 	if err != nil {
 		return EndToEnd{}, err
 	}
@@ -355,105 +320,30 @@ func main() {
 		}
 	}
 
-	var burstCycles float64
-	suite := []struct {
-		name    string
-		workers int // 0 in the table means sequential (recorded as 1)
-		fn      func(b *testing.B)
-	}{
-		{"StepTinyBase", 0, stepBench(spec{Scale: sim.Tiny, Algo: routing.Base, Load: 0.3})},
-		{"StepSmallBase", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3})},
-		// UN 0.5 is the loaded point with the most events in flight below
-		// saturation: the row the event calendar's working set shows in.
-		{"StepSmallBase05", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.5})},
-		{"StepSmallMin", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Min, Load: 0.3})},
-		{"StepSmallECtN", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.3})},
-		{"StepSmallPB", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.3})},
-		// The past-saturation entries track blocked-router parking: MIN
-		// under ADV+1 pins at 1/(a*p) with every NIC full and nearly
-		// every head blocked on credits (the regime where a revisit per
-		// cycle cost 200+ Route calls per grant); OLM at 0.4 misroutes
-		// and re-samples its blocked heads, so fewer of its routers park.
-		{"StepSmallMinAdvSat", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Min, Workload: sim.ADV(1), Load: 0.4, Saturated: true})},
-		{"StepSmallOLMAdv04", 0, stepBench(spec{Scale: sim.Small, Algo: routing.OLM, Workload: sim.ADV(1), Load: 0.4, Saturated: true})},
-		{"StepSmallIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01})},
-		{"StepSmallFullScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01, FullScan: true})},
-		// The faults-idle entry carries a quiescent fault plan (one event
-		// scheduled far past the horizon): pinned beside StepSmallIdle,
-		// the delta is the fault engine's hot-path cost, which must stay
-		// ~zero — the engine only spends cycles when events fire.
-		{"StepSmallFaultsIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.01, QuiescentFaults: true})},
-		// The PB/ECtN idle benchmarks track the event-driven algorithm
-		// layer; the RefScan variants pin the retained full-recompute
-		// reference (the original polled implementation) beside them.
-		// The ElideIdle entries measure the quiet-cycle elision path: one
-		// op is a whole ElideIdleSpan-cycle span at deep-idle load, with
-		// the clock jumping between events. Their span-normalized
-		// cycles/sec sits beside the per-cycle Idle entries above.
-		{"StepSmallElideIdle", 0, stepBenchElideIdle(sim.Small)},
-		{"StepPaperElideIdle", 0, stepBenchElideIdle(sim.Paper)},
-		{"StepSmallPBIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.01})},
-		{"StepSmallPBRefScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.PB, Load: 0.01, RefScan: true})},
-		{"StepSmallECtNIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.01})},
-		{"StepSmallECtNRefScanIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.ECtN, Load: 0.01, RefScan: true})},
-		// The bursty/hotspot idle entries track the stateful calendar
-		// injector beside the Bernoulli skip-sampler: same scale, same
-		// load, different arrival process — the delta is the cost of
-		// per-node source state.
-		{"StepSmallBurstyIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Workload: sim.UN().WithBurst(50, 150, 0), Load: 0.01})},
-		{"StepSmallHotspotIdle", 0, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Workload: sim.HotspotUN(0.2, 8), Load: 0.01})},
-		{"StepPaperIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.01})},
-		{"StepPaperBurstyIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Workload: sim.UN().WithBurst(50, 150, 0), Load: 0.01})},
-		{"StepPaperPBIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.PB, Load: 0.01})},
-		{"StepPaperPBRefScanIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.PB, Load: 0.01, RefScan: true})},
-		{"StepPaperECtNIdle", 0, stepBench(spec{Scale: sim.Paper, Algo: routing.ECtN, Load: 0.01})},
-		// The workers entries track the shard-parallel stepper beside
-		// the sequential stepper at a loaded operating point (30% UN,
-		// the parallel-stepper acceptance regime); the cycles are
-		// bit-identical, so the cycles/sec ratio is pure parallel
-		// speedup minus barrier cost. Meaningful on a multi-core host.
-		{"StepSmallWorkers1", 1, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3, Workers: 1})},
-		{"StepSmallWorkers4", 4, stepBench(spec{Scale: sim.Small, Algo: routing.Base, Load: 0.3, Workers: 4})},
-		{"StepPaperWorkers1", 1, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.3, Workers: 1})},
-		{"StepPaperWorkers4", 4, stepBench(spec{Scale: sim.Paper, Algo: routing.Base, Load: 0.3, Workers: 4})},
-		{"StepSmallBurstDrain", 0, burstDrainBench(&burstCycles)},
-	}
-
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchtime:  effectiveBenchtime(*benchtime),
 	}
-	for _, s := range suite {
-		if *compare != "" && s.name == "StepSmallBurstDrain" {
+	for _, row := range sim.StepBenchSuite() {
+		if *compare != "" && row.Spec.Op == sim.OpBurstDrain {
 			continue // composite op; ns/op is dominated by drain length, not Step cost
 		}
-		fmt.Fprintf(os.Stderr, "running %s...\n", s.name)
-		r := testing.Benchmark(s.fn)
-		workers := s.workers
-		if workers == 0 {
-			workers = 1
-		}
+		fmt.Fprintf(os.Stderr, "running %s...\n", row.Name)
+		var cyclesPerOp float64
+		r := testing.Benchmark(rowBench(row, &cyclesPerOp))
 		res := BenchResult{
-			Name:        s.name,
+			Name:        row.Name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
-			Workers:     workers,
+			CyclesPerOp: cyclesPerOp,
+			Workers:     max(row.Spec.Workers, 1),
 		}
-		switch s.name {
-		case "StepSmallBurstDrain":
-			res.CyclesPerOp = burstCycles
-		case "StepSmallElideIdle", "StepPaperElideIdle":
-			res.CyclesPerOp = sim.ElideIdleSpan
-			if res.NsPerOp > 0 {
-				res.CyclesPerSec = sim.ElideIdleSpan * 1e9 / res.NsPerOp
-			}
-		default:
-			res.CyclesPerOp = 1
-			if res.NsPerOp > 0 {
-				res.CyclesPerSec = 1e9 / res.NsPerOp
-			}
+		// cycles/sec is the headline for rows whose op is a fixed span of
+		// cycles; a burst-drain episode's length is part of what it measures.
+		if row.Spec.Op != sim.OpBurstDrain && res.NsPerOp > 0 {
+			res.CyclesPerSec = cyclesPerOp * 1e9 / res.NsPerOp
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}

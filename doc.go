@@ -163,11 +163,11 @@
 // schemes of the congestion-management literature (Rocher-Gonzalez et
 // al.). Four mechanisms compose:
 //
-//   - Marking: every output port above MarkPct of its credit capacity
-//     is mark-hot (maintained by the same threshold watchers PB's
-//     saturation flags use, so the hot path stays O(1)); packets
-//     granted through a hot port carry a congestion mark to delivery,
-//     like an ECN bit piggybacked on the payload.
+//   - Marking: marking is a compare at grant. A packet granted through
+//     an output port whose O(1) occupancy (the packet's own reservation
+//     counted) exceeds MarkPct of the port's credit capacity carries a
+//     congestion mark to delivery, like an ECN bit piggybacked on the
+//     payload.
 //   - Notification: a marked delivery schedules a notification back to
 //     the source on the event calendar, NotifyLatency cycles later —
 //     the signal travels at realistic link latency, it does not
@@ -305,20 +305,24 @@
 // the oracle (TestParkingEquivalence); CheckInvariants replays the
 // decision of every parked head.
 //
-// The routing-algorithm layer is event-driven on the same principle.
+// The routing-algorithm layer keeps no per-cycle O(network) term either.
 // Each output port's occupancy is a running counter updated at its three
 // mutation points (allocation grant, credit return, output-buffer free),
-// so the credit estimate congestion-based mechanisms read is O(1), and
-// occupancy-threshold watchers fire exactly when a registered threshold
-// is crossed: PB's saturation flags flip at the crossing instant instead
-// of a per-cycle all-port recompute, as a hardware credit comparator
-// would raise the piggybacked bit. ECtN's periodic group combine visits
-// only the groups whose partial counters changed since their last
-// exchange (a dirty-group set maintained by the counter mutations), so
-// an idle period costs O(1). The original full recomputes survive behind
-// debug flags (the fabric's FullScan, the policies' ReferenceScan) and
-// equivalence tests pin both modes to cycle-for-cycle identical results;
-// `go run ./cmd/bench` tracks the hot path's speed in BENCH_step.json.
+// and policies read the O(1) occupancy where they decide: OLM and the
+// hybrid compare it across candidate ports, PB's saturation flag is the
+// occupancy of the minimal global link's owning router against a
+// threshold, read inside the source decision (the piggybacked bit is,
+// at every instant, exactly that comparison — there is no stored copy to
+// maintain), and ECN marking is the same kind of compare at grant.
+// ECtN's periodic group combine visits only the groups whose partial
+// counters changed since their last exchange (a dirty flag per group,
+// set by the counter mutations), so an idle period costs O(groups) flag
+// reads and the clock may jump over it. Two full recomputes survive
+// behind debug flags as test oracles (the fabric's FullScan, ECtN's
+// combine-every-group ReferenceScan), pinned cycle-for-cycle to the
+// production paths by equivalence tests; `go run ./cmd/bench` tracks the
+// hot path's speed in BENCH_step.json, with the ECtN reference beside
+// the dirty flags at both scales.
 //
 // A single run can additionally be stepped by multiple cores
 // (Config.Workers, cmd/sweep and cmd/figures -workers): the network is
@@ -431,11 +435,11 @@
 //     second cycle loop in a deterministic package is a finding
 //     (cmd/bench keeps one literal body: its rows time Step itself).
 //   - Field encapsulation (fieldenc): the accounting fields the
-//     invariant auditor and the watcher pipeline lean on — port
-//     occupancy (written only via Router.occDelta, which fires the
-//     threshold watchers), credit/output-buffer counters, ECN-hot
-//     flags, active-set membership — may only be assigned inside their
-//     registered mutator functions. The parking state is held the same
+//     invariant auditor leans on — port occupancy (written only via
+//     Router.occDelta), credit/output-buffer counters (the grant, the
+//     event handler and the fault kills' one unreserve), mark
+//     thresholds, active-set membership — may only be assigned inside
+//     their registered mutator functions. The parking state is held the same
 //     way: Router.parked is set only by stepShard's park pass and
 //     cleared only by Router.wake, so the documented wake set is the
 //     whole wake set, and Network.WakeGroup is barrier-only (it writes
@@ -464,10 +468,13 @@
 //     coordinates) taints the derivation, including through function
 //     parameters — handing a tainted index to a helper demotes that
 //     helper's parameter program-wide. Cross-shard effects must flow
-//     through a registered conduit (the mailbox append, the GroupDirty
-//     shard lanes); anything else needs a reviewed
-//     `//lint:sharded <reason>` stating the ownership argument (e.g.
-//     the occupancy watchers, which fire on the port-owning shard).
+//     through a registered conduit (the mailbox append, and
+//     GroupDirty.Mark, which writes the marking group's own flag byte);
+//     anything else needs a reviewed `//lint:sharded <reason>` stating
+//     the ownership argument — the repository currently carries none.
+//     Cross-router reads need no annotation but do need an argument:
+//     PB reads the occupancy of another router of its own group, which
+//     shares its shard and does not move during the route phase.
 //   - Hot-path allocation freedom (allocfree): a whole-program sweep
 //     over the call graph from the hot roots (Step and the parallel
 //     coordinator, event handling, NIC drain, steady-state injection,

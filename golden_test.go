@@ -9,8 +9,8 @@ import (
 )
 
 // The golden-output gate: tiny-scale sweeps over {base, ectn, olm} x
-// {UN, ADV+1, hotspot, bursty}, plus one sweep each with the adaptive
-// engine, congestion management and a fault plan on, must reproduce the
+// {UN, ADV+1, hotspot, bursty}, {pb, val} under ADV+1, plus one sweep
+// each with the adaptive engine, congestion management and a fault plan on, must reproduce the
 // committed CSVs under testdata/golden byte for byte. The files were
 // generated by cmd/sweep at the commit introducing each of them, so any
 // change to simulation results — an intentional model change as much as
@@ -49,6 +49,7 @@ var goldenCases = []goldenCase{
 	{file: "sweep_tiny_adv1.csv", routing: []Algorithm{Base, ECtN, OLM}, traffic: "adv+1", loads: []float64{0.1, 0.3}, window: 400},
 	{file: "sweep_tiny_hotspot.csv", routing: []Algorithm{Base, ECtN, OLM}, traffic: "hotspot:0.2,8", loads: []float64{0.1, 0.3}, window: 400},
 	{file: "sweep_tiny_bursty.csv", routing: []Algorithm{Base, ECtN, OLM}, traffic: "un+burst:20,80", loads: []float64{0.1, 0.3}, window: 400},
+	{file: "sweep_tiny_pb.csv", routing: []Algorithm{PB, VAL}, traffic: "adv+1", loads: []float64{0.1, 0.3}, window: 400},
 	{file: "sweep_tiny_adaptive.csv", routing: []Algorithm{Base, ECtN}, traffic: "un", loads: []float64{0.2}, adaptive: true},
 	{file: "sweep_tiny_congestion.csv", routing: []Algorithm{Base}, traffic: "hotspot:0.3,8", loads: []float64{0.7}, window: 400, congestion: "on"},
 	{file: "sweep_tiny_faults.csv", routing: []Algorithm{Base}, traffic: "un", loads: []float64{0.4}, window: 600, faults: "random:5%@1000"},

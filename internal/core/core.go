@@ -95,105 +95,46 @@ func (k *Counters) Snapshot() []int32 {
 // saturate at 15, enough to exceed the combined threshold of 10.
 const DefaultSatCap = 15
 
-// GroupDirty is a dirty-set over group indices: the periodic ECtN
-// combiner visits only the groups marked since its last drain, making
-// the exchange cost proportional to the groups with changed demand
-// rather than the topology's group count. Mark is O(1) (a flag check);
-// membership is deduplicated.
+// GroupDirty is a dirty flag per group: the periodic ECtN combiner visits
+// only the groups marked since its last drain, and while no group is
+// marked the next combine is a no-op the clock may jump over.
 //
-// The mark path can be sharded (Shard): each group is assigned to one
-// lane, Mark appends to the marking group's lane, and Drain gathers all
-// lanes. A caller that partitions groups across worker goroutines and
-// guarantees each group is only ever marked from its own lane's worker
-// may then Mark concurrently from distinct lanes without locks — the
-// in-flags are per-group bytes and the mark lists are per-lane — while
-// Drain and Marked remain single-threaded (barrier-side) operations.
-// Drain has always visited in ascending group order, so sharding does
-// not change the combine semantics.
+// Distinct groups are distinct bytes: goroutines owning disjoint groups
+// may Mark concurrently without locks. Marked, Any and Drain are
+// single-threaded (barrier-side) operations.
 type GroupDirty struct {
-	in     []bool
-	lanes  [][]int32
-	laneOf []int32 // group -> lane; nil means the single lane 0
-	drain  []int32 // Drain's gather buffer, so re-entrant Marks land in lanes
+	in []bool
 }
 
-// NewGroupDirty returns an empty single-lane dirty-set over `groups`
-// groups.
+// NewGroupDirty returns an all-clean set over `groups` groups.
 func NewGroupDirty(groups int) *GroupDirty {
-	return &GroupDirty{
-		in:    make([]bool, groups),
-		lanes: [][]int32{make([]int32, 0, groups)},
-		drain: make([]int32, 0, groups),
-	}
+	return &GroupDirty{in: make([]bool, groups)}
 }
 
-// Shard partitions the mark path into `lanes` lanes with laneOf(g)
-// naming group g's lane. It must be called before any Mark (the set must
-// be empty) and is not safe to call concurrently with use.
-func (d *GroupDirty) Shard(lanes int, laneOf func(g int) int) {
-	if d.Len() != 0 {
-		panic("core: GroupDirty.Shard on a non-empty set")
-	}
-	if lanes < 1 {
-		panic("core: GroupDirty.Shard with no lanes")
-	}
-	d.lanes = make([][]int32, lanes)
-	for l := range d.lanes {
-		d.lanes[l] = make([]int32, 0, len(d.in)/lanes+1)
-	}
-	d.laneOf = make([]int32, len(d.in))
-	for g := range d.in {
-		l := laneOf(g)
-		if l < 0 || l >= lanes {
-			panic(fmt.Sprintf("core: GroupDirty.Shard lane %d for group %d out of [0,%d)", l, g, lanes))
-		}
-		d.laneOf[g] = int32(l)
-	}
-}
-
-// Mark adds group g to the set (no-op if already present). Concurrent
-// Marks are permitted only from distinct lanes of a sharded set, each
-// lane's marks issued by a single goroutine.
+// Mark flags group g. A flagged group is only read, so shard workers do
+// not bounce the flags' cache line on every partial-counter update.
 func (d *GroupDirty) Mark(g int32) {
 	if !d.in[g] {
 		d.in[g] = true
-		lane := int32(0)
-		if d.laneOf != nil {
-			lane = d.laneOf[g]
-		}
-		d.lanes[lane] = append(d.lanes[lane], g)
 	}
 }
 
-// Marked reports whether group g is currently in the set.
+// Marked reports whether group g is currently flagged.
 func (d *GroupDirty) Marked(g int32) bool { return d.in[g] }
 
-// Len returns the number of marked groups.
-func (d *GroupDirty) Len() int {
-	n := 0
-	for _, lane := range d.lanes {
-		n += len(lane)
-	}
-	return n
-}
+// Any reports whether any group is flagged.
+func (d *GroupDirty) Any() bool { return slices.Contains(d.in, true) }
 
-// Drain visits every marked group in ascending order and empties the
-// set. A visit callback may Mark groups (including the one being
-// visited): the set is gathered and cleared before visiting, so such
-// marks land in the next drain rather than being lost. The retained
-// buffers make a steady-state drain allocation-free.
+// Drain visits every flagged group in ascending order, clearing each
+// flag before its visit. A visit may therefore Mark re-entrantly: a mark
+// on the group being visited or on an earlier one is kept for the next
+// drain, a mark on a later group is visited by this one.
 func (d *GroupDirty) Drain(visit func(g int32)) {
-	d.drain = d.drain[:0]
-	for l, lane := range d.lanes {
-		d.drain = append(d.drain, lane...)
-		d.lanes[l] = lane[:0]
-	}
-	slices.Sort(d.drain)
-	for _, g := range d.drain {
-		d.in[g] = false
-	}
-	for _, g := range d.drain {
-		visit(g)
+	for g, m := range d.in {
+		if m {
+			d.in[g] = false
+			visit(int32(g))
+		}
 	}
 }
 

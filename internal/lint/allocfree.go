@@ -86,7 +86,7 @@ func (aa *allocAnalysis) run() {
 	info := aa.fi.Pkg.Info
 
 	// First pass: find the compaction-reslice locals.
-	ast.Inspect(aa.fi.Body(), func(n ast.Node) bool {
+	ast.Inspect(aa.fi.Decl.Body, func(n ast.Node) bool {
 		st, ok := n.(*ast.AssignStmt)
 		if !ok || len(st.Lhs) != len(st.Rhs) {
 			return true
@@ -140,7 +140,7 @@ func (aa *allocAnalysis) run() {
 			return true
 		})
 	}
-	walk(aa.fi.Body())
+	walk(aa.fi.Decl.Body)
 }
 
 // checkNode vets one syntax node for hot-path allocation.

@@ -7,9 +7,10 @@ import (
 )
 
 // FieldEnc enforces field encapsulation on the accounting state the
-// determinism proofs lean on. The occupancy counter feeds the ECN
-// watcher pipeline through Router.occDelta (a raw write would skip the
-// watchers and desynchronize congestion notifications between runs);
+// determinism proofs lean on. The occupancy counter is a running sum
+// kept equal to its recompute by funnelling every change through
+// Router.occDelta (a raw write would desynchronize PB's saturation reads
+// and ECN marking between runs);
 // the credit/outFree counters are conserved quantities audited by
 // CheckInvariants; the active-set bit words carry a population count
 // that is only valid while mutation goes through the set's own methods.

@@ -19,8 +19,8 @@
 //     may only be called from their registered sequential-point call
 //     sites, never from inside the parallel phase call graphs.
 //   - fieldenc: the accounting fields (occ, credit counters, active-set
-//     membership, ecnHot, …) may only be assigned by their sanctioned
-//     mutator functions.
+//     membership, …) may only be assigned by their sanctioned mutator
+//     functions.
 //   - floatorder: no floating-point `+=` accumulation inside a loop
 //     whose iteration order is not provably deterministic (map range,
 //     channel range).
@@ -165,19 +165,13 @@ type Config struct {
 	CrossShardFields []FieldRef
 
 	// ShardConduits lists the reviewed cross-shard channels (the mailbox
-	// append, the GroupDirty shard lanes): their bodies are exempt from
+	// append, the GroupDirty flag write): their bodies are exempt from
 	// the write check and stop parallel-root reachability.
 	ShardConduits []string
 
 	// IndexPreservingFuncs lists pure index-mapping functions (topology
 	// accessors): local arguments in, local result out.
 	IndexPreservingFuncs []string
-
-	// CallbackRegistrars lists functions whose function-literal arguments
-	// are invoked from inside parallel sections (occupancy watchers):
-	// each such literal is analyzed as a parallel root of its own, with
-	// captured variables treated as non-local.
-	CallbackRegistrars []string
 
 	// --- allocfree registries (see allocfree.go) ---
 
@@ -279,7 +273,6 @@ func DefaultConfig() *Config {
 			// Algorithm implementations: their BeginCycle bodies are
 			// reached only through the interface dispatch above, never
 			// called directly inside package routing.
-			routing + ".pbAlg.BeginCycle":       {},
 			routing + ".ectnAlg.BeginCycle":     {},
 			routing + ".baseProbAlg.BeginCycle": {},
 		},
@@ -293,7 +286,6 @@ func DefaultConfig() *Config {
 			router + ".Router.grant",
 			router + ".Router.linkPhase",
 			router + ".Router.faultAdjust",
-			router + ".Router.escapeVC",
 		},
 		// Any method with one of these names is a parallel root wherever
 		// it is declared: the Algorithm hook surface runs inside the
@@ -301,10 +293,9 @@ func DefaultConfig() *Config {
 		// rule with no config edit.
 		ParallelRootMethods: []string{"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant"},
 		// The accounting fields and their sanctioned mutators. occ is
-		// written only by occDelta (the watcher-firing mutation point);
-		// credits/outFree only by the grant path, the event handler and
-		// the fault kill-reversal sweep; ecnHot only by the watcher Build
-		// registers; active-set membership only by the set's own methods,
+		// written only by occDelta; credits/outFree only by the grant
+		// path, the event handler and the fault kills' unreserve;
+		// active-set membership only by the set's own methods,
 		// and the calendar's chunk pool and bucket fill counts only by the
 		// calendar's (CheckInvariants audits their sum).
 		// The parking state has one writer pair each: parked is set by the
@@ -326,14 +317,12 @@ func DefaultConfig() *Config {
 				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".outPort", Field: "credits",
 				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
-					router + ".Network.killStagedQueue", router + ".Network.faultScanEvent"}},
+					router + ".Router.unreserve"}},
 			{Type: router + ".outPort", Field: "outFree",
 				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
-					router + ".Network.killStagedQueue", router + ".Network.faultScanEvent"}},
-			{Type: router + ".outPort", Field: "ecnHot",
-				Writers: []string{router + ".Build"}},
+					router + ".Router.unreserve"}},
 			{Type: router + ".outPort", Field: "markTh",
-				Writers: []string{router + ".newRouter", router + ".Build"}},
+				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".activeSet", Field: "words",
 				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop"}},
 			{Type: router + ".activeSet", Field: "count",
@@ -347,9 +336,9 @@ func DefaultConfig() *Config {
 		// --- shardisolation (see shardiso.go) ---
 
 		// The Network (one instance, back-pointed from every router) and
-		// the GroupDirty mark aggregator (one instance, written from every
-		// shard through its per-shard lanes) are the globally shared
-		// types: holding one never proves locality.
+		// the GroupDirty flags (one instance, written from every shard,
+		// each to its own groups' bytes) are the globally shared types:
+		// holding one never proves locality.
 		GlobalStateTypes: []string{
 			router + ".Network",
 			core + ".GroupDirty",
@@ -379,8 +368,8 @@ func DefaultConfig() *Config {
 		},
 		// The reviewed cross-shard channels. scheduleFrom routes a
 		// cross-shard event into the per-(src,dst) mailbox drained at the
-		// cycle barrier; GroupDirty.Mark appends to the marking shard's
-		// own lane (see core.GroupDirty.Shard). Direction-1 topology
+		// cycle barrier; GroupDirty.Mark writes the marking group's own
+		// flag byte, and a group never spans shards. Direction-1 topology
 		// backends must register their equivalents here.
 		ShardConduits: []string{
 			router + ".Network.scheduleFrom",
@@ -397,12 +386,6 @@ func DefaultConfig() *Config {
 			topo + ".Dragonfly.GroupOfNode",
 			topo + ".Dragonfly.PosOf",
 			topo + ".Dragonfly.RouterID",
-		},
-		// Occupancy watchers fire inside occDelta, on the owning shard's
-		// parallel phases: every literal registered here is a parallel
-		// root whose captures are non-local until reviewed.
-		CallbackRegistrars: []string{
-			router + ".Network.WatchOccupancy",
 		},
 
 		// --- allocfree (see allocfree.go) ---
@@ -447,8 +430,6 @@ func DefaultConfig() *Config {
 			{Type: router + ".Router", Field: "stagedPorts"},
 			{Type: router + ".Router", Field: "dirtyOut"},
 			{Type: router + ".fifo", Field: "buf"},
-			{Type: core + ".GroupDirty", Field: "lanes"},
-			{Type: core + ".GroupDirty", Field: "drain"},
 			{Type: traffic + ".retransmitter", Field: "heap"},
 			{Type: traffic + ".calendar", Field: "heap"},
 		},

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strconv"
 )
 
 // The whole-program layer. The per-package analyzers (lint.go) see one
@@ -51,26 +50,12 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // FuncInfo is one analyzable function body: a declared function or
-// method, or a function literal registered as a parallel callback (an
-// argument to a CallbackRegistrars function — it will be invoked from
-// inside a parallel section, so it is analyzed as a root of its own,
-// with every captured variable treated as non-local).
+// method.
 type FuncInfo struct {
-	// Key is the funcKey of the declaration; callback literals get a
-	// synthetic "<enclosing>$cbN" key.
-	Key  string
+	Key  string // funcKey of the declaration
 	Pkg  *Package
 	File *ast.File
-	Decl *ast.FuncDecl // nil for callback literals
-	Lit  *ast.FuncLit  // non-nil for callback literals
-}
-
-// Body returns the function's statement block.
-func (fi *FuncInfo) Body() *ast.BlockStmt {
-	if fi.Decl != nil {
-		return fi.Decl.Body
-	}
-	return fi.Lit.Body
+	Decl *ast.FuncDecl
 }
 
 // CallEdge is one resolved call site.
@@ -93,13 +78,8 @@ type Program struct {
 	// Calls is the call graph: caller funcKey → resolved call sites.
 	// Calls inside function literals attribute to the enclosing
 	// declaration (a closure a function builds is work that function
-	// causes), except callback literals, which own their edges under
-	// their synthetic key.
+	// causes).
 	Calls map[string][]CallEdge
-
-	// callbackRoots lists the synthetic keys of function literals passed
-	// to CallbackRegistrars functions, in source order.
-	callbackRoots []string
 }
 
 // NewProgram indexes the packages of one Load and builds the call graph.
@@ -112,10 +92,6 @@ func NewProgram(pkgs []*Package, cfg *Config) *Program {
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
-	}
-	registrar := make(map[string]bool, len(cfg.CallbackRegistrars))
-	for _, r := range cfg.CallbackRegistrars {
-		registrar[r] = true
 	}
 	for _, pkg := range pkgs {
 		for i, f := range pkg.Syntax {
@@ -131,67 +107,41 @@ func NewProgram(pkgs []*Package, cfg *Config) *Program {
 				if _, dup := prog.Funcs[key]; !dup {
 					prog.Funcs[key] = &FuncInfo{Key: key, Pkg: pkg, File: f, Decl: fd}
 				}
-				prog.indexBody(pkg, f, key, fd.Body, registrar)
+				prog.indexBody(pkg, key, fd.Body)
 			}
 		}
 	}
 	return prog
 }
 
-// indexBody records the call edges of one function body under owner,
-// splitting off callback literals as roots of their own.
-func (p *Program) indexBody(pkg *Package, f *ast.File, owner string, body ast.Node, registrar map[string]bool) {
-	cb := 0
-	callbackLits := make(map[*ast.FuncLit]bool)
+// indexBody records the call edges of one function body under owner.
+func (p *Program) indexBody(pkg *Package, owner string, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && callbackLits[lit] {
-			return false // indexed separately below
-		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pkg.Info, call)
-		if fn == nil {
-			return true
-		}
-		key := funcKey(fn)
-		p.Calls[owner] = append(p.Calls[owner], CallEdge{Callee: key, Pos: call.Pos()})
-		if registrar[key] {
-			for _, arg := range call.Args {
-				lit, isLit := arg.(*ast.FuncLit)
-				if !isLit {
-					continue
-				}
-				litKey := owner + "$cb" + strconv.Itoa(cb)
-				cb++
-				callbackLits[lit] = true
-				p.Funcs[litKey] = &FuncInfo{Key: litKey, Pkg: pkg, File: f, Lit: lit}
-				p.callbackRoots = append(p.callbackRoots, litKey)
-				p.indexBody(pkg, f, litKey, lit.Body, registrar)
-			}
+		if fn := calleeFunc(pkg.Info, call); fn != nil {
+			p.Calls[owner] = append(p.Calls[owner], CallEdge{Callee: funcKey(fn), Pos: call.Pos()})
 		}
 		return true
 	})
 }
 
 // parallelRootKeys resolves the configured parallel roots over the whole
-// program: exact ParallelRoots keys, any declared method whose name is
-// in ParallelRootMethods (in a deterministic package), and the callback
-// literals registered through CallbackRegistrars.
+// program: exact ParallelRoots keys plus any declared method whose name
+// is in ParallelRootMethods (in a deterministic package).
 func (p *Program) parallelRootKeys() []string {
-	return p.rootKeys(p.Cfg.ParallelRoots, p.Cfg.ParallelRootMethods, true)
+	return p.rootKeys(p.Cfg.ParallelRoots, p.Cfg.ParallelRootMethods)
 }
 
 // hotRootKeys resolves the hot-path roots: exact HotPath keys plus any
-// declared method whose name is in HotPathMethods. Callback literals are
-// included too: occupancy watchers fire inside occDelta, on the hot
-// path.
+// declared method whose name is in HotPathMethods.
 func (p *Program) hotRootKeys() []string {
-	return p.rootKeys(p.Cfg.HotPath, p.Cfg.HotPathMethods, true)
+	return p.rootKeys(p.Cfg.HotPath, p.Cfg.HotPathMethods)
 }
 
-func (p *Program) rootKeys(exact, methods []string, callbacks bool) []string {
+func (p *Program) rootKeys(exact, methods []string) []string {
 	exactSet := make(map[string]bool, len(exact))
 	for _, r := range exact {
 		exactSet[r] = true
@@ -206,13 +156,10 @@ func (p *Program) rootKeys(exact, methods []string, callbacks bool) []string {
 			roots = append(roots, key)
 			continue
 		}
-		if fi.Decl != nil && fi.Decl.Recv != nil && methodSet[fi.Decl.Name.Name] &&
+		if fi.Decl.Recv != nil && methodSet[fi.Decl.Name.Name] &&
 			p.Cfg.IsDeterministic(fi.Pkg.Path) {
 			roots = append(roots, key)
 		}
-	}
-	if callbacks {
-		roots = append(roots, p.callbackRoots...)
 	}
 	sort.Strings(roots)
 	return roots

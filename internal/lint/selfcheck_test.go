@@ -69,7 +69,6 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 		"GlobalStateTypes":     cfg.GlobalStateTypes,
 		"ShardConduits":        cfg.ShardConduits,
 		"IndexPreservingFuncs": cfg.IndexPreservingFuncs,
-		"CallbackRegistrars":   cfg.CallbackRegistrars,
 		"HotPath":              cfg.HotPath,
 		"ColdPath":             cfg.ColdPath,
 	}

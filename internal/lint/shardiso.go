@@ -10,8 +10,8 @@ import (
 // "within a parallel section no shard reads or writes another shard's
 // state" — into a checked whole-program invariant. Every function
 // reachable through the call graph from a parallel root (the shard
-// worker bodies, the Algorithm hook surface, occupancy-watcher
-// callbacks) is analyzed with a field-granular locality dataflow:
+// worker bodies, the Algorithm hook surface) is analyzed with a
+// field-granular locality dataflow:
 //
 //   - The receiver and parameters start out assumed shard-local — that
 //     is the caller's obligation — unless their type is registered
@@ -36,12 +36,9 @@ import (
 // A write (assignment, op-assignment, ++/--) whose target's container is
 // not provably local is a finding, unless the enclosing function is a
 // registered cross-shard conduit (ShardConduits — the mailbox append and
-// the GroupDirty shard lanes, whose bodies are the reviewed cross-shard
+// the GroupDirty flag write, whose bodies are the reviewed cross-shard
 // channels) or the write carries a `//lint:sharded <reason>` annotation.
-// Function literals registered through CallbackRegistrars are analyzed
-// as parallel roots of their own with every captured variable non-local
-// (the closure fires on whatever shard trips it). Stale annotations
-// (suppressing nothing) are findings themselves.
+// Stale annotations (suppressing nothing) are findings themselves.
 var ShardIsolation = &ProgramAnalyzer{
 	Name: "shardisolation",
 	Doc:  "writes reachable from a parallel root must target provably shard-local state",
@@ -118,7 +115,7 @@ type shardIso struct {
 func (iso *shardIso) propagate(sa *shardAnalysis) []string {
 	info := sa.fi.Pkg.Info
 	var changed []string
-	ast.Inspect(sa.fi.Body(), func(n ast.Node) bool {
+	ast.Inspect(sa.fi.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -230,21 +227,13 @@ func (sa *shardAnalysis) seed() {
 			}
 		}
 	}
-	if sa.fi.Decl != nil {
-		var recvs []types.Object
-		seedList(sa.fi.Decl.Recv, &recvs)
-		if len(recvs) > 0 {
-			sa.recv = recvs[0]
-		}
-		seedList(sa.fi.Decl.Type.Params, &sa.params)
-		seedList(sa.fi.Decl.Type.Results, nil)
-	} else {
-		// Callback literal: parameters seed like a declaration's, but
-		// captured variables are absent from the map — non-local. The
-		// closure runs on whatever shard fires it; only what it is handed
-		// per invocation is its own.
-		seedList(sa.fi.Lit.Type.Params, &sa.params)
+	var recvs []types.Object
+	seedList(sa.fi.Decl.Recv, &recvs)
+	if len(recvs) > 0 {
+		sa.recv = recvs[0]
 	}
+	seedList(sa.fi.Decl.Type.Params, &sa.params)
+	seedList(sa.fi.Decl.Type.Results, nil)
 }
 
 // paramObjs exposes the declared parameter objects in order.
@@ -270,7 +259,7 @@ func (sa *shardAnalysis) demoteRecv() bool { return sa.demote(sa.recv) }
 func (sa *shardAnalysis) solve() {
 	for changed := true; changed; {
 		changed = false
-		ast.Inspect(sa.fi.Body(), func(n ast.Node) bool {
+		ast.Inspect(sa.fi.Decl.Body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.AssignStmt:
 				changed = sa.bindAssign(st) || changed
@@ -463,22 +452,8 @@ func (sa *shardAnalysis) localCall(call *ast.CallExpr) bool {
 // checkWrites flags every write whose target container is not provably
 // local.
 func (sa *shardAnalysis) checkWrites() {
-	registrar := make(map[string]bool, len(sa.pp.Cfg.CallbackRegistrars))
-	for _, r := range sa.pp.Cfg.CallbackRegistrars {
-		registrar[r] = true
-	}
-	ast.Inspect(sa.fi.Body(), func(n ast.Node) bool {
+	ast.Inspect(sa.fi.Decl.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
-		case *ast.CallExpr:
-			// Callback literals passed to registrars are analyzed as
-			// roots of their own — skip them here.
-			if fn := calleeFunc(sa.fi.Pkg.Info, st); fn != nil && registrar[funcKey(fn)] {
-				for _, arg := range st.Args {
-					if _, isLit := arg.(*ast.FuncLit); isLit {
-						return false
-					}
-				}
-			}
 		case *ast.AssignStmt:
 			if st.Tok == token.DEFINE {
 				return true

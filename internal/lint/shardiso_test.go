@@ -14,7 +14,6 @@ func TestShardIsolationFixture(t *testing.T) {
 	cfg.ShardTables = []FieldRef{{Type: p + ".Net", Field: "routers"}}
 	cfg.CrossShardFields = []FieldRef{{Type: p + ".Pkt", Field: "dst"}}
 	cfg.ShardConduits = []string{p + ".Net.send"}
-	cfg.CallbackRegistrars = []string{p + ".Net.watch"}
 	cfg.IndexPreservingFuncs = []string{p + ".Topo.routerOf"}
 	runProgramFixture(t, ShardIsolation, cfg, "shardiso")
 }

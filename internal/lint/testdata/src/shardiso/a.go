@@ -3,8 +3,8 @@
 // flow through a registered conduit, or carry a reviewed //lint:sharded
 // annotation. The fixture config (shardiso_test.go) registers Net as
 // globally shared, Net.routers as a shard table, Pkt.dst as a
-// cross-shard field, Net.send as the conduit, Net.watch as the callback
-// registrar and Topo.routerOf as index-preserving.
+// cross-shard field, Net.send as the conduit and Topo.routerOf as
+// index-preserving.
 package shardiso
 
 // Pkt is an in-flight packet; dst points across the shard boundary.
@@ -33,7 +33,6 @@ func (t Topo) routerOf(node int) int { return node / t.radix }
 type Net struct {
 	routers []*Router
 	total   int
-	cb      func(v int)
 }
 
 var dropped int
@@ -46,6 +45,7 @@ func (n *Net) stepShard(sh *Shard, id int) {
 	n.total++ // want `write to n\.total is not provably shard-local`
 	dropped++ // want `write to package-level variable dropped is not provably shard-local`
 	n.count()
+	n.tally()
 }
 
 // handle is a parallel root handed one of this shard's packets.
@@ -79,29 +79,18 @@ func (n *Net) count() {
 	n.total++ // want `write to n\.total is not provably shard-local`
 }
 
+// tally is reachable from stepShard too; its annotation states the
+// ownership argument, so the write is accepted.
+func (n *Net) tally() {
+	//lint:sharded total is only read after the cycle barrier
+	n.total++ // ok: reviewed annotation
+}
+
 // tidy is shard-local through and through; its annotation is stale.
 func (n *Net) tidy(sh *Shard) {
 	// want+1 `stale //lint:sharded annotation`
 	//lint:sharded the queue is owned by this worker
 	sh.queue = sh.queue[:0]
-}
-
-// watch is the registered callback registrar: fn fires inside parallel
-// sections on whatever shard trips it.
-func (n *Net) watch(fn func(v int)) { n.cb = fn }
-
-// setup runs at a sequential point, but the literals it registers do
-// not: their captures are non-local.
-func (n *Net) setup(r *Router, lanes []bool) {
-	n.watch(func(v int) {
-		r.occ = v // want `write to r\.occ is not provably shard-local`
-	})
-	n.watch(func(v int) {
-		sat := lanes
-		sat[0] = v > 0 // want `write to sat\[0\] is not provably shard-local`
-	})
-	//lint:sharded the watcher fires on the shard that owns r's port
-	n.watch(func(v int) { r.occ = v }) // ok: reviewed annotation
 }
 
 // alg's Route is a parallel root by method name (ParallelRootMethods).

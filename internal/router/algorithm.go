@@ -13,8 +13,7 @@ type Request struct {
 // Algorithm is the routing policy plugged into the fabric. The fabric
 // calls the hooks at precisely the micro-architectural instants the paper
 // defines for contention counters, so policies can maintain their state
-// (contention counters, ECtN arrays, PB saturation flags) without owning
-// any mechanics:
+// (contention counters, ECtN arrays) without owning any mechanics:
 //
 //   - OnArrive: a packet was enqueued into an input VC (global-input
 //     arrivals update ECtN partial counters here);
@@ -29,7 +28,7 @@ type Request struct {
 //     counters decrement here, §III-B).
 //
 // BeginCycle runs once per cycle before routing and hosts periodic
-// group-level exchanges (PB saturation broadcast, ECtN combine).
+// group-level exchanges (the ECtN combine).
 //
 // The Route contract. The fabric stops visiting a router whose heads are
 // all blocked and whose last visit changed nothing (blocked-router
@@ -54,9 +53,12 @@ type Request struct {
 // A call that draws from r.RNG is exempt — the draw itself keeps the
 // router in the route set for the next cycle — which is what lets the
 // randomized mechanisms re-sample a blocked head every cycle exactly as
-// before, and lets PB read its group's saturation flags inside its
-// one-time (always drawing) source decision. FullScan ignores parking
-// and is the oracle: TestParkingEquivalence pins every shipped
+// before, and lets PB read, inside its one-time (always drawing) source
+// decision, the occupancy of another router of its group: the owner of
+// the minimal global link, whose credit count is PB's piggybacked
+// saturation bit. That read is also shard-safe — a group never spans
+// shards, and no occupancy moves during the route phase. FullScan ignores
+// parking and is the oracle: TestParkingEquivalence pins every shipped
 // mechanism, and CheckInvariants replays the decision of every parked
 // head.
 //
@@ -75,11 +77,11 @@ type Algorithm interface {
 }
 
 // StateChecker is an optional Algorithm extension for policies that
-// maintain their state incrementally (event-driven PB saturation flags,
-// dirty-group ECtN combines): CheckState cross-checks that state against
-// a fresh full recompute. Network.CheckInvariants calls it whenever the
-// algorithm implements it, so every invariant sweep in the test suite
-// also audits the event-driven bookkeeping.
+// maintain their state incrementally (dirty-group ECtN combines):
+// CheckState cross-checks that state against a fresh full recompute.
+// Network.CheckInvariants calls it whenever the algorithm implements it,
+// so every invariant sweep in the test suite also audits the incremental
+// bookkeeping.
 type StateChecker interface {
 	CheckState(n *Network) error
 }
@@ -105,3 +107,67 @@ func (NopHooks) OnGrant(*Router, *Packet, int, int, int, int) {}
 
 // OnDequeue implements Algorithm.
 func (NopHooks) OnDequeue(*Router, *Packet, int, int) {}
+
+// --- decision helpers shared by the routing policies and the fault escape ---
+
+// LocalVCBase positions local hops on the ascending-VC ladder by path
+// stage: source-group hops use class 0; hops after the first global hop
+// start at class 1; hops after a second global hop (Valiant-style paths)
+// start at class 3, above every intermediate-group class, so
+// destination-group traffic never shares a lane with in-transit traffic.
+// The per-packet VC index is then base + local hops already taken in the
+// current group, which strictly increases along any legal path — the
+// Dragonfly deadlock-avoidance scheme of Kim et al. as implemented in
+// FOGSim.
+func LocalVCBase(globalHops int8) int {
+	switch globalHops {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	default:
+		return 3
+	}
+}
+
+// LadderVC returns the VC to request on output `out` under the
+// ascending-VC discipline, capped at the port's VC count. The misrouting
+// policies of package routing are restricted so the cap is only reached
+// on a path's final, ejection-bound hop; the fault escape (faults.go)
+// takes the same ladder and relies on its detour budget where the cap
+// bites.
+func (r *Router) LadderVC(p *Packet, out int) int {
+	var vc int
+	switch r.out[out].kind {
+	case Local:
+		vc = LocalVCBase(p.GlobalHops) + int(p.LocalHopsGroup)
+	case Global:
+		vc = int(p.GlobalHops)
+	default:
+		return 0 // ejection channels have a single lane
+	}
+	if maxVC := len(r.out[out].credits) - 1; vc > maxVC {
+		vc = maxVC
+	}
+	return vc
+}
+
+// PickPort reservoir-samples one live output port of r among the n ports
+// starting at `first`, skipping `exclude` (-1 excludes none) and every
+// port `eligible` rejects (nil accepts all). It draws one
+// r.RNG.Intn(count) per surviving candidate, in ascending port order —
+// the draw sequence every randomized decision and the goldens depend on.
+// ok=false when no candidate qualifies.
+func (r *Router) PickPort(first, n, exclude int, eligible func(port int) bool) (int, bool) {
+	pick, count := -1, 0
+	for port := first; port < first+n; port++ {
+		if port == exclude || r.out[port].dead || (eligible != nil && !eligible(port)) {
+			continue
+		}
+		count++
+		if r.RNG.Intn(count) == 0 {
+			pick = port
+		}
+	}
+	return pick, pick >= 0
+}

@@ -84,11 +84,11 @@ func (r *Router) grant(port, vc, out int) {
 	o.credits[outVC] -= size
 	o.outFree -= size
 	r.occDelta(out, 2*size) // both the credit and the out-buffer reservation count
-	if o.ecnHot && p.ECNMarks < 127 {
+	if o.occ > o.markTh && p.ECNMarks < 127 {
 		// The port's occupancy (with this packet's own reservation
 		// counted) is past the mark threshold: the packet carries the
-		// congestion mark to its destination (congestion.go). ecnHot is
-		// always false when congestion management is disabled.
+		// congestion mark to its destination (congestion.go). The compare
+		// is never true on a port that does not mark (markTh = noMark).
 		p.ECNMarks++
 	}
 	p.Granted = true

@@ -9,11 +9,10 @@ import "fmt"
 // (CongestionConfig.Enabled):
 //
 //   - Marking. Every non-ejection output port carries a mark threshold at
-//     MarkPct percent of its occupancy cap. An occupancy watcher (the same
-//     change-driven primitive PB's saturation flags use) flips the port's
-//     mark state exactly at the crossing instants, so the allocation hot
-//     path only reads a bool: a packet granted through a hot port gets its
-//     ECNMarks count incremented, piggybacked to the destination.
+//     MarkPct percent of its occupancy cap. Marking is a compare at
+//     grant: a packet granted through a port whose O(1) occupancy (its
+//     own reservation included) exceeds the threshold gets its ECNMarks
+//     count incremented, piggybacked to the destination.
 //   - Notification. When a marked packet is delivered, an evNotify event
 //     is scheduled NotifyLatency cycles later on the calendar of the shard
 //     owning the source's router, carrying the source node and the mark
@@ -40,7 +39,7 @@ import "fmt"
 // round trip, as in a per-RTT AIMD loop.
 
 // CongestionConfig configures the congestion-management loop. The zero
-// value disables it entirely: no watchers are registered, no events are
+// value disables it entirely: no port gets a mark threshold, no events are
 // scheduled, no counters move, and simulation results are bit-identical
 // to a build without the subsystem. With Enabled set, zero-valued knobs
 // resolve to defaults derived from the fabric configuration (Resolved).

@@ -38,16 +38,16 @@ import (
 
 // NoPendingCycle is the horizon sentinel: "no pending work, ever".
 // CycleHorizon implementations return it when BeginCycle never does
-// observable work again (no combine pending, event-driven state clean).
+// observable work again (no combine pending, no group dirty).
 const NoPendingCycle int64 = math.MaxInt64
 
 // CycleHorizon is an optional Algorithm extension that makes the policy
 // eligible for quiet-cycle elision. NextAlgCycle returns the next cycle
 // c >= Now() at which BeginCycle performs observable work — for ECtN,
 // the next combine tick while any group is dirty — or NoPendingCycle
-// when no such cycle exists. ok=false disables elision outright: the
-// reference-scan modes (Options.ReferenceScan) recompute state every
-// cycle by definition and must be stepped cycle by cycle.
+// when no such cycle exists. ok=false disables elision outright: ECtN's
+// reference exchange (Options.ReferenceScan) combines every group every
+// period whether anything changed or not, so it is stepped cycle by cycle.
 //
 // Algorithms that do not implement CycleHorizon are never elided — a
 // policy with per-cycle BeginCycle work that did not declare a horizon

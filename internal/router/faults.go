@@ -306,10 +306,9 @@ type pendingKill struct {
 // after the calendar sweep (the sweep must not push onto the calendar
 // while walking it).
 type deferredCredit struct {
-	router int32
-	port   int16
-	vc     int8
-	size   int32
+	ip   *inPort
+	vc   int8
+	size int32
 }
 
 // faultState is the network's fault-injection engine; nil when the plan
@@ -526,24 +525,9 @@ func (n *Network) killRouterContents(rt *Router) {
 		}
 	}
 	for port := range rt.in {
-		ip := &rt.in[port]
-		for vc := range ip.vcs {
-			vq := &ip.vcs[vc]
-			if h := vq.headPkt(); h != nil && !h.Granted {
-				ip.unrouted--
-				rt.unrouted--
-			}
-			for !vq.empty() {
-				p := vq.pop()
-				ip.queued--
-				rt.queued--
-				f.noteVictim(p)
-				n.Alg.OnDequeue(rt, p, port, vc)
-				if ip.upRouter >= 0 {
-					f.defCred = append(f.defCred, deferredCredit{
-						router: ip.upRouter, port: ip.upPort, vc: int8(vc), size: p.Size,
-					})
-				}
+		for vc := range rt.in[port].vcs {
+			for !rt.in[port].vcs[vc].empty() {
+				n.killQueued(rt, port, vc)
 			}
 		}
 	}
@@ -563,9 +547,7 @@ func (n *Network) killStagedQueue(r *Router, port int) {
 	for o.qLen() > 0 {
 		e := o.qPop()
 		r.staged--
-		o.credits[e.vc] += e.pkt.Size
-		o.outFree += e.pkt.Size
-		r.occDelta(port, -2*e.pkt.Size)
+		r.unreserve(port, e.vc, e.pkt.Size, e.pkt.Size)
 		n.faults.noteVictim(e.pkt)
 		n.killGrantedResidue(r, e.pkt)
 	}
@@ -575,32 +557,24 @@ func (n *Network) killStagedQueue(r *Router, port int) {
 // input queues, if it is still streaming out there (with Speedup 1 the
 // serialization outlives the pipeline, so a packet can be staged — or
 // even on the wire — while its tail still occupies the input buffer).
-// The pop mirrors the evTailLeave handler: expose the next head, fire
-// OnDequeue, and return the upstream credit the packet held.
 func (n *Network) killGrantedResidue(r *Router, p *Packet) {
 	for port := range r.in {
-		ip := &r.in[port]
-		for vc := range ip.vcs {
-			if ip.vcs[vc].headPkt() != p {
-				continue
+		for vc := range r.in[port].vcs {
+			if r.in[port].vcs[vc].headPkt() == p {
+				n.killQueued(r, port, vc)
+				return
 			}
-			ip.vcs[vc].pop()
-			ip.queued--
-			r.queued--
-			if ip.vcs[vc].headPkt() != nil {
-				ip.unrouted++
-				r.unrouted++
-			}
-			r.wake()
-			n.Alg.OnDequeue(r, p, port, vc)
-			if ip.upRouter >= 0 {
-				n.faults.defCred = append(n.faults.defCred, deferredCredit{
-					router: ip.upRouter, port: ip.upPort, vc: int8(vc), size: p.Size,
-				})
-			}
-			return
 		}
 	}
+}
+
+// killQueued removes the head of r's input VC (port, vc) as a fault
+// victim: the same dequeue a tail departure performs, with the upstream
+// credit the packet held deferred past the calendar sweep.
+func (n *Network) killQueued(r *Router, port, vc int) {
+	p := r.dequeue(port, vc)
+	n.faults.noteVictim(p)
+	n.faults.defCred = append(n.faults.defCred, deferredCredit{ip: &r.in[port], vc: int8(vc), size: p.Size})
 }
 
 // sweepFaultVictims scans every pending calendar event for packets
@@ -674,10 +648,7 @@ func (n *Network) faultScanEvent(ev *event) {
 	case evPipeDone:
 		u := n.Routers[ev.router]
 		if u.down || u.out[ev.port].dead {
-			o := &u.out[ev.port]
-			o.credits[ev.vc] += ev.pkt.Size
-			o.outFree += ev.pkt.Size
-			u.occDelta(int(ev.port), -2*ev.pkt.Size)
+			u.unreserve(int(ev.port), ev.vc, ev.pkt.Size, ev.pkt.Size)
 			n.faults.noteVictim(ev.pkt)
 			n.killGrantedResidue(u, ev.pkt)
 		}
@@ -686,8 +657,7 @@ func (n *Network) faultScanEvent(ev *event) {
 		ip := &d.in[ev.port]
 		u := n.Routers[ip.upRouter]
 		if u.out[ip.upPort].dead {
-			u.out[ip.upPort].credits[ev.vc] += ev.pkt.Size
-			u.occDelta(int(ip.upPort), -ev.pkt.Size)
+			u.unreserve(int(ip.upPort), ev.vc, ev.pkt.Size, 0)
 			n.faults.noteVictim(ev.pkt)
 			n.killGrantedResidue(u, ev.pkt)
 		}
@@ -717,9 +687,7 @@ func (f *faultState) noteVictim(p *Packet) {
 func (n *Network) flushDeferredCredits() {
 	f := n.faults
 	for _, dc := range f.defCred {
-		up := n.Routers[dc.router]
-		n.scheduleFrom(up.shard, n.now+up.out[dc.port].latency,
-			event{kind: evCredit, router: dc.router, port: dc.port, vc: dc.vc, size: dc.size})
+		n.returnCredit(nil, dc.ip, dc.vc, dc.size)
 	}
 	f.defCred = f.defCred[:0]
 }
@@ -741,9 +709,7 @@ func (n *Network) finalizeFaultVictims() {
 			n.OnDrop(p, n.now)
 		}
 		delete(f.victims, p)
-		if len(n.freePkts) < maxFreePackets {
-			n.freePkts = append(n.freePkts, p)
-		}
+		n.recycle(p)
 	}
 	f.killed = f.killed[:0]
 }
@@ -763,22 +729,8 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 	if pk.reason == killUnreachable && n.reachableRouters(pk.router, p.DstRouter) {
 		return
 	}
-	vq.pop()
-	ip.queued--
-	r.queued--
-	ip.unrouted--
-	r.unrouted--
-	if vq.headPkt() != nil {
-		ip.unrouted++
-		r.unrouted++
-	}
-	r.wake()
-	n.Alg.OnDequeue(r, p, int(pk.port), int(pk.vc))
-	if ip.upRouter >= 0 {
-		up := n.Routers[ip.upRouter]
-		n.scheduleFrom(up.shard, n.now+up.out[ip.upPort].latency,
-			event{kind: evCredit, router: ip.upRouter, port: ip.upPort, vc: pk.vc, size: p.Size})
-	}
+	r.dequeue(int(pk.port), int(pk.vc))
+	n.returnCredit(nil, ip, pk.vc, p.Size)
 	n.InFlight--
 	if pk.reason == killUnreachable {
 		n.NumUnroutable++
@@ -788,9 +740,7 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 			n.OnDrop(p, n.now)
 		}
 	}
-	if len(n.freePkts) < maxFreePackets {
-		n.freePkts = append(n.freePkts, p)
-	}
+	n.recycle(p)
 }
 
 // faultAdjust post-processes a routing decision when a fault plan is
@@ -808,9 +758,11 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 //   - The requested port is dead but the destination reachable: redirect
 //     through a uniformly random live transit port (every live port
 //     leads into this router's own component, so any of them can make
-//     progress), on the VC the ascending discipline assigns that hop.
-//     The grant will count a FaultDetour; past maxFaultDetours the
-//     packet is flagged for a Dropped kill instead.
+//     progress), on the VC the ascending discipline assigns that hop
+//     (LadderVC; escape paths are longer than the ladder was sized for,
+//     so its cap is routinely reached). The grant will count a
+//     FaultDetour; past maxFaultDetours the packet is flagged for a
+//     Dropped kill instead.
 //   - The requested port is alive: the decision passes through
 //     untouched, and — because the RNG is only consumed on the dead-port
 //     path — the router's random stream stays identical to a fault-free
@@ -818,71 +770,34 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) Request {
 	n := r.net
 	if !n.reachableRouters(int32(r.ID), p.DstRouter) {
-		r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
-			router: int32(r.ID), port: int16(port), vc: int8(vc), reason: killUnreachable, pkt: p,
-		})
-		return Request{}
+		return r.flagKill(p, port, vc, killUnreachable)
 	}
 	if !req.OK || !r.out[req.Out].dead {
 		return req
 	}
 	if p.FaultDetours >= maxFaultDetours {
-		r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
-			router: int32(r.ID), port: int16(port), vc: int8(vc), reason: killDetourCap, pkt: p,
-		})
-		return Request{}
+		return r.flagKill(p, port, vc, killDetourCap)
 	}
-	pick, count := -1, 0
-	for out := n.Topo.FirstLocalPort(); out < len(r.out); out++ {
-		if r.out[out].dead {
-			continue
-		}
-		count++
-		if r.RNG.Intn(count) == 0 {
-			pick = out
-		}
-	}
-	if pick < 0 {
+	first := n.Topo.FirstLocalPort()
+	pick, ok := r.PickPort(first, len(r.out)-first, -1, nil)
+	if !ok {
 		// No live link at all, yet the destination looked reachable:
 		// only possible when the destination is this router itself —
 		// but then the minimal request is the (never dead) ejection
 		// channel and we would not be here. Treat as partitioned.
-		r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
-			router: int32(r.ID), port: int16(port), vc: int8(vc), reason: killUnreachable, pkt: p,
-		})
-		return Request{}
+		return r.flagKill(p, port, vc, killUnreachable)
 	}
 	p.reqEscape = true
-	return Request{Out: pick, VC: r.escapeVC(p, pick), OK: true}
+	return Request{Out: pick, VC: r.LadderVC(p, pick), OK: true}
 }
 
-// escapeVC mirrors package routing's ascending-VC assignment (nextVC in
-// routing/helpers.go) for router-side escapes: local hops ride
-// base(GlobalHops)+LocalHopsGroup, global hops ride GlobalHops, capped
-// at the port's top VC. Escape paths are longer than the ladder was
-// sized for, so the cap is routinely reached — under faults, forward
-// progress comes from the detour budget, not the ladder.
-func (r *Router) escapeVC(p *Packet, out int) int {
-	var vc int
-	switch r.out[out].kind {
-	case Local:
-		switch p.GlobalHops {
-		case 0:
-		case 1:
-			vc = 1
-		default:
-			vc = 3
-		}
-		vc += int(p.LocalHopsGroup)
-	case Global:
-		vc = int(p.GlobalHops)
-	default:
-		return 0
-	}
-	if maxVC := len(r.out[out].credits) - 1; vc > maxVC {
-		vc = maxVC
-	}
-	return vc
+// flagKill flags head packet p of input VC (port, vc) for removal at the
+// next sequential point and requests nothing for it.
+func (r *Router) flagKill(p *Packet, port, vc int, reason uint8) Request {
+	r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
+		router: int32(r.ID), port: int16(port), vc: int8(vc), reason: reason, pkt: p,
+	})
+	return Request{}
 }
 
 // computeComponentsInto labels the live routers' connected components

@@ -260,27 +260,6 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	for i := range n.nics {
 		n.nics[i].q.shrinkCap = nicShrink
 	}
-	if cfg.Congestion.Enabled {
-		// ECN marking: an occupancy watcher per non-ejection output port
-		// keeps the port's mark state current at the crossing instants,
-		// so the allocator's hot path reads one bool (see congestion.go).
-		// Ejection channels are skipped — their occupancy cap is
-		// dominated by the infinite ejection credit pool, so a
-		// percentage threshold there is meaningless.
-		for _, r := range n.Routers {
-			for port := range r.out {
-				o := &r.out[port]
-				if o.kind == Injection {
-					continue
-				}
-				o.markTh = o.occCap * int32(cfg.Congestion.MarkPct) / 100
-				n.WatchOccupancy(r.ID, port, o.markTh, func(above bool) {
-					//lint:sharded occupancy watchers fire inside occDelta on the shard that owns the port's router
-					o.ecnHot = above
-				})
-			}
-		}
-	}
 	if cfg.Faults.Enabled() {
 		n.faults = newFaultState(cfg.Faults, topo)
 		n.computeComponentsInto(n.faults.comp)
@@ -313,10 +292,9 @@ func (n *Network) NICBacklog(i int) int { return n.nics[i].len() }
 // (1 = sequential).
 func (n *Network) Workers() int { return len(n.shards) }
 
-// ShardOfGroup returns the worker shard that owns group g. Algorithm
-// state that is mutated from per-router hooks and aggregated globally
-// (e.g. the ECtN dirty-group set) uses this to keep its mutation paths
-// shard-local.
+// ShardOfGroup returns the worker shard that owns group g. Observers
+// that keep per-shard state beside the fabric (the benchmark's tracer)
+// use it to keep their own writes shard-local.
 func (n *Network) ShardOfGroup(g int) int {
 	return int(n.shardOf[g*n.Topo.A])
 }
@@ -659,23 +637,8 @@ func (n *Network) nicDrain(i int) {
 	if best < 0 {
 		return // injection buffers full; retry next cycle
 	}
-	p := q.pop()
-	p.resetQueueState(n.now + int64(size) - 1)
-	g := int32(n.Topo.GroupOf(r.ID))
-	p.LastGroup = g
-	p.LocalMisThisGroup = false
-	p.LocalHopsGroup = 0
-	newHead := ip.vcs[best].empty()
-	ip.vcs[best].push(p)
-	ip.queued++
-	r.queued++
-	if newHead {
-		ip.unrouted++
-		r.unrouted++
-	}
-	r.wake()
 	q.linkFreeAt = n.now + int64(size)
-	n.Alg.OnArrive(r, p, port, best)
+	r.enqueue(q.pop(), port, best)
 }
 
 // handle applies one scheduled event. Events are also the activation
@@ -691,54 +654,16 @@ func (n *Network) nicDrain(i int) {
 func (n *Network) handle(ev *event) {
 	switch ev.kind {
 	case evHeadArrive:
-		r := n.Routers[ev.router]
-		p := ev.pkt
-		p.resetQueueState(n.now + int64(p.Size) - 1)
-		g := int32(n.Topo.GroupOf(r.ID))
-		if p.LastGroup != g {
-			p.LastGroup = g
-			p.LocalMisThisGroup = false
-			p.LocalHopsGroup = 0
-		}
-		ip := &r.in[ev.port]
-		newHead := ip.vcs[ev.vc].empty()
-		ip.vcs[ev.vc].push(p)
-		ip.queued++
-		r.queued++
-		if newHead {
-			ip.unrouted++
-			r.unrouted++
-		}
-		r.wake()
-		n.Alg.OnArrive(r, p, int(ev.port), int(ev.vc))
+		n.Routers[ev.router].enqueue(ev.pkt, int(ev.port), int(ev.vc))
 
 	case evTailLeave:
 		r := n.Routers[ev.router]
 		ip := &r.in[ev.port]
-		vq := &ip.vcs[ev.vc]
-		p := vq.pop()
-		if p != ev.pkt {
+		if ip.vcs[ev.vc].headPkt() != ev.pkt {
 			panic("router: tail-leave for a packet not at queue head")
 		}
-		ip.queued--
-		r.queued--
-		if !vq.empty() {
-			// The next packet becomes head; it has never been granted
-			// (only heads are), so it needs routing.
-			ip.unrouted++
-			r.unrouted++
-		}
-		// Even with no next head the departure matters to the heads of
-		// the other queues: OnDequeue lowers the contention counters
-		// their decisions read.
-		r.wake()
-		n.Alg.OnDequeue(r, p, int(ev.port), int(ev.vc))
-		if ip.upRouter >= 0 {
-			up := n.Routers[ip.upRouter]
-			lat := up.out[ip.upPort].latency
-			n.scheduleFrom(r.shard, n.now+lat,
-				event{kind: evCredit, router: ip.upRouter, port: ip.upPort, vc: ev.vc, size: p.Size})
-		}
+		r.dequeue(int(ev.port), int(ev.vc))
+		n.returnCredit(r.shard, ip, ev.vc, ev.pkt.Size)
 
 	case evCredit:
 		r := n.Routers[ev.router]
@@ -781,6 +706,33 @@ func (n *Network) handle(ev *event) {
 	}
 }
 
+// returnCredit schedules the credit for `size` phits that left input VC
+// vc of ip, one link latency upstream; an injection port has no upstream
+// and owes nothing. src is the shard the event is generated on — the
+// downstream router's inside a parallel section, nil at a sequential
+// point, where the event goes straight onto the upstream router's own
+// calendar (the contract Inject relies on). It is the one spelling of the
+// upstream evCredit.
+func (n *Network) returnCredit(src *netShard, ip *inPort, vc int8, size int32) {
+	if ip.upRouter < 0 {
+		return
+	}
+	up := n.Routers[ip.upRouter]
+	if src == nil {
+		src = up.shard
+	}
+	n.scheduleFrom(src, n.now+up.out[ip.upPort].latency,
+		event{kind: evCredit, router: ip.upRouter, port: ip.upPort, vc: vc, size: size})
+}
+
+// recycle hands a packet that left the fabric — delivered, or killed by a
+// fault — to the freelist Inject draws from. Sequential points only.
+func (n *Network) recycle(p *Packet) {
+	if len(n.freePkts) < maxFreePackets {
+		n.freePkts = append(n.freePkts, p)
+	}
+}
+
 // replayDeliveries applies the deliveries collected during the handle
 // phase, in ascending shard order: aggregate counters, the OnDeliver
 // observer and freelist recycling. It runs at a sequential point (after
@@ -816,9 +768,7 @@ func (n *Network) replayDeliveries() {
 				// callback; after it returns the packet may be recycled.
 				n.OnDeliver(p, n.now)
 			}
-			if len(n.freePkts) < maxFreePackets {
-				n.freePkts = append(n.freePkts, p)
-			}
+			n.recycle(p)
 		}
 		for i := range sh.delivered {
 			sh.delivered[i] = nil
@@ -864,24 +814,6 @@ func (n *Network) replayNotifications() {
 		}
 	}
 	n.notifyScratch = buf[:0]
-}
-
-// WatchOccupancy registers fn to fire whenever the occupancy of output
-// `port` of router `router` crosses `threshold`: fn(true) when the
-// occupancy rises strictly above it, fn(false) when it falls back to or
-// below it. The callback fires at the mutation instant (allocation
-// grant, credit return, output-buffer free), not at cycle boundaries, so
-// it must be cheap and must not mutate fabric state. Under parallel
-// stepping the mutation points run on the owning router's shard worker,
-// so the callback must confine its writes to state owned by that
-// router's shard (per-group broadcast state qualifies: a group never
-// spans shards). No initial callback is made; the caller derives the
-// starting state from Occupancy (zero at construction). This is the
-// change-driven notification primitive the event-driven algorithms (PB
-// saturation flags) are built on.
-func (n *Network) WatchOccupancy(router, port int, threshold int32, fn func(above bool)) {
-	o := &n.Routers[router].out[port]
-	o.watchers = append(o.watchers, occWatcher{threshold: threshold, fn: fn})
 }
 
 // CheckInvariants validates credit/buffer accounting across the whole

@@ -44,7 +44,7 @@ import "sync"
 //     target (a port's pipeline completions, an input VC's arrivals
 //     serialized by its link), so their FIFO order is preserved; the
 //     remaining same-cycle interleavings (credit returns, arrivals on
-//     different ports, watcher-driven flag flips) commute — the state
+//     different ports) commute — the state
 //     after the bucket is drained is order-independent, which the
 //     equivalence tests pin bit-for-bit.
 //   - Deliveries all target the shard of their destination router, and

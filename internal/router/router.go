@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"cbar/internal/core"
 	"cbar/internal/rng"
@@ -10,6 +11,10 @@ import (
 // ejectionCredits is the effectively infinite credit pool of ejection
 // channels (nodes always sink traffic).
 const ejectionCredits = 1 << 30
+
+// noMark is the mark threshold of an output port that never ECN-marks:
+// the grant-time compare against it is never true.
+const noMark = math.MaxInt32
 
 // inPort is one input port: a set of VC buffers plus its fixed upstream
 // endpoint (for credit returns). Injection ports have no upstream router.
@@ -31,14 +36,6 @@ type outEntry struct {
 	vc  int8
 }
 
-// occWatcher is one registered occupancy-threshold trigger on an output
-// port: fn fires whenever the port's running occupancy crosses threshold
-// (in either direction).
-type occWatcher struct {
-	threshold int32
-	fn        func(above bool)
-}
-
 // outPort is one output port: credit counters for the downstream input
 // buffer, the output buffer and the link serialization state.
 type outPort struct {
@@ -57,17 +54,15 @@ type outPort struct {
 	// three mutation points (grant, credit return, out-buffer free) so
 	// Occupancy is O(1) instead of a per-call credit-array sum. occCap
 	// is its precomputed maximum (the credit-cap sum is invariant).
-	occ      int32
-	occCap   int32
-	watchers []occWatcher
+	occ    int32
+	occCap int32
 
-	// ECN mark state (congestion.go): ecnHot is flipped by the
-	// occupancy watcher registered at Build whenever occ crosses markTh
-	// (occCap scaled by the configured mark percentage), so the
-	// allocator's marking check is a single bool read. markTh is -1 when
-	// this port does not mark (congestion disabled, or an ejection
-	// channel).
-	ecnHot bool
+	// markTh is the ECN mark threshold (congestion.go): a packet granted
+	// through this port while occ exceeds it carries a mark. It is occCap
+	// scaled by the configured mark percentage, or noMark — which no
+	// occupancy exceeds — on a port that never marks: congestion
+	// disabled, or an ejection channel, whose occupancy cap is dominated
+	// by the infinite ejection credit pool.
 	markTh int32
 
 	// Fault liveness (faults.go): linkFailed records an explicit link
@@ -223,7 +218,7 @@ func newRouter(id int, net *Network) *Router {
 		op := &r.out[port]
 		op.kind = kind
 		op.q.shrinkCap = outQueueShrinkCap
-		op.markTh = -1
+		op.markTh = noMark
 		op.latency = int64(cfg.LatencyFor(kind))
 		op.outCap = int32(cfg.BufOut)
 		op.outFree = op.outCap
@@ -246,6 +241,9 @@ func newRouter(id int, net *Network) *Router {
 				op.creditCap[v] = dbuf
 			}
 			op.occCap = op.outCap + int32(dn)*dbuf
+			if cfg.Congestion.Enabled {
+				op.markTh = op.occCap * int32(cfg.Congestion.MarkPct) / 100
+			}
 		}
 	}
 	return r
@@ -292,22 +290,11 @@ func (r *Router) Occupancy(port int) int32 { return r.out[port].occ }
 // different buffer depths.
 func (r *Router) OccupancyCap(port int) int32 { return r.out[port].occCap }
 
-// occDelta applies one mutation to the running occupancy of output `port`
-// and fires any threshold watcher whose threshold was crossed. It is
-// called from exactly the occupancy mutation points — grant (credits and
-// output space reserved), credit return, output-buffer free — which is
-// what keeps Occupancy O(1) and lets watchers replace per-cycle polls.
-func (r *Router) occDelta(port int, delta int32) {
-	o := &r.out[port]
-	old := o.occ
-	o.occ = old + delta
-	for i := range o.watchers {
-		w := &o.watchers[i]
-		if (old > w.threshold) != (o.occ > w.threshold) {
-			w.fn(o.occ > w.threshold)
-		}
-	}
-}
+// occDelta applies one mutation to the running occupancy of output
+// `port`. It is the field's one writer, called from exactly the occupancy
+// mutation points — grant (credits and output space reserved), credit
+// return, output-buffer free — which is what keeps Occupancy O(1).
+func (r *Router) occDelta(port int, delta int32) { r.out[port].occ += delta }
 
 // MinimalOut returns the minimal output port toward p's destination from
 // r. The port is memoised on the packet for its stay in the current
@@ -348,6 +335,69 @@ func (r *Router) wake() {
 	if r.unrouted > 0 {
 		r.shard.routeActive.add(int32(r.ID))
 	}
+}
+
+// enqueue puts p at the tail of input VC (port, vc): the one place a
+// packet enters an input queue, from the NIC (nicDrain) or off a link
+// (evHeadArrive). It restarts the packet's per-queue and, on entering a
+// new group, per-group state, counts the new head if the VC was empty,
+// re-arms r and fires OnArrive.
+func (r *Router) enqueue(p *Packet, port, vc int) {
+	n := r.net
+	p.resetQueueState(n.now + int64(p.Size) - 1)
+	if g := int32(n.Topo.GroupOf(r.ID)); p.LastGroup != g {
+		p.LastGroup = g
+		p.LocalMisThisGroup = false
+		p.LocalHopsGroup = 0
+	}
+	ip := &r.in[port]
+	newHead := ip.vcs[vc].empty()
+	ip.vcs[vc].push(p)
+	ip.queued++
+	r.queued++
+	if newHead {
+		ip.unrouted++
+		r.unrouted++
+	}
+	r.wake()
+	n.Alg.OnArrive(r, p, port, vc)
+}
+
+// dequeue pops the head of input VC (port, vc) and returns it: the one
+// place a packet leaves an input queue, its tail streaming out
+// (evTailLeave) or killed by a fault. An ungranted head stops counting as
+// unrouted; the packet behind it becomes head, never granted yet (only
+// heads are), so it starts counting. Even with no next head the departure
+// matters to the heads of the other queues — OnDequeue lowers the
+// contention counters their decisions read — so r is re-armed either
+// way. The caller owes the upstream credit (Network.returnCredit).
+func (r *Router) dequeue(port, vc int) *Packet {
+	ip := &r.in[port]
+	vq := &ip.vcs[vc]
+	p := vq.pop()
+	ip.queued--
+	r.queued--
+	if !p.Granted {
+		ip.unrouted--
+		r.unrouted--
+	}
+	if !vq.empty() {
+		ip.unrouted++
+		r.unrouted++
+	}
+	r.wake()
+	r.net.Alg.OnDequeue(r, p, port, vc)
+	return p
+}
+
+// unreserve gives back `credit` phits of downstream VC vc and `space`
+// phits of output buffer on output `port`: the reversal of (part of) a
+// grant's reservation when a fault kills the packet holding it.
+func (r *Router) unreserve(port int, vc int8, credit, space int32) {
+	o := &r.out[port]
+	o.credits[vc] += credit
+	o.outFree += space
+	r.occDelta(port, -(credit + space))
 }
 
 // CanAccept reports whether output `port`, downstream VC vc, can accept a
@@ -459,11 +509,6 @@ func (r *Router) checkInvariants() error {
 		}
 		if occCap != o.occCap {
 			return fmt.Errorf("router %d out %d: occupancy cap %d but recompute %d", r.ID, port, o.occCap, occCap)
-		}
-		// The watcher-maintained mark state must agree with a fresh
-		// threshold comparison.
-		if o.markTh >= 0 && o.ecnHot != (o.occ > o.markTh) {
-			return fmt.Errorf("router %d out %d: mark state %v but occupancy %d vs threshold %d", r.ID, port, o.ecnHot, o.occ, o.markTh)
 		}
 	}
 	var totQueued, totUnrouted int32

@@ -487,51 +487,77 @@ func TestOccupancyIncrementalUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestWatchOccupancy: a threshold watcher must fire exactly on crossings
-// — rise above, fall back — and stay silent for mutations on the same
-// side of the threshold.
-func TestWatchOccupancy(t *testing.T) {
-	n := buildSmall(t)
-	r0 := n.Routers[0]
-	dstNode := n.Cfg.Topo.P * 1 // node behind router 1: first hop is r0's local port
-	out := n.Topo.MinimalNextPort(0, dstNode)
-
-	var events []bool
-	n.WatchOccupancy(0, out, 0, func(above bool) { events = append(events, above) })
-	var state bool
-	n.WatchOccupancy(0, out, 0, func(above bool) { state = above })
-
-	n.Inject(0, dstNode)
-	n.Run(40)
-	if len(events) == 0 || !events[0] {
-		t.Fatalf("no rising edge recorded: %v", events)
+// TestECNMarkAtThreshold: marking is a compare at grant — strictly above
+// the port's threshold, the granted packet's own reservation counted. A
+// grant that leaves occ == markTh does not mark, markTh+1 does; an
+// ejection port and a congestion-off build never mark.
+func TestECNMarkAtThreshold(t *testing.T) {
+	// deliver sends one packet src -> dst through a fresh network (after
+	// prep has adjusted it) and returns the mark count it arrived with.
+	deliver := func(cfg Config, src, dst int, prep func(n *Network)) int8 {
+		t.Helper()
+		n, err := Build(cfg, testMin{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prep != nil {
+			prep(n)
+		}
+		marks := int8(-1)
+		n.OnDeliver = func(p *Packet, now int64) { marks = p.ECNMarks }
+		if !n.Inject(src, dst) || !n.Drain(1000) {
+			t.Fatal("packet not delivered")
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return marks
 	}
-	if !n.Drain(20000) {
-		t.Fatal("did not drain")
-	}
-	n.Run(300)
-	if r0.Occupancy(out) != 0 {
-		t.Fatalf("occupancy %d after drain", r0.Occupancy(out))
-	}
-	if state {
-		t.Fatal("watcher state still above after drain")
-	}
-	// Edges must strictly alternate: every firing is a genuine crossing.
-	for i := 1; i < len(events); i++ {
-		if events[i] == events[i-1] {
-			t.Fatalf("consecutive identical edges at %d: %v", i, events)
+	on := smallCfg()
+	on.Congestion.Enabled = true
+	local := on.Topo.P // first node of router 1: one local hop from node 0
+	reserved := 2 * int32(on.PacketSize)
+	atThreshold := func(th int32) func(n *Network) {
+		return func(n *Network) {
+			out := n.Topo.MinimalNextPort(0, local)
+			if n.Routers[0].out[out].markTh == noMark {
+				t.Fatal("congestion-on build left a local port without a mark threshold")
+			}
+			n.Routers[0].out[out].markTh = th
 		}
 	}
-	if events[len(events)-1] != false {
-		t.Fatal("last edge is not the falling one")
+	// The lone packet's grant takes the empty local port to occ = reserved.
+	if m := deliver(on, 0, local, atThreshold(reserved)); m != 0 {
+		t.Errorf("grant leaving occ == markTh marked the packet %d times", m)
 	}
-	// A threshold above the traffic level must never fire.
-	var never []bool
-	n.WatchOccupancy(0, out, 1<<28, func(above bool) { never = append(never, above) })
-	n.Inject(0, dstNode)
-	n.Drain(20000)
-	if len(never) != 0 {
-		t.Fatalf("high-threshold watcher fired: %v", never)
+	if m := deliver(on, 0, local, atThreshold(reserved-1)); m != 1 {
+		t.Errorf("grant leaving occ == markTh+1 marked the packet %d times, want 1", m)
+	}
+	// Ejection: even at a 1 % threshold the channel keeps noMark, so a
+	// same-router transfer (ejection grant only) is never marked, while
+	// the local hop at the same setting is.
+	on.Congestion.MarkPct = 1
+	if m := deliver(on, 0, 1, func(n *Network) {
+		if th := n.Routers[0].out[n.Topo.MinimalNextPort(0, 1)].markTh; th != noMark {
+			t.Fatalf("ejection channel got mark threshold %d", th)
+		}
+	}); m != 0 {
+		t.Errorf("ejection grant marked the packet %d times", m)
+	}
+	if m := deliver(on, 0, local, nil); m != 1 {
+		t.Errorf("local hop at MarkPct 1 marked the packet %d times, want 1", m)
+	}
+	// Congestion off: no port has a threshold, nothing marks.
+	if m := deliver(smallCfg(), 0, local, func(n *Network) {
+		for _, r := range n.Routers {
+			for port := range r.out {
+				if r.out[port].markTh != noMark {
+					t.Fatalf("congestion-off build: router %d port %d has mark threshold %d", r.ID, port, r.out[port].markTh)
+				}
+			}
+		}
+	}); m != 0 {
+		t.Errorf("congestion-off build marked the packet %d times", m)
 	}
 }
 

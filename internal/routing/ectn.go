@@ -22,8 +22,8 @@ import (
 // and sum them into the combined array (modeled as free and
 // instantaneous, as in the paper's simulations; §VI-B costs it
 // analytically). The periodic combine is change-driven: partial
-// mutations mark their group in a dirty-set (core.GroupDirty) and the
-// exchange visits only the marked groups — a group whose partials did
+// mutations set their group's dirty flag (core.GroupDirty) and the
+// exchange visits only the flagged groups — a group whose partials did
 // not change since its last combine would recompute the identical sums,
 // so skipping it is exact. The visit-every-group reference survives
 // behind Options.ReferenceScan, pinned by equivalence tests.
@@ -43,14 +43,14 @@ type ectnAlg struct {
 	thCombined int32
 	period     int64
 	ectn       [][]*core.ECtN // per group, per member router
-	// dirty is the set of groups whose partial arrays changed since
-	// their last combine (nil in the fullCombine reference mode);
+	// dirty flags the groups whose partial arrays changed since their
+	// last combine (nil in the fullCombine reference mode);
 	// scratch is the allocation-free sum buffer both modes combine
 	// into.
 	dirty   *core.GroupDirty
 	scratch []int32
 	// fullCombine selects the reference combine-every-group exchange
-	// instead of the dirty-group set (Options.ReferenceScan).
+	// instead of the dirty-group flags (Options.ReferenceScan).
 	fullCombine bool
 }
 
@@ -65,14 +65,11 @@ func (a *ectnAlg) Attach(n *router.Network) {
 	a.ectn = make([][]*core.ECtN, t.Groups)
 	a.scratch = make([]int32, t.GlobalLinks)
 	if !a.fullCombine {
+		// Under shard-parallel stepping the partial-counter hooks run on
+		// each group's owning shard worker; a flag per group keeps the
+		// marks lock-free and race-free (a group never spans shards)
+		// while BeginCycle's Drain stays at the sequential barrier.
 		a.dirty = core.NewGroupDirty(t.Groups)
-		if n.Workers() > 1 {
-			// Under shard-parallel stepping the partial-counter hooks
-			// run on each group's owning shard worker; per-shard mark
-			// lanes keep the dirty marks lock-free and race-free while
-			// BeginCycle's Drain stays at the sequential barrier.
-			a.dirty.Shard(n.Workers(), n.ShardOfGroup)
-		}
 	}
 	for g := 0; g < t.Groups; g++ {
 		members := n.Group(g)

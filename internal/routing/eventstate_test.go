@@ -6,12 +6,12 @@ import (
 	"cbar/internal/router"
 )
 
-// Tests for the event-driven algorithm state: PB saturation flags
-// maintained by occupancy watchers and ECtN combines driven by the
-// dirty-group set, each pinned to its retained full-recompute reference
-// (Options.ReferenceScan).
+// Tests for the algorithm state that lives beyond the deciding router:
+// ECtN combines driven by the dirty-group flags, pinned to the retained
+// combine-every-group reference (Options.ReferenceScan), and PB's read of
+// the occupancy of the router that owns the minimal global link.
 
-// refOptions returns testOptions with the reference implementations
+// refOptions returns testOptions with ECtN's reference exchange
 // selected.
 func refOptions() Options {
 	o := testOptions()
@@ -67,34 +67,58 @@ func comparePinned(t *testing.T, a Algo) {
 	}
 }
 
-// TestPBEventDrivenEquivalence: watcher-maintained saturation flags must
-// reproduce the reference per-cycle recompute exactly. Combined with the
-// CheckState invariant (sat == occupancy > threshold at every audit),
-// this pins the flags flag-for-flag: occupancy only mutates at event
-// handling (before BeginCycle) and at grants (after all Route calls), so
-// a flag that always equals the fresh comparison equals the reference
-// start-of-cycle recompute at every routing decision.
-func TestPBEventDrivenEquivalence(t *testing.T) { comparePinned(t, PB) }
-
 // TestECtNDirtyGroupEquivalence: the dirty-group combine must reproduce
 // the combine-every-group reference exactly — a clean group's combine
 // recomputes identical sums, so skipping it cannot change any decision.
 func TestECtNDirtyGroupEquivalence(t *testing.T) { comparePinned(t, ECtN) }
 
-// TestPBCheckStateCatchesCorruption: the StateChecker audit must fail
-// when a saturation flag disagrees with the occupancy comparison, which
-// is what makes the equivalence tests trustworthy.
-func TestPBCheckStateCatchesCorruption(t *testing.T) {
-	n := build(t, PB, testOptions(), 13)
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatalf("clean network flagged: %v", err)
+// TestPBReadsOwnerOccupancy: PB's saturation flag is a read of another
+// router's state — for a packet whose minimal global link belongs to a
+// different router of the source group, the source diverts exactly when
+// that router's Occupancy of the link exceeds satPhits. The UGAL offset is
+// raised out of reach so the flag is the only trigger, and the census
+// must see the flag both set and clear.
+func TestPBReadsOwnerOccupancy(t *testing.T) {
+	o := testOptions()
+	o.PBUgalOffsetPhits = 1 << 30
+	n := build(t, PB, o, 67)
+	a := n.Alg.(*pbAlg)
+	topo := n.Topo
+	rnd := &testRand{s: 71}
+	var diverted, minimal int
+	for round := 0; round < 30; round++ {
+		driveAdversarial(n, rnd, 50, 25, 1)
+		for _, r := range n.Routers {
+			g := topo.GroupOf(r.ID)
+			for dg := 0; dg < topo.Groups; dg++ {
+				if dg == g {
+					continue
+				}
+				pos, k := topo.GlobalLinkOwner(topo.GlobalLinkToGroup(g, dg))
+				owner := n.Group(g)[pos]
+				if owner == r {
+					continue
+				}
+				dst := topo.NodeID(topo.RouterID(dg, 0), 0)
+				p := &router.Packet{Src: int32(topo.NodeID(r.ID, 0)), Dst: int32(dst),
+					DstRouter: int32(topo.RouterOfNode(dst)), Inter: -1}
+				a.decide(r, p)
+				occ := owner.Occupancy(topo.GlobalPort(k))
+				if want := occ > a.satPhits; p.GlobalMisroute != want {
+					t.Fatalf("round %d: router %d -> group %d: diverted %v but owner %d holds %d phits against threshold %d",
+						round, r.ID, dg, p.GlobalMisroute, owner.ID, occ, a.satPhits)
+				}
+				if p.GlobalMisroute {
+					diverted++
+				} else {
+					minimal++
+				}
+			}
+		}
 	}
-	alg := n.Alg.(*pbAlg)
-	alg.sat[0][0] = true // no occupancy anywhere: flag must read false
-	if err := n.CheckInvariants(); err == nil {
-		t.Fatal("corrupted saturation flag not detected")
+	if diverted == 0 || minimal == 0 {
+		t.Fatalf("census one-sided: %d diverted, %d minimal decisions", diverted, minimal)
 	}
-	alg.sat[0][0] = false
 }
 
 // TestECtNCheckStateCatchesCorruption: a combined counter diverging from

@@ -5,49 +5,9 @@ import (
 	"cbar/internal/topology"
 )
 
-// localVCBase positions local hops on the ascending-VC ladder by path
-// stage: source-group hops use class 0; hops after the first global hop
-// start at class 1; hops after a second global hop (Valiant-style paths)
-// start at class 3, above every intermediate-group class, so
-// destination-group traffic never shares a lane with in-transit traffic.
-// The per-packet VC index is then base + local hops already taken in the
-// current group, which strictly increases along any legal path — the
-// Dragonfly deadlock-avoidance scheme of Kim et al. as implemented in
-// FOGSim.
-func localVCBase(globalHops int8) int {
-	switch globalHops {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	default:
-		return 3
-	}
-}
-
-// nextVC returns the VC to request on output `out` under the ascending-VC
-// discipline, capped at the port's VC count (misrouting policies are
-// restricted so the cap is only reached on a path's final, ejection-bound
-// hop).
-func nextVC(r *router.Router, p *router.Packet, out int) int {
-	var vc int
-	switch r.Kind(out) {
-	case router.Local:
-		vc = localVCBase(p.GlobalHops) + int(p.LocalHopsGroup)
-	case router.Global:
-		vc = int(p.GlobalHops)
-	default:
-		return 0 // ejection channels have a single lane
-	}
-	if maxVC := r.OutVCs(out) - 1; vc > maxVC {
-		vc = maxVC
-	}
-	return vc
-}
-
 // request packages an output choice with its ascending VC.
 func request(r *router.Router, p *router.Packet, out int) router.Request {
-	return router.Request{Out: out, VC: nextVC(r, p, out), OK: true}
+	return router.Request{Out: out, VC: r.LadderVC(p, out), OK: true}
 }
 
 // minimalOut returns the minimal output toward the packet's final
@@ -98,7 +58,7 @@ func canLocalMisroute(r *router.Router, p *router.Packet, minOut int) bool {
 	// The misroute is hop base+LocalHopsGroup; the forced minimal hop
 	// after it is base+LocalHopsGroup+1, which must stay within the
 	// local VC count.
-	if localVCBase(p.GlobalHops)+int(p.LocalHopsGroup)+1 > r.OutVCs(minOut)-1 {
+	if router.LocalVCBase(p.GlobalHops)+int(p.LocalHopsGroup)+1 > r.OutVCs(minOut)-1 {
 		return false
 	}
 	t := r.Net().Topo
@@ -106,45 +66,20 @@ func canLocalMisroute(r *router.Router, p *router.Packet, minOut int) bool {
 	return inDestGroup || p.GlobalHops > 0
 }
 
-// pickGlobal reservoir-samples one global port of r, excluding `exclude`
-// (pass -1 to exclude none), among those satisfying eligible. Dead ports
-// (failed links or routers, see router/faults.go) are never candidates:
-// the adaptive algorithms misroute around faults for free. It returns
-// ok=false when no candidate qualifies.
+// pickGlobal samples one global port of r (router.Router.PickPort over
+// the global port range), excluding `exclude` (pass -1 to exclude none),
+// among those satisfying eligible. Dead ports (failed links or routers,
+// see router/faults.go) are never candidates: the adaptive algorithms
+// misroute around faults for free. ok=false when no candidate qualifies.
 func pickGlobal(r *router.Router, exclude int, eligible func(port int) bool) (int, bool) {
 	t := r.Net().Topo
-	first := t.FirstGlobalPort()
-	pick, count := -1, 0
-	for k := 0; k < t.H; k++ {
-		port := first + k
-		if port == exclude || !r.PortAlive(port) || !eligible(port) {
-			continue
-		}
-		count++
-		if r.RNG.Intn(count) == 0 {
-			pick = port
-		}
-	}
-	return pick, pick >= 0
+	return r.PickPort(t.FirstGlobalPort(), t.H, exclude, eligible)
 }
 
-// pickLocal reservoir-samples one local port of r, excluding `exclude`,
-// among those satisfying eligible.
+// pickLocal is pickGlobal over r's local ports.
 func pickLocal(r *router.Router, exclude int, eligible func(port int) bool) (int, bool) {
 	t := r.Net().Topo
-	first := t.FirstLocalPort()
-	pick, count := -1, 0
-	for j := 0; j < t.A-1; j++ {
-		port := first + j
-		if port == exclude || !r.PortAlive(port) || !eligible(port) {
-			continue
-		}
-		count++
-		if r.RNG.Intn(count) == 0 {
-			pick = port
-		}
-	}
-	return pick, pick >= 0
+	return r.PickPort(t.FirstLocalPort(), t.A-1, exclude, eligible)
 }
 
 // markDeviation records misroute commitments at grant time by comparing

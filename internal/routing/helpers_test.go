@@ -22,8 +22,8 @@ func helperNet(t *testing.T, a Algo) *router.Network {
 func TestLocalVCBase(t *testing.T) {
 	cases := map[int8]int{0: 0, 1: 1, 2: 3, 3: 3}
 	for gh, want := range cases { //lint:ordered per-key assertion on a pure function; order cannot affect outcomes
-		if got := localVCBase(gh); got != want {
-			t.Errorf("localVCBase(%d) = %d, want %d", gh, got, want)
+		if got := router.LocalVCBase(gh); got != want {
+			t.Errorf("LocalVCBase(%d) = %d, want %d", gh, got, want)
 		}
 	}
 }
@@ -54,8 +54,8 @@ func TestNextVCLadder(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &router.Packet{GlobalHops: c.globalHops, LocalHopsGroup: c.localGroup}
-		if got := nextVC(r, p, c.port); got != c.want {
-			t.Errorf("%s: nextVC = %d, want %d", c.name, got, c.want)
+		if got := r.LadderVC(p, c.port); got != c.want {
+			t.Errorf("%s: LadderVC = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -66,7 +66,7 @@ func TestNextVCCapsAtPortWidth(t *testing.T) {
 	n := helperNet(t, Base) // 3 local VCs
 	r := n.Routers[0]
 	p := &router.Packet{GlobalHops: 2, LocalHopsGroup: 0}
-	if got := nextVC(r, p, n.Topo.FirstLocalPort()); got != 2 {
+	if got := r.LadderVC(p, n.Topo.FirstLocalPort()); got != 2 {
 		t.Fatalf("capped VC = %d, want 2", got)
 	}
 }

@@ -8,16 +8,14 @@ import "cbar/internal/router"
 // contract per implementation:
 //
 //   - Policies with no BeginCycle work at all (Base and its statistical
-//     variant, OLM, MIN, VAL, the hybrid) return NoPendingCycle: the
-//     clock may jump any distance without consulting them.
-//   - PB's event-driven mode keeps its saturation flags current from
-//     occupancy watchers — BeginCycle is empty — so it too returns
-//     NoPendingCycle. The reference full-scan mode recomputes the flags
-//     every cycle and returns ok=false, pinning the stepping path.
+//     variant, OLM, MIN, VAL, the hybrid, and PB, which reads occupancy
+//     where it decides and keeps no per-cycle state) return
+//     NoPendingCycle: the clock may jump any distance without consulting
+//     them.
 //   - ECtN combines dirty groups every ECtNPeriod cycles: while any
 //     group is dirty the horizon is the next combine tick (which may be
 //     the current cycle — then no elision happens and Step runs the
-//     combine); with a clean dirty-set the next combine would be a
+//     combine); with no group marked the next combine would be a
 //     no-op and the horizon is NoPendingCycle. The reference
 //     combine-every-group mode returns ok=false.
 //
@@ -51,10 +49,7 @@ func (*hybridAlg) NextAlgCycle(*router.Network) (int64, bool) {
 	return router.NoPendingCycle, true
 }
 
-func (a *pbAlg) NextAlgCycle(*router.Network) (int64, bool) {
-	if a.fullScan {
-		return 0, false
-	}
+func (*pbAlg) NextAlgCycle(*router.Network) (int64, bool) {
 	return router.NoPendingCycle, true
 }
 
@@ -62,7 +57,7 @@ func (a *ectnAlg) NextAlgCycle(n *router.Network) (int64, bool) {
 	if a.fullCombine {
 		return 0, false
 	}
-	if a.dirty.Len() == 0 {
+	if !a.dirty.Any() {
 		return router.NoPendingCycle, true
 	}
 	now := n.Now()

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"cbar/internal/router"
-)
+import "cbar/internal/router"
 
 // pbAlg is PiggyBacking (Jiang, Kim, Dally, ISCA 2009), the paper's
 // source-routed congestion-based baseline. Every router continuously
@@ -17,13 +13,9 @@ import (
 // shared with all routers of the group, modeling the piggybacked
 // broadcast as free and instantaneous.
 //
-// The flags are maintained change-driven: an occupancy-threshold watcher
-// on each global port (router.Network.WatchOccupancy) flips the flag at
-// the instant the occupancy crosses the saturation threshold, exactly as
-// a hardware credit comparator would raise the piggybacked bit. This
-// removes the per-cycle O(groups × routers × global ports) recompute;
-// the recompute survives behind Options.ReferenceScan as the reference
-// semantics, pinned to the event-driven mode by equivalence tests.
+// A flag is not stored anywhere: the deciding router reads the owning
+// router's O(1) occupancy and compares — the broadcast bit is, at every
+// instant, exactly that comparison.
 //
 // At injection the source router chooses once, UGAL-style, between the
 // minimal path and a Valiant path through a random intermediate node:
@@ -38,16 +30,10 @@ type pbAlg struct {
 	satPackets int32
 	satPhits   int32
 	offset     int32
-	// sat[g][l]: is global link l of group g flagged saturated, as
-	// last broadcast within group g.
-	sat [][]bool
-	// fullScan selects the reference per-cycle recompute instead of the
-	// occupancy watchers (Options.ReferenceScan).
-	fullScan bool
 }
 
 func newPB(o Options) *pbAlg {
-	return &pbAlg{offset: o.PBUgalOffsetPhits, satPackets: o.PBSatPackets, fullScan: o.ReferenceScan}
+	return &pbAlg{offset: o.PBUgalOffsetPhits, satPackets: o.PBSatPackets}
 }
 
 func (*pbAlg) Name() string { return PB.String() }
@@ -63,77 +49,6 @@ func (a *pbAlg) Attach(n *router.Network) {
 	// case) or permanently set with shallow ones.
 	bdp := int32(2*n.Cfg.LatencyGlobal + n.Cfg.PacketSize)
 	a.satPhits = bdp + a.satPackets*int32(n.Cfg.PacketSize)
-	t := n.Topo
-	a.sat = make([][]bool, t.Groups)
-	for g := range a.sat {
-		a.sat[g] = make([]bool, t.GlobalLinks)
-	}
-	if a.fullScan {
-		return
-	}
-	// Event-driven mode: one occupancy watcher per global port flips the
-	// flag the reference scan would compute. Occupancy mutates only at
-	// event handling (before BeginCycle) and at allocation grants (after
-	// every Route call of the cycle), so at each routing decision the
-	// watched flag equals the flag a start-of-cycle recompute would have
-	// produced — the modes are decision-for-decision identical.
-	first := t.FirstGlobalPort()
-	for g := 0; g < t.Groups; g++ {
-		flags := a.sat[g]
-		for pos, r := range n.Group(g) {
-			for k := 0; k < t.H; k++ {
-				l := pos*t.H + k
-				//lint:sharded sat[g] is group g's own lane and a group's routers never span shards; the watcher fires on their shard
-				n.WatchOccupancy(r.ID, first+k, a.satPhits, func(above bool) { flags[l] = above })
-			}
-		}
-	}
-}
-
-// BeginCycle refreshes every group's saturation flags from the current
-// global-channel occupancies — but only in the reference full-scan mode.
-// In the event-driven mode the watchers already keep the flags current
-// and PB contributes no per-cycle O(network) term.
-func (a *pbAlg) BeginCycle(n *router.Network) {
-	if !a.fullScan {
-		return
-	}
-	t := n.Topo
-	first := t.FirstGlobalPort()
-	for g := 0; g < t.Groups; g++ {
-		flags := a.sat[g]
-		for pos, r := range n.Group(g) {
-			for k := 0; k < t.H; k++ {
-				flags[pos*t.H+k] = r.Occupancy(first+k) > a.satPhits
-			}
-		}
-	}
-}
-
-// CheckState cross-checks the event-driven saturation flags against a
-// fresh recompute from occupancy (router.StateChecker): in watcher mode
-// sat[g][l] == (occupancy > threshold) holds at every instant. The
-// reference mode is exempt — its flags legitimately lag occupancy
-// mutations between BeginCycle refreshes.
-func (a *pbAlg) CheckState(n *router.Network) error {
-	if a.fullScan {
-		return nil
-	}
-	t := n.Topo
-	first := t.FirstGlobalPort()
-	for g := 0; g < t.Groups; g++ {
-		flags := a.sat[g]
-		for pos, r := range n.Group(g) {
-			for k := 0; k < t.H; k++ {
-				occ := r.Occupancy(first + k)
-				if want := occ > a.satPhits; flags[pos*t.H+k] != want {
-					return fmt.Errorf("routing: PB sat[%d][%d] = %v but occupancy %d vs threshold %d says %v",
-						g, pos*t.H+k, flags[pos*t.H+k], occ, a.satPhits, want)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func (a *pbAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
@@ -160,11 +75,17 @@ func (a *pbAlg) decide(r *router.Router, p *router.Packet) {
 	interR := t.RouterOfNode(inter)
 
 	minLink := t.GlobalLinkToGroup(g, dg)
+	// The saturation flag is the owning router's occupancy against the
+	// threshold, read where it is used: the link's owner is a router of
+	// r's own group (so of its shard), and occupancy moves only at event
+	// handling and at grants, never inside the route phase this runs in.
 	// A dead minimal channel reads as saturated: the piggybacked
 	// broadcast carries liveness exactly as it carries the credit flag,
 	// so the source diverts those flows onto Valiant paths instead of
 	// shoveling them at the router-level escape detour.
-	saturated := a.sat[g][minLink] || !r.Net().GlobalLinkAlive(g, minLink)
+	pos, k := t.GlobalLinkOwner(minLink)
+	saturated := r.Net().Group(g)[pos].Occupancy(t.GlobalPort(k)) > a.satPhits ||
+		!r.Net().GlobalLinkAlive(g, minLink)
 
 	minFirst := t.MinimalNextPort(r.ID, int(p.Dst))
 	valFirst := t.MinimalNextPort(r.ID, inter)

@@ -153,13 +153,11 @@ type Options struct {
 	// ProbMaxPct caps BaseProb's nonminimal probability (percent), so
 	// the minimal path always keeps a share. Zero defaults to 90.
 	ProbMaxPct int32
-	// ReferenceScan selects the retained full-recompute reference
-	// implementations of the per-cycle algorithm state — PB recomputes
-	// every group's saturation flags from occupancy each cycle and ECtN
-	// combines every group each period — instead of the event-driven
-	// watchers and dirty-group sets. The two modes are cycle-for-cycle
-	// identical (pinned by the algorithm-state equivalence tests); the
-	// flag exists for those tests and for debugging.
+	// ReferenceScan selects ECtN's retained reference exchange: every
+	// group is combined each period instead of only the groups whose
+	// partial arrays changed. The two are cycle-for-cycle identical
+	// (pinned by the algorithm-state equivalence tests); the flag exists
+	// for those tests and for debugging, and no other mechanism reads it.
 	ReferenceScan bool
 }
 

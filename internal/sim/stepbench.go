@@ -10,9 +10,11 @@ import (
 	"cbar/internal/traffic"
 )
 
-// Step-benchmark harness shared by the in-tree benchmarks
-// (perf_bench_test.go) and cmd/bench, so the tracked BENCH_step.json
-// record and `go test -bench` always measure the same operating points.
+// The step-benchmark suite: one table of named operating points
+// (StepBenchSuite) and the harness that builds and warms them. cmd/bench
+// owns the timed loops and runs every row twice over — testing.Benchmark
+// for the tracked BENCH_step.json record, b.Run for `go test -bench Step
+// ./cmd/bench` — so the two cannot drift.
 
 // StepBenchWarmup is the number of cycles a step benchmark runs before
 // measurement so the network is in steady state (populated freelist,
@@ -20,7 +22,7 @@ import (
 const StepBenchWarmup = 500
 
 // ElideIdleSpan and ElideIdleLoad are the operating point of the
-// ElideIdle benchmarks (in-tree and cmd/bench): one op advances
+// ElideIdle rows: one op advances
 // ElideIdleSpan cycles of a network offered ElideIdleLoad through
 // Advance, so most of the span is elided and ns/op divided by the span
 // is the effective per-cycle cost of the O(events) idle stepper. The
@@ -31,14 +33,14 @@ const (
 	ElideIdleLoad = 1e-5
 )
 
-// ElideIdleWarm deterministically warms every lazily-grown pool an
+// elideIdleWarm deterministically warms every lazily-grown pool an
 // ElideIdle measurement span can touch: one packet through every NIC
 // (first-touch queue backing arrays, the packet freelist), advanced to
 // delivery. At deep idle the statistical StepBenchWarmup leaves most
 // sources untouched, so without this the first-touch growth trickles
 // through the measured spans and allocs/op decays with b.N — a flaky
 // regression gate.
-func ElideIdleWarm(net *router.Network, inj *traffic.Injector) error {
+func elideIdleWarm(net *router.Network, inj *traffic.Injector) error {
 	nodes := net.Topo.Nodes
 	for src := 0; src < nodes; src++ {
 		net.Inject(src, (src+nodes/2)%nodes)
@@ -52,10 +54,27 @@ func ElideIdleWarm(net *router.Network, inj *traffic.Injector) error {
 	return nil
 }
 
+// StepBenchOp is what one benchmark op of a suite row does.
+type StepBenchOp uint8
+
+const (
+	// OpCycle is one injected cycle, stepped — never elided: the row
+	// measures Step itself.
+	OpCycle StepBenchOp = iota
+	// OpElideSpan advances ElideIdleSpan cycles through Advance, which
+	// jumps the clock between events: ns/op divided by the span compares
+	// against the per-cycle Idle rows.
+	OpElideSpan
+	// OpBurstDrain is one BurstDrainStep episode on an unwarmed network.
+	OpBurstDrain
+)
+
 // StepBenchSpec is one step-benchmark operating point. The zero values
-// are the common case: uniform traffic, sequential stepping, the
-// production fabric loop and algorithm state, no faults.
+// are the common case: one stepped cycle per op, uniform traffic,
+// sequential stepping, the production fabric loop and algorithm state,
+// no faults.
 type StepBenchSpec struct {
+	Op       StepBenchOp
 	Scale    Scale
 	Algo     routing.Algo
 	Workload Workload
@@ -65,9 +84,8 @@ type StepBenchSpec struct {
 	// sequential stepper at the same operating points (the two are
 	// cycle-for-cycle identical, so every other knob is comparable).
 	Workers int
-	// FullScan selects the every-component fabric loop, RefScan the
-	// full-recompute reference algorithm state (polled PB flags,
-	// combine-every-group ECtN).
+	// FullScan selects the every-component fabric loop, RefScan ECtN's
+	// combine-every-group reference exchange.
 	FullScan, RefScan bool
 	// QuiescentFaults arms a fault plan that never fires: one LinkDown
 	// scheduled far past any benchmark horizon, so the fault engine is
@@ -86,11 +104,90 @@ type StepBenchSpec struct {
 	Saturated bool
 }
 
+// StepBenchRow is one named row of the suite.
+type StepBenchRow struct {
+	Name string
+	Spec StepBenchSpec
+}
+
+// StepBenchSuite returns the step-benchmark suite, in BENCH_step.json
+// order.
+func StepBenchSuite() []StepBenchRow {
+	return []StepBenchRow{
+		{Name: "StepTinyBase", Spec: StepBenchSpec{Scale: Tiny, Algo: routing.Base, Load: 0.3}},
+		{Name: "StepSmallBase", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.3}},
+		// UN 0.5 is the loaded point with the most events in flight below
+		// saturation: the row the event calendar's working set shows in.
+		{Name: "StepSmallBase05", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.5}},
+		{Name: "StepSmallMin", Spec: StepBenchSpec{Scale: Small, Algo: routing.Min, Load: 0.3}},
+		{Name: "StepSmallECtN", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Load: 0.3}},
+		{Name: "StepSmallPB", Spec: StepBenchSpec{Scale: Small, Algo: routing.PB, Load: 0.3}},
+		// The past-saturation rows track blocked-router parking: MIN under
+		// ADV+1 pins at 1/(a*p) with every NIC full and nearly every head
+		// blocked on credits (the regime where a revisit per cycle cost 200+
+		// Route calls per grant); OLM at 0.4 misroutes and re-samples its
+		// blocked heads, so fewer of its routers park.
+		{Name: "StepSmallMinAdvSat", Spec: StepBenchSpec{Scale: Small, Algo: routing.Min, Workload: ADV(1), Load: 0.4, Saturated: true}},
+		{Name: "StepSmallOLMAdv04", Spec: StepBenchSpec{Scale: Small, Algo: routing.OLM, Workload: ADV(1), Load: 0.4, Saturated: true}},
+		// StepSmallFullScanIdle pins the every-component loop at StepSmallIdle's
+		// operating point, so the active-set win shows within one run.
+		{Name: "StepSmallIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01}},
+		{Name: "StepSmallFullScanIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01, FullScan: true}},
+		// Beside StepSmallIdle, the delta is the fault engine's hot-path cost,
+		// which must stay ~zero: it only spends cycles when events fire.
+		{Name: "StepSmallFaultsIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01, QuiescentFaults: true}},
+		{Name: "StepSmallElideIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: ElideIdleLoad, Op: OpElideSpan}},
+		{Name: "StepPaperElideIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Load: ElideIdleLoad, Op: OpElideSpan}},
+		// An idle PB or ECtN cycle must cost about what an idle Base cycle
+		// does — no O(network) BeginCycle term. PB keeps no per-cycle state;
+		// ECtN's dirty-group flags sit beside the combine-every-group
+		// reference (RefScan) at both scales, the evidence they stand on.
+		{Name: "StepSmallPBIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.PB, Load: 0.01}},
+		{Name: "StepSmallECtNIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Load: 0.01}},
+		{Name: "StepSmallECtNRefScanIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Load: 0.01, RefScan: true}},
+		// The bursty/hotspot idle rows track the stateful calendar injector
+		// beside the Bernoulli skip-sampler: same scale, same load, different
+		// arrival process — the calendar only touches nodes that inject this
+		// cycle, so the delta is the cost of per-node source state, with no
+		// O(nodes) term at Paper scale (16512 mostly-silent sources).
+		{Name: "StepSmallBurstyIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Workload: UN().WithBurst(50, 150, 0), Load: 0.01}},
+		{Name: "StepSmallHotspotIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Workload: HotspotUN(0.2, 8), Load: 0.01}},
+		// The regime the active-set scheduler exists for: the full Table I
+		// system (2064 routers, 16512 nodes) at 1% load, where nearly every
+		// component is idle on any given cycle.
+		{Name: "StepPaperIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Load: 0.01}},
+		{Name: "StepPaperBurstyIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Workload: UN().WithBurst(50, 150, 0), Load: 0.01}},
+		{Name: "StepPaperPBIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.PB, Load: 0.01}},
+		{Name: "StepPaperECtNIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.ECtN, Load: 0.01}},
+		{Name: "StepPaperECtNRefScanIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.ECtN, Load: 0.01, RefScan: true}},
+		// The workers rows track the shard-parallel stepper beside the
+		// sequential one at a loaded operating point (30% UN, the
+		// parallel-stepper acceptance regime); the cycles are bit-identical,
+		// so the cycles/sec ratio is pure parallel speedup minus barrier cost.
+		// Meaningful on a multi-core host.
+		{Name: "StepSmallWorkers1", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.3, Workers: 1}},
+		{Name: "StepSmallWorkers4", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.3, Workers: 4}},
+		{Name: "StepPaperWorkers1", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Load: 0.3, Workers: 1}},
+		{Name: "StepPaperWorkers4", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Load: 0.3, Workers: 4}},
+		// A synchronized burst, then stepping until the network fully drains:
+		// most of those cycles have only a dwindling tail of active
+		// components, which a full scan pays topology cost for.
+		{Name: "StepSmallBurstDrain", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Op: OpBurstDrain}},
+	}
+}
+
 // NewStepBench builds the spec's network and injector through the same
-// point constructor the measurements use and warms it into steady
-// state through the driver.
+// point constructor the measurements use and warms them for its op
+// through the driver: into steady state for the stepped rows, every
+// lazily-grown pool touched on top for the elision rows. A burst-drain
+// row gets a cold network and no injector: its episodes bring their own
+// traffic.
 func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) {
 	c := NewConfig(sp.Scale.Params(), sp.Algo)
+	if sp.Op == OpBurstDrain {
+		net, err := BuildNetwork(c, 1)
+		return net, nil, err
+	}
 	c.Opts.ReferenceScan = sp.RefScan
 	c.Router.Workers = sp.Workers
 	if sp.QuiescentFaults {
@@ -106,6 +203,9 @@ func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) 
 	// Background never cancels, so advance cannot fail here.
 	ctx := context.Background()
 	_ = p.advance(ctx, StepBenchWarmup)
+	if sp.Op == OpElideSpan {
+		return p.net, p.inj, elideIdleWarm(p.net, p.inj)
+	}
 	if !sp.Saturated {
 		return p.net, p.inj, nil
 	}
