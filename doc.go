@@ -240,7 +240,13 @@
 // event handling, allocation grants), so an idle component costs
 // nothing. Delivered packets are recycled through a freelist and
 // traffic generation skip-samples the next injecting node
-// geometrically, so a steady-state cycle allocates no memory at all.
+// geometrically, so a steady-state cycle allocates no memory at all. The
+// geometric draws go through rng.Geom, a distribution prepared once per
+// probability (the injector's, each node's, the ON and OFF phase ends of
+// a bursty source): the draw is the same inversion on the same operands
+// as rng.PCG.Geometric, stream for stream, without a logarithm of the
+// loop-invariant probability per draw — which a near-idle bursty run,
+// walking silent phases, used to spend a fifth of its time on.
 //
 // The active sets. A set is one bit per id of its shard's range plus a
 // population count (router/activeset.go). A phase scans the words in
@@ -254,6 +260,29 @@
 // two; the rule went with the lists.) The count includes entries that
 // are stale until the next scan prunes them, and a non-zero count makes
 // a cycle busy: the quiet-cycle test is unchanged.
+//
+// The same bitset is the router's own port-set type: the output ports
+// with staged packets, the input ports with requests this cycle and the
+// output ports with candidates this allocation iteration are sets over
+// [0, radix), and an output's nominating inputs are a row of a flat
+// per-router bit matrix (ceil(radix/64) words per output, so no radix
+// limit appears). The output arbiter's round-robin choice is a pure
+// function of that row and the pointer — the lowest candidate above the
+// pointer, else the lowest — and outputs are granted in ascending order;
+// grants on distinct outputs of one router touch distinct inputs and
+// ports, so the order among them changes no result.
+//
+// Allocation iterations end at the first no-grant. The allocator runs
+// Speedup iterations per cycle, iteration-major across the routers (the
+// order grants append their events in is part of the determinism
+// contract). A router whose iteration granted nothing nominated nothing,
+// and everything a nomination reads — the round-robin pointers, credits,
+// output space, the heads' requests — moves only in a grant, so its
+// remaining iterations of that cycle would be the same no-op and are
+// skipped; past saturation that is most of them. The FullScan oracle
+// keeps visiting every router in every iteration, so the equivalence
+// tests run with the skip on one side only
+// (TestAllocationSkipsOnlyNoOpIterations pins it from both sides).
 //
 // The event calendar. Between cycles, work in flight lives on a
 // calendar: per shard, one bucket per cycle of a ring sized to the
@@ -314,7 +343,10 @@
 // threshold, read inside the source decision (the piggybacked bit is,
 // at every instant, exactly that comparison — there is no stored copy to
 // maintain), and ECN marking is the same kind of compare at grant.
-// ECtN's periodic group combine visits only the groups whose partial
+// ECtN's periodic group combine sums a group's partial arrays into the
+// group's one combined array — the exchange is modeled as free and
+// instantaneous, so there is nothing a per-router copy could hold that
+// the group's array does not — and visits only the groups whose partial
 // counters changed since their last exchange (a dirty flag per group,
 // set by the counter mutations), so an idle period costs O(groups) flag
 // reads and the clock may jump over it. Two full recomputes survive
@@ -373,16 +405,20 @@
 //
 // New implementations join by answering two horizon queries:
 //
-//   - A routing algorithm with periodic or scheduled work implements
-//     the optional CycleHorizon interface (internal/router):
-//     NextAlgCycle(n) returns the next cycle at which the algorithm
-//     must observe the network, or NoPendingCycle if it is purely
-//     reactive (driven entirely by packet events, like the contention
-//     counters), or ok=false to veto elision outright (the
-//     reference-scan debug modes do this, since they recompute state
-//     every cycle by design). Returning a cycle earlier than necessary
-//     is always safe; returning one later than the algorithm's next
-//     observable action breaks bit-identity.
+//   - A routing algorithm answers the CycleHorizon interface
+//     (internal/router): NextAlgCycle(n) returns the next cycle at
+//     which its BeginCycle must observe the network, or NoPendingCycle
+//     if it is purely reactive (driven entirely by packet events, like
+//     the contention counters), or ok=false to veto elision outright
+//     (the reference-scan debug modes do this, since they recompute
+//     state every cycle by design). The purely reactive answer is the
+//     default: router.NopHooks supplies it beside the no-op BeginCycle
+//     it is the horizon of, so a policy that embeds NopHooks and gives
+//     BeginCycle a body must override NextAlgCycle with it (ECtN is the
+//     one shipped case), and one that does not implement the interface
+//     at all is simply never elided. Returning a cycle earlier than
+//     necessary is always safe; returning one later than the
+//     algorithm's next observable action breaks bit-identity.
 //   - A traffic source must answer Injector.NextArrival(limit): the
 //     cycle of the first arrival at or before limit, or limit+1 if
 //     there is none — and, critically, it must consume exactly the
@@ -427,9 +463,15 @@
 //     own; they are registered barrier-only and may only be called
 //     from their registered call site, the one cycle body Step, may never
 //     be taken as function values, and may not be reachable through
-//     the call graph from the parallel phase roots (the shard worker
-//     bodies and the routing hook surface Route/OnHead/OnArrive/
-//     OnDequeue/OnGrant). The same registry keeps the cycle loop
+//     the call graph from the parallel phase roots (the two shard
+//     worker bodies, handleShardBucket and stepShard, and the routing
+//     hook surface Route/OnHead/OnArrive/OnDequeue/OnGrant). The first
+//     two are per-package syntax checks; the reachability walk runs
+//     over the whole program's call graph, the one shardisolation and
+//     allocfree use, so a chain that leaves the root's package — a
+//     routing hook calling a fabric helper that reaches Network.Run —
+//     is a finding, and the registry lists the worker bodies only, not
+//     every function they call. The same registry keeps the cycle loop
 //     single: Injector.Cycle and internal/sim's jump step elideStep
 //     are barrier-only with point.advance as their one caller, so a
 //     second cycle loop in a deterministic package is a finding
@@ -438,8 +480,8 @@
 //     invariant auditor leans on — port occupancy (written only via
 //     Router.occDelta), credit/output-buffer counters (the grant, the
 //     event handler and the fault kills' one unreserve), mark
-//     thresholds, active-set membership — may only be assigned inside
-//     their registered mutator functions. The parking state is held the same
+//     thresholds, active-set membership (add, drop, clear) — may only be
+//     assigned inside their registered mutator functions. The parking state is held the same
 //     way: Router.parked is set only by stepShard's park pass and
 //     cleared only by Router.wake, so the documented wake set is the
 //     whole wake set, and Network.WakeGroup is barrier-only (it writes

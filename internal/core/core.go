@@ -18,8 +18,11 @@
 //     its group, fed by packets entering the group (injection-queue heads
 //     and global-input arrivals) and indexed by the global link the
 //     packet would minimally leave the group through. Partial arrays are
-//     periodically combined (summed) group-wide into the combined array
-//     used to trigger misrouting at injection.
+//     periodically combined (CombineGroup: summed group-wide) into the
+//     combined array used to trigger misrouting at injection. The
+//     exchange is modeled as instantaneous, so the combined array is one
+//     per group, held by its user (the routing layer), not a copy per
+//     router.
 //
 // The package is deliberately free of router mechanics: the router layer
 // calls Inc/Dec at the right micro-architectural instants and the routing
@@ -139,12 +142,10 @@ func (d *GroupDirty) Drain(visit func(g int32)) {
 }
 
 // ECtN holds one router's Explicit Contention Notification state (§III-D):
-// a partial array updated locally and a combined array refreshed by the
-// periodic group-wide exchange. Indices are group-wide global-link
-// indices in [0, links).
+// the partial array it updates locally. Indices are group-wide
+// global-link indices in [0, links).
 type ECtN struct {
-	partial  []int32
-	combined []int32
+	partial []int32
 	// SatCap models the finite width of the broadcast counter fields:
 	// each router's contribution to a combined counter saturates at
 	// SatCap. Zero disables saturation (infinite-width counters).
@@ -168,11 +169,7 @@ func (e *ECtN) BindDirty(d *GroupDirty, group int) {
 // (a*h in a canonical Dragonfly), using the 4-bit saturation cap of the
 // paper.
 func NewECtN(links int) *ECtN {
-	return &ECtN{
-		partial:  make([]int32, links),
-		combined: make([]int32, links),
-		SatCap:   DefaultSatCap,
-	}
+	return &ECtN{partial: make([]int32, links), SatCap: DefaultSatCap}
 }
 
 // Links returns the number of global links tracked.
@@ -202,14 +199,6 @@ func (e *ECtN) DecPartial(l int) {
 // Partial returns this router's own demand estimate for global link l.
 func (e *ECtN) Partial(l int) int32 { return e.partial[l] }
 
-// Combined returns the group-wide demand estimate for global link l as of
-// the last exchange.
-func (e *ECtN) Combined(l int) int32 { return e.combined[l] }
-
-// CombinedExceeds reports whether the combined counter for link l strictly
-// exceeds th, the ECtN injection-misrouting trigger.
-func (e *ECtN) CombinedExceeds(l int, th int32) bool { return e.combined[l] > th }
-
 // contribution returns the partial value as transmitted on the wire,
 // honoring the saturation cap.
 func (e *ECtN) contribution(l int) int32 {
@@ -221,77 +210,43 @@ func (e *ECtN) contribution(l int) int32 {
 }
 
 // CombineGroup models the periodic exchange of partial arrays within one
-// group (§III-D): every router's combined array becomes the sum of all
-// routers' (saturated) partial arrays at this instant. The paper's
-// simulations, like ours, model the exchange as instantaneous and free;
-// its cost is analyzed analytically in §VI-B.
+// group (§III-D): the group's combined array becomes the sum of all
+// members' (saturated) partial arrays at this instant — the group-wide
+// demand estimate for each global link until the next exchange. The
+// paper's simulations, like ours, model the exchange as instantaneous
+// and free; its cost is analyzed analytically in §VI-B.
 //
-// All members must track the same number of links.
-func CombineGroup(members []*ECtN) {
-	if len(members) == 0 {
-		return
-	}
-	CombineGroupInto(make([]int32, members[0].Links()), members)
-}
-
-// CombineGroupInto is CombineGroup with a caller-provided scratch slice
-// for the sum (len(scratch) must equal the members' link count), so a
-// periodic combiner can run allocation-free.
-func CombineGroupInto(scratch []int32, members []*ECtN) {
-	if len(members) == 0 {
-		return
-	}
-	links := members[0].Links()
-	if len(scratch) != links {
-		panic("core: CombineGroupInto scratch length mismatch")
-	}
-	for l := range scratch {
-		scratch[l] = 0
-	}
+// All members must track len(combined) links. It allocates nothing.
+func CombineGroup(combined []int32, members []*ECtN) {
+	clear(combined)
 	for _, m := range members {
-		if m.Links() != links {
+		if m.Links() != len(combined) {
 			panic("core: CombineGroup with mismatched link counts")
 		}
-		for l := 0; l < links; l++ {
-			scratch[l] += m.contribution(l)
+		for l := range combined {
+			combined[l] += m.contribution(l)
 		}
-	}
-	for _, m := range members {
-		copy(m.combined, scratch)
 	}
 }
 
-// VerifyGroupCombined audits a group's combined arrays: all members must
-// agree element-wise, and — when requireFresh is true — the stored
-// combined must equal a fresh recombination of the current partials. A
-// dirty-group combiner passes requireFresh for groups it considers clean
-// (no partial changed since the last combine implies the stored sums are
-// still exact); a mismatch there means a missed dirty mark.
-func VerifyGroupCombined(members []*ECtN, requireFresh bool) error {
-	if len(members) == 0 {
-		return nil
-	}
-	links := members[0].Links()
-	for l := 0; l < links; l++ {
-		ref := members[0].combined[l]
+// VerifyGroupFresh audits a combined array a dirty-group combiner
+// considers current: no partial changed since the last combine, so the
+// stored sums must equal a fresh recombination of the members' partials.
+// A mismatch means a partial mutation missed its dirty mark.
+func VerifyGroupFresh(combined []int32, members []*ECtN) error {
+	for l, have := range combined {
 		var sum int32
-		for i, m := range members {
-			if m.combined[l] != ref {
-				return fmt.Errorf("core: combined[%d] disagrees: member 0 has %d, member %d has %d", l, ref, i, m.combined[l])
-			}
+		for _, m := range members {
 			sum += m.contribution(l)
 		}
-		if requireFresh && sum != ref {
-			return fmt.Errorf("core: combined[%d] = %d stale: fresh partial sum is %d", l, ref, sum)
+		if sum != have {
+			return fmt.Errorf("core: combined[%d] = %d stale: fresh partial sum is %d", l, have, sum)
 		}
 	}
 	return nil
 }
 
-// Reset zeroes both arrays.
+// Reset zeroes the partial array.
 func (e *ECtN) Reset() {
-	for i := range e.partial {
-		e.partial[i] = 0
-		e.combined[i] = 0
-	}
+	clear(e.partial)
 }

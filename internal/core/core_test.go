@@ -107,9 +107,6 @@ func TestECtNPartial(t *testing.T) {
 	if e.Partial(3) != 1 {
 		t.Fatalf("partial %d", e.Partial(3))
 	}
-	if e.Combined(3) != 0 {
-		t.Fatal("combined changed without exchange")
-	}
 }
 
 func TestECtNUnderflowPanics(t *testing.T) {
@@ -127,17 +124,17 @@ func TestCombineGroupSums(t *testing.T) {
 	b.IncPartial(0)
 	b.IncPartial(2)
 	c.IncPartial(2)
-	CombineGroup([]*ECtN{a, b, c})
-	for _, m := range []*ECtN{a, b, c} {
-		if m.Combined(0) != 2 || m.Combined(2) != 2 || m.Combined(1) != 0 {
-			t.Fatalf("combined wrong: %d %d %d", m.Combined(0), m.Combined(1), m.Combined(2))
-		}
+	combined := make([]int32, 4)
+	CombineGroup(combined, []*ECtN{a, b, c})
+	if combined[0] != 2 || combined[2] != 2 || combined[1] != 0 {
+		t.Fatalf("combined wrong: %v", combined)
 	}
-	// A second exchange after decrements refreshes, not accumulates.
+	// A second exchange after decrements refreshes, not accumulates:
+	// what the array held before does not leak into the sums.
 	b.DecPartial(0)
-	CombineGroup([]*ECtN{a, b, c})
-	if a.Combined(0) != 1 {
-		t.Fatalf("combined after refresh: %d", a.Combined(0))
+	CombineGroup(combined, []*ECtN{a, b, c})
+	if combined[0] != 1 || combined[2] != 2 {
+		t.Fatalf("combined after refresh: %v", combined)
 	}
 }
 
@@ -147,57 +144,41 @@ func TestCombineGroupSaturation(t *testing.T) {
 		a.IncPartial(0)
 	}
 	b.IncPartial(0)
-	CombineGroup([]*ECtN{a, b})
+	combined := make([]int32, 1)
+	CombineGroup(combined, []*ECtN{a, b})
 	// a contributes at most the 4-bit cap of 15, b contributes 1.
-	if a.Combined(0) != DefaultSatCap+1 {
-		t.Fatalf("combined %d, want %d", a.Combined(0), DefaultSatCap+1)
+	if combined[0] != DefaultSatCap+1 {
+		t.Fatalf("combined %d, want %d", combined[0], DefaultSatCap+1)
 	}
 	// With the cap disabled the full value flows through.
 	a.SatCap, b.SatCap = 0, 0
-	CombineGroup([]*ECtN{a, b})
-	if a.Combined(0) != 101 {
-		t.Fatalf("uncapped combined %d, want 101", a.Combined(0))
-	}
-}
-
-func TestCombinedExceeds(t *testing.T) {
-	e := NewECtN(1)
-	for i := 0; i < 10; i++ {
-		e.IncPartial(0)
-	}
-	CombineGroup([]*ECtN{e})
-	if e.CombinedExceeds(0, 10) {
-		t.Fatal("10 > 10 reported true; trigger must be strict")
-	}
-	e.IncPartial(0)
-	CombineGroup([]*ECtN{e})
-	if !e.CombinedExceeds(0, 10) {
-		t.Fatal("11 > 10 reported false")
+	CombineGroup(combined, []*ECtN{a, b})
+	if combined[0] != 101 {
+		t.Fatalf("uncapped combined %d, want 101", combined[0])
 	}
 }
 
 func TestCombineGroupEmptyAndMismatch(t *testing.T) {
-	CombineGroup(nil) // must not panic
+	CombineGroup(nil, nil) // must not panic
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched link counts did not panic")
 		}
 	}()
-	CombineGroup([]*ECtN{NewECtN(2), NewECtN(3)})
+	CombineGroup(make([]int32, 2), []*ECtN{NewECtN(2), NewECtN(3)})
 }
 
 func TestECtNReset(t *testing.T) {
 	e := NewECtN(2)
 	e.IncPartial(0)
-	CombineGroup([]*ECtN{e})
 	e.Reset()
-	if e.Partial(0) != 0 || e.Combined(0) != 0 {
+	if e.Partial(0) != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
 
-// TestQuickCombineGroupConservation: without saturation, the sum of any
-// router's combined array equals the total partial sum across the group.
+// TestQuickCombineGroupConservation: without saturation, the sum of the
+// group's combined array equals the total partial sum across the group.
 func TestQuickCombineGroupConservation(t *testing.T) {
 	f := func(incs []uint8) bool {
 		const links, routers = 6, 3
@@ -211,10 +192,11 @@ func TestQuickCombineGroupConservation(t *testing.T) {
 			members[i%routers].IncPartial(int(v) % links)
 			total++
 		}
-		CombineGroup(members)
+		combined := make([]int32, links)
+		CombineGroup(combined, members)
 		var combinedSum int64
-		for l := 0; l < links; l++ {
-			combinedSum += int64(members[0].Combined(l))
+		for _, v := range combined {
+			combinedSum += int64(v)
 		}
 		return combinedSum == total
 	}
@@ -330,60 +312,20 @@ func TestECtNBindDirtyMarksOnMutation(t *testing.T) {
 	NewECtN(2).IncPartial(0)
 }
 
-func TestCombineGroupIntoMatchesCombineGroup(t *testing.T) {
-	mk := func() []*ECtN {
-		a, b := NewECtN(3), NewECtN(3)
-		a.IncPartial(0)
-		a.IncPartial(2)
-		b.IncPartial(2)
-		return []*ECtN{a, b}
-	}
-	ref, got := mk(), mk()
-	CombineGroup(ref)
-	CombineGroupInto(make([]int32, 3), got)
-	for l := 0; l < 3; l++ {
-		if ref[0].Combined(l) != got[0].Combined(l) {
-			t.Fatalf("link %d: CombineGroup %d vs CombineGroupInto %d", l, ref[0].Combined(l), got[0].Combined(l))
-		}
-	}
-	// Dirty scratch must not leak into the sums.
-	scratch := []int32{77, 77, 77}
-	again := mk()
-	CombineGroupInto(scratch, again)
-	if again[0].Combined(1) != 0 {
-		t.Fatalf("stale scratch leaked: combined[1]=%d", again[0].Combined(1))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scratch length mismatch did not panic")
-		}
-	}()
-	CombineGroupInto(make([]int32, 2), mk())
-}
-
-func TestVerifyGroupCombined(t *testing.T) {
+func TestVerifyGroupFresh(t *testing.T) {
 	a, b := NewECtN(2), NewECtN(2)
 	a.IncPartial(0)
-	CombineGroup([]*ECtN{a, b})
-	if err := VerifyGroupCombined([]*ECtN{a, b}, true); err != nil {
+	combined := make([]int32, 2)
+	CombineGroup(combined, []*ECtN{a, b})
+	if err := VerifyGroupFresh(combined, []*ECtN{a, b}); err != nil {
 		t.Fatalf("fresh combine flagged: %v", err)
 	}
-	// A partial mutation after the combine makes the stored sums stale:
-	// requireFresh must catch it, the agreement-only check must not.
+	// A partial mutation after the combine makes the stored sums stale.
 	b.IncPartial(0)
-	if err := VerifyGroupCombined([]*ECtN{a, b}, true); err == nil {
-		t.Fatal("stale combined not flagged with requireFresh")
+	if err := VerifyGroupFresh(combined, []*ECtN{a, b}); err == nil {
+		t.Fatal("stale combined not flagged")
 	}
-	if err := VerifyGroupCombined([]*ECtN{a, b}, false); err != nil {
-		t.Fatalf("agreement check flagged agreeing members: %v", err)
-	}
-	// Member disagreement is always an error.
-	a.IncPartial(1)
-	CombineGroup([]*ECtN{a})
-	if err := VerifyGroupCombined([]*ECtN{a, b}, false); err == nil {
-		t.Fatal("disagreeing members not flagged")
-	}
-	if err := VerifyGroupCombined(nil, true); err != nil {
+	if err := VerifyGroupFresh(nil, nil); err != nil {
 		t.Fatalf("empty group flagged: %v", err)
 	}
 }
@@ -404,8 +346,9 @@ func BenchmarkCombineGroup(b *testing.B) {
 			members[i].IncPartial(l)
 		}
 	}
+	combined := make([]int32, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CombineGroup(members)
+		CombineGroup(combined, members)
 	}
 }

@@ -17,7 +17,8 @@
 //   - sequentialpoint: the registered barrier-only functions (fault
 //     event application, Alg.BeginCycle, delivery/notification replay)
 //     may only be called from their registered sequential-point call
-//     sites, never from inside the parallel phase call graphs.
+//     sites, never from inside the parallel phase call graphs (that
+//     half walks the whole program's call graph, see below).
 //   - fieldenc: the accounting fields (occ, credit counters, active-set
 //     membership, …) may only be assigned by their sanctioned mutator
 //     functions.
@@ -28,8 +29,9 @@
 //     and must be attached to a map or channel range statement — stale
 //     annotations are findings, not dead weight.
 //
-// Two whole-program dataflow analyzers (see program.go) extend the suite
-// across package boundaries:
+// Whole-program analyzers (see program.go) extend the suite across
+// package boundaries — sequentialpoint's reachability check and two
+// dataflow analyzers:
 //
 //   - shardisolation: no write reachable from a parallel root may target
 //     state that is not provably shard-local, unless it flows through a
@@ -132,8 +134,9 @@ type Config struct {
 	BarrierOnly map[string][]string
 
 	// ParallelRoots lists the function keys whose call graphs form the
-	// parallel sections: nothing reachable from them may call a
-	// barrier-only function.
+	// parallel sections — the worker bodies; what they call is found by
+	// walking the program's call graph: nothing reachable from them may
+	// call a barrier-only function.
 	ParallelRoots []string
 
 	// ParallelRootMethods lists method *names* treated as parallel roots
@@ -270,22 +273,18 @@ func DefaultConfig() *Config {
 			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
 			"cbar/internal/sim.elideStep":      {"cbar/internal/sim.point.advance"},
 			traffic + ".Injector.Cycle":        {"cbar/internal/sim.point.advance"},
-			// Algorithm implementations: their BeginCycle bodies are
-			// reached only through the interface dispatch above, never
+			// The one Algorithm implementation with a BeginCycle body: it
+			// is reached only through the interface dispatch above, never
 			// called directly inside package routing.
-			routing + ".ectnAlg.BeginCycle":     {},
-			routing + ".baseProbAlg.BeginCycle": {},
+			routing + ".ectnAlg.BeginCycle": {},
 		},
+		// The two worker bodies of a Step (parallel.go). Everything they
+		// run — event handling, NIC drain, the route, allocation and link
+		// phases, the fault escape — is reached from them through the
+		// call graph.
 		ParallelRoots: []string{
-			router + ".Network.handle",
 			router + ".Network.handleShardBucket",
 			router + ".Network.stepShard",
-			router + ".Network.nicDrain",
-			router + ".Router.routePhase",
-			router + ".Router.allocate",
-			router + ".Router.grant",
-			router + ".Router.linkPhase",
-			router + ".Router.faultAdjust",
 		},
 		// Any method with one of these names is a parallel root wherever
 		// it is declared: the Algorithm hook surface runs inside the
@@ -324,9 +323,9 @@ func DefaultConfig() *Config {
 			{Type: router + ".outPort", Field: "markTh",
 				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".activeSet", Field: "words",
-				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop"}},
+				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop", router + ".activeSet.clear"}},
 			{Type: router + ".activeSet", Field: "count",
-				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop"}},
+				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop", router + ".activeSet.clear"}},
 			{Type: router + ".netShard", Field: "freeChunks",
 				Writers: []string{router + ".netShard.extend", router + ".netShard.release"}},
 			{Type: router + ".calBucket", Field: "n",
@@ -426,9 +425,6 @@ func DefaultConfig() *Config {
 			{Type: router + ".netShard", Field: "allocList"},
 			{Type: router + ".Network", Field: "freePkts"},
 			{Type: router + ".Network", Field: "notifyScratch"},
-			{Type: router + ".Router", Field: "reqPorts"},
-			{Type: router + ".Router", Field: "stagedPorts"},
-			{Type: router + ".Router", Field: "dirtyOut"},
 			{Type: router + ".fifo", Field: "buf"},
 			{Type: traffic + ".retransmitter", Field: "heap"},
 			{Type: traffic + ".calendar", Field: "heap"},

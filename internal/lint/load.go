@@ -91,6 +91,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	// inPatterns compares dir with go list's absolute directories.
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	ld := &loader{
 		dir:     dir,
 		fset:    token.NewFileSet(),

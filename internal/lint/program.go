@@ -27,6 +27,7 @@ type ProgramAnalyzer struct {
 
 // ProgramAnalyzers is the whole-program half of the detlint suite.
 var ProgramAnalyzers = []*ProgramAnalyzer{
+	SequentialReach,
 	ShardIsolation,
 	AllocFree,
 }

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -22,9 +20,15 @@ import (
 //     value, assignment to a variable) is a finding — the reference
 //     could escape to an arbitrary call site;
 //   - any sanctioned caller or barrier-only function reachable through
-//     the intra-package call graph from a parallel root (the shard
-//     worker bodies and the Algorithm hook surface) is a finding, even
-//     when every individual edge looks sanctioned.
+//     the call graph from a parallel root (the shard worker bodies and
+//     the Algorithm hook surface) is a finding, even when every
+//     individual edge looks sanctioned.
+//
+// The first two are checks of one package's syntax (this analyzer); the
+// third walks the whole program's call graph (SequentialReach, the same
+// analyzer name), so a chain that leaves the package of its root — a
+// routing hook calling a fabric helper that calls a barrier-only
+// function — is seen.
 //
 // Tests are exempt: they run single-goroutine at sequential points by
 // construction, and the scenario builders poke these functions on
@@ -52,24 +56,6 @@ func runSequentialPoint(pass *Pass) {
 		return false
 	}
 
-	// sequentialOnly is every function that must not run inside a
-	// parallel section: the barrier-only functions and their sanctioned
-	// callers (reaching Network.Step from routePhase is as fatal as
-	// reaching replayDeliveries directly).
-	sequentialOnly := make(map[string]bool)
-	for barrier, callers := range cfg.BarrierOnly {
-		sequentialOnly[barrier] = true
-		for _, c := range callers {
-			sequentialOnly[c] = true
-		}
-	}
-
-	type edge struct {
-		callee string
-		pos    token.Pos
-	}
-	graph := make(map[string][]edge)
-
 	// calleeIdents collects the identifiers that appear in call position,
 	// so any *other* use of a barrier-only function is an escaping
 	// reference.
@@ -96,7 +82,6 @@ func runSequentialPoint(pass *Pass) {
 			if d := idx.enclosing(call.Pos()); d != nil {
 				caller = declKey(pkg.Info, d)
 			}
-			graph[caller] = append(graph[caller], edge{callee: key, pos: call.Pos()})
 			if _, isBarrier := cfg.BarrierOnly[key]; isBarrier && !allowed(key, caller) {
 				site := caller
 				if site == "" {
@@ -130,59 +115,39 @@ func runSequentialPoint(pass *Pass) {
 			return true
 		})
 	})
-
-	// Reachability: nothing in sequentialOnly may be reachable from a
-	// parallel root. BFS over the intra-package call graph; the finding
-	// is reported at the call edge that crosses into sequential-point
-	// territory.
-	roots := parallelRootDecls(pass, idx)
-	seen := make(map[string]bool)
-	queue := make([]string, 0, len(roots))
-	for _, r := range roots {
-		if !seen[r] {
-			seen[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		for _, e := range graph[key] {
-			if sequentialOnly[e.callee] {
-				pass.Reportf(e.pos,
-					"%s runs only at sequential points but is reachable from a parallel root through %s",
-					e.callee, key)
-			}
-			if !seen[e.callee] {
-				seen[e.callee] = true
-				queue = append(queue, e.callee)
-			}
-		}
-	}
 }
 
-// parallelRootDecls resolves the configured parallel roots to function
-// keys declared in this package: exact-key matches plus any method whose
-// name is in ParallelRootMethods.
-func parallelRootDecls(pass *Pass, idx *declIndex) []string {
-	cfg := pass.Cfg
-	exact := make(map[string]bool, len(cfg.ParallelRoots))
-	for _, r := range cfg.ParallelRoots {
-		exact[r] = true
-	}
-	byMethod := make(map[string]bool, len(cfg.ParallelRootMethods))
-	for _, m := range cfg.ParallelRootMethods {
-		byMethod[m] = true
-	}
-	var roots []string
-	for _, d := range idx.decls {
-		key := declKey(pass.Pkg.Info, d)
-		if exact[key] || (d.Recv != nil && byMethod[d.Name.Name]) {
-			roots = append(roots, key)
+// SequentialReach is sequentialpoint's reachability check, over the
+// whole program's call graph: every function that must not run inside a
+// parallel section — the barrier-only functions and their sanctioned
+// callers (reaching Network.Step from routePhase is as fatal as reaching
+// replayDeliveries directly) — must be unreachable from the parallel
+// roots. The finding is reported at the call edge that crosses into
+// sequential-point territory.
+var SequentialReach = &ProgramAnalyzer{
+	Name: SequentialPoint.Name,
+	Doc:  "nothing that runs only at a sequential point may be reachable from a parallel root",
+	Run:  runSequentialReach,
+}
+
+func runSequentialReach(pp *ProgramPass) {
+	sequentialOnly := make(map[string]bool)
+	for barrier, callers := range pp.Cfg.BarrierOnly {
+		sequentialOnly[barrier] = true
+		for _, c := range callers {
+			sequentialOnly[c] = true
 		}
 	}
-	sort.Strings(roots)
-	return roots
+	via := pp.Prog.reachable(pp.Prog.parallelRootKeys(), nil)
+	for _, key := range sortedReached(via) {
+		for _, e := range pp.Prog.Calls[key] {
+			if sequentialOnly[e.Callee] {
+				pp.Reportf(e.Pos,
+					"%s runs only at sequential points but is reachable from a parallel root through %s",
+					e.Callee, key)
+			}
+		}
+	}
 }
 
 // callerList renders a sanctioned-caller set for diagnostics.

@@ -17,7 +17,8 @@ func TestSequentialPointReachability(t *testing.T) {
 	cfg.BarrierOnly = map[string][]string{
 		p + ".Net.replay": {p + ".Net.Step"},
 	}
+	cfg.DeterministicPkgs = []string{p}
 	cfg.ParallelRoots = []string{p + ".Net.worker"}
 	cfg.ParallelRootMethods = []string{"Route"}
-	runFixture(t, SequentialPoint, cfg, "seqpoint_reach")
+	runProgramFixture(t, SequentialReach, cfg, "seqpoint_reach")
 }

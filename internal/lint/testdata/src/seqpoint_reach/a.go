@@ -27,6 +27,17 @@ func (n *Net) Step() {
 func (n *Net) worker() {
 	n.Step() // want `reachable from a parallel root`
 	n.hop()
+	n.relay()
+}
+
+// relay and far put two clean edges between the root and the barrier:
+// worker -> relay -> far -> Step. Only the last edge crosses.
+func (n *Net) relay() {
+	n.far()
+}
+
+func (n *Net) far() {
+	n.Step() // want `reachable from a parallel root through .*Net\.far`
 }
 
 // hop is an innocent-looking helper on the path root -> hop -> replay.

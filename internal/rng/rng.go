@@ -111,16 +111,37 @@ func (p *PCG) Bernoulli(prob float64) bool {
 // directly to the next success in a long trial sequence instead of
 // drawing every trial — the distribution of successes is identical to
 // per-trial Bernoulli draws. prob >= 1 always returns 0; prob <= 0
-// returns MaxInt32 (no success within any realistic range).
-func (p *PCG) Geometric(prob float64) int {
-	if prob >= 1 {
-		return 0
-	}
-	if prob <= 0 {
+// returns MaxInt32 (no success within any realistic range); neither
+// consumes a draw. It is the one-shot form of Geom.
+func (p *PCG) Geometric(prob float64) int { return NewGeom(prob).Draw(p) }
+
+// Geom is a prepared geometric distribution: Geometric for a fixed
+// probability without recomputing its logarithm on every draw. The zero
+// value never succeeds (prob 0).
+type Geom struct {
+	// denom is log1p(-prob), the inversion's divisor: negative for prob
+	// in (0, 1); -Inf stands for prob >= 1 and 0 for prob <= 0.
+	denom float64
+}
+
+// NewGeom prepares the distribution Geometric(prob) samples; prob
+// saturates at 0 and 1, whose logarithms are the two sentinels.
+func NewGeom(prob float64) Geom { return Geom{math.Log1p(-min(max(prob, 0), 1))} }
+
+// Never reports whether the success probability is zero (or below).
+func (g Geom) Never() bool { return g.denom == 0 }
+
+// Draw samples g from p's stream by inversion: one uniform per draw,
+// none at the two saturated probabilities.
+func (g Geom) Draw(p *PCG) int {
+	if g.denom == 0 {
 		return math.MaxInt32
 	}
+	if math.IsInf(g.denom, -1) {
+		return 0
+	}
 	u := 1 - p.Float64() // (0, 1]: avoids log(0)
-	k := math.Floor(math.Log(u) / math.Log1p(-prob))
+	k := math.Floor(math.Log(u) / g.denom)
 	if k >= math.MaxInt32 {
 		return math.MaxInt32
 	}

@@ -267,6 +267,63 @@ func TestGeometricMatchesBernoulli(t *testing.T) {
 	}
 }
 
+// TestGeomDrawsMatchGeometric: a prepared Geom is Geometric with the
+// logarithm hoisted — over a grid of probabilities, the degenerate and
+// the extreme ones included, it returns the same values and leaves the
+// generator in the same state after every draw; prob <= 0 and prob >= 1
+// consume no draw in either form. The table is the first six draws of
+// stream (42, 7), and the generator's next output after them, as
+// Geometric produced them before Geom existed: the streams the goldens
+// depend on did not move.
+func TestGeomDrawsMatchGeometric(t *testing.T) {
+	const untouched, sixDraws = 0x7499da3f3c421650, 0x9cc231baa0291d1b
+	pinned := []struct {
+		prob  float64
+		draws [6]int
+		next  uint64
+	}{
+		{0, [6]int{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32}, untouched},
+		{-0.5, [6]int{math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32, math.MaxInt32}, untouched},
+		{1, [6]int{}, untouched},
+		{2, [6]int{}, untouched},
+		{1e-9, [6]int{607837022, 1034938810, 231903450, 2065788025, 1120621580, 660897357}, sixDraws},
+		{1 - 1e-9, [6]int{}, sixDraws},
+		{0.001, [6]int{607, 1034, 231, 2064, 1120, 660}, sixDraws},
+		{0.03, [6]int{19, 33, 7, 67, 36, 21}, sixDraws},
+		{0.5, [6]int{0, 1, 0, 2, 1, 0}, sixDraws},
+		{0.999, [6]int{}, sixDraws},
+	}
+	for _, tc := range pinned {
+		g := NewGeom(tc.prob)
+		if never := g.Never(); never != (tc.prob <= 0) {
+			t.Errorf("NewGeom(%v).Never() = %v", tc.prob, never)
+		}
+		a, b := New(42, 7), New(42, 7)
+		for i, want := range tc.draws {
+			got, oneShot := g.Draw(a), b.Geometric(tc.prob)
+			if got != want || oneShot != want {
+				t.Errorf("prob %v draw %d: Geom %d, Geometric %d, pinned %d", tc.prob, i, got, oneShot, want)
+			}
+			if *a != *b {
+				t.Fatalf("prob %v draw %d: generator states diverged", tc.prob, i)
+			}
+		}
+		if next := a.Uint64(); next != tc.next {
+			t.Errorf("prob %v: generator continues with %#x after six draws, pinned %#x", tc.prob, next, tc.next)
+		}
+	}
+	// A denser grid, form against form.
+	for prob := 1e-7; prob < 1; prob *= 1.7 {
+		g := NewGeom(prob)
+		a, b := New(9, 1), New(9, 1)
+		for i := 0; i < 200; i++ {
+			if got, want := g.Draw(a), b.Geometric(prob); got != want || *a != *b {
+				t.Fatalf("prob %v draw %d: Geom %d vs Geometric %d", prob, i, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	p := New(1, 1)
 	var sink uint64

@@ -2,8 +2,9 @@ package router
 
 import "math/bits"
 
-// activeSet is the set of component ids (routers or NICs) that may need
-// servicing next cycle: one bit per id and a population count. Additions
+// activeSet is a set of ids visited ascending — a shard's routers or
+// NICs that may need servicing next cycle, or a router's ports
+// (router.go): one bit per id and a population count. Additions
 // are O(1) at the mutation points (Inject, event handling, grant), and
 // stale entries are pruned lazily while the Step loop scans the set. A
 // scan walks the words in order and peels each word's set bits lowest
@@ -51,6 +52,12 @@ func (s *activeSet) drop(id int32) {
 		*w &^= m
 		s.count--
 	}
+}
+
+// clear empties the set.
+func (s *activeSet) clear() {
+	clear(s.words)
+	s.count = 0
 }
 
 // scan returns the words a phase peels members from, in order: none

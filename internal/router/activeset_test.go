@@ -89,3 +89,66 @@ func TestActiveSetScanOrder(t *testing.T) {
 		s.checkAgainst(t, lo, hi, map[int32]bool{})
 	}
 }
+
+// TestActiveSetClear: clear empties a set of any width in one call —
+// membership, the scan and count — leaves it reusable, and is a no-op on
+// an empty set.
+func TestActiveSetClear(t *testing.T) {
+	for _, hi := range []int32{1, 64, 65, 130} {
+		s := newActiveSet(0, hi)
+		s.clear() // empty: nothing to do
+		s.checkAgainst(t, 0, hi, map[int32]bool{})
+		for id := int32(0); id < hi; id += 3 {
+			s.add(id)
+		}
+		s.add(hi - 1)
+		s.clear()
+		s.checkAgainst(t, 0, hi, map[int32]bool{})
+		s.add(hi - 1)
+		s.checkAgainst(t, 0, hi, map[int32]bool{hi - 1: true})
+	}
+}
+
+// TestRRPick: the output arbiter picks the lowest candidate above the
+// pointer and wraps to the lowest when none is, across a word boundary
+// as within one word.
+func TestRRPick(t *testing.T) {
+	set := func(words int, ids ...int) []uint64 {
+		s := make([]uint64, words)
+		for _, id := range ids {
+			s[id>>6] |= 1 << (id & 63)
+		}
+		return s
+	}
+	cases := []struct {
+		cand []uint64
+		rr   int
+		want int
+	}{
+		// One word.
+		{set(1, 0), 0, 0},         // the pointer's own input is the last resort
+		{set(1, 0, 63), 0, 63},    // above the pointer
+		{set(1, 0, 63), 62, 63},   // just above
+		{set(1, 0, 63), 63, 0},    // pointer on the top bit: wrap
+		{set(1, 5, 9, 40), 9, 40}, // strictly above, not at
+		{set(1, 5, 9, 40), 40, 5}, // wrap to the lowest
+		{set(1, 5, 9, 40), 4, 5},  // lowest is above
+		{set(1, 63), 63, 63},      // single candidate at the pointer
+		// Two words.
+		{set(2, 0, 63, 64, 65), 0, 63},
+		{set(2, 0, 63, 64, 65), 63, 64}, // above the pointer is in the next word
+		{set(2, 0, 63, 64, 65), 64, 65},
+		{set(2, 0, 63, 64, 65), 65, 0}, // wrap from the second word to the first
+		{set(2, 0, 65), 63, 65},        // pointer at the boundary, first word has nothing above
+		{set(2, 0, 65), 64, 65},
+		{set(2, 64), 64, 64},
+		{set(2, 63), 64, 63}, // wrap back across the boundary
+		{set(2, 65), 0, 65},  // nothing above in the pointer's word
+		{set(2, 0, 64), 127, 0},
+	}
+	for _, tc := range cases {
+		if got := rrPick(tc.cand, tc.rr); got != tc.want {
+			t.Errorf("rrPick(%#x, %d) = %d, want %d", tc.cand, tc.rr, got, tc.want)
+		}
+	}
+}

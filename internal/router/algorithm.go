@@ -28,7 +28,8 @@ type Request struct {
 //     counters decrement here, §III-B).
 //
 // BeginCycle runs once per cycle before routing and hosts periodic
-// group-level exchanges (the ECtN combine).
+// group-level exchanges (the ECtN combine); a policy that gives it a
+// body also states that body's horizon (CycleHorizon, elide.go).
 //
 // The Route contract. The fabric stops visiting a router whose heads are
 // all blocked and whose last visit changed nothing (blocked-router
@@ -87,7 +88,8 @@ type StateChecker interface {
 }
 
 // NopHooks provides no-op implementations of every Algorithm method
-// except Name and Route, for embedding in concrete policies.
+// except Name and Route, for embedding in concrete policies, together
+// with the CycleHorizon a no-op BeginCycle implies.
 type NopHooks struct{}
 
 // Attach implements Algorithm.
@@ -95,6 +97,12 @@ func (NopHooks) Attach(*Network) {}
 
 // BeginCycle implements Algorithm.
 func (NopHooks) BeginCycle(*Network) {}
+
+// NextAlgCycle implements CycleHorizon for the BeginCycle above: a body
+// that does nothing has no pending cycle. Override one, override both —
+// a policy with its own BeginCycle that kept this answer would have its
+// periodic work elided.
+func (NopHooks) NextAlgCycle(*Network) (int64, bool) { return NoPendingCycle, true }
 
 // OnArrive implements Algorithm.
 func (NopHooks) OnArrive(*Router, *Packet, int, int) {}

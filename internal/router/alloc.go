@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // The separable batch allocator (§IV-B of the paper): each iteration runs
 // an input stage — every input port nominates one of its requesting VCs,
 // round-robin — and an output stage — every output port grants one of the
@@ -8,65 +10,82 @@ package router
 // paper's router, which compensates for the well-known matching loss of
 // separable allocators and mitigates head-of-line blocking.
 
-// allocate runs a single allocation iteration on this router. Only the
-// input ports that registered a request in this cycle's routePhase are
-// scanned (reqPorts); requests persist across the Speedup iterations.
-func (r *Router) allocate() {
-	if len(r.reqPorts) == 0 {
-		return
+// allocate runs a single allocation iteration on this router and
+// reports whether it granted anything. Only the input ports that
+// registered a request in this cycle's routePhase are scanned
+// (reqPorts); requests persist across the Speedup iterations. No grant
+// means no nomination, and what a nomination reads (rrVC, credits,
+// outFree, the heads' requests) moves only in grant: the cycle's
+// remaining iterations would be the same no-op, so stepShard skips them.
+func (r *Router) allocate() bool {
+	if r.reqPorts.count == 0 {
+		return false
 	}
 	size := int32(r.net.Cfg.PacketSize)
+	cw := len(r.reqPorts.words) // words per output in cand
 
 	// Input stage: nominate one eligible requesting VC per input port,
-	// gathering nominations per output port (ascending input order,
-	// which the output-stage round-robin scan relies on).
-	r.dirtyOut = r.dirtyOut[:0]
-	for _, port16 := range r.reqPorts {
-		port := int(port16)
-		ip := &r.in[port]
-		nv := len(ip.vcs)
-		vc := r.rrVC[port]
-		for k := 0; k < nv; k++ {
-			if vc++; vc >= nv {
-				vc = 0
-			}
-			p := ip.vcs[vc].headPkt()
-			if p == nil || p.Granted || !p.reqValid {
-				continue
-			}
-			if !r.CanAccept(int(p.reqOut), int(p.reqVC), size) {
-				continue
-			}
-			r.s1[port] = int8(vc)
-			out := int(p.reqOut)
-			if r.candLen[out] == 0 {
-				r.dirtyOut = append(r.dirtyOut, p.reqOut)
-			}
-			r.candIn[out][r.candLen[out]] = int16(port)
-			r.candLen[out]++
-			break
-		}
-	}
-
-	// Output stage: grant one input per output port, round-robin.
-	for _, out16 := range r.dirtyOut {
-		out := int(out16)
-		nc := r.candLen[out]
-		r.candLen[out] = 0
-		if nc == 0 {
-			continue
-		}
-		cands := r.candIn[out][:nc]
-		o := &r.out[out]
-		pick := int(cands[0])
-		for _, in := range cands {
-			if int(in) > o.rrIn {
-				pick = int(in)
+	// gathering nominations per output port.
+	for wi, w := range r.reqPorts.scan() {
+		for ; w != 0; w &= w - 1 {
+			port := int(r.reqPorts.idAt(wi, w))
+			ip := &r.in[port]
+			nv := len(ip.vcs)
+			vc := r.rrVC[port]
+			for k := 0; k < nv; k++ {
+				if vc++; vc >= nv {
+					vc = 0
+				}
+				p := ip.vcs[vc].headPkt()
+				if p == nil || p.Granted || !p.reqValid {
+					continue
+				}
+				if !r.CanAccept(int(p.reqOut), int(p.reqVC), size) {
+					continue
+				}
+				r.s1[port] = int8(vc)
+				r.dirtyOut.add(int32(p.reqOut))
+				r.cand[int(p.reqOut)*cw+port>>6] |= 1 << (port & 63)
 				break
 			}
 		}
-		r.grant(pick, int(r.s1[pick]), out)
 	}
+	if r.dirtyOut.count == 0 {
+		return false
+	}
+
+	// Output stage: grant one input per output port, round-robin. Grants
+	// on distinct outputs touch distinct inputs and ports and commute.
+	for wi, w := range r.dirtyOut.scan() {
+		for ; w != 0; w &= w - 1 {
+			out := int(r.dirtyOut.idAt(wi, w))
+			cand := r.cand[out*cw : (out+1)*cw]
+			pick := rrPick(cand, r.out[out].rrIn)
+			clear(cand)
+			r.grant(pick, int(r.s1[pick]), out)
+		}
+	}
+	r.dirtyOut.clear()
+	return true
+}
+
+// rrPick is the output arbiter's round-robin choice among the candidate
+// inputs (a non-empty bitset): the lowest candidate above the pointer
+// rr, else the lowest.
+func rrPick(cand []uint64, rr int) int {
+	lowest := -1
+	for wi, w := range cand {
+		for ; w != 0; w &= w - 1 {
+			in := wi<<6 + bits.TrailingZeros64(w)
+			if in > rr {
+				return in
+			}
+			if lowest < 0 {
+				lowest = in
+			}
+		}
+	}
+	return lowest
 }
 
 // grant commits a switch allocation: reserves output-buffer space and
@@ -133,40 +152,40 @@ func (r *Router) grant(port, vc, out int) {
 }
 
 // linkPhase starts serializing the next staged packet on every idle
-// output link. Only the ports on the stagedPorts dirty-list are visited
-// (in ascending order, matching the original all-port scan); ports whose
+// output link. Only the ports of the stagedPorts set are visited (in
+// ascending order, matching the original all-port scan); ports whose
 // queue has drained are pruned in passing.
 func (r *Router) linkPhase() {
 	if r.staged == 0 {
 		return
 	}
 	now := r.net.now
-	live := r.stagedPorts[:0]
-	for _, out := range r.stagedPorts {
-		o := &r.out[out]
-		if o.qLen() == 0 {
-			r.stagedIn[out] = false
-			continue
-		}
-		live = append(live, out)
-		if o.linkFreeAt > now {
-			continue
-		}
-		e := o.qPop()
-		r.staged--
-		size := int64(e.pkt.Size)
-		o.linkFreeAt = now + size
-		o.BusyCycles += size
-		r.net.scheduleFrom(r.shard, now+size,
-			event{kind: evOutFree, router: int32(r.ID), port: out, size: e.pkt.Size})
-		if o.kind == Injection {
-			// Ejection channel: the packet is consumed by the node.
+	for wi, w := range r.stagedPorts.scan() {
+		for ; w != 0; w &= w - 1 {
+			out := r.stagedPorts.idAt(wi, w)
+			o := &r.out[out]
+			if o.qLen() == 0 {
+				r.stagedPorts.drop(out)
+				continue
+			}
+			if o.linkFreeAt > now {
+				continue
+			}
+			e := o.qPop()
+			r.staged--
+			size := int64(e.pkt.Size)
+			o.linkFreeAt = now + size
+			o.BusyCycles += size
 			r.net.scheduleFrom(r.shard, now+size,
-				event{kind: evDeliver, router: int32(r.ID), port: out, pkt: e.pkt})
-		} else {
-			r.net.scheduleFrom(r.shard, now+o.latency,
-				event{kind: evHeadArrive, router: o.peerRouter, port: o.peerPort, vc: e.vc, pkt: e.pkt})
+				event{kind: evOutFree, router: int32(r.ID), port: int16(out), size: e.pkt.Size})
+			if o.kind == Injection {
+				// Ejection channel: the packet is consumed by the node.
+				r.net.scheduleFrom(r.shard, now+size,
+					event{kind: evDeliver, router: int32(r.ID), port: int16(out), pkt: e.pkt})
+			} else {
+				r.net.scheduleFrom(r.shard, now+o.latency,
+					event{kind: evHeadArrive, router: o.peerRouter, port: o.peerPort, vc: e.vc, pkt: e.pkt})
+			}
 		}
 	}
-	r.stagedPorts = live
 }

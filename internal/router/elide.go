@@ -49,10 +49,10 @@ const NoPendingCycle int64 = math.MaxInt64
 // reference exchange (Options.ReferenceScan) combines every group every
 // period whether anything changed or not, so it is stepped cycle by cycle.
 //
-// Algorithms that do not implement CycleHorizon are never elided — a
-// policy with per-cycle BeginCycle work that did not declare a horizon
-// would silently skip it. Implementations must be allocation-free: the
-// query runs on the stepping hot path.
+// Algorithms that do not implement CycleHorizon are never elided.
+// NopHooks implements it for the no-op BeginCycle it supplies; a policy
+// with BeginCycle work of its own overrides both. Implementations must
+// be allocation-free: the query runs on the stepping hot path.
 type CycleHorizon interface {
 	NextAlgCycle(n *Network) (cycle int64, ok bool)
 }

@@ -21,6 +21,16 @@ type equivTrace struct {
 // checking invariants and counters at every checkpoint.
 func runEquiv(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64) ([]equivTrace, *Network) {
 	t.Helper()
+	return runEquivTo(t, cfg, fullScan, cycles, rate, func(n *Network, node int, x uint64) int {
+		return int(x % uint64(n.Topo.Nodes))
+	})
+}
+
+// runEquivTo is runEquiv with the destination choice as a parameter:
+// dest maps a source node and a random draw to a destination node.
+func runEquivTo(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64,
+	dest func(n *Network, node int, x uint64) int) ([]equivTrace, *Network) {
+	t.Helper()
 	n, err := Build(cfg, testMin{}, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +44,7 @@ func runEquiv(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64) 
 	for cycle := 0; cycle < cycles; cycle++ {
 		for node := 0; node < n.Topo.Nodes; node++ {
 			if rng()%100 < rate {
-				dst := int(rng() % uint64(n.Topo.Nodes))
+				dst := dest(n, node, rng())
 				if dst != node {
 					n.Inject(node, dst)
 				}
@@ -101,6 +111,56 @@ func TestActiveSetEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllocationSkipsOnlyNoOpIterations pins stepShard's allocation
+// skip — a router whose iteration granted nothing sits out the cycle's
+// remaining iterations — from both sides. It must not cost a grant: two
+// heads of one router that want the same output need two iterations, and
+// still both win in one cycle at Speedup 2 (and not at Speedup 1, so the
+// second iteration is what grants the second). And it must skip nothing
+// but no-ops: past saturation under ADV+1, where most routers' first
+// iteration already grants nothing, the run stays cycle-identical to the
+// FullScan oracle, which visits every router in every iteration.
+func TestAllocationSkipsOnlyNoOpIterations(t *testing.T) {
+	for _, speedup := range []int{1, 2} {
+		cfg := smallCfg()
+		cfg.Speedup = speedup
+		n, err := Build(cfg, testMin{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nodes 0 and 1 sit on router 0; both packets leave it through
+		// the local port to router 1.
+		p := n.Topo.P
+		if !n.Inject(0, p) || !n.Inject(1, p+1) {
+			t.Fatal("inject refused")
+		}
+		n.Step()
+		if granted := 2 - int(n.Routers[0].unrouted); granted != speedup {
+			t.Fatalf("speedup %d: %d of the two heads granted in one cycle", speedup, granted)
+		}
+	}
+
+	adv1 := func(n *Network, node int, x uint64) int {
+		perGroup := n.Topo.A * n.Topo.P
+		g := (n.Topo.GroupOfNode(node) + 1) % n.Topo.Groups
+		return g*perGroup + int(x%uint64(perGroup))
+	}
+	full, nFull := runEquivTo(t, smallCfg(), true, 1500, 40, adv1)
+	act, nAct := runEquivTo(t, smallCfg(), false, 1500, 40, adv1)
+	if nFull.NumBlocked == 0 {
+		t.Fatal("the ADV+1 run never backed up into the NICs: not saturated")
+	}
+	if nFull.NumGenerated != nAct.NumGenerated || nFull.NumBlocked != nAct.NumBlocked || len(full) != len(act) {
+		t.Fatalf("diverged: full %d generated/%d blocked/%d delivered vs active %d/%d/%d",
+			nFull.NumGenerated, nFull.NumBlocked, len(full), nAct.NumGenerated, nAct.NumBlocked, len(act))
+	}
+	for i := range full {
+		if full[i] != act[i] {
+			t.Fatalf("traces diverge at delivery %d: full %+v vs active %+v", i, full[i], act[i])
+		}
 	}
 }
 

@@ -481,9 +481,11 @@ func (n *Network) Step() {
 }
 
 // stepFull is the original full-scan cycle loop: every NIC, every router,
-// every phase, regardless of activity — parked routers included, so it
-// never relies on a wake. Kept for the cycle-exactness equivalence tests
-// and as the reference semantics (sequential mode only).
+// every phase and every allocation iteration, regardless of activity —
+// parked routers included, so it never relies on a wake, nor on
+// stepShard's reasons for leaving a router out of an iteration. Kept for
+// the cycle-exactness equivalence tests and as the reference semantics
+// (sequential mode only).
 func (n *Network) stepFull() {
 	for i := range n.nics {
 		n.nicDrain(i)
@@ -549,16 +551,24 @@ func (n *Network) stepShard(sh *netShard) {
 				continue
 			}
 			r.routePhase()
-			if len(r.reqPorts) > 0 {
+			if r.reqPorts.count > 0 {
 				sh.allocList = append(sh.allocList, r)
 			}
 		}
 	}
 
-	for it := 0; it < n.Cfg.Speedup; it++ {
-		for _, r := range sh.allocList {
-			r.allocate()
+	// Iteration-major: grants append their events in this order. Each
+	// iteration keeps, in place, only the routers that granted (allocate).
+	live := sh.allocList
+	for it := 0; it < n.Cfg.Speedup && len(live) > 0; it++ {
+		k := 0
+		for _, r := range live {
+			if r.allocate() {
+				live[k] = r
+				k++
+			}
 		}
+		live = live[:k]
 	}
 
 	// Park the routers whose visit was a no-op: the set still holds
@@ -677,7 +687,7 @@ func (n *Network) handle(ev *event) {
 		r := n.Routers[ev.router]
 		r.out[ev.port].qPush(outEntry{pkt: ev.pkt, vc: ev.vc})
 		r.staged++
-		r.noteStaged(ev.port)
+		r.stagedPorts.add(int32(ev.port))
 		r.shard.linkActive.add(ev.router)
 
 	case evOutFree:

@@ -23,7 +23,6 @@ type inPort struct {
 	vcs      []vcQueue
 	upRouter int32 // -1 for injection ports
 	upPort   int16
-	queued   int32 // packets across this port's VCs (fast-path skip)
 	// unrouted counts head packets of this port's VCs that have not been
 	// granted yet — the ports routePhase must scan. Maintained at push
 	// (head of an empty VC), pop (next head exposed) and grant.
@@ -133,7 +132,6 @@ type Router struct {
 	// kill; a grant clears it.
 	parkable bool
 
-	queued int // packets currently in input queues
 	staged int // packets currently in output buffers or being serialized
 	// unrouted counts head packets across all input VCs that have not
 	// been granted; the router needs routePhase/allocate service while
@@ -141,37 +139,21 @@ type Router struct {
 	// set until every head is granted, or until it parks.
 	unrouted int32
 
-	// stagedPorts lists the output ports with staged packets, ascending
-	// (linkPhase must visit ports in the same order the full scan did);
-	// stagedIn deduplicates membership. Ports join at evPipeDone and
-	// leave lazily when linkPhase finds their queue empty.
-	stagedPorts []int16
-	stagedIn    []bool
+	// The port sets, over [0, radix), visited ascending like the all-port
+	// scans they replace. stagedPorts: output ports with staged packets,
+	// joining at evPipeDone and leaving lazily when linkPhase finds their
+	// queue empty. reqPorts: input ports with requests this cycle.
+	// dirtyOut: output ports with candidates this allocation iteration.
+	stagedPorts activeSet
+	reqPorts    activeSet
+	dirtyOut    activeSet
 
 	// allocator state and scratch
-	rrVC     []int  // per input port: round-robin pointer over VCs
-	s1       []int8 // per input port: stage-1 winning VC this iteration
-	candIn   [][]int16
-	candLen  []int
-	reqPorts []int16 // input ports with pending requests this cycle
-	dirtyOut []int16 // output ports with candidates this iteration
-}
-
-// noteStaged records that output port `out` has staged work, keeping
-// stagedPorts sorted (a packet's pipeline latency bounds list growth to
-// the radix, so the insertion shift is tiny).
-func (r *Router) noteStaged(out int16) {
-	if r.stagedIn[out] {
-		return
-	}
-	r.stagedIn[out] = true
-	i := len(r.stagedPorts)
-	r.stagedPorts = append(r.stagedPorts, out)
-	for i > 0 && r.stagedPorts[i-1] > out {
-		r.stagedPorts[i] = r.stagedPorts[i-1]
-		i--
-	}
-	r.stagedPorts[i] = out
+	rrVC []int  // per input port: round-robin pointer over VCs
+	s1   []int8 // per input port: stage-1 winning VC this iteration
+	// cand holds each output port's nominating input ports as a bitset:
+	// len(reqPorts.words) words per output, empty between iterations.
+	cand []uint64
 }
 
 func newRouter(id int, net *Network) *Router {
@@ -185,17 +167,12 @@ func newRouter(id int, net *Network) *Router {
 		out:         make([]outPort, radix),
 		Contention:  core.NewCounters(radix),
 		RNG:         rng.New(net.seed, uint64(id)+1),
+		stagedPorts: newActiveSet(0, int32(radix)),
+		reqPorts:    newActiveSet(0, int32(radix)),
+		dirtyOut:    newActiveSet(0, int32(radix)),
 		rrVC:        make([]int, radix),
 		s1:          make([]int8, radix),
-		candIn:      make([][]int16, radix),
-		candLen:     make([]int, radix),
-		reqPorts:    make([]int16, 0, radix),
-		dirtyOut:    make([]int16, 0, radix),
-		stagedPorts: make([]int16, 0, radix),
-		stagedIn:    make([]bool, radix),
-	}
-	for p := 0; p < radix; p++ {
-		r.candIn[p] = make([]int16, radix)
+		cand:        make([]uint64, radix*((radix+63)/64)),
 	}
 	for port := 0; port < radix; port++ {
 		kind := portKind(topo, port)
@@ -353,8 +330,6 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 	ip := &r.in[port]
 	newHead := ip.vcs[vc].empty()
 	ip.vcs[vc].push(p)
-	ip.queued++
-	r.queued++
 	if newHead {
 		ip.unrouted++
 		r.unrouted++
@@ -375,8 +350,6 @@ func (r *Router) dequeue(port, vc int) *Packet {
 	ip := &r.in[port]
 	vq := &ip.vcs[vc]
 	p := vq.pop()
-	ip.queued--
-	r.queued--
 	if !p.Granted {
 		ip.unrouted--
 		r.unrouted--
@@ -433,7 +406,7 @@ func (r *Router) LinkBusy(port int) bool { return r.out[port].linkFreeAt > r.net
 // was and flagged no kill, so by the Route contract (algorithm.go)
 // repeating it on unchanged state would store the same requests again.
 func (r *Router) routePhase() {
-	r.reqPorts = r.reqPorts[:0]
+	r.reqPorts.clear()
 	if r.unrouted == 0 {
 		return
 	}
@@ -467,7 +440,7 @@ func (r *Router) routePhase() {
 			}
 		}
 		if requesting {
-			r.reqPorts = append(r.reqPorts, int16(port))
+			r.reqPorts.add(int32(port))
 		}
 	}
 	r.parkable = quiet && *r.RNG == rng0 && len(r.shard.pendingKills) == kills0
@@ -511,10 +484,10 @@ func (r *Router) checkInvariants() error {
 			return fmt.Errorf("router %d out %d: occupancy cap %d but recompute %d", r.ID, port, o.occCap, occCap)
 		}
 	}
-	var totQueued, totUnrouted int32
+	var totUnrouted int32
 	for port := range r.in {
 		ip := &r.in[port]
-		var portQueued, portUnrouted int32
+		var portUnrouted int32
 		for v := range ip.vcs {
 			q := &ip.vcs[v]
 			if q.usedPhits < 0 || q.usedPhits > q.capPhits {
@@ -527,22 +500,14 @@ func (r *Router) checkInvariants() error {
 			if sum != q.usedPhits {
 				return fmt.Errorf("router %d in %d vc %d: used %d but packets sum %d", r.ID, port, v, q.usedPhits, sum)
 			}
-			portQueued += int32(q.n)
 			if h := q.headPkt(); h != nil && !h.Granted {
 				portUnrouted++
 			}
 		}
-		if ip.queued != portQueued {
-			return fmt.Errorf("router %d in %d: queued %d but counted %d", r.ID, port, ip.queued, portQueued)
-		}
 		if ip.unrouted != portUnrouted {
 			return fmt.Errorf("router %d in %d: unrouted %d but counted %d", r.ID, port, ip.unrouted, portUnrouted)
 		}
-		totQueued += portQueued
 		totUnrouted += portUnrouted
-	}
-	if int32(r.queued) != totQueued {
-		return fmt.Errorf("router %d: queued %d but counted %d", r.ID, r.queued, totQueued)
 	}
 	if r.unrouted != totUnrouted {
 		return fmt.Errorf("router %d: unrouted %d but counted %d", r.ID, r.unrouted, totUnrouted)
@@ -565,7 +530,7 @@ func (r *Router) checkInvariants() error {
 	var stagedQ int
 	for port := range r.out {
 		stagedQ += r.out[port].qLen()
-		if r.out[port].qLen() > 0 && !r.stagedIn[port] {
+		if r.out[port].qLen() > 0 && !r.stagedPorts.has(int32(port)) {
 			return fmt.Errorf("router %d out %d: staged work but not on stagedPorts", r.ID, port)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // decision from buffer sizes and gives the immediate adaptation of
 // Figures 7-8.
 type baseAlg struct {
-	router.NopHooks
+	contentionHooks
 	th int32
 }
 
@@ -29,26 +29,31 @@ func newBase(th int32) *baseAlg { return &baseAlg{th: th} }
 
 func (*baseAlg) Name() string { return Base.String() }
 
-func (a *baseAlg) OnHead(r *router.Router, p *router.Packet, port, vc int) {
+func (a *baseAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
+	return contentionRoute(r, p, a.th)
+}
+
+// contentionHooks is the counter discipline above as an embeddable hook
+// block, shared by every contention-based mechanism: count at the head,
+// uncount when the tail leaves, record a deviation at the grant.
+type contentionHooks struct{ router.NopHooks }
+
+func (contentionHooks) OnHead(r *router.Router, p *router.Packet, port, vc int) {
 	countHead(r, p)
 }
 
-func (a *baseAlg) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
+func (contentionHooks) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
 	uncount(r, p)
 }
 
-func (a *baseAlg) OnGrant(r *router.Router, p *router.Packet, port, vc, out, outVC int) {
+func (contentionHooks) OnGrant(r *router.Router, p *router.Packet, port, vc, out, outVC int) {
 	markDeviation(r, p, out)
-}
-
-func (a *baseAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
-	return contentionRoute(r, p, a.th)
 }
 
 // countHead increments the contention counter of p's minimal output and
 // records it on the packet for the matching decrement.
 func countHead(r *router.Router, p *router.Packet) {
-	min := minimalOut(r, p)
+	min := r.MinimalOut(p)
 	r.Contention.Inc(min)
 	p.CountedPort = int16(min)
 }
@@ -61,37 +66,16 @@ func uncount(r *router.Router, p *router.Packet) {
 	}
 }
 
-// contentionRoute is the shared Base decision, reused by Hybrid and ECtN:
-// minimal unless the minimal output's counter exceeds th, in which case a
+// contentionRoute is the shared Base decision, reused by ECtN: minimal
+// unless the minimal output's counter exceeds th, in which case a
 // policy-legal nonminimal port with a counter under th is chosen at
 // random; minimal remains the fallback when no candidate qualifies.
 func contentionRoute(r *router.Router, p *router.Packet, th int32) router.Request {
-	min := minimalOut(r, p)
-	if r.Kind(min) == router.Injection {
-		return request(r, p, min)
-	}
-	if r.Contention.Exceeds(min, th) {
+	min := r.MinimalOut(p)
+	if r.Kind(min) != router.Injection { // else ejection: we are home
 		if out, ok := contentionAlternative(r, p, min, th); ok {
 			return request(r, p, out)
 		}
 	}
 	return request(r, p, min)
-}
-
-// contentionAlternative picks a nonminimal port with contention under th,
-// honoring the misrouting policy.
-func contentionAlternative(r *router.Router, p *router.Packet, min int, th int32) (int, bool) {
-	//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
-	calm := func(out int) bool { return r.Contention.Get(out) < th }
-	if canGlobalMisroute(r, p) {
-		if out, ok := pickGlobal(r, min, calm); ok {
-			return out, true
-		}
-	}
-	if canLocalMisroute(r, p, min) {
-		if out, ok := pickLocal(r, min, calm); ok {
-			return out, true
-		}
-	}
-	return 0, false
 }

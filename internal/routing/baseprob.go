@@ -15,67 +15,34 @@ import (
 // some traffic classes must stay minimal anyway, e.g. Cascade's
 // in-order packets).
 //
-// The probability ramp is linear: p = (counter - th) / ramp, clamped to
-// maxPct/100. With ramp = th (the default) the misrouting probability
-// reaches its cap when the counter doubles the threshold.
+// The probability ramp is linear: p = (counter - th) / th, clamped to
+// probMaxPct/100 — the misrouting probability reaches its cap when the
+// counter doubles the threshold.
 type baseProbAlg struct {
-	th     int32
-	ramp   int32
-	maxPct int32
+	contentionHooks
+	th int32
 }
 
-// newBaseProb builds the §VI-C statistical variant. ramp and maxPct
-// default to th and 90 when zero.
-func newBaseProb(th, ramp, maxPct int32) *baseProbAlg {
-	if ramp <= 0 {
-		ramp = th
-		if ramp <= 0 {
-			ramp = 1
-		}
-	}
-	if maxPct <= 0 {
-		maxPct = 90
-	}
-	if maxPct > 100 {
-		maxPct = 100
-	}
-	return &baseProbAlg{th: th, ramp: ramp, maxPct: maxPct}
-}
+// probMaxPct caps the nonminimal probability (percent), so the minimal
+// path always keeps a share.
+const probMaxPct = 90
+
+// newBaseProb builds the §VI-C statistical variant.
+func newBaseProb(th int32) *baseProbAlg { return &baseProbAlg{th: th} }
 
 func (*baseProbAlg) Name() string { return BaseProb.String() }
 
-func (a *baseProbAlg) Attach(*router.Network)     {}
-func (a *baseProbAlg) BeginCycle(*router.Network) {}
-
-func (a *baseProbAlg) OnArrive(r *router.Router, p *router.Packet, port, vc int) {}
-
-func (a *baseProbAlg) OnHead(r *router.Router, p *router.Packet, port, vc int) {
-	countHead(r, p)
-}
-
-func (a *baseProbAlg) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
-	uncount(r, p)
-}
-
-func (a *baseProbAlg) OnGrant(r *router.Router, p *router.Packet, port, vc, out, outVC int) {
-	markDeviation(r, p, out)
-}
-
 // misroutePermille returns the per-decision nonminimal probability in
-// 1/1000 units for a given counter value.
+// 1/1000 units for a given counter value: zero up to th.
 func (a *baseProbAlg) misroutePermille(counter int32) int32 {
 	if counter <= a.th {
 		return 0
 	}
-	pm := (counter - a.th) * 1000 / a.ramp
-	if cap := a.maxPct * 10; pm > cap {
-		pm = cap
-	}
-	return pm
+	return min((counter-a.th)*1000/max(a.th, 1), probMaxPct*10)
 }
 
 func (a *baseProbAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
-	min := minimalOut(r, p)
+	min := r.MinimalOut(p)
 	if r.Kind(min) == router.Injection {
 		return request(r, p, min)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBaseProbRamp(t *testing.T) {
-	a := newBaseProb(6, 0, 0) // defaults: ramp=th=6, cap 90%
+	a := newBaseProb(6) // ramp = th = 6, cap 90%
 	cases := []struct {
 		counter int32
 		want    int32 // permille
@@ -22,13 +22,10 @@ func TestBaseProbRamp(t *testing.T) {
 }
 
 func TestBaseProbDefaultsAndClamps(t *testing.T) {
-	a := newBaseProb(0, 0, 0) // degenerate threshold
-	if a.ramp < 1 {
-		t.Fatal("ramp not defaulted")
-	}
-	b := newBaseProb(6, 3, 150) // cap beyond 100%
-	if got := b.misroutePermille(100); got != 1000 {
-		t.Fatalf("clamped cap permille = %d, want 1000", got)
+	a := newBaseProb(0) // degenerate threshold: the ramp is one counter wide
+	// One past the threshold is already a full ramp; the cap holds.
+	if got := a.misroutePermille(1); got != probMaxPct*10 {
+		t.Fatalf("clamped cap permille = %d, want %d", got, probMaxPct*10)
 	}
 }
 

@@ -19,14 +19,16 @@ import (
 //   - decremented when that packet leaves the input queue.
 //
 // Every ECtNPeriod cycles the routers of a group exchange partial arrays
-// and sum them into the combined array (modeled as free and
-// instantaneous, as in the paper's simulations; §VI-B costs it
-// analytically). The periodic combine is change-driven: partial
-// mutations set their group's dirty flag (core.GroupDirty) and the
-// exchange visits only the flagged groups — a group whose partials did
-// not change since its last combine would recompute the identical sums,
-// so skipping it is exact. The visit-every-group reference survives
-// behind Options.ReferenceScan, pinned by equivalence tests.
+// and sum them into the combined array. The exchange is modeled as free
+// and instantaneous, as in the paper's simulations (§VI-B costs it
+// analytically), so every router of a group would hold the same copy:
+// the array is kept once per group, here. The periodic combine is
+// change-driven: partial mutations set their group's dirty flag
+// (core.GroupDirty) and the exchange visits only the flagged groups — a
+// group whose partials did not change since its last combine would
+// recompute the identical sums, so skipping it is exact. The
+// visit-every-group reference survives behind Options.ReferenceScan,
+// pinned by equivalence tests.
 //
 // At injection, a packet whose minimal global link's combined counter
 // exceeds CombinedTh is misrouted through a random global link of the
@@ -39,16 +41,21 @@ import (
 // exactly the 100-cycle plateau ECtN shows in Figure 7 before it starts
 // misrouting directly from the injection queues.
 type ectnAlg struct {
+	// Base's local counters; OnHead and OnDequeue below add the partials.
+	contentionHooks
+
 	thLocal    int32
 	thCombined int32
 	period     int64
-	ectn       [][]*core.ECtN // per group, per member router
+	members    [][]*core.ECtN // per group, per member router: the partial arrays
+	// combined is the combined array of each group, indexed by the
+	// group's global-link index. It is written only at the BeginCycle
+	// barrier and read only by the routers of its own group — of one
+	// shard — in the route phase.
+	combined [][]int32
 	// dirty flags the groups whose partial arrays changed since their
-	// last combine (nil in the fullCombine reference mode);
-	// scratch is the allocation-free sum buffer both modes combine
-	// into.
-	dirty   *core.GroupDirty
-	scratch []int32
+	// last combine (nil in the fullCombine reference mode).
+	dirty *core.GroupDirty
 	// fullCombine selects the reference combine-every-group exchange
 	// instead of the dirty-group flags (Options.ReferenceScan).
 	fullCombine bool
@@ -62,8 +69,8 @@ func (*ectnAlg) Name() string { return ECtN.String() }
 
 func (a *ectnAlg) Attach(n *router.Network) {
 	t := n.Topo
-	a.ectn = make([][]*core.ECtN, t.Groups)
-	a.scratch = make([]int32, t.GlobalLinks)
+	a.members = make([][]*core.ECtN, t.Groups)
+	a.combined = make([][]int32, t.Groups)
 	if !a.fullCombine {
 		// Under shard-parallel stepping the partial-counter hooks run on
 		// each group's owning shard worker; a flag per group keeps the
@@ -81,7 +88,8 @@ func (a *ectnAlg) Attach(n *router.Network) {
 			}
 			states[i] = r.Ectn
 		}
-		a.ectn[g] = states
+		a.members[g] = states
+		a.combined[g] = make([]int32, t.GlobalLinks)
 	}
 }
 
@@ -97,29 +105,33 @@ func (a *ectnAlg) BeginCycle(n *router.Network) {
 	if n.Now()%a.period != 0 {
 		return
 	}
+	//lint:alloc non-escaping visitor: Drain only invokes it, so it stays on the stack
+	combine := func(g int32) {
+		core.CombineGroup(a.combined[g], a.members[g])
+		n.WakeGroup(int(g))
+	}
 	if a.fullCombine {
-		for g, group := range a.ectn {
-			core.CombineGroupInto(a.scratch, group)
-			n.WakeGroup(g)
+		for g := range a.members {
+			combine(int32(g))
 		}
 		return
 	}
-	//lint:alloc non-escaping visitor: Drain only invokes it, so it stays on the stack
-	a.dirty.Drain(func(g int32) {
-		core.CombineGroupInto(a.scratch, a.ectn[g])
-		n.WakeGroup(int(g))
-	})
+	a.dirty.Drain(combine)
 }
 
 // CheckState audits the dirty-group bookkeeping (router.StateChecker):
-// every group's members must agree on the combined array, and a group
-// the combiner would skip (not marked dirty) must still hold combined
-// sums equal to a fresh recombination of its current partials — a
-// mismatch there means a partial mutation missed its dirty mark.
+// a group the combiner would skip (not marked dirty) must still hold
+// combined sums equal to a fresh recombination of its current partials —
+// a mismatch means a partial mutation missed its dirty mark.
 func (a *ectnAlg) CheckState(n *router.Network) error {
-	for g, group := range a.ectn {
-		requireFresh := a.dirty != nil && !a.dirty.Marked(int32(g))
-		if err := core.VerifyGroupCombined(group, requireFresh); err != nil {
+	if a.dirty == nil {
+		return nil
+	}
+	for g, members := range a.members {
+		if a.dirty.Marked(int32(g)) {
+			continue
+		}
+		if err := core.VerifyGroupFresh(a.combined[g], members); err != nil {
 			return fmt.Errorf("routing: ECtN group %d: %w", g, err)
 		}
 	}
@@ -160,23 +172,18 @@ func (a *ectnAlg) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
 	}
 }
 
-func (a *ectnAlg) OnGrant(r *router.Router, p *router.Packet, port, vc, out, outVC int) {
-	markDeviation(r, p, out)
-}
-
 func (a *ectnAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
 	t := r.Net().Topo
-	// Injection decision on the combined counters.
+	// Injection decision on the group's combined counters.
 	if t.IsInjectionPort(port) && canGlobalMisroute(r, p) {
-		if l, ok := minGlobalLinkIndex(t, r, p); ok && r.Ectn.CombinedExceeds(l, a.thCombined) {
+		combined := a.combined[t.GroupOf(r.ID)]
+		if l, ok := minGlobalLinkIndex(t, r, p); ok && combined[l] > a.thCombined {
 			pos := t.PosOf(r.ID)
 			//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
 			calm := func(out int) bool {
-				k := t.GlobalOrdinal(out)
-				return r.Ectn.Combined(t.GlobalLinkIndex(pos, k)) < a.thCombined
+				return combined[t.GlobalLinkIndex(pos, t.GlobalOrdinal(out))] < a.thCombined
 			}
-			min := minimalOut(r, p)
-			if out, ok := pickGlobal(r, min, calm); ok {
+			if out, ok := pickGlobal(r, r.MinimalOut(p), calm); ok {
 				return request(r, p, out)
 			}
 		}

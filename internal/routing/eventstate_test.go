@@ -79,10 +79,9 @@ func TestECtNDirtyGroupEquivalence(t *testing.T) { comparePinned(t, ECtN) }
 // raised out of reach so the flag is the only trigger, and the census
 // must see the flag both set and clear.
 func TestPBReadsOwnerOccupancy(t *testing.T) {
-	o := testOptions()
-	o.PBUgalOffsetPhits = 1 << 30
-	n := build(t, PB, o, 67)
+	n := build(t, PB, testOptions(), 67)
 	a := n.Alg.(*pbAlg)
+	a.offset = 1 << 30
 	topo := n.Topo
 	rnd := &testRand{s: 71}
 	var diverted, minimal int
@@ -121,8 +120,9 @@ func TestPBReadsOwnerOccupancy(t *testing.T) {
 	}
 }
 
-// TestECtNCheckStateCatchesCorruption: a combined counter diverging from
-// its group (or a missed dirty mark) must trip the audit.
+// TestECtNCheckStateCatchesCorruption: a missed dirty mark — a clean
+// group whose combined array no longer equals its partials' sum — must
+// trip the audit.
 func TestECtNCheckStateCatchesCorruption(t *testing.T) {
 	n := build(t, ECtN, testOptions(), 17)
 	if err := n.CheckInvariants(); err != nil {
@@ -137,5 +137,47 @@ func TestECtNCheckStateCatchesCorruption(t *testing.T) {
 	alg.dirty.Drain(func(int32) {}) // discard the legitimate mark
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("stale clean-group combine not detected")
+	}
+}
+
+// TestEveryMechanismDeclaresHorizon: every shipped mechanism is eligible
+// for quiet-cycle elision (router.CycleHorizon). The ones without
+// BeginCycle work answer "never" — the default they inherit with the
+// no-op BeginCycle from router.NopHooks — and ECtN, the one with a
+// BeginCycle body, answers for it: never while its groups are clean, its
+// next combine tick once a partial moved, and no elision at all in the
+// combine-every-group reference mode.
+func TestEveryMechanismDeclaresHorizon(t *testing.T) {
+	for _, a := range All() {
+		n := build(t, a, testOptions(), 3)
+		h, ok := n.Alg.(router.CycleHorizon)
+		if !ok {
+			t.Errorf("%v declares no horizon: it would never be elided", a)
+			continue
+		}
+		if c, ok := h.NextAlgCycle(n); !ok || c != router.NoPendingCycle {
+			t.Errorf("%v on an idle network: horizon %d ok %v, want NoPendingCycle", a, c, ok)
+		}
+	}
+
+	o := testOptions()
+	n := build(t, ECtN, o, 3)
+	h := n.Alg.(router.CycleHorizon)
+	n.Routers[0].Ectn.IncPartial(0)
+	if c, ok := h.NextAlgCycle(n); !ok || c != 0 {
+		t.Fatalf("dirty group at cycle 0: horizon %d ok %v, want the combine due now", c, ok)
+	}
+	n.Step() // runs the combine: clean again
+	if c, ok := h.NextAlgCycle(n); !ok || c != router.NoPendingCycle {
+		t.Fatalf("after the combine: horizon %d ok %v, want NoPendingCycle", c, ok)
+	}
+	n.Routers[0].Ectn.DecPartial(0)
+	if c, ok := h.NextAlgCycle(n); !ok || c != o.ECtNPeriod {
+		t.Fatalf("dirty group at cycle 1: horizon %d ok %v, want the next combine tick %d", c, ok, o.ECtNPeriod)
+	}
+	o.ReferenceScan = true
+	n = build(t, ECtN, o, 3)
+	if _, ok := n.Alg.(router.CycleHorizon).NextAlgCycle(n); ok {
+		t.Fatal("the reference exchange combines every period: it must not be elided")
 	}
 }

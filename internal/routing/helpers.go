@@ -10,12 +10,6 @@ func request(r *router.Router, p *router.Packet, out int) router.Request {
 	return router.Request{Out: out, VC: r.LadderVC(p, out), OK: true}
 }
 
-// minimalOut returns the minimal output toward the packet's final
-// destination from router r (memoised per queue stay by the fabric).
-func minimalOut(r *router.Router, p *router.Packet) int {
-	return r.MinimalOut(p)
-}
-
 // phaseDest returns the node the packet is currently steering toward:
 // the Valiant intermediate while ToInter, the real destination otherwise.
 // It also performs the phase flip when the packet reaches the
@@ -82,13 +76,78 @@ func pickLocal(r *router.Router, exclude int, eligible func(port int) bool) (int
 	return r.PickPort(t.FirstLocalPort(), t.A-1, exclude, eligible)
 }
 
+// alternative is the §IV-A misrouting policy every in-transit adaptive
+// mechanism shares: once its trigger has fired for a packet whose
+// minimal output is min, a nonminimal global port if the packet may
+// still take one, else a nonminimal local port if it may take that,
+// sampled uniformly among the ports the mechanism's own `eligible`
+// predicate accepts. The mechanisms differ only in the trigger and the
+// predicate. ok=false leaves the packet on its minimal path.
+func alternative(r *router.Router, p *router.Packet, min int, eligible func(port int) bool) (int, bool) {
+	if canGlobalMisroute(r, p) {
+		if out, ok := pickGlobal(r, min, eligible); ok {
+			return out, true
+		}
+	}
+	if canLocalMisroute(r, p, min) {
+		return pickLocal(r, min, eligible)
+	}
+	return 0, false
+}
+
+// contentionAlternative is the contention trigger of §III-B and the
+// policy under it: when the minimal port's counter strictly exceeds th,
+// the candidates are the ports whose own counter is under th.
+func contentionAlternative(r *router.Router, p *router.Packet, min int, th int32) (int, bool) {
+	if !r.Contention.Exceeds(min, th) {
+		return 0, false
+	}
+	//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
+	return alternative(r, p, min, func(out int) bool { return r.Contention.Get(out) < th })
+}
+
+// creditAlternative is the credit trigger of OLM and of Hybrid's second
+// component, and the policy under it: when the minimal port's occupancy
+// estimate is past the floor, the candidates are the ports whose
+// relative occupancy is below relPct% of the minimal port's.
+func creditAlternative(r *router.Router, p *router.Packet, min int, relPct int64) (int, bool) {
+	qMin := int64(r.Occupancy(min))
+	// The relative comparison only engages once more than one packet is
+	// outstanding on the minimal port: a single packet's credit shadow
+	// (still in flight on the link round trip) is not congestion, and
+	// without the floor OLM would misroute a large share of light
+	// uniform traffic instead of the paper's small penalty over MIN.
+	if qMin <= int64(r.Net().Cfg.PacketSize) {
+		return 0, false
+	}
+	// Occupancies are normalized by each port's capacity before the
+	// percentage comparison: the minimal continuation is often a local
+	// port (128-phit depth at Table I) while the nonminimal candidates
+	// are global ports (544-phit depth); comparing raw phit counts would
+	// stop all misrouting once the deep global buffers carry a moderate
+	// load.
+	capMin := int64(r.OccupancyCap(min))
+	//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
+	return alternative(r, p, min, func(out int) bool {
+		return int64(r.Occupancy(out))*capMin*100 < relPct*qMin*int64(r.OccupancyCap(out))
+	})
+}
+
+// commitValiant records a source decision (VAL's, PB's) to route p
+// through intermediate node inter: the packet steers toward it first
+// (phaseDest) and counts as globally misrouted from here.
+func commitValiant(p *router.Packet, inter int) {
+	p.Inter = int32(inter)
+	p.ToInter = true
+	p.GlobalMisroute = true
+}
+
 // markDeviation records misroute commitments at grant time by comparing
 // the granted output with the packet's minimal continuation. Algorithms
 // whose nonminimal decisions happen in-transit (OLM, Base, Hybrid, ECtN)
 // use it as their OnGrant hook.
 func markDeviation(r *router.Router, p *router.Packet, out int) {
-	min := minimalOut(r, p)
-	if out == min {
+	if out == r.MinimalOut(p) {
 		return
 	}
 	switch r.Kind(out) {

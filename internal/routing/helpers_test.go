@@ -254,3 +254,100 @@ func TestMarkDeviation(t *testing.T) {
 		t.Fatal("local deviation not marked")
 	}
 }
+
+// TestCreditAlternativeFloorAndNormalisation pins the two halves of the
+// credit trigger OLM and Hybrid share. The floor: with no more than one
+// packet outstanding on the minimal port nothing misroutes, whatever the
+// percentage, and no random number is drawn. The normalisation: ports
+// are compared by occupancy relative to their own capacity, so a global
+// port twice as deep as the local minimal port and holding twice the
+// phits is at the same relative occupancy — not "cheaper" at 100 % —
+// while one point more of slack picks it, which a raw phit comparison
+// (32 against 16) never would.
+func TestCreditAlternativeFloorAndNormalisation(t *testing.T) {
+	// MIN carries the traffic, so every packet goes where it is sent.
+	cfg := router.DefaultConfig(topology.Params{P: 4, A: 4, H: 2})
+	cfg.VCsLocal, cfg.VCsInjection = 3, 3
+	cfg.BufGlobal = (2*(cfg.BufOut+cfg.VCsLocal*cfg.BufLocal) - cfg.BufOut) / cfg.VCsGlobal
+	n, err := router.Build(cfg, MustNew(Min, DefaultOptions()), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := n.Topo
+	r := n.Routers[0] // group 0, position 0
+	size := int32(cfg.PacketSize)
+
+	// viaLocal is a node whose minimal path from r starts on a local
+	// port; viaGlobal[k] one whose path starts on r's k-th global port.
+	viaLocal, viaGlobal := -1, []int{-1, -1}
+	for dg := 1; dg < topo.Groups; dg++ {
+		pos, k := topo.GlobalLinkOwner(topo.GlobalLinkToGroup(0, dg))
+		dst := topo.NodeID(topo.RouterID(dg, 0), 0)
+		if pos == 0 {
+			viaGlobal[k] = dst
+		} else if viaLocal < 0 {
+			viaLocal = dst
+		}
+	}
+	local := topo.MinimalNextPort(r.ID, viaLocal)
+	g0, g1 := topo.GlobalPort(0), topo.GlobalPort(1)
+	if r.Kind(local) != router.Local || r.OccupancyCap(g0) != 2*r.OccupancyCap(local) {
+		t.Fatalf("setup: minimal port kind %v, capacities local %d global %d", r.Kind(local), r.OccupancyCap(local), r.OccupancyCap(g0))
+	}
+	probe := func() *router.Packet {
+		return &router.Packet{Dst: int32(viaLocal), DstRouter: int32(topo.RouterOfNode(viaLocal))}
+	}
+	const anyPct = 1 << 20 // every port is "cheaper" at this percentage
+
+	// The floor. One packet granted: output space and credits reserved,
+	// two packets' worth of estimate. Once it has left the output buffer
+	// only its credit shadow remains: one packet.
+	n.Inject(0, viaLocal)
+	n.Step()
+	if occ := r.Occupancy(local); occ != 2*size {
+		t.Fatalf("after the grant the minimal port holds %d phits, want %d", occ, 2*size)
+	}
+	if _, ok := creditAlternative(r, probe(), local, anyPct); !ok {
+		t.Fatal("two packets' worth outstanding and every port cheaper, yet no alternative")
+	}
+	for r.Occupancy(local) != size {
+		n.Step()
+		if n.Now() > 100 {
+			t.Fatal("the minimal port never came down to one packet outstanding")
+		}
+	}
+	rng0 := *r.RNG
+	if out, ok := creditAlternative(r, probe(), local, anyPct); ok {
+		t.Fatalf("misrouted to %d with one packet outstanding on the minimal port", out)
+	}
+	if *r.RNG != rng0 {
+		t.Fatal("the floor drew a random number")
+	}
+	if !n.Drain(10000) {
+		t.Fatal("did not drain")
+	}
+
+	// The normalisation. Two packets granted on each global port in one
+	// cycle (Speedup 2), one on the local port once node 0's injection
+	// link is free again; nothing has left an output buffer yet.
+	for node, dst := range []int{viaGlobal[0], viaGlobal[0], viaGlobal[1], viaGlobal[1]} {
+		n.Inject(node, dst)
+	}
+	n.Step()
+	n.Run(int64(size) - 1)
+	n.Inject(0, viaLocal)
+	n.Step()
+	if l, a, b := r.Occupancy(local), r.Occupancy(g0), r.Occupancy(g1); l != 2*size || a != 4*size || b != 4*size {
+		t.Fatalf("setup: occupancies local %d global %d/%d, want %d and %d/%d", l, a, b, 2*size, 4*size, 4*size)
+	}
+	rng0 = *r.RNG
+	if out, ok := creditAlternative(r, probe(), local, 100); ok {
+		t.Fatalf("port %d at the minimal port's relative occupancy counted as cheaper", out)
+	}
+	if *r.RNG != rng0 {
+		t.Fatal("a draw without a candidate")
+	}
+	if out, ok := creditAlternative(r, probe(), local, 101); !ok || r.Kind(out) != router.Global {
+		t.Fatalf("at 101%% a global port at equal relative occupancy must qualify; got port %d ok %v", out, ok)
+	}
+}

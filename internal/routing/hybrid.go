@@ -12,7 +12,7 @@ import (
 // (Fig. 5a) at the cost of slightly worse uniform-traffic latency than
 // Base (credits occasionally divert traffic at low load).
 type hybridAlg struct {
-	router.NopHooks
+	contentionHooks
 	th     int32
 	relPct int64
 }
@@ -23,49 +23,16 @@ func newHybrid(o Options) *hybridAlg {
 
 func (*hybridAlg) Name() string { return Hybrid.String() }
 
-func (a *hybridAlg) OnHead(r *router.Router, p *router.Packet, port, vc int) {
-	countHead(r, p)
-}
-
-func (a *hybridAlg) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
-	uncount(r, p)
-}
-
-func (a *hybridAlg) OnGrant(r *router.Router, p *router.Packet, port, vc, out, outVC int) {
-	markDeviation(r, p, out)
-}
-
 func (a *hybridAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
-	min := minimalOut(r, p)
-	if r.Kind(min) == router.Injection {
-		return request(r, p, min)
-	}
-	// Contention trigger, as in Base (candidates selected by counter).
-	if r.Contention.Exceeds(min, a.th) {
-		if out, ok := contentionAlternative(r, p, min, a.th); ok {
+	min := r.MinimalOut(p)
+	if r.Kind(min) != router.Injection {
+		// Base's trigger first, then OLM's: either one misroutes.
+		out, ok := contentionAlternative(r, p, min, a.th)
+		if !ok {
+			out, ok = creditAlternative(r, p, min, a.relPct)
+		}
+		if ok {
 			return request(r, p, out)
-		}
-	}
-	// Credit trigger, as in OLM (candidates selected by
-	// capacity-normalized occupancy), with the same one-packet floor
-	// on the minimal occupancy.
-	qMin := int64(r.Occupancy(min))
-	if qMin > int64(r.Net().Cfg.PacketSize) {
-		capMin := int64(r.OccupancyCap(min))
-		//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
-		cheaper := func(out int) bool {
-			q := int64(r.Occupancy(out))
-			return q*capMin*100 < a.relPct*qMin*int64(r.OccupancyCap(out))
-		}
-		if canGlobalMisroute(r, p) {
-			if out, ok := pickGlobal(r, min, cheaper); ok {
-				return request(r, p, out)
-			}
-		}
-		if canLocalMisroute(r, p, min) {
-			if out, ok := pickLocal(r, min, cheaper); ok {
-				return request(r, p, out)
-			}
 		}
 	}
 	return request(r, p, min)

@@ -12,7 +12,7 @@ type minAlg struct{ router.NopHooks }
 func (*minAlg) Name() string { return Min.String() }
 
 func (*minAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
-	return request(r, p, minimalOut(r, p))
+	return request(r, p, r.MinimalOut(p))
 }
 
 // valiantAlg is VAL: Valiant routing to a random intermediate node
@@ -31,9 +31,7 @@ func (*valiantAlg) Route(r *router.Router, p *router.Packet, port, vc int) route
 		p.Decided = true
 		if t.GroupOfNode(int(p.Src)) != t.GroupOfNode(int(p.Dst)) {
 			if inter := randomInterNode(r, p); inter >= 0 {
-				p.Inter = int32(inter)
-				p.ToInter = true
-				p.GlobalMisroute = true
+				commitValiant(p, inter)
 			}
 		}
 	}

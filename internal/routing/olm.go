@@ -30,38 +30,10 @@ func newOLM(o Options) *olmAlg { return &olmAlg{relPct: int64(o.OLMRelPct)} }
 func (*olmAlg) Name() string { return OLM.String() }
 
 func (a *olmAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.Request {
-	min := minimalOut(r, p)
-	if r.Kind(min) == router.Injection {
-		return request(r, p, min) // ejection: we are home
-	}
-	qMin := int64(r.Occupancy(min))
-	// The relative comparison only engages once more than one packet is
-	// outstanding on the minimal port: a single packet's credit shadow
-	// (still in flight on the link round trip) is not congestion, and
-	// without the floor OLM would misroute a large share of light
-	// uniform traffic instead of the paper's small penalty over MIN.
-	if qMin > int64(r.Net().Cfg.PacketSize) {
-		// Occupancies are normalized by each port's capacity before
-		// the percentage comparison: the minimal continuation is
-		// often a local port (128-phit depth at Table I) while the
-		// nonminimal candidates are global ports (544-phit depth);
-		// comparing raw phit counts would stop all misrouting once
-		// the deep global buffers carry a moderate load.
-		capMin := int64(r.OccupancyCap(min))
-		//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
-		cheaper := func(out int) bool {
-			q := int64(r.Occupancy(out))
-			return q*capMin*100 < a.relPct*qMin*int64(r.OccupancyCap(out))
-		}
-		if canGlobalMisroute(r, p) {
-			if out, ok := pickGlobal(r, min, cheaper); ok {
-				return request(r, p, out)
-			}
-		}
-		if canLocalMisroute(r, p, min) {
-			if out, ok := pickLocal(r, min, cheaper); ok {
-				return request(r, p, out)
-			}
+	min := r.MinimalOut(p)
+	if r.Kind(min) != router.Injection { // else ejection: we are home
+		if out, ok := creditAlternative(r, p, min, a.relPct); ok {
+			return request(r, p, out)
 		}
 	}
 	return request(r, p, min)

@@ -32,8 +32,12 @@ type pbAlg struct {
 	offset     int32
 }
 
+// pbUgalOffsetPhits is the constant offset of PB's UGAL-style source
+// comparison, in phits, biasing ties toward the minimal path.
+const pbUgalOffsetPhits = 32
+
 func newPB(o Options) *pbAlg {
-	return &pbAlg{offset: o.PBUgalOffsetPhits, satPackets: o.PBSatPackets}
+	return &pbAlg{offset: pbUgalOffsetPhits, satPackets: o.PBSatPackets}
 }
 
 func (*pbAlg) Name() string { return PB.String() }
@@ -95,8 +99,6 @@ func (a *pbAlg) decide(r *router.Router, p *router.Packet) {
 	hVal := int64(t.MinimalHops(r.ID, interR) + t.MinimalHops(interR, int(p.DstRouter)) + 1)
 
 	if saturated || qMin*hMin > qVal*hVal+int64(a.offset) {
-		p.Inter = int32(inter)
-		p.ToInter = true
-		p.GlobalMisroute = true
+		commitValiant(p, inter)
 	}
 }

@@ -13,7 +13,9 @@
 // injection or after the first local hop, PAR-style) toward a random
 // global link of the current router; nonminimal local hops may be taken
 // in the intermediate or destination group, at most once per visited
-// group. Deadlock avoidance uses the ascending-VC discipline: a hop's VC
+// group. The policy is one function (alternative, helpers.go); an
+// in-transit mechanism is a trigger over it — contentionAlternative,
+// creditAlternative, or both — as §III composes them. Deadlock avoidance uses the ascending-VC discipline: a hop's VC
 // index equals the number of previous hops of the same class, capped at
 // the port's VC count.
 package routing
@@ -120,10 +122,12 @@ func RequiredLocalVCs(a Algo) int {
 	return 3
 }
 
-// Options carries every policy parameter, defaulted to Table I.
+// Options carries the policy parameters an experiment varies, defaulted
+// to Table I. The constants no caller ever set — PB's UGAL offset,
+// BaseProb's ramp and cap — sit beside the mechanisms that use them.
 type Options struct {
-	// BaseTh is the contention threshold of Base and of ECtN's local
-	// counters (Table I: 6).
+	// BaseTh is the contention threshold of Base, of BaseProb and of
+	// ECtN's local counters (Table I: 6).
 	BaseTh int32
 	// HybridTh is Hybrid's contention threshold (Table I: 7).
 	HybridTh int32
@@ -142,17 +146,6 @@ type Options struct {
 	// PBSatPackets is PB's global-channel saturation threshold, in
 	// packets of queued-estimate (Table I: T = 3).
 	PBSatPackets int32
-	// PBUgalOffsetPhits is the constant offset of PB's UGAL-style
-	// source comparison, in phits, biasing ties toward the minimal
-	// path.
-	PBUgalOffsetPhits int32
-	// ProbRamp is BaseProb's (§VI-C) counter-to-probability slope: the
-	// nonminimal probability reaches its cap once the counter exceeds
-	// the threshold by ProbRamp. Zero defaults to BaseTh.
-	ProbRamp int32
-	// ProbMaxPct caps BaseProb's nonminimal probability (percent), so
-	// the minimal path always keeps a share. Zero defaults to 90.
-	ProbMaxPct int32
 	// ReferenceScan selects ECtN's retained reference exchange: every
 	// group is combined each period instead of only the groups whose
 	// partial arrays changed. The two are cycle-for-cycle identical
@@ -164,14 +157,13 @@ type Options struct {
 // DefaultOptions returns the Table I parameter set.
 func DefaultOptions() Options {
 	return Options{
-		BaseTh:            6,
-		HybridTh:          7,
-		CombinedTh:        10,
-		ECtNPeriod:        100,
-		OLMRelPct:         50,
-		HybridRelPct:      35,
-		PBSatPackets:      3,
-		PBUgalOffsetPhits: 32,
+		BaseTh:       6,
+		HybridTh:     7,
+		CombinedTh:   10,
+		ECtNPeriod:   100,
+		OLMRelPct:    50,
+		HybridRelPct: 35,
+		PBSatPackets: 3,
 	}
 }
 
@@ -193,7 +185,7 @@ func New(a Algo, o Options) (router.Algorithm, error) {
 	case ECtN:
 		return newECtN(o), nil
 	case BaseProb:
-		return newBaseProb(o.BaseTh, o.ProbRamp, o.ProbMaxPct), nil
+		return newBaseProb(o.BaseTh), nil
 	}
 	return nil, fmt.Errorf("routing: unknown algorithm %v", a)
 }

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"cbar/internal/routing"
 )
@@ -67,71 +67,26 @@ func FindExperiment(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// steadyAlgos is the mechanism set of the Figure 5 plots.
-var steadyAlgos = []routing.Algo{
-	routing.Min, routing.Valiant, routing.PB, routing.OLM,
-	routing.Base, routing.Hybrid, routing.ECtN,
-}
-
 // adaptiveAlgos is the mechanism set of the transient figures.
 var adaptiveAlgos = []routing.Algo{
 	routing.PB, routing.OLM, routing.Base, routing.Hybrid, routing.ECtN,
 }
 
-type sweepKey struct {
-	algo routing.Algo
-	load float64
-}
-
-// sweepSteady runs a full (algorithm × load) steady-state grid as one
-// runGrid call; mutate, when non-nil, adjusts each algorithm's config.
-func sweepSteady(s Scale, algos []routing.Algo, w Workload, loads []float64, b Budget,
-	mutate func(*Config)) (map[sweepKey]SteadyResult, error) {
-	var pts []gridPoint
-	for _, a := range algos {
-		cfg := b.config(s, a)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		for _, l := range loads {
-			pts = append(pts, gridPoint{cfg, w, l})
-		}
-	}
-	rs, err := runGrid(pts, b)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[sweepKey]SteadyResult, len(rs))
-	for i, pt := range pts {
-		out[sweepKey{pt.c.Algo, pt.load}] = rs[i]
-	}
-	return out, nil
-}
-
-// writeSteadyTable prints a Figure 5-style CSV: one row per (load, algo).
-func writeSteadyTable(w io.Writer, title string, res map[sweepKey]SteadyResult, algos []routing.Algo, loads []float64) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", title); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "load,algo,avg_latency_cycles,p99_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac,misrouted_local_frac,avg_hops")
-	sorted := append([]float64(nil), loads...)
-	sort.Float64s(sorted)
-	for _, l := range sorted {
-		for _, a := range algos {
-			r := res[sweepKey{a, l}]
-			fmt.Fprintf(w, "%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f,%.3f\n",
-				l, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.MisroutedLocal, r.AvgHops)
-		}
-	}
-	return nil
-}
-
+// runFig5 prints a Figure 5 table: the evaluated mechanisms at each
+// load, in ascending load order.
 func runFig5(s Scale, b Budget, w io.Writer, workload Workload, title string) error {
-	res, err := sweepSteady(s, steadyAlgos, workload, b.Loads, b, nil)
-	if err != nil {
-		return err
+	var pts []gridPoint
+	for _, l := range slices.Sorted(slices.Values(b.Loads)) {
+		for _, a := range routing.Evaluated() {
+			pts = append(pts, gridPoint{b.config(s, a), workload, l})
+		}
 	}
-	return writeSteadyTable(w, title, res, steadyAlgos, b.Loads)
+	return steadyTable(w, b, "# "+title,
+		"load,algo,avg_latency_cycles,p99_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac,misrouted_local_frac,avg_hops", pts,
+		func(pt gridPoint, r SteadyResult) string {
+			return fmt.Sprintf("%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f,%.3f",
+				pt.load, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.MisroutedLocal, r.AvgHops)
+		})
 }
 
 func runFig5a(s Scale, b Budget, w io.Writer) error {

@@ -8,16 +8,16 @@ import (
 )
 
 // goldenFigures are the experiment ids pinned byte for byte as
-// testdata/golden/ID_tiny.csv at the repository root: one grid figure,
-// one transient trace, one threshold sweep and the steady and transient
-// ablations, so the figure writers, the transient tracer and the grid
+// testdata/golden/ID_tiny.csv at the repository root: one load sweep
+// over every evaluated mechanism, one grid figure, one transient trace,
+// one threshold sweep and the steady and transient ablations, so the figure writers, the transient tracer and the grid
 // pool are pinned across commits like the sweeps of the root package's
 // golden_test.go. CI diffs the same files against the cmd/figures
 // binary. Regenerate with:
 //
 //	go run ./cmd/figures -scale tiny -seeds 1 -out testdata/golden \
-//	    -fig fig6,fig7,fig10a,abl-speedup,abl-ectn-period
-var goldenFigures = []string{"fig6", "fig7", "fig10a", "abl-speedup", "abl-ectn-period"}
+//	    -fig fig5b,fig6,fig7,fig10a,abl-speedup,abl-ectn-period
+var goldenFigures = []string{"fig5b", "fig6", "fig7", "fig10a", "abl-speedup", "abl-ectn-period"}
 
 func TestGoldenFigures(t *testing.T) {
 	t.Parallel()

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"cbar/internal/routing"
-	"cbar/internal/topology"
 )
 
 func TestDefaultBudgets(t *testing.T) {
@@ -106,46 +106,26 @@ func TestRunFigVIAOutput(t *testing.T) {
 	}
 }
 
-// TestSweepSteadyShape runs a minimal grid through the shared sweep
-// helper and checks the result map covers every point.
+// TestSweepSteadyShape runs a minimal Figure 5 grid through the shared
+// steady-table helper and checks the table covers every point, one row
+// each, in ascending-load × evaluated-mechanism order whatever order the
+// budget lists the loads in.
 func TestSweepSteadyShape(t *testing.T) {
 	t.Parallel()
-	b := Budget{Warmup: 300, Measure: 300, Seeds: 2}
-	algos := []routing.Algo{routing.Min, routing.Base}
-	loads := []float64{0.1, 0.2}
-	res, err := sweepSteady(Tiny, algos, UN(), loads, b, nil)
-	if err != nil {
+	b := Budget{Warmup: 300, Measure: 300, Seeds: 2, Loads: []float64{0.2, 0.1}}
+	var buf bytes.Buffer
+	if err := runFig5(Tiny, b, &buf, UN(), "shape"); err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("%d points, want 4", len(res))
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	algos := routing.Evaluated()
+	if len(lines) != 2+2*len(algos) || lines[0] != "# shape" || !strings.HasPrefix(lines[1], "load,algo,") {
+		t.Fatalf("%d lines, want title, header and %d rows:\n%s", len(lines), 2*len(algos), buf.String())
 	}
-	for _, a := range algos {
-		for _, l := range loads {
-			r, ok := res[sweepKey{a, l}]
-			if !ok || r.Seeds != 2 {
-				t.Fatalf("missing or unmerged point %v/%v: %+v", a, l, r)
-			}
+	for i, row := range lines[2:] {
+		want := fmt.Sprintf("%.3f,%s,", []float64{0.1, 0.2}[i/len(algos)], algos[i%len(algos)])
+		if !strings.HasPrefix(row, want) {
+			t.Errorf("row %d is %q, want prefix %q", i, row, want)
 		}
-	}
-}
-
-// TestSweepSteadyMutate checks config mutation hooks reach the runs.
-func TestSweepSteadyMutate(t *testing.T) {
-	t.Parallel()
-	b := Budget{Warmup: 200, Measure: 200, Seeds: 1}
-	called := false
-	_, err := sweepSteady(Tiny, []routing.Algo{routing.Min}, UN(), []float64{0.1}, b,
-		func(c *Config) {
-			called = true
-			if c.Router.Topo != (topology.Params{P: 4, A: 4, H: 2}) {
-				t.Error("unexpected topology in mutate")
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("mutate not called")
 	}
 }

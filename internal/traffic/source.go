@@ -126,56 +126,56 @@ func nodeProb(q float64, weights []float64, n int) (float64, error) {
 }
 
 // bernoulliSource is the per-node-stream Bernoulli process: node n
-// injects each cycle with probability prob[n], sampled by geometric
-// inversion on its own stream (one uniform per injection, not per
-// cycle).
+// injects each cycle with the probability gap[n] was prepared for,
+// sampled by geometric inversion on its own stream (one uniform per
+// injection, not per cycle).
 type bernoulliSource struct {
-	prob []float64
+	gap  []rng.Geom
 	rngs []rng.PCG
 }
 
 func newBernoulliSource(nodes int, q float64, weights []float64, seed uint64) (Source, error) {
-	s := &bernoulliSource{prob: make([]float64, nodes), rngs: make([]rng.PCG, nodes)}
+	s := &bernoulliSource{gap: make([]rng.Geom, nodes), rngs: make([]rng.PCG, nodes)}
 	for n := 0; n < nodes; n++ {
 		p, err := nodeProb(q, weights, n)
 		if err != nil {
 			return nil, err
 		}
-		s.prob[n] = p
+		s.gap[n] = rng.NewGeom(p)
 		s.rngs[n].Seed(seed, uint64(n))
 	}
 	return s, nil
 }
 
 func (s *bernoulliSource) First(n int) (int64, bool) {
-	p := s.prob[n]
-	if p <= 0 {
+	if s.gap[n].Never() {
 		return 0, false
 	}
-	return int64(s.rngs[n].Geometric(p)), true
+	return int64(s.gap[n].Draw(&s.rngs[n])), true
 }
 
 func (s *bernoulliSource) Next(n int, t int64) (int64, bool) {
-	p := s.prob[n]
-	if p <= 0 {
+	if s.gap[n].Never() {
 		return 0, false
 	}
-	return t + 1 + int64(s.rngs[n].Geometric(p)), true
+	return t + 1 + int64(s.gap[n].Draw(&s.rngs[n])), true
 }
 
 // onOffSource is a two-state Markov-modulated Bernoulli process: in an
-// ON phase node n injects each cycle with probability qOn[n]; OFF phases
-// are silent. Phase lengths are geometric (>= 1 cycle) with the
-// configured means, so the per-cycle naive equivalent is a Markov chain:
+// ON phase node n injects each cycle with the probability gapOn[n] was
+// prepared for; OFF phases are silent. Phase lengths are geometric
+// (>= 1 cycle) with the configured means (onLen, offLen), so the
+// per-cycle naive equivalent is a Markov chain:
 // inject by the phase's rate, then stay/leave the phase by its mean.
 // Sampling inverts both geometrics, so the cost per injection is O(1)
 // plus the (state-advancing) phase transitions skipped over.
 type onOffSource struct {
-	qOn     []float64
-	pOnEnd  float64 // per-cycle probability an ON phase ends (1/OnMean)
-	pOffEnd float64
-	state   []onOffState
-	rngs    []rng.PCG
+	gapOn  []rng.Geom
+	onLen  rng.Geom // an ON phase ends each cycle with probability 1/OnMean
+	offLen rng.Geom
+	duty   float64 // stationary probability of the ON phase
+	state  []onOffState
+	rngs   []rng.PCG
 }
 
 type onOffState struct {
@@ -195,7 +195,7 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 	}
 	if q <= 0 {
 		// Zero aggregate load: a silent source, whatever the phases.
-		return &bernoulliSource{prob: make([]float64, nodes), rngs: make([]rng.PCG, nodes)}, nil
+		return &bernoulliSource{gap: make([]rng.Geom, nodes), rngs: make([]rng.PCG, nodes)}, nil
 	}
 	onMean, offMean := spec.OnMean, spec.OffMean
 	qOn := q * (onMean + offMean) / onMean
@@ -212,37 +212,35 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 		return nil, fmt.Errorf("traffic: on-off peak rate %.3f packets/(node·cycle) exceeds 1 (lengthen OnMean/OffMean or lower the load)", qOn)
 	}
 	s := &onOffSource{
-		qOn:   make([]float64, nodes),
+		gapOn: make([]rng.Geom, nodes),
 		state: make([]onOffState, nodes),
 		rngs:  make([]rng.PCG, nodes),
 	}
-	s.pOnEnd = 1 / onMean
 	for n := 0; n < nodes; n++ {
 		p, err := nodeProb(qOn, weights, n)
 		if err != nil {
 			return nil, err
 		}
-		s.qOn[n] = p
+		s.gapOn[n] = rng.NewGeom(p)
 		s.rngs[n].Seed(seed, uint64(n))
 	}
 	// A zero OFF mean is always-on: exactly Bernoulli at the ON rate.
 	if offMean == 0 {
-		return &bernoulliSource{prob: s.qOn, rngs: s.rngs}, nil
+		return &bernoulliSource{gap: s.gapOn, rngs: s.rngs}, nil
 	}
-	s.pOffEnd = 1 / offMean
+	pOnEnd, pOffEnd := 1/onMean, 1/offMean
+	s.onLen, s.offLen = rng.NewGeom(pOnEnd), rng.NewGeom(pOffEnd)
+	s.duty = pOffEnd / (pOnEnd + pOffEnd)
 	return s, nil
 }
 
-// phaseLen draws a geometric phase length >= 1 with the phase's mean.
+// phaseLen draws a geometric phase length >= 1 with the phase's mean (a
+// phase that always ends is one cycle long and costs no draw).
 func (s *onOffSource) phaseLen(on bool, r *rng.PCG) int64 {
-	p := s.pOffEnd
 	if on {
-		p = s.pOnEnd
+		return 1 + int64(s.onLen.Draw(r))
 	}
-	if p >= 1 {
-		return 1
-	}
-	return 1 + int64(r.Geometric(p))
+	return 1 + int64(s.offLen.Draw(r))
 }
 
 func (s *onOffSource) First(n int) (int64, bool) {
@@ -250,8 +248,7 @@ func (s *onOffSource) First(n int) (int64, bool) {
 	r := &s.rngs[n]
 	// Start in the stationary phase distribution; geometric phases are
 	// memoryless, so a fresh full phase is the correct residual.
-	duty := s.pOffEnd / (s.pOnEnd + s.pOffEnd)
-	st.on = r.Bernoulli(duty)
+	st.on = r.Bernoulli(s.duty)
 	st.phaseEnd = s.phaseLen(st.on, r)
 	st.started = true
 	return s.nextFrom(n, 0)
@@ -269,8 +266,8 @@ func (s *onOffSource) Next(n int, t int64) (int64, bool) {
 func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
 	st := &s.state[n]
 	r := &s.rngs[n]
-	q := s.qOn[n]
-	if q <= 0 || !st.started {
+	gap := s.gapOn[n]
+	if gap.Never() || !st.started {
 		return 0, false
 	}
 	pos := from
@@ -284,7 +281,7 @@ func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
 			pos = st.phaseEnd
 			continue
 		}
-		c := pos + int64(r.Geometric(q))
+		c := pos + int64(gap.Draw(r))
 		if c < st.phaseEnd {
 			return c, true
 		}

@@ -177,6 +177,7 @@ type Injector struct {
 	net   *router.Network
 	sched *Schedule
 	prob  float64
+	gap   rng.Geom // prob's node-gap distribution on the fast path
 	load  float64
 	rng   *rng.PCG
 	// Stateful path (nil src selects the homogeneous fast path).
@@ -210,10 +211,12 @@ func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64
 	if sched == nil {
 		return nil, fmt.Errorf("traffic: nil schedule")
 	}
+	prob := load / float64(net.Cfg.PacketSize)
 	in := &Injector{
 		net:   net,
 		sched: sched,
-		prob:  load / float64(net.Cfg.PacketSize),
+		prob:  prob,
+		gap:   rng.NewGeom(prob),
 		load:  load,
 		rng:   rng.New(seed, 0xC0FFEE),
 
@@ -350,9 +353,9 @@ func (in *Injector) Cycle() {
 		if in.pendingCycle >= 0 && in.pendingCycle < now {
 			panic("traffic: elision jumped past a pending arrival; cap jumps at NextArrival")
 		}
-		node = in.rng.Geometric(in.prob)
+		node = in.gap.Draw(in.rng)
 	}
-	for ; node < nodes; node += 1 + in.rng.Geometric(in.prob) {
+	for ; node < nodes; node += 1 + in.gap.Draw(in.rng) {
 		if in.th != nil && !in.th.admit(node, now) {
 			// Memoryless process, no calendar entry to defer: the
 			// attempt is suppressed (counted by the throttle) and no
@@ -431,7 +434,7 @@ func (in *Injector) NextArrival(limit int64) int64 {
 		c = in.drawnThrough + 1
 	}
 	for ; c < next; c++ {
-		if node := in.rng.Geometric(in.prob); node < in.net.Topo.Nodes {
+		if node := in.gap.Draw(in.rng); node < in.net.Topo.Nodes {
 			in.pendingCycle, in.pendingNode = c, node
 			return c
 		}
