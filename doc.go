@@ -248,6 +248,28 @@
 // loop-invariant probability per draw — which a near-idle bursty run,
 // walking silent phases, used to spend a fifth of its time on.
 //
+// Certified inversion. A sample is defined by one expression,
+// Floor(Log(u)/log1p(-prob)), and rng.Geom evaluates it only when it
+// must: the draw certifies what the expression would return and falls
+// back to it when the certificate cannot decide, so the fast path never
+// decides a value and every stream is the expression's, draw for draw,
+// by construction. The certificate is an error bound. A table-driven
+// logarithm (256 reciprocal/logarithm pairs and a four-term series, good
+// to 2e-14) puts the quotient within a known distance of the exact one —
+// that error over |log1p(-prob)| plus a few ulps of the quotient — and
+// when no integer lies that close, both have the same floor; otherwise
+// (a share of the draws twice that distance: 1e-10 for a phase length of
+// mean 150, 2e-7 for a gap at probability 5e-6) the libm logarithm runs.
+// A caller that only compares the sample with a
+// bound asks Geom.DrawBelow, which consumes the same uniform and needs no
+// logarithm at all to say "not below": for u = 1-f, -log(u) >= f, so
+// f >= -log1p(-prob)*limit settles it. That is the on-off source's gap
+// draw (an arrival every ~200 000 cycles against the ~50 left of the ON
+// phase: 99.97 % of them at 1e-5 load), the Bernoulli injector's
+// per-cycle certification in NextArrival and the draw that ends its
+// node loop in Cycle. The fast logarithm need not be reproducible across
+// platforms; the outcome is, because it is the exact expression's.
+//
 // The active sets. A set is one bit per id of its shard's range plus a
 // population count (router/activeset.go). A phase scans the words in
 // order and peels the set bits of each lowest first, which is the
@@ -373,7 +395,12 @@
 // time and nothing else. Sequential stepping is not a second stepper
 // but the one-shard case of the same Step body: the caller is shard
 // 0's worker, and with no other shard it forks no goroutine and has no
-// mailbox to drain. Sweeps split GOMAXPROCS
+// mailbox to drain. The same holds cycle by cycle at any worker count:
+// Step counts the shards with work (the quiet-cycle predicate, per
+// shard), and with fewer than two it runs every shard's sections itself,
+// in shard order — one of the schedules the fork could have produced, so
+// nothing observable moves — instead of paying a goroutine round-trip
+// per event of a near-idle fabric. Sweeps split GOMAXPROCS
 // automatically: wide load×seed grids parallelize across runs, narrow
 // (paper-scale) grids shard inside each run.
 //

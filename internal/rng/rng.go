@@ -9,6 +9,14 @@
 // 2014) with a 64-bit state and a per-stream increment, so every router
 // and node can own an independent, splittable stream seeded from the run
 // seed and its own identity.
+//
+// Geometric samples (Geom) are defined by one expression,
+// Floor(Log(u)/log1p(-prob)), and drawn by certifying what it would
+// return: a table-driven logarithm with a proven error bound answers
+// whenever the bound leaves the floor in no doubt, and the expression
+// itself answers otherwise. The fast logarithm is not required to be
+// reproducible across platforms, compilers or FMA fusing — only the
+// certified outcome is, and that is the exact expression's everywhere.
 package rng
 
 import "math"
@@ -140,12 +148,111 @@ func (g Geom) Draw(p *PCG) int {
 	if math.IsInf(g.denom, -1) {
 		return 0
 	}
-	u := 1 - p.Float64() // (0, 1]: avoids log(0)
+	return g.invert(1 - p.Float64()) // (0, 1]: avoids log(0)
+}
+
+// DrawBelow is Draw for a caller that only compares the sample with a
+// bound: it consumes exactly the uniform Draw would, and reports Draw's
+// sample when that is below limit and below = false (k meaningless) when
+// it is not. limit may exceed MaxInt32: the sample is capped there as
+// Draw's is, and so always below it.
+//
+// For u = 1-f, -log(u) >= f; so f >= -denom*limit puts the exact
+// quotient log(u)/denom at or above limit, and no logarithm is needed to
+// say so. belowSlack's 1e-9 pays for the roundings between that and the
+// expression invert defines the sample by (half an ulp for each product
+// here, an ulp for that logarithm and half for its division: under 2^-50
+// together).
+func (g Geom) DrawBelow(p *PCG, limit int64) (k int, below bool) {
+	if g.denom == 0 || math.IsInf(g.denom, -1) {
+		k = g.Draw(p) // saturated: a constant, and no uniform
+		return k, int64(k) < limit
+	}
+	f := p.Float64()
+	if limit <= math.MaxInt32 && f*belowSlack >= -g.denom*float64(limit) {
+		return 0, false
+	}
+	k = g.invert(1 - f)
+	return k, int64(k) < limit
+}
+
+// The certificates' error budgets (derivations at fastLog, invert and
+// DrawBelow).
+const (
+	fastLogErr    = 4e-13           // absolute, on fastLog
+	quotientSlack = 1.0 / (1 << 46) // relative, on the quotient
+	belowSlack    = 1 - 1e-9
+)
+
+// invert returns the sample the uniform u in (0, 1] inverts to, for
+// denom negative and finite: min(Floor(Log(u)/denom), MaxInt32). Its
+// last statement defines that value; everything before only certifies
+// what that statement would return, so the stream is the exact
+// expression's draw for draw. The fast quotient q is within
+//
+//	fastLogErr/|denom| + q*quotientSlack
+//
+// of the exact expression's: the first term is fastLog's error through
+// the division; the second covers the exact side's roundings (math.Log
+// is good to under one ulp, its division adds half) and this division's
+// half ulp, under 2^-51 relative together and charged at 2^-46. When no
+// integer lies that close to q both quotients have q's floor. A q nearer
+// an integer, at or past the cap, or negative falls through.
+func (g Geom) invert(u float64) int {
+	l := fastLog(u)
+	if q := l / g.denom; q < math.MaxInt32 {
+		k := int(q) // truncates: the floor of q >= 0; q < 0 leaves d < 0
+		d := q - float64(k)
+		// d and 1-d against the bound, both sides times |denom| to spare
+		// a second division.
+		if slack := fastLogErr - l*quotientSlack; -d*g.denom > slack && (d-1)*g.denom > slack {
+			return k
+		}
+	}
 	k := math.Floor(math.Log(u) / g.denom)
 	if k >= math.MaxInt32 {
 		return math.MaxInt32
 	}
 	return int(k)
+}
+
+// logTable holds, for each of the 256 intervals of [1, 2) that share
+// their leading eight mantissa bits, the reciprocal of the midpoint c and
+// the logarithm that belongs to the rounded reciprocal, so that
+// log m = logc + log1p(m*invc - 1) holds for the stored pair exactly.
+var logTable [256]struct{ invc, logc float64 }
+
+func init() {
+	for i := range logTable {
+		invc := 1 / (1 + (float64(i)+0.5)/256)
+		logTable[i].invc, logTable[i].logc = invc, -math.Log(invc)
+	}
+}
+
+// fastLog approximates the natural logarithm of a positive normal u (a
+// uniform is >= 2^-53): u = 2^e*m, m = c*(1+r) with c the table midpoint
+// and |r| <= 2^-9, and log1p(r) by its series through r^4, summed so
+// that the exponent's term is ready before the series is. The absolute
+// error is under 1.8e-14: 5.7e-15 for the r^5/5 left out, 3.6e-15 for
+// each of the three roundings at magnitude 53*ln 2 = 37 (e*Ln2, adding
+// logc, the final sum), 1.2e-15 for Ln2 itself 53 times, the table and
+// the series' own roundings an ulp at 1 between them. math.Log may sit an
+// ulp (7.1e-15) from the truth out there, so TestFastLogErrorBound, which
+// has only math.Log to compare with, can hold the difference to 2.5e-14
+// and holds it to fastLogErr/10; the margin costs one fallback per
+// |denom|/(2*fastLogErr) draws.
+//
+// Nothing here needs to be reproducible across platforms or FMA fusing:
+// the bound has room for either, and a value the guard accepts is by
+// that bound the exact expression's.
+func fastLog(u float64) float64 {
+	bits := math.Float64bits(u)
+	t := &logTable[bits>>44&0xff]
+	m := math.Float64frombits(bits&(1<<52-1) | 1023<<52)
+	r := m*t.invc - 1
+	e := float64(int(bits>>52) - 1023)
+	r2 := r * r
+	return (e*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.

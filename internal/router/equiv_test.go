@@ -338,3 +338,55 @@ func TestParkedRouterInvariants(t *testing.T) {
 		t.Fatalf("delivered %d of 8", n.NumDelivered)
 	}
 }
+
+// TestStepInlineWhenOneShardBusy: with fewer than two busy shards Step
+// runs every shard's sections on the calling goroutine. A lone packet
+// crossing from the first shard to the last at four workers is delivered
+// at the cycle, with the hop count, a single worker gives it; and such a
+// Step allocates nothing, where a forked one pays its channel and its
+// worker closures.
+func TestStepInlineWhenOneShardBusy(t *testing.T) {
+	lone := func(workers int) (*Network, *[]equivTrace, func()) {
+		cfg := smallCfg()
+		cfg.Workers = workers
+		n, err := Build(cfg, testMin{}, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := new([]equivTrace)
+		n.OnDeliver = func(p *Packet, now int64) {
+			*trace = append(*trace, equivTrace{now: now, id: p.ID, src: p.Src, dst: p.Dst, hops: p.TotalHops})
+		}
+		last := n.Topo.Nodes - 1
+		if from, to := n.shardOf[n.Topo.RouterOfNode(0)], n.shardOf[n.Topo.RouterOfNode(last)]; (from != to) != (workers > 1) {
+			t.Fatalf("workers=%d: the packet's end routers sit on shards %d and %d", workers, from, to)
+		}
+		return n, trace, func() {
+			n.Inject(0, last)
+			for n.InFlight > 0 {
+				if n.busyShards(n.now&n.mask) > 1 {
+					t.Fatalf("workers=%d cycle %d: a lone packet keeps two shards busy", workers, n.now)
+				}
+				n.Step()
+			}
+		}
+	}
+	ref, refTrace, refTrip := lone(1)
+	n, trace, trip := lone(4)
+	for range 3 {
+		refTrip()
+		trip()
+	}
+	if len(*trace) != 3 || fmt.Sprint(*trace) != fmt.Sprint(*refTrace) || n.now != ref.now {
+		t.Fatalf("workers=4 delivered %v by cycle %d, workers=1 %v by cycle %d", *trace, n.now, *refTrace, ref.now)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The trips above warmed the freelist, the queues on the path and the
+	// trace's backing array.
+	*trace = (*trace)[:0]
+	if allocs := testing.AllocsPerRun(5, func() { *trace = (*trace)[:0]; trip() }); allocs != 0 {
+		t.Fatalf("a trip of inline Steps allocates %v times", allocs)
+	}
+}

@@ -427,9 +427,12 @@ func (n *Network) badSchedule(cycle int64, kind evKind) {
 //
 // There is one body for every worker count: the two sections and two
 // barriers of parallel.go, with the caller as coordinator and shard 0's
-// worker. With one shard nothing is forked, waited on or merged; with
-// more, forkShards runs the other shards' sections on goroutines of
-// their own, cycle-for-cycle identical to sequential stepping.
+// worker. forkShards runs the other shards' sections on goroutines of
+// their own when at least two shards have work; otherwise — always with
+// one shard — the caller runs them itself, in shard order. The sections
+// of different shards are independent, so that is one of the schedules
+// the forked step may take and every cycle is identical either way: a
+// near-idle fabric does not pay a goroutine round-trip per event.
 //
 // A quiet cycle (no scheduled events, no active components anywhere)
 // skips both sections: every phase would be a no-op, so only the
@@ -439,19 +442,26 @@ func (n *Network) Step() {
 	idx := n.now & n.mask
 	f := n.fork // nil with one shard: the caller is the only worker
 	full := n.FullScan && f == nil
-	if !full && n.quietCycle(idx) {
+	busy := n.busyShards(idx)
+	if !full && busy == 0 && !n.faultsPending() {
 		n.Alg.BeginCycle(n)
 		n.now++
 		return
 	}
+	forked := f != nil && busy >= 2
+	rest := n.shards[1:] // the forked workers' shards, or the caller's own
 
 	// Section 1: event handling, one bucket per shard.
-	if f != nil {
+	if forked {
 		n.forkShards(f, idx)
 	}
 	n.handleShardBucket(&n.shards[0], idx)
-	if f != nil {
+	if forked {
 		f.handled.Wait()
+	} else {
+		for s := range rest {
+			n.handleShardBucket(&rest[s], idx)
+		}
 	}
 
 	// Handle barrier: the sequential point, workers parked.
@@ -462,8 +472,10 @@ func (n *Network) Step() {
 	}
 	n.Alg.BeginCycle(n)
 
-	// Section 2: NIC drain, routing, allocation, link serialization.
-	if f != nil {
+	// Section 2: NIC drain, routing, allocation, link serialization —
+	// for every shard, busy at the count or not: the barrier may have
+	// woken routers anywhere.
+	if forked {
 		close(f.resume)
 	}
 	if full {
@@ -471,10 +483,16 @@ func (n *Network) Step() {
 	} else {
 		n.stepShard(&n.shards[0])
 	}
+	if forked {
+		f.stepped.Wait()
+	} else {
+		for s := range rest {
+			n.stepShard(&rest[s])
+		}
+	}
 
 	// Cycle barrier: route cross-shard events to their target rings.
 	if f != nil {
-		f.stepped.Wait()
 		n.mergeOutboxes()
 	}
 	n.now++

@@ -8,8 +8,9 @@ import "sync"
 // contiguous whole groups (router ids are contiguous per group, so a
 // shard owns contiguous router and node id ranges). Each Step runs two
 // sections with a barrier after each — in parallel across the shards
-// when W > 1, on the calling goroutine alone when W = 1, where the
-// barriers cost nothing and there are no mailboxes to drain:
+// when at least two of them have work, on the calling goroutine alone,
+// shard after shard, otherwise (always when W = 1, where there are no
+// mailboxes to drain either):
 //
 //	section 1  event handling: each shard drains its own calendar
 //	           bucket for this cycle.
@@ -160,26 +161,29 @@ func (n *Network) forkShards(f *shardFork, idx int64) {
 	}
 }
 
-// quietCycle reports whether this cycle has no work anywhere: empty
-// calendar buckets and empty active sets on every shard, and no due
-// fault work (a due plan event or pending kill must reach applyFaults
-// at this cycle's barrier, exactly when the sequential stepper applies
-// it). Stale active-set entries (a drained NIC not yet pruned) count as
-// work — the phase scan would prune them — which only defers the
-// pruning to the next busy cycle and changes no observable state.
-// Parked routers are in no set, so a fabric of blocked heads is quiet.
-func (n *Network) quietCycle(idx int64) bool {
-	if n.faultsPending() {
-		return false
-	}
+// busyShards counts the shards with work this cycle: a non-empty
+// calendar bucket or a non-empty active set. Stale active-set entries (a
+// drained NIC not yet pruned) count as work — the phase scan would prune
+// them — which only defers the pruning to the next busy cycle and changes
+// no observable state. Parked routers are in no set, so a shard of
+// blocked heads is not busy.
+func (n *Network) busyShards(idx int64) (busy int) {
 	for s := range n.shards {
 		sh := &n.shards[s]
 		if sh.cal[idx].n != 0 || sh.nicActive.count != 0 ||
 			sh.routeActive.count != 0 || sh.linkActive.count != 0 {
-			return false
+			busy++
 		}
 	}
-	return true
+	return busy
+}
+
+// quietCycle reports whether this cycle has no work anywhere: no busy
+// shard and no due fault work (a due plan event or pending kill must
+// reach applyFaults at this cycle's barrier, exactly when the sequential
+// stepper applies it).
+func (n *Network) quietCycle(idx int64) bool {
+	return !n.faultsPending() && n.busyShards(idx) == 0
 }
 
 // handleShardBucket drains one shard's calendar bucket for this cycle,

@@ -184,9 +184,11 @@ type onOffState struct {
 	started  bool
 }
 
-// maxPhaseWalk bounds how many silent phases one Next call skips; rates
-// low enough to exhaust it (an expected >> 10^6 phases between packets)
-// are treated as a never-injecting node.
+// maxPhaseWalk bounds how many silent ON phases one Next call walks
+// before it gives the node up as never injecting again. newOnOffSource
+// refuses a rate that expects more than a sixteenth of it per packet, so
+// a source that was built runs out with probability under e^-16 per
+// packet.
 const maxPhaseWalk = 1 << 20
 
 func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []float64, seed uint64) (Source, error) {
@@ -220,6 +222,13 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 		p, err := nodeProb(qOn, weights, n)
 		if err != nil {
 			return nil, err
+		}
+		// An ON phase of the mean length is silent with probability
+		// (1-p)^onMean. A node that never injects walks nothing, nor does
+		// a source with no OFF phases.
+		if silent := -1 / math.Expm1(onMean*math.Log1p(-p)); p > 0 && offMean > 0 && silent > maxPhaseWalk/16 {
+			return nil, fmt.Errorf("traffic: node %d at %.3g packets/cycle in ON phases of mean %g cycles (OFF mean %g) expects %.3g silent phases per packet, more than the %d the source will walk (raise the load, lengthen OnMean or set a PeakLoad)",
+				n, p, onMean, offMean, silent, maxPhaseWalk/16)
 		}
 		s.gapOn[n] = rng.NewGeom(p)
 		s.rngs[n].Seed(seed, uint64(n))
@@ -262,7 +271,10 @@ func (s *onOffSource) Next(n int, t int64) (int64, bool) {
 // node's phase state. Within an ON phase the time to the next injection
 // is geometric; a draw past the phase end is discarded and redrawn in
 // the next ON phase, which by memorylessness is exactly equivalent to
-// the per-cycle Bernoulli chain.
+// the per-cycle Bernoulli chain. Only "past the phase end" is asked of
+// such a draw, so it is a DrawBelow: at a low rate nearly every ON phase
+// is silent, and a silent phase costs its uniform and a compare, never
+// the inversion — the stream is Draw's either way.
 func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
 	st := &s.state[n]
 	r := &s.rngs[n]
@@ -272,18 +284,15 @@ func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
 	}
 	pos := from
 	for walk := 0; walk < maxPhaseWalk; walk++ {
-		if pos >= st.phaseEnd {
+		// Move to the ON phase that holds pos (an OFF phase is silent to
+		// its end).
+		for !st.on || pos >= st.phaseEnd {
+			pos = max(pos, st.phaseEnd)
 			st.on = !st.on
 			st.phaseEnd += s.phaseLen(st.on, r)
-			continue
 		}
-		if !st.on {
-			pos = st.phaseEnd
-			continue
-		}
-		c := pos + int64(gap.Draw(r))
-		if c < st.phaseEnd {
-			return c, true
+		if k, below := gap.DrawBelow(r, st.phaseEnd-pos); below {
+			return pos + int64(k), true
 		}
 		pos = st.phaseEnd
 	}

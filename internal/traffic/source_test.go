@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cbar/internal/rng"
@@ -433,5 +434,65 @@ func TestOnOffPeakDutyCycle(t *testing.T) {
 	want := q * nodes * cycles
 	if math.Abs(count-want) > 0.12*want {
 		t.Fatalf("peak-pinned on-off injected %v, want %.0f +-12%%", count, want)
+	}
+}
+
+// TestOnOffRejectsUnwalkableSpec: a rate so low that a packet expects
+// more silent ON phases than a sixteenth of the walk cap is refused at
+// construction, naming the node — it used to build, and drop nodes from
+// the calendar without a word once their walk ran out. For
+// un+burst:50,150 at packet size 8 the line is near 6e-7 load. Zero load
+// and zero-weight nodes walk nothing and stay accepted.
+func TestOnOffRejectsUnwalkableSpec(t *testing.T) {
+	const nodes, packetSize = 16, 8
+	spec := SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}
+	for _, tc := range []struct {
+		load float64
+		ok   bool
+	}{{0, true}, {4e-8, false}, {5e-7, false}, {7e-7, true}, {1e-5, true}} {
+		_, err := newSource(spec, nodes, packetSize, tc.load/packetSize, 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("load %g: err = %v, want accepted = %v", tc.load, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "node 0") {
+			t.Errorf("load %g: error does not name the node: %v", tc.load, err)
+		}
+	}
+	// One nearly-silent node among loaded ones is the one named; a node
+	// of weight zero never injects and is skipped.
+	weighted := spec
+	weighted.Weights = make([]float64, nodes)
+	for i := range weighted.Weights {
+		weighted.Weights[i] = 1
+	}
+	weighted.Weights[3] = 0
+	if _, err := newSource(weighted, nodes, packetSize, 0.01, 1); err != nil {
+		t.Errorf("zero-weight node rejected: %v", err)
+	}
+	weighted.Weights[5] = 1e-6
+	if _, err := newSource(weighted, nodes, packetSize, 0.01, 1); err == nil || !strings.Contains(err.Error(), "node 5") {
+		t.Errorf("nearly-silent node 5: err = %v", err)
+	}
+	// Always-on (no OFF phases) is the Bernoulli source: nothing to walk.
+	if _, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50}, nodes, packetSize, 1e-9, 1); err != nil {
+		t.Errorf("always-on source rejected: %v", err)
+	}
+}
+
+// BenchmarkOnOffSilentWalk is the repo benchmark's idle point seen from
+// one node: un+burst:50,150 at 1e-5 load, some 4 000 silent ON/OFF phase
+// pairs walked per packet (two phase-length draws and one gap draw each).
+func BenchmarkOnOffSilentWalk(b *testing.B) {
+	src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1, 8, 1e-5/8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, ok := src.First(0)
+	b.ResetTimer()
+	for i := 0; i < b.N && ok; i++ {
+		c, ok = src.Next(0, c)
+	}
+	if !ok {
+		b.Fatal("the source fell silent")
 	}
 }

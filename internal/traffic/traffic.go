@@ -344,7 +344,9 @@ func (in *Injector) Cycle() {
 		// Geometric draw the loop below would have made.
 		return
 	}
-	var node int
+	// Every draw here is only asked whether it stays inside the node
+	// range, so each is a DrawBelow of the nodes left.
+	node, ok := 0, true
 	if in.pendingCycle == now {
 		// Resume from the draw NextArrival stashed for this cycle.
 		node = in.pendingNode
@@ -353,17 +355,19 @@ func (in *Injector) Cycle() {
 		if in.pendingCycle >= 0 && in.pendingCycle < now {
 			panic("traffic: elision jumped past a pending arrival; cap jumps at NextArrival")
 		}
-		node = in.gap.Draw(in.rng)
+		node, ok = in.gap.DrawBelow(in.rng, int64(nodes))
 	}
-	for ; node < nodes; node += 1 + in.gap.Draw(in.rng) {
-		if in.th != nil && !in.th.admit(node, now) {
-			// Memoryless process, no calendar entry to defer: the
-			// attempt is suppressed (counted by the throttle) and no
-			// destination is drawn, so the throttled node sheds load at
-			// the source rather than queueing it.
-			continue
+	for ok {
+		// A throttled attempt is suppressed (counted by the throttle)
+		// and no destination is drawn: the process is memoryless, with no
+		// calendar entry to defer, so the node sheds load at the source
+		// rather than queueing it.
+		if in.th == nil || in.th.admit(node, now) {
+			in.net.Inject(node, pat.Dest(node, in.rng))
 		}
-		in.net.Inject(node, pat.Dest(node, in.rng))
+		var skip int
+		skip, ok = in.gap.DrawBelow(in.rng, int64(nodes-node-1))
+		node += 1 + skip
 	}
 }
 
@@ -434,7 +438,7 @@ func (in *Injector) NextArrival(limit int64) int64 {
 		c = in.drawnThrough + 1
 	}
 	for ; c < next; c++ {
-		if node := in.gap.Draw(in.rng); node < in.net.Topo.Nodes {
+		if node, ok := in.gap.DrawBelow(in.rng, int64(in.net.Topo.Nodes)); ok {
 			in.pendingCycle, in.pendingNode = c, node
 			return c
 		}
