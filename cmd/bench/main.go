@@ -113,6 +113,18 @@ func rowBench(row sim.StepBenchRow, cyclesPerOp *float64) func(b *testing.B) {
 		inj *traffic.Injector
 	)
 	return func(b *testing.B) {
+		b.ReportAllocs()
+		if row.Spec.Op == sim.OpSweep {
+			// Nothing to build or warm: a sweep's set-up is part of its op.
+			for i := 0; i < b.N; i++ {
+				cycles, err := sim.SweepBenchStep(row.Spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				*cyclesPerOp = float64(cycles)
+			}
+			return
+		}
 		if net == nil || !row.Spec.Saturated {
 			var err error
 			if net, inj, err = sim.NewStepBench(row.Spec); err != nil {
@@ -120,7 +132,6 @@ func rowBench(row sim.StepBenchRow, cyclesPerOp *float64) func(b *testing.B) {
 			}
 		}
 		gen0, start := net.NumGenerated, net.Now()
-		b.ReportAllocs()
 		b.ResetTimer()
 		switch row.Spec.Op {
 		case sim.OpCycle:
@@ -328,6 +339,10 @@ func main() {
 	for _, row := range sim.StepBenchSuite() {
 		if *compare != "" && row.Spec.Op == sim.OpBurstDrain {
 			continue // composite op; ns/op is dominated by drain length, not Step cost
+		}
+		if row.Spec.Op == sim.OpSweep && rep.GOMAXPROCS < 2 {
+			fmt.Fprintf(os.Stderr, "skipping %s: a pool row is recorded on the cores it uses, GOMAXPROCS is 1\n", row.Name)
+			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %s...\n", row.Name)
 		var cyclesPerOp float64

@@ -238,8 +238,8 @@
 // routers with unrouted head packets and routers with staged output
 // work — whose membership is updated at the mutation points (injection,
 // event handling, allocation grants), so an idle component costs
-// nothing. Delivered packets are recycled through a freelist and
-// traffic generation skip-samples the next injecting node
+// nothing. Delivered packets are recycled through per-shard freelists
+// (below) and traffic generation skip-samples the next injecting node
 // geometrically, so a steady-state cycle allocates no memory at all. The
 // geometric draws go through rng.Geom, a distribution prepared once per
 // probability (the injector's, each node's, the ON and OFF phase ends of
@@ -329,6 +329,28 @@
 // slab grown by append because the slab's outgrown copies are garbage
 // at exactly the moment the resident set peaks.
 //
+// NIC records. A packet waiting in its source's NIC queue has met no
+// router: of a Packet's 80 bytes only its id, its generation cycle, its
+// destination and its retransmission attempt are anything but initial
+// values. The queue therefore holds that record (router.nicRec,
+// 24 bytes, written by Inject, which assigns the id and the cycle
+// exactly as before), and the Packet is made when the record drains
+// into an injection VC — or when its router dies with it still queued,
+// so OnDrop sees a whole packet either way. Past saturation every NIC
+// holds its full 64-entry backlog, which was 64 pointers and 64 built
+// packets per node (5.9 MB of a Small network); as records it is 1.6 MB,
+// and a packet taken off a LIFO freelist at the moment a router will
+// read it is warm in cache where one built 64 queue slots earlier was
+// not. The drain runs inside the parallel section, so the freelist is
+// per shard: netShard.newPacket takes from the executing shard's, and
+// Network.recycle (sequential points only: delivery replay, fault
+// kills) returns a packet to the shard that owns its source node — the
+// shard that made it — so each shard gets back what it takes and a
+// steady-state cycle allocates nothing at any worker count; with one
+// worker it is the single LIFO it always was. The lists share one cap
+// (maxFreePackets, split evenly), so a saturation transient's peak
+// population is not retained for ever.
+//
 // Blocked-router parking. Past saturation most head packets are blocked
 // on credits, and re-evaluating them every cycle is work proportional
 // to the backlog, not to what changes. A router therefore leaves the
@@ -403,6 +425,25 @@
 // per event of a near-idle fabric. Sweeps split GOMAXPROCS
 // automatically: wide load×seed grids parallelize across runs, narrow
 // (paper-scale) grids shard inside each run.
+//
+// Dispatch order. Every sweep, figure grid and ablation is one flat
+// (point × seed) grid on one bounded pool (internal/sim/grid.go), and
+// the pool starts its tasks in descending offered load — equal loads in
+// grid order, so one point's seeds stay adjacent. A latency–load curve is
+// run to saturation and a point's cost rises with its load (a Small UN
+// point costs five times as much at 0.5 as at 0.1, an OLM point under
+// ADV+1 twelve times), so grid order, loads ascending, ended every sweep
+// with the dearest point alone on one core while the others idled;
+// started first, it overlaps the cheap ones. Load is the key because it
+// is the cost driver known before anything has run, and it needs no
+// cost model, option or estimate. Dispatch order is not result order:
+// task k writes result slot k, so Sweep and the figure tables return
+// their rows in the order the grid was given, and since every task is
+// an independent simulation with its own seed, no result depends on
+// when it ran. The heaviest points are also the largest — they are the
+// ones whose NICs are backlogged — and starting them together would
+// have raised a sweep's peak resident set by a third; the NIC record
+// above is what that overlap is paid with.
 //
 // # Quiet-cycle elision
 //

@@ -423,7 +423,7 @@ func DefaultConfig() *Config {
 			{Type: router + ".netShard", Field: "notified"},
 			{Type: router + ".netShard", Field: "pendingKills"},
 			{Type: router + ".netShard", Field: "allocList"},
-			{Type: router + ".Network", Field: "freePkts"},
+			{Type: router + ".netShard", Field: "freePkts"},
 			{Type: router + ".Network", Field: "notifyScratch"},
 			{Type: router + ".fifo", Field: "buf"},
 			{Type: traffic + ".retransmitter", Field: "heap"},

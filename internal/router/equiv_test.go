@@ -227,42 +227,149 @@ func TestStepModesInterleaved(t *testing.T) {
 	}
 }
 
-// TestPacketFreelistRecycles checks delivered packets are actually
-// recycled: a long steady run must keep the live packet population
-// bounded by in-flight + freelist, with Inject drawing from the freelist
-// (no unbounded ID-to-pointer growth is directly observable, so assert
-// via the freelist length instead).
+// packetStructs counts the Packet structs a network has made and still
+// holds: the packets inside the fabric (in flight but past their NIC
+// queue, where a packet is only a record) plus the shards' freelists.
+// Below the freelist cap it rises by exactly one per freelist miss.
+func packetStructs(n *Network) int {
+	pop := int(n.InFlight)
+	for i := range n.nics {
+		pop -= n.nics[i].len()
+	}
+	for s := range n.shards {
+		pop += len(n.shards[s].freePkts)
+	}
+	return pop
+}
+
+// TestPacketFreelistRecycles checks that packets that left the fabric
+// are recycled to the shard that will need them again. A saturating
+// flood, drained, leaves the freelists holding its peak population; a
+// lighter run of the same traffic then makes no new Packet — and,
+// sequentially, a Step allocates nothing at all (a forked Step pays its
+// channel and worker closures). Every packet crosses from the first
+// shard of two to the second, so a freelist that took its packets back
+// on the destination's shard would leave the first shard with none.
 func TestPacketFreelistRecycles(t *testing.T) {
-	n := buildSmall(t)
-	rng := newTestRand(23)
-	for cycle := 0; cycle < 2000; cycle++ {
-		for node := 0; node < n.Topo.Nodes; node++ {
-			if rng()%100 < 10 {
-				dst := int(rng() % uint64(n.Topo.Nodes))
-				if dst != node {
-					n.Inject(node, dst)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := smallCfg()
+			cfg.Workers = workers
+			n, err := Build(cfg, testMin{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Sources: the first four of nine groups, shard 0 of two.
+			srcs := n.Topo.P * n.Topo.A * (n.Topo.Groups / 2)
+			if workers > 1 && srcs != int(n.shards[0].nodeHi) {
+				t.Fatalf("shard 0 ends at node %d, the sources at node %d", n.shards[0].nodeHi, srcs)
+			}
+			rng := newTestRand(23)
+			cycle := func(rate uint64) {
+				for node := 0; node < srcs; node++ {
+					if rng()%100 < rate {
+						n.Inject(node, srcs+int(rng()%uint64(n.Topo.Nodes-srcs)))
+					}
 				}
+				n.Step()
+			}
+			backlog := 0
+			for range 2000 {
+				cycle(10)
+			}
+			for i := range n.nics {
+				backlog += n.nics[i].len()
+			}
+			if backlog < srcs*cfg.NICQueuePackets/2 {
+				t.Fatalf("NIC backlog %d after the flood: it did not saturate", backlog)
+			}
+			if !n.Drain(1 << 20) {
+				t.Fatal("did not drain")
+			}
+			made := packetStructs(n)
+			for range 500 {
+				cycle(3)
+			}
+			if n.InFlight < int64(srcs) {
+				t.Fatalf("%d packets in flight: the measured run is not loaded", n.InFlight)
+			}
+			if workers == 1 {
+				if allocs := testing.AllocsPerRun(500, func() { cycle(3) }); allocs != 0 {
+					t.Fatalf("a loaded Step allocates %v times after warm-up", allocs)
+				}
+			}
+			if got := packetStructs(n); got != made {
+				t.Fatalf("%d Packet structs after the flood, %d after a lighter run: the freelists missed", made, got)
+			}
+			if !n.Drain(1 << 20) {
+				t.Fatal("did not drain")
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// Drained, every packet made is on its source's freelist.
+			if free := len(n.shards[0].freePkts); free != made || free > maxFreePackets/workers {
+				t.Fatalf("%d packets on shard 0's freelist after drain, %d made (cap %d)", free, made, maxFreePackets/workers)
+			}
+		})
+	}
+}
+
+// TestNICRecordBecomesThePacketInjected pins the NIC record end to end:
+// OnDeliver sees the id, the generation cycle (the cycle of the Inject
+// call, not of the drain), the endpoints and the attempt number that
+// Inject/InjectRetry were given, through NIC queues that fill four
+// times faster than they drain.
+func TestNICRecordBecomesThePacketInjected(t *testing.T) {
+	n := buildSmall(t)
+	type injected struct {
+		gen      int64
+		src, dst int32
+		attempt  int8
+	}
+	var want []injected // indexed by packet id: ids are handed out in Inject order
+	seen := make(map[uint64]bool)
+	lagged := 0
+	n.OnDeliver = func(p *Packet, now int64) {
+		if p.ID >= uint64(len(want)) || seen[p.ID] {
+			t.Fatalf("delivered id %d: never injected, or delivered twice", p.ID)
+		}
+		seen[p.ID] = true
+		w := want[p.ID]
+		if got := (injected{p.GenTime, p.Src, p.Dst, p.Attempt}); got != w {
+			t.Fatalf("packet %d delivered as %+v, injected as %+v", p.ID, got, w)
+		}
+		if int32(n.Topo.RouterOfNode(int(p.Dst))) != p.DstRouter || p.Size != int32(n.Cfg.PacketSize) {
+			t.Fatalf("packet %d: DstRouter %d, Size %d", p.ID, p.DstRouter, p.Size)
+		}
+	}
+	rng := newTestRand(5)
+	for cycle := 0; cycle < 120; cycle++ {
+		// One packet every other cycle from each of eight nodes; a NIC
+		// drains one per PacketSize = 8 cycles.
+		for src := 0; src < 8 && cycle%2 == 0; src++ {
+			dst := int(rng() % uint64(n.Topo.Nodes))
+			if dst == src {
+				continue
+			}
+			w := injected{n.Now(), int32(src), int32(dst), int8(len(want) % 3)}
+			if w.attempt == 0 && n.Inject(src, dst) || w.attempt > 0 && n.InjectRetry(src, dst, w.attempt) {
+				want = append(want, w)
 			}
 		}
 		n.Step()
+		for src := 0; src < 8; src++ {
+			lagged = max(lagged, n.NICBacklog(src))
+		}
+	}
+	if lagged < 16 {
+		t.Fatalf("deepest NIC backlog %d: drain never lagged inject", lagged)
 	}
 	if !n.Drain(1 << 20) {
 		t.Fatal("did not drain")
 	}
-	if n.NumDelivered == 0 {
-		t.Fatal("nothing delivered")
-	}
-	if len(n.freePkts) == 0 {
-		t.Fatal("freelist empty after drain: delivered packets were not recycled")
-	}
-	// After a full drain every delivered packet is either on the freelist
-	// or was dropped past the cap; the freelist can never exceed the cap.
-	if len(n.freePkts) > maxFreePackets {
-		t.Fatalf("freelist %d exceeds cap %d", len(n.freePkts), maxFreePackets)
-	}
-	got := fmt.Sprintf("%d delivered, %d free", n.NumDelivered, len(n.freePkts))
-	if testing.Verbose() {
-		t.Log(got)
+	if len(seen) != len(want) || len(want) == 0 {
+		t.Fatalf("%d injected, %d delivered", len(want), len(seen))
 	}
 }
 

@@ -519,9 +519,10 @@ func (n *Network) killRouterContents(rt *Router) {
 	f := n.faults
 	t := n.Topo
 	for c := 0; c < t.P; c++ {
-		q := &n.nics[t.NodeID(rt.ID, c)]
+		node := t.NodeID(rt.ID, c)
+		q := &n.nics[node]
 		for q.len() > 0 {
-			f.noteVictim(q.pop())
+			f.noteVictim(rt.shard.newPacket(n, node, q.pop()))
 		}
 	}
 	for port := range rt.in {

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -229,5 +230,83 @@ func TestRandomPlanDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatalf("seeds 42 and 43 failed identical cables %v", a)
+	}
+}
+
+// TestRouterDownKillsNICBacklog: the packets still waiting in a dying
+// router's NIC queues exist only as records, and the kill must turn
+// each into the whole packet OnDrop promises — once, in ascending id
+// order with the in-fabric victims, with the fields Inject was given —
+// at either worker count, conservation intact.
+func TestRouterDownKillsNICBacklog(t *testing.T) {
+	const r, down = 3, 40 // router 3's nodes are 6 and 7 (P=2)
+	type drop struct {
+		id       uint64
+		gen      int64
+		src, dst int32
+		attempt  int8
+	}
+	run := func(workers int) (drops, queued []drop) {
+		cfg := smallCfg()
+		cfg.Workers = workers
+		cfg.Faults = FaultConfig{Events: []FaultEvent{{Kind: RouterDown, Router: r, Cycle: down}}}
+		n, err := Build(cfg, testMin{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.OnDrop = func(p *Packet, now int64) {
+			if now != down || p.Size != int32(cfg.PacketSize) || int(p.DstRouter) != n.Topo.RouterOfNode(int(p.Dst)) {
+				t.Fatalf("workers=%d: dropped %v at cycle %d with Size %d, DstRouter %d", workers, p, now, p.Size, p.DstRouter)
+			}
+			drops = append(drops, drop{p.ID, p.GenTime, p.Src, p.Dst, p.Attempt})
+		}
+		// A packet a cycle into each NIC, which drains one per eight.
+		sent, ids := map[int32][]drop{}, uint64(0)
+		for n.Now() <= down {
+			for src := int32(6); src <= 7; src++ {
+				if n.Now() == down {
+					// The step from here applies the kill: what the NIC
+					// holds now, the last it was sent, dies as records.
+					backlog := n.NICBacklog(int(src))
+					if backlog < 20 {
+						t.Fatalf("workers=%d: NIC %d holds %d at the kill", workers, src, backlog)
+					}
+					queued = append(queued, sent[src][len(sent[src])-backlog:]...)
+					continue
+				}
+				d := drop{ids, n.Now(), src, int32(20 + ids%40), int8(ids % 2)}
+				if !n.InjectRetry(int(d.src), int(d.dst), d.attempt) {
+					t.Fatalf("workers=%d: inject %d refused", workers, d.id)
+				}
+				sent[src] = append(sent[src], d)
+				ids++
+			}
+			n.Step()
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("workers=%d cycle %d: %v", workers, n.Now(), err)
+			}
+		}
+		if left := n.NICBacklog(6) + n.NICBacklog(7); left != 0 {
+			t.Fatalf("workers=%d: %d records outlived their router", workers, left)
+		}
+		conserve(t, n)
+		if n.NumDropped != uint64(len(drops)) {
+			t.Fatalf("workers=%d: %d dropped, %d reported", workers, n.NumDropped, len(drops))
+		}
+		return drops, queued
+	}
+	drops, queued := run(1)
+	for i := 1; i < len(drops); i++ {
+		if drops[i-1].id >= drops[i].id {
+			t.Fatalf("OnDrop order: id %d before id %d", drops[i-1].id, drops[i].id)
+		}
+	}
+	for _, q := range queued {
+		if !slices.Contains(drops, q) {
+			t.Fatalf("record %+v, queued at the kill, is not among the %d drops as injected", q, len(drops))
+		}
+	}
+	if par, _ := run(2); !slices.Equal(par, drops) {
+		t.Fatalf("workers=2 reported %d drops, not the %d of workers=1 in their order", len(par), len(drops))
 	}
 }

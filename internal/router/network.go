@@ -43,16 +43,30 @@ type event struct {
 	pkt    *Packet
 }
 
+// nicRec is a generated packet waiting in its source's NIC queue: what
+// Inject was told, plus the id and generation cycle it assigned. No
+// router has seen the packet yet, so everything else a Packet carries is
+// still its initial value and the Packet itself is made only when the
+// record drains into an injection VC (netShard.newPacket) — a saturated
+// NIC's backlog costs 24 bytes an entry, not a pointer and an 80-byte
+// struct.
+type nicRec struct {
+	id      uint64
+	gen     int64
+	dst     int32
+	attempt int8
+}
+
 // nic models a node's network interface: a bounded generation queue
 // draining into the router's injection buffers at one phit per cycle.
 type nic struct {
-	q          fifo[*Packet]
+	q          fifo[nicRec]
 	linkFreeAt int64
 }
 
-func (n *nic) len() int       { return n.q.len() }
-func (n *nic) push(p *Packet) { n.q.push(p) }
-func (n *nic) pop() *Packet   { return n.q.pop() }
+func (n *nic) len() int      { return n.q.len() }
+func (n *nic) push(r nicRec) { n.q.push(r) }
+func (n *nic) pop() nicRec   { return n.q.pop() }
 
 // Network is a complete simulated Dragonfly: routers, NICs, the event
 // calendar and cycle loop. With Config.Workers <= 1 a Network is
@@ -88,11 +102,6 @@ type Network struct {
 	fork *shardFork
 	// shardOf maps a router id to its owning shard.
 	shardOf []int16
-
-	// freePkts recycles delivered packets, eliminating the steady-state
-	// allocation per Inject. It is touched only at sequential points
-	// (Inject between cycles, delivery replay at the handle barrier).
-	freePkts []*Packet
 
 	// FullScan, when true, makes Step use the original O(routers+nodes)
 	// full-scan loop instead of the active-set scheduler. The two modes
@@ -268,8 +277,9 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	return n, nil
 }
 
-// maxFreePackets bounds the delivery freelist so a saturation transient's
-// peak in-flight population is not retained forever.
+// maxFreePackets bounds the packet freelists, summed over the shards
+// (each holds an equal share), so a saturation transient's peak in-flight
+// population is not retained forever.
 const maxFreePackets = 1 << 15
 
 func max64(a, b int64) int64 {
@@ -356,30 +366,8 @@ func (n *Network) inject(src, dst int, attempt int8) bool {
 		n.NumBlocked++
 		return false
 	}
-	var p *Packet
-	if k := len(n.freePkts); k > 0 {
-		p = n.freePkts[k-1]
-		n.freePkts[k-1] = nil
-		n.freePkts = n.freePkts[:k-1]
-	} else {
-		//lint:alloc freelist miss: warm-up only; steady state recycles retired packets
-		p = new(Packet)
-	}
-	*p = Packet{
-		ID:          n.pktID,
-		Src:         int32(src),
-		Dst:         int32(dst),
-		DstRouter:   int32(n.Topo.RouterOfNode(dst)),
-		Size:        int32(n.Cfg.PacketSize),
-		GenTime:     n.now,
-		Inter:       -1,
-		LastGroup:   -1,
-		CountedPort: -1,
-		CountedLink: -1,
-		Attempt:     attempt,
-	}
+	q.push(nicRec{id: n.pktID, gen: n.now, dst: int32(dst), attempt: attempt})
 	n.pktID++
-	q.push(p)
 	n.Routers[n.Topo.RouterOfNode(src)].shard.nicActive.add(int32(src))
 	n.NumGenerated++
 	n.InFlight++
@@ -666,7 +654,7 @@ func (n *Network) nicDrain(i int) {
 		return // injection buffers full; retry next cycle
 	}
 	q.linkFreeAt = n.now + int64(size)
-	r.enqueue(q.pop(), port, best)
+	r.enqueue(r.shard.newPacket(n, i, q.pop()), port, best)
 }
 
 // handle applies one scheduled event. Events are also the activation
@@ -754,10 +742,13 @@ func (n *Network) returnCredit(src *netShard, ip *inPort, vc int8, size int32) {
 }
 
 // recycle hands a packet that left the fabric — delivered, or killed by a
-// fault — to the freelist Inject draws from. Sequential points only.
+// fault — to the freelist of the shard that owns its source node: that
+// shard made it (newPacket), so in steady state every shard gets back
+// what it takes, at any worker count. Sequential points only.
 func (n *Network) recycle(p *Packet) {
-	if len(n.freePkts) < maxFreePackets {
-		n.freePkts = append(n.freePkts, p)
+	sh := &n.shards[n.shardOf[n.Topo.RouterOfNode(int(p.Src))]]
+	if len(sh.freePkts) < maxFreePackets/len(n.shards) {
+		sh.freePkts = append(sh.freePkts, p)
 	}
 }
 

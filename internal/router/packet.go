@@ -5,12 +5,15 @@ import "fmt"
 // Packet is the unit of switching: the simulator is virtual cut-through,
 // so buffers, credits and links are sized and timed in phits but
 // allocation and routing decisions happen once per packet. A packet lives
-// in exactly one input queue (or NIC queue, or output stage) at a time,
-// so per-hop transient state can live directly on the struct.
+// in exactly one input queue (or output stage) at a time, so per-hop
+// transient state can live directly on the struct. It comes into being
+// when its NIC record drains into an injection VC (nicRec, in
+// network.go): a packet still waiting at its source is a record, not a
+// Packet.
 //
-// Delivered packets are recycled through the network's freelist: a
+// Delivered packets are recycled through the shards' freelists: a
 // packet's fields are stable until the OnDeliver callback for it
-// returns, after which the struct may be reused by a future Inject.
+// returns, after which the struct may be reused by a later NIC drain.
 // Observers that need a packet's data past delivery must copy it.
 type Packet struct {
 	ID  uint64

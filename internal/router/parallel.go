@@ -114,11 +114,49 @@ type netShard struct {
 	// ascending source-node order (replayNotifications).
 	notified []notifyRec
 
+	// freePkts recycles the packets that left the fabric, LIFO, so a
+	// steady-state NIC drain allocates nothing. newPacket takes from it
+	// inside the parallel section; Network.recycle returns a packet to the
+	// shard of its source node at the sequential points.
+	freePkts []*Packet
+
 	// pendingKills collects the head packets this shard's route phase
 	// flagged for removal (unreachable destination, exhausted detour
 	// budget — see faults.go), resolved at the next sequential point in
 	// ascending shard order. Always empty without a fault plan.
 	pendingKills []pendingKill
+}
+
+// newPacket makes the Packet of a record leaving the NIC queue of src,
+// a node of this shard, on a struct from the shard's freelist: into an
+// injection VC (nicDrain, inside the parallel section), or into a
+// fault's victim set when src's router dies with the record still
+// queued. The id and generation cycle are the record's, assigned by
+// Inject; the path state starts out empty.
+func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
+	var p *Packet
+	if k := len(sh.freePkts); k > 0 {
+		p = sh.freePkts[k-1]
+		sh.freePkts[k-1] = nil
+		sh.freePkts = sh.freePkts[:k-1]
+	} else {
+		//lint:alloc freelist miss: warm-up only; steady state recycles retired packets
+		p = new(Packet)
+	}
+	*p = Packet{
+		ID:          rec.id,
+		Src:         int32(src),
+		Dst:         rec.dst,
+		DstRouter:   int32(n.Topo.RouterOfNode(int(rec.dst))),
+		Size:        int32(n.Cfg.PacketSize),
+		GenTime:     rec.gen,
+		Inter:       -1,
+		LastGroup:   -1,
+		CountedPort: -1,
+		CountedLink: -1,
+		Attempt:     rec.attempt,
+	}
+	return p
 }
 
 // notifyRec is one collected congestion notification: the source node it

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"cbar/internal/router"
@@ -21,6 +22,18 @@ import (
 // few seeds — hands the idle cores to each run as shard workers
 // (router.Config.Workers; results are cycle-for-cycle identical at any
 // worker count).
+//
+// Tasks are started in descending offered load, not in index order. A
+// latency–load sweep runs to saturation and a point's cost grows with
+// its load (more packets in flight per simulated cycle, and past
+// saturation the blocked heads besides), so index order — loads
+// ascending — ends every sweep with its dearest point alone on one core;
+// started first, it runs beside the cheap ones. Load is the key because
+// it is the one cost driver known before a point has run and the one
+// every grid has; it needs no cost model. Only the start order changes:
+// task k still writes result slot k, so results come back in grid order.
+// What pays for holding the heaviest networks at the same time is in
+// router/network.go (nicRec).
 
 // gridPoint is one operating point of a measurement grid.
 type gridPoint struct {
@@ -32,7 +45,8 @@ type gridPoint struct {
 // runGrid measures every point of a grid, b.Seeds repeats each, under
 // the budget's measurement mode — the fixed-window steadySeed or the
 // adaptive engine — and reduces each point's seeds to one result; the
-// returned slice is ordered like pts.
+// returned slice is ordered like pts, whatever order the pool started
+// the points in (forEachRun: heaviest load first).
 func runGrid(pts []gridPoint, b Budget) ([]SteadyResult, error) {
 	b = b.steadyDefaults()
 	if err := b.validateSteady(); err != nil {
@@ -66,9 +80,11 @@ func runGrid(pts []gridPoint, b Budget) ([]SteadyResult, error) {
 // forEachRun calls f once per (point, seed) of a non-empty grid — task k
 // is repeat k%b.Seeds of point k/b.Seeds — handing f the point's config
 // with the planned shard-worker count, and polls b.Ctx between tasks.
-// An explicit worker request (the config's, else b.Workers) is
-// respected instead of the automatic split; auto mode keeps the whole
-// grid sequential if any point is not autoShardable.
+// Tasks start in descending load, ties in index order, so a point's
+// seeds stay adjacent and ascending; k names the result slot, not the
+// start position. An explicit worker request (the config's, else
+// b.Workers) is respected instead of the automatic split; auto mode
+// keeps the whole grid sequential if any point is not autoShardable.
 func forEachRun(pts []gridPoint, b Budget, f func(k int, c Config) error) error {
 	requested := 0
 	for _, pt := range pts {
@@ -79,11 +95,19 @@ func forEachRun(pts []gridPoint, b Budget, f func(k int, c Config) error) error 
 		requested = max(requested, w)
 	}
 	tasks := len(pts) * b.Seeds
+	order := make([]int, tasks)
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(j, k int) int {
+		return cmp.Compare(pts[k/b.Seeds].load, pts[j/b.Seeds].load)
+	})
 	perRun, taskWorkers := planWorkers(requested, tasks)
-	return forEachTaskN(tasks, taskWorkers, func(k int) error {
+	return forEachTaskN(tasks, taskWorkers, func(i int) error {
 		if err := ctxErr(b.Ctx); err != nil {
 			return err
 		}
+		k := order[i]
 		c := pts[k/b.Seeds].c
 		c.Router.Workers = perRun
 		return f(k, c)

@@ -1,0 +1,51 @@
+package sim
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"cbar/internal/routing"
+)
+
+// TestGridDispatchHeaviestFirst pins the pool's start order and that it
+// is not the result order. With one pool worker the tasks of a grid
+// start in descending load, equal loads in grid order, a point's seeds
+// adjacent and ascending; runGrid returns its results in grid order all
+// the same.
+func TestGridDispatchHeaviestFirst(t *testing.T) {
+	loads := []float64{0.1, 0.5, 0.3, 0.5, 0.2}
+	c := tinyCfg(routing.Min)
+	pts := make([]gridPoint, len(loads))
+	for i, l := range loads {
+		pts[i] = gridPoint{c, UN(), l}
+	}
+	// Asking every run for all the cores leaves the pool one worker.
+	b := Budget{Warmup: 100, Measure: 100, Seeds: 3, Workers: runtime.GOMAXPROCS(0)}
+	var started []int
+	err := forEachRun(pts, b, func(k int, c Config) error {
+		started = append(started, k)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 4, 5, 9, 10, 11, 6, 7, 8, 12, 13, 14, 0, 1, 2}
+	if !slices.Equal(started, want) {
+		t.Fatalf("tasks started in order %v, want %v", started, want)
+	}
+
+	b.Workers = 0
+	rs, err := runGrid(pts, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if r.Load != loads[i] || r.Seeds != b.Seeds {
+			t.Fatalf("result %d is load %g over %d seeds, want load %g over %d", i, r.Load, r.Seeds, loads[i], b.Seeds)
+		}
+	}
+	if rs[1] != rs[3] || rs[0].Accepted >= rs[4].Accepted {
+		t.Fatalf("results are not their points': %+v", rs)
+	}
+}

@@ -67,6 +67,10 @@ const (
 	OpElideSpan
 	// OpBurstDrain is one BurstDrainStep episode on an unwarmed network.
 	OpBurstDrain
+	// OpSweep is one SweepBenchStep: a whole load sweep, set-up included,
+	// through the grid pool. It times the pool, so a report records it
+	// only at GOMAXPROCS >= 2.
+	OpSweep
 )
 
 // StepBenchSpec is one step-benchmark operating point. The zero values
@@ -173,6 +177,10 @@ func StepBenchSuite() []StepBenchRow {
 		// most of those cycles have only a dwindling tail of active
 		// components, which a full scan pays topology cost for.
 		{Name: "StepSmallBurstDrain", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Op: OpBurstDrain}},
+		// The grid pool's row: three UN loads whose costs differ fivefold,
+		// each run on one worker, so on two cores the op's time is set by
+		// which point the pool leaves for last.
+		{Name: "SweepSmallUN", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Workers: 1, Op: OpSweep}},
 	}
 }
 
@@ -181,7 +189,7 @@ func StepBenchSuite() []StepBenchRow {
 // through the driver: into steady state for the stepped rows, every
 // lazily-grown pool touched on top for the elision rows. A burst-drain
 // row gets a cold network and no injector: its episodes bring their own
-// traffic.
+// traffic. (A sweep row has nothing to build: SweepBenchStep is its op.)
 func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) {
 	c := NewConfig(sp.Scale.Params(), sp.Algo)
 	if sp.Op == OpBurstDrain {
@@ -219,6 +227,23 @@ func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) 
 	}
 	return nil, nil, fmt.Errorf("sim: %v at load %g: in-flight population still growing after %d cycles; not a saturated operating point",
 		sp.Algo, sp.Load, (maxWindows+1)*StepBenchWarmup)
+}
+
+// The grid of an OpSweep row: below saturation, so accepted load tracks
+// the offered one and a point's cost its load.
+var sweepBenchLoads = []float64{0.1, 0.3, 0.5}
+
+const sweepBenchWarmup, sweepBenchMeasure = 2000, 1000
+
+// SweepBenchStep runs one op of an OpSweep row — the spec's mechanism
+// and workload over sweepBenchLoads, one seed a point, through
+// SweepSteadyBudget — and returns the simulated cycles it covered.
+func SweepBenchStep(sp StepBenchSpec) (cycles int64, err error) {
+	c := NewConfig(sp.Scale.Params(), sp.Algo)
+	c.Router.Workers = sp.Workers
+	_, err = SweepSteadyBudget(c, sp.Workload, sweepBenchLoads,
+		Budget{Warmup: sweepBenchWarmup, Measure: sweepBenchMeasure, Seeds: 1})
+	return int64(len(sweepBenchLoads)) * (sweepBenchWarmup + sweepBenchMeasure), err
 }
 
 // BurstDrainStep runs one episode of the burst-then-drain benchmark: a

@@ -88,7 +88,9 @@ func RunSteady(c Config, t Traffic, load float64, opt SteadyOptions) (SteadyResu
 // Sweep measures a whole load grid. Every (load, seed) point of the
 // grid runs through one bounded worker pool (GOMAXPROCS workers) — a
 // sweep of L loads no longer fans out into L independent seed pools.
-// The returned slice is ordered like loads.
+// The pool starts the heaviest loads first (a point's cost rises with
+// its load); that is the dispatch order only. The returned slice is
+// ordered like loads, and no result depends on when its point ran.
 func Sweep(c Config, t Traffic, loads []float64, opt SteadyOptions) ([]SteadyResult, error) {
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("cbar: empty load grid")
