@@ -294,12 +294,49 @@
 // grants on distinct outputs of one router touch distinct inputs and
 // ports, so the order among them changes no result.
 //
+// Head slots. What the route phase and the allocator need to know of an
+// input VC — is there a head, has it been granted, what did it last
+// request — is kept where the router looks, not behind port → VC → ring →
+// *Packet. Every input (port, VC) pair has a slot, numbered port-major
+// (inPort.slot0 + vc; 41 slots at Small, 85 at Paper; the way back is two
+// small maps the Network keeps once, every router being laid out alike),
+// and each router holds three things per slot: the head pointer
+// (Router.heads), the stored request (Router.req: output port, downstream
+// VC, valid, fault-escape) and a bit in the unroutedHeads set, which is
+// the same bitset type again — set exactly while the VC has a head that
+// awaits a grant. The three places a head changes keep them in step,
+// eagerly: enqueue into an empty VC, dequeue (the next packet becomes
+// head, its request empty) and grant (bit dropped, request spent). The
+// route phase peels the set's bits ascending, which is the port-major,
+// VC-minor order of a walk over every port and VC — so head hooks fire,
+// Route is called and the router's random stream is drawn from in that
+// walk's exact sequence — and touches a packet only to route it: an
+// empty VC or a granted head costs nothing. The allocator's input stage
+// reads requests and CanAccept and never dereferences a packet; a valid
+// request is by construction that of a present, ungranted head, which is
+// why the grant and the dequeue must clear it
+// (TestStaleRequestNeverNominated). There is one copy of each fact: the
+// packet carries no request and no granted flag, the ports and the
+// router no unrouted counters (the set's count is that number, and it
+// has no stale members). The FullScan oracle visits every router but
+// reads the same table. CheckInvariants audits the table against the
+// queues, slot by slot, and replays parked heads against the stored
+// requests. The group ids a decision compares are asked once, too:
+// Router.Group at construction, the destination's group memoised on the
+// packet (Router.DstGroup). The table costs about 700 bytes per Small
+// router; it is paid for by what it made unnecessary or exposed — the
+// per-port creditCap slices (a cap is (occCap − outCap) / VCs), 32-bit
+// ring indices, 8-bit round-robin pointers — and by cutting each
+// router's VC queues, rings and credit counters from one array per kind
+// instead of some eighty, so a built fabric is ≈ 4 % smaller per node
+// than before the table and ≈ 30 % quicker to construct.
+//
 // Allocation iterations end at the first no-grant. The allocator runs
 // Speedup iterations per cycle, iteration-major across the routers (the
 // order grants append their events in is part of the determinism
 // contract). A router whose iteration granted nothing nominated nothing,
 // and everything a nomination reads — the round-robin pointers, credits,
-// output space, the heads' requests — moves only in a grant, so its
+// output space, the head slots' requests — moves only in a grant, so its
 // remaining iterations of that cycle would be the same no-op and are
 // skipped; past saturation that is most of them. The FullScan oracle
 // keeps visiting every router in every iteration, so the equivalence
@@ -357,7 +394,7 @@
 // route set — parks — after a route/allocate visit that changed
 // nothing: no head-of-queue hook fired, the router's random stream was
 // not advanced, no fault kill was flagged and the allocator granted
-// nothing. The heads keep their stored requests. Every mutation that
+// nothing. The head slots keep their stored requests. Every mutation that
 // can alter a decision or its admissibility at the router wakes it
 // before the next route phase: a head arrival, a tail departure, a
 // credit return or an output-buffer free handled at the router, a NIC

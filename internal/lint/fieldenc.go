@@ -78,12 +78,16 @@ func (pass *Pass) checkFieldWrite(idx *declIndex, lhs ast.Expr) {
 
 // fieldRuleFor resolves an assignment target to a registered field rule:
 // the target must be a selector (possibly through pointers, parens and
-// index expressions: r.out[i].occ) whose field and owning named type
-// match a FieldRule.
+// index expressions: r.out[i].occ), or an element of one (r.heads[i]: a
+// write into a slice field is a write to the field), whose field and
+// owning named type match a FieldRule.
 func (pass *Pass) fieldRuleFor(lhs ast.Expr) (*ast.SelectorExpr, *FieldRule) {
 	e := ast.Unparen(lhs)
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = ast.Unparen(star.X)
+	}
+	for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+		e = ast.Unparen(ix.X)
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {

@@ -302,7 +302,10 @@ func DefaultConfig() *Config {
 		// point — a second clearing site would be a wake the documented
 		// wake set does not list); parkable is the per-cycle verdict
 		// routePhase computes and a grant revokes. The minimal-port memo
-		// is written where it is computed and cleared on enqueue.
+		// is written where it is computed and cleared on enqueue, the
+		// destination-group memo where it is computed and at newPacket.
+		// The head table moves only where a head does: the allocator
+		// nominates on a valid request without looking at the packet.
 		Fields: []FieldRule{
 			{Type: router + ".Router", Field: "parked",
 				Writers: []string{router + ".Network.stepShard", router + ".Router.wake"}},
@@ -310,6 +313,14 @@ func DefaultConfig() *Config {
 				Writers: []string{router + ".Router.routePhase", router + ".Router.grant"}},
 			{Type: router + ".Packet", Field: "minOut",
 				Writers: []string{router + ".Router.MinimalOut", router + ".Packet.resetQueueState"}},
+			{Type: router + ".Packet", Field: "dstGroup",
+				Writers: []string{router + ".Router.DstGroup", router + ".netShard.newPacket"}},
+			{Type: router + ".Router", Field: "heads",
+				Writers: []string{router + ".Router.enqueue", router + ".Router.dequeue"}},
+			{Type: router + ".Router", Field: "req",
+				Writers: []string{router + ".Router.routePhase", router + ".Router.grant", router + ".Router.dequeue"}},
+			{Type: router + ".Router", Field: "unroutedHeads",
+				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".outPort", Field: "occ",
 				Writers: []string{router + ".Router.occDelta"}},
 			{Type: router + ".outPort", Field: "occCap",

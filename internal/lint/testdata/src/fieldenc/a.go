@@ -11,7 +11,8 @@ type Port struct {
 }
 
 type Router struct {
-	out []Port
+	out   []Port
+	heads []*Port
 }
 
 // occDelta is the sanctioned mutator of occ.
@@ -43,6 +44,15 @@ func (r *Router) badIncDec(p int) {
 	r.out[p].credits++ // want `write to fixture/fieldenc.Port.credits`
 }
 
+// setHead is the sanctioned writer of heads' elements.
+func (r *Router) setHead(i int, pt *Port) {
+	r.heads[i] = pt
+}
+
+func (r *Router) badElement(i int) {
+	r.heads[i] = nil // want `write to fixture/fieldenc.Router.heads`
+}
+
 func badPointer(pt *Port) {
 	pt.occ = 7 // want `write to fixture/fieldenc.Port.occ`
 }
@@ -58,4 +68,8 @@ func okOtherFields(pt *Port) {
 
 func okRead(pt *Port) int {
 	return pt.occ + pt.credits
+}
+
+func (r *Router) okElementRead(i int) *Port {
+	return r.heads[i]
 }

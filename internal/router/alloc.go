@@ -8,15 +8,18 @@ import "math/bits"
 // nominating inputs, round-robin. The network runs Config.Speedup
 // iterations per cycle, modeling the 2× internal frequency speedup of the
 // paper's router, which compensates for the well-known matching loss of
-// separable allocators and mitigates head-of-line blocking.
+// separable allocators and mitigates head-of-line blocking. Requests are
+// rows of the router's head table (headReq), not packet state.
 
 // allocate runs a single allocation iteration on this router and
 // reports whether it granted anything. Only the input ports that
 // registered a request in this cycle's routePhase are scanned
-// (reqPorts); requests persist across the Speedup iterations. No grant
-// means no nomination, and what a nomination reads (rrVC, credits,
-// outFree, the heads' requests) moves only in grant: the cycle's
-// remaining iterations would be the same no-op, so stepShard skips them.
+// (reqPorts); requests persist across the Speedup iterations. The input
+// stage reads Router.req and CanAccept, never a packet: a valid request
+// is always an ungranted head's. No grant means no nomination, and what a
+// nomination reads (rrVC, credits, outFree, the requests) moves only in
+// grant: the cycle's remaining iterations would be the same no-op, so
+// stepShard skips them.
 func (r *Router) allocate() bool {
 	if r.reqPorts.count == 0 {
 		return false
@@ -30,22 +33,19 @@ func (r *Router) allocate() bool {
 		for ; w != 0; w &= w - 1 {
 			port := int(r.reqPorts.idAt(wi, w))
 			ip := &r.in[port]
-			nv := len(ip.vcs)
-			vc := r.rrVC[port]
-			for k := 0; k < nv; k++ {
-				if vc++; vc >= nv {
+			reqs := r.req[ip.slot0:][:len(ip.vcs)]
+			vc := int(r.rrVC[port])
+			for range reqs {
+				if vc++; vc >= len(reqs) {
 					vc = 0
 				}
-				p := ip.vcs[vc].headPkt()
-				if p == nil || p.Granted || !p.reqValid {
-					continue
-				}
-				if !r.CanAccept(int(p.reqOut), int(p.reqVC), size) {
+				rq := reqs[vc]
+				if !rq.valid || !r.CanAccept(int(rq.out), int(rq.vc), size) {
 					continue
 				}
 				r.s1[port] = int8(vc)
-				r.dirtyOut.add(int32(p.reqOut))
-				r.cand[int(p.reqOut)*cw+port>>6] |= 1 << (port & 63)
+				r.dirtyOut.add(int32(rq.out))
+				r.cand[int(rq.out)*cw+port>>6] |= 1 << (port & 63)
 				break
 			}
 		}
@@ -93,8 +93,9 @@ func rrPick(cand []uint64, rr int) int {
 // tail departure, updates hop counters and round-robin state, and informs
 // the algorithm.
 func (r *Router) grant(port, vc, out int) {
-	p := r.in[port].vcs[vc].headPkt()
-	outVC := int(p.reqVC)
+	slot := int(r.in[port].slot0) + vc
+	p, rq := r.heads[slot], r.req[slot]
+	outVC := int(rq.vc)
 	o := &r.out[out]
 	size := p.Size
 	now := r.net.now
@@ -110,15 +111,15 @@ func (r *Router) grant(port, vc, out int) {
 		// is never true on a port that does not mark (markTh = noMark).
 		p.ECNMarks++
 	}
-	p.Granted = true
-	if p.reqEscape {
+	if rq.escape {
 		// The grant went through the fault escape path: spend one unit
 		// of the packet's detour budget (see faults.go).
 		p.FaultDetours++
-		p.reqEscape = false
 	}
-	r.in[port].unrouted--
-	r.unrouted--
+	// Granted: the head stays until its tail leaves, no longer unrouted,
+	// its request spent — a later iteration must not nominate it again.
+	r.unroutedHeads.drop(int32(slot))
+	r.req[slot] = headReq{}
 	r.parkable = false
 
 	switch o.kind {
@@ -146,7 +147,7 @@ func (r *Router) grant(port, vc, out int) {
 	r.net.scheduleFrom(r.shard, tail,
 		event{kind: evTailLeave, router: int32(r.ID), port: int16(port), vc: int8(vc), pkt: p})
 
-	r.rrVC[port] = vc
+	r.rrVC[port] = int8(vc)
 	o.rrIn = port
 	r.net.Alg.OnGrant(r, p, port, vc, out, outVC)
 }

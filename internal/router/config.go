@@ -24,6 +24,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"cbar/internal/topology"
 )
@@ -115,6 +116,11 @@ func (c Config) Validate() error {
 	if err := c.Topo.Validate(); err != nil {
 		return err
 	}
+	// A packet carries its destination's group and a group-wide global
+	// link index in 16 bits (dstGroup, CountedLink).
+	if g := c.Topo.A*c.Topo.H + 1; g > math.MaxInt16 {
+		return fmt.Errorf("router: %d groups, more than the %d a packet can name", g, math.MaxInt16)
+	}
 	if c.PacketSize < 1 {
 		return fmt.Errorf("router: packet size %d < 1", c.PacketSize)
 	}
@@ -148,8 +154,8 @@ func (c Config) Validate() error {
 	// head-arrive at grant + pipeline + link latency). A shorter path
 	// would have the packet resident in two input queues at once, which
 	// the per-queue transient state on the Packet struct (HeadSeen,
-	// CountedPort/CountedLink, Granted) does not model — the contention
-	// counters corrupt. Reject instead of simulating garbage.
+	// CountedPort/CountedLink) does not model — the contention counters
+	// corrupt. Reject instead of simulating garbage.
 	if min := c.PipelineLatency + c.LatencyLocal; min < c.PacketSize {
 		return fmt.Errorf("router: PipelineLatency+LatencyLocal (%d) must cover the packet serialization time (%d phits)",
 			min, c.PacketSize)

@@ -138,7 +138,7 @@ func TestAllocationSkipsOnlyNoOpIterations(t *testing.T) {
 			t.Fatal("inject refused")
 		}
 		n.Step()
-		if granted := 2 - int(n.Routers[0].unrouted); granted != speedup {
+		if granted := 2 - n.Routers[0].unroutedHeads.count; granted != speedup {
 			t.Fatalf("speedup %d: %d of the two heads granted in one cycle", speedup, granted)
 		}
 	}
@@ -407,33 +407,31 @@ func TestParkedRouterInvariants(t *testing.T) {
 	if parked == nil {
 		t.Fatal("no router ever parked behind single-packet buffers")
 	}
-	if parked.unrouted == 0 || parked.shard.routeActive.has(int32(parked.ID)) {
+	if parked.unroutedHeads.count == 0 || parked.shard.routeActive.has(int32(parked.ID)) {
 		t.Fatalf("router %d parked with %d unrouted heads, in route set %v",
-			parked.ID, parked.unrouted, parked.shard.routeActive.has(int32(parked.ID)))
+			parked.ID, parked.unroutedHeads.count, parked.shard.routeActive.has(int32(parked.ID)))
 	}
 
 	// Hand a blocked head the credits and output space it waits for
 	// without waking its router — what a mutation point that forgot
 	// wake() would do. The sweep must object.
-	var held *Packet
-	for port := range parked.in {
-		for vc := range parked.in[port].vcs {
-			if p := parked.in[port].vcs[vc].headPkt(); p != nil && !p.Granted && p.reqValid {
-				held = p
-			}
+	var held headReq
+	for _, rq := range parked.req {
+		if rq.valid {
+			held = rq
 		}
 	}
-	if held == nil {
+	if !held.valid {
 		t.Fatal("parked router holds no stored request")
 	}
-	o := &parked.out[held.reqOut]
-	credits, outFree, occ := o.credits[held.reqVC], o.outFree, o.occ
-	o.credits[held.reqVC], o.outFree = o.creditCap[held.reqVC], o.outCap
-	o.occ -= (o.credits[held.reqVC] - credits) + (o.outFree - outFree)
+	o := &parked.out[held.out]
+	credits, outFree, occ := o.credits[held.vc], o.outFree, o.occ
+	o.credits[held.vc], o.outFree = (o.occCap-o.outCap)/int32(len(o.credits)), o.outCap
+	o.occ -= (o.credits[held.vc] - credits) + (o.outFree - outFree)
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a parked router whose stored request is grantable")
 	}
-	o.credits[held.reqVC], o.outFree, o.occ = credits, outFree, occ
+	o.credits[held.vc], o.outFree, o.occ = credits, outFree, occ
 
 	if !n.Drain(1 << 16) {
 		t.Fatalf("parked routers were never woken: %d packets stuck", n.InFlight)

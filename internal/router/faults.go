@@ -559,12 +559,10 @@ func (n *Network) killStagedQueue(r *Router, port int) {
 // serialization outlives the pipeline, so a packet can be staged — or
 // even on the wire — while its tail still occupies the input buffer).
 func (n *Network) killGrantedResidue(r *Router, p *Packet) {
-	for port := range r.in {
-		for vc := range r.in[port].vcs {
-			if r.in[port].vcs[vc].headPkt() == p {
-				n.killQueued(r, port, vc)
-				return
-			}
+	for slot, head := range r.heads {
+		if head == p {
+			n.killQueued(r, int(n.slotPort[slot]), int(n.slotVC[slot]))
+			return
 		}
 	}
 }
@@ -722,9 +720,8 @@ func (n *Network) finalizeFaultVictims() {
 func (n *Network) resolvePendingKill(pk *pendingKill) {
 	r := n.Routers[pk.router]
 	ip := &r.in[pk.port]
-	vq := &ip.vcs[pk.vc]
-	p := vq.headPkt()
-	if p != pk.pkt || p.Granted {
+	p := r.HeadPacket(int(pk.port), int(pk.vc))
+	if p != pk.pkt || r.HeadGranted(int(pk.port), int(pk.vc)) {
 		return
 	}
 	if pk.reason == killUnreachable && n.reachableRouters(pk.router, p.DstRouter) {
@@ -768,16 +765,16 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 //     untouched, and — because the RNG is only consumed on the dead-port
 //     path — the router's random stream stays identical to a fault-free
 //     run until a fault actually bites.
-func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) Request {
+func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) (_ Request, escape bool) {
 	n := r.net
 	if !n.reachableRouters(int32(r.ID), p.DstRouter) {
-		return r.flagKill(p, port, vc, killUnreachable)
+		return r.flagKill(p, port, vc, killUnreachable), false
 	}
 	if !req.OK || !r.out[req.Out].dead {
-		return req
+		return req, false
 	}
 	if p.FaultDetours >= maxFaultDetours {
-		return r.flagKill(p, port, vc, killDetourCap)
+		return r.flagKill(p, port, vc, killDetourCap), false
 	}
 	first := n.Topo.FirstLocalPort()
 	pick, ok := r.PickPort(first, len(r.out)-first, -1, nil)
@@ -786,10 +783,9 @@ func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) Request {
 		// only possible when the destination is this router itself —
 		// but then the minimal request is the (never dead) ejection
 		// channel and we would not be here. Treat as partitioned.
-		return r.flagKill(p, port, vc, killUnreachable)
+		return r.flagKill(p, port, vc, killUnreachable), false
 	}
-	p.reqEscape = true
-	return Request{Out: pick, VC: r.LadderVC(p, pick), OK: true}
+	return Request{Out: pick, VC: r.LadderVC(p, pick), OK: true}, true
 }
 
 // flagKill flags head packet p of input VC (port, vc) for removal at the

@@ -83,6 +83,10 @@ type Network struct {
 	Routers []*Router
 	nics    []nic
 	groups  [][]*Router
+	// slotPort and slotVC map a head slot (inPort.slot0 + vc) back to its
+	// input port and VC; every router is laid out alike, so one copy.
+	slotPort []int16
+	slotVC   []int8
 
 	now  int64
 	seed uint64
@@ -248,6 +252,12 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		}
 	}
 
+	for port := 0; port < topo.Radix(); port++ {
+		for vc := 0; vc < cfg.VCsFor(portKind(topo, port)); vc++ {
+			n.slotPort = append(n.slotPort, int16(port))
+			n.slotVC = append(n.slotVC, int8(vc))
+		}
+	}
 	n.Routers = make([]*Router, topo.Routers)
 	for id := range n.Routers {
 		n.Routers[id] = newRouter(id, n)
@@ -552,7 +562,7 @@ func (n *Network) stepShard(sh *netShard) {
 		for ; w != 0; w &= w - 1 {
 			id := sh.routeActive.idAt(wi, w)
 			r := n.Routers[id]
-			if r.unrouted == 0 {
+			if r.unroutedHeads.count == 0 {
 				sh.routeActive.drop(id)
 				continue
 			}

@@ -6,7 +6,9 @@ import "fmt"
 // so buffers, credits and links are sized and timed in phits but
 // allocation and routing decisions happen once per packet. A packet lives
 // in exactly one input queue (or output stage) at a time, so per-hop
-// transient state can live directly on the struct. It comes into being
+// transient state can live directly on the struct — except a head's
+// allocation request and whether it was granted, which the router reads
+// without the packet (Router.req, Router.unroutedHeads). It comes into being
 // when its NIC record drains into an injection VC (nicRec, in
 // network.go): a packet still waiting at its source is a record, not a
 // Packet.
@@ -48,7 +50,11 @@ type Packet struct {
 	// currently visited group; the algorithm resets it on group change
 	// using LastGroup.
 	LocalMisThisGroup bool
-	LastGroup         int32
+	// dstGroup memoises Router.DstGroup: the destination's group plus
+	// one, so zero means "not computed yet" and a hand-built
+	// Packet{Dst: x} is correct. (It sits in the padding before LastGroup.)
+	dstGroup  int16
+	LastGroup int32
 
 	// Hop counters drive the ascending-VC deadlock avoidance scheme.
 	LocalHops  int8
@@ -99,26 +105,12 @@ type Packet struct {
 	// HeadSeen records that the head-of-queue hooks fired at this
 	// router.
 	HeadSeen bool
-	// Granted records that switch allocation succeeded; the packet
-	// stays at the queue head (occupying buffer space) until its tail
-	// leaves, but must not re-arbitrate.
-	Granted bool
-
-	// reqOut/reqVC/reqValid hold the current allocation request;
-	// reqEscape marks it as a fault-escape redirect (see faults.go).
-	reqOut    int16
-	reqVC     int8
-	reqValid  bool
-	reqEscape bool
 }
 
 // resetQueueState prepares per-queue transient state on enqueue.
 func (p *Packet) resetQueueState(tailArrive int64) {
 	p.TailArrive = tailArrive
 	p.HeadSeen = false
-	p.Granted = false
-	p.reqValid = false
-	p.reqEscape = false
 	p.minOut = 0
 	p.CountedPort = -1
 	p.CountedLink = -1

@@ -148,6 +148,7 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		Src:         int32(src),
 		Dst:         rec.dst,
 		DstRouter:   int32(n.Topo.RouterOfNode(int(rec.dst))),
+		dstGroup:    int16(n.Topo.GroupOfNode(int(rec.dst))) + 1,
 		Size:        int32(n.Cfg.PacketSize),
 		GenTime:     rec.gen,
 		Inter:       -1,

@@ -47,23 +47,18 @@ func (f *fifo[T]) pop() T {
 // the upstream credit counters, not here; the queue only asserts the
 // invariant.
 type vcQueue struct {
-	pkts []*Packet // ring buffer
-	head int
-	n    int
+	pkts []*Packet // ring buffer, ringSlots long, cut from the router's one ring array
+	head int32
+	n    int32
 
 	capPhits  int32
 	usedPhits int32
 }
 
-func newVCQueue(capPhits, packetSize int) vcQueue {
-	// The ring never holds more packets than fit in the buffer: every
-	// packet is packetSize phits, so push's overflow check fires before
-	// the ring could run out of slots.
-	slots := capPhits / packetSize
-	if slots < 1 {
-		slots = 1
-	}
-	return vcQueue{pkts: make([]*Packet, slots), capPhits: int32(capPhits)}
+// ringSlots is the ring size of a capPhits-phit VC: every packet is
+// packetSize phits, so push's overflow check fires before it runs out.
+func ringSlots(capPhits, packetSize int) int {
+	return max(capPhits/packetSize, 1)
 }
 
 // free returns the unreserved buffer space in phits.
@@ -73,7 +68,7 @@ func (q *vcQueue) free() int32 { return q.capPhits - q.usedPhits }
 func (q *vcQueue) empty() bool { return q.n == 0 }
 
 // len returns the number of queued packets.
-func (q *vcQueue) len() int { return q.n }
+func (q *vcQueue) len() int { return int(q.n) }
 
 // headPkt returns the packet at the queue head, or nil.
 func (q *vcQueue) headPkt() *Packet {
@@ -92,7 +87,7 @@ func (q *vcQueue) push(p *Packet) {
 	}
 	// Ring indices wrap by compare, not %: the slot count is a run-time
 	// value, and a divide per hop is the dearest instruction here.
-	i := q.head + q.n
+	i := int(q.head + q.n)
 	if i >= len(q.pkts) {
 		i -= len(q.pkts)
 	}
@@ -108,7 +103,7 @@ func (q *vcQueue) pop() *Packet {
 	}
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
-	if q.head++; q.head == len(q.pkts) {
+	if q.head++; int(q.head) == len(q.pkts) {
 		q.head = 0
 	}
 	q.n--

@@ -2,6 +2,12 @@ package router
 
 import "testing"
 
+// newVCQueue builds a stand-alone queue the way newRouter cuts one from
+// its ring array.
+func newVCQueue(capPhits, packetSize int) vcQueue {
+	return vcQueue{pkts: make([]*Packet, ringSlots(capPhits, packetSize)), capPhits: int32(capPhits)}
+}
+
 // TestVCQueueRingIsFixed: the ring is sized capPhits/packetSize at
 // construction and never grows — filling the queue to its phit capacity
 // uses exactly the slots it was built with, and the next push trips the

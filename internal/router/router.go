@@ -20,13 +20,27 @@ const noMark = math.MaxInt32
 // endpoint (for credit returns). Injection ports have no upstream router.
 type inPort struct {
 	kind     PortKind
-	vcs      []vcQueue
-	upRouter int32 // -1 for injection ports
+	vcs      []vcQueue // cut from the router's one vcQueue array
+	upRouter int32     // -1 for injection ports
 	upPort   int16
-	// unrouted counts head packets of this port's VCs that have not been
-	// granted yet — the ports routePhase must scan. Maintained at push
-	// (head of an empty VC), pop (next head exposed) and grant.
-	unrouted int32
+	// slot0 is the head slot of VC 0: input VC (port, vc) is slot
+	// slot0+vc of the router's head table (Router.heads), port-major.
+	slot0 int16
+}
+
+// headReq is a head slot's stored allocation request, escape marking a
+// fault-escape redirect (faults.go). routePhase rewrites it on every
+// visit, grant and dequeue clear it, so a valid request is always that of
+// the slot's present, ungranted head: the allocator need not look.
+type headReq struct {
+	out    int16
+	vc     int8
+	valid  bool
+	escape bool
+}
+
+func newHeadReq(req Request, escape bool) headReq {
+	return headReq{out: int16(req.Out), vc: int8(req.VC), valid: req.OK, escape: escape}
 }
 
 // outEntry is a packet staged in an output buffer with its downstream VC.
@@ -43,16 +57,16 @@ type outPort struct {
 	peerPort   int16
 	latency    int64
 
-	credits   []int32 // per downstream VC, phits
-	creditCap []int32 // initial credit values, for invariant checks
-	outFree   int32
-	outCap    int32
+	credits []int32 // per downstream VC, phits; cut from the router's one credit array
+	outFree int32
+	outCap  int32
 
 	// occ is the running occupancy estimate (staged output phits plus
 	// outstanding downstream credits), maintained incrementally at the
 	// three mutation points (grant, credit return, out-buffer free) so
 	// Occupancy is O(1) instead of a per-call credit-array sum. occCap
-	// is its precomputed maximum (the credit-cap sum is invariant).
+	// is its precomputed maximum: outCap plus every downstream VC's
+	// initial credits, which are equal.
 	occ    int32
 	occCap int32
 
@@ -90,9 +104,10 @@ func (o *outPort) qLen() int        { return o.q.len() }
 func (o *outPort) qPush(e outEntry) { o.q.push(e) }
 func (o *outPort) qPop() outEntry   { return o.q.pop() }
 
-// Router is one simulated router: input VC buffers, output ports with
-// credits, the separable allocator state and the contention-counter
-// banks consulted by the routing algorithms.
+// Router is one simulated router: input VC buffers and the head table
+// that summarises them for the route phase and the allocator, output
+// ports with credits, the separable allocator state and the
+// contention-counter banks consulted by the routing algorithms.
 type Router struct {
 	ID  int
 	net *Network
@@ -101,8 +116,19 @@ type Router struct {
 	// router shares the single shard.
 	shard *netShard
 
-	in  []inPort
-	out []outPort
+	in    []inPort
+	out   []outPort
+	group int32 // Topo.GroupOf(ID), asked once
+
+	// The head table, indexed by head slot (inPort.slot0), which
+	// routePhase and allocate read instead of ports × VCs × *Packet:
+	// each input VC's head packet (nil when empty), the request the last
+	// routePhase stored for it, and the set of slots whose head awaits a
+	// grant. enqueue, dequeue and grant keep them in step, eagerly: no
+	// stale members, and a nonzero count means work until r parks.
+	heads         []*Packet
+	req           []headReq
+	unroutedHeads activeSet
 
 	// Contention is the per-output-port counter bank of §III-B. The
 	// fabric allocates it for every router; only contention-based
@@ -133,11 +159,6 @@ type Router struct {
 	parkable bool
 
 	staged int // packets currently in output buffers or being serialized
-	// unrouted counts head packets across all input VCs that have not
-	// been granted; the router needs routePhase/allocate service while
-	// it is nonzero and its heads can still move: it stays in the route
-	// set until every head is granted, or until it parks.
-	unrouted int32
 
 	// The port sets, over [0, radix), visited ascending like the all-port
 	// scans they replace. stagedPorts: output ports with staged packets,
@@ -149,7 +170,7 @@ type Router struct {
 	dirtyOut    activeSet
 
 	// allocator state and scratch
-	rrVC []int  // per input port: round-robin pointer over VCs
+	rrVC []int8 // per input port: round-robin pointer over VCs
 	s1   []int8 // per input port: stage-1 winning VC this iteration
 	// cand holds each output port's nominating input ports as a bitset:
 	// len(reqPorts.words) words per output, empty between iterations.
@@ -160,30 +181,48 @@ func newRouter(id int, net *Network) *Router {
 	cfg := &net.Cfg
 	topo := net.Topo
 	radix := topo.Radix()
+	slots := len(net.slotPort)
+	// A router's VC queues, their rings and its credit counters are one
+	// array per kind, cut port by port below; an ejection channel feeds
+	// one lane where an injection port has VCsInjection.
+	var ringLen int
+	for _, port := range net.slotPort {
+		ringLen += ringSlots(cfg.BufFor(portKind(topo, int(port))), cfg.PacketSize)
+	}
+	vqs := make([]vcQueue, slots)
+	rings := make([]*Packet, ringLen)
+	credits := make([]int32, slots-topo.P*(cfg.VCsInjection-1))
 	r := &Router{
-		ID:          id,
-		net:         net,
-		in:          make([]inPort, radix),
-		out:         make([]outPort, radix),
-		Contention:  core.NewCounters(radix),
-		RNG:         rng.New(net.seed, uint64(id)+1),
-		stagedPorts: newActiveSet(0, int32(radix)),
-		reqPorts:    newActiveSet(0, int32(radix)),
-		dirtyOut:    newActiveSet(0, int32(radix)),
-		rrVC:        make([]int, radix),
-		s1:          make([]int8, radix),
-		cand:        make([]uint64, radix*((radix+63)/64)),
+		ID:            id,
+		net:           net,
+		in:            make([]inPort, radix),
+		out:           make([]outPort, radix),
+		group:         int32(topo.GroupOf(id)),
+		heads:         make([]*Packet, slots),
+		req:           make([]headReq, slots),
+		unroutedHeads: newActiveSet(0, int32(slots)),
+		Contention:    core.NewCounters(radix),
+		RNG:           rng.New(net.seed, uint64(id)+1),
+		stagedPorts:   newActiveSet(0, int32(radix)),
+		reqPorts:      newActiveSet(0, int32(radix)),
+		dirtyOut:      newActiveSet(0, int32(radix)),
+		rrVC:          make([]int8, radix),
+		s1:            make([]int8, radix),
+		cand:          make([]uint64, radix*((radix+63)/64)),
 	}
 	for port := 0; port < radix; port++ {
 		kind := portKind(topo, port)
 		// Input side.
 		vcN := cfg.VCsFor(kind)
 		buf := cfg.BufFor(kind)
+		ring := ringSlots(buf, cfg.PacketSize)
 		ip := &r.in[port]
 		ip.kind = kind
-		ip.vcs = make([]vcQueue, vcN)
+		ip.slot0 = int16(slots - len(vqs)) // the queues cut so far
+		ip.vcs, vqs = vqs[:vcN:vcN], vqs[vcN:]
 		for v := range ip.vcs {
-			ip.vcs[v] = newVCQueue(buf, cfg.PacketSize)
+			ip.vcs[v] = vcQueue{pkts: rings[:ring:ring], capPhits: int32(buf)}
+			rings = rings[ring:]
 		}
 		ip.upRouter = -1
 		if kind != Injection {
@@ -191,7 +230,8 @@ func newRouter(id int, net *Network) *Router {
 			ip.upRouter = int32(peer)
 			ip.upPort = int16(peerPort)
 		}
-		// Output side.
+		// Output side: the downstream input port has the same class as
+		// ours, an ejection channel is a single bottomless lane.
 		op := &r.out[port]
 		op.kind = kind
 		op.q.shrinkCap = outQueueShrinkCap
@@ -200,27 +240,20 @@ func newRouter(id int, net *Network) *Router {
 		op.outCap = int32(cfg.BufOut)
 		op.outFree = op.outCap
 		op.peerRouter = -1
-		if kind == Injection { // ejection channel
-			op.credits = []int32{ejectionCredits}
-			op.creditCap = []int32{ejectionCredits}
-			op.occCap = op.outCap + ejectionCredits
-		} else {
+		dn, dbuf := 1, int32(ejectionCredits)
+		if kind != Injection {
 			peer, peerPort := topo.Neighbor(id, port)
 			op.peerRouter = int32(peer)
 			op.peerPort = int16(peerPort)
-			// Downstream input port has the same class as ours.
-			dn := cfg.VCsFor(kind)
-			dbuf := int32(cfg.BufFor(kind))
-			op.credits = make([]int32, dn)
-			op.creditCap = make([]int32, dn)
-			for v := range op.credits {
-				op.credits[v] = dbuf
-				op.creditCap[v] = dbuf
-			}
-			op.occCap = op.outCap + int32(dn)*dbuf
-			if cfg.Congestion.Enabled {
-				op.markTh = op.occCap * int32(cfg.Congestion.MarkPct) / 100
-			}
+			dn, dbuf = vcN, int32(buf)
+		}
+		op.credits, credits = credits[:dn:dn], credits[dn:]
+		for v := range op.credits {
+			op.credits[v] = dbuf
+		}
+		op.occCap = op.outCap + int32(dn)*dbuf
+		if kind != Injection && cfg.Congestion.Enabled {
+			op.markTh = op.occCap * int32(cfg.Congestion.MarkPct) / 100
 		}
 	}
 	return r
@@ -230,6 +263,20 @@ func newRouter(id int, net *Network) *Router {
 
 // Net returns the owning network.
 func (r *Router) Net() *Network { return r.net }
+
+// Group returns the router's group, Topo.GroupOf(r.ID).
+func (r *Router) Group() int { return int(r.group) }
+
+// DstGroup returns Topo.GroupOfNode(p.Dst), memoised on the packet
+// (newPacket fills it in; a hand-built Packet{Dst: x} computes it here).
+func (r *Router) DstGroup(p *Packet) int {
+	if p.dstGroup != 0 {
+		return int(p.dstGroup) - 1
+	}
+	g := r.net.Topo.GroupOfNode(int(p.Dst))
+	p.dstGroup = int16(g) + 1
+	return g
+}
 
 // NumPorts returns the router radix.
 func (r *Router) NumPorts() int { return len(r.out) }
@@ -309,7 +356,7 @@ func (r *Router) MinimalOut(p *Packet) int {
 // after counting it.
 func (r *Router) wake() {
 	r.parked = false
-	if r.unrouted > 0 {
+	if r.unroutedHeads.count > 0 {
 		r.shard.routeActive.add(int32(r.ID))
 	}
 }
@@ -317,46 +364,47 @@ func (r *Router) wake() {
 // enqueue puts p at the tail of input VC (port, vc): the one place a
 // packet enters an input queue, from the NIC (nicDrain) or off a link
 // (evHeadArrive). It restarts the packet's per-queue and, on entering a
-// new group, per-group state, counts the new head if the VC was empty,
-// re-arms r and fires OnArrive.
+// new group, per-group state, enters it in the head table if the VC was
+// empty, re-arms r and fires OnArrive.
 func (r *Router) enqueue(p *Packet, port, vc int) {
 	n := r.net
 	p.resetQueueState(n.now + int64(p.Size) - 1)
-	if g := int32(n.Topo.GroupOf(r.ID)); p.LastGroup != g {
-		p.LastGroup = g
+	if p.LastGroup != r.group {
+		p.LastGroup = r.group
 		p.LocalMisThisGroup = false
 		p.LocalHopsGroup = 0
 	}
 	ip := &r.in[port]
-	newHead := ip.vcs[vc].empty()
-	ip.vcs[vc].push(p)
-	if newHead {
-		ip.unrouted++
-		r.unrouted++
+	if ip.vcs[vc].empty() {
+		slot := int(ip.slot0) + vc
+		r.heads[slot] = p
+		r.unroutedHeads.add(int32(slot))
 	}
+	ip.vcs[vc].push(p)
 	r.wake()
 	n.Alg.OnArrive(r, p, port, vc)
 }
 
 // dequeue pops the head of input VC (port, vc) and returns it: the one
 // place a packet leaves an input queue, its tail streaming out
-// (evTailLeave) or killed by a fault. An ungranted head stops counting as
-// unrouted; the packet behind it becomes head, never granted yet (only
-// heads are), so it starts counting. Even with no next head the departure
-// matters to the heads of the other queues — OnDequeue lowers the
-// contention counters their decisions read — so r is re-armed either
-// way. The caller owes the upstream credit (Network.returnCredit).
+// (evTailLeave) or killed by a fault. Its slot's request goes with it (an
+// ungranted head's may still be valid) and the packet behind it becomes
+// the slot's head, unrouted: only heads are granted. Even with no next
+// head the departure matters to the other queues' heads — OnDequeue
+// lowers the contention counters their decisions read — so r is re-armed
+// either way. The caller owes the upstream credit (Network.returnCredit).
 func (r *Router) dequeue(port, vc int) *Packet {
 	ip := &r.in[port]
 	vq := &ip.vcs[vc]
+	slot := int32(ip.slot0) + int32(vc)
 	p := vq.pop()
-	if !p.Granted {
-		ip.unrouted--
-		r.unrouted--
-	}
-	if !vq.empty() {
-		ip.unrouted++
-		r.unrouted++
+	next := vq.headPkt()
+	r.heads[slot] = next
+	r.req[slot] = headReq{}
+	if next == nil {
+		r.unroutedHeads.drop(slot)
+	} else {
+		r.unroutedHeads.add(slot)
 	}
 	r.wake()
 	r.net.Alg.OnDequeue(r, p, port, vc)
@@ -385,7 +433,13 @@ func (r *Router) CanAccept(port, vc int, size int32) bool {
 func (r *Router) QueuedPackets(port, vc int) int { return r.in[port].vcs[vc].len() }
 
 // HeadPacket returns the head packet of input VC (port, vc), or nil.
-func (r *Router) HeadPacket(port, vc int) *Packet { return r.in[port].vcs[vc].headPkt() }
+func (r *Router) HeadPacket(port, vc int) *Packet { return r.heads[int(r.in[port].slot0)+vc] }
+
+// HeadGranted reports whether the head of input VC (port, vc) won switch
+// allocation: it stays, streaming out, but no longer arbitrates.
+func (r *Router) HeadGranted(port, vc int) bool {
+	return r.HeadPacket(port, vc) != nil && !r.unroutedHeads.has(int32(r.in[port].slot0)+int32(vc))
+}
 
 // InFree returns the free phits of input VC (port, vc).
 func (r *Router) InFree(port, vc int) int32 { return r.in[port].vcs[vc].free() }
@@ -397,64 +451,53 @@ func (r *Router) LinkBusy(port int) bool { return r.out[port].linkFreeAt > r.net
 
 // routePhase fires head hooks and (re)collects allocation requests for
 // every unrouted head packet, recording which input ports need
-// arbitration this cycle. Routers and ports whose heads are all granted
-// (or absent) are skipped via the unrouted counters — scanning them
-// would be a guaranteed no-op, so the reqPorts rebuild only ever visits
-// ports that can actually contribute a request.
+// arbitration this cycle. It peels unroutedHeads, so a granted head or
+// an empty VC costs nothing; ascending slots are the port-major, VC-minor
+// order of an all-port walk, so hooks fire, Route is called and r.RNG is
+// drawn from in exactly that walk's sequence.
 //
 // It also sets parkable: the visit fired no OnHead, left r.RNG where it
 // was and flagged no kill, so by the Route contract (algorithm.go)
 // repeating it on unchanged state would store the same requests again.
 func (r *Router) routePhase() {
 	r.reqPorts.clear()
-	if r.unrouted == 0 {
+	if r.unroutedHeads.count == 0 {
 		return
 	}
-	alg := r.net.Alg
-	faults := r.net.faults != nil
+	n := r.net
+	alg := n.Alg
+	faults := n.faults != nil
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
 	quiet := true
-	for port := range r.in {
-		ip := &r.in[port]
-		if ip.unrouted == 0 {
-			continue
-		}
-		requesting := false
-		for vc := range ip.vcs {
-			p := ip.vcs[vc].headPkt()
-			if p == nil || p.Granted {
-				continue
-			}
+	for wi, w := range r.unroutedHeads.scan() {
+		for ; w != 0; w &= w - 1 {
+			slot := r.unroutedHeads.idAt(wi, w)
+			p := r.heads[slot]
+			port, vc := int(n.slotPort[slot]), int(n.slotVC[slot])
 			if !p.HeadSeen {
 				p.HeadSeen = true
 				quiet = false
 				alg.OnHead(r, p, port, vc)
 			}
-			req := r.decide(alg, faults, p, port, vc)
-			p.reqValid = req.OK
+			req, escape := r.decide(alg, faults, p, port, vc)
+			r.req[slot] = newHeadReq(req, escape)
 			if req.OK {
-				p.reqOut = int16(req.Out)
-				p.reqVC = int8(req.VC)
-				requesting = true
+				r.reqPorts.add(int32(port))
 			}
-		}
-		if requesting {
-			r.reqPorts.add(int32(port))
 		}
 	}
 	r.parkable = quiet && *r.RNG == rng0 && len(r.shard.pendingKills) == kills0
 }
 
 // decide is one routing decision for head packet p: the algorithm's
-// Route, post-processed by the fault escape when a plan is active.
-func (r *Router) decide(alg Algorithm, faults bool, p *Packet, port, vc int) Request {
-	req := alg.Route(r, p, port, vc)
+// Route, post-processed (escape: redirected) by an active fault plan.
+func (r *Router) decide(alg Algorithm, faults bool, p *Packet, port, vc int) (req Request, escape bool) {
+	req = alg.Route(r, p, port, vc)
 	if faults {
-		p.reqEscape = false
-		req = r.faultAdjust(p, port, vc, req)
+		return r.faultAdjust(p, port, vc, req)
 	}
-	return req
+	return req, false
 }
 
 // checkInvariants verifies credit and buffer accounting; used by tests.
@@ -464,18 +507,17 @@ func (r *Router) checkInvariants() error {
 		if o.outFree < 0 || o.outFree > o.outCap {
 			return fmt.Errorf("router %d out %d: outFree %d of cap %d", r.ID, port, o.outFree, o.outCap)
 		}
-		for v, c := range o.credits {
-			if c < 0 || c > o.creditCap[v] {
-				return fmt.Errorf("router %d out %d vc %d: credits %d of cap %d", r.ID, port, v, c, o.creditCap[v])
-			}
-		}
-		// The incremental occupancy must equal a fresh recompute from the
-		// buffer and credit state, and the precomputed cap must equal the
-		// credit-cap sum.
+		// Every downstream VC starts with the same credits: that cap
+		// bounds each counter and the caps add back up to occCap; the
+		// incremental occupancy equals a fresh recompute.
+		vcCap := (o.occCap - o.outCap) / int32(len(o.credits))
 		occ, occCap := o.outCap-o.outFree, o.outCap
 		for v, c := range o.credits {
-			occ += o.creditCap[v] - c
-			occCap += o.creditCap[v]
+			if c < 0 || c > vcCap {
+				return fmt.Errorf("router %d out %d vc %d: credits %d of cap %d", r.ID, port, v, c, vcCap)
+			}
+			occ += vcCap - c
+			occCap += vcCap
 		}
 		if occ != o.occ {
 			return fmt.Errorf("router %d out %d: incremental occupancy %d but recompute %d", r.ID, port, o.occ, occ)
@@ -484,44 +526,56 @@ func (r *Router) checkInvariants() error {
 			return fmt.Errorf("router %d out %d: occupancy cap %d but recompute %d", r.ID, port, o.occCap, occCap)
 		}
 	}
-	var totUnrouted int32
+	// The head table against the queues it summarises, slot by slot.
+	unrouted := 0
 	for port := range r.in {
 		ip := &r.in[port]
-		var portUnrouted int32
 		for v := range ip.vcs {
 			q := &ip.vcs[v]
 			if q.usedPhits < 0 || q.usedPhits > q.capPhits {
 				return fmt.Errorf("router %d in %d vc %d: used %d of cap %d", r.ID, port, v, q.usedPhits, q.capPhits)
 			}
 			var sum int32
-			for i := 0; i < q.n; i++ {
-				sum += q.pkts[(q.head+i)%len(q.pkts)].Size
+			for i := 0; i < q.len(); i++ {
+				sum += q.pkts[(int(q.head)+i)%len(q.pkts)].Size
 			}
 			if sum != q.usedPhits {
 				return fmt.Errorf("router %d in %d vc %d: used %d but packets sum %d", r.ID, port, v, q.usedPhits, sum)
 			}
-			if h := q.headPkt(); h != nil && !h.Granted {
-				portUnrouted++
+			slot := int(ip.slot0) + v
+			if int(r.net.slotPort[slot]) != port || int(r.net.slotVC[slot]) != v {
+				return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
+			}
+			head := q.headPkt()
+			if r.heads[slot] != head {
+				return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
+			}
+			isUnrouted := r.unroutedHeads.has(int32(slot))
+			switch {
+			case isUnrouted && head == nil:
+				return fmt.Errorf("router %d in %d vc %d: unrouted head on an empty queue", r.ID, port, v)
+			case isUnrouted:
+				unrouted++
+			case head != nil && !head.HeadSeen:
+				return fmt.Errorf("router %d in %d vc %d: head counts as granted but was never routed", r.ID, port, v)
+			case r.req[slot].valid:
+				return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
 			}
 		}
-		if ip.unrouted != portUnrouted {
-			return fmt.Errorf("router %d in %d: unrouted %d but counted %d", r.ID, port, ip.unrouted, portUnrouted)
-		}
-		totUnrouted += portUnrouted
 	}
-	if r.unrouted != totUnrouted {
-		return fmt.Errorf("router %d: unrouted %d but counted %d", r.ID, r.unrouted, totUnrouted)
+	if r.unroutedHeads.count != unrouted {
+		return fmt.Errorf("router %d: unrouted-head count %d but %d bits set", r.ID, r.unroutedHeads.count, unrouted)
 	}
 	// A router with routable work must be on the route set's radar, or
-	// parked: in-set flags are cleared only when unrouted drops to zero
-	// or when the router parks.
+	// parked: in-set flags are cleared only when the last unrouted head
+	// goes or when the router parks.
 	inSet := r.shard.routeActive.has(int32(r.ID))
-	if totUnrouted > 0 && !inSet && !r.parked {
-		return fmt.Errorf("router %d: %d unrouted heads but neither in route set nor parked", r.ID, totUnrouted)
+	if unrouted > 0 && !inSet && !r.parked {
+		return fmt.Errorf("router %d: %d unrouted heads but neither in route set nor parked", r.ID, unrouted)
 	}
 	if r.parked {
-		if totUnrouted == 0 || inSet {
-			return fmt.Errorf("router %d: parked with %d unrouted heads, in route set %v", r.ID, totUnrouted, inSet)
+		if unrouted == 0 || inSet {
+			return fmt.Errorf("router %d: parked with %d unrouted heads, in route set %v", r.ID, unrouted, inSet)
 		}
 		if err := r.checkParked(); err != nil {
 			return err
@@ -555,22 +609,19 @@ func (r *Router) checkParked() error {
 	size := int32(r.net.Cfg.PacketSize)
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
-	for port := range r.in {
-		ip := &r.in[port]
-		for vc := range ip.vcs {
-			p := ip.vcs[vc].headPkt()
-			if p == nil || p.Granted {
-				continue
-			}
+	for wi, w := range r.unroutedHeads.scan() {
+		for ; w != 0; w &= w - 1 {
+			slot := r.unroutedHeads.idAt(wi, w)
+			p, stored := r.heads[slot], r.req[slot]
+			port, vc := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
 			if !p.HeadSeen {
 				return fmt.Errorf("router %d in %d vc %d: parked with a head whose OnHead never fired", r.ID, port, vc)
 			}
-			if p.reqValid && r.CanAccept(int(p.reqOut), int(p.reqVC), size) {
-				return fmt.Errorf("router %d in %d vc %d: parked but its request (out %d vc %d) is grantable",
-					r.ID, port, vc, p.reqOut, p.reqVC)
+			if stored.valid && r.CanAccept(int(stored.out), int(stored.vc), size) {
+				return fmt.Errorf("router %d in %d vc %d: parked but its request %+v is grantable", r.ID, port, vc, stored)
 			}
 			cp := *p
-			req := r.decide(alg, faults, &cp, port, vc)
+			req, escape := r.decide(alg, faults, &cp, port, vc)
 			drew, killed := *r.RNG != rng0, len(r.shard.pendingKills) != kills0
 			*r.RNG = rng0
 			r.shard.pendingKills = r.shard.pendingKills[:kills0]
@@ -578,13 +629,8 @@ func (r *Router) checkParked() error {
 				return fmt.Errorf("router %d in %d vc %d: parked but a fresh decision drew a random number (%v) or flagged a kill (%v)",
 					r.ID, port, vc, drew, killed)
 			}
-			same := req.OK == p.reqValid && cp.reqEscape == p.reqEscape
-			if same && req.OK {
-				same = int16(req.Out) == p.reqOut && int8(req.VC) == p.reqVC
-			}
-			if !same {
-				return fmt.Errorf("router %d in %d vc %d: parked with stored request (ok %v out %d vc %d) but a fresh decision gives (ok %v out %d vc %d)",
-					r.ID, port, vc, p.reqValid, p.reqOut, p.reqVC, req.OK, req.Out, req.VC)
+			if fresh := newHeadReq(req, escape); fresh != stored {
+				return fmt.Errorf("router %d in %d vc %d: parked with stored request %+v but a fresh decision gives %+v", r.ID, port, vc, stored, fresh)
 			}
 		}
 	}

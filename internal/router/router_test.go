@@ -94,6 +94,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.Speedup = 0 },
 		func(c *Config) { c.NICQueuePackets = 0 },
 		func(c *Config) { c.Topo = topology.Params{} },
+		func(c *Config) { c.Topo = topology.Params{P: 1, A: 182, H: 181} }, // 32 943 groups
 	}
 	for i, m := range mut {
 		c := base

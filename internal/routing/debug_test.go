@@ -38,7 +38,7 @@ func TestDebugStuck(t *testing.T) {
 					p := r.HeadPacket(port, vc)
 					min := n.Topo.MinimalNextPort(r.ID, int(p.Dst))
 					fmt.Printf("r%d port%d(%v) vc%d: %d pkts; head %v granted=%v seen=%v reqMin=%d credits=%d outfree=%d linkbusy=%v\n",
-						r.ID, port, r.Kind(port), vc, cnt, p, p.Granted, p.HeadSeen,
+						r.ID, port, r.Kind(port), vc, cnt, p, r.HeadGranted(port, vc), p.HeadSeen,
 						min, r.Credits(min, 0), r.OutFree(min), r.LinkBusy(min))
 				}
 			}

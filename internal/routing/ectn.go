@@ -176,7 +176,7 @@ func (a *ectnAlg) Route(r *router.Router, p *router.Packet, port, vc int) router
 	t := r.Net().Topo
 	// Injection decision on the group's combined counters.
 	if t.IsInjectionPort(port) && canGlobalMisroute(r, p) {
-		combined := a.combined[t.GroupOf(r.ID)]
+		combined := a.combined[r.Group()]
 		if l, ok := minGlobalLinkIndex(t, r, p); ok && combined[l] > a.thCombined {
 			pos := t.PosOf(r.ID)
 			//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack

@@ -35,8 +35,7 @@ func canGlobalMisroute(r *router.Router, p *router.Packet) bool {
 	if p.GlobalMisroute || p.GlobalHops != 0 {
 		return false
 	}
-	t := r.Net().Topo
-	return t.GroupOf(r.ID) != t.GroupOfNode(int(p.Dst))
+	return r.Group() != r.DstGroup(p)
 }
 
 // canLocalMisroute reports whether the policy permits a nonminimal local
@@ -55,9 +54,7 @@ func canLocalMisroute(r *router.Router, p *router.Packet, minOut int) bool {
 	if router.LocalVCBase(p.GlobalHops)+int(p.LocalHopsGroup)+1 > r.OutVCs(minOut)-1 {
 		return false
 	}
-	t := r.Net().Topo
-	inDestGroup := t.GroupOf(r.ID) == t.GroupOfNode(int(p.Dst))
-	return inDestGroup || p.GlobalHops > 0
+	return p.GlobalHops > 0 || r.Group() == r.DstGroup(p)
 }
 
 // pickGlobal samples one global port of r (router.Router.PickPort over
@@ -163,8 +160,7 @@ func markDeviation(r *router.Router, p *router.Packet, out int) {
 // packet would minimally leave r's group through, and ok=false for
 // intra-group destinations.
 func minGlobalLinkIndex(t *topology.Dragonfly, r *router.Router, p *router.Packet) (int, bool) {
-	g := t.GroupOf(r.ID)
-	dg := t.GroupOfNode(int(p.Dst))
+	g, dg := r.Group(), r.DstGroup(p)
 	if g == dg {
 		return 0, false
 	}

@@ -29,7 +29,7 @@ func (*valiantAlg) Route(r *router.Router, p *router.Packet, port, vc int) route
 	t := r.Net().Topo
 	if p.Inter < 0 && !p.Decided && t.IsInjectionPort(port) {
 		p.Decided = true
-		if t.GroupOfNode(int(p.Src)) != t.GroupOfNode(int(p.Dst)) {
+		if r.Group() != r.DstGroup(p) { // at injection r is the source's router
 			if inter := randomInterNode(r, p); inter >= 0 {
 				commitValiant(p, inter)
 			}

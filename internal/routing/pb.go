@@ -67,8 +67,7 @@ func (a *pbAlg) Route(r *router.Router, p *router.Packet, port, vc int) router.R
 // decide makes PB's one-time source decision for an inter-group packet.
 func (a *pbAlg) decide(r *router.Router, p *router.Packet) {
 	t := r.Net().Topo
-	g := t.GroupOf(r.ID)
-	dg := t.GroupOfNode(int(p.Dst))
+	g, dg := r.Group(), r.DstGroup(p)
 	if g == dg {
 		return // intra-group traffic is always minimal
 	}

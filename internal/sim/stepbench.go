@@ -130,9 +130,12 @@ func StepBenchSuite() []StepBenchRow {
 		// ADV+1 pins at 1/(a*p) with every NIC full and nearly every head
 		// blocked on credits (the regime where a revisit per cycle cost 200+
 		// Route calls per grant); OLM at 0.4 misroutes and re-samples its
-		// blocked heads, so fewer of its routers park.
+		// blocked heads, so fewer of its routers park; ECtN is the
+		// contention-based one, its routers kept visited by the counters'
+		// draws — the row a route/allocate visit's own cost shows in.
 		{Name: "StepSmallMinAdvSat", Spec: StepBenchSpec{Scale: Small, Algo: routing.Min, Workload: ADV(1), Load: 0.4, Saturated: true}},
 		{Name: "StepSmallOLMAdv04", Spec: StepBenchSpec{Scale: Small, Algo: routing.OLM, Workload: ADV(1), Load: 0.4, Saturated: true}},
+		{Name: "StepSmallECtNAdvSat", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Workload: ADV(1), Load: 0.4, Saturated: true}},
 		// StepSmallFullScanIdle pins the every-component loop at StepSmallIdle's
 		// operating point, so the active-set win shows within one run.
 		{Name: "StepSmallIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01}},
