@@ -549,14 +549,18 @@
 // deterministic packages internal/{router,routing,sim,traffic,core,
 // topology}:
 //
-//   - Map-iteration order (maprange): no `range` over a map. Go
-//     randomizes iteration order per run, so any map range whose visit
+//   - Iteration order (maprange): no `range` over a map or a channel.
+//     Go randomizes map iteration order per run and a channel delivers
+//     in its senders' scheduling order, so any such range whose visit
 //     order can reach simulation state — counters, schedules, RNG
-//     draws, output rows — is a bug. A range that provably normalizes
-//     its order (sorts the keys, reduces commutatively into per-key
-//     slots, asserts per-key facts in tests) carries a
-//     `//lint:ordered <reason>` annotation; the annotation analyzer
-//     rejects reason-less or stale annotations.
+//     draws and stream seeding, float accumulation (float addition is
+//     not associative: run-dependent low bits would poison the golden
+//     CSVs), output rows — is a bug. Rejecting the range covers every
+//     order-sensitive statement in its body at once. A range that
+//     provably normalizes its order (sorts the keys, reduces
+//     commutatively into per-key slots, asserts per-key facts in tests)
+//     carries a `//lint:ordered <reason>` annotation; the annotation
+//     analyzer rejects reason-less or stale annotations.
 //   - RNG purity (rngpurity): no math/rand, no time.Now. Every random
 //     decision draws from the per-entity PCG streams of internal/rng,
 //     and every stream is seeded from (run seed, entity id) or split
@@ -600,11 +604,6 @@
 //     CheckInvariants, which re-decides every parked head on a copy
 //     and requires the stored request back with the random stream
 //     untouched.
-//   - Float accumulation order (floatorder): no compound float
-//     assignment inside a loop whose iteration order is
-//     nondeterministic; float addition is not associative, and
-//     run-dependent low bits poison the golden CSVs and the CI
-//     regression gates.
 //   - Shard isolation (shardisolation): a whole-program dataflow over
 //     the call graph from the parallel roots. Within a parallel
 //     section, every write must target state the executing shard
@@ -617,9 +616,9 @@
 //     helper's parameter program-wide. Cross-shard effects must flow
 //     through a registered conduit (the mailbox append, and
 //     GroupDirty.Mark, which writes the marking group's own flag byte);
-//     anything else needs a reviewed `//lint:sharded <reason>` stating
-//     the ownership argument — the repository currently carries none.
-//     Cross-router reads need no annotation but do need an argument:
+//     there is no annotation to excuse a write the dataflow cannot
+//     prove local — such a write is restructured or routed through a
+//     conduit. Cross-router reads need no annotation but do need an argument:
 //     PB reads the occupancy of another router of its own group, which
 //     shares its shard and does not move during the route phase.
 //   - Hot-path allocation freedom (allocfree): a whole-program sweep

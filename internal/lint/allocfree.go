@@ -64,8 +64,37 @@ func runAllocFree(pp *ProgramPass) {
 		aa := &allocAnalysis{pp: pp, fi: fi, root: via[key], used: used}
 		aa.run()
 	}
-	reportStaleAnnotations(pp, directiveAlloc, used,
-		"suppresses no hot-path allocation finding")
+	reportStaleAllocAnnotations(pp, used)
+}
+
+// reportStaleAllocAnnotations flags every //lint:alloc annotation, in a
+// deterministic package's non-test files, that did not suppress a
+// finding, plus annotations with no reason.
+func reportStaleAllocAnnotations(pp *ProgramPass, used map[*Annotation]bool) {
+	for _, pkg := range pp.Prog.Pkgs {
+		if !pp.Cfg.IsDeterministic(pkg.Path) {
+			continue
+		}
+		for i, f := range pkg.Syntax {
+			if pkg.TestFile[i] {
+				continue
+			}
+			for _, anns := range pkg.annotations[f] {
+				for _, a := range anns {
+					if a.Directive != directiveAlloc {
+						continue
+					}
+					if a.Reason == "" {
+						pp.Reportf(a.Pos, "//lint:alloc annotation without a reason: a reviewed escape hatch must say why")
+						continue
+					}
+					if !used[a] {
+						pp.Reportf(a.Pos, "stale //lint:alloc annotation: suppresses no hot-path allocation finding")
+					}
+				}
+			}
+		}
+	}
 }
 
 // allocAnalysis scans one hot-path-reachable function.

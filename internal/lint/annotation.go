@@ -42,8 +42,8 @@ func runAnnotationCheck(pass *Pass) {
 		for _, anns := range pkg.annotations[f] {
 			for _, a := range anns {
 				if a.Directive != directiveOrdered {
-					// alloc/sharded annotations are vetted by their own
-					// program analyzers, which know reachability.
+					// alloc annotations are vetted by allocfree, which
+					// knows reachability.
 					continue
 				}
 				if a.Reason == "" {

@@ -7,17 +7,14 @@ import (
 )
 
 // The `//lint:<directive> <reason>` annotations are the suite's escape
-// hatches. Each one is a reviewed assertion and must say why:
+// hatches. There are two, and each one is a reviewed assertion that must
+// say why:
 //
 //   - `//lint:ordered` on a map/chan range: the iteration order does not
 //     escape into simulation state (the body normalizes the order).
 //   - `//lint:alloc` on a hot-path allocating construct: the allocation
 //     is not steady-state (freelist warm-up, amortized growth, one-off
 //     per-cycle coordinator cost already accounted in the baselines).
-//   - `//lint:sharded` on a write the shard-isolation dataflow cannot
-//     prove local: the receiver is in fact owned by the executing shard
-//     (a per-shard lane, a group-indexed slot where groups never span
-//     shards).
 //
 // An annotation attaches to the construct it precedes (its own line
 // immediately above) or trails (same line as the construct).
@@ -26,7 +23,6 @@ import (
 const (
 	directiveOrdered = "ordered"
 	directiveAlloc   = "alloc"
-	directiveSharded = "sharded"
 )
 
 // Annotation is one parsed //lint:<directive> comment.
@@ -37,17 +33,11 @@ type Annotation struct {
 	Reason    string
 }
 
-// scanAnnotations indexes every //lint: comment per file by line.
-// Called after Syntax is complete (re-run when external test files are
-// folded in).
+// scanAnnotations indexes every //lint: comment per file by line. Called
+// once, after Syntax is complete.
 func (p *Package) scanAnnotations() {
-	if p.annotations == nil {
-		p.annotations = make(map[*ast.File]map[int][]*Annotation)
-	}
+	p.annotations = make(map[*ast.File]map[int][]*Annotation, len(p.Syntax))
 	for _, f := range p.Syntax {
-		if p.annotations[f] != nil {
-			continue
-		}
 		byLine := make(map[int][]*Annotation)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -57,9 +47,7 @@ func (p *Package) scanAnnotations() {
 				}
 				directive, reason, _ := strings.Cut(text, " ")
 				directive = strings.TrimSpace(directive)
-				switch directive {
-				case directiveOrdered, directiveAlloc, directiveSharded:
-				default:
+				if directive != directiveOrdered && directive != directiveAlloc {
 					continue
 				}
 				line := p.Fset.Position(c.Pos()).Line

@@ -8,12 +8,13 @@
 // ordering rules at the source level instead, so a violation is a build
 // break:
 //
-//   - maprange: no `range` over a map in the deterministic packages
-//     unless the statement carries a `//lint:ordered <reason>`
-//     annotation proving the iteration order does not escape.
-//   - rngpurity: no math/rand, no time.Now, no rng seeding whose seed
-//     argument is not derived from (run seed, entity id), and no
-//     seeding from inside an unordered map iteration.
+//   - maprange: no `range` over a map or a channel in the deterministic
+//     packages unless the statement carries a `//lint:ordered <reason>`
+//     annotation proving the iteration order does not escape — which
+//     covers every order-sensitive effect in the body (float
+//     accumulation, stream seeding, output rows) at once.
+//   - rngpurity: no math/rand, no time.Now, and no rng seeding whose
+//     seed argument is not derived from (run seed, entity id).
 //   - sequentialpoint: the registered barrier-only functions (fault
 //     event application, Alg.BeginCycle, delivery/notification replay)
 //     may only be called from their registered sequential-point call
@@ -22,9 +23,6 @@
 //   - fieldenc: the accounting fields (occ, credit counters, active-set
 //     membership, …) may only be assigned by their sanctioned mutator
 //     functions.
-//   - floatorder: no floating-point `+=` accumulation inside a loop
-//     whose iteration order is not provably deterministic (map range,
-//     channel range).
 //   - annotation: every `//lint:ordered` annotation must carry a reason
 //     and must be attached to a map or channel range statement — stale
 //     annotations are findings, not dead weight.
@@ -35,7 +33,7 @@
 //
 //   - shardisolation: no write reachable from a parallel root may target
 //     state that is not provably shard-local, unless it flows through a
-//     registered cross-shard conduit or carries `//lint:sharded`.
+//     registered cross-shard conduit (there is no annotation).
 //   - allocfree: no function reachable from a hot-path root may
 //     heap-allocate in steady state, unless the construct is pooled or
 //     carries `//lint:alloc`.
@@ -52,6 +50,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -74,7 +73,6 @@ var Analyzers = []*Analyzer{
 	RNGPurity,
 	SequentialPoint,
 	FieldEnc,
-	FloatOrder,
 	AnnotationCheck,
 }
 
@@ -184,8 +182,8 @@ type Config struct {
 
 	// HotPathMethods lists method names treated as hot-path roots on any
 	// receiver declared in a deterministic package (the Algorithm hook
-	// surface plus BeginCycle) — new algorithm implementations inherit
-	// the rule without a config edit.
+	// surface plus BeginCycle and NextAlgCycle) — new algorithm
+	// implementations inherit the rule without a config edit.
 	HotPathMethods []string
 
 	// ColdPath lists reviewed cold boundaries (fault application,
@@ -229,6 +227,9 @@ func DefaultConfig() *Config {
 		core    = "cbar/internal/core"
 		topo    = "cbar/internal/topology"
 	)
+	// The Algorithm hook surface: the per-packet methods the route,
+	// allocation and link phases call.
+	hooks := []string{"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant"}
 	return &Config{
 		DeterministicPkgs: []string{
 			"cbar/internal/router",
@@ -269,7 +270,6 @@ func DefaultConfig() *Config {
 			router + ".Network.ElideTo":        {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.ElideHorizon":   {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.NextEventCycle": {router + ".Network.ElideHorizon"},
-			router + ".Network.Quiet":          {router + ".Network.ElideHorizon"},
 			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
 			"cbar/internal/sim.elideStep":      {"cbar/internal/sim.point.advance"},
 			traffic + ".Injector.Cycle":        {"cbar/internal/sim.point.advance"},
@@ -290,7 +290,7 @@ func DefaultConfig() *Config {
 		// it is declared: the Algorithm hook surface runs inside the
 		// phase graphs, so future algorithm implementations inherit the
 		// rule with no config edit.
-		ParallelRootMethods: []string{"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant"},
+		ParallelRootMethods: hooks,
 		// The accounting fields and their sanctioned mutators. occ is
 		// written only by occDelta; credits/outFree only by the grant
 		// path, the event handler and the fault kills' unreserve;
@@ -414,10 +414,10 @@ func DefaultConfig() *Config {
 			router + ".Network.NextEventCycle",
 			traffic + ".Injector.NextArrival",
 		},
-		// The Algorithm hook surface runs per-packet/per-cycle inside the
-		// phase graphs; BeginCycle hosts the per-cycle group exchanges and
-		// NextAlgCycle is the per-span elision horizon query.
-		HotPathMethods: []string{"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant", "BeginCycle", "NextAlgCycle"},
+		// The hook surface runs per packet inside the phase graphs;
+		// BeginCycle hosts the per-cycle group exchanges and NextAlgCycle
+		// is the per-span elision horizon query.
+		HotPathMethods: append(slices.Clip(hooks), "BeginCycle", "NextAlgCycle"),
 		// Reviewed cold boundaries: fault application runs only when a
 		// plan event or kill is due, and the invariant sweeps are
 		// debug/test machinery.
@@ -616,34 +616,4 @@ func isChanType(t types.Type) bool {
 // (contains "seed", case-insensitive): net.seed, fc.RandomSeed, seed.
 func hasSeedName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
-}
-
-// inspectUnordered walks a file and calls visit for every node, telling
-// it whether the node lies inside a range statement whose iteration
-// order is nondeterministic — a range over a map or a channel that does
-// not carry a //lint:ordered annotation. Shared by rngpurity and
-// floatorder, which both taint effects by enclosing iteration order.
-func (p *Pass) inspectUnordered(f *ast.File, visit func(n ast.Node, inUnordered bool)) {
-	pkg := p.Pkg
-	var walk func(n ast.Node, inUnordered bool)
-	walk = func(n ast.Node, inUnordered bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == nil || m == n {
-				return m == n
-			}
-			if rs, ok := m.(*ast.RangeStmt); ok {
-				inner := inUnordered
-				t := pkg.Info.TypeOf(rs.X)
-				if (isMapType(t) || isChanType(t)) && pkg.orderedFor(f, rs) == nil {
-					inner = true
-				}
-				visit(rs, inUnordered)
-				walk(rs, inner)
-				return false
-			}
-			visit(m, inUnordered)
-			return true
-		})
-	}
-	walk(f, false)
 }

@@ -96,14 +96,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	ld := &loader{
-		dir:     dir,
-		fset:    token.NewFileSet(),
-		listed:  make(map[string]*listedPackage),
-		bare:    make(map[string]*types.Package),
-		loading: make(map[string]bool),
-	}
-	ld.gc = importer.ForCompiler(ld.fset, "gc", ld.lookupExport)
+	ld := newLoader(dir)
 	if err := ld.list(append([]string{"-test"}, patterns...)); err != nil {
 		return nil, err
 	}
@@ -129,6 +122,32 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// newLoader returns a loader rooted at the module directory dir.
+func newLoader(dir string) *loader {
+	ld := &loader{
+		dir:     dir,
+		fset:    token.NewFileSet(),
+		listed:  make(map[string]*listedPackage),
+		bare:    make(map[string]*types.Package),
+		loading: make(map[string]bool),
+	}
+	ld.gc = importer.ForCompiler(ld.fset, "gc", ld.lookupExport)
+	return ld
+}
+
+// newInfo returns an empty types.Info recording everything the analyzers
+// read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
 }
 
 // inPatterns reports whether lp was matched by the requested patterns
@@ -290,28 +309,39 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	testFile := make([]bool, len(files))
+	nonTest := len(files)
 	testFiles, err := ld.parseFiles(lp.Dir, lp.TestGoFiles)
 	if err != nil {
 		return nil, err
 	}
-	for range testFiles {
-		testFile = append(testFile, true)
-	}
 	files = append(files, testFiles...)
 
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: ld}
 	tp, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s (with tests): %v", path, err)
+	}
+
+	// External (_test-package) test files form a separate compilation
+	// unit importing the package under test, type-checked against the
+	// with-tests package so export_test.go helpers resolve. Their results
+	// land in the same Info, and the files join the same Package record:
+	// the analyzers treat them as test files of the package under test.
+	if len(lp.XTestGoFiles) > 0 {
+		xfiles, err := ld.parseFiles(lp.Dir, lp.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		xconf := types.Config{Importer: &overrideImporter{ld: ld, path: path, pkg: tp}}
+		if _, err := xconf.Check(path+"_test", ld.fset, xfiles, info); err != nil {
+			return nil, fmt.Errorf("lint: type-checking %s_test: %v", path, err)
+		}
+		files = append(files, xfiles...)
+	}
+	testFile := make([]bool, len(files))
+	for i := nonTest; i < len(files); i++ {
+		testFile[i] = true
 	}
 	pkg := &Package{
 		Path:     path,
@@ -322,55 +352,6 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 		Info:     info,
 	}
 	pkg.scanAnnotations()
-
-	// External (_test-package) test files form a separate compilation
-	// unit importing the package under test; they are analyzed as part of
-	// this Package load when present, type-checked against the
-	// with-tests package so export_test.go helpers resolve.
-	if len(lp.XTestGoFiles) > 0 {
-		xfiles, err := ld.parseFiles(lp.Dir, lp.XTestGoFiles)
-		if err != nil {
-			return nil, err
-		}
-		xinfo := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		xconf := types.Config{Importer: &overrideImporter{ld: ld, path: path, pkg: tp}}
-		if _, err := xconf.Check(path+"_test", ld.fset, xfiles, xinfo); err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s_test: %v", path, err)
-		}
-		// Fold the external test files into the same Package record: the
-		// analyzers treat them as test files of the package under test.
-		// Their identifiers resolve through the merged Info maps.
-		for e, tv := range xinfo.Types {
-			info.Types[e] = tv
-		}
-		for id, o := range xinfo.Defs {
-			info.Defs[id] = o
-		}
-		for id, o := range xinfo.Uses {
-			info.Uses[id] = o
-		}
-		for s, sel := range xinfo.Selections {
-			info.Selections[s] = sel
-		}
-		for n, o := range xinfo.Implicits {
-			info.Implicits[n] = o
-		}
-		for n, s := range xinfo.Scopes {
-			info.Scopes[n] = s
-		}
-		for _, f := range xfiles {
-			pkg.Syntax = append(pkg.Syntax, f)
-			pkg.TestFile = append(pkg.TestFile, true)
-		}
-		pkg.scanAnnotations()
-	}
 	return pkg, nil
 }
 
@@ -421,26 +402,12 @@ func LoadFixture(moduleDir, fixtureDir string) (*Package, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", fixtureDir)
 	}
-	ld := &loader{
-		dir:     moduleDir,
-		fset:    token.NewFileSet(),
-		listed:  make(map[string]*listedPackage),
-		bare:    make(map[string]*types.Package),
-		loading: make(map[string]bool),
-	}
-	ld.gc = importer.ForCompiler(ld.fset, "gc", ld.lookupExport)
+	ld := newLoader(moduleDir)
 	files, err := ld.parseFiles(fixtureDir, names)
 	if err != nil {
 		return nil, err
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
+	info := newInfo()
 	path := "fixture/" + filepath.Base(fixtureDir)
 	conf := types.Config{Importer: ld}
 	tp, err := conf.Check(path, ld.fset, files, info)

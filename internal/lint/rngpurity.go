@@ -20,9 +20,9 @@ import (
 //     fc.RandomSeed, a `seed` parameter…), a constant, or another
 //     sanctioned stream (Split-style derivation); neither argument may
 //     contain calls other than conversions and rng-stream methods.
-//   - seeding from inside an unordered map range is banned even when the
-//     arguments look pure: the (iteration order → stream assignment)
-//     coupling is exactly the bug class the contract exists for.
+//
+// Seeding inside an unordered map or channel range needs no rule here:
+// maprange rejects the range itself.
 var RNGPurity = &Analyzer{
 	Name:  "rngpurity",
 	Doc:   "forbid wall-clock and unseeded/misseeded randomness in deterministic packages",
@@ -51,16 +51,17 @@ func runRNGPurity(pass *Pass) {
 				pass.Reportf(imp.Pos(), "import of %s: %s; use %s streams instead", path, why, pass.Cfg.RNGPackage)
 			}
 		}
-		pass.inspectUnordered(f, pass.checkRNGNode)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				pass.checkRNGCall(call)
+			}
+			return true
+		})
 	})
 }
 
-// checkRNGNode vets one AST node: banned time calls, and seeding calls.
-func (pass *Pass) checkRNGNode(n ast.Node, inUnorderedRange bool) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return
-	}
+// checkRNGCall vets one call: banned time calls, and seeding calls.
+func (pass *Pass) checkRNGCall(call *ast.CallExpr) {
 	fn := calleeFunc(pass.Pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
@@ -69,10 +70,6 @@ func (pass *Pass) checkRNGNode(n ast.Node, inUnorderedRange bool) {
 	case fn.Pkg().Path() == "time" && bannedTimeFuncs[fn.Name()]:
 		pass.Reportf(call.Pos(), "call to time.%s: wall-clock input breaks run reproducibility", fn.Name())
 	case fn.Pkg().Path() == pass.Cfg.RNGPackage && (fn.Name() == "New" || fn.Name() == "Seed"):
-		if inUnorderedRange {
-			pass.Reportf(call.Pos(), "%s.%s inside an unordered map range: stream assignment would depend on iteration order", fn.Pkg().Name(), fn.Name())
-			return
-		}
 		if len(call.Args) >= 1 && !pass.seedDerived(call.Args[0]) {
 			pass.Reportf(call.Args[0].Pos(),
 				"%s.%s seed argument %q is not derived from a seed value: derive every stream from (run seed, entity id) or an existing stream",

@@ -1,6 +1,12 @@
 package lint
 
-import "testing"
+import (
+	"go/types"
+	"maps"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestRepositoryIsClean is the meta-test behind the CI gate: the full
 // suite, under the real contract registry, must produce zero findings
@@ -113,6 +119,137 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// TestRegistryRowsAreLive resolves every registry row against the loaded
+// repository. TestDefaultConfigIsCoherent only checks path prefixes, so a
+// renamed or deleted function, field or type would silently disable its
+// rule; here every function key must name a declared function (an
+// interface method resolves through the interface's method set), every
+// sanctioned caller must actually call its barrier function, every field
+// entry must name a field of its type, and every globally-shared type
+// must be declared.
+func TestRegistryRowsAreLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole repository")
+	}
+	cfg := DefaultConfig()
+	pkgs, err := Load(moduleDir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := NewProgram(pkgs, cfg)
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+	}
+
+	// split cuts a key at its last dot: "<pkgpath>.<Type>" into the
+	// package path and the type name, "<pkgpath>.<Type>.<member>" into
+	// the type key and the member name.
+	split := func(key string) (string, string) {
+		i := strings.LastIndex(key, ".")
+		if i < 0 {
+			return "", key
+		}
+		return key[:i], key[i+1:]
+	}
+	// typeNamed resolves a type key to a type declared in non-test code.
+	typeNamed := func(key string) *types.TypeName {
+		path, name := split(key)
+		pkg := byPath[path]
+		if pkg == nil {
+			return nil
+		}
+		tn, _ := pkg.Types.Scope().Lookup(name).(*types.TypeName)
+		if tn == nil || strings.HasSuffix(prog.Fset.Position(tn.Pos()).Filename, "_test.go") {
+			return nil
+		}
+		return tn
+	}
+	declared := func(key string) bool {
+		if prog.Funcs[key] != nil {
+			return true
+		}
+		typ, method := split(key)
+		tn := typeNamed(typ)
+		if tn == nil || !types.IsInterface(tn.Type()) {
+			return false
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), false, tn.Pkg(), method)
+		_, ok := obj.(*types.Func)
+		return ok
+	}
+	calls := func(caller, callee string) bool {
+		for _, e := range prog.Calls[caller] {
+			if e.Callee == callee {
+				return true
+			}
+		}
+		return false
+	}
+	isField := func(typ, field string) bool {
+		tn := typeNamed(typ)
+		if tn == nil {
+			return false
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), field)
+		v, ok := obj.(*types.Var)
+		return ok && v.IsField()
+	}
+
+	for _, barrier := range slices.Sorted(maps.Keys(cfg.BarrierOnly)) {
+		if !declared(barrier) {
+			t.Errorf("BarrierOnly key %q is not a declared function", barrier)
+		}
+		for _, c := range cfg.BarrierOnly[barrier] {
+			switch {
+			case !declared(c):
+				t.Errorf("sanctioned caller %q of %q is not a declared function", c, barrier)
+			case !calls(c, barrier):
+				t.Errorf("sanctioned caller %q does not call %q", c, barrier)
+			}
+		}
+	}
+	for reg, keys := range map[string][]string{
+		"ParallelRoots":        cfg.ParallelRoots,
+		"HotPath":              cfg.HotPath,
+		"ColdPath":             cfg.ColdPath,
+		"ShardConduits":        cfg.ShardConduits,
+		"IndexPreservingFuncs": cfg.IndexPreservingFuncs,
+	} {
+		for _, k := range keys {
+			if !declared(k) {
+				t.Errorf("%s entry %q is not a declared function", reg, k)
+			}
+		}
+	}
+	for _, f := range cfg.Fields {
+		if !isField(f.Type, f.Field) {
+			t.Errorf("Fields entry %s.%s does not name a field of its type", f.Type, f.Field)
+		}
+		for _, w := range f.Writers {
+			if !declared(w) {
+				t.Errorf("writer %q of %s.%s is not a declared function", w, f.Type, f.Field)
+			}
+		}
+	}
+	for reg, refs := range map[string][]FieldRef{
+		"ShardTables":      cfg.ShardTables,
+		"CrossShardFields": cfg.CrossShardFields,
+		"PooledSlices":     cfg.PooledSlices,
+	} {
+		for _, r := range refs {
+			if !isField(r.Type, r.Field) {
+				t.Errorf("%s entry %s.%s does not name a field of its type", reg, r.Type, r.Field)
+			}
+		}
+	}
+	for _, g := range cfg.GlobalStateTypes {
+		if typeNamed(g) == nil {
+			t.Errorf("GlobalStateTypes entry %q is not a declared type", g)
 		}
 	}
 }

@@ -37,8 +37,8 @@ import (
 // not provably local is a finding, unless the enclosing function is a
 // registered cross-shard conduit (ShardConduits — the mailbox append and
 // the GroupDirty flag write, whose bodies are the reviewed cross-shard
-// channels) or the write carries a `//lint:sharded <reason>` annotation.
-// Stale annotations (suppressing nothing) are findings themselves.
+// channels). There is no annotation: a write the dataflow cannot prove
+// local is restructured or routed through a conduit.
 var ShardIsolation = &ProgramAnalyzer{
 	Name: "shardisolation",
 	Doc:  "writes reachable from a parallel root must target provably shard-local state",
@@ -56,18 +56,14 @@ func runShardIsolation(pp *ProgramPass) {
 	// part of the reviewed cross-shard channel.
 	via := prog.reachable(prog.parallelRootKeys(), conduit)
 
-	iso := &shardIso{
-		pp:   pp,
-		envs: make(map[string]*shardAnalysis),
-		used: make(map[*Annotation]bool),
-	}
+	iso := &shardIso{pp: pp, envs: make(map[string]*shardAnalysis)}
 	keys := make([]string, 0, len(via))
 	for _, key := range sortedReached(via) {
 		fi := prog.Funcs[key]
 		if fi == nil || !cfg.IsDeterministic(fi.Pkg.Path) {
 			continue
 		}
-		sa := &shardAnalysis{pp: pp, fi: fi, root: via[key], used: iso.used}
+		sa := &shardAnalysis{pp: pp, fi: fi, root: via[key]}
 		sa.seed()
 		iso.envs[key] = sa
 		keys = append(keys, key)
@@ -98,15 +94,12 @@ func runShardIsolation(pp *ProgramPass) {
 	for _, key := range keys {
 		iso.envs[key].checkWrites()
 	}
-	reportStaleAnnotations(pp, directiveSharded, iso.used,
-		"suppresses no shard-isolation finding")
 }
 
 // shardIso is the whole-program state of one shardisolation run.
 type shardIso struct {
 	pp   *ProgramPass
 	envs map[string]*shardAnalysis
-	used map[*Annotation]bool
 }
 
 // propagate re-evaluates every resolved call site of one solved function
@@ -157,43 +150,11 @@ func (iso *shardIso) propagate(sa *shardAnalysis) []string {
 	return changed
 }
 
-// reportStaleAnnotations flags every annotation of the directive, in a
-// deterministic package's non-test files, that did not suppress a
-// finding, plus annotations with no reason. Shared by shardisolation and
-// allocfree.
-func reportStaleAnnotations(pp *ProgramPass, directive string, used map[*Annotation]bool, why string) {
-	for _, pkg := range pp.Prog.Pkgs {
-		if !pp.Cfg.IsDeterministic(pkg.Path) {
-			continue
-		}
-		for i, f := range pkg.Syntax {
-			if pkg.TestFile[i] {
-				continue
-			}
-			for _, anns := range pkg.annotations[f] {
-				for _, a := range anns {
-					if a.Directive != directive {
-						continue
-					}
-					if a.Reason == "" {
-						pp.Reportf(a.Pos, "//lint:%s annotation without a reason: a reviewed escape hatch must say why", directive)
-						continue
-					}
-					if !used[a] {
-						pp.Reportf(a.Pos, "stale //lint:%s annotation: %s", directive, why)
-					}
-				}
-			}
-		}
-	}
-}
-
 // shardAnalysis is the per-function locality dataflow.
 type shardAnalysis struct {
 	pp   *ProgramPass
 	fi   *FuncInfo
 	root string
-	used map[*Annotation]bool
 
 	// local maps a function-scope variable object to its locality:
 	// present and true = provably shard-local; present and false =
@@ -503,17 +464,10 @@ func (sa *shardAnalysis) checkTarget(lhs ast.Expr) {
 	}
 }
 
-// flag reports one non-local write, unless a //lint:sharded annotation
-// with a reason covers its line.
+// flag reports one non-local write.
 func (sa *shardAnalysis) flag(e ast.Expr, target string) {
-	pkg := sa.fi.Pkg
-	line := pkg.Fset.Position(e.Pos()).Line
-	if a := pkg.annotationAt(sa.fi.File, line, directiveSharded); a != nil && a.Reason != "" {
-		sa.used[a] = true
-		return
-	}
 	sa.pp.Reportf(e.Pos(),
-		"write to %s is not provably shard-local inside a parallel section (reachable from %s); derive the target from the shard's own state, route it through a registered conduit, or annotate //lint:sharded with the ownership argument",
+		"write to %s is not provably shard-local inside a parallel section (reachable from %s); derive the target from the shard's own state or route it through a registered conduit",
 		target, sa.root)
 }
 

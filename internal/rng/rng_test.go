@@ -135,25 +135,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	p := New(17, 2)
-	xs := make([]int, 50)
-	for i := range xs {
-		xs[i] = i
-	}
-	p.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("duplicate %d after shuffle", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 50 {
-		t.Fatalf("shuffle lost elements: %d", len(seen))
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(123, 1)
 	c1 := parent.Split()
@@ -166,20 +147,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("split children collided %d/1000 times", same)
-	}
-}
-
-func TestPick(t *testing.T) {
-	p := New(7, 7)
-	xs := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		counts[Pick(p, xs)]++
-	}
-	for _, s := range xs {
-		if counts[s] < 800 {
-			t.Fatalf("Pick starved %q: %v", s, counts)
-		}
 	}
 }
 

@@ -57,20 +57,11 @@ type CycleHorizon interface {
 	NextAlgCycle(n *Network) (cycle int64, ok bool)
 }
 
-// Quiet reports whether the current cycle has no work anywhere: this
-// cycle's calendar buckets and every shard's active sets are empty, and
-// no fault event or pending kill is due. When Quiet holds, stepping
-// this cycle would change nothing but the clock (modulo BeginCycle —
-// see CycleHorizon).
-func (n *Network) Quiet() bool {
-	return n.quietCycle(n.now & n.mask)
-}
-
 // NextEventCycle returns the earliest future cycle holding a scheduled
 // event: the first occupied calendar bucket across all shards, and
 // the next unapplied fault-plan event. It returns NoPendingCycle when
 // nothing is scheduled at all. Call it with the current cycle's buckets
-// drained (Quiet); the scan is allocation-free and costs O(shards x
+// drained (quietCycle); the scan is allocation-free and costs O(shards x
 // ring size), amortized over the span it lets the caller skip.
 func (n *Network) NextEventCycle() int64 {
 	next := NoPendingCycle

@@ -302,15 +302,6 @@ type pendingKill struct {
 	pkt    *Packet
 }
 
-// deferredCredit is an upstream credit return owed by a kill, scheduled
-// after the calendar sweep (the sweep must not push onto the calendar
-// while walking it).
-type deferredCredit struct {
-	ip   *inPort
-	vc   int8
-	size int32
-}
-
 // faultState is the network's fault-injection engine; nil when the plan
 // is empty.
 type faultState struct {
@@ -327,7 +318,6 @@ type faultState struct {
 	// Kill machinery scratch, reused across applications.
 	victims  map[*Packet]struct{}
 	killed   []*Packet
-	defCred  []deferredCredit
 	bfsQueue []int32
 }
 
@@ -476,7 +466,6 @@ func (n *Network) applyFaultEvent(ev FaultEvent) {
 	if kills {
 		n.sweepFaultVictims()
 	}
-	n.flushDeferredCredits()
 	n.finalizeFaultVictims()
 }
 
@@ -568,12 +557,17 @@ func (n *Network) killGrantedResidue(r *Router, p *Packet) {
 }
 
 // killQueued removes the head of r's input VC (port, vc) as a fault
-// victim: the same dequeue a tail departure performs, with the upstream
-// credit the packet held deferred past the calendar sweep.
+// victim: the same dequeue a tail departure performs, and the upstream
+// credit the packet held returned at once, as resolvePendingKill does.
+// During sweepFaultVictims the push may land in a bucket being scanned:
+// the scan walks only the events a bucket held when it got there and
+// ignores credits, and the filter keeps events in order, so each bucket
+// ends with its surviving events followed by the kills' credits in kill
+// order.
 func (n *Network) killQueued(r *Router, port, vc int) {
 	p := r.dequeue(port, vc)
 	n.faults.noteVictim(p)
-	n.faults.defCred = append(n.faults.defCred, deferredCredit{ip: &r.in[port], vc: int8(vc), size: p.Size})
+	n.returnCredit(nil, &r.in[port], int8(vc), p.Size)
 }
 
 // sweepFaultVictims scans every pending calendar event for packets
@@ -676,19 +670,6 @@ func (f *faultState) noteVictim(p *Packet) {
 	}
 	f.victims[p] = struct{}{}
 	f.killed = append(f.killed, p)
-}
-
-// flushDeferredCredits schedules the upstream credit returns collected
-// by the kills. This runs at a sequential point, so pushing straight
-// onto the target router's calendar is safe at any worker count (the same
-// contract Inject relies on). Same-port credits commute, so bucket
-// insertion order does not affect the simulation.
-func (n *Network) flushDeferredCredits() {
-	f := n.faults
-	for _, dc := range f.defCred {
-		n.returnCredit(nil, dc.ip, dc.vc, dc.size)
-	}
-	f.defCred = f.defCred[:0]
 }
 
 // finalizeFaultVictims counts and recycles the victims of one fault
@@ -891,9 +872,9 @@ func (n *Network) checkFaultState() error {
 			return fmt.Errorf("router %d: component label %d but recompute says %d", i, f.comp[i], fresh[i])
 		}
 	}
-	if len(f.victims) != 0 || len(f.killed) != 0 || len(f.defCred) != 0 {
-		return fmt.Errorf("router: fault engine holds %d victims / %d killed / %d deferred credits between cycles",
-			len(f.victims), len(f.killed), len(f.defCred))
+	if len(f.victims) != 0 || len(f.killed) != 0 {
+		return fmt.Errorf("router: fault engine holds %d victims / %d killed between cycles",
+			len(f.victims), len(f.killed))
 	}
 	return nil
 }

@@ -441,9 +441,6 @@ func (r *Router) HeadGranted(port, vc int) bool {
 	return r.HeadPacket(port, vc) != nil && !r.unroutedHeads.has(int32(r.in[port].slot0)+int32(vc))
 }
 
-// InFree returns the free phits of input VC (port, vc).
-func (r *Router) InFree(port, vc int) int32 { return r.in[port].vcs[vc].free() }
-
 // LinkBusy reports whether the link of output `port` is serializing.
 func (r *Router) LinkBusy(port int) bool { return r.out[port].linkFreeAt > r.net.now }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,6 +117,43 @@ func TestAdvanceKeepsJumpLength(t *testing.T) {
 	}
 	if polls > 3 {
 		t.Fatalf("an empty fabric took %d polled iterations to cross 1000 poll strides; jumps are being capped", polls)
+	}
+}
+
+// TestSaturatedInjectorIsTheSkipLoop pins the Bernoulli fast path at
+// prob 1 (packet size 1, load 1), where every geometric gap is 0 and
+// draws no uniform: the skip loop visits every node in order, skips a
+// throttled node without drawing its destination, and NextArrival's
+// stash resumes at node 0. The counts and delivery-sequence hashes are
+// those of the dedicated saturated branch the loop replaced.
+func TestSaturatedInjectorIsTheSkipLoop(t *testing.T) {
+	for _, tc := range []struct {
+		congestion                               bool
+		generated, blocked, delivered, throttled uint64
+		trace                                    uint64
+	}{
+		{false, 226748, 205252, 185544, 0, 0x071a2559991041f4},
+		{true, 140288, 0, 131721, 284904, 0x46349a0f2e2cfbf1},
+	} {
+		c := tinyCfg(routing.Base)
+		c.Router.PacketSize = 1
+		if tc.congestion {
+			c.Router.Congestion = congestionOn()
+		}
+		p, err := newPoint(c, UN(), 1.0, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		p.net.OnDeliver = func(pk *router.Packet, now int64) {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", now, pk.ID, pk.Src, pk.Dst, pk.GenTime)
+		}
+		Advance(p.net, p.inj, 3000)
+		got := []uint64{p.net.NumGenerated, p.net.NumBlocked, p.net.NumDelivered, p.inj.Throttled(), h.Sum64()}
+		want := []uint64{tc.generated, tc.blocked, tc.delivered, tc.throttled, tc.trace}
+		if !slices.Equal(got, want) {
+			t.Errorf("congestion=%v: generated/blocked/delivered/throttled/trace hash %#x, want %#x", tc.congestion, got, want)
+		}
 	}
 }
 

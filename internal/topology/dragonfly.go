@@ -190,11 +190,6 @@ func (d *Dragonfly) CanonicalGlobalLink(g, l int) bool {
 	return g < d.GlobalLinkTarget(g, l)
 }
 
-// GlobalCableCount returns the number of physical inter-group cables:
-// each of the Groups*GlobalLinks directed link endpoints pairs with
-// exactly one other, giving half that many cables.
-func (d *Dragonfly) GlobalCableCount() int { return d.Groups * d.GlobalLinks / 2 }
-
 // GlobalNeighbor returns the router and port on the far side of global
 // port ordinal k of router r. The palmtree arrangement pairs link l of
 // group g with link A*H-1-l of group (g+l+1) mod Groups, which makes the

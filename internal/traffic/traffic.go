@@ -315,7 +315,9 @@ func (in *Injector) RatePct(node int) int {
 // the load — the fast path skip-samples: geometric jumps land directly on
 // the nodes that generate this cycle, so the cost is proportional to the
 // number of packets generated. The node set produced is distributed
-// identically to independent per-node draws (inversion sampling).
+// identically to independent per-node draws (inversion sampling). At
+// prob >= 1 every gap is 0 and consumes no uniform, so the same loop
+// visits every node in order.
 func (in *Injector) Cycle() {
 	if in.rtx != nil {
 		in.rtx.cycle(in.net.Now())
@@ -330,15 +332,6 @@ func (in *Injector) Cycle() {
 	now := in.net.Now()
 	pat := in.sched.At(now)
 	nodes := in.net.Topo.Nodes
-	if in.prob >= 1 {
-		for node := 0; node < nodes; node++ {
-			if in.th != nil && !in.th.admit(node, now) {
-				continue
-			}
-			in.net.Inject(node, pat.Dest(node, in.rng))
-		}
-		return
-	}
 	if now <= in.drawnThrough {
 		// NextArrival certified this cycle empty, consuming the one
 		// Geometric draw the loop below would have made.
@@ -418,9 +411,6 @@ func (in *Injector) NextArrival(limit int64) int64 {
 	}
 	if in.prob <= 0 {
 		return next
-	}
-	if in.prob >= 1 {
-		return now
 	}
 	if in.pendingCycle >= 0 {
 		if in.pendingCycle < now {
