@@ -318,8 +318,8 @@
 // (TestStaleRequestNeverNominated). There is one copy of each fact: the
 // packet carries no request and no granted flag, the ports and the
 // router no unrouted counters (the set's count is that number, and it
-// has no stale members). The FullScan oracle visits every router but
-// reads the same table. CheckInvariants audits the table against the
+// has no stale members). The oracle cycle, Network.StepFullScan, visits
+// every router but reads the same table. CheckInvariants audits the table against the
 // queues, slot by slot, and replays parked heads against the stored
 // requests. The group ids a decision compares are asked once, too:
 // Router.Group at construction, the destination's group memoised on the
@@ -338,8 +338,8 @@
 // and everything a nomination reads — the round-robin pointers, credits,
 // output space, the head slots' requests — moves only in a grant, so its
 // remaining iterations of that cycle would be the same no-op and are
-// skipped; past saturation that is most of them. The FullScan oracle
-// keeps visiting every router in every iteration, so the equivalence
+// skipped; past saturation that is most of them. StepFullScan keeps
+// visiting every router in every iteration, so the equivalence
 // tests run with the skip on one side only
 // (TestAllocationSkipsOnlyNoOpIterations pins it from both sides).
 //
@@ -411,8 +411,8 @@
 // idempotent and may read only the packet, the deciding router's own
 // state and state whose every change wakes that router. Randomized
 // re-sampling of a blocked head is untouched: the draw keeps the
-// router in the set. FullScan visits every router every cycle and is
-// the oracle (TestParkingEquivalence); CheckInvariants replays the
+// router in the set. StepFullScan visits every router every cycle and
+// is the oracle (TestParkingEquivalence); CheckInvariants replays the
 // decision of every parked head.
 //
 // The routing-algorithm layer keeps no per-cycle O(network) term either.
@@ -430,12 +430,12 @@
 // the group's array does not — and visits only the groups whose partial
 // counters changed since their last exchange (a dirty flag per group,
 // set by the counter mutations), so an idle period costs O(groups) flag
-// reads and the clock may jump over it. Two full recomputes survive
-// behind debug flags as test oracles (the fabric's FullScan, ECtN's
-// combine-every-group ReferenceScan), pinned cycle-for-cycle to the
-// production paths by equivalence tests; `go run ./cmd/bench` tracks the
-// hot path's speed in BENCH_step.json, with the ECtN reference beside
-// the dirty flags at both scales.
+// reads and the clock may jump over it. Neither shortcut has a second
+// mode beside it. The fabric's oracle is one explicit cycle,
+// Network.StepFullScan, which the equivalence tests step against Step;
+// ECtN's is its CheckState audit, which recomputes every group a combine
+// would skip on each CheckInvariants. `go run ./cmd/bench` tracks the
+// hot path's speed in BENCH_step.json.
 //
 // A single run can additionally be stepped by multiple cores
 // (Config.Workers, cmd/sweep and cmd/figures -workers): the network is
@@ -515,8 +515,8 @@
 //     which its BeginCycle must observe the network, or NoPendingCycle
 //     if it is purely reactive (driven entirely by packet events, like
 //     the contention counters), or ok=false to veto elision outright
-//     (the reference-scan debug modes do this, since they recompute
-//     state every cycle by design). The purely reactive answer is the
+//     (no shipped mechanism does; a wrapper whose inner algorithm has no
+//     horizon does). The purely reactive answer is the
 //     default: router.NopHooks supplies it beside the no-op BeginCycle
 //     it is the horizon of, so a policy that embeds NopHooks and gives
 //     BeginCycle a body must override NextAlgCycle with it (ECtN is the
@@ -570,7 +570,8 @@
 //     replay, fault-event application, Alg.BeginCycle and the outbox
 //     merge mutate cross-shard state with no synchronization of their
 //     own; they are registered barrier-only and may only be called
-//     from their registered call site, the one cycle body Step, may never
+//     from their registered call sites, the one cycle body Step and its
+//     sequential oracle StepFullScan, may never
 //     be taken as function values, and may not be reachable through
 //     the call graph from the parallel phase roots (the two shard
 //     worker bodies, handleShardBucket and stepShard, and the routing
@@ -599,7 +600,7 @@
 //     bit-identical to visiting every router every cycle only while
 //     every Algorithm.Route honours the idempotence-and-inputs rule of
 //     router/algorithm.go. It is pinned per mechanism by
-//     TestParkingEquivalence against the FullScan oracle at workers
+//     TestParkingEquivalence against the StepFullScan oracle at workers
 //     1/2/4 with elision on and off, and audited at run time by
 //     CheckInvariants, which re-decides every parked head on a copy
 //     and requires the stored request back with the random stream

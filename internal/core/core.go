@@ -146,30 +146,18 @@ func (d *GroupDirty) Drain(visit func(g int32)) {
 // global-link indices in [0, links).
 type ECtN struct {
 	partial []int32
-	// SatCap models the finite width of the broadcast counter fields:
-	// each router's contribution to a combined counter saturates at
-	// SatCap. Zero disables saturation (infinite-width counters).
-	SatCap int32
 
-	// dirty/group, when bound, make every partial mutation mark this
-	// router's group in the combiner's dirty-set, so untouched groups
-	// can skip their periodic combine.
+	// Every partial mutation marks this router's group in the combiner's
+	// dirty-set, so untouched groups can skip their periodic combine.
 	dirty *GroupDirty
 	group int32
 }
 
-// BindDirty wires this router's partial mutations to a group dirty-set:
-// every IncPartial/DecPartial marks `group` in d.
-func (e *ECtN) BindDirty(d *GroupDirty, group int) {
-	e.dirty = d
-	e.group = int32(group)
-}
-
-// NewECtN returns zeroed ECtN state for a group with `links` global links
-// (a*h in a canonical Dragonfly), using the 4-bit saturation cap of the
-// paper.
-func NewECtN(links int) *ECtN {
-	return &ECtN{partial: make([]int32, links), SatCap: DefaultSatCap}
+// NewECtN returns zeroed ECtN state for a router of `group`, a group
+// with `links` global links (a*h in a canonical Dragonfly), whose every
+// IncPartial/DecPartial marks `group` in dirty.
+func NewECtN(links int, dirty *GroupDirty, group int) *ECtN {
+	return &ECtN{partial: make([]int32, links), dirty: dirty, group: int32(group)}
 }
 
 // Links returns the number of global links tracked.
@@ -179,9 +167,7 @@ func (e *ECtN) Links() int { return len(e.partial) }
 // the group through global link l.
 func (e *ECtN) IncPartial(l int) {
 	e.partial[l]++
-	if e.dirty != nil {
-		e.dirty.Mark(e.group)
-	}
+	e.dirty.Mark(e.group)
 }
 
 // DecPartial unregisters such a packet once it left the input queue. It
@@ -191,22 +177,16 @@ func (e *ECtN) DecPartial(l int) {
 	if e.partial[l] < 0 {
 		panic(fmt.Sprintf("core: ECtN partial counter for link %d went negative", l))
 	}
-	if e.dirty != nil {
-		e.dirty.Mark(e.group)
-	}
+	e.dirty.Mark(e.group)
 }
 
 // Partial returns this router's own demand estimate for global link l.
 func (e *ECtN) Partial(l int) int32 { return e.partial[l] }
 
 // contribution returns the partial value as transmitted on the wire,
-// honoring the saturation cap.
+// saturated at the 4-bit field width (DefaultSatCap).
 func (e *ECtN) contribution(l int) int32 {
-	v := e.partial[l]
-	if e.SatCap > 0 && v > e.SatCap {
-		return e.SatCap
-	}
-	return v
+	return min(e.partial[l], DefaultSatCap)
 }
 
 // CombineGroup models the periodic exchange of partial arrays within one

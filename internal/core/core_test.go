@@ -96,8 +96,12 @@ func TestQuickCountersMatchCensus(t *testing.T) {
 	}
 }
 
+// newECtN is partial state for a router of group 0 of a one-group
+// dirty-set, for the tests that do not look at the marks.
+func newECtN(links int) *ECtN { return NewECtN(links, NewGroupDirty(1), 0) }
+
 func TestECtNPartial(t *testing.T) {
-	e := NewECtN(8)
+	e := newECtN(8)
 	if e.Links() != 8 {
 		t.Fatalf("links %d", e.Links())
 	}
@@ -115,11 +119,11 @@ func TestECtNUnderflowPanics(t *testing.T) {
 			t.Fatal("DecPartial below zero did not panic")
 		}
 	}()
-	NewECtN(2).DecPartial(1)
+	newECtN(2).DecPartial(1)
 }
 
 func TestCombineGroupSums(t *testing.T) {
-	a, b, c := NewECtN(4), NewECtN(4), NewECtN(4)
+	a, b, c := newECtN(4), newECtN(4), newECtN(4)
 	a.IncPartial(0)
 	b.IncPartial(0)
 	b.IncPartial(2)
@@ -139,7 +143,7 @@ func TestCombineGroupSums(t *testing.T) {
 }
 
 func TestCombineGroupSaturation(t *testing.T) {
-	a, b := NewECtN(1), NewECtN(1)
+	a, b := newECtN(1), newECtN(1)
 	for i := 0; i < 100; i++ {
 		a.IncPartial(0)
 	}
@@ -150,12 +154,6 @@ func TestCombineGroupSaturation(t *testing.T) {
 	if combined[0] != DefaultSatCap+1 {
 		t.Fatalf("combined %d, want %d", combined[0], DefaultSatCap+1)
 	}
-	// With the cap disabled the full value flows through.
-	a.SatCap, b.SatCap = 0, 0
-	CombineGroup(combined, []*ECtN{a, b})
-	if combined[0] != 101 {
-		t.Fatalf("uncapped combined %d, want 101", combined[0])
-	}
 }
 
 func TestCombineGroupEmptyAndMismatch(t *testing.T) {
@@ -165,11 +163,11 @@ func TestCombineGroupEmptyAndMismatch(t *testing.T) {
 			t.Fatal("mismatched link counts did not panic")
 		}
 	}()
-	CombineGroup(make([]int32, 2), []*ECtN{NewECtN(2), NewECtN(3)})
+	CombineGroup(make([]int32, 2), []*ECtN{newECtN(2), newECtN(3)})
 }
 
 func TestECtNReset(t *testing.T) {
-	e := NewECtN(2)
+	e := newECtN(2)
 	e.IncPartial(0)
 	e.Reset()
 	if e.Partial(0) != 0 {
@@ -177,20 +175,26 @@ func TestECtNReset(t *testing.T) {
 	}
 }
 
-// TestQuickCombineGroupConservation: without saturation, the sum of the
-// group's combined array equals the total partial sum across the group.
+// TestQuickCombineGroupConservation: the sum of the group's combined
+// array equals the total partial sum across the group, each (router,
+// link) count capped at DefaultSatCap.
 func TestQuickCombineGroupConservation(t *testing.T) {
 	f := func(incs []uint8) bool {
 		const links, routers = 6, 3
 		members := make([]*ECtN, routers)
 		for i := range members {
-			members[i] = NewECtN(links)
-			members[i].SatCap = 0
+			members[i] = newECtN(links)
 		}
-		var total int64
+		var census [routers][links]int64
 		for i, v := range incs {
 			members[i%routers].IncPartial(int(v) % links)
-			total++
+			census[i%routers][int(v)%links]++
+		}
+		var total int64
+		for _, row := range census {
+			for _, c := range row {
+				total += min(c, DefaultSatCap)
+			}
 		}
 		combined := make([]int32, links)
 		CombineGroup(combined, members)
@@ -297,8 +301,7 @@ func TestGroupDirtySharded(t *testing.T) {
 
 func TestECtNBindDirtyMarksOnMutation(t *testing.T) {
 	d := NewGroupDirty(3)
-	e := NewECtN(4)
-	e.BindDirty(d, 2)
+	e := NewECtN(4, d, 2)
 	e.IncPartial(1)
 	if !d.Marked(2) || d.Marked(0) || d.Marked(1) {
 		t.Fatal("IncPartial did not mark the bound group")
@@ -308,12 +311,10 @@ func TestECtNBindDirtyMarksOnMutation(t *testing.T) {
 	if !d.Marked(2) {
 		t.Fatal("DecPartial did not mark the bound group")
 	}
-	// Unbound state mutates without touching any set.
-	NewECtN(2).IncPartial(0)
 }
 
 func TestVerifyGroupFresh(t *testing.T) {
-	a, b := NewECtN(2), NewECtN(2)
+	a, b := newECtN(2), newECtN(2)
 	a.IncPartial(0)
 	combined := make([]int32, 2)
 	CombineGroup(combined, []*ECtN{a, b})
@@ -341,7 +342,7 @@ func BenchmarkCountersIncDec(b *testing.B) {
 func BenchmarkCombineGroup(b *testing.B) {
 	members := make([]*ECtN, 16)
 	for i := range members {
-		members[i] = NewECtN(128)
+		members[i] = newECtN(128)
 		for l := 0; l < 128; l += 3 {
 			members[i].IncPartial(l)
 		}

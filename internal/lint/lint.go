@@ -245,18 +245,19 @@ func DefaultConfig() *Config {
 		//
 		// The replay/apply family runs at the handle barrier of Step —
 		// the one cycle body (the caller coordinates, forked workers
-		// parked) is the only sanctioned call site; BeginCycle is the
-		// interface method hosting the group-wide exchanges at the same
-		// barrier; mergeOutboxes is the cycle barrier itself. Calling any
-		// of them from the parallel phase graphs (ParallelRoots below)
-		// would race or reorder cross-shard effects.
+		// parked) — and of StepFullScan, its sequential oracle: those are
+		// the only sanctioned call sites; BeginCycle is the interface
+		// method hosting the group-wide exchanges at the same barrier;
+		// mergeOutboxes is the cycle barrier itself. Calling any of them
+		// from the parallel phase graphs (ParallelRoots below) would race
+		// or reorder cross-shard effects.
 		BarrierOnly: map[string][]string{
-			router + ".Network.replayDeliveries":    {router + ".Network.Step"},
-			router + ".Network.replayNotifications": {router + ".Network.Step"},
-			router + ".Network.applyFaults":         {router + ".Network.Step"},
+			router + ".Network.replayDeliveries":    {router + ".Network.Step", router + ".Network.StepFullScan"},
+			router + ".Network.replayNotifications": {router + ".Network.Step", router + ".Network.StepFullScan"},
+			router + ".Network.applyFaults":         {router + ".Network.Step", router + ".Network.StepFullScan"},
 			router + ".Network.applyFaultEvent":     {router + ".Network.applyFaults"},
 			router + ".Network.mergeOutboxes":       {router + ".Network.Step"},
-			router + ".Algorithm.BeginCycle":        {router + ".Network.Step"},
+			router + ".Algorithm.BeginCycle":        {router + ".Network.Step", router + ".Network.StepFullScan"},
 			// WakeGroup re-arms parked routers from algorithm code: it
 			// writes the owning shard's route set, so it belongs to the
 			// BeginCycle barrier, where ECtN's combine calls it (fault

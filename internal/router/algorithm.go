@@ -58,8 +58,9 @@ type Request struct {
 // decision, the occupancy of another router of its group: the owner of
 // the minimal global link, whose credit count is PB's piggybacked
 // saturation bit. That read is also shard-safe — a group never spans
-// shards, and no occupancy moves during the route phase. FullScan ignores
-// parking and is the oracle: TestParkingEquivalence pins every shipped
+// shards, and no occupancy moves during the route phase.
+// Network.StepFullScan ignores parking and is the oracle:
+// TestParkingEquivalence pins every shipped
 // mechanism, and CheckInvariants replays the decision of every parked
 // head.
 //

@@ -16,10 +16,9 @@ import (
 // on a long link's credits is quiet until the credit event's cycle.
 // Stepping such a cycle handles no events, drains no NICs, routes
 // nothing, serializes nothing; the only state change is now++ — unless
-// the algorithm's BeginCycle does periodic work (an ECtN combine) or a
-// reference-scan mode recomputes state every cycle. So when the network
-// is quiet, the clock can advance directly to the earliest cycle at
-// which anything can happen:
+// the algorithm's BeginCycle does periodic work (an ECtN combine). So
+// when the network is quiet, the clock can advance directly to the
+// earliest cycle at which anything can happen:
 //
 //   - the next occupied calendar bucket (future head arrivals, credit
 //     returns, pipeline completions, deliveries, congestion
@@ -45,9 +44,9 @@ const NoPendingCycle int64 = math.MaxInt64
 // eligible for quiet-cycle elision. NextAlgCycle returns the next cycle
 // c >= Now() at which BeginCycle performs observable work — for ECtN,
 // the next combine tick while any group is dirty — or NoPendingCycle
-// when no such cycle exists. ok=false disables elision outright: ECtN's
-// reference exchange (Options.ReferenceScan) combines every group every
-// period whether anything changed or not, so it is stepped cycle by cycle.
+// when no such cycle exists. ok=false disables elision outright. Every
+// shipped policy answers ok=true; the benchmark's tracing wrapper answers
+// false for an inner algorithm without a horizon.
 //
 // Algorithms that do not implement CycleHorizon are never elided.
 // NopHooks implements it for the no-op BeginCycle it supplies; a policy
@@ -89,13 +88,12 @@ func (n *Network) NextEventCycle() int64 {
 // ElideHorizon reports how far the clock may jump: the largest cycle
 // j in (Now(), target] such that every cycle in [Now(), j) is a
 // provable no-op. ok=false means this cycle must be stepped normally —
-// the network is not quiet, the algorithm does per-cycle work (no
-// CycleHorizon, a reference-scan mode, or a due combine), or a
-// reference fabric scan is pinned (FullScan). Callers driving an
-// injector must further cap the returned horizon at the injector's
-// NextArrival before jumping.
+// the network is not quiet or the algorithm has work due (no
+// CycleHorizon, or a due combine). Callers driving an injector must
+// further cap the returned horizon at the injector's NextArrival before
+// jumping.
 func (n *Network) ElideHorizon(target int64) (int64, bool) {
-	if target <= n.now || n.FullScan {
+	if target <= n.now {
 		return n.now, false
 	}
 	h, ok := n.Alg.(CycleHorizon)

@@ -27,7 +27,9 @@ func runEquiv(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64) 
 }
 
 // runEquivTo is runEquiv with the destination choice as a parameter:
-// dest maps a source node and a random draw to a destination node.
+// dest maps a source node and a random draw to a destination node. The
+// fullScan run steps every cycle, the drain included, with the
+// StepFullScan oracle; the other one with Step, eliding its drain.
 func runEquivTo(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64,
 	dest func(n *Network, node int, x uint64) int) ([]equivTrace, *Network) {
 	t.Helper()
@@ -35,7 +37,10 @@ func runEquivTo(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.FullScan = fullScan
+	step, drain := n.Step, n.Drain
+	if fullScan {
+		step, drain = n.StepFullScan, func(c int64) bool { return drainFullScan(n, c) }
+	}
 	var trace []equivTrace
 	n.OnDeliver = func(p *Packet, now int64) {
 		trace = append(trace, equivTrace{now: now, id: p.ID, src: p.Src, dst: p.Dst, hops: p.TotalHops})
@@ -50,20 +55,29 @@ func runEquivTo(t *testing.T, cfg Config, fullScan bool, cycles int, rate uint64
 				}
 			}
 		}
-		n.Step()
+		step()
 		if cycle%250 == 0 {
 			if err := n.CheckInvariants(); err != nil {
 				t.Fatalf("fullScan=%v cycle %d: %v", fullScan, cycle, err)
 			}
 		}
 	}
-	if !n.Drain(1 << 20) {
+	if !drain(1 << 20) {
 		t.Fatalf("fullScan=%v: network did not drain (%d in flight)", fullScan, n.InFlight)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("fullScan=%v after drain: %v", fullScan, err)
 	}
 	return trace, n
+}
+
+// drainFullScan is Drain stepped by the oracle: no elision, every cycle
+// a StepFullScan.
+func drainFullScan(n *Network, maxCycles int64) bool {
+	for end := n.now + maxCycles; n.now < end && n.InFlight > 0; {
+		n.StepFullScan()
+	}
+	return n.InFlight == 0
 }
 
 // TestActiveSetEquivalence proves the active-set scheduler is
@@ -122,7 +136,7 @@ func TestActiveSetEquivalence(t *testing.T) {
 // second iteration is what grants the second). And it must skip nothing
 // but no-ops: past saturation under ADV+1, where most routers' first
 // iteration already grants nothing, the run stays cycle-identical to the
-// FullScan oracle, which visits every router in every iteration.
+// StepFullScan oracle, which visits every router in every iteration.
 func TestAllocationSkipsOnlyNoOpIterations(t *testing.T) {
 	for _, speedup := range []int{1, 2} {
 		cfg := smallCfg()
@@ -195,14 +209,15 @@ func TestActiveSetCreditReactivation(t *testing.T) {
 	}
 }
 
-// TestStepModesInterleaved switches FullScan on and off mid-run: the
-// active sets are maintained at the mutation points in both modes, so a
-// mode flip at any cycle must keep the simulation consistent.
+// TestStepModesInterleaved alternates StepFullScan and Step in spans of
+// 100 cycles: the active sets are maintained at the mutation points
+// whichever steps the cycle, so a switch at any cycle must keep the
+// simulation consistent. The oracle is sequential: on a two-worker
+// network it panics instead of stepping.
 func TestStepModesInterleaved(t *testing.T) {
 	n := buildSmall(t)
 	rng := newTestRand(17)
 	for cycle := 0; cycle < 1200; cycle++ {
-		n.FullScan = (cycle/100)%2 == 0
 		for node := 0; node < n.Topo.Nodes; node++ {
 			if rng()%100 < 15 {
 				dst := int(rng() % uint64(n.Topo.Nodes))
@@ -211,20 +226,36 @@ func TestStepModesInterleaved(t *testing.T) {
 				}
 			}
 		}
-		n.Step()
+		if (cycle/100)%2 == 0 {
+			n.StepFullScan()
+		} else {
+			n.Step()
+		}
 		if cycle%200 == 0 {
 			if err := n.CheckInvariants(); err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
 			}
 		}
 	}
-	n.FullScan = false
 	if !n.Drain(1 << 20) {
 		t.Fatalf("did not drain: %d in flight", n.InFlight)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+
+	cfg := smallCfg()
+	cfg.Workers = 2
+	two, err := Build(cfg, testMin{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StepFullScan stepped a two-worker network")
+		}
+	}()
+	two.StepFullScan()
 }
 
 // packetStructs counts the Packet structs a network has made and still

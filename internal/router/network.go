@@ -107,14 +107,6 @@ type Network struct {
 	// shardOf maps a router id to its owning shard.
 	shardOf []int16
 
-	// FullScan, when true, makes Step use the original O(routers+nodes)
-	// full-scan loop instead of the active-set scheduler. The two modes
-	// are cycle-for-cycle identical (the equivalence tests pin this); the
-	// flag exists for those tests and for debugging scheduler suspicions.
-	// It applies only to sequential stepping (Workers <= 1) and is
-	// ignored when Step runs more than one shard.
-	FullScan bool
-
 	// Aggregate counters, maintained by the fabric.
 	NumGenerated   uint64 // packets accepted into NIC queues
 	NumBlocked     uint64 // generation attempts refused (NIC queue full)
@@ -420,8 +412,8 @@ func (n *Network) badSchedule(cycle int64, kind evKind) {
 // output), so the cost of a cycle is proportional to traffic that
 // changes state, not topology size or the number of blocked heads (see
 // stepShard for the parking rule). The phase barriers and the per-phase
-// ascending-id visit order are identical to the original full scan,
-// which remains available behind FullScan.
+// ascending-id visit order are those of the visit-everything cycle,
+// StepFullScan.
 //
 // There is one body for every worker count: the two sections and two
 // barriers of parallel.go, with the caller as coordinator and shard 0's
@@ -434,14 +426,12 @@ func (n *Network) badSchedule(cycle int64, kind evKind) {
 //
 // A quiet cycle (no scheduled events, no active components anywhere)
 // skips both sections: every phase would be a no-op, so only the
-// sequential BeginCycle runs. The FullScan oracle is exempt — it must
-// not depend on the active sets and wakes it is the reference for.
+// sequential BeginCycle runs.
 func (n *Network) Step() {
 	idx := n.now & n.mask
 	f := n.fork // nil with one shard: the caller is the only worker
-	full := n.FullScan && f == nil
 	busy := n.busyShards(idx)
-	if !full && busy == 0 && !n.faultsPending() {
+	if busy == 0 && !n.faultsPending() {
 		n.Alg.BeginCycle(n)
 		n.now++
 		return
@@ -476,11 +466,7 @@ func (n *Network) Step() {
 	if forked {
 		close(f.resume)
 	}
-	if full {
-		n.stepFull()
-	} else {
-		n.stepShard(&n.shards[0])
-	}
+	n.stepShard(&n.shards[0])
 	if forked {
 		f.stepped.Wait()
 	} else {
@@ -496,13 +482,25 @@ func (n *Network) Step() {
 	n.now++
 }
 
-// stepFull is the original full-scan cycle loop: every NIC, every router,
-// every phase and every allocation iteration, regardless of activity —
-// parked routers included, so it never relies on a wake, nor on
-// stepShard's reasons for leaving a router out of an iteration. Kept for
-// the cycle-exactness equivalence tests and as the reference semantics
-// (sequential mode only).
-func (n *Network) stepFull() {
+// StepFullScan is the oracle Step is pinned against: one cycle of the
+// original loop, in which every phase visits every NIC and every router
+// and every allocation iteration runs, whatever the activity — parked
+// routers and quiet cycles included, so it relies on no active set, no
+// wake and none of stepShard's reasons for leaving a router out of an
+// iteration. Its phases and barriers are Step's, in straight-line code.
+// Tests alternate it with Step or run it against Step; it steps a
+// single-worker network only and panics on one with more shards.
+func (n *Network) StepFullScan() {
+	if n.fork != nil {
+		panic("router: StepFullScan needs a single-worker network")
+	}
+	n.handleShardBucket(&n.shards[0], n.now&n.mask)
+	n.replayDeliveries()
+	n.replayNotifications()
+	if n.faults != nil {
+		n.applyFaults()
+	}
+	n.Alg.BeginCycle(n)
 	for i := range n.nics {
 		n.nicDrain(i)
 	}
@@ -517,6 +515,7 @@ func (n *Network) stepFull() {
 	for _, r := range n.Routers {
 		r.linkPhase()
 	}
+	n.now++
 }
 
 // stepShard services one shard's active sets through the NIC-drain,
@@ -536,8 +535,8 @@ func (n *Network) stepFull() {
 // happens; each of those re-arms the router before the next route
 // phase. A head blocked on credits therefore costs one Route call per
 // state change, not one per cycle, and a fabric whose heads are all
-// blocked is quiet (elide.go). FullScan visits every router every cycle
-// and is the oracle this is pinned against.
+// blocked is quiet (elide.go). StepFullScan visits every router every
+// cycle and is the oracle this is pinned against.
 //
 // No phase reads or writes state outside the shard (routing decisions
 // consult only the deciding router and its own group's broadcast state;

@@ -19,7 +19,7 @@ import "sync"
 //	           and congestion notifications in ascending source-node
 //	           order (counters, OnNotify), then Alg.BeginCycle runs —
 //	           the sequential point hosting the group-wide exchanges
-//	           (ECtN combine, reference scans).
+//	           (the ECtN combine).
 //	section 2  NIC drain → routing → Speedup allocation iterations →
 //	           link serialization, each shard over its own active sets
 //	           (stepShard).

@@ -26,9 +26,9 @@ import (
 // change-driven: partial mutations set their group's dirty flag
 // (core.GroupDirty) and the exchange visits only the flagged groups — a
 // group whose partials did not change since its last combine would
-// recompute the identical sums, so skipping it is exact. The
-// visit-every-group reference survives behind Options.ReferenceScan,
-// pinned by equivalence tests.
+// recompute the identical sums, so skipping it is exact. CheckState is
+// the reference: it recomputes every skipped group's sums on each
+// router.Network.CheckInvariants.
 //
 // At injection, a packet whose minimal global link's combined counter
 // exceeds CombinedTh is misrouted through a random global link of the
@@ -54,15 +54,12 @@ type ectnAlg struct {
 	// shard — in the route phase.
 	combined [][]int32
 	// dirty flags the groups whose partial arrays changed since their
-	// last combine (nil in the fullCombine reference mode).
+	// last combine.
 	dirty *core.GroupDirty
-	// fullCombine selects the reference combine-every-group exchange
-	// instead of the dirty-group flags (Options.ReferenceScan).
-	fullCombine bool
 }
 
 func newECtN(o Options) *ectnAlg {
-	return &ectnAlg{thLocal: o.BaseTh, thCombined: o.CombinedTh, period: o.ECtNPeriod, fullCombine: o.ReferenceScan}
+	return &ectnAlg{thLocal: o.BaseTh, thCombined: o.CombinedTh, period: o.ECtNPeriod}
 }
 
 func (*ectnAlg) Name() string { return ECtN.String() }
@@ -71,21 +68,16 @@ func (a *ectnAlg) Attach(n *router.Network) {
 	t := n.Topo
 	a.members = make([][]*core.ECtN, t.Groups)
 	a.combined = make([][]int32, t.Groups)
-	if !a.fullCombine {
-		// Under shard-parallel stepping the partial-counter hooks run on
-		// each group's owning shard worker; a flag per group keeps the
-		// marks lock-free and race-free (a group never spans shards)
-		// while BeginCycle's Drain stays at the sequential barrier.
-		a.dirty = core.NewGroupDirty(t.Groups)
-	}
+	// Under shard-parallel stepping the partial-counter hooks run on
+	// each group's owning shard worker; a flag per group keeps the marks
+	// lock-free and race-free (a group never spans shards) while
+	// BeginCycle's Drain stays at the sequential barrier.
+	a.dirty = core.NewGroupDirty(t.Groups)
 	for g := 0; g < t.Groups; g++ {
 		members := n.Group(g)
 		states := make([]*core.ECtN, len(members))
 		for i, r := range members {
-			r.Ectn = core.NewECtN(t.GlobalLinks)
-			if a.dirty != nil {
-				r.Ectn.BindDirty(a.dirty, g)
-			}
+			r.Ectn = core.NewECtN(t.GlobalLinks, a.dirty, g)
 			states[i] = r.Ectn
 		}
 		a.members[g] = states
@@ -93,9 +85,8 @@ func (a *ectnAlg) Attach(n *router.Network) {
 	}
 }
 
-// BeginCycle runs the periodic group-wide combine: every group in the
-// reference mode, only the dirty groups otherwise. An idle period —
-// no partial changed anywhere — costs O(1).
+// BeginCycle runs the periodic group-wide combine of the dirty groups.
+// An idle period — no partial changed anywhere — costs O(1).
 //
 // The combined arrays are the one piece of state Route reads that an
 // event at the deciding router does not announce, so every recombined
@@ -106,17 +97,10 @@ func (a *ectnAlg) BeginCycle(n *router.Network) {
 		return
 	}
 	//lint:alloc non-escaping visitor: Drain only invokes it, so it stays on the stack
-	combine := func(g int32) {
+	a.dirty.Drain(func(g int32) {
 		core.CombineGroup(a.combined[g], a.members[g])
 		n.WakeGroup(int(g))
-	}
-	if a.fullCombine {
-		for g := range a.members {
-			combine(int32(g))
-		}
-		return
-	}
-	a.dirty.Drain(combine)
+	})
 }
 
 // CheckState audits the dirty-group bookkeeping (router.StateChecker):
@@ -124,9 +108,6 @@ func (a *ectnAlg) BeginCycle(n *router.Network) {
 // combined sums equal to a fresh recombination of its current partials —
 // a mismatch means a partial mutation missed its dirty mark.
 func (a *ectnAlg) CheckState(n *router.Network) error {
-	if a.dirty == nil {
-		return nil
-	}
 	for g, members := range a.members {
 		if a.dirty.Marked(int32(g)) {
 			continue

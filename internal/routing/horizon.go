@@ -25,12 +25,9 @@ import "cbar/internal/router"
 // While any group is dirty the horizon is the next combine tick (which
 // may be the current cycle — then no elision happens and Step runs the
 // combine); with no group marked the next combine would be a no-op and
-// the horizon is NoPendingCycle. The reference combine-every-group mode
-// returns ok=false.
+// the horizon is NoPendingCycle. Like every shipped horizon it answers
+// ok=true.
 func (a *ectnAlg) NextAlgCycle(n *router.Network) (int64, bool) {
-	if a.fullCombine {
-		return 0, false
-	}
 	if !a.dirty.Any() {
 		return router.NoPendingCycle, true
 	}

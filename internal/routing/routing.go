@@ -146,12 +146,6 @@ type Options struct {
 	// PBSatPackets is PB's global-channel saturation threshold, in
 	// packets of queued-estimate (Table I: T = 3).
 	PBSatPackets int32
-	// ReferenceScan selects ECtN's retained reference exchange: every
-	// group is combined each period instead of only the groups whose
-	// partial arrays changed. The two are cycle-for-cycle identical
-	// (pinned by the algorithm-state equivalence tests); the flag exists
-	// for those tests and for debugging, and no other mechanism reads it.
-	ReferenceScan bool
 }
 
 // DefaultOptions returns the Table I parameter set.

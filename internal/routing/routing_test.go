@@ -26,13 +26,19 @@ func testOptions() Options {
 
 func build(t *testing.T, a Algo, o Options, seed uint64) *router.Network {
 	t.Helper()
-	cfg := router.DefaultConfig(testParams())
-	cfg.VCsLocal = RequiredLocalVCs(a)
-	cfg.VCsInjection = RequiredLocalVCs(a)
 	alg, err := New(a, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return buildAlg(t, a, alg, seed)
+}
+
+// buildAlg builds the test fabric, sized for mechanism a, around alg.
+func buildAlg(t *testing.T, a Algo, alg router.Algorithm, seed uint64) *router.Network {
+	t.Helper()
+	cfg := router.DefaultConfig(testParams())
+	cfg.VCsLocal = RequiredLocalVCs(a)
+	cfg.VCsInjection = RequiredLocalVCs(a)
 	n, err := router.Build(cfg, alg, seed)
 	if err != nil {
 		t.Fatal(err)

@@ -6,30 +6,22 @@ import (
 	"cbar/internal/routing"
 )
 
-// TestAdaptiveOffBitIdentical: with Adaptive unset, the Budget entry
-// points must reproduce the fixed-window entry points exactly — the
-// whole result struct, not just the CSV columns. This is the in-tree
-// half of the byte-identity contract; the golden-output gate pins it
-// across commits through the CLI.
+// TestAdaptiveOffBitIdentical: with Adaptive unset, a Budget run is the
+// fixed-window measurement — its accounting is the windows it was given
+// and every adaptive field stays zero. The golden-output gate pins the
+// results themselves across commits through the CLI.
 func TestAdaptiveOffBitIdentical(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Base)
-	want, err := RunSteady(c, UN(), 0.2, 500, 500, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := RunSteadyBudget(c, UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("Adaptive:false differs from fixed windows:\nfixed:  %+v\nbudget: %+v", want, got)
+	if got.MeasuredCycles != 500*2 || got.WarmupCycles != 500 {
+		t.Fatalf("fixed-mode accounting wrong: %+v", got)
 	}
-	if want.MeasuredCycles != 500*2 || want.WarmupCycles != 500 {
-		t.Fatalf("fixed-mode accounting wrong: %+v", want)
-	}
-	if want.Converged || want.Saturated || want.CIHalfLatency != 0 {
-		t.Fatalf("fixed mode must leave adaptive fields zero: %+v", want)
+	if got.Converged || got.Saturated || got.CIHalfLatency != 0 {
+		t.Fatalf("fixed mode must leave adaptive fields zero: %+v", got)
 	}
 }
 
@@ -60,7 +52,7 @@ func TestAdaptiveConvergesWithFewerCycles(t *testing.T) {
 		if r.WarmupCycles <= 0 || r.WarmupCycles > b.Warmup {
 			t.Errorf("%v: truncated warmup %d outside (0, %d]", algo, r.WarmupCycles, b.Warmup)
 		}
-		fixed, err := RunSteady(tinyCfg(algo), UN(), 0.2, b.Warmup, b.Measure, b.Seeds)
+		fixed, err := RunSteadyBudget(tinyCfg(algo), UN(), 0.2, Budget{Warmup: b.Warmup, Measure: b.Measure, Seeds: b.Seeds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +105,6 @@ func TestBudgetValidation(t *testing.T) {
 		if _, err := RunSteadyBudget(c, UN(), 0.1, b); err == nil {
 			t.Errorf("case %d: budget %+v accepted", i, b)
 		}
-	}
-	// The legacy entry point now validates too (it used to clamp
-	// seeds < 1 to 1 silently).
-	if _, err := RunSteady(c, UN(), 0.1, 100, 100, 0); err == nil {
-		t.Error("RunSteady with 0 seeds accepted")
 	}
 	// A positive MaxMeasure below the stopping rule's minimum series
 	// length is floored, not honored: the run must still reach at least

@@ -233,7 +233,7 @@ func TestElisionFaultEventMidSpan(t *testing.T) {
 func TestElisionMeasurementBitIdentical(t *testing.T) {
 	c := tinyCfg(routing.ECtN)
 	run := func() (SteadyResult, SteadyResult, TransientResult) {
-		fixed, err := RunSteady(c, UN(), 0.01, 600, 900, 2)
+		fixed, err := RunSteadyBudget(c, UN(), 0.01, Budget{Warmup: 600, Measure: 900, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,16 +9,16 @@ import (
 )
 
 // equivRun drives one network for `cycles` cycles with the given
-// workload at `load`, in the requested step mode, recording a per-packet
-// latency histogram and checking invariants plus counter checkpoints
-// every 1k cycles.
+// workload at `load`, stepped by Step or by the StepFullScan oracle,
+// recording a per-packet latency histogram and checking invariants plus
+// counter checkpoints every 1k cycles.
 func equivRun(t *testing.T, c Config, w Workload, load float64, cycles int64, fullScan bool) (map[int64]uint64, []uint64, *router.Network) {
 	t.Helper()
 	net, err := BuildNetwork(c, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.FullScan = fullScan
+	step := stepFunc(net, fullScan)
 	pat, err := w.Pattern(net.Topo)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func equivRun(t *testing.T, c Config, w Workload, load float64, cycles int64, fu
 	var checkpoints []uint64
 	for cyc := int64(0); cyc < cycles; cyc++ {
 		inj.Cycle()
-		net.Step()
+		step()
 		if (cyc+1)%1000 == 0 {
 			if err := net.CheckInvariants(); err != nil {
 				t.Fatalf("fullScan=%v cycle %d: %v", fullScan, cyc, err)
@@ -45,8 +45,52 @@ func equivRun(t *testing.T, c Config, w Workload, load float64, cycles int64, fu
 	return hist, checkpoints, net
 }
 
+// stepFunc returns net's Step, or with fullScan its StepFullScan oracle.
+func stepFunc(net *router.Network, fullScan bool) func() {
+	if fullScan {
+		return net.StepFullScan
+	}
+	return net.Step
+}
+
+// requireSameRun fails unless the Step run reproduced the StepFullScan
+// run: generation and blocking counts, deliveries, the per-packet
+// latency histogram and every counter checkpoint.
+func requireSameRun(t *testing.T, fullHist, actHist map[int64]uint64, fullCk, actCk []uint64, nFull, nAct *router.Network) {
+	t.Helper()
+	if nFull.NumGenerated != nAct.NumGenerated || nFull.NumBlocked != nAct.NumBlocked {
+		t.Fatalf("generation diverged: full %d/%d vs active %d/%d",
+			nFull.NumGenerated, nFull.NumBlocked, nAct.NumGenerated, nAct.NumBlocked)
+	}
+	if nFull.NumDelivered != nAct.NumDelivered || nFull.DeliveredPhits != nAct.DeliveredPhits {
+		t.Fatalf("delivery diverged: full %d (%d phits) vs active %d (%d phits)",
+			nFull.NumDelivered, nFull.DeliveredPhits, nAct.NumDelivered, nAct.DeliveredPhits)
+	}
+	if nFull.NumDelivered == 0 {
+		t.Fatal("no traffic delivered")
+	}
+	if len(fullCk) != len(actCk) {
+		t.Fatalf("checkpoint counts differ: %d vs %d", len(fullCk), len(actCk))
+	}
+	for i := range fullCk {
+		if fullCk[i] != actCk[i] {
+			t.Fatalf("checkpoint %d diverged: full %d vs active %d (checkpoints are [gen, delivered, inflight] per window)",
+				i, fullCk[i], actCk[i])
+		}
+	}
+	if len(fullHist) != len(actHist) {
+		t.Fatalf("latency histograms differ in support: %d vs %d bins", len(fullHist), len(actHist))
+	}
+	//lint:ordered per-bin histogram equality; order cannot affect outcomes
+	for lat, cnt := range fullHist {
+		if actHist[lat] != cnt {
+			t.Fatalf("latency %d: full count %d vs active %d", lat, cnt, actHist[lat])
+		}
+	}
+}
+
 // TestStepEquivalenceAcrossAlgorithms runs the paper's workloads under
-// real routing mechanisms in both step modes and requires identical
+// real routing mechanisms under Step and StepFullScan and requires identical
 // results: same generation and blocking counts, same deliveries, the
 // same per-packet latency histogram, and matching counter checkpoints at
 // every 1k cycles. This is the contract that lets the active-set
@@ -71,36 +115,7 @@ func TestStepEquivalenceAcrossAlgorithms(t *testing.T) {
 			c := NewConfig(Small.Params(), tc.algo)
 			fullHist, fullCk, nFull := equivRun(t, c, tc.w, tc.load, tc.cycles, true)
 			actHist, actCk, nAct := equivRun(t, c, tc.w, tc.load, tc.cycles, false)
-
-			if nFull.NumGenerated != nAct.NumGenerated || nFull.NumBlocked != nAct.NumBlocked {
-				t.Fatalf("generation diverged: full %d/%d vs active %d/%d",
-					nFull.NumGenerated, nFull.NumBlocked, nAct.NumGenerated, nAct.NumBlocked)
-			}
-			if nFull.NumDelivered != nAct.NumDelivered || nFull.DeliveredPhits != nAct.DeliveredPhits {
-				t.Fatalf("delivery diverged: full %d (%d phits) vs active %d (%d phits)",
-					nFull.NumDelivered, nFull.DeliveredPhits, nAct.NumDelivered, nAct.DeliveredPhits)
-			}
-			if nFull.NumDelivered == 0 {
-				t.Fatal("no traffic delivered")
-			}
-			if len(fullCk) != len(actCk) {
-				t.Fatalf("checkpoint counts differ: %d vs %d", len(fullCk), len(actCk))
-			}
-			for i := range fullCk {
-				if fullCk[i] != actCk[i] {
-					t.Fatalf("checkpoint %d diverged: full %d vs active %d (checkpoints are [gen, delivered, inflight] per 1k cycles)",
-						i, fullCk[i], actCk[i])
-				}
-			}
-			if len(fullHist) != len(actHist) {
-				t.Fatalf("latency histograms differ in support: %d vs %d bins", len(fullHist), len(actHist))
-			}
-			//lint:ordered per-bin histogram equality; order cannot affect outcomes
-			for lat, cnt := range fullHist {
-				if actHist[lat] != cnt {
-					t.Fatalf("latency %d: full count %d vs active %d", lat, cnt, actHist[lat])
-				}
-			}
+			requireSameRun(t, fullHist, actHist, fullCk, actCk, nFull, nAct)
 		})
 	}
 }

@@ -232,7 +232,7 @@ func TestAutoWorkersSkipUnshardableConfig(t *testing.T) {
 	if autoShardable(c.Router) {
 		t.Fatal("test config unexpectedly shardable")
 	}
-	rs, err := SweepSteady(c, UN(), []float64{0.1}, 200, 200, 1)
+	rs, err := SweepSteadyBudget(c, UN(), []float64{0.1}, Budget{Warmup: 200, Measure: 200, Seeds: 1})
 	if err != nil {
 		t.Fatalf("auto worker split broke an unshardable-but-valid config: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestAutoWorkersSkipUnshardableConfig(t *testing.T) {
 		t.Fatal("sequential fallback delivered nothing")
 	}
 	c.Router.Workers = 2
-	if _, err := SweepSteady(c, UN(), []float64{0.1}, 200, 200, 1); err == nil {
+	if _, err := SweepSteadyBudget(c, UN(), []float64{0.1}, Budget{Warmup: 200, Measure: 200, Seeds: 1}); err == nil {
 		t.Fatal("explicit workers=2 on an unshardable config surfaced no error")
 	}
 }
@@ -278,12 +278,12 @@ func TestForEachTaskPanicRecovered(t *testing.T) {
 
 // TestSweepSteadySurfacesTaskFailure pins the companion contract: a
 // seed run that fails inside the worker pool surfaces its error from
-// SweepSteady instead of being swallowed (the panic path rides the same
-// ferr mechanism, exercised by TestForEachTaskPanicRecovered).
+// SweepSteadyBudget instead of being swallowed (the panic path rides the
+// same ferr mechanism, exercised by TestForEachTaskPanicRecovered).
 func TestSweepSteadySurfacesTaskFailure(t *testing.T) {
 	c := NewConfig(Tiny.Params(), routing.Base)
 	w := Workload{Kind: WorkloadKind(977)} // resolves to an error inside the task
-	if _, err := SweepSteady(c, w, []float64{0.1}, 10, 10, 2); err == nil {
+	if _, err := SweepSteadyBudget(c, w, []float64{0.1}, Budget{Warmup: 10, Measure: 10, Seeds: 2}); err == nil {
 		t.Fatal("failing seed run produced no error")
 	}
 }

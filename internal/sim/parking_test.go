@@ -12,7 +12,7 @@ import (
 
 // parkArm is one way of stepping the same simulation.
 type parkArm struct {
-	fullScan bool // the visit-every-router oracle (sequential only)
+	fullScan bool // step with the StepFullScan oracle (sequential only)
 	workers  int
 	elide    bool
 }
@@ -51,7 +51,7 @@ func parkRun(t *testing.T, c Config, arm parkArm, cycles, tail int64) parkResult
 	t.Helper()
 	c.Router.Workers = arm.workers
 	net, inj := testPoint(t, c, ADV(1), 0.6)
-	net.FullScan = arm.fullScan
+	step := stepFunc(net, arm.fullScan)
 	res := parkResult{net: net, inj: inj}
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		res.trace = append(res.trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d att=%d ecn=%d",
@@ -74,7 +74,7 @@ func parkRun(t *testing.T, c Config, arm parkArm, cycles, tail int64) parkResult
 			continue
 		}
 		inj.Cycle()
-		net.Step()
+		step()
 		// The sweep replays the decision of every parked head, so run it
 		// often: a missing wake shows up within a few cycles of the
 		// mutation that needed it.
@@ -90,7 +90,7 @@ func parkRun(t *testing.T, c Config, arm parkArm, cycles, tail int64) parkResult
 				continue
 			}
 		}
-		net.Step()
+		step()
 		if net.Now()%7 == 0 {
 			check()
 		}
@@ -118,7 +118,7 @@ func compareParkArms(t *testing.T, label string, ref, got parkResult) {
 	}
 }
 
-// TestParkingEquivalence pins blocked-router parking to the FullScan
+// TestParkingEquivalence pins blocked-router parking to the StepFullScan
 // oracle, which visits every router every cycle and so never depends on
 // a wake: on ADV+1 offered past saturation, every mechanism × {plain,
 // congestion management on, the stress fault plan with retransmission}

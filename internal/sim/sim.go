@@ -353,31 +353,19 @@ func steadySeed(ctx context.Context, c Config, w Workload, load float64, warmup,
 // entry point so single runs and sweeps measure identical systems.
 func seedFor(i int) uint64 { return uint64(i)*0x1000003 + 1 }
 
-// RunSteady measures steady-state latency and throughput at one offered
-// load: `warmup` cycles are simulated unmeasured, then deliveries during
-// `measure` cycles are recorded; `seeds` independent runs execute in
-// parallel and are averaged (scalars) or merged (latency histograms, so
-// cross-seed percentiles are exact).
-func RunSteady(c Config, w Workload, load float64, warmup, measure int64, seeds int) (SteadyResult, error) {
-	return RunSteadyBudget(c, w, load, Budget{Warmup: warmup, Measure: measure, Seeds: seeds})
-}
-
-// RunSteadyBudget is RunSteady driven by a Budget, the entry point that
-// also carries the adaptive-measurement knobs (Budget.Adaptive,
-// CIRelWidth, MaxMeasure). With Adaptive unset it is bit-identical to
-// RunSteady over the same windows.
+// RunSteadyBudget measures steady-state latency and throughput at one
+// offered load: b.Warmup cycles are simulated unmeasured, then
+// deliveries during b.Measure cycles are recorded; b.Seeds independent
+// runs execute in parallel and are averaged (scalars) or merged (latency
+// histograms, so cross-seed percentiles are exact). Budget.Adaptive,
+// CIRelWidth and MaxMeasure select the adaptive measurement instead of
+// the fixed windows (SweepSteadyBudget).
 func RunSteadyBudget(c Config, w Workload, load float64, b Budget) (SteadyResult, error) {
 	rs, err := SweepSteadyBudget(c, w, []float64{load}, b)
 	if err != nil {
 		return SteadyResult{}, err
 	}
 	return rs[0], nil
-}
-
-// SweepSteady measures a whole load grid with fixed windows; see
-// SweepSteadyBudget for the full contract and the adaptive mode.
-func SweepSteady(c Config, w Workload, loads []float64, warmup, measure int64, seeds int) ([]SteadyResult, error) {
-	return SweepSteadyBudget(c, w, loads, Budget{Warmup: warmup, Measure: measure, Seeds: seeds})
 }
 
 // SweepSteadyBudget measures a whole load grid as one runGrid call, so

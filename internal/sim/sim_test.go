@@ -85,20 +85,20 @@ func TestWorkloadNamesAndPatterns(t *testing.T) {
 }
 
 func TestRunSteadyValidation(t *testing.T) {
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, -1, 100, 1); err == nil {
+	if _, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: -1, Measure: 100, Seeds: 1}); err == nil {
 		t.Fatal("negative warmup accepted")
 	}
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, 10, 0, 1); err == nil {
+	if _, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: 10, Measure: 0, Seeds: 1}); err == nil {
 		t.Fatal("zero measure accepted")
 	}
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 1.7, 10, 10, 1); err == nil {
+	if _, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 1.7, Budget{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {
 		t.Fatal("load > 1 accepted")
 	}
 }
 
 func TestRunSteadyBasics(t *testing.T) {
 	t.Parallel()
-	r, err := RunSteady(tinyCfg(routing.Min), UN(), 0.2, 800, 800, 1)
+	r, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 0.2, Budget{Warmup: 800, Measure: 800, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +130,15 @@ func TestRunSteadyBasics(t *testing.T) {
 
 func TestRunSteadyDeterministicAndSeedsAveraged(t *testing.T) {
 	t.Parallel()
-	a, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 1)
+	a, err := RunSteadyBudget(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 1)
+	b, _ := RunSteadyBudget(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 1})
 	if a.AvgLatency != b.AvgLatency || a.Delivered != b.Delivered {
 		t.Fatalf("same-seed runs differ: %+v vs %+v", a, b)
 	}
-	m, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 3)
+	m, err := RunSteadyBudget(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFig5aShape_UniformLatency(t *testing.T) {
 	const load, warm, meas = 0.2, 1000, 1000
 	lat := map[routing.Algo]float64{}
 	for _, a := range []routing.Algo{routing.Min, routing.Base, routing.ECtN, routing.OLM, routing.PB} {
-		r, err := RunSteady(tinyCfg(a), UN(), load, warm, meas, 2)
+		r, err := RunSteadyBudget(tinyCfg(a), UN(), load, Budget{Warmup: warm, Measure: meas, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestFig5bShape_AdversarialThroughput(t *testing.T) {
 	const load, warm, meas = 0.4, 1500, 1000
 	acc := map[routing.Algo]float64{}
 	for _, a := range []routing.Algo{routing.Min, routing.Valiant, routing.Base, routing.ECtN, routing.Hybrid} {
-		r, err := RunSteady(tinyCfg(a), ADV(1), load, warm, meas, 2)
+		r, err := RunSteadyBudget(tinyCfg(a), ADV(1), load, Budget{Warmup: warm, Measure: meas, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func (*simTestError) Error() string { return "boom" }
 // and utilizations are sane fractions.
 func TestUtilizationUnderADV(t *testing.T) {
 	t.Parallel()
-	r, err := RunSteady(tinyCfg(routing.Min), ADV(1), 0.4, 800, 800, 1)
+	r, err := RunSteadyBudget(tinyCfg(routing.Min), ADV(1), 0.4, Budget{Warmup: 800, Measure: 800, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +402,11 @@ func TestUtilizationUnderADV(t *testing.T) {
 // offered load.
 func TestUtilizationScalesWithLoad(t *testing.T) {
 	t.Parallel()
-	lo, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, 600, 600, 1)
+	lo, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: 600, Measure: 600, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := RunSteady(tinyCfg(routing.Min), UN(), 0.3, 600, 600, 1)
+	hi, err := RunSteadyBudget(tinyCfg(routing.Min), UN(), 0.3, Budget{Warmup: 600, Measure: 600, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,7 @@ const (
 
 // StepBenchSpec is one step-benchmark operating point. The zero values
 // are the common case: one stepped cycle per op, uniform traffic,
-// sequential stepping, the production fabric loop and algorithm state,
-// no faults.
+// sequential stepping, no faults.
 type StepBenchSpec struct {
 	Op       StepBenchOp
 	Scale    Scale
@@ -88,9 +87,6 @@ type StepBenchSpec struct {
 	// sequential stepper at the same operating points (the two are
 	// cycle-for-cycle identical, so every other knob is comparable).
 	Workers int
-	// FullScan selects the every-component fabric loop, RefScan ECtN's
-	// combine-every-group reference exchange.
-	FullScan, RefScan bool
 	// QuiescentFaults arms a fault plan that never fires: one LinkDown
 	// scheduled far past any benchmark horizon, so the fault engine is
 	// allocated and its per-cycle pending check runs. Pinned beside the
@@ -136,22 +132,17 @@ func StepBenchSuite() []StepBenchRow {
 		{Name: "StepSmallMinAdvSat", Spec: StepBenchSpec{Scale: Small, Algo: routing.Min, Workload: ADV(1), Load: 0.4, Saturated: true}},
 		{Name: "StepSmallOLMAdv04", Spec: StepBenchSpec{Scale: Small, Algo: routing.OLM, Workload: ADV(1), Load: 0.4, Saturated: true}},
 		{Name: "StepSmallECtNAdvSat", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Workload: ADV(1), Load: 0.4, Saturated: true}},
-		// StepSmallFullScanIdle pins the every-component loop at StepSmallIdle's
-		// operating point, so the active-set win shows within one run.
 		{Name: "StepSmallIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01}},
-		{Name: "StepSmallFullScanIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01, FullScan: true}},
 		// Beside StepSmallIdle, the delta is the fault engine's hot-path cost,
 		// which must stay ~zero: it only spends cycles when events fire.
 		{Name: "StepSmallFaultsIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: 0.01, QuiescentFaults: true}},
 		{Name: "StepSmallElideIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.Base, Load: ElideIdleLoad, Op: OpElideSpan}},
 		{Name: "StepPaperElideIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Load: ElideIdleLoad, Op: OpElideSpan}},
 		// An idle PB or ECtN cycle must cost about what an idle Base cycle
-		// does — no O(network) BeginCycle term. PB keeps no per-cycle state;
-		// ECtN's dirty-group flags sit beside the combine-every-group
-		// reference (RefScan) at both scales, the evidence they stand on.
+		// does — no O(network) BeginCycle term: PB keeps no per-cycle state,
+		// and ECtN combines only the groups whose partials moved.
 		{Name: "StepSmallPBIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.PB, Load: 0.01}},
 		{Name: "StepSmallECtNIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Load: 0.01}},
-		{Name: "StepSmallECtNRefScanIdle", Spec: StepBenchSpec{Scale: Small, Algo: routing.ECtN, Load: 0.01, RefScan: true}},
 		// The bursty/hotspot idle rows track the stateful calendar injector
 		// beside the Bernoulli skip-sampler: same scale, same load, different
 		// arrival process — the calendar only touches nodes that inject this
@@ -166,7 +157,6 @@ func StepBenchSuite() []StepBenchRow {
 		{Name: "StepPaperBurstyIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.Base, Workload: UN().WithBurst(50, 150, 0), Load: 0.01}},
 		{Name: "StepPaperPBIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.PB, Load: 0.01}},
 		{Name: "StepPaperECtNIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.ECtN, Load: 0.01}},
-		{Name: "StepPaperECtNRefScanIdle", Spec: StepBenchSpec{Scale: Paper, Algo: routing.ECtN, Load: 0.01, RefScan: true}},
 		// The workers rows track the shard-parallel stepper beside the
 		// sequential one at a loaded operating point (30% UN, the
 		// parallel-stepper acceptance regime); the cycles are bit-identical,
@@ -199,7 +189,6 @@ func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) 
 		net, err := BuildNetwork(c, 1)
 		return net, nil, err
 	}
-	c.Opts.ReferenceScan = sp.RefScan
 	c.Router.Workers = sp.Workers
 	if sp.QuiescentFaults {
 		c.Router.Faults = router.FaultConfig{Events: []router.FaultEvent{
@@ -210,7 +199,6 @@ func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	p.net.FullScan = sp.FullScan
 	// Background never cancels, so advance cannot fail here.
 	ctx := context.Background()
 	_ = p.advance(ctx, StepBenchWarmup)

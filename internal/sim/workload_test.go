@@ -60,7 +60,7 @@ func TestRunSteadyNewWorkloads(t *testing.T) {
 		UN().WithBurst(20, 60, 0),
 		UN().WithSkew(0.1, 0.5),
 	} {
-		r, err := RunSteady(tinyCfg(routing.Base), w, 0.1, 600, 600, 1)
+		r, err := RunSteadyBudget(tinyCfg(routing.Base), w, 0.1, Budget{Warmup: 600, Measure: 600, Seeds: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
@@ -83,11 +83,11 @@ func TestRunSteadyNewWorkloads(t *testing.T) {
 func TestBurstyInjectionIsBursty(t *testing.T) {
 	t.Parallel()
 	const load = 0.3
-	steady, err := RunSteady(tinyCfg(routing.Base), UN(), load, 800, 1500, 1)
+	steady, err := RunSteadyBudget(tinyCfg(routing.Base), UN(), load, Budget{Warmup: 800, Measure: 1500, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := RunSteady(tinyCfg(routing.Base), UN().WithBurst(40, 120, 0), load, 800, 1500, 1)
+	bursty, err := RunSteadyBudget(tinyCfg(routing.Base), UN().WithBurst(40, 120, 0), load, Budget{Warmup: 800, Measure: 1500, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSweepSteadyMatchesRunSteady(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Base)
 	loads := []float64{0.1, 0.3}
-	sw, err := SweepSteady(c, UN(), loads, 400, 400, 2)
+	sw, err := SweepSteadyBudget(c, UN(), loads, Budget{Warmup: 400, Measure: 400, Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSweepSteadyMatchesRunSteady(t *testing.T) {
 		t.Fatalf("sweep shape wrong: %+v", sw)
 	}
 	for i, l := range loads {
-		single, err := RunSteady(c, UN(), l, 400, 400, 2)
+		single, err := RunSteadyBudget(c, UN(), l, Budget{Warmup: 400, Measure: 400, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,16 +124,16 @@ func TestSweepSteadyMatchesRunSteady(t *testing.T) {
 	}
 }
 
-// TestSweepSteadyValidation mirrors RunSteady's window validation.
+// TestSweepSteadyValidation mirrors RunSteadyBudget's window validation.
 func TestSweepSteadyValidation(t *testing.T) {
 	c := tinyCfg(routing.Min)
-	if _, err := SweepSteady(c, UN(), nil, 100, 100, 1); err == nil {
+	if _, err := SweepSteadyBudget(c, UN(), nil, Budget{Warmup: 100, Measure: 100, Seeds: 1}); err == nil {
 		t.Fatal("empty grid accepted")
 	}
-	if _, err := SweepSteady(c, UN(), []float64{0.1}, -1, 100, 1); err == nil {
+	if _, err := SweepSteadyBudget(c, UN(), []float64{0.1}, Budget{Warmup: -1, Measure: 100, Seeds: 1}); err == nil {
 		t.Fatal("negative warmup accepted")
 	}
-	if _, err := SweepSteady(c, UN(), []float64{0.1}, 100, 0, 1); err == nil {
+	if _, err := SweepSteadyBudget(c, UN(), []float64{0.1}, Budget{Warmup: 100, Measure: 0, Seeds: 1}); err == nil {
 		t.Fatal("zero measure accepted")
 	}
 }
