@@ -284,11 +284,11 @@
 // a cycle busy: the quiet-cycle test is unchanged.
 //
 // The same bitset is the router's own port-set type: the output ports
-// with staged packets, the input ports with requests this cycle and the
-// output ports with candidates this allocation iteration are sets over
-// [0, radix), and an output's nominating inputs are a row of a flat
-// per-router bit matrix (ceil(radix/64) words per output, so no radix
-// limit appears). The output arbiter's round-robin choice is a pure
+// with staged packets, the input ports with grantable requests this
+// cycle and the output ports with candidates this allocation iteration
+// are sets over [0, radix), and an output's nominating inputs are a row
+// of a flat per-router bit matrix (ceil(radix/64) words per output, so
+// no radix limit appears). The output arbiter's round-robin choice is a pure
 // function of that row and the pointer — the lowest candidate above the
 // pointer, else the lowest — and outputs are granted in ascending order;
 // grants on distinct outputs of one router touch distinct inputs and
@@ -300,27 +300,32 @@
 // *Packet. Every input (port, VC) pair has a slot, numbered port-major
 // (inPort.slot0 + vc; 41 slots at Small, 85 at Paper; the way back is two
 // small maps the Network keeps once, every router being laid out alike),
-// and each router holds three things per slot: the head pointer
+// and each router holds four things per slot: the head pointer
 // (Router.heads), the stored request (Router.req: output port, downstream
-// VC, valid, fault-escape) and a bit in the unroutedHeads set, which is
-// the same bitset type again — set exactly while the VC has a head that
-// awaits a grant. The three places a head changes keep them in step,
-// eagerly: enqueue into an empty VC, dequeue (the next packet becomes
-// head, its request empty) and grant (bit dropped, request spent). The
-// route phase peels the set's bits ascending, which is the port-major,
-// VC-minor order of a walk over every port and VC — so head hooks fire,
-// Route is called and the router's random stream is drawn from in that
-// walk's exact sequence — and touches a packet only to route it: an
-// empty VC or a granted head costs nothing. The allocator's input stage
-// reads requests and CanAccept and never dereferences a packet; a valid
-// request is by construction that of a present, ungranted head, which is
-// why the grant and the dequeue must clear it
-// (TestStaleRequestNeverNominated). There is one copy of each fact: the
-// packet carries no request and no granted flag, the ports and the
-// router no unrouted counters (the set's count is that number, and it
-// has no stale members). The oracle cycle, Network.StepFullScan, visits
-// every router but reads the same table. CheckInvariants audits the table against the
-// queues, slot by slot, and replays parked heads against the stored
+// VC, valid, fault-escape), a bit in the unroutedHeads set, which is the
+// same bitset type again — set exactly while the VC has a head that
+// awaits a grant — and a bit in the grantable set, set by the route
+// phase when the request it just stored passes CanAccept (both sets'
+// words are cut from one array). The three places a head changes keep
+// them in step, eagerly: enqueue into an empty VC, dequeue (the next
+// packet becomes head, its request empty, not grantable) and grant (bits
+// dropped, request spent). The route phase peels the unrouted bits
+// ascending, which is the port-major, VC-minor order of a walk over every
+// port and VC — so head hooks fire, Route is called and the router's
+// random stream is drawn from in that walk's exact sequence — and touches
+// a packet only to route it: an empty VC or a granted head costs nothing.
+// The allocator's input stage walks grantable bits, reads requests and
+// CanAccept and never dereferences a packet; a valid request is by
+// construction that of a present, ungranted head, which is why the grant
+// and the dequeue must clear it (TestStaleRequestNeverNominated). There
+// is one copy of each fact: the packet carries no request and no granted
+// flag, the ports and the router no unrouted counters (the set's count is
+// that number, and it has no stale members). The oracle cycle,
+// Network.StepFullScan, visits every router but reads the same table.
+// CheckInvariants audits the table against the queues, slot by slot — a
+// grantable slot holds an unrouted head with a valid request and its
+// port is in reqPorts, and every unrouted head whose request CanAccept
+// admits is grantable — and replays parked heads against the stored
 // requests. The group ids a decision compares are asked once, too:
 // Router.Group at construction, the destination's group memoised on the
 // packet (Router.DstGroup). The table costs about 700 bytes per Small
@@ -331,17 +336,33 @@
 // instead of some eighty, so a built fabric is ≈ 4 % smaller per node
 // than before the table and ≈ 30 % quicker to construct.
 //
-// Allocation iterations end at the first no-grant. The allocator runs
-// Speedup iterations per cycle, iteration-major across the routers (the
-// order grants append their events in is part of the determinism
-// contract). A router whose iteration granted nothing nominated nothing,
-// and everything a nomination reads — the round-robin pointers, credits,
-// output space, the head slots' requests — moves only in a grant, so its
-// remaining iterations of that cycle would be the same no-op and are
-// skipped; past saturation that is most of them. StepFullScan keeps
-// visiting every router in every iteration, so the equivalence
-// tests run with the skip on one side only
-// (TestAllocationSkipsOnlyNoOpIterations pins it from both sides).
+// Allocation iterations nominate only what can be granted, and end at
+// the first no-grant. The allocator runs Speedup iterations per cycle,
+// iteration-major across the routers (the order grants append their
+// events in is part of the determinism contract). Between a router's
+// route phase and the end of its iterations, credits and output space
+// only fall — every event that returns them is handled before the route
+// phase, and a grant spends them — so a request CanAccept refused when
+// the route phase stored it could not be nominated in any iteration of
+// that cycle. The route phase therefore marks the admissible slots
+// (grantable) and the ports holding one (reqPorts), a router with none
+// takes no allocation turn at all, and the input stage walks a port's
+// VCs in the same round-robin order testing grantable bits instead of
+// reading every request. The first iteration trusts the route phase's
+// verdict, since nothing has been granted since; a later one re-runs
+// CanAccept on each slot it reaches and drops the ones a grant used up
+// (TestLaterIterationRechecksAdmission), and a port left with nothing
+// leaves reqPorts. Nominations, grants and event order are what the
+// full request walk produced. Past saturation most stored requests are
+// refused — on small_stress_mix about one in six passes CanAccept — so
+// this removes most of the allocator's reads. A router whose iteration
+// granted nothing nominated nothing, and everything a nomination reads —
+// the round-robin pointers, credits, output space, the head slots'
+// requests — moves only in a grant, so its remaining iterations of that
+// cycle would be the same no-op and are skipped. StepFullScan keeps
+// visiting every router in every iteration, so the equivalence tests run
+// with the skip on one side only (TestAllocationSkipsOnlyNoOpIterations
+// pins it from both sides).
 //
 // The event calendar. Between cycles, work in flight lives on a
 // calendar: per shard, one bucket per cycle of a ring sized to the

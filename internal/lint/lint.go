@@ -322,6 +322,8 @@ func DefaultConfig() *Config {
 				Writers: []string{router + ".Router.routePhase", router + ".Router.grant", router + ".Router.dequeue"}},
 			{Type: router + ".Router", Field: "unroutedHeads",
 				Writers: []string{router + ".newRouter"}},
+			{Type: router + ".Router", Field: "grantable",
+				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".outPort", Field: "occ",
 				Writers: []string{router + ".Router.occDelta"}},
 			{Type: router + ".outPort", Field: "occCap",

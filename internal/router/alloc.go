@@ -9,44 +9,56 @@ import "math/bits"
 // iterations per cycle, modeling the 2× internal frequency speedup of the
 // paper's router, which compensates for the well-known matching loss of
 // separable allocators and mitigates head-of-line blocking. Requests are
-// rows of the router's head table (headReq), not packet state.
+// rows of the router's head table (headReq), not packet state, and only
+// the slots routePhase found admissible (Router.grantable) are nominated.
 
 // allocate runs a single allocation iteration on this router and
-// reports whether it granted anything. Only the input ports that
-// registered a request in this cycle's routePhase are scanned
-// (reqPorts); requests persist across the Speedup iterations. The input
-// stage reads Router.req and CanAccept, never a packet: a valid request
-// is always an ungranted head's. No grant means no nomination, and what a
-// nomination reads (rrVC, credits, outFree, the requests) moves only in
-// grant: the cycle's remaining iterations would be the same no-op, so
-// stepShard skips them.
-func (r *Router) allocate() bool {
-	if r.reqPorts.count == 0 {
+// reports whether it granted anything. Only the input ports with a
+// grantable slot are scanned (reqPorts), each walking its VCs
+// round-robin over the grantable bits. The first iteration (recheck
+// false) trusts routePhase's verdict, since nothing has been granted
+// since; a later one re-runs CanAccept and drops the slots a grant made
+// inadmissible, and a port left with nothing to nominate leaves reqPorts.
+// No grant means no nomination, and what a nomination reads (rrVC,
+// credits, outFree, the requests) moves only in grant: the cycle's
+// remaining iterations would be the same no-op, so stepShard skips them.
+func (r *Router) allocate(recheck bool) bool {
+	if r.grantable.count == 0 {
 		return false
 	}
 	size := int32(r.net.Cfg.PacketSize)
 	cw := len(r.reqPorts.words) // words per output in cand
 
-	// Input stage: nominate one eligible requesting VC per input port,
-	// gathering nominations per output port.
+	// Input stage: nominate one grantable VC per input port, gathering
+	// nominations per output port.
 	for wi, w := range r.reqPorts.scan() {
 		for ; w != 0; w &= w - 1 {
 			port := int(r.reqPorts.idAt(wi, w))
 			ip := &r.in[port]
-			reqs := r.req[ip.slot0:][:len(ip.vcs)]
+			vcs := len(ip.vcs)
 			vc := int(r.rrVC[port])
-			for range reqs {
-				if vc++; vc >= len(reqs) {
+			nominated := false
+			for range vcs {
+				if vc++; vc >= vcs {
 					vc = 0
 				}
-				rq := reqs[vc]
-				if !rq.valid || !r.CanAccept(int(rq.out), int(rq.vc), size) {
+				slot := int32(ip.slot0) + int32(vc)
+				if !r.grantable.has(slot) {
+					continue
+				}
+				rq := r.req[slot]
+				if recheck && !r.CanAccept(int(rq.out), int(rq.vc), size) {
+					r.grantable.drop(slot)
 					continue
 				}
 				r.s1[port] = int8(vc)
 				r.dirtyOut.add(int32(rq.out))
 				r.cand[int(rq.out)*cw+port>>6] |= 1 << (port & 63)
+				nominated = true
 				break
+			}
+			if !nominated {
+				r.reqPorts.drop(int32(port))
 			}
 		}
 	}
@@ -119,6 +131,7 @@ func (r *Router) grant(port, vc, out int) {
 	// Granted: the head stays until its tail leaves, no longer unrouted,
 	// its request spent — a later iteration must not nominate it again.
 	r.unroutedHeads.drop(int32(slot))
+	r.grantable.drop(int32(slot))
 	r.req[slot] = headReq{}
 	r.parkable = false
 

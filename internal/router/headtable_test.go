@@ -143,6 +143,74 @@ func TestStaleRequestNeverNominated(t *testing.T) {
 	}
 }
 
+// testGrantSpy is testMin with a callback at every grant, which runs
+// after the grant has spent the slot's request and bits.
+type testGrantSpy struct {
+	testMin
+	spy func(r *Router)
+}
+
+func (a testGrantSpy) OnGrant(r *Router, _ *Packet, _, _, _, _ int) { a.spy(r) }
+
+// TestLaterIterationRechecksAdmission is the complement of the first half
+// of TestAllocationSkipsOnlyNoOpIterations: a later allocation iteration
+// must not trust routePhase's verdict. Two heads on router 0 want the
+// same output VC, whose downstream buffer (BufLocal = PacketSize) has
+// credit for one packet. Both are grantable after routePhase, so the
+// first iteration sees both and grants one; the second must re-check the
+// loser, find its request no longer admissible and drop it. Fails when
+// the re-check is removed: the loser is granted on credit that is gone.
+func TestLaterIterationRechecksAdmission(t *testing.T) {
+	cfg := smallCfg()
+	cfg.BufLocal = cfg.PacketSize
+	if cfg.Speedup != 2 {
+		t.Fatalf("Speedup %d, want the default 2", cfg.Speedup)
+	}
+	grants := 0
+	var grantableAtFirst [2]bool // source ports 0 and 1, as the first grant left them
+	alg := testGrantSpy{spy: func(r *Router) {
+		if r.ID != 0 {
+			return
+		}
+		if grants == 0 {
+			for port := range grantableAtFirst {
+				grantableAtFirst[port] = r.grantable.has(int32(r.in[port].slot0))
+			}
+		}
+		grants++
+	}}
+	n, err := Build(cfg, alg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := n.Routers[0]
+	dst := n.Topo.P // a node of router 1: both heads leave through one local port, on VC 0
+	n.Inject(0, dst)
+	n.Inject(1, dst)
+	n.Step()
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if grants != 1 || r.HeadGranted(0, 0) == r.HeadGranted(1, 0) {
+		t.Fatalf("%d grants at router 0 (port 0 %v, port 1 %v), want exactly one head granted",
+			grants, r.HeadGranted(0, 0), r.HeadGranted(1, 0))
+	}
+	lost := 0
+	if r.HeadGranted(0, 0) {
+		lost = 1
+	}
+	if !grantableAtFirst[lost] || grantableAtFirst[1-lost] {
+		t.Fatalf("grantable at the first grant: %v, want only the loser's (port %d) left", grantableAtFirst, lost)
+	}
+	slot := int32(r.in[lost].slot0)
+	if !r.unroutedHeads.has(slot) || !r.req[slot].valid {
+		t.Fatalf("the loser lost its place: unrouted %v, request %+v", r.unroutedHeads.has(slot), r.req[slot])
+	}
+	if r.grantable.has(slot) || r.reqPorts.has(int32(lost)) {
+		t.Fatalf("the loser is still nominable: grantable %v, port in reqPorts %v", r.grantable.has(slot), r.reqPorts.has(int32(lost)))
+	}
+}
+
 // TestPacketSizeClass pins the size class the Packet edits rely on: the
 // destination-group memo sits in padding and the request fields left, so
 // a packet is still an 80-byte allocation.

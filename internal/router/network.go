@@ -509,7 +509,7 @@ func (n *Network) StepFullScan() {
 	}
 	for it := 0; it < n.Cfg.Speedup; it++ {
 		for _, r := range n.Routers {
-			r.allocate()
+			r.allocate(it > 0)
 		}
 	}
 	for _, r := range n.Routers {
@@ -566,7 +566,7 @@ func (n *Network) stepShard(sh *netShard) {
 				continue
 			}
 			r.routePhase()
-			if r.reqPorts.count > 0 {
+			if r.grantable.count > 0 {
 				sh.allocList = append(sh.allocList, r)
 			}
 		}
@@ -578,7 +578,7 @@ func (n *Network) stepShard(sh *netShard) {
 	for it := 0; it < n.Cfg.Speedup && len(live) > 0; it++ {
 		k := 0
 		for _, r := range live {
-			if r.allocate() {
+			if r.allocate(it > 0) {
 				live[k] = r
 				k++
 			}

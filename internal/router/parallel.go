@@ -97,7 +97,7 @@ type netShard struct {
 	routeActive activeSet
 	linkActive  activeSet
 	// allocList is rebuilt every cycle: the owned routers whose
-	// routePhase registered at least one allocation request.
+	// routePhase found at least one grantable head slot.
 	allocList []*Router
 
 	// outbox[t] collects events generated by this shard that target

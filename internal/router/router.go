@@ -129,6 +129,12 @@ type Router struct {
 	heads         []*Packet
 	req           []headReq
 	unroutedHeads activeSet
+	// grantable holds the slots the allocator may nominate: routePhase
+	// sets a slot whose stored request CanAccept admits; grant, dequeue
+	// and a later iteration's failed re-check drop it. Credits and output
+	// space only fall between routePhase and the end of the allocation
+	// iterations, so a slot outside it could not be granted.
+	grantable activeSet
 
 	// Contention is the per-output-port counter bank of §III-B. The
 	// fabric allocates it for every router; only contention-based
@@ -163,8 +169,9 @@ type Router struct {
 	// The port sets, over [0, radix), visited ascending like the all-port
 	// scans they replace. stagedPorts: output ports with staged packets,
 	// joining at evPipeDone and leaving lazily when linkPhase finds their
-	// queue empty. reqPorts: input ports with requests this cycle.
-	// dirtyOut: output ports with candidates this allocation iteration.
+	// queue empty. reqPorts: input ports with a grantable slot this
+	// cycle, left by a port that nominates nothing. dirtyOut: output
+	// ports with candidates this allocation iteration.
 	stagedPorts activeSet
 	reqPorts    activeSet
 	dirtyOut    activeSet
@@ -192,6 +199,9 @@ func newRouter(id int, net *Network) *Router {
 	vqs := make([]vcQueue, slots)
 	rings := make([]*Packet, ringLen)
 	credits := make([]int32, slots-topo.P*(cfg.VCsInjection-1))
+	// The two head-slot sets share one allocation.
+	sw := (slots + 63) / 64
+	slotWords := make([]uint64, 2*sw)
 	r := &Router{
 		ID:            id,
 		net:           net,
@@ -200,7 +210,8 @@ func newRouter(id int, net *Network) *Router {
 		group:         int32(topo.GroupOf(id)),
 		heads:         make([]*Packet, slots),
 		req:           make([]headReq, slots),
-		unroutedHeads: newActiveSet(0, int32(slots)),
+		unroutedHeads: activeSet{words: slotWords[:sw:sw]},
+		grantable:     activeSet{words: slotWords[sw:]},
 		Contention:    core.NewCounters(radix),
 		RNG:           rng.New(net.seed, uint64(id)+1),
 		stagedPorts:   newActiveSet(0, int32(radix)),
@@ -387,12 +398,13 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 
 // dequeue pops the head of input VC (port, vc) and returns it: the one
 // place a packet leaves an input queue, its tail streaming out
-// (evTailLeave) or killed by a fault. Its slot's request goes with it (an
-// ungranted head's may still be valid) and the packet behind it becomes
-// the slot's head, unrouted: only heads are granted. Even with no next
-// head the departure matters to the other queues' heads — OnDequeue
-// lowers the contention counters their decisions read — so r is re-armed
-// either way. The caller owes the upstream credit (Network.returnCredit).
+// (evTailLeave) or killed by a fault. Its slot's request and grantable
+// bit go with it (an ungranted head's may still be set) and the packet
+// behind it becomes the slot's head, unrouted: only heads are granted.
+// Even with no next head the departure matters to the other queues'
+// heads — OnDequeue lowers the contention counters their decisions read
+// — so r is re-armed either way. The caller owes the upstream credit
+// (Network.returnCredit).
 func (r *Router) dequeue(port, vc int) *Packet {
 	ip := &r.in[port]
 	vq := &ip.vcs[vc]
@@ -401,6 +413,7 @@ func (r *Router) dequeue(port, vc int) *Packet {
 	next := vq.headPkt()
 	r.heads[slot] = next
 	r.req[slot] = headReq{}
+	r.grantable.drop(slot)
 	if next == nil {
 		r.unroutedHeads.drop(slot)
 	} else {
@@ -447,23 +460,26 @@ func (r *Router) LinkBusy(port int) bool { return r.out[port].linkFreeAt > r.net
 // --- per-cycle phases ---
 
 // routePhase fires head hooks and (re)collects allocation requests for
-// every unrouted head packet, recording which input ports need
-// arbitration this cycle. It peels unroutedHeads, so a granted head or
-// an empty VC costs nothing; ascending slots are the port-major, VC-minor
-// order of an all-port walk, so hooks fire, Route is called and r.RNG is
-// drawn from in exactly that walk's sequence.
+// every unrouted head packet, marking the slots whose request CanAccept
+// admits (grantable) and their input ports (reqPorts). It peels
+// unroutedHeads, so a granted head or an empty VC costs nothing;
+// ascending slots are the port-major, VC-minor order of an all-port
+// walk, so hooks fire, Route is called and r.RNG is drawn from in exactly
+// that walk's sequence.
 //
 // It also sets parkable: the visit fired no OnHead, left r.RNG where it
 // was and flagged no kill, so by the Route contract (algorithm.go)
 // repeating it on unchanged state would store the same requests again.
 func (r *Router) routePhase() {
 	r.reqPorts.clear()
+	r.grantable.clear()
 	if r.unroutedHeads.count == 0 {
 		return
 	}
 	n := r.net
 	alg := n.Alg
 	faults := n.faults != nil
+	size := int32(n.Cfg.PacketSize)
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
 	quiet := true
@@ -479,7 +495,8 @@ func (r *Router) routePhase() {
 			}
 			req, escape := r.decide(alg, faults, p, port, vc)
 			r.req[slot] = newHeadReq(req, escape)
-			if req.OK {
+			if req.OK && r.CanAccept(req.Out, req.VC, size) {
+				r.grantable.add(slot)
 				r.reqPorts.add(int32(port))
 			}
 		}
@@ -524,7 +541,8 @@ func (r *Router) checkInvariants() error {
 		}
 	}
 	// The head table against the queues it summarises, slot by slot.
-	unrouted := 0
+	size := int32(r.net.Cfg.PacketSize)
+	unrouted, grantable := 0, 0
 	for port := range r.in {
 		ip := &r.in[port]
 		for v := range ip.vcs {
@@ -558,10 +576,26 @@ func (r *Router) checkInvariants() error {
 			case r.req[slot].valid:
 				return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
 			}
+			// Between Steps credits have only fallen since the slot's last
+			// routePhase, so every admissible request is still grantable.
+			rq := r.req[slot]
+			switch {
+			case r.grantable.has(int32(slot)):
+				grantable++
+				if !isUnrouted || !rq.valid || !r.reqPorts.has(int32(port)) {
+					return fmt.Errorf("router %d in %d vc %d: grantable, but unrouted %v, request %+v, port in reqPorts %v",
+						r.ID, port, v, isUnrouted, rq, r.reqPorts.has(int32(port)))
+				}
+			case isUnrouted && rq.valid && r.CanAccept(int(rq.out), int(rq.vc), size):
+				return fmt.Errorf("router %d in %d vc %d: request %+v is admissible but not grantable", r.ID, port, v, rq)
+			}
 		}
 	}
 	if r.unroutedHeads.count != unrouted {
 		return fmt.Errorf("router %d: unrouted-head count %d but %d bits set", r.ID, r.unroutedHeads.count, unrouted)
+	}
+	if r.grantable.count != grantable {
+		return fmt.Errorf("router %d: grantable count %d but %d bits set", r.ID, r.grantable.count, grantable)
 	}
 	// A router with routable work must be on the route set's radar, or
 	// parked: in-set flags are cleared only when the last unrouted head
