@@ -168,10 +168,9 @@
 //     counted) exceeds MarkPct of the port's credit capacity carries a
 //     congestion mark to delivery, like an ECN bit piggybacked on the
 //     payload.
-//   - Notification: a marked delivery schedules a notification back to
-//     the source on the event calendar, NotifyLatency cycles later —
-//     the signal travels at realistic link latency, it does not
-//     teleport.
+//   - Notification: a marked delivery queues a notification back to
+//     the source, due NotifyLatency cycles later — the signal travels
+//     at realistic link latency, it does not teleport.
 //   - AIMD throttling: each notification multiplicatively cuts the
 //     source NIC's injection rate (DecreasePct, floored at MinRatePct,
 //     with a HoldCycles hold-off absorbing the in-flight notification
@@ -189,8 +188,9 @@
 // congestion off every simulation is bit-identical to previous
 // releases (the golden CSVs pin it), and with it on, results are
 // bit-identical at every worker count — notifications are replayed at
-// the cycle's sequential point in ascending source-node order (pinned
-// by TestParallelCongestionEquivalence).
+// the cycle's sequential point in the order their packets were
+// delivered, which no worker count changes (the OnNotify sequence is
+// pinned by TestParallelCongestionEquivalence).
 //
 // # Fault model
 //
@@ -299,17 +299,19 @@
 // request — is kept where the router looks, not behind port → VC → ring →
 // *Packet. Every input (port, VC) pair has a slot, numbered port-major
 // (inPort.slot0 + vc; 41 slots at Small, 85 at Paper; the way back is two
-// small maps the Network keeps once, every router being laid out alike),
-// and each router holds four things per slot: the head pointer
-// (Router.heads), the stored request (Router.req: output port, downstream
-// VC, valid, fault-escape), a bit in the unroutedHeads set, which is the
-// same bitset type again — set exactly while the VC has a head that
-// awaits a grant — and a bit in the grantable set, set by the route
-// phase when the request it just stored passes CanAccept (both sets'
-// words are cut from one array). The three places a head changes keep
-// them in step, eagerly: enqueue into an empty VC, dequeue (the next
-// packet becomes head, its request empty, not grantable) and grant (bits
-// dropped, request spent). The route phase peels the unrouted bits
+// small maps the Network keeps once, every router being laid out alike).
+// The VC queues themselves sit in slot order (Router.vqs: a ring of
+// packets each, whose free slots are its free space — every packet is
+// the same size), and each router holds four more things per slot: the
+// head pointer (Router.heads), the stored request (Router.req: output
+// port, downstream VC, valid, fault-escape), a bit in the unroutedHeads
+// set, which is the same bitset type again — set exactly while the VC
+// has a head that awaits a grant — and a bit in the grantable set, set
+// by the route phase when the request it just stored passes CanAccept
+// (both sets' words are cut from one array). The three places a head
+// changes keep them in step, eagerly: enqueue into an empty VC, dequeue
+// (the next packet becomes head, its request empty, not grantable) and
+// grant (bits dropped, request spent). The route phase peels the unrouted bits
 // ascending, which is the port-major, VC-minor order of a walk over every
 // port and VC — so head hooks fire, Route is called and the router's
 // random stream is drawn from in that walk's exact sequence — and touches
@@ -330,11 +332,24 @@
 // Router.Group at construction, the destination's group memoised on the
 // packet (Router.DstGroup). The table costs about 700 bytes per Small
 // router; it is paid for by what it made unnecessary or exposed — the
-// per-port creditCap slices (a cap is (occCap − outCap) / VCs), 32-bit
-// ring indices, 8-bit round-robin pointers — and by cutting each
-// router's VC queues, rings and credit counters from one array per kind
-// instead of some eighty, so a built fabric is ≈ 4 % smaller per node
-// than before the table and ≈ 30 % quicker to construct.
+// per-port creditCap slices, 32-bit ring indices, 8-bit round-robin
+// pointers — and by cutting each router's VC queues, rings and credit
+// counters from one array per kind instead of some eighty, so a built
+// fabric is ≈ 4 % smaller per node than before the table and ≈ 30 %
+// quicker to construct.
+//
+// Each fact the configuration fixes is held once. Every packet is
+// Config.PacketSize phits, so the fabric's phit arithmetic reads the one
+// size the Network holds (Packet.Size stays for observers), and a
+// calendar event carries no size (16 bytes). What every port of a class
+// shares — link latency, a downstream VC's credit cap, the occupancy
+// cap, the ECN mark threshold — is one portClass per PortKind, filled at
+// Build, not a copy per output port. A VC queue is a ring in slot order
+// with no phit counters and an input port is its VC count, upstream
+// endpoint and first slot (12 bytes). Congestion notices, made and
+// consumed at sequential points, wait in one network-wide FIFO instead
+// of the sharded calendar. Together that is ≈ 10 % of a built fabric's
+// bytes per node.
 //
 // Allocation iterations nominate only what can be granted, and end at
 // the first no-grant. The allocator runs Speedup iterations per cycle,
@@ -364,10 +379,10 @@
 // with the skip on one side only (TestAllocationSkipsOnlyNoOpIterations
 // pins it from both sides).
 //
-// The event calendar. Between cycles, work in flight lives on a
-// calendar: per shard, one bucket per cycle of a ring sized to the
+// The event calendar. Between cycles, work in flight in the fabric lives
+// on a calendar: per shard, one bucket per cycle of a ring sized to the
 // maximum link+pipeline horizon (128 slots for Table I). A bucket is an
-// event count and a chain of 1 KB chunks of 42 events drawn from the
+// event count and a chain of 680-byte chunks of 42 events drawn from the
 // shard's pool (router/calendar.go). Scheduling appends at the tail
 // chunk; event handling reads the chain front to back, and the fault
 // sweep takes a chain off and appends its survivors back in the order
@@ -377,8 +392,8 @@
 // moment it has been read and the pool is a stack, so the chunk the
 // handlers' own new events need next is the one still in cache, and the
 // memory a loaded run cycles through is its live events plus one partly
-// filled chunk per occupied bucket (~0.55 MB for a Small network at UN
-// 0.5, 1.13x the bytes of its live events) — not 128 slices each grown
+// filled chunk per occupied bucket (~0.39 MB for a Small network at UN
+// 0.5, 1.16x the bytes of its live events) — not 128 slices each grown
 // to its own peak and revisited a ring period later (~4 MB, over the
 // L2). A chunk is allocated only when the pool is empty, which happens
 // while the run's live-event peak is still rising and never at Network
@@ -610,9 +625,11 @@
 //   - Field encapsulation (fieldenc): the accounting fields the
 //     invariant auditor leans on — port occupancy (written only via
 //     Router.occDelta), credit/output-buffer counters (the grant, the
-//     event handler and the fault kills' one unreserve), mark
-//     thresholds, active-set membership (add, drop, clear) — may only be
-//     assigned inside their registered mutator functions. The parking state is held the same
+//     event handler and the fault kills' one unreserve), active-set
+//     membership (add, drop, clear) — may only be assigned inside their
+//     registered mutator functions; the mark thresholds and occupancy
+//     caps need no rule, being per-class constants set at Build. The
+//     parking state is held the same
 //     way: Router.parked is set only by stepShard's park pass and
 //     cleared only by Router.wake, so the documented wake set is the
 //     whole wake set, and Network.WakeGroup is barrier-only (it writes

@@ -21,6 +21,7 @@ func FuzzParseTraffic(f *testing.F) {
 		"adv+1+burst:50,200,0.8", "un+skew:0.1,0.5",
 		"adv+1+burst:50,200,0.8+skew:0.1,0.5",
 		"", "off", "bogus", "mix:", "perm:shift+", "+burst:1,2",
+		"mix:nan,1", "hotspot:nan,8", "un+skew:nan,0.5",
 	} {
 		f.Add(s)
 	}

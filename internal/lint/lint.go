@@ -326,16 +326,12 @@ func DefaultConfig() *Config {
 				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".outPort", Field: "occ",
 				Writers: []string{router + ".Router.occDelta"}},
-			{Type: router + ".outPort", Field: "occCap",
-				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".outPort", Field: "credits",
 				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
 					router + ".Router.unreserve"}},
 			{Type: router + ".outPort", Field: "outFree",
 				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
 					router + ".Router.unreserve"}},
-			{Type: router + ".outPort", Field: "markTh",
-				Writers: []string{router + ".newRouter"}},
 			{Type: router + ".activeSet", Field: "words",
 				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop", router + ".activeSet.clear"}},
 			{Type: router + ".activeSet", Field: "count",
@@ -434,11 +430,9 @@ func DefaultConfig() *Config {
 		PooledSlices: []FieldRef{
 			{Type: router + ".netShard", Field: "outbox"},
 			{Type: router + ".netShard", Field: "delivered"},
-			{Type: router + ".netShard", Field: "notified"},
 			{Type: router + ".netShard", Field: "pendingKills"},
 			{Type: router + ".netShard", Field: "allocList"},
 			{Type: router + ".netShard", Field: "freePkts"},
-			{Type: router + ".Network", Field: "notifyScratch"},
 			{Type: router + ".fifo", Field: "buf"},
 			{Type: traffic + ".retransmitter", Field: "heap"},
 			{Type: traffic + ".calendar", Field: "heap"},

@@ -26,7 +26,6 @@ func (r *Router) allocate(recheck bool) bool {
 	if r.grantable.count == 0 {
 		return false
 	}
-	size := int32(r.net.Cfg.PacketSize)
 	cw := len(r.reqPorts.words) // words per output in cand
 
 	// Input stage: nominate one grantable VC per input port, gathering
@@ -35,7 +34,7 @@ func (r *Router) allocate(recheck bool) bool {
 		for ; w != 0; w &= w - 1 {
 			port := int(r.reqPorts.idAt(wi, w))
 			ip := &r.in[port]
-			vcs := len(ip.vcs)
+			vcs := int(ip.nvc)
 			vc := int(r.rrVC[port])
 			nominated := false
 			for range vcs {
@@ -47,7 +46,7 @@ func (r *Router) allocate(recheck bool) bool {
 					continue
 				}
 				rq := r.req[slot]
-				if recheck && !r.CanAccept(int(rq.out), int(rq.vc), size) {
+				if recheck && !r.CanAccept(int(rq.out), int(rq.vc)) {
 					r.grantable.drop(slot)
 					continue
 				}
@@ -109,14 +108,14 @@ func (r *Router) grant(port, vc, out int) {
 	p, rq := r.heads[slot], r.req[slot]
 	outVC := int(rq.vc)
 	o := &r.out[out]
-	size := p.Size
+	size := r.net.size
 	now := r.net.now
 	cfg := &r.net.Cfg
 
 	o.credits[outVC] -= size
 	o.outFree -= size
 	r.occDelta(out, 2*size) // both the credit and the out-buffer reservation count
-	if o.occ > o.markTh && p.ECNMarks < 127 {
+	if o.occ > r.net.classes[o.kind].markTh && p.ECNMarks < 127 {
 		// The port's occupancy (with this packet's own reservation
 		// counted) is past the mark threshold: the packet carries the
 		// congestion mark to its destination (congestion.go). The compare
@@ -167,37 +166,32 @@ func (r *Router) grant(port, vc, out int) {
 
 // linkPhase starts serializing the next staged packet on every idle
 // output link. Only the ports of the stagedPorts set are visited (in
-// ascending order, matching the original all-port scan); ports whose
-// queue has drained are pruned in passing.
+// ascending order, matching the original all-port scan); a port leaves
+// the set as its queue empties.
 func (r *Router) linkPhase() {
-	if r.staged == 0 {
-		return
-	}
 	now := r.net.now
 	for wi, w := range r.stagedPorts.scan() {
 		for ; w != 0; w &= w - 1 {
 			out := r.stagedPorts.idAt(wi, w)
 			o := &r.out[out]
-			if o.qLen() == 0 {
-				r.stagedPorts.drop(out)
-				continue
-			}
 			if o.linkFreeAt > now {
 				continue
 			}
 			e := o.qPop()
-			r.staged--
-			size := int64(e.pkt.Size)
+			if o.qLen() == 0 {
+				r.stagedPorts.drop(out)
+			}
+			size := int64(r.net.size)
 			o.linkFreeAt = now + size
 			o.BusyCycles += size
 			r.net.scheduleFrom(r.shard, now+size,
-				event{kind: evOutFree, router: int32(r.ID), port: int16(out), size: e.pkt.Size})
+				event{kind: evOutFree, router: int32(r.ID), port: int16(out)})
 			if o.kind == Injection {
 				// Ejection channel: the packet is consumed by the node.
 				r.net.scheduleFrom(r.shard, now+size,
 					event{kind: evDeliver, router: int32(r.ID), port: int16(out), pkt: e.pkt})
 			} else {
-				r.net.scheduleFrom(r.shard, now+o.latency,
+				r.net.scheduleFrom(r.shard, now+r.net.classes[o.kind].latency,
 					event{kind: evHeadArrive, router: o.peerRouter, port: o.peerPort, vc: e.vc, pkt: e.pkt})
 			}
 		}

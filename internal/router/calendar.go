@@ -2,7 +2,9 @@ package router
 
 // The event calendar: per shard, one FIFO bucket per slot of the ring
 // (indexed by cycle & Network.mask), each a chain of fixed-size event
-// chunks from the shard's pool. A bucket is appended to at its tail and
+// chunks from the shard's pool. It carries fabric events only: the
+// congestion notices, made and consumed at sequential points, wait in
+// Network.notices instead. A bucket is appended to at its tail and
 // read front to back, so events leave it in exactly the order they were
 // scheduled — the one ordering the engine relies on. A chunk returns to
 // the pool as soon as it has been read and the pool is a stack, so the
@@ -13,7 +15,8 @@ package router
 // the live-event peak is still rising, never at Build — because a slab
 // grown by append leaves its outgrown copies as garbage at that peak.
 
-// chunkEvents sizes an eventChunk at 1 KB, a malloc size class.
+// chunkEvents sizes an eventChunk at 680 B (a pointer and 42 16-byte
+// events), in the 704-byte malloc size class.
 const chunkEvents = 42
 
 type eventChunk struct {

@@ -41,20 +41,20 @@ func liveEvents(sh *netShard) int {
 // handleShardBucket, handle — with a seeded random stream of (delay,
 // event) and checks that every bucket drains in exactly the order it was
 // filled, against a plain slice-per-cycle reference. The events are
-// congestion notifications, which carry no packet and are collected in
-// handling order on the shard; the sequence number rides in their node
-// field. Every tenth cycle adds a burst sized to land one bucket on a
-// chunk boundary (k*chunkEvents-1, k*chunkEvents, k*chunkEvents+1).
+// deliveries, which the handler collects in handling order on the shard;
+// the sequence number rides in the probe packet's ID. Every tenth cycle
+// adds a burst sized to land one bucket on a chunk boundary
+// (k*chunkEvents-1, k*chunkEvents, k*chunkEvents+1).
 func TestCalendarAppendOrder(t *testing.T) {
 	n := buildSmall(t)
 	sh := &n.shards[0]
 	rng := newTestRand(7)
 	const cycles = 3000
-	want := make([][]int32, cycles+n.mask+1) // per cycle: sequence numbers, append order
-	seq := int32(0)
+	want := make([][]uint64, cycles+n.mask+1) // per cycle: sequence numbers, append order
+	seq := uint64(0)
 	schedule := func(delay int64) {
 		seq++
-		n.scheduleFrom(sh, n.now+delay, event{kind: evNotify, size: seq})
+		n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: &Packet{ID: seq}})
 		want[n.now+delay] = append(want[n.now+delay], seq)
 	}
 	for ; n.now < cycles; n.now++ {
@@ -63,15 +63,15 @@ func TestCalendarAppendOrder(t *testing.T) {
 			t.Fatalf("cycle %d: quietCycle %v with %d events due", n.now, quiet, len(want[n.now]))
 		}
 		n.handleShardBucket(sh, idx)
-		if len(sh.notified) != len(want[n.now]) {
-			t.Fatalf("cycle %d: drained %d events, scheduled %d", n.now, len(sh.notified), len(want[n.now]))
+		if len(sh.delivered) != len(want[n.now]) {
+			t.Fatalf("cycle %d: drained %d events, scheduled %d", n.now, len(sh.delivered), len(want[n.now]))
 		}
-		for i, rec := range sh.notified {
-			if rec.node != want[n.now][i] {
-				t.Fatalf("cycle %d: event %d is #%d, append order has #%d", n.now, i, rec.node, want[n.now][i])
+		for i, p := range sh.delivered {
+			if p.ID != want[n.now][i] {
+				t.Fatalf("cycle %d: event %d is #%d, append order has #%d", n.now, i, p.ID, want[n.now][i])
 			}
 		}
-		sh.notified = sh.notified[:0]
+		sh.delivered = sh.delivered[:0]
 		if sh.cal[idx].n != 0 {
 			t.Fatalf("cycle %d: drained bucket does not read empty", n.now)
 		}
@@ -107,9 +107,10 @@ func TestCalendarAppendOrder(t *testing.T) {
 func TestCalendarChunkReuse(t *testing.T) {
 	n := buildSmall(t)
 	sh := &n.shards[0]
+	probe := new(Packet)
 	fill := func(delay int64, count int) {
 		for i := 0; i < count; i++ {
-			n.scheduleFrom(sh, n.now+delay, event{kind: evNotify})
+			n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: probe})
 		}
 	}
 	fill(1, 2*chunkEvents)
@@ -121,7 +122,7 @@ func TestCalendarChunkReuse(t *testing.T) {
 	second := first.next
 	n.now++
 	n.handleShardBucket(sh, n.now&n.mask) // releases first, then second
-	sh.notified = sh.notified[:0]
+	sh.delivered = sh.delivered[:0]
 	fill(5, chunkEvents+1)
 	if b := sh.cal[(n.now+5)&n.mask]; b.head != second || b.tail != first {
 		t.Fatal("a two-chunk bucket filled after a two-chunk drain did not get the drained chunks, last released first")
@@ -179,7 +180,7 @@ func TestCalendarPoolSteadyState(t *testing.T) {
 	if sh.numChunks != warmChunks {
 		t.Errorf("pool grew from %d to %d chunks after warm-up", warmChunks, sh.numChunks)
 	}
-	pool := sh.numChunks * 1024 // the size class a chunk is allocated in
+	pool := sh.numChunks * 704 // the size class a chunk is allocated in
 	need := peak * int(unsafe.Sizeof(event{}))
 	t.Logf("pool %d chunks = %d B; peak live events %d = %d B (%.2fx)", sh.numChunks, pool, peak, need, float64(pool)/float64(need))
 	if peak < 5000 {

@@ -13,15 +13,16 @@ import "fmt"
 //     grant: a packet granted through a port whose O(1) occupancy (its
 //     own reservation included) exceeds the threshold gets its ECNMarks
 //     count incremented, piggybacked to the destination.
-//   - Notification. When a marked packet is delivered, an evNotify event
-//     is scheduled NotifyLatency cycles later on the calendar of the shard
-//     owning the source's router, carrying the source node and the mark
-//     count as severity — the congestion signal travelling back through
-//     the fabric's own calendar, not an oracle side channel. Notifications
-//     are collected per shard during event handling and replayed at the
-//     handle barrier in ascending source-node order (replayNotifications),
-//     so the OnNotify callback sequence is bit-identical at every worker
-//     count.
+//   - Notification. When a marked packet is delivered, a notice carrying
+//     the source node and the mark count as severity is queued, due
+//     NotifyLatency cycles later — the congestion signal takes a
+//     reverse-path latency to reach the source, it does not teleport.
+//     Notices are made at the delivery replay and consumed at the handle
+//     barrier of their due cycle (replayNotifications), both sequential
+//     points, so they wait in one network-wide FIFO (Network.notices),
+//     not on the sharded calendar. Delivery order is due order, and it is
+//     the same at every worker count, so the OnNotify callback sequence
+//     is too.
 //   - Shedding. While a NIC's backlog is at or above ShedCap packets,
 //     Inject refuses new packets and counts them in NumShed instead of
 //     letting the queue grow to NICQueuePackets: a saturated source
@@ -39,8 +40,8 @@ import "fmt"
 // round trip, as in a per-RTT AIMD loop.
 
 // CongestionConfig configures the congestion-management loop. The zero
-// value disables it entirely: no port gets a mark threshold, no events are
-// scheduled, no counters move, and simulation results are bit-identical
+// value disables it entirely: no port gets a mark threshold, no notices are
+// queued, no counters move, and simulation results are bit-identical
 // to a build without the subsystem. With Enabled set, zero-valued knobs
 // resolve to defaults derived from the fabric configuration (Resolved).
 type CongestionConfig struct {

@@ -10,8 +10,8 @@ import (
 //
 // A cycle is quiet when this cycle's calendar buckets are empty and every
 // shard's active sets are empty (quietCycle — the same predicate the
-// parallel stepper's fork-skipping fast path uses) and no fault work is
-// due. Parked routers (stepShard) are not in the route set: heads that
+// parallel stepper's fork-skipping fast path uses) and no congestion
+// notice or fault work is due. Parked routers (stepShard) are not in the route set: heads that
 // are all blocked do not make a cycle busy, so a stalled fabric waiting
 // on a long link's credits is quiet until the credit event's cycle.
 // Stepping such a cycle handles no events, drains no NICs, routes
@@ -21,8 +21,9 @@ import (
 // earliest cycle at which anything can happen:
 //
 //   - the next occupied calendar bucket (future head arrivals, credit
-//     returns, pipeline completions, deliveries, congestion
-//     notifications — every in-flight effect lives on the calendar);
+//     returns, pipeline completions, deliveries — every in-flight fabric
+//     effect lives on the calendar);
+//   - the next congestion notice due (the notice FIFO's head);
 //   - the next scheduled fault event;
 //   - the next cycle the algorithm's BeginCycle does observable work
 //     (CycleHorizon).
@@ -57,11 +58,12 @@ type CycleHorizon interface {
 }
 
 // NextEventCycle returns the earliest future cycle holding a scheduled
-// event: the first occupied calendar bucket across all shards, and
-// the next unapplied fault-plan event. It returns NoPendingCycle when
-// nothing is scheduled at all. Call it with the current cycle's buckets
-// drained (quietCycle); the scan is allocation-free and costs O(shards x
-// ring size), amortized over the span it lets the caller skip.
+// event: the first occupied calendar bucket across all shards, the next
+// congestion notice and the next unapplied fault-plan event. It returns
+// NoPendingCycle when nothing is scheduled at all. Call it with the
+// current cycle's buckets drained (quietCycle); the scan is
+// allocation-free and costs O(shards x ring size), amortized over the
+// span it lets the caller skip.
 func (n *Network) NextEventCycle() int64 {
 	next := NoPendingCycle
 	for s := range n.shards {
@@ -76,6 +78,9 @@ func (n *Network) NextEventCycle() int64 {
 				break
 			}
 		}
+	}
+	if n.notices.len() > 0 {
+		next = min(next, n.notices.front().at)
 	}
 	if f := n.faults; f != nil && f.next < len(f.events) {
 		if c := f.events[f.next].Cycle; c < next {

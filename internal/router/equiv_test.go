@@ -457,7 +457,7 @@ func TestParkedRouterInvariants(t *testing.T) {
 	}
 	o := &parked.out[held.out]
 	credits, outFree, occ := o.credits[held.vc], o.outFree, o.occ
-	o.credits[held.vc], o.outFree = (o.occCap-o.outCap)/int32(len(o.credits)), o.outCap
+	o.credits[held.vc], o.outFree = parked.class(int(held.out)).vcCap, int32(n.Cfg.BufOut)
 	o.occ -= (o.credits[held.vc] - credits) + (o.outFree - outFree)
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a parked router whose stored request is grantable")

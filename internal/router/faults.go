@@ -514,11 +514,9 @@ func (n *Network) killRouterContents(rt *Router) {
 			f.noteVictim(rt.shard.newPacket(n, node, q.pop()))
 		}
 	}
-	for port := range rt.in {
-		for vc := range rt.in[port].vcs {
-			for !rt.in[port].vcs[vc].empty() {
-				n.killQueued(rt, port, vc)
-			}
+	for slot := range rt.vqs {
+		for !rt.vqs[slot].empty() {
+			n.killQueued(rt, int(n.slotPort[slot]), int(n.slotVC[slot]))
 		}
 	}
 	for port := 0; port < t.P; port++ {
@@ -536,11 +534,11 @@ func (n *Network) killStagedQueue(r *Router, port int) {
 	o := &r.out[port]
 	for o.qLen() > 0 {
 		e := o.qPop()
-		r.staged--
-		r.unreserve(port, e.vc, e.pkt.Size, e.pkt.Size)
+		r.unreserve(port, e.vc, true)
 		n.faults.noteVictim(e.pkt)
 		n.killGrantedResidue(r, e.pkt)
 	}
+	r.stagedPorts.drop(int32(port))
 }
 
 // killGrantedResidue removes a killed granted packet's tail from r's
@@ -567,7 +565,7 @@ func (n *Network) killGrantedResidue(r *Router, p *Packet) {
 func (n *Network) killQueued(r *Router, port, vc int) {
 	p := r.dequeue(port, vc)
 	n.faults.noteVictim(p)
-	n.returnCredit(nil, &r.in[port], int8(vc), p.Size)
+	n.returnCredit(nil, &r.in[port], int8(vc))
 }
 
 // sweepFaultVictims scans every pending calendar event for packets
@@ -576,14 +574,14 @@ func (n *Network) killQueued(r *Router, port, vc int) {
 // pipeline completion toward a dead port reverses its grant like a
 // staged entry; a head arrival over a dead link returns the downstream
 // credit the wire packet holds (its output space comes back through the
-// still-pending size-only evOutFree); an ejecting packet of a down
+// still-pending packet-free evOutFree); an ejecting packet of a down
 // router needs no reversal (delivery would not have returned ejection
 // credits either). Phase B (filter) then drops every event carrying a
 // victim pointer — including the tail-leave events whose queue pops
-// killGrantedResidue already performed — while size-only events
-// (credits, output frees, notifications) always survive: their
-// accounting must complete even across a dead link, which is exactly
-// how credits owed across it are reconciled.
+// killGrantedResidue already performed — while packet-free events
+// (credits, output frees) always survive: their accounting must
+// complete even across a dead link, which is exactly how credits owed
+// across it are reconciled.
 func (n *Network) sweepFaultVictims() {
 	f := n.faults
 	for s := range n.shards {
@@ -641,7 +639,7 @@ func (n *Network) faultScanEvent(ev *event) {
 	case evPipeDone:
 		u := n.Routers[ev.router]
 		if u.down || u.out[ev.port].dead {
-			u.unreserve(int(ev.port), ev.vc, ev.pkt.Size, ev.pkt.Size)
+			u.unreserve(int(ev.port), ev.vc, true)
 			n.faults.noteVictim(ev.pkt)
 			n.killGrantedResidue(u, ev.pkt)
 		}
@@ -650,7 +648,7 @@ func (n *Network) faultScanEvent(ev *event) {
 		ip := &d.in[ev.port]
 		u := n.Routers[ip.upRouter]
 		if u.out[ip.upPort].dead {
-			u.unreserve(int(ip.upPort), ev.vc, ev.pkt.Size, 0)
+			u.unreserve(int(ip.upPort), ev.vc, false)
 			n.faults.noteVictim(ev.pkt)
 			n.killGrantedResidue(u, ev.pkt)
 		}
@@ -709,7 +707,7 @@ func (n *Network) resolvePendingKill(pk *pendingKill) {
 		return
 	}
 	r.dequeue(int(pk.port), int(pk.vc))
-	n.returnCredit(nil, ip, pk.vc, p.Size)
+	n.returnCredit(nil, ip, pk.vc)
 	n.InFlight--
 	if pk.reason == killUnreachable {
 		n.NumUnroutable++

@@ -14,33 +14,37 @@ const (
 	evHeadArrive evKind = iota
 	// evTailLeave: pkt's tail leaves input queue (router, port, vc).
 	evTailLeave
-	// evCredit: credits for (router, out port, vc) replenish by pkt.Size.
+	// evCredit: credits for (router, out port, vc) replenish by one
+	// packet's worth (Network.size).
 	evCredit
 	// evPipeDone: pkt exits the router pipeline into output buffer
 	// (router, out port), heading for downstream VC vc.
 	evPipeDone
-	// evOutFree: pkt's tail left the output buffer of (router, port).
+	// evOutFree: a packet's tail left the output buffer of (router, port).
 	evOutFree
 	// evDeliver: pkt fully consumed by the node on ejection channel
 	// (router, port).
 	evDeliver
-	// evNotify: a congestion notification reaches the shard of source
-	// node `size`'s router (`router`), with severity vc = the delivered
-	// packet's mark count. Carries no packet pointer: it outlives the
-	// packet's delivery and freelist recycling (see congestion.go).
-	evNotify
 )
 
+// event is one calendar entry. evCredit and evOutFree carry no packet:
+// both can fire after the packet has been delivered and recycled through
+// the freelist, and every packet is Network.size phits anyway.
 type event struct {
-	kind evKind
-	vc   int8
-	port int16
-	// size carries the phit count for evCredit/evOutFree, which must not
-	// retain a packet pointer: both can fire after the packet has been
-	// delivered and recycled through the freelist.
-	size   int32
+	kind   evKind
+	vc     int8
+	port   int16
 	router int32
 	pkt    *Packet
+}
+
+// notice is a congestion notification on its way back to source node
+// `node`, due at cycle `at`, with severity sev (the delivered packet's
+// mark count; see congestion.go).
+type notice struct {
+	at   int64
+	node int32
+	sev  int8
 }
 
 // nicRec is a generated packet waiting in its source's NIC queue: what
@@ -87,6 +91,10 @@ type Network struct {
 	// input port and VC; every router is laid out alike, so one copy.
 	slotPort []int16
 	slotVC   []int8
+	// size is Cfg.PacketSize, the one packet size the fabric's phit
+	// arithmetic reads, and classes what every port of a class shares.
+	size    int32
+	classes [Global + 1]portClass
 
 	now  int64
 	seed uint64
@@ -129,8 +137,10 @@ type Network struct {
 	// schedules something (see faults.go).
 	faults *faultState
 
-	// notifyScratch is replayNotifications' reusable gather buffer.
-	notifyScratch []notifyRec
+	// notices holds the congestion notifications in flight, in delivery
+	// order, which is due order: each is due NotifyLatency cycles after
+	// its delivery. Made and consumed at sequential points only.
+	notices fifo[notice]
 
 	// OnDeliver, when non-nil, observes every delivered packet at its
 	// delivery cycle (tail consumed by the destination node). Deliveries
@@ -144,14 +154,13 @@ type Network struct {
 
 	// OnNotify, when non-nil, observes every congestion notification at
 	// the cycle it reaches its source: node is the source node the
-	// notification targets, sev the delivered packet's mark count.
-	// Notifications are collected per shard during event handling and
-	// replayed at the handle barrier in ascending node order
-	// (replayNotifications), so the callback sequence is bit-identical
-	// at every worker count. It runs at a sequential point and may
-	// mutate its own (source-side) state freely, but must treat the
-	// network as read-only. The traffic package's AIMD throttle is the
-	// intended consumer.
+	// notification targets, sev the delivered packet's mark count. It
+	// fires at the handle barrier (replayNotifications) in the order the
+	// marked packets were delivered, which is the same at every worker
+	// count, so the callback sequence is too. It runs at a sequential
+	// point and may mutate its own (source-side) state freely, but must
+	// treat the network as read-only. The traffic package's AIMD throttle
+	// is the intended consumer.
 	OnNotify func(node, sev int, now int64)
 
 	// OnDrop, when non-nil, observes every packet killed by a fault at
@@ -184,7 +193,10 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	// included) reads concrete values.
 	cfg.Congestion = cfg.Congestion.Resolved(cfg)
 	cfg.Faults = cfg.Faults.Resolved(cfg)
-	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed}
+	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize)}
+	for k := range n.classes {
+		n.classes[k] = newPortClass(&cfg, PortKind(k))
+	}
 
 	workers := cfg.Workers
 	if workers < 1 {
@@ -210,11 +222,6 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 
 	horizon := max64(int64(cfg.LatencyGlobal), int64(cfg.LatencyLocal)) +
 		int64(cfg.PipelineLatency) + int64(cfg.PacketSize) + 8
-	if cfg.Congestion.Enabled {
-		// Congestion notifications are scheduled NotifyLatency cycles
-		// past the delivery cycle; the ring must cover that reach.
-		horizon = max64(horizon, int64(cfg.Congestion.NotifyLatency)+1)
-	}
 	ringSize := int64(1)
 	for ringSize < horizon {
 		ringSize <<= 1
@@ -264,13 +271,6 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		n.groups[g] = members
 	}
 	n.nics = make([]nic, topo.Nodes)
-	nicShrink := 4 * cfg.NICQueuePackets
-	if nicShrink < 16 {
-		nicShrink = 16
-	}
-	for i := range n.nics {
-		n.nics[i].q.shrinkCap = nicShrink
-	}
 	if cfg.Faults.Enabled() {
 		n.faults = newFaultState(cfg.Faults, topo)
 		n.computeComponentsInto(n.faults.comp)
@@ -424,14 +424,14 @@ func (n *Network) badSchedule(cycle int64, kind evKind) {
 // the forked step may take and every cycle is identical either way: a
 // near-idle fabric does not pay a goroutine round-trip per event.
 //
-// A quiet cycle (no scheduled events, no active components anywhere)
-// skips both sections: every phase would be a no-op, so only the
-// sequential BeginCycle runs.
+// A quiet cycle (no scheduled events, no due notice or fault work, no
+// active components anywhere) skips both sections: every phase would be
+// a no-op, so only the sequential BeginCycle runs.
 func (n *Network) Step() {
 	idx := n.now & n.mask
 	f := n.fork // nil with one shard: the caller is the only worker
 	busy := n.busyShards(idx)
-	if busy == 0 && !n.faultsPending() {
+	if busy == 0 && !n.faultsPending() && !n.noticeDue() {
 		n.Alg.BeginCycle(n)
 		n.now++
 		return
@@ -602,7 +602,7 @@ func (n *Network) stepShard(sh *netShard) {
 		for ; w != 0; w &= w - 1 {
 			id := sh.linkActive.idAt(wi, w)
 			r := n.Routers[id]
-			if r.staged == 0 {
+			if r.stagedPorts.count == 0 {
 				sh.linkActive.drop(id)
 				continue
 			}
@@ -651,18 +651,16 @@ func (n *Network) nicDrain(i int) {
 	}
 	r := n.Routers[n.Topo.RouterOfNode(i)]
 	port := n.Topo.ChannelOfNode(i)
-	ip := &r.in[port]
-	size := int32(n.Cfg.PacketSize)
 	best, bestFree := -1, int32(0)
-	for vc := range ip.vcs {
-		if f := ip.vcs[vc].free(); f >= size && f > bestFree {
+	for vc := range int(r.in[port].nvc) {
+		if f := r.vq(port, vc).free(); f > bestFree {
 			best, bestFree = vc, f
 		}
 	}
 	if best < 0 {
 		return // injection buffers full; retry next cycle
 	}
-	q.linkFreeAt = n.now + int64(size)
+	q.linkFreeAt = n.now + int64(n.size)
 	r.enqueue(r.shard.newPacket(n, i, q.pop()), port, best)
 }
 
@@ -683,17 +681,16 @@ func (n *Network) handle(ev *event) {
 
 	case evTailLeave:
 		r := n.Routers[ev.router]
-		ip := &r.in[ev.port]
-		if ip.vcs[ev.vc].headPkt() != ev.pkt {
+		if r.vq(int(ev.port), int(ev.vc)).headPkt() != ev.pkt {
 			panic("router: tail-leave for a packet not at queue head")
 		}
 		r.dequeue(int(ev.port), int(ev.vc))
-		n.returnCredit(r.shard, ip, ev.vc, ev.pkt.Size)
+		n.returnCredit(r.shard, &r.in[ev.port], ev.vc)
 
 	case evCredit:
 		r := n.Routers[ev.router]
-		r.out[ev.port].credits[ev.vc] += ev.size
-		r.occDelta(int(ev.port), -ev.size)
+		r.out[ev.port].credits[ev.vc] += n.size
+		r.occDelta(int(ev.port), -n.size)
 		// Load-bearing: a router whose heads were all blocked on these
 		// credits has parked, and this is what brings it back.
 		r.wake()
@@ -701,14 +698,13 @@ func (n *Network) handle(ev *event) {
 	case evPipeDone:
 		r := n.Routers[ev.router]
 		r.out[ev.port].qPush(outEntry{pkt: ev.pkt, vc: ev.vc})
-		r.staged++
 		r.stagedPorts.add(int32(ev.port))
 		r.shard.linkActive.add(ev.router)
 
 	case evOutFree:
 		r := n.Routers[ev.router]
-		r.out[ev.port].outFree += ev.size
-		r.occDelta(int(ev.port), -ev.size)
+		r.out[ev.port].outFree += n.size
+		r.occDelta(int(ev.port), -n.size)
 		r.wake()
 
 	case evDeliver:
@@ -720,34 +716,26 @@ func (n *Network) handle(ev *event) {
 		// reproduces the sequential callback order exactly.
 		sh := n.Routers[ev.router].shard
 		sh.delivered = append(sh.delivered, ev.pkt)
-
-	case evNotify:
-		// Collected per shard and replayed at the handle barrier
-		// (replayNotifications), like deliveries: the handle phase stays
-		// free of global mutations and the source-side callback runs at
-		// a sequential point.
-		sh := n.Routers[ev.router].shard
-		sh.notified = append(sh.notified, notifyRec{node: ev.size, sev: ev.vc})
 	}
 }
 
-// returnCredit schedules the credit for `size` phits that left input VC
-// vc of ip, one link latency upstream; an injection port has no upstream
+// returnCredit schedules the credit for the packet that left input VC vc
+// of ip, one link latency upstream; an injection port has no upstream
 // and owes nothing. src is the shard the event is generated on — the
 // downstream router's inside a parallel section, nil at a sequential
 // point, where the event goes straight onto the upstream router's own
 // calendar (the contract Inject relies on). It is the one spelling of the
 // upstream evCredit.
-func (n *Network) returnCredit(src *netShard, ip *inPort, vc int8, size int32) {
+func (n *Network) returnCredit(src *netShard, ip *inPort, vc int8) {
 	if ip.upRouter < 0 {
 		return
 	}
-	up := n.Routers[ip.upRouter]
 	if src == nil {
-		src = up.shard
+		src = n.Routers[ip.upRouter].shard
 	}
-	n.scheduleFrom(src, n.now+up.out[ip.upPort].latency,
-		event{kind: evCredit, router: ip.upRouter, port: ip.upPort, vc: vc, size: size})
+	// The link's two ends are of one class: ip's latency is the upstream port's.
+	n.scheduleFrom(src, n.now+n.classes[ip.kind].latency,
+		event{kind: evCredit, router: ip.upRouter, port: ip.upPort, vc: vc})
 }
 
 // recycle hands a packet that left the fabric — delivered, or killed by a
@@ -774,22 +762,14 @@ func (n *Network) replayDeliveries() {
 		}
 		for _, p := range sh.delivered {
 			n.NumDelivered++
-			n.DeliveredPhits += uint64(p.Size)
+			n.DeliveredPhits += uint64(n.size)
 			n.InFlight--
 			if p.ECNMarks > 0 {
 				// The destination echoes the congestion marks back to the
-				// source as an evNotify, one reverse-path latency later.
-				// This runs at a sequential point, so pushing straight
-				// onto the target shard's calendar is safe at any worker
-				// count (the same contract Inject relies on), and the
-				// event carries no packet pointer — the packet is
-				// recycled below.
+				// source, one reverse-path latency later. The notice
+				// carries no packet pointer: the packet is recycled below.
 				n.NumMarked++
-				src := p.Src
-				rtr := int32(n.Topo.RouterOfNode(int(src)))
-				n.scheduleFrom(n.Routers[rtr].shard,
-					n.now+int64(n.Cfg.Congestion.NotifyLatency),
-					event{kind: evNotify, router: rtr, vc: p.ECNMarks, size: src})
+				n.notices.push(notice{at: n.now + int64(n.Cfg.Congestion.NotifyLatency), node: p.Src, sev: p.ECNMarks})
 			}
 			if n.OnDeliver != nil {
 				// The packet's fields are stable for the duration of the
@@ -805,43 +785,24 @@ func (n *Network) replayDeliveries() {
 	}
 }
 
-// replayNotifications applies the congestion notifications collected
-// during the handle phase, sorted into ascending source-node order
-// (stable, so multiple notifications for one node keep their delivery
-// order): NumNotified and the OnNotify callback. Distinct-node updates
-// commute, but the sort makes the callback order itself — not just the
-// end state — identical at every worker count, which is the contract
-// OnNotify documents. Like replayDeliveries it runs at a sequential
-// point, so the consumer may be arbitrary single-threaded code.
+// replayNotifications delivers the congestion notices due this cycle, in
+// delivery order: NumNotified and the OnNotify callback. Like
+// replayDeliveries it runs at a sequential point, so the consumer may be
+// arbitrary single-threaded code.
 func (n *Network) replayNotifications() {
-	total := 0
-	for s := range n.shards {
-		total += len(n.shards[s].notified)
-	}
-	if total == 0 {
-		return
-	}
-	buf := n.notifyScratch[:0]
-	for s := range n.shards {
-		sh := &n.shards[s]
-		buf = append(buf, sh.notified...)
-		sh.notified = sh.notified[:0]
-	}
-	// Stable insertion sort by node: a cycle rarely carries more than a
-	// handful of notifications, and each shard's slice is already in a
-	// deterministic per-shard order.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j-1].node > buf[j].node; j-- {
-			buf[j-1], buf[j] = buf[j], buf[j-1]
-		}
-	}
-	for _, rec := range buf {
+	for n.noticeDue() {
+		nt := n.notices.pop()
 		n.NumNotified++
 		if n.OnNotify != nil {
-			n.OnNotify(int(rec.node), int(rec.sev), n.now)
+			n.OnNotify(int(nt.node), int(nt.sev), n.now)
 		}
 	}
-	n.notifyScratch = buf[:0]
+}
+
+// noticeDue reports whether a congestion notice is due at this cycle's
+// handle barrier.
+func (n *Network) noticeDue() bool {
+	return n.notices.len() > 0 && n.notices.front().at <= n.now
 }
 
 // CheckInvariants validates credit/buffer accounting across the whole
@@ -889,14 +850,20 @@ func (n *Network) CheckInvariants() error {
 		if len(sh.delivered) != 0 {
 			return fmt.Errorf("router: shard %d holds %d unreplayed deliveries between cycles", s, len(sh.delivered))
 		}
-		if len(sh.notified) != 0 {
-			return fmt.Errorf("router: shard %d holds %d unreplayed congestion notifications between cycles", s, len(sh.notified))
-		}
 		for t, mb := range sh.outbox {
 			if len(mb) != 0 {
 				return fmt.Errorf("router: mailbox %d->%d holds %d undrained events between cycles", s, t, len(mb))
 			}
 		}
+	}
+	// The notices are in due order, and none is overdue: a notice due at
+	// an earlier cycle was delivered at that cycle's barrier.
+	due := n.now
+	for _, nt := range n.notices.buf[n.notices.head:] {
+		if nt.at < due {
+			return fmt.Errorf("router: congestion notice for node %d due at cycle %d, behind cycle %d", nt.node, nt.at, due)
+		}
+		due = nt.at
 	}
 	// Conservation: every generated packet is delivered, killed by a
 	// fault, discarded as unroutable, or still in flight. The fault

@@ -23,7 +23,10 @@ type Packet struct {
 	Dst int32 // destination node
 
 	DstRouter int32 // cached router of Dst
-	Size      int32 // phits
+	// Size is the packet's length in phits, Config.PacketSize for every
+	// packet. It is kept for observers; the fabric itself reads the one
+	// size its Network holds.
+	Size int32
 
 	GenTime int64 // cycle the packet was created at the source NIC
 

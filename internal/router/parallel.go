@@ -15,9 +15,9 @@ import "sync"
 //	section 1  event handling: each shard drains its own calendar
 //	           bucket for this cycle.
 //	barrier    deliveries collected by the shards are replayed in
-//	           ascending shard order (counters, OnDeliver, freelist)
-//	           and congestion notifications in ascending source-node
-//	           order (counters, OnNotify), then Alg.BeginCycle runs —
+//	           ascending shard order (counters, OnDeliver, freelist),
+//	           the congestion notices due pop off the network's one
+//	           FIFO (counters, OnNotify), then Alg.BeginCycle runs —
 //	           the sequential point hosting the group-wide exchanges
 //	           (the ECtN combine).
 //	section 2  NIC drain → routing → Speedup allocation iterations →
@@ -52,7 +52,8 @@ import "sync"
 //     one cycle's delivery events were all scheduled by the same earlier
 //     linkPhase in ascending router order, so concatenating the shards'
 //     delivery lists in shard order reproduces the exact sequential
-//     OnDeliver order at any worker count.
+//     OnDeliver order at any worker count — and the notice order, since
+//     the replay pushes a marked delivery's notice in that order.
 //   - Cross-shard packet handoffs are barrier-ordered: the upstream
 //     tail-leave fires strictly before the downstream head-arrival
 //     (Build enforces PipelineLatency+LatencyGlobal > PacketSize), so a
@@ -109,11 +110,6 @@ type netShard struct {
 	// handle phase, replayed in shard order at the handle barrier.
 	delivered []*Packet
 
-	// notified collects this shard's congestion notifications (evNotify)
-	// of the current handle phase, replayed at the handle barrier in
-	// ascending source-node order (replayNotifications).
-	notified []notifyRec
-
 	// freePkts recycles the packets that left the fabric, LIFO, so a
 	// steady-state NIC drain allocates nothing. newPacket takes from it
 	// inside the parallel section; Network.recycle returns a packet to the
@@ -149,7 +145,7 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		Dst:         rec.dst,
 		DstRouter:   int32(n.Topo.RouterOfNode(int(rec.dst))),
 		dstGroup:    int16(n.Topo.GroupOfNode(int(rec.dst))) + 1,
-		Size:        int32(n.Cfg.PacketSize),
+		Size:        n.size,
 		GenTime:     rec.gen,
 		Inter:       -1,
 		LastGroup:   -1,
@@ -158,13 +154,6 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		Attempt:     rec.attempt,
 	}
 	return p
-}
-
-// notifyRec is one collected congestion notification: the source node it
-// targets and the delivered packet's mark count.
-type notifyRec struct {
-	node int32
-	sev  int8
 }
 
 // shardFork is the synchronization state of one cycle's fork: the
@@ -218,11 +207,11 @@ func (n *Network) busyShards(idx int64) (busy int) {
 }
 
 // quietCycle reports whether this cycle has no work anywhere: no busy
-// shard and no due fault work (a due plan event or pending kill must
-// reach applyFaults at this cycle's barrier, exactly when the sequential
-// stepper applies it).
+// shard, no due congestion notice and no due fault work (a due plan
+// event or pending kill must reach applyFaults at this cycle's barrier,
+// exactly when the sequential stepper applies it).
 func (n *Network) quietCycle(idx int64) bool {
-	return !n.faultsPending() && n.busyShards(idx) == 0
+	return !n.faultsPending() && !n.noticeDue() && n.busyShards(idx) == 0
 }
 
 // handleShardBucket drains one shard's calendar bucket for this cycle,

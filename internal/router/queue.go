@@ -1,17 +1,20 @@
 package router
 
-// fifo is a growable FIFO backing NIC queues and output-port stages.
-// Its backing slice stays bounded under sustained traffic: pushes
-// compact the dead prefix whenever it reaches the live region's size
-// (amortized O(1)), and a drain drops capacity beyond shrinkCap so a
-// transient burst's peak is not retained forever.
+// fifo is a growable FIFO backing NIC queues, output-port stages and the
+// congestion notices. Its backing slice stays bounded under sustained
+// traffic: pushes compact the dead prefix whenever it reaches the live
+// region's size (amortized O(1)), so capacity stays within a few times
+// the live peak, which admission bounds (NICQueuePackets records a NIC,
+// BufOut/PacketSize entries an output stage).
 type fifo[T any] struct {
-	buf       []T
-	head      int
-	shrinkCap int
+	buf  []T
+	head int
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// front returns the oldest entry; the fifo must not be empty.
+func (f *fifo[T]) front() T { return f.buf[f.head] }
 
 func (f *fifo[T]) push(v T) {
 	if f.head > 0 && f.head >= len(f.buf)-f.head {
@@ -32,37 +35,30 @@ func (f *fifo[T]) pop() T {
 	f.buf[f.head] = zero
 	f.head++
 	if f.head == len(f.buf) {
-		if cap(f.buf) > f.shrinkCap {
-			f.buf = nil
-		} else {
-			f.buf = f.buf[:0]
-		}
+		f.buf = f.buf[:0]
 		f.head = 0
 	}
 	return v
 }
 
-// vcQueue is one virtual channel's input buffer: a FIFO of packets with
-// phit-granular occupancy accounting. Capacity admission is enforced by
-// the upstream credit counters, not here; the queue only asserts the
-// invariant.
+// vcQueue is one virtual channel's input buffer: a ring of packets.
+// Every packet is Network.size phits, so a VC's phit capacity is a slot
+// count. Capacity admission is enforced by the upstream credit counters,
+// not here; the queue only asserts the invariant.
 type vcQueue struct {
 	pkts []*Packet // ring buffer, ringSlots long, cut from the router's one ring array
 	head int32
 	n    int32
-
-	capPhits  int32
-	usedPhits int32
 }
 
-// ringSlots is the ring size of a capPhits-phit VC: every packet is
-// packetSize phits, so push's overflow check fires before it runs out.
+// ringSlots is the ring size of a capPhits-phit VC: the packets of
+// packetSize phits its credits admit.
 func ringSlots(capPhits, packetSize int) int {
 	return max(capPhits/packetSize, 1)
 }
 
-// free returns the unreserved buffer space in phits.
-func (q *vcQueue) free() int32 { return q.capPhits - q.usedPhits }
+// free returns the number of free packet slots.
+func (q *vcQueue) free() int32 { return int32(len(q.pkts)) - q.n }
 
 // empty reports whether no packet is queued.
 func (q *vcQueue) empty() bool { return q.n == 0 }
@@ -78,11 +74,10 @@ func (q *vcQueue) headPkt() *Packet {
 	return q.pkts[q.head]
 }
 
-// push appends a packet whose head has arrived; its full size is
-// accounted immediately (space was reserved by upstream credits when
-// transmission started).
+// push appends a packet whose head has arrived; its slot was reserved by
+// upstream credits when transmission started.
 func (q *vcQueue) push(p *Packet) {
-	if q.usedPhits+p.Size > q.capPhits {
+	if int(q.n) == len(q.pkts) {
 		panic("router: input VC overflow; upstream credit accounting is broken")
 	}
 	// Ring indices wrap by compare, not %: the slot count is a run-time
@@ -93,7 +88,6 @@ func (q *vcQueue) push(p *Packet) {
 	}
 	q.pkts[i] = p
 	q.n++
-	q.usedPhits += p.Size
 }
 
 // pop removes the head packet once its tail has left the buffer.
@@ -107,9 +101,5 @@ func (q *vcQueue) pop() *Packet {
 		q.head = 0
 	}
 	q.n--
-	q.usedPhits -= p.Size
-	if q.usedPhits < 0 {
-		panic("router: negative VC occupancy")
-	}
 	return p
 }

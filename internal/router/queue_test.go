@@ -5,13 +5,13 @@ import "testing"
 // newVCQueue builds a stand-alone queue the way newRouter cuts one from
 // its ring array.
 func newVCQueue(capPhits, packetSize int) vcQueue {
-	return vcQueue{pkts: make([]*Packet, ringSlots(capPhits, packetSize)), capPhits: int32(capPhits)}
+	return vcQueue{pkts: make([]*Packet, ringSlots(capPhits, packetSize))}
 }
 
 // TestVCQueueRingIsFixed: the ring is sized capPhits/packetSize at
-// construction and never grows — filling the queue to its phit capacity
-// uses exactly the slots it was built with, and the next push trips the
-// overflow check instead of reaching the ring.
+// construction and never grows — filling the queue to its capacity uses
+// exactly the slots it was built with, and the next push trips the
+// overflow check instead of reaching past the ring.
 func TestVCQueueRingIsFixed(t *testing.T) {
 	const capPhits, size = 32, 8
 	q := newVCQueue(capPhits, size)
@@ -62,7 +62,7 @@ func TestVCQueueWrapAgainstReference(t *testing.T) {
 				}
 				ref = ref[1:]
 			}
-			if q.len() != len(ref) || q.free() != int32((slots-len(ref))*size) {
+			if q.len() != len(ref) || q.free() != int32(slots-len(ref)) {
 				t.Fatalf("%d slots, step %d: len %d free %d with %d queued", slots, step, q.len(), q.free(), len(ref))
 			}
 		}

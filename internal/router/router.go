@@ -16,15 +16,17 @@ const ejectionCredits = 1 << 30
 // the grant-time compare against it is never true.
 const noMark = math.MaxInt32
 
-// inPort is one input port: a set of VC buffers plus its fixed upstream
-// endpoint (for credit returns). Injection ports have no upstream router.
+// inPort is one input port: its nvc VCs plus its fixed upstream endpoint
+// (for credit returns). Injection ports have no upstream router.
 type inPort struct {
-	kind     PortKind
-	vcs      []vcQueue // cut from the router's one vcQueue array
-	upRouter int32     // -1 for injection ports
-	upPort   int16
+	kind   PortKind
+	nvc    int8
+	upPort int16
+	// upRouter is -1 for injection ports.
+	upRouter int32
 	// slot0 is the head slot of VC 0: input VC (port, vc) is slot
-	// slot0+vc of the router's head table (Router.heads), port-major.
+	// slot0+vc of the router's head table (Router.heads) and of its VC
+	// queues (Router.vqs), port-major.
 	slot0 int16
 }
 
@@ -49,34 +51,54 @@ type outEntry struct {
 	vc  int8
 }
 
+// portClass is what every output port of one PortKind shares, fixed by
+// the configuration (Network.classes).
+type portClass struct {
+	latency int64 // link latency, for data and credits
+	// vcCap is a downstream VC's credit capacity in phits: the class's
+	// input buffer, or ejectionCredits on an ejection channel's one lane.
+	vcCap int32
+	// occCap is the maximum of a port's occupancy: BufOut plus every
+	// downstream VC's vcCap.
+	occCap int32
+	// markTh is the ECN mark threshold (congestion.go): a packet granted
+	// through a port while its occupancy exceeds it carries a mark. It is
+	// occCap scaled by the configured mark percentage, or noMark — which
+	// no occupancy exceeds — on a class that never marks: congestion
+	// disabled, or ejection, whose occupancy cap is dominated by the
+	// infinite ejection credit pool.
+	markTh int32
+}
+
+func newPortClass(cfg *Config, kind PortKind) portClass {
+	c := portClass{latency: int64(cfg.LatencyFor(kind)), vcCap: int32(cfg.BufFor(kind)), markTh: noMark}
+	vcs := int32(cfg.VCsFor(kind))
+	if kind == Injection {
+		c.vcCap, vcs = ejectionCredits, 1
+	}
+	c.occCap = int32(cfg.BufOut) + vcs*c.vcCap
+	if kind != Injection && cfg.Congestion.Enabled {
+		c.markTh = c.occCap * int32(cfg.Congestion.MarkPct) / 100
+	}
+	return c
+}
+
 // outPort is one output port: credit counters for the downstream input
-// buffer, the output buffer and the link serialization state.
+// buffer, the output buffer and the link serialization state. What the
+// port's class fixes is in Network.classes.
 type outPort struct {
 	kind       PortKind
 	peerRouter int32 // -1 for ejection channels
 	peerPort   int16
-	latency    int64
 
 	credits []int32 // per downstream VC, phits; cut from the router's one credit array
 	outFree int32
-	outCap  int32
 
 	// occ is the running occupancy estimate (staged output phits plus
 	// outstanding downstream credits), maintained incrementally at the
 	// three mutation points (grant, credit return, out-buffer free) so
-	// Occupancy is O(1) instead of a per-call credit-array sum. occCap
-	// is its precomputed maximum: outCap plus every downstream VC's
-	// initial credits, which are equal.
-	occ    int32
-	occCap int32
-
-	// markTh is the ECN mark threshold (congestion.go): a packet granted
-	// through this port while occ exceeds it carries a mark. It is occCap
-	// scaled by the configured mark percentage, or noMark — which no
-	// occupancy exceeds — on a port that never marks: congestion
-	// disabled, or an ejection channel, whose occupancy cap is dominated
-	// by the infinite ejection credit pool.
-	markTh int32
+	// Occupancy is O(1) instead of a per-call credit-array sum.
+	occ int32
 
 	// Fault liveness (faults.go): linkFailed records an explicit link
 	// fault on this direction's cable; dead is the effective flag the
@@ -95,11 +117,6 @@ type outPort struct {
 	BusyCycles int64
 }
 
-// outQueueShrinkCap bounds the output-buffer FIFO's retained capacity:
-// live entries are limited by BufOut admission (outCap/PacketSize, 4 for
-// Table I), so anything past this is a transient's leftover.
-const outQueueShrinkCap = 64
-
 func (o *outPort) qLen() int        { return o.q.len() }
 func (o *outPort) qPush(e outEntry) { o.q.push(e) }
 func (o *outPort) qPop() outEntry   { return o.q.pop() }
@@ -116,16 +133,17 @@ type Router struct {
 	// router shares the single shard.
 	shard *netShard
 
-	in    []inPort
-	out   []outPort
-	group int32 // Topo.GroupOf(ID), asked once
+	in  []inPort
+	out []outPort
 
-	// The head table, indexed by head slot (inPort.slot0), which
-	// routePhase and allocate read instead of ports × VCs × *Packet:
-	// each input VC's head packet (nil when empty), the request the last
-	// routePhase stored for it, and the set of slots whose head awaits a
-	// grant. enqueue, dequeue and grant keep them in step, eagerly: no
-	// stale members, and a nonzero count means work until r parks.
+	// The input VC queues and the head table, indexed by head slot
+	// (inPort.slot0 + vc). routePhase and allocate read the table instead
+	// of ports × VCs × *Packet: each input VC's head packet (nil when
+	// empty), the request the last routePhase stored for it, and the set
+	// of slots whose head awaits a grant. enqueue, dequeue and grant keep
+	// them in step, eagerly: no stale members, and a nonzero count means
+	// work until r parks.
+	vqs           []vcQueue
 	heads         []*Packet
 	req           []headReq
 	unroutedHeads activeSet
@@ -163,15 +181,17 @@ type Router struct {
 	// the visit fired no OnHead, drew no random number and flagged no
 	// kill; a grant clears it.
 	parkable bool
-
-	staged int // packets currently in output buffers or being serialized
+	// group is Topo.GroupOf(ID), asked once (it sits in the bools'
+	// padding).
+	group int32
 
 	// The port sets, over [0, radix), visited ascending like the all-port
 	// scans they replace. stagedPorts: output ports with staged packets,
-	// joining at evPipeDone and leaving lazily when linkPhase finds their
-	// queue empty. reqPorts: input ports with a grantable slot this
-	// cycle, left by a port that nominates nothing. dirtyOut: output
-	// ports with candidates this allocation iteration.
+	// joining at evPipeDone and leaving when their queue empties (link
+	// phase, fault kill); its count is r's link work. reqPorts: input
+	// ports with a grantable slot this cycle, left by a port that
+	// nominates nothing. dirtyOut: output ports with candidates this
+	// allocation iteration.
 	stagedPorts activeSet
 	reqPorts    activeSet
 	dirtyOut    activeSet
@@ -196,7 +216,6 @@ func newRouter(id int, net *Network) *Router {
 	for _, port := range net.slotPort {
 		ringLen += ringSlots(cfg.BufFor(portKind(topo, int(port))), cfg.PacketSize)
 	}
-	vqs := make([]vcQueue, slots)
 	rings := make([]*Packet, ringLen)
 	credits := make([]int32, slots-topo.P*(cfg.VCsInjection-1))
 	// The two head-slot sets share one allocation.
@@ -208,6 +227,7 @@ func newRouter(id int, net *Network) *Router {
 		in:            make([]inPort, radix),
 		out:           make([]outPort, radix),
 		group:         int32(topo.GroupOf(id)),
+		vqs:           make([]vcQueue, slots),
 		heads:         make([]*Packet, slots),
 		req:           make([]headReq, slots),
 		unroutedHeads: activeSet{words: slotWords[:sw:sw]},
@@ -221,50 +241,34 @@ func newRouter(id int, net *Network) *Router {
 		s1:            make([]int8, radix),
 		cand:          make([]uint64, radix*((radix+63)/64)),
 	}
+	slot := 0
 	for port := 0; port < radix; port++ {
 		kind := portKind(topo, port)
-		// Input side.
 		vcN := cfg.VCsFor(kind)
-		buf := cfg.BufFor(kind)
-		ring := ringSlots(buf, cfg.PacketSize)
-		ip := &r.in[port]
-		ip.kind = kind
-		ip.slot0 = int16(slots - len(vqs)) // the queues cut so far
-		ip.vcs, vqs = vqs[:vcN:vcN], vqs[vcN:]
-		for v := range ip.vcs {
-			ip.vcs[v] = vcQueue{pkts: rings[:ring:ring], capPhits: int32(buf)}
-			rings = rings[ring:]
+		ring := ringSlots(cfg.BufFor(kind), cfg.PacketSize)
+		ip, op := &r.in[port], &r.out[port]
+		ip.kind, ip.nvc, ip.slot0 = kind, int8(vcN), int16(slot)
+		for range vcN {
+			r.vqs[slot].pkts, rings = rings[:ring:ring], rings[ring:]
+			slot++
 		}
-		ip.upRouter = -1
-		if kind != Injection {
-			peer, peerPort := topo.Neighbor(id, port)
-			ip.upRouter = int32(peer)
-			ip.upPort = int16(peerPort)
-		}
-		// Output side: the downstream input port has the same class as
-		// ours, an ejection channel is a single bottomless lane.
-		op := &r.out[port]
+		// The link's far end is both the upstream of the input side and
+		// the downstream of the output side, and its input port has the
+		// same class as ours; an ejection channel is a single bottomless
+		// lane.
 		op.kind = kind
-		op.q.shrinkCap = outQueueShrinkCap
-		op.markTh = noMark
-		op.latency = int64(cfg.LatencyFor(kind))
-		op.outCap = int32(cfg.BufOut)
-		op.outFree = op.outCap
-		op.peerRouter = -1
-		dn, dbuf := 1, int32(ejectionCredits)
+		op.outFree = int32(cfg.BufOut)
+		ip.upRouter, op.peerRouter = -1, -1
+		dn := 1
 		if kind != Injection {
 			peer, peerPort := topo.Neighbor(id, port)
-			op.peerRouter = int32(peer)
-			op.peerPort = int16(peerPort)
-			dn, dbuf = vcN, int32(buf)
+			ip.upRouter, ip.upPort = int32(peer), int16(peerPort)
+			op.peerRouter, op.peerPort = int32(peer), int16(peerPort)
+			dn = vcN
 		}
 		op.credits, credits = credits[:dn:dn], credits[dn:]
 		for v := range op.credits {
-			op.credits[v] = dbuf
-		}
-		op.occCap = op.outCap + int32(dn)*dbuf
-		if kind != Injection && cfg.Congestion.Enabled {
-			op.markTh = op.occCap * int32(cfg.Congestion.MarkPct) / 100
+			op.credits[v] = net.classes[kind].vcCap
 		}
 	}
 	return r
@@ -296,7 +300,13 @@ func (r *Router) NumPorts() int { return len(r.out) }
 func (r *Router) Kind(port int) PortKind { return r.out[port].kind }
 
 // VCs returns the number of VCs of input port `port`.
-func (r *Router) VCs(port int) int { return len(r.in[port].vcs) }
+func (r *Router) VCs(port int) int { return int(r.in[port].nvc) }
+
+// vq returns the queue of input VC (port, vc).
+func (r *Router) vq(port, vc int) *vcQueue { return &r.vqs[int(r.in[port].slot0)+vc] }
+
+// class returns what output `port` shares with its class.
+func (r *Router) class(port int) *portClass { return &r.net.classes[r.out[port].kind] }
 
 // OutVCs returns the number of downstream VCs reachable through output
 // `port`.
@@ -319,11 +329,11 @@ func (r *Router) OutFree(port int) int32 { return r.out[port].outFree }
 func (r *Router) Occupancy(port int) int32 { return r.out[port].occ }
 
 // OccupancyCap returns the maximum value Occupancy can reach for `port`:
-// the output buffer plus all downstream credit capacity (precomputed at
-// construction). Relative (percentage) occupancy comparisons across port
-// classes must normalize by it, since local and global ports have very
-// different buffer depths.
-func (r *Router) OccupancyCap(port int) int32 { return r.out[port].occCap }
+// the output buffer plus all downstream credit capacity (a constant of
+// the port's class). Relative (percentage) occupancy comparisons across
+// port classes must normalize by it, since local and global ports have
+// very different buffer depths.
+func (r *Router) OccupancyCap(port int) int32 { return r.class(port).occCap }
 
 // occDelta applies one mutation to the running occupancy of output
 // `port`. It is the field's one writer, called from exactly the occupancy
@@ -379,19 +389,18 @@ func (r *Router) wake() {
 // empty, re-arms r and fires OnArrive.
 func (r *Router) enqueue(p *Packet, port, vc int) {
 	n := r.net
-	p.resetQueueState(n.now + int64(p.Size) - 1)
+	p.resetQueueState(n.now + int64(n.size) - 1)
 	if p.LastGroup != r.group {
 		p.LastGroup = r.group
 		p.LocalMisThisGroup = false
 		p.LocalHopsGroup = 0
 	}
-	ip := &r.in[port]
-	if ip.vcs[vc].empty() {
-		slot := int(ip.slot0) + vc
+	slot := int(r.in[port].slot0) + vc
+	if r.vqs[slot].empty() {
 		r.heads[slot] = p
 		r.unroutedHeads.add(int32(slot))
 	}
-	ip.vcs[vc].push(p)
+	r.vqs[slot].push(p)
 	r.wake()
 	n.Alg.OnArrive(r, p, port, vc)
 }
@@ -406,9 +415,8 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 // — so r is re-armed either way. The caller owes the upstream credit
 // (Network.returnCredit).
 func (r *Router) dequeue(port, vc int) *Packet {
-	ip := &r.in[port]
-	vq := &ip.vcs[vc]
-	slot := int32(ip.slot0) + int32(vc)
+	slot := int32(r.in[port].slot0) + int32(vc)
+	vq := &r.vqs[slot]
 	p := vq.pop()
 	next := vq.headPkt()
 	r.heads[slot] = next
@@ -424,26 +432,29 @@ func (r *Router) dequeue(port, vc int) *Packet {
 	return p
 }
 
-// unreserve gives back `credit` phits of downstream VC vc and `space`
-// phits of output buffer on output `port`: the reversal of (part of) a
-// grant's reservation when a fault kills the packet holding it.
-func (r *Router) unreserve(port int, vc int8, credit, space int32) {
-	o := &r.out[port]
-	o.credits[vc] += credit
-	o.outFree += space
-	r.occDelta(port, -(credit + space))
+// unreserve gives back one packet's credit on downstream VC vc of output
+// `port` and, with outBuf, its output-buffer space: the reversal of (part
+// of) a grant's reservation when a fault kills the packet holding it.
+func (r *Router) unreserve(port int, vc int8, outBuf bool) {
+	o, size := &r.out[port], r.net.size
+	o.credits[vc] += size
+	freed := size
+	if outBuf {
+		o.outFree += size
+		freed += size
+	}
+	r.occDelta(port, -freed)
 }
 
 // CanAccept reports whether output `port`, downstream VC vc, can accept a
-// whole packet of `size` phits right now (the VCT admission rule used by
-// the allocator).
-func (r *Router) CanAccept(port, vc int, size int32) bool {
-	o := &r.out[port]
+// whole packet right now (the VCT admission rule used by the allocator).
+func (r *Router) CanAccept(port, vc int) bool {
+	o, size := &r.out[port], r.net.size
 	return o.outFree >= size && o.credits[vc] >= size
 }
 
 // QueuedPackets returns the number of packets in input VC (port, vc).
-func (r *Router) QueuedPackets(port, vc int) int { return r.in[port].vcs[vc].len() }
+func (r *Router) QueuedPackets(port, vc int) int { return r.vq(port, vc).len() }
 
 // HeadPacket returns the head packet of input VC (port, vc), or nil.
 func (r *Router) HeadPacket(port, vc int) *Packet { return r.heads[int(r.in[port].slot0)+vc] }
@@ -479,7 +490,6 @@ func (r *Router) routePhase() {
 	n := r.net
 	alg := n.Alg
 	faults := n.faults != nil
-	size := int32(n.Cfg.PacketSize)
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
 	quiet := true
@@ -495,7 +505,7 @@ func (r *Router) routePhase() {
 			}
 			req, escape := r.decide(alg, faults, p, port, vc)
 			r.req[slot] = newHeadReq(req, escape)
-			if req.OK && r.CanAccept(req.Out, req.VC, size) {
+			if req.OK && r.CanAccept(req.Out, req.VC) {
 				r.grantable.add(slot)
 				r.reqPorts.add(int32(port))
 			}
@@ -516,79 +526,60 @@ func (r *Router) decide(alg Algorithm, faults bool, p *Packet, port, vc int) (re
 
 // checkInvariants verifies credit and buffer accounting; used by tests.
 func (r *Router) checkInvariants() error {
+	outCap := int32(r.net.Cfg.BufOut)
 	for port := range r.out {
 		o := &r.out[port]
-		if o.outFree < 0 || o.outFree > o.outCap {
-			return fmt.Errorf("router %d out %d: outFree %d of cap %d", r.ID, port, o.outFree, o.outCap)
+		if o.outFree < 0 || o.outFree > outCap {
+			return fmt.Errorf("router %d out %d: outFree %d of cap %d", r.ID, port, o.outFree, outCap)
 		}
-		// Every downstream VC starts with the same credits: that cap
-		// bounds each counter and the caps add back up to occCap; the
-		// incremental occupancy equals a fresh recompute.
-		vcCap := (o.occCap - o.outCap) / int32(len(o.credits))
-		occ, occCap := o.outCap-o.outFree, o.outCap
+		// The class's credit cap bounds each counter; the incremental
+		// occupancy equals a fresh recompute.
+		vcCap := r.class(port).vcCap
+		occ := outCap - o.outFree
 		for v, c := range o.credits {
 			if c < 0 || c > vcCap {
 				return fmt.Errorf("router %d out %d vc %d: credits %d of cap %d", r.ID, port, v, c, vcCap)
 			}
 			occ += vcCap - c
-			occCap += vcCap
 		}
 		if occ != o.occ {
 			return fmt.Errorf("router %d out %d: incremental occupancy %d but recompute %d", r.ID, port, o.occ, occ)
 		}
-		if occCap != o.occCap {
-			return fmt.Errorf("router %d out %d: occupancy cap %d but recompute %d", r.ID, port, o.occCap, occCap)
-		}
 	}
 	// The head table against the queues it summarises, slot by slot.
-	size := int32(r.net.Cfg.PacketSize)
 	unrouted, grantable := 0, 0
-	for port := range r.in {
-		ip := &r.in[port]
-		for v := range ip.vcs {
-			q := &ip.vcs[v]
-			if q.usedPhits < 0 || q.usedPhits > q.capPhits {
-				return fmt.Errorf("router %d in %d vc %d: used %d of cap %d", r.ID, port, v, q.usedPhits, q.capPhits)
+	for slot := range r.vqs {
+		port, v := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
+		if int(r.in[port].slot0)+v != slot {
+			return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
+		}
+		head := r.vqs[slot].headPkt()
+		if r.heads[slot] != head {
+			return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
+		}
+		isUnrouted := r.unroutedHeads.has(int32(slot))
+		switch {
+		case isUnrouted && head == nil:
+			return fmt.Errorf("router %d in %d vc %d: unrouted head on an empty queue", r.ID, port, v)
+		case isUnrouted:
+			unrouted++
+		case head != nil && !head.HeadSeen:
+			return fmt.Errorf("router %d in %d vc %d: head counts as granted but was never routed", r.ID, port, v)
+		case r.req[slot].valid:
+			return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
+		}
+		// Between Steps credits have only fallen since the slot's last
+		// routePhase, so every admissible request is still grantable.
+		rq := r.req[slot]
+		switch {
+		case r.grantable.has(int32(slot)):
+			grantable++
+			if !isUnrouted || !rq.valid || !r.reqPorts.has(int32(port)) {
+				return fmt.Errorf("router %d in %d vc %d: grantable, but unrouted %v, request %+v, port in reqPorts %v",
+					r.ID, port, v, isUnrouted, rq, r.reqPorts.has(int32(port)))
 			}
-			var sum int32
-			for i := 0; i < q.len(); i++ {
-				sum += q.pkts[(int(q.head)+i)%len(q.pkts)].Size
-			}
-			if sum != q.usedPhits {
-				return fmt.Errorf("router %d in %d vc %d: used %d but packets sum %d", r.ID, port, v, q.usedPhits, sum)
-			}
-			slot := int(ip.slot0) + v
-			if int(r.net.slotPort[slot]) != port || int(r.net.slotVC[slot]) != v {
-				return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
-			}
-			head := q.headPkt()
-			if r.heads[slot] != head {
-				return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
-			}
-			isUnrouted := r.unroutedHeads.has(int32(slot))
-			switch {
-			case isUnrouted && head == nil:
-				return fmt.Errorf("router %d in %d vc %d: unrouted head on an empty queue", r.ID, port, v)
-			case isUnrouted:
-				unrouted++
-			case head != nil && !head.HeadSeen:
-				return fmt.Errorf("router %d in %d vc %d: head counts as granted but was never routed", r.ID, port, v)
-			case r.req[slot].valid:
-				return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
-			}
-			// Between Steps credits have only fallen since the slot's last
-			// routePhase, so every admissible request is still grantable.
-			rq := r.req[slot]
-			switch {
-			case r.grantable.has(int32(slot)):
-				grantable++
-				if !isUnrouted || !rq.valid || !r.reqPorts.has(int32(port)) {
-					return fmt.Errorf("router %d in %d vc %d: grantable, but unrouted %v, request %+v, port in reqPorts %v",
-						r.ID, port, v, isUnrouted, rq, r.reqPorts.has(int32(port)))
-				}
-			case isUnrouted && rq.valid && r.CanAccept(int(rq.out), int(rq.vc), size):
-				return fmt.Errorf("router %d in %d vc %d: request %+v is admissible but not grantable", r.ID, port, v, rq)
-			}
+		case isUnrouted && rq.valid && r.CanAccept(int(rq.out), int(rq.vc)):
+			return fmt.Errorf("router %d in %d vc %d: request %+v is admissible but not grantable", r.ID, port, v, rq)
 		}
 	}
 	if r.unroutedHeads.count != unrouted {
@@ -612,18 +603,13 @@ func (r *Router) checkInvariants() error {
 			return err
 		}
 	}
-	var stagedQ int
 	for port := range r.out {
-		stagedQ += r.out[port].qLen()
-		if r.out[port].qLen() > 0 && !r.stagedPorts.has(int32(port)) {
-			return fmt.Errorf("router %d out %d: staged work but not on stagedPorts", r.ID, port)
+		if staged := r.out[port].qLen(); (staged > 0) != r.stagedPorts.has(int32(port)) {
+			return fmt.Errorf("router %d out %d: %d staged packets, on stagedPorts %v", r.ID, port, staged, r.stagedPorts.has(int32(port)))
 		}
 	}
-	if stagedQ != r.staged {
-		return fmt.Errorf("router %d: staged %d but output queues hold %d", r.ID, r.staged, stagedQ)
-	}
-	if stagedQ > 0 && !r.shard.linkActive.has(int32(r.ID)) {
-		return fmt.Errorf("router %d: %d staged packets but not in link set", r.ID, stagedQ)
+	if r.stagedPorts.count > 0 && !r.shard.linkActive.has(int32(r.ID)) {
+		return fmt.Errorf("router %d: %d ports with staged packets but not in link set", r.ID, r.stagedPorts.count)
 	}
 	return nil
 }
@@ -637,7 +623,6 @@ func (r *Router) checkInvariants() error {
 func (r *Router) checkParked() error {
 	alg := r.net.Alg
 	faults := r.net.faults != nil
-	size := int32(r.net.Cfg.PacketSize)
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
 	for wi, w := range r.unroutedHeads.scan() {
@@ -648,7 +633,7 @@ func (r *Router) checkParked() error {
 			if !p.HeadSeen {
 				return fmt.Errorf("router %d in %d vc %d: parked with a head whose OnHead never fired", r.ID, port, vc)
 			}
-			if stored.valid && r.CanAccept(int(stored.out), int(stored.vc), size) {
+			if stored.valid && r.CanAccept(int(stored.out), int(stored.vc)) {
 				return fmt.Errorf("router %d in %d vc %d: parked but its request %+v is grantable", r.ID, port, vc, stored)
 			}
 			cp := *p

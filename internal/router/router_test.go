@@ -124,15 +124,15 @@ func TestPortKindHelpers(t *testing.T) {
 }
 
 func TestVCQueueBasics(t *testing.T) {
-	q := newVCQueue(32, 8)
-	if !q.empty() || q.free() != 32 {
+	q := newVCQueue(32, 8) // four packet slots
+	if !q.empty() || q.free() != 4 {
 		t.Fatal("fresh queue wrong")
 	}
 	p1 := &Packet{ID: 1, Size: 8}
 	p2 := &Packet{ID: 2, Size: 8}
 	q.push(p1)
 	q.push(p2)
-	if q.len() != 2 || q.free() != 16 {
+	if q.len() != 2 || q.free() != 2 {
 		t.Fatalf("len %d free %d", q.len(), q.free())
 	}
 	if q.headPkt() != p1 {
@@ -141,7 +141,7 @@ func TestVCQueueBasics(t *testing.T) {
 	if got := q.pop(); got != p1 {
 		t.Fatal("pop not FIFO")
 	}
-	if q.headPkt() != p2 || q.free() != 24 {
+	if q.headPkt() != p2 || q.free() != 3 {
 		t.Fatal("after pop wrong")
 	}
 }
@@ -170,8 +170,8 @@ func TestVCQueueRingWrap(t *testing.T) {
 		}
 		prev = p.ID
 	}
-	if q.free() != 24 {
-		t.Fatalf("free %d after drain, want 24", q.free())
+	if q.free() != 3 {
+		t.Fatalf("free %d slots after drain, want 3", q.free())
 	}
 }
 
@@ -520,11 +520,11 @@ func TestECNMarkAtThreshold(t *testing.T) {
 	reserved := 2 * int32(on.PacketSize)
 	atThreshold := func(th int32) func(n *Network) {
 		return func(n *Network) {
-			out := n.Topo.MinimalNextPort(0, local)
-			if n.Routers[0].out[out].markTh == noMark {
-				t.Fatal("congestion-on build left a local port without a mark threshold")
+			class := n.Routers[0].class(n.Topo.MinimalNextPort(0, local))
+			if class.markTh == noMark {
+				t.Fatal("congestion-on build left the local class without a mark threshold")
 			}
-			n.Routers[0].out[out].markTh = th
+			class.markTh = th
 		}
 	}
 	// The lone packet's grant takes the empty local port to occ = reserved.
@@ -539,7 +539,7 @@ func TestECNMarkAtThreshold(t *testing.T) {
 	// the local hop at the same setting is.
 	on.Congestion.MarkPct = 1
 	if m := deliver(on, 0, 1, func(n *Network) {
-		if th := n.Routers[0].out[n.Topo.MinimalNextPort(0, 1)].markTh; th != noMark {
+		if th := n.Routers[0].class(n.Topo.MinimalNextPort(0, 1)).markTh; th != noMark {
 			t.Fatalf("ejection channel got mark threshold %d", th)
 		}
 	}); m != 0 {
@@ -548,17 +548,61 @@ func TestECNMarkAtThreshold(t *testing.T) {
 	if m := deliver(on, 0, local, nil); m != 1 {
 		t.Errorf("local hop at MarkPct 1 marked the packet %d times, want 1", m)
 	}
-	// Congestion off: no port has a threshold, nothing marks.
+	// Congestion off: no port class has a threshold, nothing marks.
 	if m := deliver(smallCfg(), 0, local, func(n *Network) {
-		for _, r := range n.Routers {
-			for port := range r.out {
-				if r.out[port].markTh != noMark {
-					t.Fatalf("congestion-off build: router %d port %d has mark threshold %d", r.ID, port, r.out[port].markTh)
-				}
+		for k, c := range n.classes {
+			if c.markTh != noMark {
+				t.Fatalf("congestion-off build: %v ports have mark threshold %d", PortKind(k), c.markTh)
 			}
 		}
 	}); m != 0 {
 		t.Errorf("congestion-off build marked the packet %d times", m)
+	}
+}
+
+// TestNoticeBoundsElision: once its marked packet is delivered, a
+// congestion notice can be the only work left in the fabric, so the
+// clock must stop at its due cycle whether it is stepped or elided:
+// OnNotify fires once, for the source node, at delivery +
+// LatencyLocal+LatencyGlobal (the default NotifyLatency) either way.
+func TestNoticeBoundsElision(t *testing.T) {
+	for _, elide := range []bool{false, true} {
+		cfg := smallCfg()
+		cfg.Congestion = CongestionConfig{Enabled: true, MarkPct: 1}
+		n, err := Build(cfg, testMin{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered, notified := int64(-1), []int64(nil)
+		n.OnDeliver = func(p *Packet, now int64) {
+			if p.ECNMarks == 0 {
+				t.Fatalf("elide=%v: the packet arrived unmarked", elide)
+			}
+			delivered = now
+		}
+		n.OnNotify = func(node, _ int, now int64) {
+			if node != 0 {
+				t.Fatalf("elide=%v: notice for node %d, the source is node 0", elide, node)
+			}
+			notified = append(notified, now)
+		}
+		if !n.Inject(0, cfg.Topo.P) { // a node of router 1: one local hop
+			t.Fatal("inject refused")
+		}
+		if elide {
+			n.Run(1000)
+		} else {
+			for n.Now() < 1000 {
+				n.Step()
+			}
+		}
+		want := delivered + int64(cfg.LatencyLocal+cfg.LatencyGlobal)
+		if delivered < 0 || len(notified) != 1 || notified[0] != want {
+			t.Fatalf("elide=%v: delivered at %d, notified at %v; want one notice at %d", elide, delivered, notified, want)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ func congestionOn() router.CongestionConfig {
 }
 
 // congestionRun is parallelRun's congestion-aware sibling: it drives one
-// network with the layer enabled and returns the delivery trace plus the
-// injector, so callers can compare the throttle counter too.
+// network with the layer enabled and returns the trace of deliveries and
+// OnNotify calls, interleaved as they happened, plus the injector, so
+// callers can compare the throttle counter too.
 func congestionRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int) ([]string, *traffic.Injector, *router.Network) {
 	t.Helper()
 	c.Router.Workers = workers
@@ -28,6 +29,11 @@ func congestionRun(t *testing.T, c Config, w Workload, load float64, cycles int6
 	net.OnDeliver = func(p *router.Packet, now int64) {
 		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d marks=%d gen=%d",
 			now, p.ID, p.Src, p.Dst, p.TotalHops, p.ECNMarks, p.GenTime))
+	}
+	throttle := net.OnNotify
+	net.OnNotify = func(node, sev int, now int64) {
+		trace = append(trace, fmt.Sprintf("%d notify %d sev=%d", now, node, sev))
+		throttle(node, sev, now)
 	}
 	for cyc := int64(0); cyc < cycles; cyc++ {
 		inj.Cycle()
@@ -43,10 +49,11 @@ func congestionRun(t *testing.T, c Config, w Workload, load float64, cycles int6
 
 // TestParallelCongestionEquivalence pins the congestion loop — marking,
 // notification replay, AIMD throttling, NIC shedding — bit-for-bit
-// across worker counts: the delivery trace (ECN marks included) and
-// every congestion counter must be identical at workers ∈ {2, 3, 4} to
-// the 1-worker run. This is the determinism property the notification
-// replay order (ascending source node at the handle barrier) exists for.
+// across worker counts: the trace of deliveries (ECN marks included) and
+// OnNotify calls, and every congestion counter, must be identical at
+// workers ∈ {2, 3, 4} to the 1-worker run. This is the determinism
+// property the notification replay order (delivery order, at the handle
+// barrier of the due cycle) exists for.
 func TestParallelCongestionEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -85,7 +92,7 @@ func TestParallelCongestionEquivalence(t *testing.T) {
 				}
 				for i := range trace {
 					if trace[i] != refTrace[i] {
-						t.Fatalf("workers=%d trace diverged at delivery %d:\n  got  %s\n  want %s",
+						t.Fatalf("workers=%d trace diverged at entry %d:\n  got  %s\n  want %s",
 							workers, i, trace[i], refTrace[i])
 					}
 				}

@@ -230,7 +230,7 @@ func (w Workload) Pattern(t *topology.Dragonfly) (traffic.Pattern, error) {
 // chosen nodes (evenly spread over the id space, like hotspot's hot set)
 // share `share` of the aggregate load.
 func skewWeights(frac, share float64, nodes int) ([]float64, error) {
-	if frac <= 0 || frac >= 1 || share < 0 || share > 1 {
+	if !(frac > 0 && frac < 1 && share >= 0 && share <= 1) { // negated, so NaN is rejected too
 		return nil, fmt.Errorf("sim: skew frac %v must be in (0,1) and share %v in [0,1]", frac, share)
 	}
 	hot := int(math.Round(frac * float64(nodes)))
@@ -257,7 +257,7 @@ func skewWeights(frac, share float64, nodes int) ([]float64, error) {
 // package re-exports it as cbar.SteadyResult.
 type SteadyResult struct {
 	// Algo and Workload name the simulated mechanism and traffic pattern
-	// (routing.Algo.String and the cbar.ParseTraffic spec forms).
+	// (routing.Algo.String and Workload.Name, e.g. "hotspot(20%->8)").
 	Algo, Workload string
 	// Load is the offered load in phits/(node·cycle); with 8-phit
 	// packets and 10-byte phits at 1 GHz this is tenths of 10 GB/s.

@@ -242,7 +242,7 @@ func TestSkewWeights(t *testing.T) {
 	if math.Abs(hotSum-50) > 1e-9 {
 		t.Fatalf("hot share %.3f, want 50%%", hotSum)
 	}
-	for _, bad := range [][2]float64{{0, 0.5}, {1, 0.5}, {0.5, -0.1}, {0.5, 1.1}} {
+	for _, bad := range [][2]float64{{0, 0.5}, {1, 0.5}, {0.5, -0.1}, {0.5, 1.1}, {math.NaN(), 0.5}, {0.5, math.NaN()}} {
 		if _, err := skewWeights(bad[0], bad[1], 100); err == nil {
 			t.Errorf("skewWeights(%v) accepted", bad)
 		}

@@ -47,7 +47,7 @@ func NewHotspot(t *topology.Dragonfly, frac float64, hot int) (Pattern, error) {
 	if err := validatePatternTopology(t, "hotspot"); err != nil {
 		return nil, err
 	}
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) { // negated, so NaN is rejected too
 		return nil, fmt.Errorf("traffic: hotspot fraction %v outside [0,1]", frac)
 	}
 	if hot < 1 || hot > t.Nodes {

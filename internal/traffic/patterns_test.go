@@ -38,7 +38,7 @@ func TestHotspotValidation(t *testing.T) {
 	for _, c := range []struct {
 		frac float64
 		hot  int
-	}{{-0.1, 4}, {1.1, 4}, {0.5, 0}, {0.5, tp.Nodes + 1}} {
+	}{{-0.1, 4}, {1.1, 4}, {math.NaN(), 4}, {0.5, 0}, {0.5, tp.Nodes + 1}} {
 		if _, err := NewHotspot(tp, c.frac, c.hot); err == nil {
 			t.Errorf("hotspot(%v,%d) accepted", c.frac, c.hot)
 		}

@@ -88,7 +88,7 @@ type mix struct {
 // NewMix returns a per-packet probabilistic mix: fracA of the traffic
 // follows a, the rest follows b.
 func NewMix(a, b Pattern, fracA float64) (Pattern, error) {
-	if fracA < 0 || fracA > 1 {
+	if !(fracA >= 0 && fracA <= 1) { // negated, so NaN is rejected too
 		return nil, fmt.Errorf("traffic: mix fraction %v outside [0,1]", fracA)
 	}
 	return mix{a, b, fracA}, nil

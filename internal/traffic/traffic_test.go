@@ -120,7 +120,7 @@ func TestMixProportions(t *testing.T) {
 func TestMixRejectsBadFraction(t *testing.T) {
 	tp := topo()
 	u := mustUniform(t, tp)
-	for _, f := range []float64{-0.1, 1.1} {
+	for _, f := range []float64{-0.1, 1.1, math.NaN()} {
 		if _, err := NewMix(u, u, f); err == nil {
 			t.Fatalf("fraction %v accepted", f)
 		}
