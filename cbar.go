@@ -100,10 +100,11 @@ type Config struct {
 	// GOMAXPROCS between grid parallelism and intra-run sharding
 	// automatically: wide load×seed grids keep runs sequential, narrow
 	// grids (the common paper-scale case) shard each run across the
-	// idle cores. 1 forces sequential stepping.
+	// idle cores. 1 forces sequential stepping; a negative count is an
+	// error.
 	Workers int
 
-	// Congestion configures the optional congestion-management layer
+	// Congestion switches the optional congestion-management layer
 	// (ECN-style marking, source notifications, AIMD injection
 	// throttling, NIC shedding). The zero value leaves it off and
 	// reproduces pre-congestion results bit-identically.

@@ -98,14 +98,25 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	if _, err := Sweep(c, Uniform(), []float64{0.1}, SteadyOptions{Warmup: 10, Measure: 10, Seeds: -1}); err == nil {
 		t.Fatal("negative seeds accepted")
 	}
-	if _, err := RunSteady(c, Uniform(), 0.1, SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1, Adaptive: true, CIRelWidth: 7}); err == nil {
-		t.Fatal("CI target >= 1 accepted")
-	}
 	if _, err := RunTransient(c, Uniform(), Adversarial(1), 0.2, TransientOptions{Warmup: 500, Pre: 100, Post: 5, Bucket: 10, Seeds: 1}); err == nil {
 		t.Fatal("bucket wider than post accepted")
 	}
 	if _, err := RunTransient(c, Uniform(), Adversarial(1), 0.2, TransientOptions{Warmup: 500, Pre: -2, Post: 200, Bucket: 10, Seeds: 1}); err == nil {
 		t.Fatal("negative pre accepted")
+	}
+	// A negative worker count is an error, not "auto".
+	c.Workers = -1
+	if _, err := RunSteady(c, Uniform(), 0.1, SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {
+		t.Fatal("RunSteady: negative workers accepted")
+	}
+	if _, err := Sweep(c, Uniform(), []float64{0.1}, SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {
+		t.Fatal("Sweep: negative workers accepted")
+	}
+	if _, err := RunTransient(c, Uniform(), Adversarial(1), 0.2, TransientOptions{Warmup: 500, Pre: 100, Post: 200, Bucket: 10, Seeds: 1}); err == nil {
+		t.Fatal("RunTransient: negative workers accepted")
+	}
+	if err := RunExperimentOpts("fig5a", Tiny, ExperimentOptions{Seeds: 1, Workers: -1}, io.Discard); err == nil {
+		t.Fatal("RunExperimentOpts: negative workers accepted")
 	}
 }
 

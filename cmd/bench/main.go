@@ -10,16 +10,20 @@
 // burst-then-drain episode rather than a single cycle.
 //
 // -compare turns the binary into a CI regression gate: it reruns the
-// step suite and diffs it against a committed baseline report,
+// step suite at the baseline's recorded benchtime and diffs it against
+// that committed report,
 //
 //	go run ./cmd/bench -compare BENCH_step.json -ns-warn-only
 //
 // failing on allocs/op growth (hardware-independent, so always a hard
 // failure) and on >2.5x ns/op regressions (downgradable to GitHub
 // warning annotations with -ns-warn-only for noisy shared runners).
+// -benchtime sets only the measurement time a report written with -o
+// records.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -70,22 +74,13 @@ type Report struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Benchtime is the effective per-benchmark measurement time the
-	// suite ran under ("1s" unless -benchtime overrode it). Compare runs
-	// hard-fail on a benchtime mismatch: a shorter window inflates
-	// allocs/op (one-off amortized allocations stop averaging out), so a
-	// baseline and a gate run at different benchtimes are not comparable.
+	// suite ran under (-benchtime, "1s" by default). Compare runs
+	// measure at the baseline's: a shorter window inflates allocs/op
+	// (one-off amortized allocations stop averaging out), so a baseline
+	// and a gate run at different benchtimes are not comparable.
 	Benchtime  string        `json:"benchtime,omitempty"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 	EndToEnd   EndToEnd      `json:"end_to_end"`
-}
-
-// effectiveBenchtime normalizes a -benchtime flag value to the recorded
-// form: the testing package's default 1s when unset.
-func effectiveBenchtime(flagValue string) string {
-	if flagValue == "" {
-		return "1s"
-	}
-	return flagValue
 }
 
 // stepCycles is the literal per-cycle body every OpCycle row and the
@@ -187,32 +182,28 @@ func firstTouchAmortized(name string) bool {
 		strings.HasPrefix(name, "StepPaper") && strings.HasSuffix(name, "Idle")
 }
 
-// compareBaseline diffs the fresh measurements against a committed
-// baseline report and returns the process exit code. Allocs/op growth
-// fails (except on the first-touch-amortized rows, where it only
-// annotates — see the inline comment); ns/op regressions fail
-// unless nsWarnOnly, which turns them into GitHub warning annotations
-// (shared CI runners make wall time noisy, while allocation counts stay
-// deterministic). Benchmarks present on only one side are reported and
-// skipped.
-func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
+// readBaseline loads a committed baseline report.
+func readBaseline(path string) (Report, error) {
 	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: parsing baseline %s: %v\n", path, err)
-		return 2
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &base)
 	}
-	// Baselines written before the field was recorded ran at the default.
-	if effectiveBenchtime(base.Benchtime) != fresh.Benchtime {
-		fmt.Fprintf(os.Stderr,
-			"bench: benchtime mismatch: gate run measured at %s but baseline %s was recorded at %s; rerun with -benchtime %s (or refresh the baseline)\n",
-			fresh.Benchtime, path, effectiveBenchtime(base.Benchtime), effectiveBenchtime(base.Benchtime))
-		return 2
+	if err != nil {
+		return Report{}, fmt.Errorf("baseline %s: %w", path, err)
 	}
+	return base, nil
+}
+
+// compareBaseline diffs the fresh measurements, taken at the baseline's
+// benchtime, against the baseline report and returns the process exit
+// code. Allocs/op growth fails (except on the first-touch-amortized
+// rows, where it only annotates — see the inline comment); ns/op
+// regressions fail unless nsWarnOnly, which turns them into GitHub
+// warning annotations (shared CI runners make wall time noisy, while
+// allocation counts stay deterministic). Benchmarks present on only one
+// side are reported and skipped.
+func compareBaseline(base, fresh Report, nsWarnOnly bool) int {
 	baseline := make(map[string]BenchResult, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
@@ -316,7 +307,7 @@ func main() {
 	out := flag.String("o", "BENCH_step.json", "output file (- for stdout)")
 	e2eCycles := flag.Int64("cycles", 20000, "end-to-end run length in cycles")
 	compare := flag.String("compare", "", "baseline BENCH_step.json to gate against: rerun the step suite and exit nonzero on allocs/op growth or a >2.5x ns/op regression instead of writing a report")
-	benchtime := flag.String("benchtime", "", "per-benchmark measurement time (default 1s). For -compare, keep it at the baseline's own benchtime: a much shorter window inflates allocs/op, since one-off amortized allocations (FIFO first pushes, calendar chunk-pool misses) stop averaging out over few iterations")
+	benchtime := flag.String("benchtime", "1s", "per-benchmark measurement time of a report written with -o; -compare runs at the baseline's recorded benchtime instead, since a much shorter window inflates allocs/op (one-off amortized allocations such as FIFO first pushes and calendar chunk-pool misses stop averaging out over few iterations)")
 	nsWarnOnly := flag.Bool("ns-warn-only", false, "with -compare: report ns/op regressions as GitHub warning annotations without failing (for noisy shared runners); allocs/op growth still fails")
 	testing.Init()
 	flag.Parse()
@@ -324,17 +315,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: -cycles %d must be >= 1\n", *e2eCycles)
 		os.Exit(2)
 	}
-	if *benchtime != "" {
-		if err := flag.Set("test.benchtime", *benchtime); err != nil {
+	var base Report
+	if *compare != "" {
+		var err error
+		if base, err = readBaseline(*compare); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(2)
 		}
+		// Baselines written before the field was recorded ran at 1s.
+		*benchtime = cmp.Or(base.Benchtime, "1s")
+	}
+	if err := flag.Set("test.benchtime", *benchtime); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(2)
 	}
 
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchtime:  effectiveBenchtime(*benchtime),
+		Benchtime:  *benchtime,
 	}
 	for _, row := range sim.StepBenchSuite() {
 		if *compare != "" && row.Spec.Op == sim.OpBurstDrain {
@@ -364,7 +363,7 @@ func main() {
 	}
 
 	if *compare != "" {
-		os.Exit(compareBaseline(*compare, rep, *nsWarnOnly))
+		os.Exit(compareBaseline(base, rep, *nsWarnOnly))
 	}
 
 	fmt.Fprintf(os.Stderr, "running end-to-end (%d cycles)...\n", *e2eCycles)

@@ -36,8 +36,8 @@ func main() {
 		bucket    = flag.Int64("bucket", 0, "transient trace bucket width in cycles")
 		post      = flag.Int64("post", 0, "transient trace length after the switch")
 		baseTh    = flag.Int("th", 0, "override the Base/ECtN contention threshold")
-		workers   = flag.Int("workers", 0, "shard workers per simulated network (0 = auto, 1 = sequential; results are identical at any count)")
-		congSpec  = flag.String("congestion", "off", "congestion management: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min)")
+		workers   = flag.Int("workers", 0, "shard workers per simulated network, >= 0 (0 = auto, 1 = sequential; results are identical at any count)")
+		congSpec  = flag.String("congestion", "off", "congestion management: off | on")
 		faultSpec = flag.String("faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends")

@@ -34,11 +34,9 @@ func main() {
 		figFlag   = flag.String("fig", "all", "experiment ids ("+strings.Join(cbar.ExperimentIDs(), "|")+"), or 'all' (figures), 'ablations', 'everything'")
 		scaleName = flag.String("scale", "small", "network scale: tiny|small|paper")
 		seeds     = flag.Int("seeds", 0, "repeats per point (0 = scale default)")
-		workers   = flag.Int("workers", 0, "shard workers per simulated network (0 = auto: shard runs across idle cores when the experiment grid is narrower than GOMAXPROCS, 1 = sequential stepping; results are identical at any count)")
-		adaptive  = flag.Bool("adaptive", false, "adaptive measurement for steady-state points: MSER warmup truncation + batch-means CI stopping + saturation short-circuit (statistically equivalent, much cheaper on converged points; transient traces keep fixed windows)")
-		ciRel     = flag.Float64("ci", 0, "adaptive: target relative 95% CI half-width (0 = 0.05)")
-		maxMeas   = flag.Int64("maxmeasure", 0, "adaptive: hard cap on measured cycles per seed (0 = 4x the scale's fixed window)")
-		congSpec  = flag.String("congestion", "off", "congestion management for every simulation of the experiment: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min)")
+		workers   = flag.Int("workers", 0, "shard workers per simulated network, >= 0 (0 = auto: shard runs across idle cores when the experiment grid is narrower than GOMAXPROCS, 1 = sequential stepping; results are identical at any count)")
+		adaptive  = flag.Bool("adaptive", false, "adaptive measurement for steady-state points: MSER warmup truncation + batch-means CI stopping (5% relative half-width, at most 4x the scale's fixed window) + saturation short-circuit (statistically equivalent, much cheaper on converged points; transient traces keep fixed windows)")
+		congSpec  = flag.String("congestion", "off", "congestion management for every simulation of the experiment: off | on")
 		faultSpec = flag.String("faults", "off", "fault plan for every simulation of the experiment: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'")
 		outDir    = flag.String("out", "", "directory for CSV files (default: stdout)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
@@ -88,8 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "== %s: %s (scale %s)\n", id, title, scale)
 		start := time.Now()
 		opt := cbar.ExperimentOptions{
-			Seeds: *seeds, Workers: *workers,
-			Adaptive: *adaptive, CIRelWidth: *ciRel, MaxMeasure: *maxMeas,
+			Seeds: *seeds, Workers: *workers, Adaptive: *adaptive,
 			Congestion: cong, Faults: faults, Ctx: ctx,
 		}
 		if *outDir == "" {

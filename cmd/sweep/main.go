@@ -19,20 +19,20 @@
 // means the reported percentiles are saturated).
 //
 // -adaptive replaces the fixed warmup/measure windows with the adaptive
-// measurement engine (MSER warmup truncation, batch-means CI stopping,
-// saturation short-circuit) and appends ci_half_latency,
+// measurement engine (MSER warmup truncation, batch-means CI stopping
+// at a 5% relative half-width, saturation short-circuit, at most 4x
+// -measure cycles measured per seed) and appends ci_half_latency,
 // measured_cycles, warmup_cycles, saturated, converged columns; without
 // it the output is byte-identical to previous releases (pinned by
 // testdata/golden).
 //
-// -congestion enables the congestion-management layer (ECN-style port
-// marking, source notifications, AIMD injection throttling, NIC
-// shedding) and appends marked, notified, throttled, shed counter
-// columns; "off" (the default) keeps the layer out of the simulation
-// and the CSV byte-identical to previous releases:
+// -congestion on enables the congestion-management layer (ECN-style
+// port marking, source notifications, AIMD injection throttling, NIC
+// shedding; its parameters are fixed) and appends marked, notified,
+// throttled, shed counter columns; "off" (the default) keeps the layer
+// out of the simulation and the CSV byte-identical to previous releases:
 //
 //	sweep -traffic hotspot:0.3,8 -routing base -congestion on
-//	sweep -congestion on:mark=80,shed=8,min=20
 //
 // -faults schedules a deterministic fault plan (link/router failures
 // and repairs, random link-failure expansion, optional source
@@ -71,11 +71,9 @@ func main() {
 		warmup    = flag.Int64("warmup", 0, "warmup cycles (0 = scale default)")
 		measure   = flag.Int64("measure", 0, "measurement cycles (0 = scale default)")
 		seeds     = flag.Int("seeds", 0, "repeats per point (0 = scale default)")
-		workers   = flag.Int("workers", 0, "shard workers per simulated network (0 = auto: shard runs across idle cores when the load×seed grid is narrower than GOMAXPROCS, 1 = sequential stepping; results are identical at any count)")
-		adaptive  = flag.Bool("adaptive", false, "adaptive measurement: MSER warmup truncation + batch-means CI stopping + saturation short-circuit instead of fixed windows (-warmup caps the warmup, -measure sizes the default cap); adds CI/cost columns to the CSV")
-		ciRel     = flag.Float64("ci", 0, "adaptive: target relative 95% CI half-width on mean latency and throughput (0 = 0.05)")
-		maxMeas   = flag.Int64("maxmeasure", 0, "adaptive: hard cap on measured cycles per seed (0 = 4x the measurement window)")
-		congSpec  = flag.String("congestion", "off", "congestion management: off | on | on:key=val,... (keys: mark notify shed dec rec every hold min); adds marked,notified,throttled,shed columns when enabled")
+		workers   = flag.Int("workers", 0, "shard workers per simulated network, >= 0 (0 = auto: shard runs across idle cores when the load×seed grid is narrower than GOMAXPROCS, 1 = sequential stepping; results are identical at any count)")
+		adaptive  = flag.Bool("adaptive", false, "adaptive measurement: MSER warmup truncation + batch-means CI stopping (5% relative half-width) + saturation short-circuit instead of fixed windows (-warmup caps the warmup, 4x -measure caps the measurement); adds CI/cost columns to the CSV")
+		congSpec  = flag.String("congestion", "off", "congestion management: off | on; adds marked,notified,throttled,shed columns when enabled")
 		faultSpec = flag.String("faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'; adds dropped,retried,unroutable columns when enabled")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the sweep ends")
@@ -136,8 +134,7 @@ func main() {
 	fmt.Println(header)
 	opt := cbar.SteadyOptions{
 		Warmup: *warmup, Measure: *measure, Seeds: *seeds,
-		Adaptive: *adaptive, CIRelWidth: *ciRel, MaxMeasure: *maxMeas,
-		Ctx: ctx,
+		Adaptive: *adaptive, Ctx: ctx,
 	}
 	for _, a := range algos {
 		cfg := cbar.NewConfig(scale, a)

@@ -90,8 +90,10 @@
 //     maintaining batch-means 95% confidence intervals (fixed batch
 //     count, growing batch size, so autocorrelation is absorbed as
 //     batches widen) on mean latency and throughput; the run stops
-//     when both relative half-widths drop below CIRelWidth (default
-//     5%) or MaxMeasure cycles (default 4x Measure) are spent.
+//     when both relative half-widths drop below 5% or 4x Measure cycles
+//     are spent (raised to the stopping rule's minimum series length,
+//     1000 cycles). Both are fixed (internal/sim/adaptive.go): in
+//     adaptive mode Measure does nothing but size that cap.
 //   - Saturation short-circuit: a point past its saturation load never
 //     converges — the in-flight population grows until the bounded NIC
 //     queues fill, after which sources throttle. The detector watches
@@ -157,28 +159,34 @@
 //
 // # Congestion management
 //
-// [Config].Congestion (cmd/sweep, cmd/figures and cmd/dfsim -congestion,
-// specs parsed by [ParseCongestion]) enables a closed-loop
+// [Config].Congestion (cmd/sweep, cmd/figures and cmd/dfsim -congestion
+// off|on, parsed by [ParseCongestion]) switches on a closed-loop
 // congestion-control layer modeled on the ECN-style notification
 // schemes of the congestion-management literature (Rocher-Gonzalez et
-// al.). Four mechanisms compose:
+// al.). It is a switch, not a tuning surface: every parameter below is
+// fixed, derived from the fabric configuration where it is latency- or
+// capacity-relative. Four mechanisms compose:
 //
 //   - Marking: marking is a compare at grant. A packet granted through
 //     an output port whose O(1) occupancy (the packet's own reservation
-//     counted) exceeds MarkPct of the port's credit capacity carries a
+//     counted) exceeds 70% of its port class's occupancy cap carries a
 //     congestion mark to delivery, like an ECN bit piggybacked on the
-//     payload.
+//     payload; ejection ports never mark (the threshold is set per
+//     class in internal/router's newPortClass).
 //   - Notification: a marked delivery queues a notification back to
-//     the source, due NotifyLatency cycles later — the signal travels
-//     at realistic link latency, it does not teleport.
-//   - AIMD throttling: each notification multiplicatively cuts the
-//     source NIC's injection rate (DecreasePct, floored at MinRatePct,
-//     with a HoldCycles hold-off absorbing the in-flight notification
-//     wave of a single event); the rate recovers additively
-//     (RecoverPct per RecoverEvery cycles). A throttled node's
-//     injection attempts are paced — calendar sources are deferred,
-//     not dropped; Bernoulli attempts are suppressed at the source.
-//   - Graceful degradation: NIC backlog at ShedCap sheds new packets
+//     the source, due LatencyLocal+LatencyGlobal cycles later
+//     (router.Config.NotifyDelay, a worst-case one-way path) — the
+//     signal travels at realistic link latency, it does not teleport.
+//   - AIMD throttling: each notification halves the source NIC's
+//     injection rate, floored at 10% of line rate, with a hold-off of
+//     one notification delay absorbing the in-flight notification wave
+//     of a single event; the rate recovers additively, 5 points per two
+//     notification delays. The constants live beside their one user in
+//     internal/traffic/throttle.go. A throttled node's injection
+//     attempts are paced — calendar sources are deferred, not dropped;
+//     Bernoulli attempts are suppressed at the source.
+//   - Graceful degradation: a NIC backlog of NICQueuePackets/4 packets
+//     (at least one, computed once by router.Build) sheds new packets
 //     (counted in SteadyResult.Shed) instead of queueing them, so
 //     source queues stay bounded under sustained overload.
 //
@@ -495,9 +503,10 @@
 // shard), and with fewer than two it runs every shard's sections itself,
 // in shard order — one of the schedules the fork could have produced, so
 // nothing observable moves — instead of paying a goroutine round-trip
-// per event of a near-idle fabric. Sweeps split GOMAXPROCS
+// per event of a near-idle fabric. At 0 workers sweeps split GOMAXPROCS
 // automatically: wide load×seed grids parallelize across runs, narrow
-// (paper-scale) grids shard inside each run.
+// (paper-scale) grids shard inside each run. A negative count is an
+// error.
 //
 // Dispatch order. Every sweep, figure grid and ablation is one flat
 // (point × seed) grid on one bounded pool (internal/sim/grid.go), and

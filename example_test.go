@@ -74,16 +74,18 @@ func ExampleRunExperiment() {
 
 // ExampleParseCongestion resolves a congestion-management spec string —
 // the same grammar cmd/sweep, cmd/figures and cmd/dfsim accept via
-// -congestion. Unset keys keep their zero value and take the documented
-// defaults when the network is built.
+// -congestion. The layer is a switch: its parameters are fixed.
 func ExampleParseCongestion() {
-	g, err := cbar.ParseCongestion("on:mark=80,shed=8,min=20")
+	g, err := cbar.ParseCongestion("on")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("enabled=%v mark=%d%% shed=%d min=%d%% dec=%d (default at build)\n",
-		g.Enabled, g.MarkPct, g.ShedCap, g.MinRatePct, g.DecreasePct)
-	// Output: enabled=true mark=80% shed=8 min=20% dec=0 (default at build)
+	fmt.Printf("enabled=%v\n", g.Enabled)
+	_, err = cbar.ParseCongestion("on:mark=80")
+	fmt.Println(err)
+	// Output:
+	// enabled=true
+	// cbar: congestion spec "on:mark=80" must be off | on
 }
 
 // ExampleParseFaults resolves a fault-plan spec string — clauses

@@ -66,20 +66,20 @@ func (sh *netShard) extend(b *calBucket) {
 // release returns a chunk that is on no bucket's chain to the pool.
 func (sh *netShard) release(c *eventChunk) { c.next, sh.freeChunks = sh.freeChunks, c }
 
-// filterBucket removes the events that carry a victim of f from the
+// filterBucket removes the events that carry a fault victim from the
 // bucket at ring index idx, keeping the rest in order: the chain is
 // taken off and its survivors pushed back. Each chunk is released
 // before its survivors are pushed, so the pushes refill the chunks just
 // read, nothing is allocated here, and a bucket that loses every event
 // is left empty.
-func (sh *netShard) filterBucket(idx int64, f *faultState) {
+func (sh *netShard) filterBucket(idx int64) {
 	next, left := sh.cal[idx].head, sh.cal[idx].n
 	sh.cal[idx] = calBucket{}
 	for ; left > 0; left -= chunkEvents {
 		c := *next // a copy (on the stack): release and the pushes below overwrite the original
 		sh.release(next)
 		for i := range c.ev[:min(left, chunkEvents)] {
-			if !f.isVictim(&c.ev[i]) {
+			if !c.ev[i].isVictim() {
 				sh.push(idx, c.ev[i])
 			}
 		}

@@ -79,7 +79,7 @@ type Config struct {
 	// cycle-for-cycle identical at every worker count.
 	Workers int
 
-	// Congestion configures the ECN-style congestion-management loop
+	// Congestion switches the ECN-style congestion-management loop
 	// (see congestion.go). The zero value disables it, leaving results
 	// bit-identical to a configuration without the subsystem.
 	Congestion CongestionConfig
@@ -172,11 +172,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("router: workers %d < 0", c.Workers)
-	}
-	if c.Congestion.Enabled {
-		if err := c.Congestion.Resolved(c).validate(c); err != nil {
-			return err
-		}
 	}
 	if c.Faults.Enabled() || c.Faults.RetryLimit > 0 {
 		if err := c.Faults.Resolved(c).validate(c); err != nil {

@@ -315,18 +315,17 @@ type faultState struct {
 	// any worker count.
 	comp []int32
 
-	// Kill machinery scratch, reused across applications.
-	victims  map[*Packet]struct{}
+	// Kill machinery scratch, reused across applications: the victims of
+	// the application in progress (each also marked Packet.killed).
 	killed   []*Packet
 	bfsQueue []int32
 }
 
 func newFaultState(fc FaultConfig, t *topology.Dragonfly) *faultState {
 	return &faultState{
-		cfg:     fc,
-		events:  fc.plan(t),
-		comp:    make([]int32, t.Routers),
-		victims: make(map[*Packet]struct{}),
+		cfg:    fc,
+		events: fc.plan(t),
+		comp:   make([]int32, t.Routers),
 	}
 }
 
@@ -583,7 +582,6 @@ func (n *Network) killQueued(r *Router, port, vc int) {
 // complete even across a dead link, which is exactly how credits owed
 // across it are reconciled.
 func (n *Network) sweepFaultVictims() {
-	f := n.faults
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for b := range sh.cal {
@@ -601,19 +599,19 @@ func (n *Network) sweepFaultVictims() {
 			}
 		}
 	}
-	if len(f.killed) == 0 {
+	if len(n.faults.killed) == 0 {
 		return
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for b := range sh.cal {
-			sh.filterBucket(int64(b), f)
+			sh.filterBucket(int64(b))
 		}
 		for t := range sh.outbox {
 			mb := sh.outbox[t]
 			w := 0
 			for i := range mb {
-				if !f.isVictim(&mb[i].ev) {
+				if !mb[i].ev.isVictim() {
 					mb[w] = mb[i]
 					w++
 				}
@@ -625,13 +623,7 @@ func (n *Network) sweepFaultVictims() {
 }
 
 // isVictim reports whether ev carries a packet of the victim set.
-func (f *faultState) isVictim(ev *event) bool {
-	if ev.pkt == nil {
-		return false
-	}
-	_, victim := f.victims[ev.pkt]
-	return victim
-}
+func (ev *event) isVictim() bool { return ev.pkt != nil && ev.pkt.killed }
 
 // faultScanEvent is sweepFaultVictims' phase A on one event.
 func (n *Network) faultScanEvent(ev *event) {
@@ -663,10 +655,10 @@ func (n *Network) faultScanEvent(ev *event) {
 
 // noteVictim adds p to the victim set, once.
 func (f *faultState) noteVictim(p *Packet) {
-	if _, ok := f.victims[p]; ok {
+	if p.killed {
 		return
 	}
-	f.victims[p] = struct{}{}
+	p.killed = true
 	f.killed = append(f.killed, p)
 }
 
@@ -686,7 +678,6 @@ func (n *Network) finalizeFaultVictims() {
 		if n.OnDrop != nil {
 			n.OnDrop(p, n.now)
 		}
-		delete(f.victims, p)
 		n.recycle(p)
 	}
 	f.killed = f.killed[:0]
@@ -870,9 +861,8 @@ func (n *Network) checkFaultState() error {
 			return fmt.Errorf("router %d: component label %d but recompute says %d", i, f.comp[i], fresh[i])
 		}
 	}
-	if len(f.victims) != 0 || len(f.killed) != 0 {
-		return fmt.Errorf("router: fault engine holds %d victims / %d killed between cycles",
-			len(f.victims), len(f.killed))
+	if len(f.killed) != 0 {
+		return fmt.Errorf("router: fault engine holds %d killed packets between cycles", len(f.killed))
 	}
 	return nil
 }

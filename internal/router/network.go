@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"cbar/internal/topology"
 )
@@ -95,6 +96,10 @@ type Network struct {
 	// arithmetic reads, and classes what every port of a class shares.
 	size    int32
 	classes [Global + 1]portClass
+	// shedCap is the NIC backlog at which Inject sheds instead of queueing
+	// (congestion.go): NICQueuePackets/4, at least one, and no backlog
+	// reaches it while congestion management is off.
+	shedCap int
 
 	now  int64
 	seed uint64
@@ -138,7 +143,7 @@ type Network struct {
 	faults *faultState
 
 	// notices holds the congestion notifications in flight, in delivery
-	// order, which is due order: each is due NotifyLatency cycles after
+	// order, which is due order: each is due Cfg.NotifyDelay() cycles after
 	// its delivery. Made and consumed at sequential points only.
 	notices fifo[notice]
 
@@ -188,14 +193,15 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Store the congestion and fault configurations resolved, so
-	// everything downstream (the traffic throttle and retransmit source
-	// included) reads concrete values.
-	cfg.Congestion = cfg.Congestion.Resolved(cfg)
+	// Store the fault configuration resolved, so everything downstream
+	// (the retransmit source included) reads concrete values.
 	cfg.Faults = cfg.Faults.Resolved(cfg)
-	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize)}
+	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize), shedCap: math.MaxInt}
 	for k := range n.classes {
 		n.classes[k] = newPortClass(&cfg, PortKind(k))
+	}
+	if cfg.Congestion.Enabled {
+		n.shedCap = max(cfg.NICQueuePackets/4, 1)
 	}
 
 	workers := cfg.Workers
@@ -356,7 +362,7 @@ func (n *Network) inject(src, dst int, attempt int8) bool {
 			return true
 		}
 	}
-	if n.Cfg.Congestion.Enabled && q.len() >= n.Cfg.Congestion.ShedCap {
+	if q.len() >= n.shedCap {
 		// Graceful degradation: past the shed cap the NIC drops new
 		// packets explicitly (counted, never silent) instead of growing
 		// its backlog to NICQueuePackets — a saturated source reaches a
@@ -769,7 +775,7 @@ func (n *Network) replayDeliveries() {
 				// source, one reverse-path latency later. The notice
 				// carries no packet pointer: the packet is recycled below.
 				n.NumMarked++
-				n.notices.push(notice{at: n.now + int64(n.Cfg.Congestion.NotifyLatency), node: p.Src, sev: p.ECNMarks})
+				n.notices.push(notice{at: n.now + n.Cfg.NotifyDelay(), node: p.Src, sev: p.ECNMarks})
 			}
 			if n.OnDeliver != nil {
 				// The packet's fields are stable for the duration of the

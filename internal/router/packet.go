@@ -108,6 +108,10 @@ type Packet struct {
 	// HeadSeen records that the head-of-queue hooks fired at this
 	// router.
 	HeadSeen bool
+	// killed marks a victim of the fault application in progress
+	// (faults.go), between its discovery and its recycling; newPacket
+	// clears it on reuse.
+	killed bool
 }
 
 // resetQueueState prepares per-queue transient state on enqueue.

@@ -63,7 +63,7 @@ type portClass struct {
 	occCap int32
 	// markTh is the ECN mark threshold (congestion.go): a packet granted
 	// through a port while its occupancy exceeds it carries a mark. It is
-	// occCap scaled by the configured mark percentage, or noMark — which
+	// 70 % of occCap, or noMark — which
 	// no occupancy exceeds — on a class that never marks: congestion
 	// disabled, or ejection, whose occupancy cap is dominated by the
 	// infinite ejection credit pool.
@@ -78,7 +78,7 @@ func newPortClass(cfg *Config, kind PortKind) portClass {
 	}
 	c.occCap = int32(cfg.BufOut) + vcs*c.vcCap
 	if kind != Injection && cfg.Congestion.Enabled {
-		c.markTh = c.occCap * int32(cfg.Congestion.MarkPct) / 100
+		c.markTh = c.occCap * 70 / 100
 	}
 	return c
 }

@@ -534,19 +534,26 @@ func TestECNMarkAtThreshold(t *testing.T) {
 	if m := deliver(on, 0, local, atThreshold(reserved-1)); m != 1 {
 		t.Errorf("grant leaving occ == markTh+1 marked the packet %d times, want 1", m)
 	}
-	// Ejection: even at a 1 % threshold the channel keeps noMark, so a
-	// same-router transfer (ejection grant only) is never marked, while
-	// the local hop at the same setting is.
-	on.Congestion.MarkPct = 1
+	// Ejection: even with every other class at a zero threshold the
+	// channel keeps noMark, so a same-router transfer (ejection grant
+	// only) is never marked, while the local hop at the same setting is.
+	zeroTh := func(n *Network) {
+		for k := range n.classes {
+			if PortKind(k) != Injection {
+				n.classes[k].markTh = 0
+			}
+		}
+	}
 	if m := deliver(on, 0, 1, func(n *Network) {
+		zeroTh(n)
 		if th := n.Routers[0].class(n.Topo.MinimalNextPort(0, 1)).markTh; th != noMark {
 			t.Fatalf("ejection channel got mark threshold %d", th)
 		}
 	}); m != 0 {
 		t.Errorf("ejection grant marked the packet %d times", m)
 	}
-	if m := deliver(on, 0, local, nil); m != 1 {
-		t.Errorf("local hop at MarkPct 1 marked the packet %d times, want 1", m)
+	if m := deliver(on, 0, local, zeroTh); m != 1 {
+		t.Errorf("local hop at threshold 0 marked the packet %d times, want 1", m)
 	}
 	// Congestion off: no port class has a threshold, nothing marks.
 	if m := deliver(smallCfg(), 0, local, func(n *Network) {
@@ -560,19 +567,66 @@ func TestECNMarkAtThreshold(t *testing.T) {
 	}
 }
 
-// TestNoticeBoundsElision: once its marked packet is delivered, a
-// congestion notice can be the only work left in the fabric, so the
-// clock must stop at its due cycle whether it is stepped or elided:
-// OnNotify fires once, for the source node, at delivery +
-// LatencyLocal+LatencyGlobal (the default NotifyLatency) either way.
-func TestNoticeBoundsElision(t *testing.T) {
-	for _, elide := range []bool{false, true} {
-		cfg := smallCfg()
-		cfg.Congestion = CongestionConfig{Enabled: true, MarkPct: 1}
+// TestCongestionDerivedFromFabric pins the congestion loop's fixed
+// parameters at the Tiny, Small and Paper topologies: a marking class's
+// threshold is 70 % of its occupancy cap (89 of 128 phits local, 380 of
+// 544 global under Table I), the ejection class never marks, a notice
+// takes LatencyLocal+LatencyGlobal cycles and a NIC sheds at a quarter
+// of its queue, at least one packet.
+func TestCongestionDerivedFromFabric(t *testing.T) {
+	for _, params := range []topology.Params{{P: 4, A: 4, H: 2}, {P: 4, A: 8, H: 4}, {P: 8, A: 16, H: 8}} {
+		cfg := DefaultConfig(params)
+		cfg.Congestion.Enabled = true
 		n, err := Build(cfg, testMin{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, tc := range []struct {
+			kind PortKind
+			want int32
+		}{{Local, 89}, {Global, 380}} {
+			occCap := int32(cfg.BufOut + cfg.VCsFor(tc.kind)*cfg.BufFor(tc.kind))
+			if c := n.classes[tc.kind]; c.occCap != occCap || c.markTh != occCap*70/100 || c.markTh != tc.want {
+				t.Errorf("%+v: %v class occupancy cap %d, mark threshold %d; want %d and %d",
+					params, tc.kind, c.occCap, c.markTh, occCap, tc.want)
+			}
+		}
+		if th := n.classes[Injection].markTh; th != noMark {
+			t.Errorf("%+v: ejection class mark threshold %d, want noMark", params, th)
+		}
+		if d := cfg.NotifyDelay(); d != 110 {
+			t.Errorf("%+v: notification delay %d, want LatencyLocal+LatencyGlobal = 110", params, d)
+		}
+		if n.shedCap != 16 {
+			t.Errorf("%+v: shed cap %d, want NICQueuePackets/4 = 16", params, n.shedCap)
+		}
+	}
+	cfg := smallCfg()
+	cfg.Congestion.Enabled = true
+	cfg.NICQueuePackets = 3
+	n, err := Build(cfg, testMin{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.shedCap != 1 {
+		t.Errorf("3-packet NIC queue: shed cap %d, want 1", n.shedCap)
+	}
+}
+
+// TestNoticeBoundsElision: once its marked packet is delivered, a
+// congestion notice can be the only work left in the fabric, so the
+// clock must stop at its due cycle whether it is stepped or elided:
+// OnNotify fires once, for the source node, at delivery +
+// LatencyLocal+LatencyGlobal (Config.NotifyDelay) either way.
+func TestNoticeBoundsElision(t *testing.T) {
+	for _, elide := range []bool{false, true} {
+		cfg := smallCfg()
+		cfg.Congestion = CongestionConfig{Enabled: true}
+		n, err := Build(cfg, testMin{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.classes[Local].markTh = 0 // the lone packet's local hop marks
 		delivered, notified := int64(-1), []int64(nil)
 		n.OnDeliver = func(p *Packet, now int64) {
 			if p.ECNMarks == 0 {

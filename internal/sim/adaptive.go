@@ -20,9 +20,9 @@ import (
 //     maintaining batch-means 95% confidence intervals (fixed batch
 //     count, growing batch size) on mean latency and throughput. The
 //     run stops when both relative half-widths drop below
-//     Budget.CIRelWidth — with a guard that a batch spans at least one
+//     adaptiveCIRelWidth — with a guard that a batch spans at least one
 //     mean latency, so neighboring batches are roughly decorrelated —
-//     or when Budget.MaxMeasure cycles have been spent.
+//     or when the cap, 4x Budget.Measure, has been spent.
 //  3. Saturation short-circuit: a point past its saturation load never
 //     converges — backlog grows without bound until the NIC queues fill
 //     and then the sources throttle. The detector watches the in-flight
@@ -35,6 +35,9 @@ import (
 // perfect estimator but spending ~the right order of cycles per point,
 // with the fixed-window path left untouched as the reproducible default.
 const (
+	// adaptiveCIRelWidth is the stopping target: the relative 95% CI
+	// half-width both mean latency and throughput must reach.
+	adaptiveCIRelWidth = 0.05
 	// adaptiveBucket is the time-series bucket width in cycles.
 	adaptiveBucket = 25
 	// adaptiveCheckEvery is the bucket stride between stopping-rule and
@@ -144,12 +147,14 @@ func (d *satDetector) saturated() bool {
 // point advances one bucket at a time, the window's lap accumulators
 // feed the per-bucket series, warmup ends — and the measurement window
 // opens — when MSER says the transient is over (capped by b.Warmup),
-// measurement ends when the batch-means CIs hit b.CIRelWidth (capped by
-// b.MaxMeasure), and the saturation detector can cut either phase
-// short. Jumps are capped at the bucket boundary, so every bucket's
-// bookkeeping (series entries, saturation samples) still runs; an
-// elided sub-span delivers nothing, so the synthesized bucket is
-// exactly what stepping it would have produced.
+// measurement ends when the batch-means CIs hit adaptiveCIRelWidth
+// (capped by 4x b.Measure, raised to the stopping rule's minimum series
+// length: a cap the CI check can never run under would exit with a zero
+// half-width that reads as perfect convergence), and the saturation
+// detector can cut either phase short. Jumps are capped at the bucket
+// boundary, so every bucket's bookkeeping (series entries, saturation
+// samples) still runs; an elided sub-span delivers nothing, so the
+// synthesized bucket is exactly what stepping it would have produced.
 func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
 	p, err := steadyPoint(c, w, load, seed)
 	if err != nil {
@@ -216,7 +221,7 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 		// warmup. Phase 2: CI-driven measurement.
 		win = p.open()
 		var latB, thrB []float64
-		saturated, err = runPhase(b.MaxMeasure,
+		saturated, err = runPhase(max(4*b.Measure, adaptiveMinMeasureBuckets*adaptiveBucket),
 			func(latSum float64, count, phits uint64) {
 				if count > 0 {
 					latB = append(latB, latSum/float64(count))
@@ -238,7 +243,7 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 				// in-flight packets and the CI is optimistic.
 				batchCycles := float64(buckets/adaptiveBatches) * adaptiveBucket
 				converged = ok1 && ok2 && lm > 0 && tm > 0 && 2*batchCycles >= lm &&
-					lh <= b.CIRelWidth*lm && th <= b.CIRelWidth*tm
+					lh <= adaptiveCIRelWidth*lm && th <= adaptiveCIRelWidth*tm
 				return converged
 			})
 		if err != nil {

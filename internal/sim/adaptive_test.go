@@ -68,7 +68,7 @@ func TestAdaptiveConvergesWithFewerCycles(t *testing.T) {
 // detector well before the adaptive cycle cap, flagged Saturated.
 func TestAdaptiveSaturationShortCircuit(t *testing.T) {
 	t.Parallel()
-	b := Budget{Warmup: 2000, Measure: 2500, MaxMeasure: 10000, Seeds: 2, Adaptive: true}
+	b := Budget{Warmup: 2000, Measure: 2500, Seeds: 2, Adaptive: true}
 	r, err := RunSteadyBudget(tinyCfg(routing.Base), ADV(1), 0.7, b)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,9 @@ func TestAdaptiveSaturationShortCircuit(t *testing.T) {
 		t.Fatalf("ADV+1 at 0.7 with Base not flagged saturated: %+v", r)
 	}
 	// The detector needs ~satWindow buckets of evidence; anything close
-	// to the warmup+measurement budget means it never fired.
-	perSeedBudget := b.Warmup + b.MaxMeasure
+	// to the warmup+measurement budget (the cap is 4x Measure) means it
+	// never fired.
+	perSeedBudget := b.Warmup + 4*b.Measure
 	if r.MeasuredCycles >= perSeedBudget*int64(b.Seeds)/2 {
 		t.Fatalf("saturated point burned %d cycles of the %d budget", r.MeasuredCycles, perSeedBudget*int64(b.Seeds))
 	}
@@ -93,29 +94,27 @@ func TestBudgetValidation(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Min)
 	cases := []Budget{
-		{Warmup: -1, Measure: 100, Seeds: 1},                                  // negative warmup
-		{Warmup: 100, Measure: 0, Seeds: 1},                                   // empty measurement
-		{Warmup: 100, Measure: 100, Seeds: 0},                                 // no repeats
-		{Warmup: 100, Measure: 100, Seeds: -2},                                // negative repeats
-		{Warmup: 100, Measure: 100, Seeds: 1, Adaptive: true, CIRelWidth: 2},  // CI target >= 1
-		{Warmup: 100, Measure: 100, Seeds: 1, Adaptive: true, CIRelWidth: -1}, // negative CI target
-		{Warmup: 100, Measure: 100, Seeds: 1, Adaptive: true, MaxMeasure: -5}, // negative cap
+		{Warmup: -1, Measure: 100, Seeds: 1},   // negative warmup
+		{Warmup: 100, Measure: 0, Seeds: 1},    // empty measurement
+		{Warmup: 100, Measure: 100, Seeds: 0},  // no repeats
+		{Warmup: 100, Measure: 100, Seeds: -2}, // negative repeats
 	}
 	for i, b := range cases {
 		if _, err := RunSteadyBudget(c, UN(), 0.1, b); err == nil {
 			t.Errorf("case %d: budget %+v accepted", i, b)
 		}
 	}
-	// A positive MaxMeasure below the stopping rule's minimum series
-	// length is floored, not honored: the run must still reach at least
-	// one CI check instead of exiting with a zero half-width.
-	small := Budget{Warmup: 300, Measure: 100, MaxMeasure: 200, Seeds: 1, Adaptive: true}
+	// A measurement cap (4x Measure, here 400 cycles) below the stopping
+	// rule's minimum series length is floored, not honored: the run must
+	// still reach at least one CI check instead of exiting with a zero
+	// half-width.
+	small := Budget{Warmup: 300, Measure: 100, Seeds: 1, Adaptive: true}
 	r, err := RunSteadyBudget(c, UN(), 0.2, small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Saturated && r.CIHalfLatency <= 0 {
-		t.Errorf("tiny MaxMeasure produced no CI estimate: %+v", r)
+		t.Errorf("tiny Measure produced no CI estimate: %+v", r)
 	}
 	// Transient: bucket wider than the post window, negative pre, and
 	// non-positive bucket/seeds all error.

@@ -17,9 +17,10 @@ import (
 // statistically driven run instead: Warmup caps an MSER-detected warmup
 // truncation, and measurement proceeds in bucket-sized chunks until the
 // batch-means 95% confidence interval on mean latency and throughput is
-// within CIRelWidth of the mean (or MaxMeasure cycles are spent, or the
-// saturation detector short-circuits the point). Adaptive == false is
-// the default and reproduces the fixed-window results bit-identically.
+// within 5% of the mean (or 4x Measure cycles are spent, or the
+// saturation detector short-circuits the point; see adaptive.go).
+// Adaptive == false is the default and reproduces the fixed-window
+// results bit-identically.
 type Budget struct {
 	// Steady-state windows (cycles) and repeats.
 	Warmup, Measure int64
@@ -34,9 +35,10 @@ type Budget struct {
 	// Loads is the offered-load grid of the steady-state sweeps.
 	Loads []float64
 	// Workers is the per-run shard worker count threaded into every
-	// simulation of the experiment (router.Config.Workers). 0 lets each
-	// entry point split GOMAXPROCS between its grid and intra-run
-	// sharding automatically; results are identical either way.
+	// simulation of the experiment (router.Config.Workers, through
+	// config, like Congestion and Faults). 0 lets each entry point split
+	// GOMAXPROCS between its grid and intra-run sharding automatically;
+	// results are identical either way.
 	Workers int
 	// Congestion is threaded into every simulation of the experiment
 	// (router.Config.Congestion). The zero value leaves congestion
@@ -57,13 +59,6 @@ type Budget struct {
 	// truncation, batch-means CI stopping rule, saturation
 	// short-circuit). Transient experiments always use fixed windows.
 	Adaptive bool
-	// CIRelWidth is the adaptive target: stop once the relative 95%
-	// CI half-width of both mean latency and throughput drops below it.
-	// 0 defaults to 0.05.
-	CIRelWidth float64
-	// MaxMeasure caps the adaptive measurement phase per seed, in
-	// cycles. 0 defaults to 4x Measure.
-	MaxMeasure int64
 }
 
 // DefaultBudget returns a budget tuned to the scale: the paper's windows
@@ -104,30 +99,9 @@ func (b Budget) config(s Scale, algo routing.Algo) Config {
 	return c
 }
 
-// steadyDefaults fills the zero-valued adaptive knobs from their
-// documented defaults. Fixed-window budgets pass through unchanged.
-// A positive MaxMeasure below the stopping rule's minimum series
-// length is raised to it — a cap the CI check can never run under
-// would exit with a zero half-width that reads as perfect convergence.
-func (b Budget) steadyDefaults() Budget {
-	if b.Adaptive {
-		if b.CIRelWidth == 0 {
-			b.CIRelWidth = 0.05
-		}
-		if b.MaxMeasure == 0 {
-			b.MaxMeasure = 4 * b.Measure
-		}
-		if floor := int64(adaptiveMinMeasureBuckets * adaptiveBucket); b.MaxMeasure > 0 && b.MaxMeasure < floor {
-			b.MaxMeasure = floor
-		}
-	}
-	return b
-}
-
 // validateSteady rejects steady-state windows that would silently
 // produce empty or skewed measurements: negative warmup, an empty
-// measurement window, a non-positive repeat count, and (adaptive mode)
-// a relative-CI target outside (0,1) or an empty cycle cap.
+// measurement window and a non-positive repeat count.
 func (b Budget) validateSteady() error {
 	if b.Warmup < 0 {
 		return fmt.Errorf("sim: warmup %d must be >= 0", b.Warmup)
@@ -137,14 +111,6 @@ func (b Budget) validateSteady() error {
 	}
 	if b.Seeds < 1 {
 		return fmt.Errorf("sim: seeds %d must be >= 1", b.Seeds)
-	}
-	if b.Adaptive {
-		if b.CIRelWidth <= 0 || b.CIRelWidth >= 1 {
-			return fmt.Errorf("sim: adaptive CI relative width %v must be in (0,1)", b.CIRelWidth)
-		}
-		if b.MaxMeasure < 1 {
-			return fmt.Errorf("sim: adaptive measurement cap %d must be >= 1 cycle", b.MaxMeasure)
-		}
 	}
 	return nil
 }

@@ -237,7 +237,7 @@ func TestElisionMeasurementBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := RunSteadyBudget(c, UN(), 0.01, Budget{Warmup: 800, Measure: 2000, MaxMeasure: 4000, Seeds: 2, Adaptive: true})
+		adaptive, err := RunSteadyBudget(c, UN(), 0.01, Budget{Warmup: 800, Measure: 1000, Seeds: 2, Adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}

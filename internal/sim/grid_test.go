@@ -16,12 +16,13 @@ import (
 func TestGridDispatchHeaviestFirst(t *testing.T) {
 	loads := []float64{0.1, 0.5, 0.3, 0.5, 0.2}
 	c := tinyCfg(routing.Min)
+	// Asking every run for all the cores leaves the pool one worker.
+	c.Router.Workers = runtime.GOMAXPROCS(0)
 	pts := make([]gridPoint, len(loads))
 	for i, l := range loads {
 		pts[i] = gridPoint{c, UN(), l}
 	}
-	// Asking every run for all the cores leaves the pool one worker.
-	b := Budget{Warmup: 100, Measure: 100, Seeds: 3, Workers: runtime.GOMAXPROCS(0)}
+	b := Budget{Warmup: 100, Measure: 100, Seeds: 3}
 	var started []int
 	err := forEachRun(pts, b, func(k int, c Config) error {
 		started = append(started, k)
@@ -35,7 +36,9 @@ func TestGridDispatchHeaviestFirst(t *testing.T) {
 		t.Fatalf("tasks started in order %v, want %v", started, want)
 	}
 
-	b.Workers = 0
+	for i := range pts {
+		pts[i].c.Router.Workers = 0
+	}
 	rs, err := runGrid(pts, b)
 	if err != nil {
 		t.Fatal(err)

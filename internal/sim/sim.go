@@ -357,9 +357,9 @@ func seedFor(i int) uint64 { return uint64(i)*0x1000003 + 1 }
 // offered load: b.Warmup cycles are simulated unmeasured, then
 // deliveries during b.Measure cycles are recorded; b.Seeds independent
 // runs execute in parallel and are averaged (scalars) or merged (latency
-// histograms, so cross-seed percentiles are exact). Budget.Adaptive,
-// CIRelWidth and MaxMeasure select the adaptive measurement instead of
-// the fixed windows (SweepSteadyBudget).
+// histograms, so cross-seed percentiles are exact). Budget.Adaptive
+// selects the adaptive measurement instead of the fixed windows
+// (SweepSteadyBudget).
 func RunSteadyBudget(c Config, w Workload, load float64, b Budget) (SteadyResult, error) {
 	rs, err := SweepSteadyBudget(c, w, []float64{load}, b)
 	if err != nil {
@@ -370,8 +370,8 @@ func RunSteadyBudget(c Config, w Workload, load float64, b Budget) (SteadyResult
 
 // SweepSteadyBudget measures a whole load grid as one runGrid call, so
 // the load×seed grid shares one bounded worker pool (see grid.go for
-// the worker split; b.Workers is used when c.Router.Workers is unset).
-// The returned slice is ordered like loads.
+// the worker split, which reads c.Router.Workers). The returned slice
+// is ordered like loads.
 //
 // With b.Adaptive set, each (load, seed) point runs the adaptive
 // measurement engine (MSER warmup truncation, batch-means CI stopping,

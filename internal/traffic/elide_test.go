@@ -26,9 +26,7 @@ func TestThrottleHoldoffAcrossElidedSpan(t *testing.T) {
 	)
 	build := func() (*router.Network, *[]deliveryRecord, *Injector) {
 		cfg := router.DefaultConfig(topology.Params{P: 4, A: 4, H: 2})
-		// A long explicit hold keeps the expiry deep inside the idle
-		// phase, where spans jump across it.
-		cfg.Congestion = router.CongestionConfig{Enabled: true, HoldCycles: 400}
+		cfg.Congestion = router.CongestionConfig{Enabled: true}
 		n, err := router.Build(cfg, routing.MustNew(routing.Min, routing.DefaultOptions()), seed)
 		if err != nil {
 			t.Fatal(err)
@@ -64,9 +62,11 @@ func TestThrottleHoldoffAcrossElidedSpan(t *testing.T) {
 		injA.th.onNotify(v, 2, notifyAt)
 		injB.th.onNotify(v, 2, notifyAt)
 	}
+	// The hold-off is one notification delay (110 cycles under Table I),
+	// so it expires inside the idle phase, where spans jump across it.
 	hold := injB.th.holdUntil[victims[0]]
-	if hold <= notifyAt {
-		t.Fatalf("notification did not arm a hold-off (holdUntil=%d)", hold)
+	if want := notifyAt + netB.Cfg.NotifyDelay(); hold != want {
+		t.Fatalf("notification armed a hold-off until %d, want %d", hold, want)
 	}
 	cut := injB.th.ratePct(victims[0])
 	if cut >= 100 {

@@ -2,19 +2,28 @@ package traffic
 
 import "cbar/internal/router"
 
+// The AIMD constants of the congestion loop's source side, in percent of
+// line rate.
+const (
+	decreasePct = 50 // a notification cuts the rate to rate*decreasePct/100
+	recoverPct  = 5  // additive increase per recovery period, in points
+	minRatePct  = 10 // floor of the throttled rate
+)
+
 // throttle is the source side of the congestion-management loop (see
 // internal/router/congestion.go): a per-node AIMD rate limiter driven by
 // the fabric's congestion notifications. Each node carries a rate in
 // percent of line rate, starting at 100:
 //
 //   - Multiplicative decrease: a notification cuts the node's rate to
-//     rate*DecreasePct/100 (floored at MinRatePct), at most once per
-//     HoldCycles — a burst of notifications from one congestion epoch is
-//     one cut, as in a per-RTT AIMD loop.
+//     rate*decreasePct/100 (floored at minRatePct), at most once per
+//     hold window of one notification delay (router.Config.NotifyDelay)
+//     — a burst of notifications from one congestion epoch is one cut,
+//     as in a per-RTT AIMD loop.
 //   - Additive increase: once the hold window has passed, the rate
-//     recovers by RecoverPct percentage points every RecoverEvery
-//     cycles. Recovery is applied lazily at the next injection attempt,
-//     so an idle node costs nothing.
+//     recovers by recoverPct percentage points every two notification
+//     delays, one notification round trip. Recovery is applied lazily at
+//     the next injection attempt, so an idle node costs nothing.
 //   - Pacing: below 100% the node's injections are spaced at least
 //     ceil(PacketSize*100/pct) cycles apart, i.e. the node offers at
 //     most pct% of its line rate. At 100% no gap is imposed, so an
@@ -25,8 +34,9 @@ import "cbar/internal/router"
 // commutes across nodes, so throttle decisions (and the throttled/shed
 // counters) are bit-identical at every worker count.
 type throttle struct {
-	cfg        router.CongestionConfig
-	packetSize int64
+	packetSize   int64
+	hold         int64 // minimum spacing of multiplicative decreases, cycles
+	recoverEvery int64 // additive-increase period, cycles
 
 	pct       []int32 // current rate, percent of line rate
 	allowedAt []int64 // earliest next injection cycle (pacing)
@@ -36,14 +46,15 @@ type throttle struct {
 	throttled uint64 // injection attempts deferred or suppressed
 }
 
-func newThrottle(nodes, packetSize int, cfg router.CongestionConfig) *throttle {
+func newThrottle(nodes int, cfg router.Config) *throttle {
 	t := &throttle{
-		cfg:        cfg,
-		packetSize: int64(packetSize),
-		pct:        make([]int32, nodes),
-		allowedAt:  make([]int64, nodes),
-		holdUntil:  make([]int64, nodes),
-		lastRise:   make([]int64, nodes),
+		packetSize:   int64(cfg.PacketSize),
+		hold:         cfg.NotifyDelay(),
+		recoverEvery: 2 * cfg.NotifyDelay(),
+		pct:          make([]int32, nodes),
+		allowedAt:    make([]int64, nodes),
+		holdUntil:    make([]int64, nodes),
+		lastRise:     make([]int64, nodes),
 	}
 	for n := range t.pct {
 		t.pct[n] = 100
@@ -61,12 +72,8 @@ func (t *throttle) onNotify(node, sev int, now int64) {
 	if now < t.holdUntil[node] {
 		return
 	}
-	p := t.pct[node] * int32(t.cfg.DecreasePct) / 100
-	if p < int32(t.cfg.MinRatePct) {
-		p = int32(t.cfg.MinRatePct)
-	}
-	t.pct[node] = p
-	t.holdUntil[node] = now + t.cfg.HoldCycles
+	t.pct[node] = max(t.pct[node]*decreasePct/100, minRatePct)
+	t.holdUntil[node] = now + t.hold
 	t.lastRise[node] = now
 }
 
@@ -76,13 +83,13 @@ func (t *throttle) onNotify(node, sev int, now int64) {
 // (calendar path) or suppresses (Bernoulli path) the injection.
 func (t *throttle) admit(node int, now int64) bool {
 	if t.pct[node] < 100 && now >= t.holdUntil[node] {
-		if steps := (now - t.lastRise[node]) / t.cfg.RecoverEvery; steps > 0 {
-			p := t.pct[node] + int32(steps)*int32(t.cfg.RecoverPct)
+		if steps := (now - t.lastRise[node]) / t.recoverEvery; steps > 0 {
+			p := t.pct[node] + int32(steps)*recoverPct
 			if p > 100 {
 				p = 100
 			}
 			t.pct[node] = p
-			t.lastRise[node] += steps * t.cfg.RecoverEvery
+			t.lastRise[node] += steps * t.recoverEvery
 		}
 	}
 	if now < t.allowedAt[node] {

@@ -223,10 +223,10 @@ func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64
 		drawnThrough: -1,
 		pendingCycle: -1,
 	}
-	if cc := net.Cfg.Congestion; cc.Enabled {
-		// Close the congestion loop: the fabric's notifications (already
-		// resolved by Build) drive this injector's per-node AIMD rates.
-		in.th = newThrottle(net.Topo.Nodes, net.Cfg.PacketSize, cc)
+	if net.Cfg.Congestion.Enabled {
+		// Close the congestion loop: the fabric's notifications drive
+		// this injector's per-node AIMD rates.
+		in.th = newThrottle(net.Topo.Nodes, net.Cfg)
 		net.OnNotify = in.th.onNotify
 	}
 	if fc := net.Cfg.Faults; fc.RetryLimit > 0 {

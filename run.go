@@ -19,7 +19,7 @@ type SteadyOptions struct {
 	// the cap of the MSER-detected warmup truncation instead.
 	Warmup int64
 	// Measure is the measurement window in cycles. In adaptive mode it
-	// only sizes the default MaxMeasure cap (4x Measure).
+	// only sizes the measurement cap, 4x Measure per seed.
 	Measure int64
 	// Seeds is the number of independent repeats (averaged; run in
 	// parallel).
@@ -27,15 +27,10 @@ type SteadyOptions struct {
 	// Adaptive replaces the fixed windows with the adaptive measurement
 	// engine: MSER warmup truncation, a batch-means CI stopping rule
 	// (simulate until the 95% CI on mean latency and throughput is
-	// within CIRelWidth of the mean) and a saturation short-circuit
-	// that bails out of non-converging points early. The default fixed
-	// mode reproduces pre-adaptive results bit-identically.
+	// within 5% of the mean) and a saturation short-circuit that bails
+	// out of non-converging points early. The default fixed mode
+	// reproduces pre-adaptive results bit-identically.
 	Adaptive bool
-	// CIRelWidth is the adaptive stopping target (0 = 0.05).
-	CIRelWidth float64
-	// MaxMeasure caps the adaptive measurement phase per seed, in
-	// cycles (0 = 4x Measure).
-	MaxMeasure int64
 	// Ctx, when non-nil, cancels the run cooperatively: the cycle loops
 	// check it every measurement bucket and the grid pool between
 	// (load, seed) tasks, so an interrupted sweep stops mid-run.
@@ -43,14 +38,13 @@ type SteadyOptions struct {
 }
 
 // budget resolves the options against the config's scale defaults,
-// leaving validation (negative windows, bad CI targets) to the
-// simulation layer so every entry point reports the same errors.
+// leaving validation (negative windows) to the simulation layer so
+// every entry point reports the same errors.
 func (o SteadyOptions) budget(c Config) sim.Budget {
 	def := sim.DefaultBudget(scaleOf(c))
 	b := sim.Budget{
 		Warmup: def.Warmup, Measure: def.Measure, Seeds: def.Seeds,
-		Adaptive: o.Adaptive, CIRelWidth: o.CIRelWidth, MaxMeasure: o.MaxMeasure,
-		Ctx: o.Ctx,
+		Adaptive: o.Adaptive, Ctx: o.Ctx,
 	}
 	setIf(&b.Warmup, o.Warmup)
 	setIf(&b.Measure, o.Measure)
@@ -194,11 +188,6 @@ type ExperimentOptions struct {
 	// windows; transient traces keep their fixed windows. Numbers are
 	// statistically equivalent but not bit-identical to fixed mode.
 	Adaptive bool
-	// CIRelWidth is the adaptive stopping target (0 = 0.05).
-	CIRelWidth float64
-	// MaxMeasure caps the adaptive measurement phase per seed, in
-	// cycles (0 = 4x the scale's fixed measurement window).
-	MaxMeasure int64
 	// Congestion enables the congestion-management layer in every
 	// simulation of the experiment. The zero value keeps it off,
 	// reproducing pre-congestion figures bit-identically.
@@ -233,7 +222,5 @@ func RunExperimentOpts(id string, s Scale, opt ExperimentOptions, w io.Writer) e
 	b.Faults = opt.Faults
 	b.Ctx = opt.Ctx
 	b.Adaptive = opt.Adaptive
-	b.CIRelWidth = opt.CIRelWidth
-	b.MaxMeasure = opt.MaxMeasure
 	return e.Run(s, b, w)
 }
