@@ -104,6 +104,20 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	if _, err := RunTransient(c, Uniform(), Adversarial(1), 0.2, TransientOptions{Warmup: 500, Pre: -2, Post: 200, Bucket: 10, Seeds: 1}); err == nil {
 		t.Fatal("negative pre accepted")
 	}
+	// A negative policy parameter is an error, not a run (a period of -5
+	// would combine every 5 cycles).
+	for i, set := range []func(*Config){
+		func(c *Config) { c.BaseTh = -1 },
+		func(c *Config) { c.PBSatPackets = -1 },
+		func(c *Config) { c.OLMRelPct = -1 },
+		func(c *Config) { c.ECtNPeriod = -5 },
+	} {
+		pc := NewConfig(Tiny, ECtN)
+		set(&pc)
+		if _, err := RunSteady(pc, Uniform(), 0.1, SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {
+			t.Fatalf("negative policy parameter %d accepted", i)
+		}
+	}
 	// A negative worker count is an error, not "auto".
 	c.Workers = -1
 	if _, err := RunSteady(c, Uniform(), 0.1, SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {

@@ -35,7 +35,7 @@ func main() {
 		transient = flag.Bool("transient", false, "run a traffic-switch trace instead of steady state")
 		bucket    = flag.Int64("bucket", 0, "transient trace bucket width in cycles")
 		post      = flag.Int64("post", 0, "transient trace length after the switch")
-		baseTh    = flag.Int("th", 0, "override the Base/ECtN contention threshold")
+		baseTh    = flag.Int("th", 0, "override the Base/ECtN contention threshold, >= 0 (0 = scale default)")
 		workers   = flag.Int("workers", 0, "shard workers per simulated network, >= 0 (0 = auto, 1 = sequential; results are identical at any count)")
 		congSpec  = flag.String("congestion", "off", "congestion management: off | on")
 		faultSpec = flag.String("faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'")
@@ -61,8 +61,8 @@ func main() {
 		die(err)
 		cfg = cbar.NewConfig(scale, algo)
 	}
-	if *baseTh > 0 {
-		cfg.BaseTh = *baseTh
+	if *baseTh != 0 {
+		cfg.BaseTh = *baseTh // a negative one is rejected when the network is built
 	}
 	cfg.Workers = *workers
 

@@ -330,8 +330,8 @@
 // and the dequeue must clear it (TestStaleRequestNeverNominated). There
 // is one copy of each fact: the packet carries no request and no granted
 // flag, the ports and the router no unrouted counters (the set's count is
-// that number, and it has no stale members). The oracle cycle,
-// Network.StepFullScan, visits every router but reads the same table.
+// that number, and it has no stale members). The tests' oracle cycle,
+// StepFullScan, visits every router but reads the same table.
 // CheckInvariants audits the table against the queues, slot by slot — a
 // grantable slot holds an unrouted head with a valid request and its
 // port is in reqPorts, and every unrouted head whose request CanAccept
@@ -382,7 +382,7 @@
 // granted nothing nominated nothing, and everything a nomination reads —
 // the round-robin pointers, credits, output space, the head slots'
 // requests — moves only in a grant, so its remaining iterations of that
-// cycle would be the same no-op and are skipped. StepFullScan keeps
+// cycle would be the same no-op and are skipped. The oracle keeps
 // visiting every router in every iteration, so the equivalence tests run
 // with the skip on one side only (TestAllocationSkipsOnlyNoOpIterations
 // pins it from both sides).
@@ -455,9 +455,9 @@
 // idempotent and may read only the packet, the deciding router's own
 // state and state whose every change wakes that router. Randomized
 // re-sampling of a blocked head is untouched: the draw keeps the
-// router in the set. StepFullScan visits every router every cycle and
-// is the oracle (TestParkingEquivalence); CheckInvariants replays the
-// decision of every parked head.
+// router in the set. The tests' oracle cycle visits every router every
+// cycle (TestParkingEquivalence); CheckInvariants replays the decision
+// of every parked head.
 //
 // The routing-algorithm layer keeps no per-cycle O(network) term either.
 // Each output port's occupancy is a running counter updated at its three
@@ -476,10 +476,12 @@
 // set by the counter mutations), so an idle period costs O(groups) flag
 // reads and the clock may jump over it. Neither shortcut has a second
 // mode beside it. The fabric's oracle is one explicit cycle,
-// Network.StepFullScan, which the equivalence tests step against Step;
-// ECtN's is its CheckState audit, which recomputes every group a combine
-// would skip on each CheckInvariants. `go run ./cmd/bench` tracks the
-// hot path's speed in BENCH_step.json.
+// StepFullScan, declared in internal/router's export_test.go so that only
+// tests can step it: the in-package equivalence tests, and the external
+// router_test ones that step it against Step with the real mechanisms
+// and workloads of internal/sim; ECtN's is its CheckState audit, which
+// recomputes every group a combine would skip on each CheckInvariants.
+// `go run ./cmd/bench` tracks the hot path's speed in BENCH_step.json.
 //
 // A single run can additionally be stepped by multiple cores
 // (Config.Workers, cmd/sweep and cmd/figures -workers): the network is
@@ -615,16 +617,16 @@
 //     replay, fault-event application, Alg.BeginCycle and the outbox
 //     merge mutate cross-shard state with no synchronization of their
 //     own; they are registered barrier-only and may only be called
-//     from their registered call sites, the one cycle body Step and its
-//     sequential oracle StepFullScan, may never
-//     be taken as function values, and may not be reachable through
+//     from their registered call site, the one cycle body Step (tests,
+//     the oracle cycle among them, are exempt), may never be taken as
+//     function values, and may not be reachable through
 //     the call graph from the parallel phase roots (the two shard
 //     worker bodies, handleShardBucket and stepShard, and the routing
 //     hook surface Route/OnHead/OnArrive/OnDequeue/OnGrant). The first
 //     two are per-package syntax checks; the reachability walk runs
 //     over the whole program's call graph, the one shardisolation and
 //     allocfree use, so a chain that leaves the root's package — a
-//     routing hook calling a fabric helper that reaches Network.Run —
+//     routing hook calling a fabric helper that reaches Network.Drain —
 //     is a finding, and the registry lists the worker bodies only, not
 //     every function they call. The same registry keeps the cycle loop
 //     single: Injector.Cycle and internal/sim's jump step elideStep
@@ -647,8 +649,8 @@
 //     bit-identical to visiting every router every cycle only while
 //     every Algorithm.Route honours the idempotence-and-inputs rule of
 //     router/algorithm.go. It is pinned per mechanism by
-//     TestParkingEquivalence against the StepFullScan oracle at workers
-//     1/2/4 with elision on and off, and audited at run time by
+//     TestParkingEquivalence against the tests' StepFullScan oracle at
+//     workers 1/2/4 with elision on and off, and audited at run time by
 //     CheckInvariants, which re-decides every parked head on a copy
 //     and requires the stored request back with the random stream
 //     untouched.
@@ -682,6 +684,13 @@
 //     allocation is not steady-state (freelist warm-up, the per-cycle
 //     worker fork, non-escaping predicates). Stale or reason-less
 //     annotations are findings themselves.
+//
+// detlint analyses every package `go test` compiles, test files
+// included. An external test package is type-checked the way the go tool
+// builds it: a module package it imports that depends on the package
+// under test is that package's test variant, recompiled against the
+// with-tests package, so a router_test file may step a network that
+// internal/sim built with a method declared in export_test.go.
 //
 // The registry of contracts lives in lint.DefaultConfig; new
 // deterministic packages (e.g. additional topology backends) join by

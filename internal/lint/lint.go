@@ -243,21 +243,19 @@ func DefaultConfig() *Config {
 		// The sequential-point registry. Keys and callers are funcKey()
 		// strings: "<pkgpath>.<Recv>.<method>" / "<pkgpath>.<func>".
 		//
-		// The replay/apply family runs at the handle barrier of Step —
-		// the one cycle body (the caller coordinates, forked workers
-		// parked) — and of StepFullScan, its sequential oracle: those are
-		// the only sanctioned call sites; BeginCycle is the interface
-		// method hosting the group-wide exchanges at the same barrier;
-		// mergeOutboxes is the cycle barrier itself. Calling any of them
-		// from the parallel phase graphs (ParallelRoots below) would race
-		// or reorder cross-shard effects.
+		// The replay/apply family runs at the handle barrier of Step, the
+		// one cycle body (the caller coordinates, forked workers parked);
+		// BeginCycle is the interface method hosting the group-wide
+		// exchanges at the same barrier; mergeOutboxes is the cycle barrier
+		// itself. Calling any of them from the parallel phase graphs
+		// (ParallelRoots below) would race or reorder cross-shard effects.
 		BarrierOnly: map[string][]string{
-			router + ".Network.replayDeliveries":    {router + ".Network.Step", router + ".Network.StepFullScan"},
-			router + ".Network.replayNotifications": {router + ".Network.Step", router + ".Network.StepFullScan"},
-			router + ".Network.applyFaults":         {router + ".Network.Step", router + ".Network.StepFullScan"},
+			router + ".Network.replayDeliveries":    {router + ".Network.Step"},
+			router + ".Network.replayNotifications": {router + ".Network.Step"},
+			router + ".Network.applyFaults":         {router + ".Network.Step"},
 			router + ".Network.applyFaultEvent":     {router + ".Network.applyFaults"},
 			router + ".Network.mergeOutboxes":       {router + ".Network.Step"},
-			router + ".Algorithm.BeginCycle":        {router + ".Network.Step", router + ".Network.StepFullScan"},
+			router + ".Algorithm.BeginCycle":        {router + ".Network.Step"},
 			// WakeGroup re-arms parked routers from algorithm code: it
 			// writes the owning shard's route set, so it belongs to the
 			// BeginCycle barrier, where ECtN's combine calls it (fault
@@ -266,10 +264,10 @@ func DefaultConfig() *Config {
 			// Quiet-cycle elision (elide.go) runs between Steps, with all
 			// workers quiescent: the horizon queries read cross-shard
 			// state (rings, active sets, the injector RNG) and ElideTo
-			// moves the clock itself. Their only sanctioned callers are Run,
+			// moves the clock itself. Their only sanctioned callers are
 			// Drain and sim's one driver, point.advance (elideStep its jump).
-			router + ".Network.ElideTo":        {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
-			router + ".Network.ElideHorizon":   {router + ".Network.Run", router + ".Network.Drain", "cbar/internal/sim.elideStep"},
+			router + ".Network.ElideTo":        {router + ".Network.Drain", "cbar/internal/sim.elideStep"},
+			router + ".Network.ElideHorizon":   {router + ".Network.Drain", "cbar/internal/sim.elideStep"},
 			router + ".Network.NextEventCycle": {router + ".Network.ElideHorizon"},
 			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
 			"cbar/internal/sim.elideStep":      {"cbar/internal/sim.point.advance"},

@@ -66,7 +66,12 @@ type listedPackage struct {
 	CgoFiles     []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Error        *struct{ Err string }
+	// ImportMap maps an import path in the source to the package it
+	// resolves to when that differs: in a test build, a module package
+	// that depends on the package under test is recompiled against its
+	// with-tests incarnation ("cbar/internal/sim [cbar/internal/router.test]").
+	ImportMap map[string]string
+	Error     *struct{ Err string }
 }
 
 // loader resolves imports for one Load call.
@@ -78,7 +83,8 @@ type loader struct {
 	listed map[string]*listedPackage
 	// bare caches module packages type-checked WITHOUT their test files —
 	// the form other packages import (test files may create import cycles
-	// that non-test compilation units cannot, so imports never see them).
+	// that non-test compilation units cannot, so imports never see them) —
+	// keyed by go list's ImportPath, so a test variant is its own entry.
 	bare    map[string]*types.Package
 	loading map[string]bool
 	gc      types.Importer
@@ -259,14 +265,14 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if lp.Standard {
 		return ld.gc.Import(path)
 	}
-	return ld.loadBare(lp)
+	return ld.loadBare(lp, ld)
 }
 
 // loadBare type-checks a module package from its non-test sources,
-// memoized. Import cycles cannot occur among non-test compilation units
-// (the go tool rejects them), but the guard turns any future surprise
-// into an error instead of a hang.
-func (ld *loader) loadBare(lp *listedPackage) (*types.Package, error) {
+// resolving its imports through imp, memoized. Import cycles cannot occur
+// among non-test compilation units (the go tool rejects them), but the
+// guard turns any future surprise into an error instead of a hang.
+func (ld *loader) loadBare(lp *listedPackage, imp types.Importer) (*types.Package, error) {
 	ld.mu.Lock()
 	if p, ok := ld.bare[lp.ImportPath]; ok {
 		ld.mu.Unlock()
@@ -283,8 +289,9 @@ func (ld *loader) loadBare(lp *listedPackage) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	conf := types.Config{Importer: ld}
-	p, err := conf.Check(lp.ImportPath, ld.fset, files, nil)
+	path, _, _ := strings.Cut(lp.ImportPath, " ") // a test variant's source path
+	conf := types.Config{Importer: imp}
+	p, err := conf.Check(path, ld.fset, files, nil)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", lp.ImportPath, err)
 	}
@@ -325,15 +332,21 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 
 	// External (_test-package) test files form a separate compilation
 	// unit importing the package under test, type-checked against the
-	// with-tests package so export_test.go helpers resolve. Their results
-	// land in the same Info, and the files join the same Package record:
-	// the analyzers treat them as test files of the package under test.
+	// with-tests package so export_test.go helpers resolve — directly or
+	// through a module package that depends on it (testImporter). Their
+	// results land in the same Info, and the files join the same Package
+	// record: the analyzers treat them as test files of the package under
+	// test.
 	if len(lp.XTestGoFiles) > 0 {
 		xfiles, err := ld.parseFiles(lp.Dir, lp.XTestGoFiles)
 		if err != nil {
 			return nil, err
 		}
-		xconf := types.Config{Importer: &overrideImporter{ld: ld, path: path, pkg: tp}}
+		xlp, err := ld.lookedUp(path + "_test [" + path + ".test]")
+		if err != nil {
+			return nil, err
+		}
+		xconf := types.Config{Importer: &testImporter{ld: ld, imports: xlp.ImportMap, under: path, pkg: tp}}
 		if _, err := xconf.Check(path+"_test", ld.fset, xfiles, info); err != nil {
 			return nil, fmt.Errorf("lint: type-checking %s_test: %v", path, err)
 		}
@@ -355,20 +368,33 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// overrideImporter resolves the package under test to its with-tests
-// incarnation (so export_test.go symbols are visible to the external
-// test package) and everything else through the regular loader.
-type overrideImporter struct {
-	ld   *loader
-	path string
-	pkg  *types.Package
+// testImporter resolves the imports of an external test package, or of
+// a module package recompiled for it, the way the go tool builds the test
+// binary: the package under test is its with-tests incarnation, a package
+// the importer's ImportMap sends to a test variant is that variant,
+// type-checked from its own files against the same incarnation (so a
+// value it returns has the with-tests type, export_test.go methods
+// included), and everything else is the regular import.
+type testImporter struct {
+	ld      *loader
+	imports map[string]string // the importing package's ImportMap
+	under   string            // the import path of the package under test
+	pkg     *types.Package    // its with-tests incarnation
 }
 
-func (o *overrideImporter) Import(path string) (*types.Package, error) {
-	if path == o.path {
-		return o.pkg, nil
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if path == ti.under {
+		return ti.pkg, nil
 	}
-	return o.ld.Import(path)
+	variant, ok := ti.imports[path]
+	if !ok {
+		return ti.ld.Import(path)
+	}
+	lp, err := ti.ld.lookedUp(variant)
+	if err != nil {
+		return nil, err
+	}
+	return ti.ld.loadBare(lp, &testImporter{ld: ti.ld, imports: lp.ImportMap, under: ti.under, pkg: ti.pkg})
 }
 
 func (ld *loader) parseFiles(dir string, names []string) ([]*ast.File, error) {

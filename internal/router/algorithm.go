@@ -43,8 +43,9 @@ type Request struct {
 //     the packet is fine: the second call finds it recorded);
 //   - such a call may read only the packet, the topology and
 //     configuration, router r's own fabric state as exposed by Credits,
-//     OutFree, CanAccept, Occupancy, PortAlive and the input-queue
-//     accessors, r's own algorithm state (Contention, Ectn) — each of
+//     OutFree, CanAccept, Occupancy, the input-queue accessors and the
+//     port liveness PickPort filters on, r's own algorithm state
+//     (Contention, Ectn) — each of
 //     which changes only through an event that wakes r — and state shared
 //     beyond r whose every change is followed by Network.WakeGroup for
 //     r's group before the next route phase (ECtN's combined arrays);
@@ -59,10 +60,10 @@ type Request struct {
 // the minimal global link, whose credit count is PB's piggybacked
 // saturation bit. That read is also shard-safe — a group never spans
 // shards, and no occupancy moves during the route phase.
-// Network.StepFullScan ignores parking and is the oracle:
-// TestParkingEquivalence pins every shipped
-// mechanism, and CheckInvariants replays the decision of every parked
-// head.
+// The tests' visit-everything cycle (StepFullScan, export_test.go)
+// ignores parking and is the oracle: TestParkingEquivalence pins every
+// shipped mechanism against it, and CheckInvariants replays the decision
+// of every parked head.
 //
 // Algorithms are called from a single goroutine per network; they need no
 // internal locking.

@@ -15,11 +15,11 @@
 // backlog, the routers with unrouted head packets and the routers with
 // staged output work, in the same ascending-id order as a full scan, so
 // per-cycle cost follows traffic rather than topology size while results
-// stay cycle-for-cycle identical to the full scan (Network.StepFullScan;
-// see the equivalence tests). With Config.Workers > 1 each cycle's
-// phases additionally fan out over group-contiguous shards with
-// deterministic barriers and mailboxes, bit-identically to sequential
-// stepping (see parallel.go).
+// stay cycle-for-cycle identical to the full scan (the tests' StepFullScan
+// oracle, export_test.go; see the equivalence tests). With
+// Config.Workers > 1 each cycle's phases additionally fan out over
+// group-contiguous shards with deterministic barriers and mailboxes,
+// bit-identically to sequential stepping (see parallel.go).
 package router
 
 import (

@@ -21,8 +21,8 @@ import (
 //   - Liveness flags. A failed link marks the outPort on *both* ends
 //     dead (links are full duplex); a down router marks every one of its
 //     non-injection ports and the matching peer ports dead. Routing
-//     reads one bool per candidate (PortAlive), so the hot path pays a
-//     single flag check.
+//     reads one bool per candidate (PickPort skips dead ports), so the
+//     hot path pays a single flag check.
 //   - Kills. Every packet committed to a dead direction is removed and
 //     counted in NumDropped: staged output entries, pipeline
 //     completions in flight, packets serializing on the wire, and (for
@@ -328,15 +328,6 @@ func newFaultState(fc FaultConfig, t *topology.Dragonfly) *faultState {
 		comp:   make([]int32, t.Routers),
 	}
 }
-
-// PortAlive reports whether output `port` leads over a live link to a
-// live router. Ejection channels are always alive (a router's own nodes
-// die with the router, which Inject handles). Routing algorithms filter
-// their candidate sets with this.
-func (r *Router) PortAlive(port int) bool { return !r.out[port].dead }
-
-// Alive reports whether the router itself is up.
-func (r *Router) Alive() bool { return !r.down }
 
 // FaultsActive reports whether a fault plan is scheduled on this
 // network. Routing algorithms use it to gate their (slightly more

@@ -418,8 +418,8 @@ func (n *Network) badSchedule(cycle int64, kind evKind) {
 // output), so the cost of a cycle is proportional to traffic that
 // changes state, not topology size or the number of blocked heads (see
 // stepShard for the parking rule). The phase barriers and the per-phase
-// ascending-id visit order are those of the visit-everything cycle,
-// StepFullScan.
+// ascending-id visit order are those of the visit-everything cycle the
+// tests pin it against (StepFullScan, export_test.go).
 //
 // There is one body for every worker count: the two sections and two
 // barriers of parallel.go, with the caller as coordinator and shard 0's
@@ -488,42 +488,6 @@ func (n *Network) Step() {
 	n.now++
 }
 
-// StepFullScan is the oracle Step is pinned against: one cycle of the
-// original loop, in which every phase visits every NIC and every router
-// and every allocation iteration runs, whatever the activity — parked
-// routers and quiet cycles included, so it relies on no active set, no
-// wake and none of stepShard's reasons for leaving a router out of an
-// iteration. Its phases and barriers are Step's, in straight-line code.
-// Tests alternate it with Step or run it against Step; it steps a
-// single-worker network only and panics on one with more shards.
-func (n *Network) StepFullScan() {
-	if n.fork != nil {
-		panic("router: StepFullScan needs a single-worker network")
-	}
-	n.handleShardBucket(&n.shards[0], n.now&n.mask)
-	n.replayDeliveries()
-	n.replayNotifications()
-	if n.faults != nil {
-		n.applyFaults()
-	}
-	n.Alg.BeginCycle(n)
-	for i := range n.nics {
-		n.nicDrain(i)
-	}
-	for _, r := range n.Routers {
-		r.routePhase()
-	}
-	for it := 0; it < n.Cfg.Speedup; it++ {
-		for _, r := range n.Routers {
-			r.allocate(it > 0)
-		}
-	}
-	for _, r := range n.Routers {
-		r.linkPhase()
-	}
-	n.now++
-}
-
 // stepShard services one shard's active sets through the NIC-drain,
 // routing, allocation and link phases. Stale entries (drained NICs,
 // routers whose heads were all granted, emptied output stages) are
@@ -541,8 +505,8 @@ func (n *Network) StepFullScan() {
 // happens; each of those re-arms the router before the next route
 // phase. A head blocked on credits therefore costs one Route call per
 // state change, not one per cycle, and a fabric whose heads are all
-// blocked is quiet (elide.go). StepFullScan visits every router every
-// cycle and is the oracle this is pinned against.
+// blocked is quiet (elide.go). The tests' StepFullScan visits every
+// router every cycle and is the oracle this is pinned against.
 //
 // No phase reads or writes state outside the shard (routing decisions
 // consult only the deciding router and its own group's broadcast state;
@@ -628,23 +592,6 @@ func (n *Network) WakeGroup(g int) {
 		if r.parked {
 			r.wake()
 		}
-	}
-}
-
-// Run advances the simulation by `cycles` cycles, eliding quiet spans
-// (see elide.go): when nothing can happen until the next scheduled
-// event, the clock jumps there instead of stepping cycle by cycle. The
-// result is bit-identical to stepping every cycle. Callers that inject
-// traffic between cycles drive Step (or the elision helpers) themselves;
-// Run is for injection-free spans (drains, idle gaps).
-func (n *Network) Run(cycles int64) {
-	end := n.now + cycles
-	for n.now < end {
-		if j, ok := n.ElideHorizon(end); ok {
-			n.ElideTo(j)
-			continue
-		}
-		n.Step()
 	}
 }
 

@@ -333,8 +333,9 @@ func TestCreditAlternativeFloorAndNormalisation(t *testing.T) {
 	for node, dst := range []int{viaGlobal[0], viaGlobal[0], viaGlobal[1], viaGlobal[1]} {
 		n.Inject(node, dst)
 	}
-	n.Step()
-	n.Run(int64(size) - 1)
+	for range size {
+		n.Step()
+	}
 	n.Inject(0, viaLocal)
 	n.Step()
 	if l, a, b := r.Occupancy(local), r.Occupancy(g0), r.Occupancy(g1); l != 2*size || a != 4*size || b != 4*size {

@@ -161,8 +161,22 @@ func DefaultOptions() Options {
 	}
 }
 
-// New builds the requested mechanism with the given options.
+// New builds the requested mechanism with the given options. A negative
+// threshold or percentage is an error for every mechanism, and so is an
+// ECtN exchange period below one cycle.
 func New(a Algo, o Options) (router.Algorithm, error) {
+	for _, v := range []struct {
+		name string
+		v    int32
+	}{{"BaseTh", o.BaseTh}, {"HybridTh", o.HybridTh}, {"CombinedTh", o.CombinedTh},
+		{"OLMRelPct", o.OLMRelPct}, {"HybridRelPct", o.HybridRelPct}, {"PBSatPackets", o.PBSatPackets}} {
+		if v.v < 0 {
+			return nil, fmt.Errorf("routing: %s = %d, need >= 0", v.name, v.v)
+		}
+	}
+	if a == ECtN && o.ECtNPeriod < 1 {
+		return nil, fmt.Errorf("routing: ECtNPeriod = %d cycles, need >= 1", o.ECtNPeriod)
+	}
 	switch a {
 	case Min:
 		return &minAlg{}, nil

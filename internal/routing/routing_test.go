@@ -118,6 +118,41 @@ func TestParseAndString(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadOptions: a negative threshold or percentage is an
+// error for every mechanism, not a policy that compares against it, and
+// ECtN needs an exchange period of at least one cycle (`now % period` is
+// 0 every |period| cycles for a negative one and divides by zero for 0).
+func TestNewRejectsBadOptions(t *testing.T) {
+	cases := []struct {
+		name string
+		algo Algo
+		set  func(*Options)
+	}{
+		{"BaseTh", Base, func(o *Options) { o.BaseTh = -1 }},
+		{"HybridTh", Hybrid, func(o *Options) { o.HybridTh = -1 }},
+		{"CombinedTh", ECtN, func(o *Options) { o.CombinedTh = -1 }},
+		{"OLMRelPct", OLM, func(o *Options) { o.OLMRelPct = -1 }},
+		{"HybridRelPct", Hybrid, func(o *Options) { o.HybridRelPct = -1 }},
+		{"PBSatPackets", PB, func(o *Options) { o.PBSatPackets = -1 }},
+		{"ECtNPeriod", ECtN, func(o *Options) { o.ECtNPeriod = -5 }},
+		{"ECtNPeriod", ECtN, func(o *Options) { o.ECtNPeriod = 0 }},
+	}
+	for _, tc := range cases {
+		o := DefaultOptions()
+		tc.set(&o)
+		if _, err := New(tc.algo, o); err == nil {
+			t.Errorf("%v with %s %+v accepted", tc.algo, tc.name, o)
+		}
+	}
+	// Zeros are thresholds like any other, and a mechanism that has no
+	// exchange ignores the period.
+	o := DefaultOptions()
+	o.BaseTh, o.ECtNPeriod = 0, 0
+	if _, err := New(Base, o); err != nil {
+		t.Errorf("Base with BaseTh 0 and no period rejected: %v", err)
+	}
+}
+
 func TestAlgoPredicates(t *testing.T) {
 	if Min.IsAdaptive() || Valiant.IsAdaptive() {
 		t.Error("oblivious mechanisms flagged adaptive")

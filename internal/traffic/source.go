@@ -192,8 +192,11 @@ type onOffState struct {
 const maxPhaseWalk = 1 << 20
 
 func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []float64, seed uint64) (Source, error) {
-	if !(spec.OnMean >= 1) || !(spec.OffMean >= 0) {
-		return nil, fmt.Errorf("traffic: on-off phase means on=%v off=%v (need on >= 1, off >= 0)", spec.OnMean, spec.OffMean)
+	if !(spec.OnMean >= 1) || !(spec.OffMean >= 0) || math.IsInf(spec.OnMean+spec.OffMean, 1) {
+		return nil, fmt.Errorf("traffic: on-off phase means on=%v off=%v (need finite on >= 1, off >= 0)", spec.OnMean, spec.OffMean)
+	}
+	if !(peakProb >= 0) {
+		return nil, fmt.Errorf("traffic: on-off peak load %v (need >= 0; 0 keeps the duty cycle)", spec.PeakLoad)
 	}
 	if q <= 0 {
 		// Zero aggregate load: a silent source, whatever the phases.

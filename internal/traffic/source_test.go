@@ -364,10 +364,17 @@ func TestSourceInjectorValidation(t *testing.T) {
 		"negative off":     {Kind: OnOffArrivals, OnMean: 10, OffMean: -1},
 		"peak below load":  {Kind: OnOffArrivals, OnMean: 10, OffMean: 10, PeakLoad: 0.1},
 		"peak rate over 1": {Kind: OnOffArrivals, OnMean: 10, OffMean: 1000},
-		"short weights":    {Weights: []float64{1, 2, 3}},
-		"negative weight":  {Weights: negWeights(n.Topo.Nodes)},
-		"zero weights":     {Weights: make([]float64, n.Topo.Nodes)},
-		"unknown kind":     {Kind: SourceKind(9)},
+		// An infinite phase mean would walk silent phases forever, and a
+		// negative or NaN peak would be ignored (`peakProb > 0`), the spec
+		// running as if it had none.
+		"infinite on mean":  {Kind: OnOffArrivals, OnMean: math.Inf(1), OffMean: 200},
+		"infinite off mean": {Kind: OnOffArrivals, OnMean: 50, OffMean: math.Inf(1)},
+		"negative peak":     {Kind: OnOffArrivals, OnMean: 50, OffMean: 200, PeakLoad: -1},
+		"NaN peak":          {Kind: OnOffArrivals, OnMean: 50, OffMean: 200, PeakLoad: math.NaN()},
+		"short weights":     {Weights: []float64{1, 2, 3}},
+		"negative weight":   {Weights: negWeights(n.Topo.Nodes)},
+		"zero weights":      {Weights: make([]float64, n.Topo.Nodes)},
+		"unknown kind":      {Kind: SourceKind(9)},
 	}
 	//lint:ordered independent per-spec rejection checks; order cannot affect outcomes
 	for name, spec := range cases {

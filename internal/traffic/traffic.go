@@ -205,7 +205,7 @@ type Injector struct {
 // offered load in phits/(node·cycle). Loads above the injection
 // bandwidth of 1 are rejected.
 func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64) (*Injector, error) {
-	if load < 0 || load > 1 {
+	if !(load >= 0 && load <= 1) { // NaN included
 		return nil, fmt.Errorf("traffic: offered load %v outside [0,1] phits/(node*cycle)", load)
 	}
 	if sched == nil {

@@ -213,6 +213,9 @@ func TestInjectorValidation(t *testing.T) {
 	if _, err := NewInjector(n, sched, 1.5, 1); err == nil {
 		t.Fatal("load > 1 accepted")
 	}
+	if _, err := NewInjector(n, sched, math.NaN(), 1); err == nil {
+		t.Fatal("NaN load accepted") // a NaN arrival gap indexes a NIC with int(NaN)
+	}
 	if _, err := NewInjector(n, nil, 0.5, 1); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
