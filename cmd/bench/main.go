@@ -175,11 +175,10 @@ func allocAllowance(base int64) int64 {
 }
 
 // firstTouchAmortized names the rows whose allocs/op is a first-touch
-// count divided by b.N (see compareBaseline): the elision spans and the
-// Paper-scale idle rows.
+// count divided by b.N (see compareBaseline): every Paper-scale row and
+// every elision span.
 func firstTouchAmortized(name string) bool {
-	return strings.HasSuffix(name, "ElideIdle") ||
-		strings.HasPrefix(name, "StepPaper") && strings.HasSuffix(name, "Idle")
+	return strings.HasPrefix(name, "StepPaper") || strings.HasSuffix(name, "ElideIdle")
 }
 
 // readBaseline loads a committed baseline report.
@@ -218,21 +217,20 @@ func compareBaseline(base, fresh Report, nsWarnOnly bool) int {
 		delete(baseline, cur.Name)
 		status := "ok"
 		if allowed := allocAllowance(b.AllocsPerOp); cur.AllocsPerOp > allowed {
-			// The ElideIdle spans and the Paper-scale idle rows inject
-			// arrivals whose delivery paths lazily first-touch FIFOs, so
-			// their amortized allocs/op depends on b.N — on how fast the
-			// host ran — and the draw, not a deterministic count like
-			// the loaded and Small per-cycle benchmarks. Annotate
-			// instead of failing. Still needed with the pooled calendar
-			// and fixed-size active sets: a memory profile of
-			// StepPaperIdle attributes the Step allocations to fifo[T]
-			// first pushes (64k output stages, 16.5k NIC queues, one
-			// small backing array each: 115k of 122k) and
-			// packet-freelist misses (6k), which 1 % load spreads over
-			// far more cycles than a run; the calendar's chunk pool
-			// accounts for ~500, all in warm-up. The same build reads
-			// 6 to 9 allocs/op on that row as b.N moves, which is why
-			// the Paper idle rows joined the ElideIdle ones here.
+			// The ElideIdle spans and the Paper-scale rows route packets
+			// into FIFOs that grow lazily — a backing array at the first
+			// push, a larger one each time the live peak is passed — and
+			// Paper has 64k output stages and 16.5k NIC queues, more
+			// than a warm-up reaches. Their allocs/op is that remainder
+			// divided by b.N, so it depends on how fast the host ran,
+			// not a deterministic count like the Small per-cycle
+			// benchmarks'. Annotate instead of failing. Profiled inside
+			// the timed window, StepPaperWorkers1 reads 78, 62 and 37
+			// allocs/op at 50, 400 and 1500 cycles, 80–83 % of them
+			// output-stage fifo pushes, 15–19 % NIC fifo pushes and at
+			// most 2 % packet-freelist misses; StepPaperIdle reads 6
+			// to 9 as b.N moves. Pre-sizing the FIFOs at Build would
+			// make these rows hard gates again.
 			if firstTouchAmortized(cur.Name) {
 				fmt.Printf("::warning title=allocs/op above baseline (first-touch-amortized benchmark)::%s allocs/op %d > baseline %d (allowed %d)\n",
 					cur.Name, cur.AllocsPerOp, b.AllocsPerOp, allowed)

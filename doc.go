@@ -590,7 +590,14 @@
 // produces bit-identical traces at every worker count and across
 // commits. The dynamic guards — the equivalence tests, golden CSVs and
 // CheckInvariants sweeps — catch a violation after it happens, on some
-// input; the source-level contracts below make violations build breaks
+// input. The equivalence tests are tables over one differential harness
+// in internal/router's external tests (harness_test.go): a row is a
+// scenario, an arm the StepFullScan oracle or Step at some worker count
+// with elision on or off, and two arms' records — callbacks in order,
+// latency histogram, every counter, every router's random stream — must
+// be equal. FuzzEngine draws rows from fuzzed bytes and holds one arm to
+// the oracle (`go test -run=NONE -fuzz=FuzzEngine ./internal/router`).
+// The source-level contracts below make violations build breaks
 // instead. They are enforced mechanically by detlint (internal/lint,
 // run as `go run ./cmd/detlint ./...`, a hard CI gate) over the
 // deterministic packages internal/{router,routing,sim,traffic,core,

@@ -33,8 +33,8 @@ import (
 // counters, RNG streams and histograms are bit-identical with elision on
 // or off, at every worker count. Callers driving an injector must
 // additionally cap the jump at the injector's next arrival
-// (traffic.Injector.NextArrival); Run and Drain inject nothing and elide
-// on the network's own horizon alone.
+// (traffic.Injector.NextArrival); Drain injects nothing and elides on
+// the network's own horizon alone.
 
 // NoPendingCycle is the horizon sentinel: "no pending work, ever".
 // CycleHorizon implementations return it when BeginCycle never does

@@ -865,8 +865,8 @@ func (n *Network) LinkCounts() (ejection, local, global int) {
 // packet is delivered or maxCycles elapse; it reports whether the network
 // fully drained. Tests use it to prove forward progress (deadlock
 // freedom in practice).
-// Like Run, Drain elides quiet spans (e.g. a lone packet serializing
-// down a long global link) — bit-identically to stepping them.
+// Drain elides quiet spans (e.g. a lone packet serializing down a long
+// global link) — bit-identically to stepping them.
 func (n *Network) Drain(maxCycles int64) bool {
 	end := n.now + maxCycles
 	for n.now < end && n.InFlight > 0 {

@@ -625,6 +625,7 @@ func (r *Router) checkParked() error {
 	faults := r.net.faults != nil
 	rng0 := *r.RNG
 	kills0 := len(r.shard.pendingKills)
+	var cp Packet // the replayed decision's copy of the head, one per sweep
 	for wi, w := range r.unroutedHeads.scan() {
 		for ; w != 0; w &= w - 1 {
 			slot := r.unroutedHeads.idAt(wi, w)
@@ -636,7 +637,7 @@ func (r *Router) checkParked() error {
 			if stored.valid && r.CanAccept(int(stored.out), int(stored.vc)) {
 				return fmt.Errorf("router %d in %d vc %d: parked but its request %+v is grantable", r.ID, port, vc, stored)
 			}
-			cp := *p
+			cp = *p
 			req, escape := r.decide(alg, faults, &cp, port, vc)
 			drew, killed := *r.RNG != rng0, len(r.shard.pendingKills) != kills0
 			*r.RNG = rng0

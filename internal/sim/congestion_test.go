@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -14,91 +13,6 @@ import (
 // knob left at its default.
 func congestionOn() router.CongestionConfig {
 	return router.CongestionConfig{Enabled: true}
-}
-
-// congestionRun is parallelRun's congestion-aware sibling: it drives one
-// network with the layer enabled and returns the trace of deliveries and
-// OnNotify calls, interleaved as they happened, plus the injector, so
-// callers can compare the throttle counter too.
-func congestionRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int) ([]string, *traffic.Injector, *router.Network) {
-	t.Helper()
-	c.Router.Workers = workers
-	c.Router.Congestion = congestionOn()
-	net, inj := testPoint(t, c, w, load)
-	var trace []string
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d marks=%d gen=%d",
-			now, p.ID, p.Src, p.Dst, p.TotalHops, p.ECNMarks, p.GenTime))
-	}
-	throttle := net.OnNotify
-	net.OnNotify = func(node, sev int, now int64) {
-		trace = append(trace, fmt.Sprintf("%d notify %d sev=%d", now, node, sev))
-		throttle(node, sev, now)
-	}
-	for cyc := int64(0); cyc < cycles; cyc++ {
-		inj.Cycle()
-		net.Step()
-		if workers > 1 {
-			if err := net.CheckInvariants(); err != nil {
-				t.Fatalf("workers=%d cycle %d: %v", workers, cyc, err)
-			}
-		}
-	}
-	return trace, inj, net
-}
-
-// TestParallelCongestionEquivalence pins the congestion loop — marking,
-// notification replay, AIMD throttling, NIC shedding — bit-for-bit
-// across worker counts: the trace of deliveries (ECN marks included) and
-// OnNotify calls, and every congestion counter, must be identical at
-// workers ∈ {2, 3, 4} to the 1-worker run. This is the determinism
-// property the notification replay order (delivery order, at the handle
-// barrier of the due cycle) exists for.
-func TestParallelCongestionEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		algo routing.Algo
-		w    Workload
-		load float64
-	}{
-		{"base-hotspot", routing.Base, HotspotUN(0.3, 8), 0.7},
-		{"base-adv1", routing.Base, ADV(1), 0.5},
-		{"min-hotspot", routing.Min, HotspotUN(0.3, 8), 0.7},
-		{"ectn-bursty-hotspot", routing.ECtN, HotspotUN(0.2, 4).WithBurst(40, 120, 0.8), 0.4},
-	}
-	const cycles = 1200
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewConfig(Tiny.Params(), tc.algo)
-			refTrace, refInj, refNet := congestionRun(t, c, tc.w, tc.load, cycles, 1)
-			if refNet.NumMarked == 0 || refNet.NumNotified == 0 || refInj.Throttled() == 0 {
-				t.Fatalf("reference run exercised no congestion (marked=%d notified=%d throttled=%d); the case proves nothing",
-					refNet.NumMarked, refNet.NumNotified, refInj.Throttled())
-			}
-			for _, workers := range []int{2, 3, 4} {
-				trace, inj, net := congestionRun(t, c, tc.w, tc.load, cycles, workers)
-				if net.NumMarked != refNet.NumMarked || net.NumNotified != refNet.NumNotified ||
-					net.NumShed != refNet.NumShed || inj.Throttled() != refInj.Throttled() {
-					t.Fatalf("workers=%d congestion counters diverged: marked %d/%d notified %d/%d shed %d/%d throttled %d/%d",
-						workers, net.NumMarked, refNet.NumMarked, net.NumNotified, refNet.NumNotified,
-						net.NumShed, refNet.NumShed, inj.Throttled(), refInj.Throttled())
-				}
-				if net.NumDelivered != refNet.NumDelivered || net.NumGenerated != refNet.NumGenerated {
-					t.Fatalf("workers=%d delivery diverged: %d/%d delivered, %d/%d generated",
-						workers, net.NumDelivered, refNet.NumDelivered, net.NumGenerated, refNet.NumGenerated)
-				}
-				if len(trace) != len(refTrace) {
-					t.Fatalf("workers=%d trace length %d vs %d", workers, len(trace), len(refTrace))
-				}
-				for i := range trace {
-					if trace[i] != refTrace[i] {
-						t.Fatalf("workers=%d trace diverged at entry %d:\n  got  %s\n  want %s",
-							workers, i, trace[i], refTrace[i])
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestCongestionOffIsInert pins the off-mode contract: a zero-valued

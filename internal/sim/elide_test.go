@@ -10,147 +10,6 @@ import (
 	"cbar/internal/traffic"
 )
 
-// elideRun drives one (injector, network) pair for `cycles` cycles,
-// either plainly stepping every cycle or eliding quiet spans through
-// the production elideStep, and records the exact delivery trace, the
-// drop trace, the latency histogram, and how many cycles were actually
-// stepped (vs jumped). The invariant sweep runs after every stepped
-// cycle; elided spans are covered by the final sweep — by construction
-// nothing in the network changes across them.
-func elideRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int, elide bool) (trace, drops []string, hist map[int64]uint64, inj *traffic.Injector, net *router.Network, stepped int64) {
-	t.Helper()
-	c.Router.Workers = workers
-	net, inj = testPoint(t, c, w, load)
-	hist = make(map[int64]uint64)
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d att=%d",
-			now, p.ID, p.Src, p.Dst, p.TotalHops, p.GlobalMisroute, p.LocalMisroutes, p.GenTime, p.Attempt))
-		hist[now-p.GenTime]++
-	}
-	retry := net.OnDrop
-	net.OnDrop = func(p *router.Packet, now int64) {
-		drops = append(drops, fmt.Sprintf("%d #%d %d->%d att=%d", now, p.ID, p.Src, p.Dst, p.Attempt))
-		if retry != nil {
-			retry(p, now)
-		}
-	}
-	for net.Now() < cycles {
-		if elide && elideStep(net, inj, cycles) {
-			continue
-		}
-		inj.Cycle()
-		net.Step()
-		stepped++
-		if err := net.CheckInvariants(); err != nil {
-			t.Fatalf("workers=%d elide=%v cycle %d: %v", workers, elide, net.Now(), err)
-		}
-	}
-	return trace, drops, hist, inj, net, stepped
-}
-
-// compareArms asserts the elided arm reproduced the stepped arm
-// bit-for-bit: delivery trace (callback order included), drop trace,
-// latency histogram, and every aggregate counter.
-func compareArms(t *testing.T, label string,
-	refTrace, trace, refDrops, drops []string,
-	refHist, hist map[int64]uint64,
-	refNet, net *router.Network, refInj, inj *traffic.Injector) {
-	t.Helper()
-	if net.NumGenerated != refNet.NumGenerated || net.NumBlocked != refNet.NumBlocked ||
-		net.NumDelivered != refNet.NumDelivered || net.DeliveredPhits != refNet.DeliveredPhits ||
-		net.InFlight != refNet.InFlight || net.NumDropped != refNet.NumDropped ||
-		net.NumUnroutable != refNet.NumUnroutable {
-		t.Fatalf("%s: counters diverged:\n  got  gen=%d blk=%d del=%d phits=%d inflight=%d drop=%d unr=%d\n  want gen=%d blk=%d del=%d phits=%d inflight=%d drop=%d unr=%d",
-			label,
-			net.NumGenerated, net.NumBlocked, net.NumDelivered, net.DeliveredPhits, net.InFlight, net.NumDropped, net.NumUnroutable,
-			refNet.NumGenerated, refNet.NumBlocked, refNet.NumDelivered, refNet.DeliveredPhits, refNet.InFlight, refNet.NumDropped, refNet.NumUnroutable)
-	}
-	if net.NumMarked != refNet.NumMarked || net.NumNotified != refNet.NumNotified ||
-		net.NumShed != refNet.NumShed || inj.Throttled() != refInj.Throttled() {
-		t.Fatalf("%s: congestion counters diverged: marked %d/%d notified %d/%d shed %d/%d throttled %d/%d",
-			label, net.NumMarked, refNet.NumMarked, net.NumNotified, refNet.NumNotified,
-			net.NumShed, refNet.NumShed, inj.Throttled(), refInj.Throttled())
-	}
-	if len(trace) != len(refTrace) {
-		t.Fatalf("%s: trace length %d vs %d", label, len(trace), len(refTrace))
-	}
-	for i := range trace {
-		if trace[i] != refTrace[i] {
-			t.Fatalf("%s: trace diverged at delivery %d:\n  got  %s\n  want %s", label, i, trace[i], refTrace[i])
-		}
-	}
-	if len(drops) != len(refDrops) {
-		t.Fatalf("%s: drop trace length %d vs %d", label, len(drops), len(refDrops))
-	}
-	for i := range drops {
-		if drops[i] != refDrops[i] {
-			t.Fatalf("%s: drop trace diverged at %d:\n  got  %s\n  want %s", label, i, drops[i], refDrops[i])
-		}
-	}
-	if len(hist) != len(refHist) {
-		t.Fatalf("%s: histogram has %d latencies vs %d", label, len(hist), len(refHist))
-	}
-	//lint:ordered per-bin histogram equality; order cannot affect outcomes
-	for lat, n := range refHist {
-		if hist[lat] != n {
-			t.Fatalf("%s: latency %d count %d vs %d", label, lat, hist[lat], n)
-		}
-	}
-}
-
-// TestElisionEquivalence is the tentpole acceptance gate: for
-// {Base, PB, ECtN} × {idle uniform, bursty long-OFF, faults-armed},
-// at workers 1–4, an elided run must be bit-identical to plainly
-// stepping every cycle — same delivery and drop traces (callback order
-// included), same latency histogram, same counters — while actually
-// jumping a substantial share of the clock.
-func TestElisionEquivalence(t *testing.T) {
-	type regime struct {
-		name   string
-		w      Workload
-		load   float64
-		faults bool
-	}
-	regimes := []regime{
-		// Deep-idle Bernoulli arrivals: long quiet gaps between packets.
-		{"un-idle", UN(), 0.002, false},
-		// On-off arrivals with long OFF phases: the calendar heap is the
-		// horizon; jumps land exactly on the next scheduled arrival.
-		{"bursty-longoff", UN().WithBurst(30, 600, 0.3), 0.02, false},
-		// The fault-equivalence plan armed over an idle run: link and
-		// router events (and the random cable batch) land mid-span, and
-		// retransmission keeps the retry heap in the horizon.
-		{"faults-armed", UN(), 0.005, true},
-	}
-	algos := []routing.Algo{routing.Base, routing.PB, routing.ECtN}
-	const cycles = 1200
-	for _, algo := range algos {
-		for _, rg := range regimes {
-			t.Run(fmt.Sprintf("%v-%s", algo, rg.name), func(t *testing.T) {
-				c := NewConfig(Tiny.Params(), algo)
-				if rg.faults {
-					c.Router.Faults = faultPlan()
-				}
-				for _, workers := range []int{1, 2, 3, 4} {
-					refTrace, refDrops, refHist, refInj, refNet, refSteps := elideRun(t, c, rg.w, rg.load, cycles, workers, false)
-					if refSteps != cycles {
-						t.Fatalf("workers=%d: stepped arm ran %d steps, want %d", workers, refSteps, cycles)
-					}
-					if len(refTrace) == 0 {
-						t.Fatal("stepped arm delivered nothing; the case proves nothing")
-					}
-					trace, drops, hist, inj, net, steps := elideRun(t, c, rg.w, rg.load, cycles, workers, true)
-					if steps >= cycles {
-						t.Fatalf("workers=%d: elided arm stepped every one of the %d cycles; nothing was elided", workers, cycles)
-					}
-					compareArms(t, fmt.Sprintf("workers=%d", workers),
-						refTrace, trace, refDrops, drops, refHist, hist, refNet, net, refInj, inj)
-				}
-			})
-		}
-	}
-}
-
 // TestElisionFaultEventMidSpan pins the fault term of the horizon at
 // the router level, with no injector at all: on an empty network whose
 // only scheduled work is a fault plan, ElideHorizon must land exactly

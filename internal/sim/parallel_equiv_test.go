@@ -8,120 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"cbar/internal/router"
 	"cbar/internal/routing"
 	"cbar/internal/traffic"
 )
-
-// parallelRun drives one network for `cycles` cycles at the given worker
-// count, recording the exact delivery trace (cycle, packet identity,
-// path statistics, in callback order) and the per-packet latency
-// histogram, and checking the full invariant sweep — including the
-// algorithm StateChecker audits — after every parallel cycle.
-func parallelRun(t *testing.T, c Config, w Workload, load float64, cycles int64, workers int) ([]string, map[int64]uint64, *router.Network) {
-	t.Helper()
-	c.Router.Workers = workers
-	net, inj := testPoint(t, c, w, load)
-	if got := net.Workers(); got != workers {
-		t.Fatalf("built %d workers, want %d", got, workers)
-	}
-	var trace []string
-	hist := make(map[int64]uint64)
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		trace = append(trace, fmt.Sprintf("%d #%d %d->%d hops=%d mis=%v/%d gen=%d",
-			now, p.ID, p.Src, p.Dst, p.TotalHops, p.GlobalMisroute, p.LocalMisroutes, p.GenTime))
-		hist[now-p.GenTime]++
-	}
-	// Invariants every cycle under parallel stepping (the satellite
-	// contract: the incremental state must recompute and agree after
-	// every parallel cycle); spot checks suffice for the sequential
-	// reference, which the sequential equivalence suite already audits.
-	checkEvery := int64(1)
-	if workers == 1 {
-		checkEvery = 250
-	}
-	for cyc := int64(0); cyc < cycles; cyc++ {
-		inj.Cycle()
-		net.Step()
-		if (cyc+1)%checkEvery == 0 {
-			if err := net.CheckInvariants(); err != nil {
-				t.Fatalf("workers=%d cycle %d: %v", workers, cyc, err)
-			}
-		}
-	}
-	return trace, hist, net
-}
-
-// TestParallelStepEquivalence pins the shard-parallel stepper
-// bit-for-bit to the sequential active-set stepper: for every mechanism
-// family and workload family, the exact delivery trace (including the
-// OnDeliver callback order), the latency histogram and the aggregate
-// counters must be identical at workers ∈ {2, 3, 4} to the 1-worker
-// run. This is the contract that lets a -workers flag change wall-clock
-// time and nothing else.
-func TestParallelStepEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		algo routing.Algo
-		w    Workload
-		load float64
-	}{
-		{"base-un", routing.Base, UN(), 0.3},
-		{"base-adv1", routing.Base, ADV(1), 0.3},
-		{"base-hotspot", routing.Base, HotspotUN(0.2, 4), 0.25},
-		{"base-bursty", routing.Base, UN().WithBurst(40, 120, 0.8), 0.2},
-		{"pb-un", routing.PB, UN(), 0.3},
-		{"pb-adv1", routing.PB, ADV(1), 0.25},
-		{"ectn-un", routing.ECtN, UN(), 0.3},
-		{"ectn-adv1", routing.ECtN, ADV(1), 0.25},
-		{"ectn-bursty", routing.ECtN, UN().WithBurst(40, 120, 0.8), 0.2},
-		{"olm-adv1", routing.OLM, ADV(1), 0.3},
-		{"olm-hotspot", routing.OLM, HotspotUN(0.2, 4), 0.25},
-		{"val-un", routing.Valiant, UN(), 0.3},
-		{"val-bursty", routing.Valiant, UN().WithBurst(40, 120, 0.8), 0.2},
-	}
-	const cycles = 1200
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewConfig(Tiny.Params(), tc.algo)
-			refTrace, refHist, refNet := parallelRun(t, c, tc.w, tc.load, cycles, 1)
-			if len(refTrace) == 0 {
-				t.Fatal("reference run delivered nothing; the case proves nothing")
-			}
-			for _, workers := range []int{2, 3, 4} {
-				trace, hist, net := parallelRun(t, c, tc.w, tc.load, cycles, workers)
-				if net.NumGenerated != refNet.NumGenerated || net.NumBlocked != refNet.NumBlocked {
-					t.Fatalf("workers=%d generation diverged: %d/%d vs %d/%d",
-						workers, net.NumGenerated, net.NumBlocked, refNet.NumGenerated, refNet.NumBlocked)
-				}
-				if net.NumDelivered != refNet.NumDelivered || net.DeliveredPhits != refNet.DeliveredPhits ||
-					net.InFlight != refNet.InFlight {
-					t.Fatalf("workers=%d delivery diverged: %d (%d phits, %d in flight) vs %d (%d phits, %d in flight)",
-						workers, net.NumDelivered, net.DeliveredPhits, net.InFlight,
-						refNet.NumDelivered, refNet.DeliveredPhits, refNet.InFlight)
-				}
-				if len(trace) != len(refTrace) {
-					t.Fatalf("workers=%d trace length %d vs %d", workers, len(trace), len(refTrace))
-				}
-				for i := range trace {
-					if trace[i] != refTrace[i] {
-						t.Fatalf("workers=%d trace diverged at delivery %d:\n  got  %s\n  want %s",
-							workers, i, trace[i], refTrace[i])
-					}
-				}
-				if len(hist) != len(refHist) {
-					t.Fatalf("workers=%d histogram has %d latencies vs %d", workers, len(hist), len(refHist))
-				}
-				//lint:ordered per-bin histogram equality; order cannot affect outcomes
-				for lat, n := range refHist {
-					if hist[lat] != n {
-						t.Fatalf("workers=%d latency %d count %d vs %d", workers, lat, hist[lat], n)
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestParallelDrainForwardProgress proves forward progress under
 // parallel stepping: a loaded 4-worker network must fully drain once

@@ -190,15 +190,15 @@ type Injector struct {
 	// fault plan enables retransmission — see retransmit.go).
 	rtx *retransmitter
 
-	// Quiet-cycle elision state for the Bernoulli fast path. Certifying
-	// a cycle empty costs exactly the one Geometric draw Cycle would
-	// have consumed for it, so skipping the cycle leaves the RNG stream
-	// bit-identical. drawnThrough is the highest certified-empty cycle;
-	// pendingCycle/pendingNode stash the first in-range draw NextArrival
-	// found, which Cycle resumes from instead of redrawing.
-	drawnThrough int64
-	pendingCycle int64
-	pendingNode  int
+	// The Bernoulli fast path's look-ahead, which lets NextArrival
+	// certify cycles empty for elision: next is the cycle whose first
+	// Geometric draw comes next (every cycle before it drew empty), and
+	// nextNode is the node that draw landed on once made, else -1.
+	// Cycle and NextArrival both take a cycle's first draw through
+	// firstDraw, so it is drawn once whichever asks first and the stream
+	// stays bit-identical to stepping every cycle.
+	next     int64
+	nextNode int
 }
 
 // NewInjector builds a homogeneous Bernoulli injector at the given
@@ -220,8 +220,8 @@ func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64
 		load:  load,
 		rng:   rng.New(seed, 0xC0FFEE),
 
-		drawnThrough: -1,
-		pendingCycle: -1,
+		next:     net.Now(),
+		nextNode: -1,
 	}
 	if net.Cfg.Congestion.Enabled {
 		// Close the congestion loop: the fabric's notifications drive
@@ -330,26 +330,15 @@ func (in *Injector) Cycle() {
 		return
 	}
 	now := in.net.Now()
-	pat := in.sched.At(now)
-	nodes := in.net.Topo.Nodes
-	if now <= in.drawnThrough {
-		// NextArrival certified this cycle empty, consuming the one
-		// Geometric draw the loop below would have made.
+	node, ok := in.firstDraw(now)
+	if !ok {
 		return
 	}
+	in.next, in.nextNode = now+1, -1
+	pat := in.sched.At(now)
+	nodes := in.net.Topo.Nodes
 	// Every draw here is only asked whether it stays inside the node
 	// range, so each is a DrawBelow of the nodes left.
-	node, ok := 0, true
-	if in.pendingCycle == now {
-		// Resume from the draw NextArrival stashed for this cycle.
-		node = in.pendingNode
-		in.pendingCycle = -1
-	} else {
-		if in.pendingCycle >= 0 && in.pendingCycle < now {
-			panic("traffic: elision jumped past a pending arrival; cap jumps at NextArrival")
-		}
-		node, ok = in.gap.DrawBelow(in.rng, int64(nodes))
-	}
 	for ok {
 		// A throttled attempt is suppressed (counted by the throttle)
 		// and no destination is drawn: the process is memoryless, with no
@@ -375,10 +364,11 @@ func (in *Injector) Cycle() {
 //
 // On the Bernoulli fast path certification consumes the RNG: one
 // Geometric draw per certified-empty cycle — exactly the draw Cycle
-// would have made — with the first in-range draw stashed and resumed by
-// Cycle, so the stream stays bit-identical to stepping every cycle.
-// Consequently the caller must not advance the network past the
-// returned cycle: Cycle panics if a stashed arrival was jumped over.
+// would have made — and the first draw that lands held in the
+// look-ahead for Cycle, so the stream stays bit-identical to stepping
+// every cycle. Consequently the caller must not advance the network
+// past the returned cycle: Cycle panics if a held arrival was jumped
+// over.
 func (in *Injector) NextArrival(limit int64) int64 {
 	now := in.net.Now()
 	if limit < now {
@@ -412,29 +402,38 @@ func (in *Injector) NextArrival(limit int64) int64 {
 	if in.prob <= 0 {
 		return next
 	}
-	if in.pendingCycle >= 0 {
-		if in.pendingCycle < now {
-			panic("traffic: elision jumped past a pending arrival; cap jumps at NextArrival")
-		}
-		if in.pendingCycle < next {
-			next = in.pendingCycle
-		}
-		return next
-	}
-	// Certify cycles empty one Geometric draw at a time, up to (not
+	// Certify cycles empty one first draw at a time, up to (not
 	// including) the earliest other work.
-	c := now
-	if in.drawnThrough+1 > c {
-		c = in.drawnThrough + 1
-	}
-	for ; c < next; c++ {
-		if node, ok := in.gap.DrawBelow(in.rng, int64(in.net.Topo.Nodes)); ok {
-			in.pendingCycle, in.pendingNode = c, node
+	for c := max(now, in.next); c < next; c++ {
+		if _, ok := in.firstDraw(c); ok {
 			return c
 		}
-		in.drawnThrough = c
 	}
 	return next
+}
+
+// firstDraw returns the node cycle c's first Geometric draw lands on, or
+// ok false when c generates nothing, moving the look-ahead to c and
+// drawing only if c's draw is not made yet. A c the look-ahead has passed
+// drew empty; a c beyond a landed draw means the clock skipped a cycle
+// that generates.
+func (in *Injector) firstDraw(c int64) (node int, ok bool) {
+	if c < in.next {
+		return 0, false
+	}
+	if c > in.next {
+		if in.nextNode >= 0 {
+			panic("traffic: elision jumped past a pending arrival; cap jumps at NextArrival")
+		}
+		in.next = c // cycles stepped without Cycle draw nothing
+	}
+	if in.nextNode < 0 {
+		if in.nextNode, ok = in.gap.DrawBelow(in.rng, int64(in.net.Topo.Nodes)); !ok {
+			in.next, in.nextNode = c+1, -1
+			return 0, false
+		}
+	}
+	return in.nextNode, true
 }
 
 // cycleCalendar pops every node whose next injection is due and
