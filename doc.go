@@ -151,11 +151,15 @@
 // "un+skew:0.1,0.5"), which cmd/sweep exposes via -traffic; README.md
 // tabulates the full grammar.
 //
-// Stateful sources keep their next injection time on a calendar (a
-// min-heap over nodes), so the per-cycle injection cost stays
-// proportional to packets generated, not node count — the homogeneous
-// Bernoulli case bypasses the calendar entirely on the original
-// skip-sampling fast path, bit-identically.
+// Stateful sources keep their upcoming injection times on a calendar (a
+// min-heap ordered by cycle, then node), so the per-cycle injection cost
+// stays proportional to packets generated, not node count — the
+// homogeneous Bernoulli case bypasses the calendar entirely on the
+// original skip-sampling fast path, bit-identically. Each node draws its
+// arrivals from its own stream; unthrottled, on a run given idle cores,
+// the calendar is filled a window of arrivals ahead (see Performance
+// architecture), otherwise it holds each node's next injection, drawn
+// when the current one is injected.
 //
 // # Congestion management
 //
@@ -255,6 +259,28 @@
 // as rng.PCG.Geometric, stream for stream, without a logarithm of the
 // loop-invariant probability per draw — which a near-idle bursty run,
 // walking silent phases, used to spend a fifth of its time on.
+//
+// Arrivals drawn ahead. An on-off source at near-idle load spends its
+// time walking silent phases (some 4 000 ON/OFF pairs per packet at
+// 1e-5), and that is the whole cost of a near-idle bursty run. Each node
+// draws from its own stream, so without a congestion throttle its
+// arrival times are a fixed sequence the fabric cannot change, and they
+// can be drawn early without changing a draw. The grid pool gives each
+// run its share of GOMAXPROCS (planWorkers: the cores over the runs that
+// execute at once); when that share is two or more cores, the run's
+// unthrottled calendar injector (Injector.DrawAhead) holds every arrival
+// before a frontier, and when Cycle reaches the earliest arrival not on
+// the calendar yet it draws the next window, ⌈1/q⌉ cycles at per-node
+// packet probability q (about one arrival per node), calling the same
+// Source.Next on each node's own state. The window's 64-node chunks are
+// claimed from an atomic counter by the caller and by helper goroutines
+// the fill starts, one per extra core, and the fill waits for them; the
+// run's shard workers are idle then, as Cycle runs between Steps. Other
+// runs keep drawing inline, one arrival per pop. A throttled node's next
+// arrival depends on the cycle the fabric admits the current one, so
+// congestion-on runs cannot draw ahead. On a single core (one core
+// alone, or a grid as wide as the machine) drawing ahead saves nothing
+// and adds what the last window draws past the end of the run.
 //
 // Certified inversion. A sample is defined by one expression,
 // Floor(Log(u)/log1p(-prob)), and rng.Geom evaluates it only when it
@@ -627,9 +653,10 @@
 //     from their registered call site, the one cycle body Step (tests,
 //     the oracle cycle among them, are exempt), may never be taken as
 //     function values, and may not be reachable through
-//     the call graph from the parallel phase roots (the two shard
-//     worker bodies, handleShardBucket and stepShard, and the routing
-//     hook surface Route/OnHead/OnArrive/OnDequeue/OnGrant). The first
+//     the call graph from the parallel roots (the two shard worker
+//     bodies, handleShardBucket and stepShard, the injector's window
+//     fill chunk, lookahead.draw, and the routing hook surface
+//     Route/OnHead/OnArrive/OnDequeue/OnGrant). The first
 //     two are per-package syntax checks; the reachability walk runs
 //     over the whole program's call graph, the one shardisolation and
 //     allocfree use, so a chain that leaves the root's package — a
@@ -640,6 +667,10 @@
 //     are barrier-only with point.advance as their one caller, so a
 //     second cycle loop in a deterministic package is a finding
 //     (cmd/bench keeps one literal body: its rows time Step itself).
+//     A window fill's chunks run on helper goroutines, each through its
+//     own nodes' Source state, and the calendar's (cycle, node) order
+//     makes the pops, and so every injection and destination draw, the
+//     same at any core count.
 //   - Field encapsulation (fieldenc): the accounting fields the
 //     invariant auditor leans on — port occupancy (written only via
 //     Router.occDelta), credit/output-buffer counters (the grant, the

@@ -280,10 +280,13 @@ func DefaultConfig() *Config {
 		// The two worker bodies of a Step (parallel.go). Everything they
 		// run — event handling, NIC drain, the route, allocation and link
 		// phases, the fault escape — is reached from them through the
-		// call graph.
+		// call graph. The injector's lookahead draws node chunks of a
+		// window on several cores (source.go), each through its own
+		// nodes' Source state only.
 		ParallelRoots: []string{
 			router + ".Network.handleShardBucket",
 			router + ".Network.stepShard",
+			traffic + ".lookahead.draw",
 		},
 		// Any method with one of these names is a parallel root wherever
 		// it is declared: the Algorithm hook surface runs inside the
@@ -434,6 +437,7 @@ func DefaultConfig() *Config {
 			{Type: router + ".fifo", Field: "buf"},
 			{Type: traffic + ".retransmitter", Field: "heap"},
 			{Type: traffic + ".calendar", Field: "heap"},
+			{Type: traffic + ".laChunk", Field: "out"},
 		},
 	}
 }

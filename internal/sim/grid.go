@@ -105,14 +105,14 @@ func forEachRun(pts []gridPoint, b Budget, f func(k int, c Config) error) error 
 	slices.SortStableFunc(order, func(j, k int) int {
 		return cmp.Compare(pts[k/b.Seeds].load, pts[j/b.Seeds].load)
 	})
-	perRun, taskWorkers := planWorkers(requested, tasks)
+	perRun, taskWorkers, cores := planWorkers(requested, tasks)
 	return forEachTaskN(tasks, taskWorkers, func(i int) error {
 		if err := ctxErr(b.Ctx); err != nil {
 			return err
 		}
 		k := order[i]
 		c := pts[k/b.Seeds].c
-		c.Router.Workers = perRun
+		c.Router.Workers, c.cores = perRun, cores
 		return f(k, c)
 	})
 }
@@ -134,15 +134,21 @@ func autoShardable(rc router.Config) bool {
 // GOMAXPROCS — the pool never oversubscribes the machine, so a -workers
 // request beyond the core count is clamped (unlike a direct
 // BuildNetwork, which takes the config verbatim); the task pool is then
-// sized so tasks × per-run workers never exceeds GOMAXPROCS.
-func planWorkers(requested, tasks int) (perRun, taskWorkers int) {
+// sized so tasks × per-run workers never exceeds GOMAXPROCS. cores is
+// each run's share of the machine: GOMAXPROCS over the runs that execute
+// at once, at least perRun. A run may use the cores beyond its shard
+// workers — and those, idle between Steps — for drawing its arrivals
+// ahead (traffic.Injector.DrawAhead); a grid as wide as the machine
+// leaves each run one core, and so draws inline.
+func planWorkers(requested, tasks int) (perRun, taskWorkers, cores int) {
 	maxProcs := runtime.GOMAXPROCS(0)
 	perRun = requested
 	if perRun <= 0 {
 		perRun = max(1, maxProcs/tasks)
 	}
 	perRun = min(perRun, maxProcs)
-	return perRun, maxProcs / perRun
+	taskWorkers = maxProcs / perRun
+	return perRun, taskWorkers, maxProcs / min(tasks, taskWorkers)
 }
 
 // forEachTaskN runs f(0..n-1) on up to `workers` goroutines and returns

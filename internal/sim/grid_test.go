@@ -52,3 +52,31 @@ func TestGridDispatchHeaviestFirst(t *testing.T) {
 		t.Fatalf("results are not their points': %+v", rs)
 	}
 }
+
+// TestPlanWorkersCoreShare pins the cores a run may draw arrivals ahead
+// on: its share of GOMAXPROCS among the runs that execute at once, so a
+// grid as wide as the machine leaves every run one core (inline draws)
+// and a lone run gets them all, whatever shard workers it asked for.
+func TestPlanWorkersCoreShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs, requested, tasks    int
+		perRun, taskWorkers, cores int
+	}{
+		{procs: 1, requested: 1, tasks: 1, perRun: 1, taskWorkers: 1, cores: 1},
+		{procs: 2, requested: 1, tasks: 1, perRun: 1, taskWorkers: 2, cores: 2},
+		{procs: 2, requested: 1, tasks: 2, perRun: 1, taskWorkers: 2, cores: 1},
+		{procs: 2, requested: 0, tasks: 6, perRun: 1, taskWorkers: 2, cores: 1},
+		{procs: 2, requested: 0, tasks: 1, perRun: 2, taskWorkers: 1, cores: 2},
+		{procs: 4, requested: 1, tasks: 3, perRun: 1, taskWorkers: 4, cores: 1},
+		{procs: 4, requested: 2, tasks: 1, perRun: 2, taskWorkers: 2, cores: 4},
+		{procs: 4, requested: 3, tasks: 2, perRun: 3, taskWorkers: 1, cores: 4},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		perRun, taskWorkers, cores := planWorkers(tc.requested, tc.tasks)
+		if perRun != tc.perRun || taskWorkers != tc.taskWorkers || cores != tc.cores {
+			t.Errorf("GOMAXPROCS %d, %d workers asked, %d tasks: plan (%d, %d, %d), want (%d, %d, %d)",
+				tc.procs, tc.requested, tc.tasks, perRun, taskWorkers, cores, tc.perRun, tc.taskWorkers, tc.cores)
+		}
+	}
+}

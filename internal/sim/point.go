@@ -76,6 +76,7 @@ func newPoint(c Config, w Workload, load float64, seed, injSeed uint64, then ...
 	if err != nil {
 		return nil, err
 	}
+	inj.DrawAhead(c.cores)
 	return &point{net: net, inj: inj, algo: c.Algo.String(), work: w.Name(), load: load}, nil
 }
 

@@ -24,6 +24,10 @@ type Config struct {
 	Router router.Config
 	Algo   routing.Algo
 	Opts   routing.Options
+	// cores is the run's share of GOMAXPROCS, which the grid pool sets
+	// (planWorkers); its injector draws arrivals ahead on them
+	// (traffic.Injector.DrawAhead). Zero outside the pool: inline draws.
+	cores int
 }
 
 // NewConfig returns the Table I configuration for the given topology and

@@ -11,10 +11,13 @@ import "cbar/internal/router"
 // in ascending packet-ID order, injection runs between cycles — so the
 // retry stream is bit-identical at every worker count.
 //
-// A retry whose injection is refused (source NIC full, source throttled
-// by congestion management, or source router itself down) is re-queued
-// for the next cycle without consuming an attempt: refusal is local
-// backpressure, not evidence the path is still broken.
+// A retry whose injection the network refuses is re-queued for the next
+// cycle without consuming an attempt: refusal is local backpressure, not
+// evidence the path is still broken. Network.InjectRetry refuses in three
+// cases: the source router is down, the NIC backlog is at the shed cap
+// (congestion management on), or the NIC queue is full. Retries bypass
+// the congestion throttle's pacing: cycle never consults it, so a
+// throttled source still re-offers its drops at once.
 type retransmitter struct {
 	net     *router.Network
 	limit   int8  // attempts after the original send

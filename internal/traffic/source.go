@@ -6,21 +6,27 @@ package traffic
 // bursty (on-off / Markov-modulated) sources and per-node heterogeneous
 // loads need per-node state, which the memoryless sampler cannot
 // express. A Source yields, per node, the absolute cycles at which that
-// node injects; the injector keeps the next injection of every node on a
-// calendar (a min-heap ordered by cycle then node id, so pops are
-// deterministic), making the per-cycle cost O(packets generated) with no
-// O(nodes) term — idle nodes and OFF phases cost nothing.
+// node injects; the injector keeps upcoming injections on a calendar (a
+// min-heap ordered by cycle then node id, so pops are deterministic),
+// making the per-cycle cost O(packets generated) with no O(nodes) term —
+// idle nodes and OFF phases cost nothing. Unthrottled, with idle cores to
+// spare, the calendar is filled a window at a time across them
+// (lookahead).
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"cbar/internal/rng"
 )
 
 // Source is a per-node stochastic arrival process. Implementations own
 // all per-node state, including the RNG streams, and belong to exactly
-// one injector.
+// one injector. Calls for distinct nodes touch disjoint state, so they
+// may run concurrently (the lookahead draws node chunks on several
+// cores); calls for one node must stay in order.
 type Source interface {
 	// First returns the cycle (>= 0, relative to the injector's start)
 	// of node's first injection; ok=false if the node never injects.
@@ -360,5 +366,132 @@ func (c *calendar) pop() calEntry {
 		}
 		c.heap[i], c.heap[small] = c.heap[small], c.heap[i]
 		i = small
+	}
+}
+
+// never is the arrival cycle of a node that injects no more.
+const never = math.MaxInt64
+
+// lookaheadChunk is how many consecutive nodes one claim of a fill draws.
+const lookaheadChunk = 64
+
+// lookahead draws an unthrottled calendar's arrivals ahead, a window at a
+// time. Without a throttle a node's arrival times depend on nothing but
+// its own Source state, so they are a fixed sequence the fabric cannot
+// change, and drawing them early changes no draw. The calendar holds
+// every arrival before the end of the last fill's window; pending[n] is
+// node n's first arrival at or past it and min the earliest of those —
+// the next arrival once the calendar runs dry, and the cycle at which
+// Cycle fills the next window. A window spans ⌈1/q⌉ cycles at the
+// per-node packet probability q, so a fill draws about one arrival per
+// node.
+//
+// A fill splits the nodes into chunks of lookaheadChunk, claimed from an
+// atomic counter by the caller and by the helper goroutines the fill
+// starts, then waits for the helpers and pushes every chunk's arrivals
+// onto the calendar, whose (cycle, node) order fixes the pop order
+// whichever core drew an entry. Nothing outlives a fill.
+type lookahead struct {
+	src     Source
+	span    int64     // window length in cycles
+	pending []int64   // per node: first arrival at or past the window end
+	min     int64     // earliest pending arrival
+	chunks  []laChunk // per chunk: what its last fill drew
+	helpers int       // goroutines a fill starts beside its caller
+
+	// The fill in progress: its window end, the next unclaimed chunk and
+	// the helpers still drawing.
+	end    int64
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	helper func() // a helper's body, made once so starting one allocates nothing
+}
+
+// laChunk is one chunk's share of a fill.
+type laChunk struct {
+	out []calEntry // arrivals inside the window, node by node
+	min int64      // earliest pending arrival after the fill
+}
+
+// newLookahead takes over cal, which holds every node's next arrival,
+// as the pending arrivals of a lookahead over src's nodes at per-node
+// packet probability q, its fills drawn on helpers goroutines besides
+// the caller's.
+func newLookahead(src Source, cal *calendar, nodes int, q float64, helpers int) *lookahead {
+	la := &lookahead{
+		src:     src,
+		span:    int64(min(math.Ceil(1/q), 1<<62)), // a silent source (q = 0) spans all time
+		pending: make([]int64, nodes),
+		min:     never,
+		chunks:  make([]laChunk, (nodes+lookaheadChunk-1)/lookaheadChunk),
+		helpers: min(helpers, (nodes-1)/lookaheadChunk),
+	}
+	for n := range la.pending {
+		la.pending[n] = never
+	}
+	for _, e := range cal.heap {
+		la.pending[e.node] = e.t
+		la.min = min(la.min, e.t)
+	}
+	cal.heap = cal.heap[:0]
+	la.helper = func() {
+		defer la.wg.Done()
+		la.claim()
+	}
+	return la
+}
+
+// advance fills the next window, the span from now, once an arrival at
+// or before now is not on cal yet.
+func (la *lookahead) advance(cal *calendar, now int64) {
+	if la.min <= now {
+		la.fill(cal, now+min(la.span, never-now))
+	}
+}
+
+// fill draws every arrival before end onto cal.
+func (la *lookahead) fill(cal *calendar, end int64) {
+	la.end = end
+	la.next.Store(0)
+	la.wg.Add(la.helpers)
+	for range la.helpers {
+		go la.helper()
+	}
+	la.claim()
+	la.wg.Wait()
+	la.min = never
+	for i := range la.chunks {
+		ch := &la.chunks[i]
+		for _, e := range ch.out {
+			cal.push(e)
+		}
+		la.min = min(la.min, ch.min)
+	}
+}
+
+// claim draws chunks of the fill in progress until none is left
+// unclaimed.
+func (la *lookahead) claim() {
+	for c := la.next.Add(1) - 1; c < int64(len(la.chunks)); c = la.next.Add(1) - 1 {
+		la.draw(int(c))
+	}
+}
+
+// draw fills chunk c: each of its nodes' arrivals before la.end, drawn
+// in that node's own order.
+func (la *lookahead) draw(c int) {
+	ch := &la.chunks[c]
+	ch.out, ch.min = ch.out[:0], never
+	for n := c * lookaheadChunk; n < min((c+1)*lookaheadChunk, len(la.pending)); n++ {
+		t, ok := la.pending[n], la.pending[n] != never
+		for ok && t < la.end {
+			ch.out = append(ch.out, calEntry{t: t, node: int32(n)})
+			t, ok = la.src.Next(n, t)
+		}
+		if !ok {
+			t = never
+		}
+		la.pending[n] = t
+		ch.min = min(ch.min, t)
 	}
 }

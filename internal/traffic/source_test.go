@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -502,4 +503,32 @@ func BenchmarkOnOffSilentWalk(b *testing.B) {
 	if !ok {
 		b.Fatal("the source fell silent")
 	}
+}
+
+// BenchmarkSourceLookahead is one window fill of the repo benchmark's
+// idle point, all of Small's 1056 nodes under un+burst:50,150 at 1e-5
+// load: about one arrival per node, drawn in 64-node chunks by the
+// caller and GOMAXPROCS-1 helpers (run it at -cpu 1,2). It reports the
+// time per arrival drawn.
+func BenchmarkSourceLookahead(b *testing.B) {
+	const nodes, packetSize, load = 1056, 8, 1e-5
+	src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, nodes, packetSize, load/packetSize, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cal calendar
+	for n := range nodes {
+		if t, ok := src.First(n); ok {
+			cal.push(calEntry{t: t, node: int32(n)})
+		}
+	}
+	la := newLookahead(src, &cal, nodes, load/packetSize, runtime.GOMAXPROCS(0)-1)
+	arrivals := 0
+	b.ResetTimer()
+	for range b.N {
+		cal.heap = cal.heap[:0]
+		la.advance(&cal, la.min)
+		arrivals += len(cal.heap)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
 }

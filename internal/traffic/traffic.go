@@ -171,8 +171,11 @@ func (s *Schedule) At(cycle int64) Pattern {
 //     the original injector.
 //   - The stateful calendar path (NewSourceInjector): per-node arrival
 //     processes (bursty on-off sources, heterogeneous rates) keep their
-//     next injection time on a calendar; each cycle pops only the nodes
-//     that inject now, preserving the O(packets generated) cost.
+//     upcoming injection times on a calendar; each cycle pops only the
+//     nodes that inject now, preserving the O(packets generated) cost.
+//     Given idle cores and no throttle (DrawAhead), the calendar is
+//     filled a window ahead across them; otherwise it holds each node's
+//     next injection.
 type Injector struct {
 	net   *router.Network
 	sched *Schedule
@@ -183,6 +186,9 @@ type Injector struct {
 	// Stateful path (nil src selects the homogeneous fast path).
 	src Source
 	cal calendar
+	// la draws the calendar's arrivals a window ahead on idle cores (nil
+	// unless DrawAhead installed it).
+	la *lookahead
 	// th is the AIMD congestion throttle (nil unless the network's
 	// congestion management is enabled — see throttle.go).
 	th *throttle
@@ -244,7 +250,8 @@ func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64
 // (burst phases, next-injection times) is anchored to the simulation
 // start. Construction is O(nodes) (every node's first injection seeds
 // the calendar); each Cycle afterwards costs O(packets generated),
-// like the Bernoulli fast path.
+// like the Bernoulli fast path. DrawAhead moves the draws behind it
+// onto idle cores.
 func NewSourceInjector(net *router.Network, sched *Schedule, load float64, seed uint64, spec SourceSpec) (*Injector, error) {
 	in, err := NewInjector(net, sched, load, seed)
 	if err != nil {
@@ -257,13 +264,34 @@ func NewSourceInjector(net *router.Network, sched *Schedule, load float64, seed 
 	if err != nil {
 		return nil, err
 	}
+	in.useSource(src)
+	return in, nil
+}
+
+// useSource makes src the injector's arrival process: every node's first
+// injection goes on the calendar.
+func (in *Injector) useSource(src Source) {
 	in.src = src
-	for node := 0; node < net.Topo.Nodes; node++ {
+	for node := 0; node < in.net.Topo.Nodes; node++ {
 		if t, ok := src.First(node); ok {
 			in.cal.push(calEntry{t: t, node: int32(node)})
 		}
 	}
-	return in, nil
+}
+
+// DrawAhead lets a calendar injector draw its arrivals a window ahead on
+// cores cores, the caller's included — cores the run holds that would
+// sit idle while it injects. Draws, injections and destinations stay the
+// same. It does nothing on the Bernoulli fast path, under congestion
+// management (a throttled node's next arrival is drawn when the fabric
+// admits the current one, so it cannot be drawn early), or with fewer
+// than two cores: on the caller alone drawing ahead saves nothing and
+// adds the arrivals the last window draws past the end of the run.
+func (in *Injector) DrawAhead(cores int) {
+	if in.src == nil || in.th != nil || in.la != nil || cores < 2 {
+		return
+	}
+	in.la = newLookahead(in.src, &in.cal, in.net.Topo.Nodes, in.prob, cores-1)
 }
 
 // Load returns the configured aggregate offered load in
@@ -368,7 +396,8 @@ func (in *Injector) Cycle() {
 // look-ahead for Cycle, so the stream stays bit-identical to stepping
 // every cycle. Consequently the caller must not advance the network
 // past the returned cycle: Cycle panics if a held arrival was jumped
-// over.
+// over. A calendar with a lookahead holds arrivals drawn ahead the same
+// way, so the same rule keeps its injections on time.
 func (in *Injector) NextArrival(limit int64) int64 {
 	now := in.net.Now()
 	if limit < now {
@@ -387,17 +416,17 @@ func (in *Injector) NextArrival(limit int64) int64 {
 	if in.src != nil {
 		// Calendar path: the heap top is the next injection attempt
 		// (throttle-deferred entries were re-pushed at their next
-		// allowed cycle, so they are covered).
-		if top, ok := in.cal.peek(); ok {
-			at := top.t
-			if at < now {
-				at = now
-			}
-			if at < next {
-				next = at
-			}
+		// allowed cycle, so they are covered). With a lookahead, the
+		// arrivals not on the calendar yet start at la.min, where Cycle
+		// draws the next window.
+		at := int64(never)
+		if in.la != nil {
+			at = in.la.min
 		}
-		return next
+		if top, ok := in.cal.peek(); ok {
+			at = min(at, top.t)
+		}
+		return min(next, max(at, now))
 	}
 	if in.prob <= 0 {
 		return next
@@ -436,12 +465,15 @@ func (in *Injector) firstDraw(c int64) (node int, ok bool) {
 	return in.nextNode, true
 }
 
-// cycleCalendar pops every node whose next injection is due and
-// reschedules it from its arrival process. Destinations draw from the
-// injector's shared stream in pop order, which the calendar keeps
-// deterministic (ascending node id within a cycle).
+// cycleCalendar pops every node whose next injection is due and, unless
+// the lookahead drew it already, reschedules it from its arrival process.
+// Destinations draw from the injector's shared stream in pop order, which
+// the calendar keeps deterministic (ascending node id within a cycle).
 func (in *Injector) cycleCalendar() {
 	now := in.net.Now()
+	if in.la != nil {
+		in.la.advance(&in.cal, now)
+	}
 	var pat Pattern
 	for {
 		top, ok := in.cal.peek()
@@ -461,6 +493,9 @@ func (in *Injector) cycleCalendar() {
 			pat = in.sched.At(now)
 		}
 		in.net.Inject(node, pat.Dest(node, in.rng))
+		if in.la != nil {
+			continue
+		}
 		if next, ok := in.src.Next(node, now); ok {
 			in.cal.push(calEntry{t: next, node: top.node})
 		}
