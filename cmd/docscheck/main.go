@@ -12,6 +12,9 @@
 // Run from the repository root as `go run ./cmd/docscheck`; -root
 // points it elsewhere. It is a hard CI gate: documentation drift is a
 // build break, like a detlint finding.
+//
+// With -counts it checks nothing and prints the repository's tracked
+// size counts instead (see counts.go).
 package main
 
 import (
@@ -29,7 +32,18 @@ import (
 
 func main() {
 	root := flag.String("root", ".", "repository root (the public package's directory)")
+	showCounts := flag.Bool("counts", false, "print the tracked size counts and check nothing")
 	flag.Parse()
+
+	if *showCounts {
+		c, err := countRepo(*root)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+			os.Exit(1)
+		}
+		c.print(os.Stdout)
+		return
+	}
 
 	var findings []string
 	findings = append(findings, checkPackageDocs(*root)...)
@@ -268,30 +282,44 @@ func checkREADMEFlags(root string) []string {
 	if err != nil {
 		return []string{fmt.Sprintf("docscheck: %v", err)}
 	}
-	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
-	if err != nil || len(mains) == 0 {
-		return []string{fmt.Sprintf("docscheck: no cmd/*/main.go found under %s", root)}
+	flags, err := cliFlags(root)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
 	}
-	sort.Strings(mains)
-
 	var out []string
-	for _, path := range mains {
-		if filepath.Base(filepath.Dir(path)) == "docscheck" {
+	for _, f := range flags {
+		if filepath.Base(filepath.Dir(f.path)) == "docscheck" {
 			continue // checks itself otherwise; its flags are not user surface
 		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			out = append(out, fmt.Sprintf("docscheck: parsing %s: %v", path, err))
-			continue
-		}
-		for _, name := range flagNames(file) {
-			if !strings.Contains(string(readme), "`-"+name+"`") {
-				out = append(out, fmt.Sprintf("%s: flag -%s is not documented in README.md (expected `-%s`)", path, name, name))
-			}
+		if !strings.Contains(string(readme), "`-"+f.name+"`") {
+			out = append(out, fmt.Sprintf("%s: flag -%s is not documented in README.md (expected `-%s`)", f.path, f.name, f.name))
 		}
 	}
 	return out
+}
+
+// cliFlag is one flag a command registers.
+type cliFlag struct{ path, name string }
+
+// cliFlags returns the flags registered in every cmd/*/main.go, by
+// file, then by name.
+func cliFlags(root string) ([]cliFlag, error) {
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		return nil, fmt.Errorf("no cmd/*/main.go found under %s", root)
+	}
+	sort.Strings(mains)
+	var out []cliFlag
+	for _, path := range mains {
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", path, err)
+		}
+		for _, name := range flagNames(file) {
+			out = append(out, cliFlag{path, name})
+		}
+	}
+	return out, nil
 }
 
 // flagNames returns the names registered through the flag package in

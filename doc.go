@@ -269,18 +269,24 @@
 // run its share of GOMAXPROCS (planWorkers: the cores over the runs that
 // execute at once); when that share is two or more cores, the run's
 // unthrottled calendar injector (Injector.DrawAhead) holds every arrival
-// before a frontier, and when Cycle reaches the earliest arrival not on
-// the calendar yet it draws the next window, ⌈1/q⌉ cycles at per-node
-// packet probability q (about one arrival per node), calling the same
-// Source.Next on each node's own state. The window's 64-node chunks are
-// claimed from an atomic counter by the caller and by helper goroutines
-// the fill starts, one per extra core, and the fill waits for them; the
-// run's shard workers are idle then, as Cycle runs between Steps. Other
-// runs keep drawing inline, one arrival per pop. A throttled node's next
-// arrival depends on the cycle the fabric admits the current one, so
-// congestion-on runs cannot draw ahead. On a single core (one core
-// alone, or a grid as wide as the machine) drawing ahead saves nothing
-// and adds what the last window draws past the end of the run.
+// before a frontier, and when Cycle or NextArrival reaches the earliest
+// arrival not on the calendar yet it draws the next window, ⌈1/q⌉ cycles
+// at per-node packet probability q (about one arrival per node), calling
+// the same Source.Next on each node's own state. Construction draws
+// nothing, so the first window also draws every node's Source.First. The
+// window's 64-node chunks are claimed from an atomic counter by the
+// caller and by helper goroutines the fill starts, one per extra core,
+// and the fill waits for them; the run's shard workers are idle then, as
+// Cycle runs between Steps. Other runs keep drawing inline: every First
+// at the first Cycle or NextArrival, then one arrival per pop. A
+// throttled node's next arrival depends on the cycle the fabric admits
+// the current one, so congestion-on runs cannot draw ahead. The caller
+// hands over the cycle the run stops at where it knows one (the fixed
+// windows' warmup + measure, the adaptive engine's cap, the transient's
+// length), and a window that would cross it ends there, so a run drawn
+// ahead makes exactly the inline path's draws: each node's arrivals
+// before the end and one past it. On a single core (one core alone, or a
+// grid as wide as the machine) drawing ahead saves nothing.
 //
 // Certified inversion. A sample is defined by one expression,
 // Floor(Log(u)/log1p(-prob)), and rng.Geom evaluates it only when it

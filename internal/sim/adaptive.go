@@ -156,7 +156,8 @@ func (d *satDetector) saturated() bool {
 // samples) still runs; an elided sub-span delivers nothing, so the
 // synthesized bucket is exactly what stepping it would have produced.
 func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	p, err := steadyPoint(c, w, load, seed)
+	measureCap := max(4*b.Measure, adaptiveMinMeasureBuckets*adaptiveBucket)
+	p, err := steadyPoint(c, w, load, seed, phaseCycles(b.Warmup)+phaseCycles(measureCap))
 	if err != nil {
 		return SteadyResult{}, nil, err
 	}
@@ -221,7 +222,7 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 		// warmup. Phase 2: CI-driven measurement.
 		win = p.open()
 		var latB, thrB []float64
-		saturated, err = runPhase(max(4*b.Measure, adaptiveMinMeasureBuckets*adaptiveBucket),
+		saturated, err = runPhase(measureCap,
 			func(latSum float64, count, phits uint64) {
 				if count > 0 {
 					latB = append(latB, latSum/float64(count))
@@ -255,4 +256,10 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 	res.CIHalfLatency, res.CIHalfAccepted = ciLat, ciAcc
 	res.Saturated, res.Converged = saturated, converged
 	return res, win.hist, nil
+}
+
+// phaseCycles is the most cycles runPhase spends under a cap: whole
+// buckets, at least one.
+func phaseCycles(capCycles int64) int64 {
+	return max(1, (capCycles+adaptiveBucket-1)/adaptiveBucket) * adaptiveBucket
 }

@@ -38,8 +38,10 @@ type phase struct {
 // built with `seed`, w's destination pattern from cycle 0 (then each
 // later phase's, in order), and w's arrival process seeded with
 // injSeed. Only the destination pattern switches between phases: the
-// arrival process is w's for the whole run.
-func newPoint(c Config, w Workload, load float64, seed, injSeed uint64, then ...phase) (*point, error) {
+// arrival process is w's for the whole run. end is the cycle the run
+// stops at, or 0 when the caller does not know it: arrivals drawn ahead
+// stop there (traffic.Injector.DrawAhead).
+func newPoint(c Config, w Workload, load float64, seed, injSeed uint64, end int64, then ...phase) (*point, error) {
 	net, err := BuildNetwork(c, seed)
 	if err != nil {
 		return nil, err
@@ -76,7 +78,7 @@ func newPoint(c Config, w Workload, load float64, seed, injSeed uint64, then ...
 	if err != nil {
 		return nil, err
 	}
-	inj.DrawAhead(c.cores)
+	inj.DrawAhead(c.cores, end)
 	return &point{net: net, inj: inj, algo: c.Algo.String(), work: w.Name(), load: load}, nil
 }
 

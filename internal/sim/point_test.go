@@ -127,7 +127,7 @@ func TestAdvanceMatchesHandLoop(t *testing.T) {
 // jumps — an idle point with a live context crosses a span many strides
 // long in a handful of loop iterations, not one per stride.
 func TestAdvanceKeepsJumpLength(t *testing.T) {
-	p, err := newPoint(tinyCfg(routing.Base), UN(), 0, 1, 2)
+	p, err := newPoint(tinyCfg(routing.Base), UN(), 0, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSaturatedInjectorIsTheSkipLoop(t *testing.T) {
 		if tc.congestion {
 			c.Router.Congestion = congestionOn()
 		}
-		p, err := newPoint(c, UN(), 1.0, 3, 4)
+		p, err := newPoint(c, UN(), 1.0, 3, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

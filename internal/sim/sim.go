@@ -327,10 +327,10 @@ type SteadyResult struct {
 	Unroutable uint64 // packets aimed at (or caught inside) a partitioned region
 }
 
-// steadyPoint builds one seed's steady-state system: w's pattern for the
-// whole run, the injector seeded from the run seed.
-func steadyPoint(c Config, w Workload, load float64, seed uint64) (*point, error) {
-	return newPoint(c, w, load, seed, seed^0x9E3779B97F4A7C15)
+// steadyPoint builds one seed's steady-state system, run to end at most:
+// w's pattern for the whole run, the injector seeded from the run seed.
+func steadyPoint(c Config, w Workload, load float64, seed uint64, end int64) (*point, error) {
+	return newPoint(c, w, load, seed, seed^0x9E3779B97F4A7C15, end)
 }
 
 // steadySeed runs one seed's fixed-window steady-state experiment:
@@ -339,7 +339,7 @@ func steadyPoint(c Config, w Workload, load float64, seed uint64) (*point, error
 // is bounded there. The histogram is returned beside the result for
 // reduceSteady (see window.close).
 func steadySeed(ctx context.Context, c Config, w Workload, load float64, warmup, measure int64, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	p, err := steadyPoint(c, w, load, seed)
+	p, err := steadyPoint(c, w, load, seed, warmup+measure)
 	if err != nil {
 		return SteadyResult{}, nil, err
 	}
@@ -499,7 +499,7 @@ func RunTransient(c Config, before, after Workload, load float64, b Budget) (Tra
 	misSeries := make([]*stats.TimeSeries, b.Seeds)
 	err := forEachRun([]gridPoint{{c, before, load}}, b, func(i int, c Config) error {
 		seed := uint64(i)*0x2000003 + 17
-		p, err := newPoint(c, before, load, seed, seed^0xA5A5A5A5, phase{warmup, after})
+		p, err := newPoint(c, before, load, seed, seed^0xA5A5A5A5, warmup+b.Post, phase{warmup, after})
 		if err != nil {
 			return err
 		}
@@ -549,7 +549,7 @@ func RunTransient(c Config, before, after Workload, load float64, b Budget) (Tra
 // number of VCs per input port (2.74 for the Table I router).
 func MeanSaturatedContention(ctx context.Context, c Config, load float64, warmup, sample int64, seed uint64) (float64, error) {
 	c.Algo = routing.Base
-	p, err := newPoint(c, UN(), load, seed, seed)
+	p, err := newPoint(c, UN(), load, seed, seed, warmup+sample)
 	if err != nil {
 		return 0, err
 	}

@@ -360,7 +360,7 @@ func TestForEachTaskErrorPropagates(t *testing.T) {
 // through the production constructor, at their fixed seeds.
 func testPoint(t testing.TB, c Config, w Workload, load float64) (*router.Network, *traffic.Injector) {
 	t.Helper()
-	p, err := newPoint(c, w, load, 2025, 31)
+	p, err := newPoint(c, w, load, 2025, 31, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

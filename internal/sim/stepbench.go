@@ -195,7 +195,7 @@ func NewStepBench(sp StepBenchSpec) (*router.Network, *traffic.Injector, error) 
 			{Kind: router.LinkDown, Router: 0, Port: int16(sp.Scale.Params().P), Cycle: 1 << 40},
 		}}
 	}
-	p, err := newPoint(c, sp.Workload, sp.Load, 1, 2)
+	p, err := newPoint(c, sp.Workload, sp.Load, 1, 2, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"cbar/internal/rng"
@@ -44,6 +45,23 @@ func (s stopAt) Next(n int, t int64) (int64, bool) { return s.cut(s.Source.Next(
 
 func (s stopAt) cut(t int64, ok bool) (int64, bool) { return t, ok && t < s.at }
 
+// counted counts a Source's draws. A fill draws on several goroutines, so
+// the counts are atomic.
+type counted struct {
+	Source
+	draws *atomic.Int64 // First and Next calls
+}
+
+func (s counted) First(n int) (int64, bool) {
+	s.draws.Add(1)
+	return s.Source.First(n)
+}
+
+func (s counted) Next(n int, t int64) (int64, bool) {
+	s.draws.Add(1)
+	return s.Source.Next(n, t)
+}
+
 // lookaheadCase is one source of TestLookaheadMatchesInlineDraws.
 type lookaheadCase struct {
 	name   string
@@ -54,11 +72,9 @@ type lookaheadCase struct {
 }
 
 // inlineTrace is the reference: a fresh Source, its First for every
-// node and its Next drawn at each pop, the destination drawn from the
-// injector's stream in (cycle, node) order.
-func inlineTrace(t *testing.T, tc lookaheadCase, nodes, packetSize int, pat Pattern, seed uint64) []injection {
-	t.Helper()
-	src := tc.source(t, nodes, packetSize, seed)
+// node and its Next drawn at each pop before end, the destination drawn
+// from the injector's stream in (cycle, node) order.
+func inlineTrace(src Source, nodes int, end int64, pat Pattern, seed uint64) []injection {
 	r := rng.New(seed, 0xC0FFEE)
 	var cal calendar
 	for n := 0; n < nodes; n++ {
@@ -69,7 +85,7 @@ func inlineTrace(t *testing.T, tc lookaheadCase, nodes, packetSize int, pat Patt
 	var out []injection
 	for {
 		top, ok := cal.peek()
-		if !ok || top.t >= tc.end {
+		if !ok || top.t >= end {
 			return out
 		}
 		cal.pop()
@@ -108,14 +124,18 @@ func (tc lookaheadCase) injector(t *testing.T, net *router.Network, pat Pattern,
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.useSource(tc.source(t, net.Topo.Nodes, net.Cfg.PacketSize, seed))
+	inj.src = tc.source(t, net.Topo.Nodes, net.Cfg.PacketSize, seed)
 	return inj
 }
 
 // lookaheadRun is what driveLookahead saw besides the trace.
 type lookaheadRun struct {
 	fills, onFrontier, crossed int
+	windows                    []window // every fill, in order
 }
+
+// window is one fill's span of cycles, [from, end).
+type window struct{ from, end int64 }
 
 // driveLookahead runs inj to end the way sim's cycle loop does, quiet
 // spans elided, except that in every other window the jumps are capped
@@ -131,6 +151,14 @@ func driveLookahead(net *router.Network, inj *Injector, end int64) lookaheadRun 
 		return inj.la.end
 	}
 	lastEnd := windowEnd()
+	// A fill happens in NextArrival or in Cycle, at the cycle asked.
+	noteFill := func(now int64) {
+		if windowEnd() != lastEnd {
+			run.fills++
+			lastEnd = windowEnd()
+			run.windows = append(run.windows, window{now, lastEnd})
+		}
+	}
 	for net.Now() < end {
 		now := net.Now()
 		if j, ok := net.ElideHorizon(end); ok {
@@ -139,7 +167,9 @@ func driveLookahead(net *router.Network, inj *Injector, end int64) lookaheadRun 
 			if run.fills%2 == 1 && now < frontier && frontier-1 < limit {
 				limit = frontier - 1
 			}
-			if a := inj.NextArrival(limit); a < j {
+			a := inj.NextArrival(limit)
+			noteFill(now)
+			if a < j {
 				j = a
 			}
 			if j > now {
@@ -154,10 +184,7 @@ func driveLookahead(net *router.Network, inj *Injector, end int64) lookaheadRun 
 			}
 		}
 		inj.Cycle()
-		if windowEnd() != lastEnd {
-			run.fills++
-			lastEnd = windowEnd()
-		}
+		noteFill(now)
 		net.Step()
 	}
 	return run
@@ -187,7 +214,8 @@ func TestLookaheadMatchesInlineDraws(t *testing.T) {
 	net := buildNet(t)
 	refs := make([][]injection, len(cases))
 	for i, tc := range cases {
-		refs[i] = inlineTrace(t, tc, net.Topo.Nodes, net.Cfg.PacketSize, mustUniform(t, net.Topo), seed)
+		src := tc.source(t, net.Topo.Nodes, net.Cfg.PacketSize, seed)
+		refs[i] = inlineTrace(src, net.Topo.Nodes, tc.end, mustUniform(t, net.Topo), seed)
 	}
 	for _, arm := range arms {
 		for i, tc := range cases {
@@ -197,7 +225,7 @@ func TestLookaheadMatchesInlineDraws(t *testing.T) {
 				var trace []injection
 				pat := recPattern{mustUniform(t, net.Topo), net, &trace}
 				inj := tc.injector(t, net, pat, seed)
-				inj.DrawAhead(arm.cores)
+				inj.DrawAhead(arm.cores, 0)
 				if arm.cores == 1 {
 					if inj.la != nil {
 						t.Fatal("a lookahead on one core")
@@ -248,6 +276,119 @@ func TestLookaheadMatchesInlineDraws(t *testing.T) {
 	}
 }
 
+// TestLookaheadFirstFillAndEnd pins the lookahead's two ends. A fresh
+// injector draws nothing until it is first asked: NextArrival before any
+// Cycle returns the first arrival, inline or drawn ahead, and a drawn
+// ahead injector's first window draws every node's First. A window that
+// would cross the run's end stops there, so a run driven to its end
+// makes exactly the inline path's First and Next calls, not one past
+// them; a caller that drives on past the end gets full windows again.
+// Each end runs in the arms of TestLookaheadMatchesInlineDraws.
+func TestLookaheadFirstFillAndEnd(t *testing.T) {
+	tc := lookaheadCase{spec: SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, load: 1e-4}
+	const seed = 9
+	arms := []struct{ procs, cores int }{{1, 1}, {1, 3}, {2, 2}, {4, 4}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	net := buildNet(t)
+	nodes, packetSize := net.Topo.Nodes, net.Cfg.PacketSize
+
+	firstArrival := int64(never)
+	src := tc.source(t, nodes, packetSize, seed)
+	for n := range nodes {
+		if c, ok := src.First(n); ok {
+			firstArrival = min(firstArrival, c)
+		}
+	}
+	// An end on a window boundary: where a run with no end known
+	// finishes its third window.
+	probe := tc.injector(t, net, mustUniform(t, net.Topo), seed)
+	probe.DrawAhead(2, 0)
+	if probe.la == nil {
+		t.Fatal("no lookahead on two cores")
+	}
+	span := probe.la.span
+	probe.NextArrival(0)
+	probeRun := driveLookahead(net, probe, 6*span)
+	if len(probeRun.windows) < 2 {
+		t.Fatalf("%d windows after the first in %d cycles", len(probeRun.windows), 6*span)
+	}
+	boundary := probeRun.windows[1].end
+
+	ends := []struct {
+		name        string
+		stop, drive int64 // the end DrawAhead is told, the cycle the run is driven to
+		minRef      int   // injections the reference must make for the case to prove anything
+	}{
+		{"on-boundary", boundary, boundary, 300},
+		{"in-first-window", span / 2, span / 2, 20},
+		{"before-first-arrival", firstArrival, firstArrival, 0},
+		{"driven-past", span / 2, span/2 + 3*span, 300},
+	}
+	for _, e := range ends {
+		var refDraws atomic.Int64
+		ref := inlineTrace(counted{tc.source(t, nodes, packetSize, seed), &refDraws}, nodes, e.drive, mustUniform(t, net.Topo), seed)
+		if len(ref) < e.minRef || (e.minRef == 0) != (len(ref) == 0) {
+			t.Fatalf("%s: the reference made %d injections", e.name, len(ref))
+		}
+		for _, arm := range arms {
+			t.Run(fmt.Sprintf("%s/procs%d/cores%d", e.name, arm.procs, arm.cores), func(t *testing.T) {
+				runtime.GOMAXPROCS(arm.procs)
+				net := buildNet(t)
+				var trace []injection
+				inj := tc.injector(t, net, recPattern{mustUniform(t, net.Topo), net, &trace}, seed)
+				var draws atomic.Int64
+				inj.src = counted{inj.src, &draws}
+				inj.DrawAhead(arm.cores, e.stop)
+				if (inj.la != nil) != (arm.cores > 1) {
+					t.Fatalf("lookahead installed: %v on %d cores", inj.la != nil, arm.cores)
+				}
+				if n := draws.Load(); n != 0 {
+					t.Fatalf("construction and DrawAhead made %d draws", n)
+				}
+				if got, want := inj.NextArrival(e.drive-1), min(firstArrival, e.drive); got != want {
+					t.Fatalf("NextArrival before the first Cycle = %d, want %d", got, want)
+				}
+				if n := draws.Load(); n < int64(nodes) {
+					t.Fatalf("the first NextArrival made %d draws, fewer than the %d nodes' First", n, nodes)
+				}
+				windows := []window{}
+				if inj.la != nil {
+					windows = append(windows, window{0, inj.la.end})
+				}
+				run := driveLookahead(net, inj, e.drive)
+				windows = append(windows, run.windows...)
+
+				if len(trace) != len(ref) {
+					t.Fatalf("%d injections, reference %d", len(trace), len(ref))
+				}
+				for i := range ref {
+					if trace[i] != ref[i] {
+						t.Fatalf("injection %d is %+v, reference %+v", i, trace[i], ref[i])
+					}
+				}
+				if e.drive == e.stop && draws.Load() != refDraws.Load() {
+					t.Fatalf("%d First and Next calls, inline %d", draws.Load(), refDraws.Load())
+				}
+				resumed := 0
+				for _, w := range windows {
+					want := w.from + span
+					if w.from < e.stop {
+						want = min(want, e.stop)
+					} else {
+						resumed++
+					}
+					if w.end != want {
+						t.Fatalf("window [%d, %d), want it to end at %d (span %d, run end %d)", w.from, w.end, want, span, e.stop)
+					}
+				}
+				if inj.la != nil && (resumed > 0) != (e.drive > e.stop) {
+					t.Fatalf("%d windows past the run end %d, driven to %d", resumed, e.stop, e.drive)
+				}
+			})
+		}
+	}
+}
+
 // idleBurstyInjector is a tiny network under the repo benchmark's idle
 // bursty source, un+burst:50,150 at 1e-5 load, drawing ahead on two
 // cores.
@@ -265,7 +406,7 @@ func idleBurstyInjector(t testing.TB) (*router.Network, *Injector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.DrawAhead(2)
+	inj.DrawAhead(2, 0)
 	return net, inj
 }
 

@@ -372,6 +372,10 @@ func (c *calendar) pop() calEntry {
 // never is the arrival cycle of a node that injects no more.
 const never = math.MaxInt64
 
+// unstarted is the pending arrival of a node whose First is not drawn
+// yet: due before any cycle, so the lookahead's first fill draws it.
+const unstarted = -1
+
 // lookaheadChunk is how many consecutive nodes one claim of a fill draws.
 const lookaheadChunk = 64
 
@@ -380,11 +384,14 @@ const lookaheadChunk = 64
 // its own Source state, so they are a fixed sequence the fabric cannot
 // change, and drawing them early changes no draw. The calendar holds
 // every arrival before the end of the last fill's window; pending[n] is
-// node n's first arrival at or past it and min the earliest of those —
-// the next arrival once the calendar runs dry, and the cycle at which
-// Cycle fills the next window. A window spans ⌈1/q⌉ cycles at the
-// per-node packet probability q, so a fill draws about one arrival per
-// node.
+// node n's first arrival at or past it (unstarted until the first fill
+// draws its First) and min the earliest of those — the next arrival once
+// the calendar runs dry, and the cycle at which the injector fills the
+// next window. A window spans ⌈1/q⌉ cycles at the per-node packet
+// probability q, so a fill draws about one arrival per node; a window
+// that would cross the run's last cycle ends there, so a run that stops
+// where it said draws what the inline path draws: each node's arrivals
+// before the end and one past it.
 //
 // A fill splits the nodes into chunks of lookaheadChunk, claimed from an
 // atomic counter by the caller and by the helper goroutines the fill
@@ -394,6 +401,7 @@ const lookaheadChunk = 64
 type lookahead struct {
 	src     Source
 	span    int64     // window length in cycles
+	stop    int64     // the run's end: no window crosses it from before
 	pending []int64   // per node: first arrival at or past the window end
 	min     int64     // earliest pending arrival
 	chunks  []laChunk // per chunk: what its last fill drew
@@ -413,27 +421,23 @@ type laChunk struct {
 	min int64      // earliest pending arrival after the fill
 }
 
-// newLookahead takes over cal, which holds every node's next arrival,
-// as the pending arrivals of a lookahead over src's nodes at per-node
-// packet probability q, its fills drawn on helpers goroutines besides
-// the caller's.
-func newLookahead(src Source, cal *calendar, nodes int, q float64, helpers int) *lookahead {
+// newLookahead draws src's nodes, none started, ahead at per-node packet
+// probability q, its fills drawn on helpers goroutines besides the
+// caller's, its windows ending at stop (the cycle the run stops at, or
+// never).
+func newLookahead(src Source, nodes int, q float64, helpers int, stop int64) *lookahead {
 	la := &lookahead{
 		src:     src,
 		span:    int64(min(math.Ceil(1/q), 1<<62)), // a silent source (q = 0) spans all time
+		stop:    stop,
 		pending: make([]int64, nodes),
-		min:     never,
+		min:     unstarted,
 		chunks:  make([]laChunk, (nodes+lookaheadChunk-1)/lookaheadChunk),
 		helpers: min(helpers, (nodes-1)/lookaheadChunk),
 	}
 	for n := range la.pending {
-		la.pending[n] = never
+		la.pending[n] = unstarted
 	}
-	for _, e := range cal.heap {
-		la.pending[e.node] = e.t
-		la.min = min(la.min, e.t)
-	}
-	cal.heap = cal.heap[:0]
 	la.helper = func() {
 		defer la.wg.Done()
 		la.claim()
@@ -441,12 +445,18 @@ func newLookahead(src Source, cal *calendar, nodes int, q float64, helpers int) 
 	return la
 }
 
-// advance fills the next window, the span from now, once an arrival at
-// or before now is not on cal yet.
+// advance fills the next window, the span from now or up to the run's
+// end, whichever comes first, once an arrival at or before now is not on
+// cal yet. Past the end (a caller that runs on) windows span in full.
 func (la *lookahead) advance(cal *calendar, now int64) {
-	if la.min <= now {
-		la.fill(cal, now+min(la.span, never-now))
+	if la.min > now {
+		return
 	}
+	end := now + min(la.span, never-now)
+	if now < la.stop {
+		end = min(end, la.stop)
+	}
+	la.fill(cal, end)
 }
 
 // fill draws every arrival before end onto cal.
@@ -478,12 +488,15 @@ func (la *lookahead) claim() {
 }
 
 // draw fills chunk c: each of its nodes' arrivals before la.end, drawn
-// in that node's own order.
+// in that node's own order, starting with its First if it has none yet.
 func (la *lookahead) draw(c int) {
 	ch := &la.chunks[c]
 	ch.out, ch.min = ch.out[:0], never
 	for n := c * lookaheadChunk; n < min((c+1)*lookaheadChunk, len(la.pending)); n++ {
 		t, ok := la.pending[n], la.pending[n] != never
+		if t == unstarted {
+			t, ok = la.src.First(n)
+		}
 		for ok && t < la.end {
 			ch.out = append(ch.out, calEntry{t: t, node: int32(n)})
 			t, ok = la.src.Next(n, t)

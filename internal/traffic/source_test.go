@@ -509,26 +509,42 @@ func BenchmarkOnOffSilentWalk(b *testing.B) {
 // idle point, all of Small's 1056 nodes under un+burst:50,150 at 1e-5
 // load: about one arrival per node, drawn in 64-node chunks by the
 // caller and GOMAXPROCS-1 helpers (run it at -cpu 1,2). It reports the
-// time per arrival drawn.
+// time per arrival drawn. "window" is a fill in the run's steady state;
+// "first-fill" is a fresh injector's first window, which also draws
+// every node's First.
 func BenchmarkSourceLookahead(b *testing.B) {
 	const nodes, packetSize, load = 1056, 8, 1e-5
-	src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, nodes, packetSize, load/packetSize, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cal calendar
-	for n := range nodes {
-		if t, ok := src.First(n); ok {
-			cal.push(calEntry{t: t, node: int32(n)})
+	newLA := func(b *testing.B) *lookahead {
+		src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, nodes, packetSize, load/packetSize, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return newLookahead(src, nodes, load/packetSize, runtime.GOMAXPROCS(0)-1, never)
 	}
-	la := newLookahead(src, &cal, nodes, load/packetSize, runtime.GOMAXPROCS(0)-1)
-	arrivals := 0
-	b.ResetTimer()
-	for range b.N {
-		cal.heap = cal.heap[:0]
-		la.advance(&cal, la.min)
-		arrivals += len(cal.heap)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+	b.Run("window", func(b *testing.B) {
+		var cal calendar
+		la := newLA(b)
+		la.advance(&cal, 0)
+		arrivals := 0
+		b.ResetTimer()
+		for range b.N {
+			cal.heap = cal.heap[:0]
+			la.advance(&cal, la.min)
+			arrivals += len(cal.heap)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+	})
+	b.Run("first-fill", func(b *testing.B) {
+		var cal calendar
+		arrivals := 0
+		for range b.N {
+			b.StopTimer()
+			la := newLA(b)
+			cal.heap = cal.heap[:0]
+			b.StartTimer()
+			la.advance(&cal, 0)
+			arrivals += len(cal.heap)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+	})
 }

@@ -175,7 +175,8 @@ func (s *Schedule) At(cycle int64) Pattern {
 //     nodes that inject now, preserving the O(packets generated) cost.
 //     Given idle cores and no throttle (DrawAhead), the calendar is
 //     filled a window ahead across them; otherwise it holds each node's
-//     next injection.
+//     next injection. Either way the first Cycle or NextArrival draws
+//     every node's first one.
 type Injector struct {
 	net   *router.Network
 	sched *Schedule
@@ -186,6 +187,9 @@ type Injector struct {
 	// Stateful path (nil src selects the homogeneous fast path).
 	src Source
 	cal calendar
+	// started is set once the first Cycle or NextArrival has drawn every
+	// node's first arrival.
+	started bool
 	// la draws the calendar's arrivals a window ahead on idle cores (nil
 	// unless DrawAhead installed it).
 	la *lookahead
@@ -248,10 +252,10 @@ func NewInjector(net *router.Network, sched *Schedule, load float64, seed uint64
 // processes follow spec at the given aggregate offered load in
 // phits/(node·cycle). The network must be at cycle 0: source state
 // (burst phases, next-injection times) is anchored to the simulation
-// start. Construction is O(nodes) (every node's first injection seeds
-// the calendar); each Cycle afterwards costs O(packets generated),
-// like the Bernoulli fast path. DrawAhead moves the draws behind it
-// onto idle cores.
+// start. Construction draws nothing: the first Cycle or NextArrival
+// draws every node's first injection, O(nodes) once; each Cycle
+// afterwards costs O(packets generated), like the Bernoulli fast path.
+// DrawAhead moves all of these draws onto idle cores.
 func NewSourceInjector(net *router.Network, sched *Schedule, load float64, seed uint64, spec SourceSpec) (*Injector, error) {
 	in, err := NewInjector(net, sched, load, seed)
 	if err != nil {
@@ -264,34 +268,30 @@ func NewSourceInjector(net *router.Network, sched *Schedule, load float64, seed 
 	if err != nil {
 		return nil, err
 	}
-	in.useSource(src)
-	return in, nil
-}
-
-// useSource makes src the injector's arrival process: every node's first
-// injection goes on the calendar.
-func (in *Injector) useSource(src Source) {
 	in.src = src
-	for node := 0; node < in.net.Topo.Nodes; node++ {
-		if t, ok := src.First(node); ok {
-			in.cal.push(calEntry{t: t, node: int32(node)})
-		}
-	}
+	return in, nil
 }
 
 // DrawAhead lets a calendar injector draw its arrivals a window ahead on
 // cores cores, the caller's included — cores the run holds that would
-// sit idle while it injects. Draws, injections and destinations stay the
-// same. It does nothing on the Bernoulli fast path, under congestion
-// management (a throttled node's next arrival is drawn when the fabric
-// admits the current one, so it cannot be drawn early), or with fewer
-// than two cores: on the caller alone drawing ahead saves nothing and
-// adds the arrivals the last window draws past the end of the run.
-func (in *Injector) DrawAhead(cores int) {
-	if in.src == nil || in.th != nil || in.la != nil || cores < 2 {
+// sit idle while it injects. Every node's first arrival is the first
+// window's, drawn across them. end is the cycle the run stops at (no
+// window crosses it, so a run that stops there draws exactly what it
+// would inline), or 0 when the caller does not know it; running past it
+// is still correct. Draws, injections and destinations stay the same.
+// It does nothing once the first Cycle or NextArrival has drawn, on the
+// Bernoulli fast path, under congestion management (a throttled node's
+// next arrival is drawn when the fabric admits the current one, so it
+// cannot be drawn early), or with fewer than two cores: on the caller
+// alone drawing ahead saves nothing.
+func (in *Injector) DrawAhead(cores int, end int64) {
+	if in.src == nil || in.th != nil || in.started || in.la != nil || cores < 2 {
 		return
 	}
-	in.la = newLookahead(in.src, &in.cal, in.net.Topo.Nodes, in.prob, cores-1)
+	if end <= 0 {
+		end = never
+	}
+	in.la = newLookahead(in.src, in.net.Topo.Nodes, in.prob, cores-1, end)
 }
 
 // Load returns the configured aggregate offered load in
@@ -414,11 +414,13 @@ func (in *Injector) NextArrival(limit int64) int64 {
 		}
 	}
 	if in.src != nil {
-		// Calendar path: the heap top is the next injection attempt
-		// (throttle-deferred entries were re-pushed at their next
-		// allowed cycle, so they are covered). With a lookahead, the
-		// arrivals not on the calendar yet start at la.min, where Cycle
-		// draws the next window.
+		// Calendar path: once what is due by now is drawn (on the
+		// first call, every node's first arrival), the heap top is the
+		// next injection attempt (throttle-deferred entries were
+		// re-pushed at their next allowed cycle, so they are covered).
+		// With a lookahead, the arrivals not on the calendar yet start
+		// at la.min, where the next window is drawn.
+		in.drawDue(now)
 		at := int64(never)
 		if in.la != nil {
 			at = in.la.min
@@ -465,15 +467,31 @@ func (in *Injector) firstDraw(c int64) (node int, ok bool) {
 	return in.nextNode, true
 }
 
+// drawDue puts on the calendar what is due by now and not on it yet: with
+// a lookahead, the next window once its earliest pending arrival is due
+// (before the first fill, every node's First); inline, every node's
+// First, once.
+func (in *Injector) drawDue(now int64) {
+	switch {
+	case in.la != nil:
+		in.la.advance(&in.cal, now)
+	case !in.started:
+		for node := range in.net.Topo.Nodes {
+			if t, ok := in.src.First(node); ok {
+				in.cal.push(calEntry{t: t, node: int32(node)})
+			}
+		}
+	}
+	in.started = true
+}
+
 // cycleCalendar pops every node whose next injection is due and, unless
 // the lookahead drew it already, reschedules it from its arrival process.
 // Destinations draw from the injector's shared stream in pop order, which
 // the calendar keeps deterministic (ascending node id within a cycle).
 func (in *Injector) cycleCalendar() {
 	now := in.net.Now()
-	if in.la != nil {
-		in.la.advance(&in.cal, now)
-	}
+	in.drawDue(now)
 	var pat Pattern
 	for {
 		top, ok := in.cal.peek()
