@@ -5,7 +5,7 @@ package cbar
 // short windows) and reports the quantities the paper plots via
 // b.ReportMetric, so `go test -bench=.` both exercises the full harness
 // and prints the reproduction's key numbers. Full-scale regeneration is
-// `go run ./cmd/figures -fig all -scale paper`.
+// `go run ./cmd/cbar figures -fig all -scale paper`.
 
 import (
 	"io"

@@ -12,7 +12,9 @@ import (
 // struct is Budget or ends in Config or Options and counts only its
 // exported fields, and not under internal/lint or benchmark/; a lint row
 // is an element of an outermost slice or map literal in DefaultConfig or
-// an appended value; an annotation is a line that begins with //lint:.
+// an appended value; an annotation is a line that begins with //lint:; a
+// CLI flag is registered in any non-test file of a cmd/*/ directory,
+// through the flag package or on a *flag.FlagSet.
 func TestCountRules(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -94,6 +96,34 @@ func main() {
 	flag.Parse()
 }
 `,
+		"cmd/tool/cli.go": `package main
+
+import "flag"
+
+type cli struct{ set *flag.FlagSet }
+`,
+		"cmd/tool/flags.go": `package main
+
+import "flag"
+
+func register(fs *flag.FlagSet, c *cli) {
+	var v bool
+	fs.BoolVar(&v, "v", false, "")
+	c.set.Int64("n2", 0, "")
+	sub := flag.NewFlagSet("sub", flag.ContinueOnError)
+	_ = sub.String("o", "", "")
+	var other = flag.NewFlagSet("other", flag.ContinueOnError)
+	other.Func("f", "", nil)
+	notASet := struct{ String func(string, string, string) }{}
+	notASet.String("x", "", "")
+}
+`,
+		"cmd/tool/flags_test.go": `package main
+
+import "flag"
+
+func registerTest(fs *flag.FlagSet) { fs.Bool("t", false, "") }
+`,
 		"cmd/docscheck/main.go": `package main
 
 import "flag"
@@ -119,8 +149,8 @@ func main() { _ = flag.Bool("counts", false, "") }
 	want := counts{
 		internalLines:  lines["internal/eng/eng.go"] + lines["internal/lint/lint.go"],
 		benchmarkLines: lines["benchmark/run.go"],
-		settable:       2 + 1 + 2, // pub.Config, RunOptions, Budget
-		flags:          3,
+		settable:       2 + 1 + 2,         // pub.Config, RunOptions, Budget
+		flags:          3 + 4,             // tool/main.go 2, docscheck 1, tool/flags.go 4 (one on cli.go's field)
 		lintRows:       2 + 3 + 1 + 1 + 1, // hooks, Pkgs, BarrierOnly, Fields, the append
 		annotations:    1,
 	}

@@ -6,8 +6,8 @@
 //   - an exported field of an internal/... struct that the public
 //     package re-exports through a type alias has none (the alias is the
 //     public name, so its fields are public surface too), or
-//   - a CLI flag registered in any cmd/*/main.go does not appear
-//     (backtick-quoted, as `-name`) in README.md.
+//   - a CLI flag registered in any non-test Go file under cmd/*/ does
+//     not appear (backtick-quoted, as `-name`) in README.md.
 //
 // Run from the repository root as `go run ./cmd/docscheck`; -root
 // points it elsewhere. It is a hard CI gate: documentation drift is a
@@ -275,8 +275,8 @@ func checkFieldList(owner, kind string, fields *ast.FieldList, report func(token
 	}
 }
 
-// checkREADMEFlags collects every flag name registered in cmd/*/main.go
-// and reports the ones README.md does not mention as `-name`.
+// checkREADMEFlags collects every flag name the commands register
+// (cliFlags) and reports the ones README.md does not mention as `-name`.
 func checkREADMEFlags(root string) []string {
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -301,31 +301,42 @@ func checkREADMEFlags(root string) []string {
 // cliFlag is one flag a command registers.
 type cliFlag struct{ path, name string }
 
-// cliFlags returns the flags registered in every cmd/*/main.go, by
-// file, then by name.
+// cliFlags returns the flags registered in the non-test Go files of
+// every cmd/*/ directory, by file, then by name.
 func cliFlags(root string) ([]cliFlag, error) {
-	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
-	if err != nil || len(mains) == 0 {
-		return nil, fmt.Errorf("no cmd/*/main.go found under %s", root)
+	dirs, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(mains)
 	var out []cliFlag
-	for _, path := range mains {
-		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		files, err := parseDir(fset, dir)
 		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", path, err)
+			return nil, err
 		}
-		for _, name := range flagNames(file) {
-			out = append(out, cliFlag{path, name})
+		sets := map[string]bool{} // a flag set declared in one file may register in another
+		for _, f := range files {
+			flagSets(f, sets)
+		}
+		for _, f := range files {
+			for _, name := range flagNames(f, sets) {
+				out = append(out, cliFlag{fset.Position(f.Package).Filename, name})
+			}
 		}
 	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no flags registered under %s", filepath.Join(root, "cmd"))
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].path < out[j].path })
 	return out, nil
 }
 
-// flagNames returns the names registered through the flag package in
-// one file: the first string argument of flag.Bool/Int/String/... and
-// the second of the *Var forms.
-func flagNames(file *ast.File) []string {
+// flagNames returns the names registered in one file through the flag
+// package or a flag set: the first string argument of Bool/Int/String/...
+// and the second of the *Var forms, called on flag or on a variable or
+// field named in sets.
+func flagNames(file *ast.File, sets map[string]bool) []string {
 	var names []string
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -336,8 +347,16 @@ func flagNames(file *ast.File) []string {
 		if !ok {
 			return true
 		}
-		recv, ok := sel.X.(*ast.Ident)
-		if !ok || recv.Name != "flag" {
+		switch recv := sel.X.(type) {
+		case *ast.Ident: // flag.X, fs.X
+			if recv.Name != "flag" && !sets[recv.Name] {
+				return true
+			}
+		case *ast.SelectorExpr: // c.fs.X, for a field fs
+			if !sets[recv.Sel.Name] {
+				return true
+			}
+		default:
 			return true
 		}
 		arg := -1
@@ -359,4 +378,49 @@ func flagNames(file *ast.File) []string {
 	})
 	sort.Strings(names)
 	return names
+}
+
+// flagSets adds to sets the names file declares *flag.FlagSet
+// (variables, parameters, results and fields) or assigns from
+// flag.NewFlagSet.
+func flagSets(file *ast.File, sets map[string]bool) {
+	isFlag := func(e ast.Expr, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "flag" && sel.Sel.Name == name
+	}
+	isSetType := func(e ast.Expr) bool {
+		star, ok := e.(*ast.StarExpr)
+		return ok && isFlag(star.X, "FlagSet")
+	}
+	isNewFlagSet := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		return ok && isFlag(call.Fun, "NewFlagSet")
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Field:
+			if isSetType(x.Type) {
+				for _, id := range x.Names {
+					sets[id.Name] = true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, id := range x.Names {
+				if isSetType(x.Type) || (i < len(x.Values) && isNewFlagSet(x.Values[i])) {
+					sets[id.Name] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && i < len(x.Rhs) && isNewFlagSet(x.Rhs[i]) {
+					sets[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
 }

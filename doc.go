@@ -25,7 +25,7 @@
 // (latency/throughput at one offered load), [Sweep] (a load grid in
 // parallel) and [RunTransient] (traced response to a traffic-pattern
 // switch). [RunExperiment] regenerates any of the paper's tables and
-// figures by ID ([ExperimentIDs] enumerates them; cmd/figures is the
+// figures by ID ([ExperimentIDs] enumerates them; `cbar figures` is the
 // CLI front end). README.md collects the CLI surface and the
 // workload/congestion/fault spec grammars in one place.
 //
@@ -78,7 +78,7 @@
 // whether a point converged in a fifth of the window or will never
 // converge at all.
 //
-// Adaptive mode ([SteadyOptions].Adaptive, cmd/sweep and cmd/figures
+// Adaptive mode ([SteadyOptions].Adaptive, `cbar sweep` and `cbar figures`
 // -adaptive) spends cycles only where the statistics demand them:
 //
 //   - Warmup truncation: the run streams per-bucket mean delivery
@@ -103,7 +103,7 @@
 // [SteadyResult] reports what was spent and decided: CIHalfLatency and
 // CIHalfAccepted (95% half-widths), MeasuredCycles (total measured
 // cycles across seeds), WarmupCycles (mean truncated warmup),
-// Saturated and Converged. cmd/sweep -adaptive appends them as CSV
+// Saturated and Converged. `cbar sweep -adaptive` appends them as CSV
 // columns (ci_half_latency, measured_cycles, warmup_cycles, saturated,
 // converged); fixed-mode CSV output is unchanged. Adaptive results are
 // statistically equivalent but not bit-identical to fixed mode; use
@@ -148,7 +148,7 @@
 //
 // [ParseTraffic] accepts the same catalog as strings ("hotspot:0.2,8",
 // "perm:shift+16", "tornado", "burst:50,200", "adv+1+burst:50,200,0.8",
-// "un+skew:0.1,0.5"), which cmd/sweep exposes via -traffic; README.md
+// "un+skew:0.1,0.5"), which cmd/cbar exposes via -traffic; README.md
 // tabulates the full grammar.
 //
 // Stateful sources keep their upcoming injection times on a calendar (a
@@ -163,8 +163,8 @@
 //
 // # Congestion management
 //
-// [Config].Congestion (cmd/sweep, cmd/figures and cmd/dfsim -congestion
-// off|on, parsed by [ParseCongestion]) switches on a closed-loop
+// [Config].Congestion (cmd/cbar -congestion off|on, every subcommand;
+// parsed by [ParseCongestion]) switches on a closed-loop
 // congestion-control layer modeled on the ECN-style notification
 // schemes of the congestion-management literature (Rocher-Gonzalez et
 // al.). It is a switch, not a tuning surface: every parameter below is
@@ -195,7 +195,7 @@
 //     source queues stay bounded under sustained overload.
 //
 // SteadyResult reports the loop's activity (Marked, Notified,
-// Throttled, Shed); cmd/sweep appends them as CSV columns behind
+// Throttled, Shed); `cbar sweep` appends them as CSV columns behind
 // -congestion. The layer preserves both determinism contracts: with
 // congestion off every simulation is bit-identical to previous
 // releases (the golden CSVs pin it), and with it on, results are
@@ -206,8 +206,8 @@
 //
 // # Fault model
 //
-// [Config].Faults (cmd/sweep, cmd/figures and cmd/dfsim -faults, specs
-// parsed by [ParseFaults]) schedules a deterministic plan of fabric
+// [Config].Faults (cmd/cbar -faults, every subcommand; specs parsed by
+// [ParseFaults]) schedules a deterministic plan of fabric
 // faults: explicit LinkDown/LinkUp and RouterDown/RouterUp events at
 // fixed cycles, plus a random clause failing a percentage of the global
 // cables at one cycle (expanded from its own seed at build time, so the
@@ -516,7 +516,7 @@
 // `go run ./cmd/bench` tracks the hot path's speed in BENCH_step.json.
 //
 // A single run can additionally be stepped by multiple cores
-// (Config.Workers, cmd/sweep and cmd/figures -workers): the network is
+// (Config.Workers, cmd/cbar -workers): the network is
 // partitioned into contiguous blocks of whole groups and each cycle runs
 // its phases in parallel across the shards, with barriers between
 // phases. Cross-shard effects — packets crossing global links, credit

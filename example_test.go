@@ -73,7 +73,7 @@ func ExampleRunExperiment() {
 }
 
 // ExampleParseCongestion resolves a congestion-management spec string —
-// the same grammar cmd/sweep, cmd/figures and cmd/dfsim accept via
+// the same grammar every cmd/cbar subcommand accepts via
 // -congestion. The layer is a switch: its parameters are fixed.
 func ExampleParseCongestion() {
 	g, err := cbar.ParseCongestion("on")

@@ -1,5 +1,5 @@
 // Package prof backs the -cpuprofile and -memprofile flags of the
-// simulation CLIs (dfsim, sweep, figures) with runtime/pprof. Profiling
+// simulation CLI's subcommands (cmd/cbar) with runtime/pprof. Profiling
 // observes a run; it never changes what the simulation computes.
 package prof
 

@@ -11,11 +11,11 @@ import (
 // testdata/golden/ID_tiny.csv at the repository root: one load sweep
 // over every evaluated mechanism, one grid figure, one transient trace,
 // one threshold sweep and the steady and transient ablations, so the figure writers, the transient tracer and the grid
-// pool are pinned across commits like the sweeps of the root package's
-// golden_test.go. CI diffs the same files against the cmd/figures
-// binary. Regenerate with:
+// pool are pinned across commits like the sweeps of cmd/cbar's
+// TestGoldenSweeps. CI diffs the same files against `cbar figures`.
+// Regenerate with:
 //
-//	go run ./cmd/figures -scale tiny -seeds 1 -out testdata/golden \
+//	go run ./cmd/cbar figures -scale tiny -seeds 1 -out testdata/golden \
 //	    -fig fig5b,fig6,fig7,fig10a,abl-speedup,abl-ectn-period
 var goldenFigures = []string{"fig5b", "fig6", "fig7", "fig10a", "abl-speedup", "abl-ectn-period"}
 
@@ -28,7 +28,7 @@ func TestGoldenFigures(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %q", id)
 			}
-			// cmd/figures -scale tiny -seeds 1: the scale's default budget
+			// cbar figures -scale tiny -seeds 1: the scale's default budget
 			// with one repeat.
 			b := DefaultBudget(Tiny)
 			b.Seeds = 1
