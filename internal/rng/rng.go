@@ -57,6 +57,12 @@ func (p *PCG) Split() *PCG {
 func (p *PCG) next() uint32 {
 	old := p.state
 	p.state = old*pcgMult + p.inc
+	return output(old)
+}
+
+// output is the XSH-RR permutation: the 32-bit output of the step that
+// leaves state old.
+func output(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
 	rot := uint32(old >> 59)
 	return xorshifted>>rot | xorshifted<<((-rot)&31)
@@ -162,11 +168,15 @@ func (g Geom) DrawBelow(p *PCG, limit int64) (k int, below bool) {
 		k = g.Draw(p) // saturated: a constant, and no uniform
 		return k, int64(k) < limit
 	}
-	f := p.Float64()
+	return g.below(p.Float64(), limit)
+}
+
+// below is DrawBelow's verdict on the uniform f it drew.
+func (g Geom) below(f float64, limit int64) (int, bool) {
 	if limit <= math.MaxInt32 && f*belowSlack >= -g.denom*float64(limit) {
 		return 0, false
 	}
-	k = g.invert(1 - f)
+	k := g.invert(1 - f)
 	return k, int64(k) < limit
 }
 
@@ -242,9 +252,9 @@ func init() {
 func fastLog(u float64) float64 {
 	bits := math.Float64bits(u)
 	t := &logTable[bits>>44&0xff]
-	m := math.Float64frombits(bits&(1<<52-1) | 1023<<52)
-	r := m*t.invc - 1
-	e := float64(int(bits>>52) - 1023)
+	r := math.Float64frombits(bits&(1<<52-1)|1023<<52)*t.invc - 1 // m*invc - 1
 	r2 := r * r
-	return (e*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
+	// e*Ln2 + logc with e the exponent; written in one expression, the
+	// function stays small enough to inline into the silent walk.
+	return (float64(int(bits>>52)-1023)*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
 }

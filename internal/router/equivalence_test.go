@@ -273,8 +273,11 @@ func fuzzRow(mech, work uint8, load uint16, flags uint8, seed uint64) (row, arm)
 	rw := row{name: "fuzz", algo: routing.All()[int(mech)%len(routing.All())], w: fuzzWorkloads[int(work)%len(fuzzWorkloads)],
 		load: float64(load%1000+1) / 1000, congestion: flags&1 != 0,
 		cycles: 300, tail: 100, checkpoint: 100, sweep: 7, netSeed: seed, injSeed: seed + 1}
-	if peak := rw.w.Source.PeakLoad; peak > 0 {
-		rw.load = min(rw.load, peak) // an on-off source offers no more than its peak
+	if s := rw.w.Source; s.PeakLoad > 0 && rw.load > s.PeakLoad*s.OnMean/(s.OnMean+1) {
+		// An on-off source offers no more than its peak, and closer to
+		// it than this its OFF phases would last under a cycle, which the
+		// source rejects: such a load runs always on, at the peak.
+		rw.load = s.PeakLoad
 	}
 	if flags&2 != 0 {
 		rw.faults = stressFaults(rw.cycles)

@@ -177,9 +177,8 @@ func (s *bernoulliSource) Next(n int, t int64) (int64, bool) {
 // plus the (state-advancing) phase transitions skipped over.
 type onOffSource struct {
 	gapOn  []rng.Geom
-	onLen  rng.Geom // an ON phase ends each cycle with probability 1/OnMean
-	offLen rng.Geom
-	duty   float64 // stationary probability of the ON phase
+	phases rng.OnOff // phases end each cycle with probability 1/OnMean, 1/OffMean
+	duty   float64   // stationary probability of the ON phase
 	state  []onOffState
 	rngs   []rng.PCG
 }
@@ -219,6 +218,13 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 		qOn = peakProb
 		offMean = onMean * (qOn - q) / q
 	}
+	if offMean > 0 && offMean < 1 {
+		// A phase lasts at least one cycle, so the duty cycle would be
+		// onMean/(onMean+1), not the one qOn was derived from: the source
+		// would offer less load than asked.
+		return nil, fmt.Errorf("traffic: on-off phase means on=%v off=%v (peak %v): an OFF mean of %.3g cycles is under the one cycle a phase lasts (need off = 0 or off >= 1; a peak sets off = on*(peak-load)/load)",
+			spec.OnMean, spec.OffMean, spec.PeakLoad, offMean)
+	}
 	if qOn > 1 {
 		return nil, fmt.Errorf("traffic: on-off peak rate %.3f packets/(node·cycle) exceeds 1 (lengthen OnMean/OffMean or lower the load)", qOn)
 	}
@@ -247,18 +253,9 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 		return &bernoulliSource{gap: s.gapOn, rngs: s.rngs}, nil
 	}
 	pOnEnd, pOffEnd := 1/onMean, 1/offMean
-	s.onLen, s.offLen = rng.NewGeom(pOnEnd), rng.NewGeom(pOffEnd)
+	s.phases = rng.NewOnOff(pOnEnd, pOffEnd)
 	s.duty = pOffEnd / (pOnEnd + pOffEnd)
 	return s, nil
-}
-
-// phaseLen draws a geometric phase length >= 1 with the phase's mean (a
-// phase that always ends is one cycle long and costs no draw).
-func (s *onOffSource) phaseLen(on bool, r *rng.PCG) int64 {
-	if on {
-		return 1 + int64(s.onLen.Draw(r))
-	}
-	return 1 + int64(s.offLen.Draw(r))
 }
 
 func (s *onOffSource) First(n int) (int64, bool) {
@@ -267,24 +264,32 @@ func (s *onOffSource) First(n int) (int64, bool) {
 	// Start in the stationary phase distribution; geometric phases are
 	// memoryless, so a fresh full phase is the correct residual.
 	st.on = r.Bernoulli(s.duty)
-	st.phaseEnd = s.phaseLen(st.on, r)
+	st.phaseEnd = s.phases.Len(st.on, r)
 	st.started = true
-	return s.nextFrom(n, 0)
+	return s.nextFrom(n, 0, maxPhaseWalk)
 }
 
 func (s *onOffSource) Next(n int, t int64) (int64, bool) {
-	return s.nextFrom(n, t+1)
+	return s.nextFrom(n, t+1, maxPhaseWalk)
 }
 
 // nextFrom returns the first injection cycle >= from, advancing the
-// node's phase state. Within an ON phase the time to the next injection
-// is geometric; a draw past the phase end is discarded and redrawn in
-// the next ON phase, which by memorylessness is exactly equivalent to
-// the per-cycle Bernoulli chain. Only "past the phase end" is asked of
+// node's phase state, or gives the node up after budget ON phases.
+// Within an ON phase the time to the next injection is geometric; a draw
+// past the phase end is discarded and redrawn in the next ON phase,
+// which by memorylessness is exactly equivalent to the per-cycle
+// Bernoulli chain. Only "past the phase end" is asked of
 // such a draw, so it is a DrawBelow: at a low rate nearly every ON phase
 // is silent, and a silent phase costs its uniform and a compare, never
 // the inversion — the stream is Draw's either way.
-func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
+//
+// Once an ON phase has come up silent, what follows is (OFF, ON, gap)
+// triples until one injects, and rng.OnOff.Silent walks them with the
+// same draws, three uniforms per silent pair at about half the cost. A
+// phase that always ends (OnMean or the OFF mean exactly 1) draws no
+// uniform, which the kernel's fixed triple cannot express, so such a
+// source stays on this loop.
+func (s *onOffSource) nextFrom(n int, from int64, budget int) (int64, bool) {
 	st := &s.state[n]
 	r := &s.rngs[n]
 	gap := s.gapOn[n]
@@ -292,18 +297,23 @@ func (s *onOffSource) nextFrom(n int, from int64) (int64, bool) {
 		return 0, false
 	}
 	pos := from
-	for walk := 0; walk < maxPhaseWalk; walk++ {
+	for walk := 0; walk < budget; walk++ {
 		// Move to the ON phase that holds pos (an OFF phase is silent to
 		// its end).
 		for !st.on || pos >= st.phaseEnd {
 			pos = max(pos, st.phaseEnd)
 			st.on = !st.on
-			st.phaseEnd += s.phaseLen(st.on, r)
+			st.phaseEnd += s.phases.Len(st.on, r)
 		}
 		if k, below := gap.DrawBelow(r, st.phaseEnd-pos); below {
 			return pos + int64(k), true
 		}
 		pos = st.phaseEnd
+		if s.phases.Drawn() {
+			t, end, ok := s.phases.Silent(r, gap, pos, budget-walk-1)
+			st.phaseEnd = end
+			return t, ok
+		}
 	}
 	return 0, false
 }

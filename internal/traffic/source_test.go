@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -487,22 +488,68 @@ func TestOnOffRejectsUnwalkableSpec(t *testing.T) {
 	}
 }
 
+// TestOnOffRejectsSubCycleOffMean: a phase lasts at least one cycle, so
+// an OFF mean in (0, 1) would run at duty onMean/(onMean+1), not the one
+// the ON rate was derived from, and offer less load than asked
+// (burst:2,0.5 delivered 0.0417 packets per node-cycle of 0.05). Such a
+// mean is refused whether given or derived from a peak just above the
+// aggregate, naming the spec; 0 (always on) and >= 1 stay accepted.
+func TestOnOffRejectsSubCycleOffMean(t *testing.T) {
+	const nodes, packetSize, q = 16, 8, 0.05
+	for _, tc := range []struct {
+		spec SourceSpec
+		ok   bool
+	}{
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 2, OffMean: 0.5}, false},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 0.999}, false},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 5, PeakLoad: 1.001 * q * packetSize}, false}, // OFF mean 0.005
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 2, OffMean: 1}, true},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 2, OffMean: 0}, true},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 5, PeakLoad: q * packetSize}, true},     // always on
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 5, PeakLoad: 2 * q * packetSize}, true}, // OFF mean 5
+	} {
+		_, err := newSource(tc.spec, nodes, packetSize, q, 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: err = %v, want accepted = %v", tc.spec, err, tc.ok)
+		}
+		if want := fmt.Sprintf("on=%v off=%v", tc.spec.OnMean, tc.spec.OffMean); err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: error does not name the spec (%q): %v", tc.spec, want, err)
+		}
+	}
+}
+
 // BenchmarkOnOffSilentWalk is the repo benchmark's idle point seen from
 // one node: un+burst:50,150 at 1e-5 load, some 4 000 silent ON/OFF phase
 // pairs walked per packet (two phase-length draws and one gap draw each).
+// ns/pair divides the time by the ON phases the same calls walk, counted
+// afterwards on a twin source, untimed.
 func BenchmarkOnOffSilentWalk(b *testing.B) {
-	src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1, 8, 1e-5/8, 1)
-	if err != nil {
-		b.Fatal(err)
+	newSrc := func() Source {
+		src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1, 8, 1e-5/8, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
 	}
+	src := newSrc()
 	c, ok := src.First(0)
 	b.ResetTimer()
 	for i := 0; i < b.N && ok; i++ {
 		c, ok = src.Next(0, c)
 	}
+	b.StopTimer()
 	if !ok {
 		b.Fatal("the source fell silent")
 	}
+	twin := newSrc().(*onOffSource)
+	c, _ = twin.First(0)
+	pairs := 0
+	for range b.N {
+		var walked int
+		c, _, walked = drawWalkFrom(twin, 0, c+1, maxPhaseWalk)
+		pairs += walked
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 }
 
 // BenchmarkSourceLookahead is one window fill of the repo benchmark's

@@ -75,3 +75,83 @@ func TestOnOffArrivalStreamPinned(t *testing.T) {
 		}
 	}
 }
+
+// drawWalkFrom is nextFrom as it was before the silent-walk kernel:
+// every phase length and gap drawn one at a time, up to budget ON
+// phases. It also returns how many ON phases it drew a gap in.
+func drawWalkFrom(s *onOffSource, n int, from int64, budget int) (t int64, ok bool, walked int) {
+	st := &s.state[n]
+	r := &s.rngs[n]
+	gap := s.gapOn[n]
+	if gap.Never() || !st.started {
+		return 0, false, 0
+	}
+	pos := from
+	for walked < budget {
+		for !st.on || pos >= st.phaseEnd {
+			pos = max(pos, st.phaseEnd)
+			st.on = !st.on
+			st.phaseEnd += s.phases.Len(st.on, r)
+		}
+		walked++
+		if k, below := gap.DrawBelow(r, st.phaseEnd-pos); below {
+			return pos + int64(k), true, walked
+		}
+		pos = st.phaseEnd
+	}
+	return 0, false, walked
+}
+
+// TestSilentWalkMatchesDrawWalk: nextFrom, which hands silent stretches
+// to rng.OnOff.Silent, against the per-draw walk on a twin source, call
+// by call — the arrival, the node's phase state and its generator must
+// match after each. At the benchmark's idle load and at 1e-3, and with
+// budgets so small that most calls give up, which the next call resumes
+// from the end of the last ON phase walked.
+func TestSilentWalkMatchesDrawWalk(t *testing.T) {
+	const nodes, calls = 16, 24
+	for _, tc := range []struct {
+		spec   SourceSpec
+		load   float64
+		budget int
+	}{
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1e-5, maxPhaseWalk},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1e-3, maxPhaseWalk},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1e-5, 40},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1e-3, 2},
+		{SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 1}, 1e-3, 5},
+	} {
+		build := func() *onOffSource {
+			src, err := newSource(tc.spec, nodes, 8, tc.load/8, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src.(*onOffSource)
+		}
+		kernel, ref := build(), build()
+		for n := 0; n < nodes; n++ {
+			from := int64(0)
+			for call := range calls {
+				var got, want int64
+				var gotOK, wantOK bool
+				if call == 0 {
+					got, gotOK = kernel.First(n)
+					st, r := &ref.state[n], &ref.rngs[n] // First's prologue
+					st.on, st.started = r.Bernoulli(ref.duty), true
+					st.phaseEnd = ref.phases.Len(st.on, r)
+					want, wantOK, _ = drawWalkFrom(ref, n, 0, maxPhaseWalk)
+				} else {
+					got, gotOK = kernel.nextFrom(n, from, tc.budget)
+					want, wantOK, _ = drawWalkFrom(ref, n, from, tc.budget)
+				}
+				if got != want || gotOK != wantOK || kernel.state[n] != ref.state[n] || kernel.rngs[n] != ref.rngs[n] {
+					t.Fatalf("%+v load %g budget %d node %d call %d from %d: (%d, %v) state %+v, per-draw walk (%d, %v) state %+v (generators equal: %v)",
+						tc.spec, tc.load, tc.budget, n, call, from, got, gotOK, kernel.state[n], want, wantOK, ref.state[n], kernel.rngs[n] == ref.rngs[n])
+				}
+				if from = got + 1; !gotOK {
+					from = kernel.state[n].phaseEnd
+				}
+			}
+		}
+	}
+}
