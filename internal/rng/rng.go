@@ -17,9 +17,20 @@
 // itself answers otherwise. The fast logarithm is not required to be
 // reproducible across platforms, compilers or FMA fusing — only the
 // certified outcome is, and that is the exact expression's everywhere.
+//
+// OnOff.Silent walks an on-off source's silent stretches — (OFF length,
+// ON length, gap) triples, the draws a per-draw walk makes, in its order
+// — from one generator state per triple: the LCG jump-ahead constants
+// (A_j = a^j, G_j = Σ_{t<j} a^t, j <= 6) give all six outputs by
+// independent multiplies, the lengths are certified from a multiply by
+// a reciprocal prepared per source, and the gap is screened on its high
+// output word. The stream is the per-draw walk's by construction.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // PCG is a PCG-XSH-RR 64/32 generator. The zero value is a valid but
 // fixed-stream generator; use New or Seed for distinct streams.
@@ -64,8 +75,7 @@ func (p *PCG) next() uint32 {
 // leaves state old.
 func output(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return xorshifted>>rot | xorshifted<<((-rot)&31)
+	return bits.RotateLeft32(xorshifted, -int(old>>59)) // one rotate instruction
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
