@@ -310,6 +310,31 @@
 // node loop in Cycle. The fast logarithm need not be reproducible across
 // platforms; the outcome is, because it is the exact expression's.
 //
+// Silent walk. Once one of an on-off node's ON phases comes up silent,
+// what follows until its next arrival is a run of triples — an OFF
+// phase's length, the next ON phase's length, and the gap draw against
+// it — each three uniforms, six steps of the node's PCG. rng.OnOff.Silent
+// walks them without the six-deep chain of multiplies: the LCG's
+// jump-ahead identity says that j steps take a state s to
+// A_j*s + inc*G_j (mod 2^64), with A_j = a^j and G_j the sum of a^t for
+// t < j (Brown 1994), so all six outputs of a triple come from one state
+// by independent multiplies. Both lengths are certified as above, with
+// the division replaced by a multiply by the reciprocal of the phase's
+// log1p(-prob), prepared once per source (Geom stays one float64), and
+// one epsilon for quotients below 2^12: fastLog's error over
+// |log1p(-prob)| plus 2^12 times the quotient's relative slack. What it
+// cannot decide goes to the defining expression. The gap is screened on
+// its high output word alone, which bounds the uniform from below, so
+// the screen passing is DrawBelow's screen passing; the low word is
+// permuted only for the rare gap that might land inside the ON phase.
+// Every triple takes the draws the per-draw walk takes, in its order, so
+// each node's stream, and every arrival, is the per-draw walk's by
+// construction (TestSilentWalkMatchesDrawWalk, FuzzSilentWalk and
+// arrival hashes recorded before the kernel existed pin it). A silent
+// pair costs less than half what it did one draw at a time. A source
+// whose OnMean or OFF mean is exactly 1 has a phase that always ends,
+// drawn with no uniform, so it keeps the per-draw loop.
+//
 // The active sets. A set is one bit per id of its shard's range plus a
 // population count (router/activeset.go). A phase scans the words in
 // order and peels the set bits of each lowest first, which is the

@@ -18,13 +18,10 @@
 // reproducible across platforms, compilers or FMA fusing — only the
 // certified outcome is, and that is the exact expression's everywhere.
 //
-// OnOff.Silent walks an on-off source's silent stretches — (OFF length,
-// ON length, gap) triples, the draws a per-draw walk makes, in its order
-// — from one generator state per triple: the LCG jump-ahead constants
-// (A_j = a^j, G_j = Σ_{t<j} a^t, j <= 6) give all six outputs by
-// independent multiplies, the lengths are certified from a multiply by
-// a reciprocal prepared per source, and the gap is screened on its high
-// output word. The stream is the per-draw walk's by construction.
+// OnOff.Silent walks an on-off source's silent (OFF, ON, gap) triples
+// with a per-draw walk's draws, all six outputs of a triple from one
+// state by LCG jump-ahead (A_j = a^j, G_j = Σ_{t<j} a^t): the stream is
+// the per-draw walk's by construction.
 package rng
 
 import (
@@ -260,11 +257,10 @@ func init() {
 // the bound has room for either, and a value the guard accepts is by
 // that bound the exact expression's.
 func fastLog(u float64) float64 {
-	bits := math.Float64bits(u)
-	t := &logTable[bits>>44&0xff]
-	r := math.Float64frombits(bits&(1<<52-1)|1023<<52)*t.invc - 1 // m*invc - 1
+	ub := math.Float64bits(u)
+	t := &logTable[ub>>44&0xff]
+	r := math.Float64frombits(ub&(1<<52-1)|1023<<52)*t.invc - 1 // m*invc - 1
 	r2 := r * r
-	// e*Ln2 + logc with e the exponent; written in one expression, the
-	// function stays small enough to inline into the silent walk.
-	return (float64(int(bits>>52)-1023)*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
+	// e*Ln2 + logc + log1p(r), e inline so that fastLog inlines.
+	return (float64(int(ub>>52)-1023)*math.Ln2 + t.logc) + (r + r2*(r*(1.0/3)-0.5-r2*0.25))
 }

@@ -16,39 +16,33 @@ const (
 	jumpA6, jumpG6 = jumpA5 * pcgMult % (1 << 64), (jumpG5*pcgMult + 1) % (1 << 64)
 )
 
-// hiSlack is belowSlack/2^32: times a high output word hi, it is the
-// uniform hi*2^-32 times belowSlack, rounded once as DrawBelow rounds.
-const hiSlack = belowSlack / (1 << 32)
-
 // aboveHi reports DrawBelow's screen passing — a sample at or above
 // limit — for every uniform whose high output word is hi: it passes on
-// hi*2^-32, the least such uniform, at the same belowSlack.
+// hi*2^-32, the least such uniform (the constant is belowSlack scaled
+// exactly, so the product rounds as DrawBelow's does).
 func (g Geom) aboveHi(hi uint32, limit float64) bool {
-	return limit <= math.MaxInt32 && float64(hi)*hiSlack >= -g.denom*limit
+	return limit <= math.MaxInt32 && float64(hi)*(belowSlack/(1<<32)) >= -g.denom*limit
 }
 
-// phase is a prepared phase length, 1 + Draw of g, with what the silent
-// walk certifies it from: the reciprocal of g's divisor and the
-// certificate's epsilon for quotients below 2^12.
+// phase is a prepared phase length, 1 + Draw of g, with the reciprocal
+// of g's divisor and the certificate's epsilon the silent walk uses.
 type phase struct {
 	g          Geom
 	recip, eps float64
 }
 
 // newPhase prepares a phase that ends each cycle with probability pEnd.
-// The quotient fastLog(u)*recip is within fastLogErr/|denom| + q*2^-46
-// of the exact expression's (invert's derivation; the reciprocal and
-// the product add an ulp between them, inside quotientSlack's charge),
-// and below 2^12 the second term is under 2^12*quotientSlack.
+// fastLog(u)*recip is within fastLogErr/|denom| + q*quotientSlack of the
+// exact quotient (invert's derivation: the reciprocal and the product
+// add an ulp, inside the charge), under eps for q below 2^12.
 func newPhase(pEnd float64) phase {
 	g := NewGeom(pEnd)
 	return phase{g, 1 / g.denom, fastLogErr/-g.denom + (1<<12)*quotientSlack}
 }
 
-// floor is the floor of the fast quotient l*recip for l = fastLog(u),
-// and whether the certificate holds, so that 1 + floor is the phase's
-// length 1 + g.invert(u): no integer within eps of the quotient, which
-// is below 2^12 (a negative quotient leaves d < 0).
+// floor is the floor of the quotient l*recip for l = fastLog(u), and
+// whether it is g.invert(u)'s: below 2^12, with no integer within eps
+// (a negative quotient, fastLog's error at u near 1, is within eps of 0).
 func (ph *phase) floor(l float64) (k float64, ok bool) {
 	q := l * ph.recip
 	k = math.Floor(q)
@@ -83,26 +77,22 @@ func (w *OnOff) Drawn() bool {
 	return !math.IsInf(w.on.g.denom, -1) && !math.IsInf(w.off.g.denom, -1)
 }
 
-// Silent walks the stretch after an ON phase that ended at cycle end
-// with no injection, from p's stream, for a source that injects in ON
-// phases with gap's probability (not saturated). Each step is a triple:
-// an OFF phase's length, the next ON phase's length, and gap's draw
-// against it — Len(false, p), Len(true, p) and gap.DrawBelow(p, onLen),
-// the draws the per-draw walk makes. It stops at the first gap inside its
-// ON phase, returning that arrival and ok, or after budget triples with
-// ok false; onEnd is the end of the ON phase it stopped in, and p is
-// left where the per-draw walk leaves it.
-//
-// A triple's six PCG outputs are computed from one state by jump-ahead,
-// both lengths are certified from a multiply (phase.floor), and the gap
-// is screened on its high word (aboveHi); the low word is permuted only
-// for a gap that might fall inside the ON phase.
+// Silent walks, from p's stream, the stretch after an ON phase that
+// ended at cycle end with no injection, for ON phases injecting with
+// gap's (unsaturated) probability: triples of Len(false, p), Len(true, p)
+// and gap.DrawBelow(p, onLen), the per-draw walk's draws. It returns the
+// first gap inside its ON phase and ok, or ok false after budget
+// triples; onEnd is the end of the ON phase it stopped in, and p is left
+// where the per-draw walk leaves it. A triple's six PCG outputs come
+// from one state by jump-ahead, the lengths are certified from a
+// multiply (phase.floor), and the gap is screened on its high word
+// (aboveHi), the low one permuted only if that cannot decide.
 func (w *OnOff) Silent(p *PCG, gap Geom, end int64, budget int) (t, onEnd int64, ok bool) {
 	s, inc := p.state, p.inc
 	c2, c3, c4, c5, c6 := inc*jumpG2, inc*jumpG3, inc*jumpG4, inc*jumpG5, inc*jumpG6
 	for ; budget > 0; budget-- {
-		uOff := unit(output(s), output(s*jumpA1+inc))
-		uOn := unit(output(s*jumpA2+c2), output(s*jumpA3+c3))
+		uOff := 1 - uniform(output(s), output(s*jumpA1+inc)) // (0, 1], as Draw inverts
+		uOn := 1 - uniform(output(s*jumpA2+c2), output(s*jumpA3+c3))
 		hi, lo := output(s*jumpA4+c4), s*jumpA5+c5
 		s = s*jumpA6 + c6
 		kOff, okOff := w.off.floor(fastLog(uOff))
@@ -119,8 +109,7 @@ func (w *OnOff) Silent(p *PCG, gap Geom, end int64, budget int) (t, onEnd int64,
 		if gap.aboveHi(hi, 1+kOn) {
 			continue
 		}
-		f := float64((uint64(hi)<<32|uint64(output(lo)))>>11) / (1 << 53)
-		if k, below := gap.below(f, onLen); below {
+		if k, below := gap.below(uniform(hi, output(lo)), onLen); below {
 			p.state = s
 			return onStart + int64(k), end, true
 		}
@@ -129,8 +118,7 @@ func (w *OnOff) Silent(p *PCG, gap Geom, end int64, budget int) (t, onEnd int64,
 	return 0, end, false
 }
 
-// unit is 1 - Float64 for the uniform made of the outputs hi, lo: in
-// (0, 1], as Draw inverts it.
-func unit(hi, lo uint32) float64 {
-	return 1 - float64((uint64(hi)<<32|uint64(lo))>>11)/(1<<53)
+// uniform is Float64's value for the outputs hi, lo of its two steps.
+func uniform(hi, lo uint32) float64 {
+	return float64((uint64(hi)<<32|uint64(lo))>>11) / (1 << 53)
 }

@@ -170,7 +170,7 @@ func (s *bernoulliSource) Next(n int, t int64) (int64, bool) {
 // onOffSource is a two-state Markov-modulated Bernoulli process: in an
 // ON phase node n injects each cycle with the probability gapOn[n] was
 // prepared for; OFF phases are silent. Phase lengths are geometric
-// (>= 1 cycle) with the configured means (onLen, offLen), so the
+// (>= 1 cycle) with the configured means (phases), so the
 // per-cycle naive equivalent is a Markov chain:
 // inject by the phase's rate, then stay/leave the phase by its mean.
 // Sampling inverts both geometrics, so the cost per injection is O(1)
@@ -218,10 +218,7 @@ func newOnOffSource(nodes int, q, peakProb float64, spec SourceSpec, weights []f
 		qOn = peakProb
 		offMean = onMean * (qOn - q) / q
 	}
-	if offMean > 0 && offMean < 1 {
-		// A phase lasts at least one cycle, so the duty cycle would be
-		// onMean/(onMean+1), not the one qOn was derived from: the source
-		// would offer less load than asked.
+	if offMean > 0 && offMean < 1 { // phases last >= 1 cycle: less load than asked
 		return nil, fmt.Errorf("traffic: on-off phase means on=%v off=%v (peak %v): an OFF mean of %.3g cycles is under the one cycle a phase lasts (need off = 0 or off >= 1; a peak sets off = on*(peak-load)/load)",
 			spec.OnMean, spec.OffMean, spec.PeakLoad, offMean)
 	}
@@ -278,17 +275,13 @@ func (s *onOffSource) Next(n int, t int64) (int64, bool) {
 // Within an ON phase the time to the next injection is geometric; a draw
 // past the phase end is discarded and redrawn in the next ON phase,
 // which by memorylessness is exactly equivalent to the per-cycle
-// Bernoulli chain. Only "past the phase end" is asked of
-// such a draw, so it is a DrawBelow: at a low rate nearly every ON phase
-// is silent, and a silent phase costs its uniform and a compare, never
-// the inversion — the stream is Draw's either way.
-//
-// Once an ON phase has come up silent, what follows is (OFF, ON, gap)
-// triples until one injects, and rng.OnOff.Silent walks them with the
-// same draws, three uniforms per silent pair at about half the cost. A
-// phase that always ends (OnMean or the OFF mean exactly 1) draws no
-// uniform, which the kernel's fixed triple cannot express, so such a
-// source stays on this loop.
+// Bernoulli chain. Only "past the phase end" is asked of such a draw, so
+// it is a DrawBelow: at a low rate nearly every ON phase is silent, and
+// a silent phase costs its uniform and a compare, never the inversion —
+// the stream is Draw's either way. After a silent ON phase the rest is
+// (OFF, ON, gap) triples, which rng.OnOff.Silent walks with the same
+// draws, unless a phase always ends (OnMean or the OFF mean exactly 1)
+// and so takes no uniform.
 func (s *onOffSource) nextFrom(n int, from int64, budget int) (int64, bool) {
 	st := &s.state[n]
 	r := &s.rngs[n]
