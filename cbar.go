@@ -1,10 +1,6 @@
 package cbar
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"cbar/internal/routing"
 	"cbar/internal/sim"
 	"cbar/internal/topology"
@@ -290,173 +286,14 @@ func (t Traffic) WithSkew(frac, share float64) Traffic {
 	return Traffic{t.inner.WithSkew(frac, share)}
 }
 
-// Name returns the paper's name for the workload (UN, ADV+1, ...),
-// suffixed with the arrival process when not plain Bernoulli.
+// Name returns the workload's canonical spec ("UN", "ADV+1",
+// "mix(0.4,1)", "UN+burst(50,200)"), which ParseTraffic reads back.
 func (t Traffic) Name() string { return t.inner.Name() }
 
-// ParseTraffic resolves a workload specification string:
-//
-//	"un"                       uniform random
-//	"adv+3", "adv-1", "adv3"   adversarial with the given group offset
-//	"mix:0.4,1"                40% uniform, 60% ADV+1
-//	"hotspot:0.2,8"            20% of traffic at 8 hot nodes, rest uniform
-//	"perm:shift+K"             fixed shift permutation (src+K mod N)
-//	"perm:complement"          fixed complement permutation (N-1-src)
-//	"tornado"                  group-tornado permutation
-//	"burst:50,200"             uniform destinations, on-off bursty arrivals
-//	                           (mean ON 50 cycles, mean OFF 200)
-//	"burst:50,200,0.8"         as above with the ON-phase load fixed at
-//	                           0.8 phits/(node·cycle)
-//
-// Any base pattern may carry arrival-process suffixes:
-//
-//	"adv+1+burst:50,200"       bursty adversarial traffic
-//	"un+skew:0.1,0.5"          10% of the nodes generate 50% of the load
+// ParseTraffic resolves a case-insensitive workload spec such as
+// "adv+1", "mix:0.4,1" or "hotspot:0.2,8+burst:50,200", or any name
+// Traffic.Name prints (README.md tabulates the grammar).
 func ParseTraffic(s string) (Traffic, error) {
-	ls := strings.ToLower(strings.TrimSpace(s))
-	// Split off "+burst:..." / "+skew:..." arrival-process suffixes.
-	base, mods, err := splitTrafficMods(ls)
-	if err != nil {
-		return Traffic{}, err
-	}
-	t, err := parseTrafficPattern(base, s)
-	if err != nil {
-		return Traffic{}, err
-	}
-	for _, m := range mods {
-		t, err = applyTrafficMod(t, m, s)
-		if err != nil {
-			return Traffic{}, err
-		}
-	}
-	return t, nil
-}
-
-// splitTrafficMods splits "base+burst:...+skew:..." into the base
-// pattern spec and its arrival-process modifiers. Only the known
-// modifier names split, so patterns like "adv+1" pass through intact.
-func splitTrafficMods(ls string) (base string, mods []string, err error) {
-	base = ls
-	for {
-		i := lastTrafficMod(base)
-		if i < 0 {
-			break
-		}
-		mods = append([]string{base[i+1:]}, mods...)
-		base = base[:i]
-	}
-	if base == "" {
-		return "", nil, fmt.Errorf("cbar: traffic spec %q has modifiers but no base pattern", ls)
-	}
-	return base, mods, nil
-}
-
-// lastTrafficMod returns the index of the '+' starting the rightmost
-// arrival-process modifier, or -1.
-func lastTrafficMod(s string) int {
-	best := -1
-	for _, name := range []string{"+burst:", "+skew:"} {
-		if i := strings.LastIndex(s, name); i > best {
-			best = i
-		}
-	}
-	return best
-}
-
-func parseTrafficPattern(ls, orig string) (Traffic, error) {
-	switch {
-	case ls == "un" || ls == "uniform":
-		return Uniform(), nil
-	case ls == "tornado":
-		return Tornado(), nil
-	case ls == "perm:complement" || ls == "perm:comp":
-		return ComplementPermutation(), nil
-	case strings.HasPrefix(ls, "perm:shift"):
-		rest := strings.TrimPrefix(ls, "perm:shift")
-		rest = strings.TrimPrefix(rest, "+")
-		k, err := strconv.Atoi(rest)
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: bad shift offset in %q: %v", orig, err)
-		}
-		return ShiftPermutation(k), nil
-	case strings.HasPrefix(ls, "hotspot:"), strings.HasPrefix(ls, "mix:"):
-		// Both are NAME:FRAC,N — a traffic share and a node count
-		// (hotspot) or group offset (mix).
-		name, args, _ := strings.Cut(ls, ":")
-		f, err := splitFields(args, 2, 2)
-		var frac float64
-		var n int
-		if err == nil {
-			frac, err = strconv.ParseFloat(f[0], 64)
-		}
-		if err == nil {
-			n, err = strconv.Atoi(f[1])
-		}
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: %s traffic must be %s:FRAC,N, got %q: %v", name, name, orig, err)
-		}
-		if name == "mix" {
-			return Mixed(frac, n), nil
-		}
-		return Hotspot(frac, n), nil
-	case strings.HasPrefix(ls, "burst:"):
-		// A bare burst spec means uniform destinations with bursty
-		// arrivals.
-		return applyTrafficMod(Uniform(), ls, orig)
-	case strings.HasPrefix(ls, "adv"):
-		rest := strings.TrimPrefix(ls, "adv")
-		rest = strings.TrimPrefix(rest, "+")
-		off, err := strconv.Atoi(rest)
-		if err != nil {
-			return Traffic{}, fmt.Errorf("cbar: bad adversarial offset in %q: %v", orig, err)
-		}
-		return Adversarial(off), nil
-	}
-	return Traffic{}, fmt.Errorf("cbar: unknown traffic %q (un | adv+N | mix:F,N | hotspot:F,H | perm:shift+K | perm:complement | tornado | burst:ON,OFF[,PEAK] | +burst/+skew suffixes)", orig)
-}
-
-// applyTrafficMod applies one "burst:ON,OFF[,PEAK]" or "skew:FRAC,SHARE"
-// modifier; both take float parameters only.
-func applyTrafficMod(t Traffic, mod, orig string) (Traffic, error) {
-	name, args, _ := strings.Cut(mod, ":")
-	most, form := 2, "skew:FRAC,SHARE"
-	switch name {
-	case "skew":
-	case "burst":
-		most, form = 3, "burst:ON,OFF[,PEAK]"
-	default:
-		return Traffic{}, fmt.Errorf("cbar: unknown traffic modifier %q in %q", mod, orig)
-	}
-	f, err := splitFields(args, 2, most)
-	if err != nil {
-		return Traffic{}, fmt.Errorf("cbar: %s must be %s, got %q: %v", name, form, orig, err)
-	}
-	var v [3]float64
-	for i, p := range f {
-		if v[i], err = strconv.ParseFloat(p, 64); err != nil {
-			return Traffic{}, fmt.Errorf("cbar: bad %s parameter %q in %q: %v", name, p, orig, err)
-		}
-	}
-	if name == "burst" {
-		return t.WithBurst(v[0], v[1], v[2]), nil
-	}
-	return t.WithSkew(v[0], v[1]), nil
-}
-
-// splitFields splits s on ',' into at least least and at most most
-// space-trimmed fields. It is the one comma-list helper of the traffic
-// and fault grammars; the typed strconv call stays with the caller,
-// which knows the width of the field it fills.
-func splitFields(s string, least, most int) ([]string, error) {
-	f := strings.Split(s, ",")
-	if len(f) < least || len(f) > most {
-		if least == most {
-			return nil, fmt.Errorf("want %d comma-separated values, got %d", least, len(f))
-		}
-		return nil, fmt.Errorf("want %d to %d comma-separated values, got %d", least, most, len(f))
-	}
-	for i := range f {
-		f[i] = strings.TrimSpace(f[i])
-	}
-	return f, nil
+	w, err := sim.ParseWorkload(s)
+	return Traffic{w}, err
 }

@@ -141,8 +141,8 @@ func TestTrafficNames(t *testing.T) {
 	if Adversarial(3).Name() != "ADV+3" {
 		t.Fatal("ADV name")
 	}
-	if !strings.Contains(Mixed(0.5, 1).Name(), "UN") {
-		t.Fatal("mix name missing UN component")
+	if got := Mixed(0.5, 1).Name(); got != "mix(0.5,1)" {
+		t.Fatalf("mix name %q", got)
 	}
 }
 
@@ -152,19 +152,21 @@ func TestParseTraffic(t *testing.T) {
 		"UNIFORM":                                "UN",
 		"adv+1":                                  "ADV+1",
 		"adv3":                                   "ADV+3",
-		"adv-2":                                  "ADV+-2",
-		"mix:0.4,1":                              "mix(40%UN,ADV+1)",
-		"hotspot:0.2,8":                          "hotspot(20%->8)",
-		"perm:shift+5":                           "shift+5",
-		"perm:shift-3":                           "shift+-3",
-		"perm:complement":                        "complement",
-		"perm:comp":                              "complement",
+		"adv-2":                                  "ADV-2",
+		"mix:0.4,1":                              "mix(0.4,1)",
+		"hotspot:0.2,8":                          "hotspot(0.2,8)",
+		"hotspot:0.125,3":                        "hotspot(0.125,3)",
+		"perm:shift+5":                           "perm:shift+5",
+		"perm:shift-3":                           "perm:shift-3",
+		"perm:complement":                        "perm:complement",
+		"perm:comp":                              "perm:complement",
 		"tornado":                                "tornado",
 		"burst:50,200":                           "UN+burst(50,200)",
 		"burst:50,200,0.8":                       "UN+burst(50,200,0.8)",
 		"adv+1+burst:50,200":                     "ADV+1+burst(50,200)",
-		"un+skew:0.1,0.5":                        "UN+skew(10%:50%)",
-		"hotspot:0.2,8+burst:30,90+skew:0.1,0.5": "hotspot(20%->8)+burst(30,90)+skew(10%:50%)",
+		"un+skew:0.1,0.5":                        "UN+skew(0.1,0.5)",
+		"hotspot:0.2,8+burst:30,90+skew:0.1,0.5": "hotspot(0.2,8)+burst(30,90)+skew(0.1,0.5)",
+		"skew(0.1,0.5)+burst(30,90)":             "UN+burst(30,90)+skew(0.1,0.5)",
 	}
 	for in, want := range cases {
 		tr, err := ParseTraffic(in)
@@ -175,14 +177,27 @@ func TestParseTraffic(t *testing.T) {
 		if tr.Name() != want {
 			t.Errorf("ParseTraffic(%q).Name() = %q, want %q", in, tr.Name(), want)
 		}
+		if back, err := ParseTraffic(want); err != nil || back != tr {
+			t.Errorf("ParseTraffic(%q) = %+v, %v; want %+v", want, back.inner, err, tr.inner)
+		}
 	}
 	for _, bad := range []string{
 		"", "advX", "mix:1", "mix:a,b", "hotspot",
 		"hotspot:0.2", "hotspot:x,8", "perm:shiftX", "perm:rotate",
 		"burst:50", "burst:a,b", "un+skew:0.1", "+burst:50,200",
+		"mix(0.4,1", "un+skew:0,0.5", "un+skew:1,0.5", "un+skew:0.1,1.5",
 	} {
 		if _, err := ParseTraffic(bad); err == nil {
 			t.Errorf("ParseTraffic(%q) accepted", bad)
+		}
+	}
+	// A modifier written twice is an error naming it: the last copy
+	// used to win silently.
+	for _, tc := range []struct{ spec, mod string }{
+		{"burst:50,200+burst:5,5", "burst"}, {"un+skew:0.1,0.5+skew:0.3,0.9", "skew"},
+	} {
+		if _, err := ParseTraffic(tc.spec); err == nil || !strings.Contains(err.Error(), "repeats its "+tc.mod) {
+			t.Errorf("ParseTraffic(%q) = %v, want an error naming %s", tc.spec, err, tc.mod)
 		}
 	}
 }

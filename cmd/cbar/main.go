@@ -30,6 +30,8 @@ import (
 
 	"cbar"
 	"cbar/internal/prof"
+	"cbar/internal/router"
+	"cbar/internal/sim"
 )
 
 func main() {
@@ -124,7 +126,7 @@ func (c *cli) flags() *flag.FlagSet {
 	fs.IntVar(&c.seeds, "seeds", 0, "independent repeats per point (0 = scale default)")
 	fs.IntVar(&c.workers, "workers", 0, "shard workers per simulated network, >= 0 (0 = auto: shard runs across idle cores when the grid is narrower than GOMAXPROCS, 1 = sequential; results are identical at any count)")
 	fs.StringVar(&c.congSpec, "congestion", "off", "congestion management: off | on; sweep adds marked,notified,throttled,shed columns")
-	fs.StringVar(&c.faultSpec, "faults", "off", "fault plan: off | linkdown:R,P@C | linkup:R,P@C | routerdown:R@C | routerup:R@C | random:F%@C[,seed] | retry:N[,base]; compose with '+'; sweep adds dropped,retried,unroutable columns")
+	fs.StringVar(&c.faultSpec, "faults", "off", "fault plan: "+router.FaultGrammar()+"; sweep adds dropped,retried,unroutable columns")
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file when the run ends")
 	if !figures { // the subcommands that build their networks from flags
@@ -132,7 +134,7 @@ func (c *cli) flags() *flag.FlagSet {
 		fs.IntVar(&c.a, "a", 0, "routers per group (custom topology)")
 		fs.IntVar(&c.h, "h", 0, "global links per router (custom topology)")
 		fs.StringVar(&c.routing, "routing", routing, "routing mechanism: min|val|pb|olm|base|hybrid|ectn|basep (sweep: a comma-separated list, or 'all')")
-		fs.StringVar(&c.trafficSpec, "traffic", "un", "traffic: un | adv+N | mix:F,N | hotspot:F,H | perm:shift+K | perm:complement | tornado | burst:ON,OFF[,PEAK]; +burst:/+skew: suffixes compose")
+		fs.StringVar(&c.trafficSpec, "traffic", "un", "traffic: "+sim.TrafficGrammar())
 		fs.IntVar(&c.th, "th", 0, "override the Base/ECtN contention threshold, >= 0 (0 = scale default)")
 		fs.Int64Var(&c.warmup, "warmup", 0, "warmup cycles (0 = scale default; with -adaptive, the cap of the detected warmup)")
 	}
@@ -146,7 +148,7 @@ func (c *cli) flags() *flag.FlagSet {
 		fs.BoolVar(&c.adaptive, "adaptive", false, "adaptive measurement of steady-state points: MSER warmup truncation + batch-means CI stopping (5% relative half-width) + saturation short-circuit instead of fixed windows; sweep adds CI/cost columns")
 	}
 	if transient {
-		fs.StringVar(&c.traffic2Spec, "traffic2", "adv+1", "post-switch traffic")
+		fs.StringVar(&c.traffic2Spec, "traffic2", "adv+1", "post-switch traffic, in -traffic's grammar")
 		fs.Int64Var(&c.bucket, "bucket", 0, "trace bucket width in cycles (0 = scale default)")
 		fs.Int64Var(&c.post, "post", 0, "trace length after the switch (0 = scale default)")
 	}

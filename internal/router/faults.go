@@ -1,12 +1,14 @@
 package router
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"cbar/internal/rng"
+	"cbar/internal/spec"
 	"cbar/internal/topology"
 )
 
@@ -73,17 +75,10 @@ const (
 )
 
 // String returns the kind's spec-clause name ("linkdown", "routerup",
-// ...), as cbar.ParseFaults accepts.
+// ...), as ParseFaultConfig accepts.
 func (k FaultKind) String() string {
-	switch k {
-	case LinkDown:
-		return "linkdown"
-	case LinkUp:
-		return "linkup"
-	case RouterDown:
-		return "routerdown"
-	case RouterUp:
-		return "routerup"
+	if k <= RouterUp {
+		return faultGrammar[k].name
 	}
 	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
@@ -147,36 +142,129 @@ func (fc FaultConfig) Enabled() bool {
 	return len(fc.Events) > 0 || fc.RandomPct > 0
 }
 
-// String renders the plan in the canonical cbar.ParseFaults syntax
-// ("off" for the zero value). ParseFaults(fc.String()) reproduces fc.
+// String renders the plan in the canonical ParseFaultConfig syntax
+// ("off" for the zero value): events in listed order, then the random
+// and retry clauses. ParseFaultConfig(fc.String()) reproduces fc.
 func (fc FaultConfig) String() string {
 	var parts []string
 	for _, e := range fc.Events {
-		switch e.Kind {
-		case LinkDown, LinkUp:
-			parts = append(parts, fmt.Sprintf("%s:%d,%d@%d", e.Kind, e.Router, e.Port, e.Cycle))
-		default:
+		if e.Kind > RouterUp {
 			parts = append(parts, fmt.Sprintf("%s:%d@%d", e.Kind, e.Router, e.Cycle))
+			continue
 		}
+		parts = append(parts, faultGrammar[e.Kind].print(&fc, &e))
 	}
-	if fc.RandomPct > 0 {
-		p := fmt.Sprintf("random:%s%%@%d", strconv.FormatFloat(fc.RandomPct, 'g', -1, 64), fc.RandomAt)
-		if fc.RandomSeed != 0 {
-			p += "," + strconv.FormatUint(fc.RandomSeed, 10)
+	for _, c := range faultGrammar[RouterUp+1:] {
+		if c.on(fc) {
+			parts = append(parts, c.print(&fc, nil))
 		}
-		parts = append(parts, p)
-	}
-	if fc.RetryLimit > 0 {
-		p := "retry:" + strconv.Itoa(fc.RetryLimit)
-		if fc.RetryBase != 0 {
-			p += "," + strconv.FormatInt(fc.RetryBase, 10)
-		}
-		parts = append(parts, p)
 	}
 	if len(parts) == 0 {
 		return "off"
 	}
 	return strings.Join(parts, "+")
+}
+
+// faultClause is one row of the fault-plan grammar, "name:ARGS". Its
+// fields fill a new event (the rows indexed by FaultKind) or the plan's
+// own fields (the others, once each): the first at of them are written
+// before an '@', the first least are required, and the others print
+// only when nonzero. ParseFaultConfig and String both walk faultGrammar.
+type faultClause struct {
+	name, usage string
+	args        func(fc *FaultConfig, e *FaultEvent) []any
+	at, least   int
+	unit        string                           // follows the fields before the '@' ("5%"); optional in input
+	on          func(fc FaultConfig) bool        // a plan row is present
+	valid       func(fc FaultConfig, n int) bool // given the n fields written; else the clause is rejected: why
+	why         string
+}
+
+func linkFields(_ *FaultConfig, e *FaultEvent) []any { return []any{&e.Router, &e.Port, &e.Cycle} }
+
+func routerFields(_ *FaultConfig, e *FaultEvent) []any { return []any{&e.Router, &e.Cycle} }
+
+var faultGrammar = []faultClause{
+	LinkDown:   {name: "linkdown", usage: "linkdown:R,P@C", args: linkFields, at: 2, least: 3},
+	LinkUp:     {name: "linkup", usage: "linkup:R,P@C", args: linkFields, at: 2, least: 3},
+	RouterDown: {name: "routerdown", usage: "routerdown:R@C", args: routerFields, at: 1, least: 2},
+	RouterUp:   {name: "routerup", usage: "routerup:R@C", args: routerFields, at: 1, least: 2},
+	{name: "random", usage: "random:F%@C[,SEED]", at: 1, least: 2, unit: "%",
+		args:  func(fc *FaultConfig, _ *FaultEvent) []any { return []any{&fc.RandomPct, &fc.RandomAt, &fc.RandomSeed} },
+		on:    func(fc FaultConfig) bool { return fc.RandomPct > 0 },
+		valid: func(fc FaultConfig, _ int) bool { return fc.RandomPct > 0 && fc.RandomPct <= 100 },
+		why:   "percentage outside (0,100]"},
+	{name: "retry", usage: "retry:N[,BASE]", least: 1,
+		args:  func(fc *FaultConfig, _ *FaultEvent) []any { return []any{&fc.RetryLimit, &fc.RetryBase} },
+		on:    func(fc FaultConfig) bool { return fc.RetryLimit > 0 },
+		valid: func(fc FaultConfig, n int) bool { return fc.RetryLimit >= 1 && (n < 2 || fc.RetryBase >= 1) },
+		why:   "limit and backoff base must be >= 1"},
+}
+
+// ParseFaultConfig resolves a case-insensitive fault-plan spec: "off"
+// or clauses joined by '+' ("random:5%@1000+retry:3"). Ids parse at the
+// width of their fields, so an out-of-range id is an error, never a
+// wrapped-around one; Build checks them against the topology.
+func ParseFaultConfig(s string) (FaultConfig, error) {
+	var fc FaultConfig
+	if ls := strings.ToLower(strings.TrimSpace(s)); ls != "" && ls != "off" {
+		for _, part := range strings.Split(ls, "+") {
+			part = strings.TrimSpace(part)
+			name, rest, ok := strings.Cut(part, ":")
+			i := slices.IndexFunc(faultGrammar, func(c faultClause) bool { return c.name == name })
+			switch {
+			case !ok || i < 0:
+				return FaultConfig{}, fmt.Errorf("router: fault spec %q in %q is not %s", part, s, FaultGrammar())
+			case faultGrammar[i].on != nil && faultGrammar[i].on(fc):
+				return FaultConfig{}, fmt.Errorf("router: duplicate %s spec in %q", name, s)
+			}
+			if err := faultGrammar[i].parse(&fc, FaultKind(i), rest); err != nil {
+				return FaultConfig{}, fmt.Errorf("router: bad fault spec %q in %q: %v", part, s, err)
+			}
+		}
+	}
+	return fc, nil
+}
+
+// FaultGrammar lists the fault-plan clauses for help and error text.
+func FaultGrammar() string {
+	forms := []string{"off"}
+	for _, c := range faultGrammar {
+		forms = append(forms, c.usage)
+	}
+	return strings.Join(forms, " | ") + "; compose with '+'"
+}
+
+// parse reads one clause's arguments into fc: into the plan's fields,
+// or into a new event of kind k.
+func (c *faultClause) parse(fc *FaultConfig, k FaultKind, rest string) error {
+	if c.at > 0 {
+		head, tail, ok := strings.Cut(rest, "@")
+		if !ok || strings.Count(head, ",") != c.at-1 {
+			return fmt.Errorf("want %s", c.usage)
+		}
+		rest = strings.TrimSuffix(strings.TrimSpace(head), c.unit) + "," + tail
+	}
+	e := FaultEvent{Kind: k}
+	n, err := spec.Args(rest, c.least, c.args(fc, &e))
+	switch {
+	case err != nil:
+		return fmt.Errorf("want %s: %v", c.usage, err)
+	case c.on == nil:
+		fc.Events = append(fc.Events, e)
+	case !c.valid(*fc, n):
+		return errors.New(c.why)
+	}
+	return nil
+}
+
+// print spells the clause with the values of fc or e.
+func (c *faultClause) print(fc *FaultConfig, e *FaultEvent) string {
+	fields, s := c.args(fc, e), c.name+":"
+	if c.at > 0 {
+		s += spec.FormatArgs(fields[:c.at], c.at) + c.unit + "@"
+	}
+	return s + spec.FormatArgs(fields[c.at:], c.least-c.at)
 }
 
 // Resolved returns the configuration with zero-valued knobs replaced by

@@ -10,9 +10,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"cbar/internal/router"
 	"cbar/internal/routing"
+	"cbar/internal/spec"
 	"cbar/internal/stats"
 	"cbar/internal/topology"
 	"cbar/internal/traffic"
@@ -98,23 +100,6 @@ func (s SourceSpec) homogeneous() bool {
 	return !s.Bursty && s.SkewFrac == 0
 }
 
-// Name returns a suffix describing the arrival process ("" when
-// homogeneous Bernoulli).
-func (s SourceSpec) Name() string {
-	var n string
-	if s.Bursty {
-		if s.PeakLoad > 0 {
-			n = fmt.Sprintf("+burst(%g,%g,%g)", s.OnMean, s.OffMean, s.PeakLoad)
-		} else {
-			n = fmt.Sprintf("+burst(%g,%g)", s.OnMean, s.OffMean)
-		}
-	}
-	if s.SkewFrac != 0 {
-		n += fmt.Sprintf("+skew(%.0f%%:%.0f%%)", s.SkewFrac*100, s.SkewShare*100)
-	}
-	return n
-}
-
 // Workload is a declarative traffic specification — destination pattern
 // plus arrival process — resolved against a topology at run time.
 type Workload struct {
@@ -175,29 +160,163 @@ func (w Workload) WithSkew(frac, share float64) Workload {
 	return w
 }
 
-// Name returns the paper's name for the workload (with an arrival
-// process suffix when not homogeneous Bernoulli).
+// Name returns the workload's canonical spec: its pattern clause (UN,
+// ADV+1, mix(0.4,1), ...) and its modifiers (+burst(50,200),
+// +skew(0.1,0.5)). ParseWorkload reads it back to the same workload.
 func (w Workload) Name() string {
-	var n string
-	switch w.Kind {
-	case Uniform:
-		n = "UN"
-	case Adversarial:
-		n = fmt.Sprintf("ADV+%d", w.Offset)
-	case Mix:
-		n = fmt.Sprintf("mix(%.0f%%UN,ADV+%d)", w.UniformFrac*100, w.Offset)
-	case Hotspot:
-		n = fmt.Sprintf("hotspot(%.0f%%->%d)", w.HotFrac*100, w.HotNodes)
-	case Shift:
-		n = fmt.Sprintf("shift+%d", w.Offset)
-	case Complement:
-		n = "complement"
-	case Tornado:
-		n = "tornado"
-	default:
-		n = fmt.Sprintf("workload(%d)", int(w.Kind))
+	var pattern, mods string
+	for i := range trafficGrammar {
+		c := &trafficGrammar[i]
+		switch {
+		case !c.in(w):
+		case c.modifier:
+			mods += "+" + c.print(w)
+		default:
+			pattern = c.print(w)
+		}
 	}
-	return n + w.Source.Name()
+	return pattern + mods
+}
+
+// trafficClause is one row of the traffic grammar. A spec is a pattern
+// clause, then modifier clauses (each at most once), joined by '+'; a
+// spec that starts with a modifier has the UN pattern. name prints;
+// name and alias parse, in any case. args are the fields the arguments
+// fill: the first least are required, the others print only when
+// nonzero. A glued row's one argument, a signed offset, follows its
+// name ("ADV+1"); other rows take "name:A,B" or "name(A,B)" and print
+// the second form. ParseWorkload and Name both walk trafficGrammar, so
+// every printed name parses back.
+type trafficClause struct {
+	name, alias, usage string
+	kind               WorkloadKind // a pattern row's pattern
+	modifier, glued    bool
+	args               func(w *Workload) []any
+	least              int
+	flag               func(w *Workload) *bool // a modifier's presence bit (else: first argument nonzero)
+	check              func(w Workload) error  // rejects arguments the engine cannot honour
+}
+
+func offset(w *Workload) []any { return []any{&w.Offset} }
+
+var trafficGrammar = []trafficClause{
+	{name: "UN", alias: "uniform", usage: "un", kind: Uniform},
+	{name: "ADV", usage: "adv+N", kind: Adversarial, args: offset, least: 1, glued: true},
+	{name: "mix", usage: "mix:F,N", kind: Mix, least: 2,
+		args: func(w *Workload) []any { return []any{&w.UniformFrac, &w.Offset} }},
+	{name: "hotspot", usage: "hotspot:F,H", kind: Hotspot, least: 2,
+		args: func(w *Workload) []any { return []any{&w.HotFrac, &w.HotNodes} }},
+	{name: "perm:shift", usage: "perm:shift+K", kind: Shift, args: offset, least: 1, glued: true},
+	{name: "perm:complement", alias: "perm:comp", usage: "perm:complement", kind: Complement},
+	{name: "tornado", usage: "tornado", kind: Tornado},
+	{name: "burst", usage: "+burst:ON,OFF[,PEAK]", modifier: true, least: 2,
+		args: func(w *Workload) []any { return []any{&w.Source.OnMean, &w.Source.OffMean, &w.Source.PeakLoad} },
+		flag: func(w *Workload) *bool { return &w.Source.Bursty }},
+	{name: "skew", usage: "+skew:F,S", modifier: true, least: 2,
+		args:  func(w *Workload) []any { return []any{&w.Source.SkewFrac, &w.Source.SkewShare} },
+		check: func(w Workload) error { return checkSkew(w.Source.SkewFrac, w.Source.SkewShare) }},
+}
+
+// ParseWorkload resolves a case-insensitive traffic spec ("adv+1",
+// "mix:0.4,1", "un+burst:50,200", or any name Name prints).
+func ParseWorkload(s string) (Workload, error) {
+	var w Workload
+	for _, cl := range trafficClauses(strings.ToLower(strings.TrimSpace(s))) {
+		c, args := matchClause(cl)
+		switch {
+		case c == nil:
+			return Workload{}, fmt.Errorf("sim: unknown traffic %q; want %s", s, TrafficGrammar())
+		case c.modifier && c.in(w):
+			return Workload{}, fmt.Errorf("sim: traffic %q repeats its %s modifier", s, c.name)
+		case !c.modifier:
+			w.Kind = c.kind
+		}
+		if c.flag != nil {
+			*c.flag(&w) = true
+		}
+		if c.args != nil {
+			if _, err := spec.Args(args, c.least, c.args(&w)); err != nil {
+				return Workload{}, fmt.Errorf("sim: %s in %q must be %s: %v", c.name, s, c.usage, err)
+			}
+		}
+		if c.check != nil {
+			if err := c.check(w); err != nil {
+				return Workload{}, err
+			}
+		}
+	}
+	return w, nil
+}
+
+// TrafficGrammar lists the traffic clauses for help and error text.
+func TrafficGrammar() string {
+	forms := make([]string, len(trafficGrammar))
+	for i, c := range trafficGrammar {
+		forms[i] = c.usage
+	}
+	return strings.Join(forms, " | ") + " (modifiers follow a pattern, or stand alone on un; name(A,B) reads as name:A,B)"
+}
+
+// in reports whether w carries the clause.
+func (c *trafficClause) in(w Workload) bool {
+	switch {
+	case !c.modifier:
+		return w.Kind == c.kind
+	case c.flag != nil:
+		return *c.flag(&w)
+	}
+	return spec.Format(c.args(&w)[0]) != "0"
+}
+
+// print spells the clause with w's arguments.
+func (c *trafficClause) print(w Workload) string {
+	switch {
+	case c.args == nil:
+		return c.name
+	case c.glued:
+		return c.name + fmt.Sprintf("%+d", w.Offset)
+	}
+	return c.name + "(" + spec.FormatArgs(c.args(&w), c.least) + ")"
+}
+
+// trafficClauses splits a lower-cased spec before each '+' that starts
+// a modifier clause, so a '+' inside an offset or a number stays put.
+func trafficClauses(ls string) []string {
+	parts := strings.Split(ls, "+")
+	out := []string{parts[0]}
+	for _, p := range parts[1:] {
+		if c, _ := matchClause(p); c != nil && c.modifier {
+			out = append(out, p)
+		} else {
+			out[len(out)-1] += "+" + p
+		}
+	}
+	return out
+}
+
+// matchClause finds the row a lower-cased clause spells, and its
+// argument text.
+func matchClause(cl string) (*trafficClause, string) {
+	for i := range trafficGrammar {
+		c := &trafficGrammar[i]
+		for _, n := range []string{strings.ToLower(c.name), c.alias} {
+			rest, ok := strings.CutPrefix(cl, n)
+			switch {
+			case !ok || n == "":
+			case c.glued:
+				return c, strings.TrimPrefix(rest, "+")
+			case c.args == nil:
+				if rest == "" {
+					return c, ""
+				}
+			case strings.HasPrefix(rest, ":"):
+				return c, rest[1:]
+			case strings.HasPrefix(rest, "(") && strings.HasSuffix(rest, ")"):
+				return c, rest[1 : len(rest)-1]
+			}
+		}
+	}
+	return nil, ""
 }
 
 // Pattern resolves the workload's destination pattern against a
@@ -234,8 +353,8 @@ func (w Workload) Pattern(t *topology.Dragonfly) (traffic.Pattern, error) {
 // chosen nodes (evenly spread over the id space, like hotspot's hot set)
 // share `share` of the aggregate load.
 func skewWeights(frac, share float64, nodes int) ([]float64, error) {
-	if !(frac > 0 && frac < 1 && share >= 0 && share <= 1) { // negated, so NaN is rejected too
-		return nil, fmt.Errorf("sim: skew frac %v must be in (0,1) and share %v in [0,1]", frac, share)
+	if err := checkSkew(frac, share); err != nil {
+		return nil, err
 	}
 	hot := int(math.Round(frac * float64(nodes)))
 	if hot < 1 {
@@ -254,6 +373,15 @@ func skewWeights(frac, share float64, nodes int) ([]float64, error) {
 		w[i*nodes/hot] = wHot
 	}
 	return w, nil
+}
+
+// checkSkew rejects a skew whose fraction is outside (0,1) or whose
+// share is outside [0,1].
+func checkSkew(frac, share float64) error {
+	if !(frac > 0 && frac < 1 && share >= 0 && share <= 1) { // negated, so NaN is rejected too
+		return fmt.Errorf("sim: skew frac %v must be in (0,1) and share %v in [0,1]", frac, share)
+	}
+	return nil
 }
 
 // SteadyResult reports a steady-state measurement aggregated across

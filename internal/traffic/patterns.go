@@ -60,10 +60,6 @@ func NewHotspot(t *topology.Dragonfly, frac float64, hot int) (Pattern, error) {
 	return h, nil
 }
 
-func (h hotspot) Name() string {
-	return fmt.Sprintf("hotspot(%.0f%%->%d)", h.frac*100, len(h.hot))
-}
-
 func (h hotspot) Dest(src int, r *rng.PCG) int {
 	if r.Bernoulli(h.frac) {
 		d := int(h.hot[r.Intn(len(h.hot))])
@@ -90,7 +86,6 @@ func (h hotspot) Dest(src int, r *rng.PCG) int {
 // permutation is a fixed bijection over node ids: every node has exactly
 // one destination, so there is no statistical smoothing across flows.
 type permutation struct {
-	name  string
 	dests []int32
 }
 
@@ -104,7 +99,7 @@ func newPermutation(t *topology.Dragonfly, name string, f func(src int) int) (Pa
 	if err := validatePatternTopology(t, name); err != nil {
 		return nil, err
 	}
-	p := permutation{name: name, dests: make([]int32, t.Nodes)}
+	p := permutation{dests: make([]int32, t.Nodes)}
 	seen := make([]bool, t.Nodes)
 	for src := 0; src < t.Nodes; src++ {
 		d := f(src)
@@ -119,8 +114,6 @@ func newPermutation(t *topology.Dragonfly, name string, f func(src int) int) (Pa
 	}
 	return p, nil
 }
-
-func (p permutation) Name() string { return p.name }
 
 func (p permutation) Dest(src int, _ *rng.PCG) int { return int(p.dests[src]) }
 
@@ -138,7 +131,7 @@ func NewShift(t *topology.Dragonfly, k int) (Pattern, error) {
 	if kk == 0 {
 		return nil, fmt.Errorf("traffic: shift offset %d is a multiple of the %d nodes", k, t.Nodes)
 	}
-	return newPermutation(t, fmt.Sprintf("shift+%d", k), func(src int) int {
+	return newPermutation(t, "shift", func(src int) int {
 		return (src + kk) % t.Nodes
 	})
 }

@@ -92,9 +92,6 @@ func TestHotspotShare(t *testing.T) {
 	if got := float64(hotHits) / draws; math.Abs(got-want) > 0.02 {
 		t.Fatalf("hot share %.3f, want ~%.3f", got, want)
 	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
-	}
 }
 
 // TestHotspotSingleHotNodeSelf: a hot node sending its hotspot share
@@ -127,14 +124,14 @@ func checkBijection(t *testing.T, p Pattern, nodes int) {
 	for src := 0; src < nodes; src++ {
 		d := p.Dest(src, r)
 		if d < 0 || d >= nodes {
-			t.Fatalf("%s: dest %d out of range", p.Name(), d)
+			t.Fatalf("node %d: dest %d out of range", src, d)
 		}
 		if seen[d] {
-			t.Fatalf("%s: dest %d repeated", p.Name(), d)
+			t.Fatalf("node %d: dest %d repeated", src, d)
 		}
 		seen[d] = true
 		if again := p.Dest(src, nil); again != d {
-			t.Fatalf("%s: nondeterministic permutation (%d then %d)", p.Name(), d, again)
+			t.Fatalf("node %d: nondeterministic permutation (%d then %d)", src, d, again)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 // Pattern chooses a destination for each generated packet.
 type Pattern interface {
-	Name() string
 	// Dest returns a destination node for a packet sourced at node src,
 	// drawing any randomness from r.
 	Dest(src int, r *rng.PCG) int
@@ -36,8 +35,6 @@ func NewUniform(t *topology.Dragonfly) (Pattern, error) {
 	}
 	return uniform{t}, nil
 }
-
-func (uniform) Name() string { return "UN" }
 
 func (u uniform) Dest(src int, r *rng.PCG) int {
 	for {
@@ -65,8 +62,6 @@ func NewAdversarial(t *topology.Dragonfly, offset int) (Pattern, error) {
 	return adversarial{t, offset}, nil
 }
 
-func (a adversarial) Name() string { return fmt.Sprintf("ADV+%d", a.offset) }
-
 func (a adversarial) Dest(src int, r *rng.PCG) int {
 	g := a.t.GroupOfNode(src)
 	dg := g + a.offset
@@ -92,10 +87,6 @@ func NewMix(a, b Pattern, fracA float64) (Pattern, error) {
 		return nil, fmt.Errorf("traffic: mix fraction %v outside [0,1]", fracA)
 	}
 	return mix{a, b, fracA}, nil
-}
-
-func (m mix) Name() string {
-	return fmt.Sprintf("mix(%.0f%% %s, %.0f%% %s)", m.fracA*100, m.a.Name(), (1-m.fracA)*100, m.b.Name())
 }
 
 func (m mix) Dest(src int, r *rng.PCG) int {

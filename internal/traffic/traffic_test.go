@@ -44,9 +44,6 @@ func TestUniformNeverSelf(t *testing.T) {
 			t.Fatalf("node %d never chosen", n)
 		}
 	}
-	if u.Name() != "UN" {
-		t.Fatalf("name %q", u.Name())
-	}
 }
 
 func TestAdversarialTargetsRightGroup(t *testing.T) {
@@ -135,11 +132,11 @@ func TestScheduleSwitching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[int64]string{0: "UN", 99: "UN", 100: "ADV+1", 199: "ADV+1", 200: "UN", 5000: "UN"}
+	cases := map[int64]Pattern{0: u, 99: u, 100: a, 199: a, 200: u, 5000: u}
 	//lint:ordered per-key assertion on a pure lookup; order cannot affect outcomes
 	for cyc, want := range cases {
-		if got := s.At(cyc).Name(); got != want {
-			t.Fatalf("At(%d) = %s, want %s", cyc, got, want)
+		if got := s.At(cyc); got != want {
+			t.Fatalf("At(%d) = %+v, want %+v", cyc, got, want)
 		}
 	}
 }
@@ -163,8 +160,9 @@ func TestScheduleValidation(t *testing.T) {
 
 func TestConstantSchedule(t *testing.T) {
 	tp := topo()
-	s := Constant(mustUniform(t, tp))
-	if s.At(0).Name() != "UN" || s.At(1<<40).Name() != "UN" {
+	u := mustUniform(t, tp)
+	s := Constant(u)
+	if s.At(0) != u || s.At(1<<40) != u {
 		t.Fatal("constant schedule wrong")
 	}
 }
@@ -249,17 +247,5 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
-	}
-}
-
-func TestPatternNames(t *testing.T) {
-	tp := topo()
-	adv, _ := NewAdversarial(tp, 3)
-	if adv.Name() != "ADV+3" {
-		t.Fatalf("name %q", adv.Name())
-	}
-	m, _ := NewMix(mustUniform(t, tp), adv, 0.25)
-	if m.Name() == "" {
-		t.Fatal("empty mix name")
 	}
 }

@@ -57,7 +57,7 @@ func TestPinnedSpellings(t *testing.T) {
 		{"+burst:1,2", nil},
 		{"mix:nan,1", &sim.Workload{Kind: sim.Mix, Offset: 1, UniformFrac: math.NaN()}},
 		{"hotspot:nan,8", &sim.Workload{Kind: sim.Hotspot, HotFrac: math.NaN(), HotNodes: 8}},
-		{"un+skew:nan,0.5", &sim.Workload{Kind: sim.Uniform, Source: sim.SourceSpec{SkewFrac: math.NaN(), SkewShare: 0.5}}},
+		{"un+skew:nan,0.5", nil},
 		// The unit tests and the verify notes.
 		{"UNIFORM", &sim.Workload{Kind: sim.Uniform}},
 		{"adv-2", &sim.Workload{Kind: sim.Adversarial, Offset: -2}},
@@ -81,10 +81,13 @@ func TestPinnedSpellings(t *testing.T) {
 		{"burst:a,b", nil},
 		{"un+skew:0.1", nil},
 		{"+burst:50,200", nil},
-		// A zero skew fraction, and repeated modifiers.
-		{"un+skew:0,0.5", &sim.Workload{Kind: sim.Uniform, Source: sim.SourceSpec{SkewFrac: 0, SkewShare: 0.5}}},
-		{"burst:50,200+burst:5,5", &sim.Workload{Kind: sim.Uniform, Source: sim.SourceSpec{Bursty: true, OnMean: 5, OffMean: 5}}},
-		{"un+skew:0.1,0.5+skew:0.3,0.9", &sim.Workload{Kind: sim.Uniform, Source: sim.SourceSpec{SkewFrac: 0.3, SkewShare: 0.9}}},
+		// Rejected at parse since the grammar tables: a zero skew
+		// fraction ran homogeneous traffic (and a NaN one, in the seeds
+		// above, failed only at run time); a repeated modifier ran only
+		// its last copy.
+		{"un+skew:0,0.5", nil},
+		{"burst:50,200+burst:5,5", nil},
+		{"un+skew:0.1,0.5+skew:0.3,0.9", nil},
 		// Case, signs and spaces; the printed names.
 		{"ADV+1", &sim.Workload{Kind: sim.Adversarial, Offset: 1}},
 		{" adv++2 ", &sim.Workload{Kind: sim.Adversarial, Offset: 2}},
