@@ -8,10 +8,11 @@ import (
 // The spec parsers are the package's untrusted-input surface: every CLI
 // flag value flows through one of them. The fuzz targets pin two
 // properties: no input panics, and an accepted spec is stable — parsing
-// it twice yields the same value, and (for Faults, which has a canonical
-// String) the round trip ParseFaults(f.String()) reproduces f exactly.
-// Seed corpora are the documented grammars from the workload catalog and
-// the congestion/fault layers.
+// it twice yields the same value, and the canonical print parses back to
+// it: ParseTraffic(t.Name()) reproduces t and ParseFaults(f.String())
+// reproduces f, and printing again gives the same text. Seed corpora are
+// the documented grammars from the workload catalog and the
+// congestion/fault layers, and the canonical forms the printers write.
 
 func FuzzParseTraffic(f *testing.F) {
 	for _, s := range []string{
@@ -22,6 +23,9 @@ func FuzzParseTraffic(f *testing.F) {
 		"adv+1+burst:50,200,0.8+skew:0.1,0.5",
 		"", "off", "bogus", "mix:", "perm:shift+", "+burst:1,2",
 		"mix:nan,1", "hotspot:nan,8", "un+skew:nan,0.5",
+		"UN", "ADV-2", "mix(0.4,1)", "hotspot(0.125,3)", "perm:shift-3", "perm:complement",
+		"UN+burst(50,200,0.8)", "ADV+1+burst(50,150)+skew(0.1,0.5)", "UN+burst(1e-07,1e+21)",
+		"un+skew:0,0.5", "burst:50,200+burst:5,5",
 	} {
 		f.Add(s)
 	}
@@ -30,15 +34,26 @@ func FuzzParseTraffic(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if tr.Name() == "" {
+		canon := tr.Name()
+		if canon == "" {
 			t.Errorf("ParseTraffic(%q) accepted a spec with an empty name", s)
 		}
 		again, err := ParseTraffic(s)
 		if err != nil {
 			t.Fatalf("ParseTraffic(%q) accepted once, rejected twice: %v", s, err)
 		}
-		if again.Name() != tr.Name() {
-			t.Errorf("ParseTraffic(%q) unstable: %q vs %q", s, tr.Name(), again.Name())
+		if !samePlan(again.inner, tr.inner) {
+			t.Errorf("ParseTraffic(%q) unstable: %+v vs %+v", s, tr.inner, again.inner)
+		}
+		back, err := ParseTraffic(canon)
+		if err != nil {
+			t.Fatalf("ParseTraffic(%q) = %+v, but its Name %q does not re-parse: %v", s, tr.inner, canon, err)
+		}
+		if !samePlan(back.inner, tr.inner) {
+			t.Errorf("round trip of %q via %q changed the workload: %+v vs %+v", s, canon, tr.inner, back.inner)
+		}
+		if again := back.Name(); again != canon {
+			t.Errorf("Name of %q not a fixed point: %q vs %q", s, again, canon)
 		}
 	})
 }

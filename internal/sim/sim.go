@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"cbar/internal/router"
@@ -280,12 +281,13 @@ func (c *trafficClause) print(w Workload) string {
 }
 
 // trafficClauses splits a lower-cased spec before each '+' that starts
-// a modifier clause, so a '+' inside an offset or a number stays put.
+// a modifier clause ("+burst:", "+skew("), so a '+' inside an offset or
+// a number ("1e+21") stays put.
 func trafficClauses(ls string) []string {
 	parts := strings.Split(ls, "+")
 	out := []string{parts[0]}
 	for _, p := range parts[1:] {
-		if c, _ := matchClause(p); c != nil && c.modifier {
+		if i := strings.IndexAny(p, ":("); i > 0 && slices.ContainsFunc(trafficGrammar, func(c trafficClause) bool { return c.modifier && c.name == p[:i] }) {
 			out = append(out, p)
 		} else {
 			out[len(out)-1] += "+" + p
