@@ -22,6 +22,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cbar/internal/router"
@@ -54,26 +55,24 @@ func All() []Algo { return []Algo{Min, Valiant, PB, OLM, Base, Hybrid, ECtN, Bas
 // section (without the §VI-C extension).
 func Evaluated() []Algo { return []Algo{Min, Valiant, PB, OLM, Base, Hybrid, ECtN} }
 
+// algoNames holds each mechanism's canonical name, then the other
+// spellings Parse accepts: String and Parse both read it.
+var algoNames = [...][]string{
+	Min:      {"MIN", "minimal"},
+	Valiant:  {"VAL", "valiant"},
+	PB:       {"PB", "piggyback", "piggybacking"},
+	OLM:      {"OLM"},
+	Base:     {"Base"},
+	Hybrid:   {"Hybrid"},
+	ECtN:     {"ECtN"},
+	BaseProb: {"Base-P", "basep", "baseprob"},
+}
+
 // String returns the mechanism's canonical name ("MIN", "PB", "Base",
 // ...), as Parse accepts and result CSVs print.
 func (a Algo) String() string {
-	switch a {
-	case Min:
-		return "MIN"
-	case Valiant:
-		return "VAL"
-	case PB:
-		return "PB"
-	case OLM:
-		return "OLM"
-	case Base:
-		return "Base"
-	case Hybrid:
-		return "Hybrid"
-	case ECtN:
-		return "ECtN"
-	case BaseProb:
-		return "Base-P"
+	if a >= 0 && int(a) < len(algoNames) {
+		return algoNames[a][0]
 	}
 	return fmt.Sprintf("Algo(%d)", int(a))
 }
@@ -81,23 +80,10 @@ func (a Algo) String() string {
 // Parse resolves a case-insensitive mechanism name ("min", "val", "pb",
 // "olm", "base", "hybrid", "ectn", "base-p" and their long forms).
 func Parse(s string) (Algo, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "min", "minimal":
-		return Min, nil
-	case "val", "valiant":
-		return Valiant, nil
-	case "pb", "piggyback", "piggybacking":
-		return PB, nil
-	case "olm":
-		return OLM, nil
-	case "base":
-		return Base, nil
-	case "hybrid":
-		return Hybrid, nil
-	case "ectn":
-		return ECtN, nil
-	case "base-p", "basep", "baseprob":
-		return BaseProb, nil
+	for a, names := range algoNames {
+		if slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, strings.TrimSpace(s)) }) {
+			return Algo(a), nil
+		}
 	}
 	return 0, fmt.Errorf("routing: unknown algorithm %q", s)
 }

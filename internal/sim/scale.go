@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"cbar/internal/router"
@@ -32,31 +33,24 @@ const (
 	Paper
 )
 
+// scaleNames holds each scale's name, as String prints and ParseScale reads it.
+var scaleNames = [...]string{Tiny: "tiny", Small: "small", Paper: "paper"}
+
 // String returns the scale's canonical name ("tiny", "small",
 // "paper"), as ParseScale accepts.
 func (s Scale) String() string {
-	switch s {
-	case Tiny:
-		return "tiny"
-	case Small:
-		return "small"
-	case Paper:
-		return "paper"
+	if s >= 0 && int(s) < len(scaleNames) {
+		return scaleNames[s]
 	}
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
 // ParseScale resolves a case-insensitive scale name.
 func ParseScale(s string) (Scale, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "tiny":
-		return Tiny, nil
-	case "small":
-		return Small, nil
-	case "paper":
-		return Paper, nil
+	if i := slices.Index(scaleNames[:], strings.ToLower(strings.TrimSpace(s))); i >= 0 {
+		return Scale(i), nil
 	}
-	return 0, fmt.Errorf("sim: unknown scale %q (tiny|small|paper)", s)
+	return 0, fmt.Errorf("sim: unknown scale %q (%s)", s, strings.Join(scaleNames[:], "|"))
 }
 
 // Params returns the topology parameters of a scale, or the zero Params
