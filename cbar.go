@@ -293,7 +293,4 @@ func (t Traffic) Name() string { return t.inner.Name() }
 // ParseTraffic resolves a case-insensitive workload spec such as
 // "adv+1", "mix:0.4,1" or "hotspot:0.2,8+burst:50,200", or any name
 // Traffic.Name prints (README.md tabulates the grammar).
-func ParseTraffic(s string) (Traffic, error) {
-	w, err := sim.ParseWorkload(s)
-	return Traffic{w}, err
-}
+func ParseTraffic(s string) (Traffic, error) { w, err := sim.ParseWorkload(s); return Traffic{w}, err }

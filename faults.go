@@ -43,7 +43,6 @@ const (
 )
 
 // ParseFaults resolves a fault-plan spec: "off", or clauses such as
-// "linkdown:12,5@1000", "routerup:7@2500", "random:5%@1000,42" and
-// "retry:3,200" joined by '+' (README.md tabulates the grammar).
-// Faults.String prints a plan back in it.
+// "linkdown:12,5@1000", "random:5%@1000,42" and "retry:3,200" joined by
+// '+' (README.md tabulates them). Faults.String prints a plan back.
 func ParseFaults(s string) (Faults, error) { return router.ParseFaultConfig(s) }

@@ -142,17 +142,12 @@ func (fc FaultConfig) Enabled() bool {
 	return len(fc.Events) > 0 || fc.RandomPct > 0
 }
 
-// String renders the plan in the canonical ParseFaultConfig syntax
-// ("off" for the zero value): events in listed order, then the random
-// and retry clauses. ParseFaultConfig(fc.String()) reproduces fc.
+// String renders the plan in ParseFaultConfig's canonical syntax ("off"
+// for the zero value), which parses back to fc.
 func (fc FaultConfig) String() string {
 	var parts []string
 	for _, e := range fc.Events {
-		if e.Kind > RouterUp {
-			parts = append(parts, fmt.Sprintf("%s:%d@%d", e.Kind, e.Router, e.Cycle))
-			continue
-		}
-		parts = append(parts, faultGrammar[e.Kind].print(&fc, &e))
+		parts = append(parts, faultGrammar[min(e.Kind, RouterUp)].print(&fc, &e))
 	}
 	for _, c := range faultGrammar[RouterUp+1:] {
 		if c.on(fc) {
@@ -167,9 +162,8 @@ func (fc FaultConfig) String() string {
 
 // faultClause is one row of the fault-plan grammar, "name:ARGS". Its
 // fields fill a new event (the rows indexed by FaultKind) or the plan's
-// own fields (the others, once each): the first at of them are written
-// before an '@', the first least are required, and the others print
-// only when nonzero. ParseFaultConfig and String both walk faultGrammar.
+// own fields (the others, once each): the first at are written before an
+// '@', the first least are required, the others print only when nonzero.
 type faultClause struct {
 	name, usage string
 	args        func(fc *FaultConfig, e *FaultEvent) []any
@@ -201,10 +195,9 @@ var faultGrammar = []faultClause{
 		why:   "limit and backoff base must be >= 1"},
 }
 
-// ParseFaultConfig resolves a case-insensitive fault-plan spec: "off"
-// or clauses joined by '+' ("random:5%@1000+retry:3"). Ids parse at the
-// width of their fields, so an out-of-range id is an error, never a
-// wrapped-around one; Build checks them against the topology.
+// ParseFaultConfig resolves a case-insensitive fault-plan spec: "off" or
+// clauses joined by '+' ("random:5%@1000+retry:3"). An id too wide for
+// its field is an error, never a wrapped-around id.
 func ParseFaultConfig(s string) (FaultConfig, error) {
 	var fc FaultConfig
 	if ls := strings.ToLower(strings.TrimSpace(s)); ls != "" && ls != "off" {
@@ -235,8 +228,7 @@ func FaultGrammar() string {
 	return strings.Join(forms, " | ") + "; compose with '+'"
 }
 
-// parse reads one clause's arguments into fc: into the plan's fields,
-// or into a new event of kind k.
+// parse reads one clause's arguments into fc, or into a new event of kind k.
 func (c *faultClause) parse(fc *FaultConfig, k FaultKind, rest string) error {
 	if c.at > 0 {
 		head, tail, ok := strings.Cut(rest, "@")
@@ -258,9 +250,12 @@ func (c *faultClause) parse(fc *FaultConfig, k FaultKind, rest string) error {
 	return nil
 }
 
-// print spells the clause with the values of fc or e.
+// print spells the clause with fc's or e's values (e in its kind's name).
 func (c *faultClause) print(fc *FaultConfig, e *FaultEvent) string {
 	fields, s := c.args(fc, e), c.name+":"
+	if e != nil {
+		s = e.Kind.String() + ":"
+	}
 	if c.at > 0 {
 		s += spec.FormatArgs(fields[:c.at], c.at) + c.unit + "@"
 	}

@@ -161,33 +161,25 @@ func (w Workload) WithSkew(frac, share float64) Workload {
 	return w
 }
 
-// Name returns the workload's canonical spec: its pattern clause (UN,
-// ADV+1, mix(0.4,1), ...) and its modifiers (+burst(50,200),
-// +skew(0.1,0.5)). ParseWorkload reads it back to the same workload.
+// Name returns the workload's canonical spec ("ADV-2", "mix(0.4,1)",
+// "UN+burst(50,200)"), which ParseWorkload reads back to the same value.
 func (w Workload) Name() string {
-	var pattern, mods string
-	for i := range trafficGrammar {
-		c := &trafficGrammar[i]
-		switch {
-		case !c.in(w):
-		case c.modifier:
-			mods += "+" + c.print(w)
-		default:
-			pattern = c.print(w)
+	var clauses []string
+	for i := range trafficGrammar { // pattern rows first
+		if c := &trafficGrammar[i]; c.in(w) {
+			clauses = append(clauses, c.print(w))
 		}
 	}
-	return pattern + mods
+	return strings.Join(clauses, "+")
 }
 
 // trafficClause is one row of the traffic grammar. A spec is a pattern
-// clause, then modifier clauses (each at most once), joined by '+'; a
-// spec that starts with a modifier has the UN pattern. name prints;
-// name and alias parse, in any case. args are the fields the arguments
-// fill: the first least are required, the others print only when
-// nonzero. A glued row's one argument, a signed offset, follows its
-// name ("ADV+1"); other rows take "name:A,B" or "name(A,B)" and print
-// the second form. ParseWorkload and Name both walk trafficGrammar, so
-// every printed name parses back.
+// clause, then modifiers (each at most once), joined by '+'; one that
+// starts with a modifier has the UN pattern. name prints; it and alias
+// parse, in any case. args are the fields the arguments fill, the first
+// least required, the others printed only when nonzero. A glued row's
+// signed offset follows its name ("ADV+1"); other rows take "name:A,B"
+// or "name(A,B)" and print the second form.
 type trafficClause struct {
 	name, alias, usage string
 	kind               WorkloadKind // a pattern row's pattern
@@ -218,11 +210,18 @@ var trafficGrammar = []trafficClause{
 		check: func(w Workload) error { return checkSkew(w.Source.SkewFrac, w.Source.SkewShare) }},
 }
 
-// ParseWorkload resolves a case-insensitive traffic spec ("adv+1",
-// "mix:0.4,1", "un+burst:50,200", or any name Name prints).
+// ParseWorkload resolves a case-insensitive traffic spec: any name Name
+// prints, or the same clauses written "mix:0.4,1", "adv1", "burst:50,200".
+// The spec splits before each '+' that starts a modifier ("+burst:",
+// "+skew("), so a '+' inside an offset or a number ("1e+21") stays put.
 func ParseWorkload(s string) (Workload, error) {
 	var w Workload
-	for _, cl := range trafficClauses(strings.ToLower(strings.TrimSpace(s))) {
+	parts := strings.Split(strings.ToLower(strings.TrimSpace(s)), "+")
+	for i := 0; i < len(parts); {
+		cl := parts[i]
+		for i++; i < len(parts) && !startsModifier(parts[i]); i++ {
+			cl += "+" + parts[i]
+		}
 		c, args := matchClause(cl)
 		switch {
 		case c == nil:
@@ -231,8 +230,7 @@ func ParseWorkload(s string) (Workload, error) {
 			return Workload{}, fmt.Errorf("sim: traffic %q repeats its %s modifier", s, c.name)
 		case !c.modifier:
 			w.Kind = c.kind
-		}
-		if c.flag != nil {
+		case c.flag != nil:
 			*c.flag(&w) = true
 		}
 		if c.args != nil {
@@ -258,46 +256,29 @@ func TrafficGrammar() string {
 	return strings.Join(forms, " | ") + " (modifiers follow a pattern, or stand alone on un; name(A,B) reads as name:A,B)"
 }
 
-// in reports whether w carries the clause.
 func (c *trafficClause) in(w Workload) bool {
-	switch {
-	case !c.modifier:
-		return w.Kind == c.kind
-	case c.flag != nil:
+	if c.flag != nil {
 		return *c.flag(&w)
 	}
-	return spec.Format(c.args(&w)[0]) != "0"
+	return !c.modifier && w.Kind == c.kind || c.modifier && spec.Format(c.args(&w)[0]) != "0"
 }
 
-// print spells the clause with w's arguments.
 func (c *trafficClause) print(w Workload) string {
 	switch {
 	case c.args == nil:
 		return c.name
 	case c.glued:
-		return c.name + fmt.Sprintf("%+d", w.Offset)
+		return fmt.Sprintf("%s%+d", c.name, w.Offset)
 	}
 	return c.name + "(" + spec.FormatArgs(c.args(&w), c.least) + ")"
 }
 
-// trafficClauses splits a lower-cased spec before each '+' that starts
-// a modifier clause ("+burst:", "+skew("), so a '+' inside an offset or
-// a number ("1e+21") stays put.
-func trafficClauses(ls string) []string {
-	parts := strings.Split(ls, "+")
-	out := []string{parts[0]}
-	for _, p := range parts[1:] {
-		if i := strings.IndexAny(p, ":("); i > 0 && slices.ContainsFunc(trafficGrammar, func(c trafficClause) bool { return c.modifier && c.name == p[:i] }) {
-			out = append(out, p)
-		} else {
-			out[len(out)-1] += "+" + p
-		}
-	}
-	return out
+func startsModifier(part string) bool {
+	i := strings.IndexAny(part, ":(")
+	return i > 0 && slices.ContainsFunc(trafficGrammar, func(c trafficClause) bool { return c.modifier && c.name == part[:i] })
 }
 
-// matchClause finds the row a lower-cased clause spells, and its
-// argument text.
+// matchClause returns the row a lower-cased clause spells, and its arguments.
 func matchClause(cl string) (*trafficClause, string) {
 	for i := range trafficGrammar {
 		c := &trafficGrammar[i]
@@ -377,8 +358,6 @@ func skewWeights(frac, share float64, nodes int) ([]float64, error) {
 	return w, nil
 }
 
-// checkSkew rejects a skew whose fraction is outside (0,1) or whose
-// share is outside [0,1].
 func checkSkew(frac, share float64) error {
 	if !(frac > 0 && frac < 1 && share >= 0 && share <= 1) { // negated, so NaN is rejected too
 		return fmt.Errorf("sim: skew frac %v must be in (0,1) and share %v in [0,1]", frac, share)

@@ -1,7 +1,6 @@
-// Package spec is the argument rule of the traffic grammar (package
-// sim) and the fault-plan grammar (package router): a comma-separated
-// list of numbers, each parsed at the width of the field it fills and
-// printed in its shortest exact form, so a printed clause parses back.
+// Package spec is the argument rule the traffic (sim) and fault-plan
+// (router) grammars share: comma-separated numbers, each parsed at its
+// field's width and printed in its shortest exact form.
 package spec
 
 import (
@@ -12,10 +11,9 @@ import (
 )
 
 // Args splits s on ',' into at least least and at most len(dst)
-// space-trimmed fields and parses each into the pointer at the same
-// position of dst: a *float64, a *uint64, or a pointer to a signed
-// integer, whose range an integer field must fit. It returns the number
-// of fields s held.
+// space-trimmed fields and parses each into the pointer at its position
+// in dst: a *float64, a *uint64, or a signed integer whose range the
+// field must fit. It returns the number of fields s held.
 func Args(s string, least int, dst []any) (int, error) {
 	f := strings.Split(s, ",")
 	if len(f) < least || len(f) > len(dst) {
@@ -23,31 +21,26 @@ func Args(s string, least int, dst []any) (int, error) {
 	}
 	for i, s := range f {
 		v, s := reflect.ValueOf(dst[i]).Elem(), strings.TrimSpace(s)
+		var x any
 		var err error
 		switch v.Kind() {
 		case reflect.Float64:
-			var x float64
 			x, err = strconv.ParseFloat(s, 64)
-			v.SetFloat(x)
 		case reflect.Uint64:
-			var x uint64
 			x, err = strconv.ParseUint(s, 10, 64)
-			v.SetUint(x)
 		default:
-			var x int64
 			x, err = strconv.ParseInt(s, 10, v.Type().Bits())
-			v.SetInt(x)
 		}
 		if err != nil {
 			return 0, err
 		}
+		v.Set(reflect.ValueOf(x).Convert(v.Type()))
 	}
 	return len(f), nil
 }
 
-// Format prints the value p points at: an integer in decimal, a float
-// in Go's shortest form that parses back to the same bits ("0.125",
-// "1e-05", "NaN").
+// Format prints the value p points at; a float prints in Go's shortest
+// form that parses back to the same bits ("0.125", "1e-05", "NaN").
 func Format(p any) string { return fmt.Sprint(reflect.ValueOf(p).Elem()) }
 
 // FormatArgs prints fields as Args reads them; the fields past the
