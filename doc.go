@@ -146,10 +146,10 @@
 //   - WithSkew(frac, share): heterogeneous per-node loads; frac of the
 //     nodes carry share of the aggregate traffic.
 //
-// [ParseTraffic] accepts the same catalog as strings ("hotspot:0.2,8",
-// "perm:shift+16", "tornado", "burst:50,200", "adv+1+burst:50,200,0.8",
-// "un+skew:0.1,0.5"), which cmd/cbar exposes via -traffic; README.md
-// tabulates the full grammar.
+// [ParseTraffic] reads the catalog as strings ("hotspot:0.2,8+burst:50,200")
+// and [Traffic.Name] prints it in the canonical form ParseTraffic reads
+// back. One table per spec kind drives both directions: trafficGrammar in
+// internal/sim and, for [ParseFaults], faultGrammar in internal/router.
 //
 // Stateful sources keep their upcoming injection times on a calendar (a
 // min-heap ordered by cycle, then node), so the per-cycle injection cost

@@ -9,22 +9,20 @@ import (
 )
 
 // TestOfferedLoadOracle holds every traffic grammar row to what its spec
-// says, at arrival level: each (spec, load) is built by the constructor
+// says, at arrival level. Each (spec, load) is built by the constructor
 // the measurements use, and its injector is driven over a long window
-// with the clock jumped from arrival to arrival — no Step, so every
-// arrival stays in its source's NIC queue and NICBacklog counts it. A
-// spec the engine cannot honour must be rejected at construction. Each
-// accepted one must offer
-//   - arrivals per node-cycle within 4 standard errors of
+// with the clock jumped from arrival to arrival: there is no Step, so
+// every arrival stays in its source's NIC queue and NICBacklog counts
+// it. A spec the engine cannot honour must be rejected at construction;
+// an accepted one must pass four checks:
+//   - arrivals per node-cycle lie within 4 standard errors of
 //     load/PacketSize, the error taken from the spread of the per-node
-//     counts (nodes are independent sources), per weight class;
-//   - a skew's declared share of them from its hot sources, and a
-//     hotspot's declared share of destinations at its hot nodes, each
-//     within 4 standard errors;
-//
-// and destinations drawn for those arrivals never target their source
-// (UN and every pattern built on it) and, under ADV+k, land in group
-// g+k.
+//     counts (nodes are independent sources) within each weight class;
+//   - a skew's hot sources offer its declared share of the arrivals,
+//     and a hotspot's hot nodes receive their share of the destinations
+//     drawn for them, each within 4 standard errors;
+//   - no destination is its source (UN and every pattern built on it);
+//   - under ADV+k, every destination lies in group g+k.
 func TestOfferedLoadOracle(t *testing.T) {
 	const window = 20000
 	used := make([]bool, len(trafficGrammar))
@@ -142,7 +140,7 @@ func TestOfferedLoadOracle(t *testing.T) {
 		r := rng.New(3, 3)
 		var hits, want, hitVar float64
 		for src := range count {
-			for k := 0.0; k < count[src]; k++ {
+			for range int(count[src]) {
 				d := pat.Dest(src, r)
 				if d == src && w.Kind != Shift && w.Kind != Complement && w.Kind != Tornado {
 					t.Fatalf("%s: node %d targeted itself", tc.spec, src)
