@@ -81,10 +81,9 @@ func TestPinnedSpellings(t *testing.T) {
 		{"burst:a,b", nil},
 		{"un+skew:0.1", nil},
 		{"+burst:50,200", nil},
-		// Rejected at parse since the grammar tables: a zero skew
-		// fraction ran homogeneous traffic (and a NaN one, in the seeds
-		// above, failed only at run time); a repeated modifier ran only
-		// its last copy.
+		// Rejected at parse: a zero skew fraction would run homogeneous
+		// traffic (a NaN one, in the seeds above, would fail only at run
+		// time), and a repeated modifier would run only its last copy.
 		{"un+skew:0,0.5", nil},
 		{"burst:50,200+burst:5,5", nil},
 		{"un+skew:0.1,0.5+skew:0.3,0.9", nil},
