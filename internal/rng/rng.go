@@ -21,7 +21,9 @@
 // OnOff.Silent walks an on-off source's silent (OFF, ON, gap) triples
 // with a per-draw walk's draws, all six outputs of a triple from one
 // state by LCG jump-ahead (A_j = a^j, G_j = Σ_{t<j} a^t): the stream is
-// the per-draw walk's by construction.
+// the per-draw walk's by construction. On amd64 with AVX-512 an
+// assembly kernel (silent_amd64.s) evaluates eight triples per step
+// with the scalar loop's floating-point operations, lane for lane.
 package rng
 
 import (

@@ -16,6 +16,46 @@ const (
 	jumpA6, jumpG6 = jumpA5 * pcgMult % (1 << 64), (jumpG5*pcgMult + 1) % (1 << 64)
 )
 
+// The eight-lane step's jumps: tripleA[n], tripleG[n] take a state n
+// triples (6n steps) on, which is how far Silent moves past the lanes
+// silent8 took, and laneA[i][j], laneG[i][j] take it to the state of
+// lane j's output i (6j+i steps).
+var (
+	tripleA, tripleG [9]uint64
+	laneA, laneG     [5][8]uint64
+)
+
+func init() {
+	a, g := uint64(1), uint64(0) // A_k, G_k for k = 0, 1, ...
+	for k := range 6*8 + 1 {
+		if k%6 == 0 {
+			tripleA[k/6], tripleG[k/6] = a, g
+		}
+		if k < 6*8 && k%6 < 5 {
+			laneA[k%6][k/6], laneG[k%6][k/6] = a, g
+		}
+		a, g = a*pcgMult, g*pcgMult+1
+	}
+}
+
+// silentCall is what silent8 reads of one Silent call besides the state:
+// the stream's increment through each lane output's jump,
+// inc*laneG[i][j], and the gap's -denom. Silent builds it once.
+type silentCall struct {
+	incG     [5][8]uint64
+	negDenom float64
+}
+
+func newSilentCall(inc uint64, gap Geom) (c silentCall) {
+	for i := range c.incG {
+		for j := range c.incG[i] {
+			c.incG[i][j] = inc * laneG[i][j]
+		}
+	}
+	c.negDenom = -gap.denom
+	return c
+}
+
 // aboveHi reports DrawBelow's screen passing — a sample at or above
 // limit — for every uniform whose high output word is hi: it passes on
 // hi*2^-32, the least such uniform (the constant is belowSlack scaled
@@ -31,12 +71,11 @@ type phase struct {
 	recip, eps float64
 }
 
-// newPhase prepares a phase that ends each cycle with probability pEnd.
+// newPhase prepares the phase whose length is 1 + Draw of g.
 // fastLog(u)*recip is within fastLogErr/|denom| + q*quotientSlack of the
 // exact quotient (invert's derivation: the reciprocal and the product
 // add an ulp, inside the charge), under eps for q below 2^12.
-func newPhase(pEnd float64) phase {
-	g := NewGeom(pEnd)
+func newPhase(g Geom) phase {
 	return phase{g, 1 / g.denom, fastLogErr/-g.denom + (1<<12)*quotientSlack}
 }
 
@@ -58,7 +97,7 @@ type OnOff struct{ on, off phase }
 // NewOnOff prepares ON phases that end each cycle with probability
 // pOnEnd and OFF phases that end with probability pOffEnd.
 func NewOnOff(pOnEnd, pOffEnd float64) OnOff {
-	return OnOff{newPhase(pOnEnd), newPhase(pOffEnd)}
+	return OnOff{newPhase(NewGeom(pOnEnd)), newPhase(NewGeom(pOffEnd))}
 }
 
 // Len draws the length of an ON (on) or OFF phase from p: 1 + Draw of
@@ -86,11 +125,28 @@ func (w *OnOff) Drawn() bool {
 // where the per-draw walk leaves it. A triple's six PCG outputs come
 // from one state by jump-ahead, the lengths are certified from a
 // multiply (phase.floor), and the gap is screened on its high word
-// (aboveHi), the low one permuted only if that cannot decide.
+// (aboveHi), the low one permuted only if that cannot decide. While
+// eight triples of budget remain, the silent8 kernel takes the ones
+// that pass both certificates and the screen eight at a time, and this
+// loop the triple that stopped it.
 func (w *OnOff) Silent(p *PCG, gap Geom, end int64, budget int) (t, onEnd int64, ok bool) {
 	s, inc := p.state, p.inc
 	c2, c3, c4, c5, c6 := inc*jumpG2, inc*jumpG3, inc*jumpG4, inc*jumpG5, inc*jumpG6
-	for ; budget > 0; budget-- {
+	var call silentCall
+	if silentKernel && budget >= 8 {
+		call = newSilentCall(inc, gap)
+	}
+	for budget > 0 {
+		if silentKernel && budget >= 8 {
+			n, span := silent8(w, &call, s)
+			end += span
+			if n == 8 { // the common case jumps by constants, so the next call need not wait for n
+				s, budget = s*tripleA[8]+inc*tripleG[8], budget-8
+				continue
+			}
+			s, budget = s*tripleA[n]+inc*tripleG[n], budget-n
+		}
+		budget--
 		uOff := 1 - uniform(output(s), output(s*jumpA1+inc)) // (0, 1], as Draw inverts
 		uOn := 1 - uniform(output(s*jumpA2+c2), output(s*jumpA3+c3))
 		hi, lo := output(s*jumpA4+c4), s*jumpA5+c5

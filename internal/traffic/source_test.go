@@ -518,40 +518,6 @@ func TestOnOffRejectsSubCycleOffMean(t *testing.T) {
 	}
 }
 
-// BenchmarkOnOffSilentWalk is the repo benchmark's idle point seen from
-// one node: un+burst:50,150 at 1e-5 load, some 4 000 silent ON/OFF phase
-// pairs walked per packet (two phase-length draws and one gap draw each).
-// ns/pair divides the time by the ON phases the same calls walk, counted
-// afterwards on a twin source, untimed.
-func BenchmarkOnOffSilentWalk(b *testing.B) {
-	newSrc := func() Source {
-		src, err := newSource(SourceSpec{Kind: OnOffArrivals, OnMean: 50, OffMean: 150}, 1, 8, 1e-5/8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return src
-	}
-	src := newSrc()
-	c, ok := src.First(0)
-	b.ResetTimer()
-	for i := 0; i < b.N && ok; i++ {
-		c, ok = src.Next(0, c)
-	}
-	b.StopTimer()
-	if !ok {
-		b.Fatal("the source fell silent")
-	}
-	twin := newSrc().(*onOffSource)
-	c, _ = twin.First(0)
-	pairs := 0
-	for range b.N {
-		var walked int
-		c, _, walked = drawWalkFrom(twin, 0, c+1, maxPhaseWalk)
-		pairs += walked
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
-}
-
 // BenchmarkSourceLookahead is one window fill of the repo benchmark's
 // idle point, all of Small's 1056 nodes under un+burst:50,150 at 1e-5
 // load: about one arrival per node, drawn in 64-node chunks by the
