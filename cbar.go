@@ -281,7 +281,9 @@ func (t Traffic) WithBurst(onMean, offMean, peak float64) Traffic {
 
 // WithSkew returns the traffic with heterogeneous per-node loads: frac
 // of the nodes (evenly spread over the id space) generate share of the
-// aggregate traffic, the rest generating the remainder.
+// aggregate traffic, the rest generating the remainder. frac must lie in
+// (0, 1) and share in [0, 1]; a run rejects any other pair but (0, 0),
+// which is no skew, as ParseTraffic rejects "skew:0,0.5".
 func (t Traffic) WithSkew(frac, share float64) Traffic {
 	return Traffic{t.inner.WithSkew(frac, share)}
 }

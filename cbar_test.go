@@ -252,6 +252,24 @@ func TestRunSteadySmoke(t *testing.T) {
 	}
 }
 
+// TestRunSteadyRejectsZeroSkewFraction: a skew set through WithSkew is
+// checked as the grammar checks "un+skew:0,0.5" — a zero fraction
+// used to run plain homogeneous traffic — and rejected with the same
+// error before a cycle is simulated.
+func TestRunSteadyRejectsZeroSkewFraction(t *testing.T) {
+	_, parseErr := ParseTraffic("un+skew:0,0.5")
+	if parseErr == nil {
+		t.Fatal("the grammar accepts a zero skew fraction")
+	}
+	opt := SteadyOptions{Warmup: 10, Measure: 10, Seeds: 1}
+	for _, tr := range []Traffic{Uniform().WithSkew(0, 0.5), Uniform().WithBurst(50, 150, 0).WithSkew(0, 0.5)} {
+		_, err := RunSteady(NewConfig(Tiny, Base), tr, 0.1, opt)
+		if err == nil || err.Error() != parseErr.Error() {
+			t.Errorf("RunSteady(%s with skew 0, 0.5) = %v, want the grammar's error %q", tr.Name(), err, parseErr)
+		}
+	}
+}
+
 // TestWorkersIdenticalResults pins the public contract of
 // Config.Workers: the same sweep at 1 and 3 shard workers per run must
 // report identical measurements — the knob changes wall-clock time and

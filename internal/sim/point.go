@@ -68,7 +68,7 @@ func newPoint(c Config, w Workload, load float64, seed, injSeed uint64, end int6
 		if w.Source.Bursty {
 			spec.Kind = traffic.OnOffArrivals
 		}
-		if w.Source.SkewFrac != 0 {
+		if w.Source.skewed() {
 			if spec.Weights, err = skewWeights(w.Source.SkewFrac, w.Source.SkewShare, net.Topo.Nodes); err != nil {
 				return nil, err
 			}

@@ -98,7 +98,14 @@ type SourceSpec struct {
 // homogeneous reports whether the spec is the plain Bernoulli process
 // the fast path covers.
 func (s SourceSpec) homogeneous() bool {
-	return !s.Bursty && s.SkewFrac == 0
+	return !s.Bursty && !s.skewed()
+}
+
+// skewed reports whether either skew field is set: a set skew is
+// checked (checkSkew) even where its fraction is zero, as the grammar's
+// skew clause is.
+func (s SourceSpec) skewed() bool {
+	return s.SkewFrac != 0 || s.SkewShare != 0
 }
 
 // Workload is a declarative traffic specification — destination pattern
