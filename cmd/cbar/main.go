@@ -31,6 +31,7 @@ import (
 	"cbar"
 	"cbar/internal/prof"
 	"cbar/internal/router"
+	"cbar/internal/routing"
 	"cbar/internal/sim"
 )
 
@@ -115,14 +116,14 @@ type cli struct {
 func (c *cli) flags() *flag.FlagSet {
 	fs := flag.NewFlagSet("cbar "+c.sub, flag.ContinueOnError)
 	point, transient, sweep, figures := c.sub == "point", c.sub == "transient", c.sub == "sweep", c.sub == "figures"
-	scale, routing := "tiny", "base"
+	scale, mechanisms := "tiny", "base"
 	if figures {
 		scale = "small"
 	}
 	if sweep {
-		routing = "all"
+		mechanisms = "all"
 	}
-	fs.StringVar(&c.scaleName, "scale", scale, "network scale: tiny|small|paper")
+	fs.StringVar(&c.scaleName, "scale", scale, "network scale: "+sim.ScaleGrammar())
 	fs.IntVar(&c.seeds, "seeds", 0, "independent repeats per point (0 = scale default)")
 	fs.IntVar(&c.workers, "workers", 0, "shard workers per simulated network, >= 0 (0 = auto: shard runs across idle cores when the grid is narrower than GOMAXPROCS, 1 = sequential; results are identical at any count)")
 	fs.StringVar(&c.congSpec, "congestion", "off", "congestion management: off | on; sweep adds marked,notified,throttled,shed columns")
@@ -133,7 +134,7 @@ func (c *cli) flags() *flag.FlagSet {
 		fs.IntVar(&c.p, "p", 0, "nodes per router (custom topology, in place of -scale)")
 		fs.IntVar(&c.a, "a", 0, "routers per group (custom topology)")
 		fs.IntVar(&c.h, "h", 0, "global links per router (custom topology)")
-		fs.StringVar(&c.routing, "routing", routing, "routing mechanism: min|val|pb|olm|base|hybrid|ectn|basep (sweep: a comma-separated list, or 'all')")
+		fs.StringVar(&c.routing, "routing", mechanisms, "routing mechanism: "+routing.Grammar()+" (sweep: a comma-separated list, or 'all')")
 		fs.StringVar(&c.trafficSpec, "traffic", "un", "traffic: "+sim.TrafficGrammar())
 		fs.IntVar(&c.th, "th", 0, "override the Base/ECtN contention threshold, >= 0 (0 = scale default)")
 		fs.Int64Var(&c.warmup, "warmup", 0, "warmup cycles (0 = scale default; with -adaptive, the cap of the detected warmup)")

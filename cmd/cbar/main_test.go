@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cbar/internal/routing"
+	"cbar/internal/sim"
 )
 
 // runCLI drives one command line in-process.
@@ -119,6 +122,30 @@ func TestCommandLineRejected(t *testing.T) {
 		if code != tc.code || stdout != "" || !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("cbar %s: exit %d, stdout %q, stderr %q; want exit %d, no output, stderr containing %q",
 				tc.line, code, stdout, stderr, tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestHelpListsEveryName: the -routing and -scale help of every
+// subcommand that reads them is generated from the names tables
+// (routing.Grammar and sim.ScaleGrammar, whose own tests hold them to
+// every name the tables parse), as -traffic and -faults are from their
+// grammars.
+func TestHelpListsEveryName(t *testing.T) {
+	for _, sub := range []string{"point", "transient", "sweep", "figures"} {
+		fs := (&cli{sub: sub}).flags()
+		for _, tc := range [...]struct{ flag, grammar string }{{"scale", sim.ScaleGrammar()}, {"routing", routing.Grammar()}} {
+			flag, grammar := tc.flag, tc.grammar
+			f := fs.Lookup(flag)
+			if f == nil {
+				if sub != "figures" || flag != "routing" {
+					t.Errorf("cbar %s has no -%s", sub, flag)
+				}
+				continue
+			}
+			if !strings.Contains(f.Usage, grammar) {
+				t.Errorf("cbar %s -%s help %q does not list %q", sub, flag, f.Usage, grammar)
+			}
 		}
 	}
 }

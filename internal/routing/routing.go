@@ -85,7 +85,20 @@ func Parse(s string) (Algo, error) {
 			return Algo(a), nil
 		}
 	}
-	return 0, fmt.Errorf("routing: unknown algorithm %q", s)
+	return 0, fmt.Errorf("routing: unknown algorithm %q; want %s", s, Grammar())
+}
+
+// Grammar lists every name Parse accepts, canonical name first and the
+// other spellings in parentheses, for help and error text.
+func Grammar() string {
+	forms := make([]string, len(algoNames))
+	for a, names := range algoNames {
+		forms[a] = names[0]
+		if len(names) > 1 {
+			forms[a] += " (" + strings.Join(names[1:], ", ") + ")"
+		}
+	}
+	return strings.Join(forms, " | ") + ", in any case"
 }
 
 // IsContentionBased reports whether the mechanism uses contention

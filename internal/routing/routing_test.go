@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"cbar/internal/router"
@@ -115,6 +117,22 @@ func TestParseAndString(t *testing.T) {
 	}
 	if Algo(99).String() == "" {
 		t.Error("unknown algo has empty name")
+	}
+}
+
+// TestGrammarListsEveryName: the help text lists every spelling the
+// names table parses, and each parses back to its mechanism.
+func TestGrammarListsEveryName(t *testing.T) {
+	listed := strings.FieldsFunc(Grammar(), func(r rune) bool { return strings.ContainsRune(" |(),", r) })
+	for a, names := range algoNames {
+		for _, name := range names {
+			if !slices.Contains(listed, name) {
+				t.Errorf("Grammar() = %q does not list %q", Grammar(), name)
+			}
+			if got, err := Parse(name); err != nil || got != Algo(a) {
+				t.Errorf("Parse(%q) = %v, %v; want %v", name, got, err, Algo(a))
+			}
+		}
 	}
 }
 

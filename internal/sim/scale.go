@@ -50,8 +50,12 @@ func ParseScale(s string) (Scale, error) {
 	if i := slices.Index(scaleNames[:], strings.ToLower(strings.TrimSpace(s))); i >= 0 {
 		return Scale(i), nil
 	}
-	return 0, fmt.Errorf("sim: unknown scale %q (%s)", s, strings.Join(scaleNames[:], "|"))
+	return 0, fmt.Errorf("sim: unknown scale %q (%s)", s, ScaleGrammar())
 }
+
+// ScaleGrammar lists the names ParseScale accepts, for help and error
+// text.
+func ScaleGrammar() string { return strings.Join(scaleNames[:], "|") }
 
 // Params returns the topology parameters of a scale, or the zero Params
 // (which topology.New rejects) for a value that is none of the three.

@@ -3,11 +3,26 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"cbar/internal/routing"
 )
+
+// TestScaleGrammarListsEveryName: the help text lists every name the
+// scale table parses.
+func TestScaleGrammarListsEveryName(t *testing.T) {
+	listed := strings.Split(ScaleGrammar(), "|")
+	for s, name := range scaleNames {
+		if !slices.Contains(listed, name) {
+			t.Errorf("ScaleGrammar() = %q does not list %q", ScaleGrammar(), name)
+		}
+		if got, err := ParseScale(name); err != nil || got != Scale(s) {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, Scale(s))
+		}
+	}
+}
 
 func TestDefaultBudgets(t *testing.T) {
 	for _, s := range []Scale{Tiny, Small, Paper} {

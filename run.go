@@ -208,7 +208,7 @@ func RunExperimentOpts(id string, s Scale, opt ExperimentOptions, w io.Writer) e
 		return fmt.Errorf("cbar: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
 	if s.Params() == (topology.Params{}) {
-		return fmt.Errorf("cbar: unknown scale %v (tiny|small|paper)", s)
+		return fmt.Errorf("cbar: unknown scale %v (%s)", s, sim.ScaleGrammar())
 	}
 	if opt.Seeds < 0 {
 		// Some experiments (e.g. "via") never consume Seeds, so reject
