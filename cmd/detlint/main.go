@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	detlint [-json] [packages]
+//	detlint [packages]
 //
 // With no arguments it analyzes ./... relative to the current directory.
 // Only the packages registered as deterministic in the contract registry
 // (lint.DefaultConfig) produce findings; patterns merely bound the load.
-//
-// -json emits one JSON object per finding (file, line, col, analyzer,
-// message) instead of the "path:line:col: message [analyzer]" text form
+// Each finding is one "path:line:col: message [analyzer]" line, the form
 // the CI problem matcher consumes.
 //
 // Exit status: 0 with no findings, 1 with findings, 2 on load or
@@ -19,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,17 +24,7 @@ import (
 	"cbar/internal/lint"
 )
 
-// finding is the -json wire form of one diagnostic.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON objects, one per line")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -53,21 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		os.Exit(2)
 	}
-	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
-		if *jsonOut {
-			if err := enc.Encode(finding{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "detlint:", err)
-				os.Exit(2)
-			}
-			continue
-		}
 		fmt.Println(d)
 	}
 	if len(diags) > 0 {

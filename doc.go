@@ -676,10 +676,12 @@
 // be equal. FuzzEngine draws rows from fuzzed bytes and holds one arm to
 // the oracle (`go test -run=NONE -fuzz=FuzzEngine ./internal/router`).
 // The source-level contracts below make violations build breaks
-// instead. They are enforced mechanically by detlint (internal/lint,
-// run as `go run ./cmd/detlint ./...`, a hard CI gate) over the
-// deterministic packages internal/{router,routing,sim,traffic,core,
-// topology}:
+// instead. detlint (internal/lint, run as `go run ./cmd/detlint ./...`,
+// a hard CI gate) enforces the ones a defect can break without any
+// dynamic check failing — on a path no golden, benchmark row or
+// multi-worker test runs — over the deterministic packages
+// internal/{router,routing,sim,traffic,core,topology}. The others are
+// held by the dynamic checks named with them:
 //
 //   - Iteration order (maprange): no `range` over a map or a channel.
 //     Go randomizes map iteration order per run and a channel delivers
@@ -688,53 +690,46 @@
 //     draws and stream seeding, float accumulation (float addition is
 //     not associative: run-dependent low bits would poison the golden
 //     CSVs), output rows — is a bug. Rejecting the range covers every
-//     order-sensitive statement in its body at once. A range that
-//     provably normalizes its order (sorts the keys, reduces
-//     commutatively into per-key slots, asserts per-key facts in tests)
-//     carries a `//lint:ordered <reason>` annotation; the annotation
-//     analyzer rejects reason-less or stale annotations.
+//     order-sensitive statement in its body at once, test files
+//     included. There is no annotation to excuse a range — a
+//     `//lint:ordered` comment exempts nothing, so no reason needs
+//     vetting: iterate sorted keys (slices.Sorted(maps.Keys(m))) or
+//     keep the data in a slice.
 //   - RNG purity (rngpurity): no math/rand, no time.Now. Every random
 //     decision draws from the per-entity PCG streams of internal/rng,
 //     and every stream is seeded from (run seed, entity id) or split
 //     off an existing stream — never from wall clock, process state or
 //     a value whose derivation the analyzer cannot trace to a seed.
-//   - Sequential points (sequentialpoint): delivery and notification
-//     replay, fault-event application, Alg.BeginCycle and the outbox
-//     merge mutate cross-shard state with no synchronization of their
-//     own; they are registered barrier-only and may only be called
-//     from their registered call site, the one cycle body Step (tests,
-//     the oracle cycle among them, are exempt), may never be taken as
-//     function values, and may not be reachable through
-//     the call graph from the parallel roots (the two shard worker
-//     bodies, handleShardBucket and stepShard, the injector's window
-//     fill chunk, lookahead.draw, and the routing hook surface
-//     Route/OnHead/OnArrive/OnDequeue/OnGrant). The first
-//     two are per-package syntax checks; the reachability walk runs
-//     over the whole program's call graph, the one shardisolation and
-//     allocfree use, so a chain that leaves the root's package — a
-//     routing hook calling a fabric helper that reaches Network.Drain —
-//     is a finding, and the registry lists the worker bodies only, not
-//     every function they call. The same registry keeps the cycle loop
-//     single: Injector.Cycle and internal/sim's jump step elideStep
-//     are barrier-only with point.advance as their one caller, so a
-//     second cycle loop in a deterministic package is a finding
-//     (cmd/bench keeps one literal body: its rows time Step itself).
+//   - Sequential points (dynamic): delivery and notification replay,
+//     fault-event application, Alg.BeginCycle, Network.WakeGroup and
+//     the outbox merge mutate cross-shard state with no
+//     synchronization of their own, so Step calls them only at its
+//     barriers (the caller coordinates, forked workers parked), and
+//     internal/sim has one cycle loop, point.advance, with elideStep
+//     its jump. A call moved into a parallel section changes the run
+//     at some worker count, which the differential harness compares
+//     (TestParallelStepEquivalence, TestParkingEquivalence,
+//     TestAlgStateEquivalenceTransient and FuzzEngine's seeds, all in
+//     tier-1) and the race job sees; a WakeGroup from a routing hook
+//     adds Route calls, which the bench job's exact work-count gate
+//     fails; a second elision path in the cycle loop moves the goldens.
 //     A window fill's chunks run on helper goroutines, each through its
 //     own nodes' Source state, and the calendar's (cycle, node) order
 //     makes the pops, and so every injection and destination draw, the
 //     same at any core count.
-//   - Field encapsulation (fieldenc): the accounting fields the
-//     invariant auditor leans on — port occupancy (written only via
-//     Router.occDelta), credit/output-buffer counters (the grant, the
-//     event handler and the fault kills' one unreserve), active-set
-//     membership (add, drop, clear) — may only be assigned inside their
-//     registered mutator functions; the mark thresholds and occupancy
-//     caps need no rule, being per-class constants set at Build. The
-//     parking state is held the same
-//     way: Router.parked is set only by stepShard's park pass and
-//     cleared only by Router.wake, so the documented wake set is the
-//     whole wake set, and Network.WakeGroup is barrier-only (it writes
-//     another router's shard's route set, legal only at BeginCycle).
+//   - Field encapsulation (dynamic): the accounting fields have one
+//     writer each, or a few named where they are declared — port
+//     occupancy only Router.occDelta, credit/output-buffer counters the
+//     grant, the event handler and the fault kills' one unreserve,
+//     active-set membership add/drop/clear, the head table
+//     enqueue/dequeue; Router.parked is set only by stepShard's park
+//     pass and cleared only by Router.wake, so the documented wake set
+//     is the whole wake set. CheckInvariants audits the result —
+//     occupancy against a recompute, the head table slot by slot
+//     against the queues, the route set against the parked flags, each
+//     parked head's decision replayed — and the harness and the router
+//     tests run it, so a stray writer that computes a different value
+//     fails tier-1; one that computes the same value changes nothing.
 //   - The Route contract (dynamic, not a detlint rule): parking is
 //     bit-identical to visiting every router every cycle only while
 //     every Algorithm.Route honours the idempotence-and-inputs rule of
@@ -744,23 +739,19 @@
 //     CheckInvariants, which re-decides every parked head on a copy
 //     and requires the stored request back with the random stream
 //     untouched.
-//   - Shard isolation (shardisolation): a whole-program dataflow over
-//     the call graph from the parallel roots. Within a parallel
-//     section, every write must target state the executing shard
-//     provably owns: derived from the worker's own shard, reached
-//     through a registered shard table with a locally-derived index,
-//     or produced fresh. Reading a registered cross-shard field (a
-//     packet's destination coordinates, a port's upstream/peer
-//     coordinates) taints the derivation, including through function
-//     parameters — handing a tainted index to a helper demotes that
-//     helper's parameter program-wide. Cross-shard effects must flow
-//     through a registered conduit (the mailbox append, and
-//     GroupDirty.Mark, which writes the marking group's own flag byte);
-//     there is no annotation to excuse a write the dataflow cannot
-//     prove local — such a write is restructured or routed through a
-//     conduit. Cross-router reads need no annotation but do need an argument:
-//     PB reads the occupancy of another router of its own group, which
-//     shares its shard and does not move during the route phase.
+//   - Shard isolation (dynamic): within a parallel section every write
+//     targets state the executing shard owns — its own routers, NICs
+//     and calendar, reached from the worker's shard — and cross-shard
+//     effects travel only through scheduleFrom's per-(src,dst) mailbox
+//     and GroupDirty.Mark, which writes the marking group's own flag
+//     byte. A write that reaches another shard (through a packet's
+//     destination, a port's upstream coordinates, the Network's
+//     counters) either changes the run, which the differential harness
+//     fails at workers 2–4, or races with the owning shard, which the
+//     race job (go test -race ./...) reports on the same tables.
+//     Cross-router reads need an argument: PB reads the occupancy of
+//     another router of its own group, which shares its shard and does
+//     not move during the route phase.
 //   - Hot-path allocation freedom (allocfree): a whole-program sweep
 //     over the call graph from the hot roots (Step and the parallel
 //     coordinator, event handling, NIC drain, steady-state injection,
@@ -784,11 +775,8 @@
 //
 // The registry of contracts lives in lint.DefaultConfig; new
 // deterministic packages (e.g. additional topology backends) join by
-// adding their import path and registering their own barrier-only
-// functions and encapsulated fields — plus, for the whole-program
-// rules, their shard tables, cross-shard fields and index-preserving
-// id accessors, and any cross-shard conduit they introduce (a
-// direction-1 topology backend that delivers across shards by a new
-// path must register that function in ShardConduits, or every write it
-// performs is a finding).
+// adding their import path, and their hot-path roots, cold boundaries
+// and pooled slices where allocfree needs them. A topology backend that
+// delivers across shards by a new path adds equivalence-table rows at
+// workers 2–4, which is what the race job and the harness check.
 package cbar

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	load := flag.Float64("load", 0.2, "offered load in phits/(node*cycle)")
-	scaleName := flag.String("scale", "tiny", "network scale: tiny|small|paper")
+	scaleName := flag.String("scale", "tiny", "network scale")
 	seeds := flag.Int("seeds", 2, "independent repeats to average")
 	flag.Parse()
 

@@ -1,16 +1,18 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// AllocFree is the static half of PR 1's zero-steady-state-allocation
-// guarantee. The dynamic half — `cmd/bench -compare` allocation
-// baselines — catches a regression after it ships; this analyzer makes
-// the freelist/ring discipline reviewable at the source level. Every
+// AllocFree checks the static half of the engine's zero-steady-state-
+// allocation guarantee. The dynamic half — the `cmd/bench -compare` allocation
+// baselines and the construction gate — sees the paths its rows run;
+// this analyzer sees every path, a mechanism no gated row runs (VAL) or
+// a query whose rows only annotate (ElideHorizon) included. Every
 // function reachable through the call graph from a hot-path root
 // (Network.Step and the parallel coordinator, event handling, NIC drain,
 // the routing/allocation/link phases, steady-state Inject, the
@@ -38,59 +40,67 @@ import (
 // stale annotation — one suppressing nothing — is a finding, so the
 // escape hatches cannot outlive the code they excuse. The ColdPath
 // registry prunes reachability at reviewed cold boundaries (fault
-// application, invariant sweeps) the same way conduits prune
-// shardisolation.
-var AllocFree = &ProgramAnalyzer{
-	Name: "allocfree",
-	Doc:  "hot-path functions must not heap-allocate in steady state",
-	Run:  runAllocFree,
-}
-
-func runAllocFree(pp *ProgramPass) {
-	cfg := pp.Cfg
-	prog := pp.Prog
+// application, invariant sweeps). It returns the findings sorted by
+// position.
+func AllocFree(prog *Program) []Diagnostic {
+	cfg := prog.Cfg
 	cold := make(map[string]bool, len(cfg.ColdPath))
 	for _, c := range cfg.ColdPath {
 		cold[c] = true
 	}
 	via := prog.reachable(prog.hotRootKeys(), cold)
 
-	used := make(map[*Annotation]bool)
+	af := &allocFree{prog: prog, used: make(map[*Annotation]bool)}
 	for _, key := range sortedReached(via) {
 		fi := prog.Funcs[key]
 		if fi == nil || !cfg.IsDeterministic(fi.Pkg.Path) {
 			continue
 		}
-		aa := &allocAnalysis{pp: pp, fi: fi, root: via[key], used: used}
+		aa := &allocAnalysis{af: af, fi: fi, root: via[key]}
 		aa.run()
 	}
-	reportStaleAllocAnnotations(pp, used)
+	af.reportStale()
+	sortDiagnostics(af.diags)
+	return af.diags
 }
 
-// reportStaleAllocAnnotations flags every //lint:alloc annotation, in a
-// deterministic package's non-test files, that did not suppress a
-// finding, plus annotations with no reason.
-func reportStaleAllocAnnotations(pp *ProgramPass, used map[*Annotation]bool) {
-	for _, pkg := range pp.Prog.Pkgs {
-		if !pp.Cfg.IsDeterministic(pkg.Path) {
+// allocFree is one run's state: the findings, and the annotations that
+// suppressed one.
+type allocFree struct {
+	prog  *Program
+	used  map[*Annotation]bool
+	diags []Diagnostic
+}
+
+// reportf records a finding at pos. All packages of one Load share one
+// FileSet, so any position from any package resolves.
+func (af *allocFree) reportf(pos token.Pos, format string, args ...any) {
+	af.diags = append(af.diags, Diagnostic{
+		Pos:      af.prog.Fset.Position(pos),
+		Analyzer: "allocfree",
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
+// reportStale flags every //lint:alloc annotation, in a deterministic
+// package's non-test files, that did not suppress a finding, plus
+// annotations with no reason.
+func (af *allocFree) reportStale() {
+	for _, pkg := range af.prog.Pkgs {
+		if !af.prog.Cfg.IsDeterministic(pkg.Path) {
 			continue
 		}
 		for i, f := range pkg.Syntax {
 			if pkg.TestFile[i] {
 				continue
 			}
-			for _, anns := range pkg.annotations[f] {
-				for _, a := range anns {
-					if a.Directive != directiveAlloc {
-						continue
-					}
-					if a.Reason == "" {
-						pp.Reportf(a.Pos, "//lint:alloc annotation without a reason: a reviewed escape hatch must say why")
-						continue
-					}
-					if !used[a] {
-						pp.Reportf(a.Pos, "stale //lint:alloc annotation: suppresses no hot-path allocation finding")
-					}
+			for _, a := range pkg.annotations[f] {
+				if a.Reason == "" {
+					af.reportf(a.Pos, "//lint:alloc annotation without a reason: a reviewed escape hatch must say why")
+					continue
+				}
+				if !af.used[a] {
+					af.reportf(a.Pos, "stale //lint:alloc annotation: suppresses no hot-path allocation finding")
 				}
 			}
 		}
@@ -99,10 +109,9 @@ func reportStaleAllocAnnotations(pp *ProgramPass, used map[*Annotation]bool) {
 
 // allocAnalysis scans one hot-path-reachable function.
 type allocAnalysis struct {
-	pp   *ProgramPass
+	af   *allocFree
 	fi   *FuncInfo
 	root string
-	used map[*Annotation]bool
 
 	// compacted holds local slice variables bound from a `x[:0]` reslice
 	// (and kept there by self-appends): appending to them reuses pooled
@@ -245,7 +254,7 @@ func (aa *allocAnalysis) checkAppend(call *ast.CallExpr) {
 		break
 	}
 	if owner, field, ok := selectorRef(info, base); ok &&
-		fieldRefIn(aa.pp.Cfg.PooledSlices, owner, field) {
+		fieldRefIn(aa.af.prog.Cfg.PooledSlices, owner, field) {
 		return
 	}
 	if id, ok := base.(*ast.Ident); ok {
@@ -308,11 +317,11 @@ func (aa *allocAnalysis) checkBoxing(call *ast.CallExpr) {
 func (aa *allocAnalysis) flag(pos token.Pos, what string) {
 	pkg := aa.fi.Pkg
 	line := pkg.Fset.Position(pos).Line
-	if a := pkg.annotationAt(aa.fi.File, line, directiveAlloc); a != nil && a.Reason != "" {
-		aa.used[a] = true
+	if a := pkg.allocAnnotationAt(aa.fi.File, line); a != nil && a.Reason != "" {
+		aa.af.used[a] = true
 		return
 	}
-	aa.pp.Reportf(pos,
+	aa.af.reportf(pos,
 		"%s in a hot-path function (reachable from %s); reuse pooled state or annotate //lint:alloc with why this is not steady-state",
 		what, aa.root)
 }
@@ -356,4 +365,35 @@ func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isB := info.Uses[id].(*types.Builtin)
 	return isB
+}
+
+// FieldRef names one field of a named type for the PooledSlices registry.
+type FieldRef struct {
+	// Type is the owning named type's key: "<pkgpath>.<TypeName>".
+	Type string
+	// Field is the field name.
+	Field string
+}
+
+func fieldRefIn(refs []FieldRef, owner, field string) bool {
+	for _, r := range refs {
+		if r.Type == owner && r.Field == field {
+			return true
+		}
+	}
+	return false
+}
+
+// selectorRef resolves an expression to (owning type key, field name)
+// when it is a field selection.
+func selectorRef(info *types.Info, e ast.Expr) (owner, field string, ok bool) {
+	sel, isSel := ast.Unparen(e).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	s, found := info.Selections[sel]
+	if !found || s.Kind() != types.FieldVal {
+		return "", "", false
+	}
+	return namedTypeKey(s.Recv()), sel.Sel.Name, true
 }

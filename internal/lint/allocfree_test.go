@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+)
 
 // TestAllocFreeFixture drives the allocfree analyzer over a synthetic
 // hot loop with the hot/cold/pooled registries populated fixture-locally.
@@ -12,5 +15,11 @@ func TestAllocFreeFixture(t *testing.T) {
 	cfg.HotPathMethods = []string{"Route"}
 	cfg.ColdPath = []string{p + ".Engine.audit"}
 	cfg.PooledSlices = []FieldRef{{Type: p + ".Engine", Field: "ring"}}
-	runProgramFixture(t, AllocFree, cfg, "allocfree")
+	// The fixture package is treated as the entire program.
+	dir := filepath.Join("testdata", "src", "allocfree")
+	pkg, err := LoadFixture(moduleDir, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffWants(t, dir, AllocFree(NewProgram([]*Package{pkg}, cfg)))
 }

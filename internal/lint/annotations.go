@@ -6,86 +6,50 @@ import (
 	"strings"
 )
 
-// The `//lint:<directive> <reason>` annotations are the suite's escape
-// hatches. There are two, and each one is a reviewed assertion that must
-// say why:
-//
-//   - `//lint:ordered` on a map/chan range: the iteration order does not
-//     escape into simulation state (the body normalizes the order).
-//   - `//lint:alloc` on a hot-path allocating construct: the allocation
-//     is not steady-state (freelist warm-up, amortized growth, one-off
-//     per-cycle coordinator cost already accounted in the baselines).
-//
-// An annotation attaches to the construct it precedes (its own line
-// immediately above) or trails (same line as the construct).
+// `//lint:alloc <reason>` is the suite's one escape hatch: on a hot-path
+// allocating construct it is a reviewed assertion that the allocation is
+// not steady-state (freelist warm-up, amortized growth, one-off
+// per-cycle coordinator cost already accounted in the baselines), and it
+// must say why. It attaches to the construct it precedes (its own line
+// immediately above) or trails (same line as the construct). allocfree
+// vets every annotation: one with no reason, or one that suppresses
+// nothing, is a finding.
 
-// The recognized directives.
-const (
-	directiveOrdered = "ordered"
-	directiveAlloc   = "alloc"
-)
+// directiveAlloc is the recognized directive.
+const directiveAlloc = "//lint:alloc"
 
-// Annotation is one parsed //lint:<directive> comment.
+// Annotation is one parsed //lint:alloc comment.
 type Annotation struct {
-	Pos       token.Pos
-	Line      int
-	Directive string
-	Reason    string
+	Pos    token.Pos
+	Reason string
 }
 
-// scanAnnotations indexes every //lint: comment per file by line. Called
-// once, after Syntax is complete.
+// scanAnnotations indexes every //lint:alloc comment per file by line.
+// Called once, after Syntax is complete.
 func (p *Package) scanAnnotations() {
-	p.annotations = make(map[*ast.File]map[int][]*Annotation, len(p.Syntax))
+	p.annotations = make(map[*ast.File]map[int]*Annotation, len(p.Syntax))
 	for _, f := range p.Syntax {
-		byLine := make(map[int][]*Annotation)
+		byLine := make(map[int]*Annotation)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:")
-				if !ok {
-					continue
-				}
-				directive, reason, _ := strings.Cut(text, " ")
-				directive = strings.TrimSpace(directive)
-				if directive != directiveOrdered && directive != directiveAlloc {
+				rest, ok := strings.CutPrefix(c.Text, directiveAlloc)
+				if !ok || (rest != "" && rest[0] != ' ') {
 					continue
 				}
 				line := p.Fset.Position(c.Pos()).Line
-				byLine[line] = append(byLine[line], &Annotation{
-					Pos:       c.Pos(),
-					Line:      line,
-					Directive: directive,
-					Reason:    strings.TrimSpace(reason),
-				})
+				byLine[line] = &Annotation{Pos: c.Pos(), Reason: strings.TrimSpace(rest)}
 			}
 		}
 		p.annotations[f] = byLine
 	}
 }
 
-// annotationAt returns the directive's annotation attached to a
-// construct on the given line: one on the line itself (trailing comment)
-// or on the line directly above (leading comment).
-func (p *Package) annotationAt(f *ast.File, line int, directive string) *Annotation {
-	byLine := p.annotations[f]
-	if byLine == nil {
-		return nil
+// allocAnnotationAt returns the annotation attached to a construct on the
+// given line: one on the line itself (trailing comment) or on the line
+// directly above (leading comment).
+func (p *Package) allocAnnotationAt(f *ast.File, line int) *Annotation {
+	if a := p.annotations[f][line]; a != nil {
+		return a
 	}
-	for _, a := range byLine[line] {
-		if a.Directive == directive {
-			return a
-		}
-	}
-	for _, a := range byLine[line-1] {
-		if a.Directive == directive {
-			return a
-		}
-	}
-	return nil
-}
-
-// orderedFor returns the //lint:ordered annotation attached to a range
-// statement.
-func (p *Package) orderedFor(f *ast.File, rs *ast.RangeStmt) *Annotation {
-	return p.annotationAt(f, p.Fset.Position(rs.For).Line, directiveOrdered)
+	return p.annotations[f][line-1]
 }

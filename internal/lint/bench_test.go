@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkDetlintSelf measures one full detlint invocation over the
 // repository: a single load/type-check (the dominant cost) shared by the
-// five per-package analyzers plus one Program build shared by the three
+// two per-package analyzers plus one Program build shared by the two
 // whole-program analyzers. It exists to keep the suite's cost profile
 // honest: an analyzer change that re-type-checks per analyzer, or a
 // registry change that explodes the reachability frontier, shows up here

@@ -21,9 +21,9 @@ import (
 const moduleDir = "../.."
 
 // A want comment expects a finding on its own line; the optional signed
-// offset (`// want-1 ...`) shifts the expected line, for findings that
-// land on comment lines (the annotation analyzer reports on the
-// //lint:ordered line itself, which cannot also hold a want).
+// offset (`// want+1 ...`) shifts the expected line, for findings that
+// land on comment lines (allocfree reports on a //lint:alloc line
+// itself, which cannot also hold a want).
 var wantRe = regexp.MustCompile("// want([+-][0-9]+)? `([^`]+)`")
 
 // runFixture applies one analyzer to testdata/src/<name> under cfg and
@@ -36,21 +36,6 @@ func runFixture(t *testing.T, a *Analyzer, cfg *Config, name string) {
 		t.Fatal(err)
 	}
 	diffWants(t, dir, RunAnalyzers(pkg, cfg, []*Analyzer{a}))
-}
-
-// runProgramFixture applies one whole-program analyzer to a fixture
-// package, treated as the entire program, and diffs the findings against
-// the fixture's want comments. cfg.DeterministicPkgs must include the
-// fixture path ("fixture/<name>") for the analyzer to look at it.
-func runProgramFixture(t *testing.T, a *ProgramAnalyzer, cfg *Config, name string) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadFixture(moduleDir, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := NewProgram([]*Package{pkg}, cfg)
-	diffWants(t, dir, RunProgramAnalyzers(prog, cfg, []*ProgramAnalyzer{a}))
 }
 
 // diffWants fails on any finding without a matching want comment and any

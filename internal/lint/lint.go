@@ -3,46 +3,34 @@
 //
 // The simulator's headline promise — bit-identical traces at every
 // worker count and across commits — is guarded dynamically by the
-// equivalence tests and CheckInvariants sweeps. Those catch a violation
-// after it happens, on some input. The analyzers here enforce the
-// ordering rules at the source level instead, so a violation is a build
-// break:
+// differential harness, FuzzEngine, the race job, the goldens and the
+// allocation and work-count gates. Those catch a violation on the
+// inputs they run. detlint keeps only the rules that catch a defect
+// none of them fails on, each pinned by a fixture case cut down from
+// such a defect seeded in the real code:
 //
 //   - maprange: no `range` over a map or a channel in the deterministic
-//     packages unless the statement carries a `//lint:ordered <reason>`
-//     annotation proving the iteration order does not escape — which
-//     covers every order-sensitive effect in the body (float
-//     accumulation, stream seeding, output rows) at once.
+//     packages, test files included. Rejecting the range covers every
+//     order-sensitive effect in its body (float accumulation, stream
+//     seeding, output rows) at once, on paths no golden pins — a
+//     figure's rows in map order. There is no escape hatch: sort the
+//     keys.
 //   - rngpurity: no math/rand, no time.Now, and no rng seeding whose
-//     seed argument is not derived from (run seed, entity id).
-//   - sequentialpoint: the registered barrier-only functions (fault
-//     event application, Alg.BeginCycle, delivery/notification replay)
-//     may only be called from their registered sequential-point call
-//     sites, never from inside the parallel phase call graphs (that
-//     half walks the whole program's call graph, see below).
-//   - fieldenc: the accounting fields (occ, credit counters, active-set
-//     membership, …) may only be assigned by their sanctioned mutator
-//     functions.
-//   - annotation: every `//lint:ordered` annotation must carry a reason
-//     and must be attached to a map or channel range statement — stale
-//     annotations are findings, not dead weight.
+//     seed argument is not derived from (run seed, entity id) — a
+//     wall-clock cap that no test run reaches is a finding.
 //
-// Whole-program analyzers (see program.go) extend the suite across
-// package boundaries — sequentialpoint's reachability check and two
-// dataflow analyzers:
+// One whole-program analyzer (see program.go) walks the call graph
+// across package boundaries:
 //
-//   - shardisolation: no write reachable from a parallel root may target
-//     state that is not provably shard-local, unless it flows through a
-//     registered cross-shard conduit (there is no annotation).
 //   - allocfree: no function reachable from a hot-path root may
 //     heap-allocate in steady state, unless the construct is pooled or
-//     carries `//lint:alloc`.
+//     carries `//lint:alloc` — an allocation in a mechanism or on a path
+//     no gated benchmark row runs is a finding.
 //
 // The suite is configuration-driven (Config) so the fixture tests can
 // point the same analyzers at small synthetic packages, and so the
-// deterministic-package set can grow (the multi-topology backends will
-// join it) without touching analyzer code. cmd/detlint runs the suite
-// over the repository and is a hard CI gate.
+// deterministic-package set can grow without touching analyzer code.
+// cmd/detlint runs the suite over the repository and is a hard CI gate.
 package lint
 
 import (
@@ -50,30 +38,23 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
 
-// Analyzer is one named check over a type-checked package.
+// Analyzer is one named check over a type-checked package, test files
+// included.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Tests reports whether the analyzer also covers _test.go files.
-	// The structural analyzers (sequentialpoint, fieldenc) cover only
-	// non-test code: tests run at sequential points by construction and
-	// routinely poke state to build scenarios.
-	Tests bool
-	Run   func(*Pass)
+	Run  func(*Pass)
 }
 
-// Analyzers is the detlint suite, in execution order.
+// Analyzers is the per-package half of the detlint suite, in execution
+// order.
 var Analyzers = []*Analyzer{
 	MapRange,
 	RNGPurity,
-	SequentialPoint,
-	FieldEnc,
-	AnnotationCheck,
 }
 
 // Pass carries one analyzer run over one package.
@@ -104,17 +85,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// files yields the syntax trees the analyzer covers (skipping test files
-// unless the analyzer opts in).
-func (p *Pass) files(fn func(f *ast.File)) {
-	for i, f := range p.Pkg.Syntax {
-		if p.Pkg.TestFile[i] && !p.Analyzer.Tests {
-			continue
-		}
-		fn(f)
-	}
-}
-
 // Config parameterizes the suite. DefaultConfig returns the repository's
 // real contract registry; fixture tests build small ones of their own.
 type Config struct {
@@ -125,54 +95,6 @@ type Config struct {
 	// RNGPackage is the import path of the sanctioned generator package
 	// (its New/Seed entry points are the seeding calls rngpurity vets).
 	RNGPackage string
-
-	// BarrierOnly maps a function key (see funcKey) to the keys of its
-	// sanctioned callers. Any other call site — and in particular any
-	// call reachable from a parallel phase — is a finding.
-	BarrierOnly map[string][]string
-
-	// ParallelRoots lists the function keys whose call graphs form the
-	// parallel sections — the worker bodies; what they call is found by
-	// walking the program's call graph: nothing reachable from them may
-	// call a barrier-only function.
-	ParallelRoots []string
-
-	// ParallelRootMethods lists method *names* treated as parallel roots
-	// on any receiver type (the Algorithm hook surface: Route, OnHead,
-	// …). New algorithm implementations inherit the rule without a
-	// config edit.
-	ParallelRootMethods []string
-
-	// Fields lists the encapsulated accounting fields and their
-	// sanctioned writer functions.
-	Fields []FieldRule
-
-	// --- shardisolation registries (see shardiso.go) ---
-
-	// GlobalStateTypes lists named types ("<pkgpath>.<TypeName>") that
-	// are globally shared across shards: a receiver or parameter of such
-	// a type is never assumed shard-local.
-	GlobalStateTypes []string
-
-	// ShardTables lists slice/array fields partitioned by the shard id
-	// ranges (Network.Routers, Network.nics, …): indexing one with a
-	// locally-derived index yields shard-local state.
-	ShardTables []FieldRef
-
-	// CrossShardFields lists fields whose values point across the shard
-	// boundary (a packet's destination router, an input port's upstream
-	// coordinates): indexing a shard table with one reaches another
-	// shard.
-	CrossShardFields []FieldRef
-
-	// ShardConduits lists the reviewed cross-shard channels (the mailbox
-	// append, the GroupDirty flag write): their bodies are exempt from
-	// the write check and stop parallel-root reachability.
-	ShardConduits []string
-
-	// IndexPreservingFuncs lists pure index-mapping functions (topology
-	// accessors): local arguments in, local result out.
-	IndexPreservingFuncs []string
 
 	// --- allocfree registries (see allocfree.go) ---
 
@@ -195,17 +117,6 @@ type Config struct {
 	PooledSlices []FieldRef
 }
 
-// FieldRule declares one encapsulated field: assignments to
-// Type.Field are only sanctioned inside the Writers functions.
-type FieldRule struct {
-	// Type is the owning named type's key: "<pkgpath>.<TypeName>".
-	Type string
-	// Field is the field name.
-	Field string
-	// Writers are the funcKey()s of the sanctioned mutators.
-	Writers []string
-}
-
 // IsDeterministic reports whether pkg path is under contract.
 func (c *Config) IsDeterministic(path string) bool {
 	for _, p := range c.DeterministicPkgs {
@@ -222,14 +133,8 @@ func (c *Config) IsDeterministic(path string) bool {
 func DefaultConfig() *Config {
 	const (
 		router  = "cbar/internal/router"
-		routing = "cbar/internal/routing"
 		traffic = "cbar/internal/traffic"
-		core    = "cbar/internal/core"
-		topo    = "cbar/internal/topology"
 	)
-	// The Algorithm hook surface: the per-packet methods the route,
-	// allocation and link phases call.
-	hooks := []string{"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant"}
 	return &Config{
 		DeterministicPkgs: []string{
 			"cbar/internal/router",
@@ -240,163 +145,6 @@ func DefaultConfig() *Config {
 			"cbar/internal/topology",
 		},
 		RNGPackage: "cbar/internal/rng",
-		// The sequential-point registry. Keys and callers are funcKey()
-		// strings: "<pkgpath>.<Recv>.<method>" / "<pkgpath>.<func>".
-		//
-		// The replay/apply family runs at the handle barrier of Step, the
-		// one cycle body (the caller coordinates, forked workers parked);
-		// BeginCycle is the interface method hosting the group-wide
-		// exchanges at the same barrier; mergeOutboxes is the cycle barrier
-		// itself. Calling any of them from the parallel phase graphs
-		// (ParallelRoots below) would race or reorder cross-shard effects.
-		BarrierOnly: map[string][]string{
-			router + ".Network.replayDeliveries":    {router + ".Network.Step"},
-			router + ".Network.replayNotifications": {router + ".Network.Step"},
-			router + ".Network.applyFaults":         {router + ".Network.Step"},
-			router + ".Network.applyFaultEvent":     {router + ".Network.applyFaults"},
-			router + ".Network.mergeOutboxes":       {router + ".Network.Step"},
-			router + ".Algorithm.BeginCycle":        {router + ".Network.Step"},
-			// WakeGroup re-arms parked routers from algorithm code: it
-			// writes the owning shard's route set, so it belongs to the
-			// BeginCycle barrier, where ECtN's combine calls it (fault
-			// application, at the same barrier, wakes every group).
-			router + ".Network.WakeGroup": {routing + ".ectnAlg.BeginCycle", router + ".Network.applyFaults"},
-			// Quiet-cycle elision (elide.go) runs between Steps, with all
-			// workers quiescent: the horizon queries read cross-shard
-			// state (rings, active sets, the injector RNG) and ElideTo
-			// moves the clock itself. Their only sanctioned callers are
-			// Drain and sim's one driver, point.advance (elideStep its jump).
-			router + ".Network.ElideTo":        {router + ".Network.Drain", "cbar/internal/sim.elideStep"},
-			router + ".Network.ElideHorizon":   {router + ".Network.Drain", "cbar/internal/sim.elideStep"},
-			router + ".Network.NextEventCycle": {router + ".Network.ElideHorizon"},
-			traffic + ".Injector.NextArrival":  {"cbar/internal/sim.elideStep"},
-			"cbar/internal/sim.elideStep":      {"cbar/internal/sim.point.advance"},
-			traffic + ".Injector.Cycle":        {"cbar/internal/sim.point.advance"},
-			// The one Algorithm implementation with a BeginCycle body: it
-			// is reached only through the interface dispatch above, never
-			// called directly inside package routing.
-			routing + ".ectnAlg.BeginCycle": {},
-		},
-		// The two worker bodies of a Step (parallel.go). Everything they
-		// run — event handling, NIC drain, the route, allocation and link
-		// phases, the fault escape — is reached from them through the
-		// call graph. The injector's lookahead draws node chunks of a
-		// window on several cores (source.go), each through its own
-		// nodes' Source state only.
-		ParallelRoots: []string{
-			router + ".Network.handleShardBucket",
-			router + ".Network.stepShard",
-			traffic + ".lookahead.draw",
-		},
-		// Any method with one of these names is a parallel root wherever
-		// it is declared: the Algorithm hook surface runs inside the
-		// phase graphs, so future algorithm implementations inherit the
-		// rule with no config edit.
-		ParallelRootMethods: hooks,
-		// The accounting fields and their sanctioned mutators. occ is
-		// written only by occDelta; credits/outFree only by the grant
-		// path, the event handler and the fault kills' unreserve;
-		// active-set membership only by the set's own methods,
-		// and the calendar's chunk pool and bucket fill counts only by the
-		// calendar's (CheckInvariants audits their sum).
-		// The parking state has one writer pair each: parked is set by the
-		// park pass of stepShard and cleared by wake (the single re-arm
-		// point — a second clearing site would be a wake the documented
-		// wake set does not list); parkable is the per-cycle verdict
-		// routePhase computes and a grant revokes. The minimal-port memo
-		// is written where it is computed and cleared on enqueue, the
-		// destination-group memo where it is computed and at newPacket.
-		// The head table moves only where a head does: the allocator
-		// nominates on a valid request without looking at the packet.
-		Fields: []FieldRule{
-			{Type: router + ".Router", Field: "parked",
-				Writers: []string{router + ".Network.stepShard", router + ".Router.wake"}},
-			{Type: router + ".Router", Field: "parkable",
-				Writers: []string{router + ".Router.routePhase", router + ".Router.grant"}},
-			{Type: router + ".Packet", Field: "minOut",
-				Writers: []string{router + ".Router.MinimalOut", router + ".Packet.resetQueueState"}},
-			{Type: router + ".Packet", Field: "dstGroup",
-				Writers: []string{router + ".Router.DstGroup", router + ".netShard.newPacket"}},
-			{Type: router + ".Router", Field: "heads",
-				Writers: []string{router + ".Router.enqueue", router + ".Router.dequeue"}},
-			{Type: router + ".Router", Field: "req",
-				Writers: []string{router + ".Router.routePhase", router + ".Router.grant", router + ".Router.dequeue"}},
-			{Type: router + ".Router", Field: "unroutedHeads",
-				Writers: []string{router + ".newRouter"}},
-			{Type: router + ".Router", Field: "grantable",
-				Writers: []string{router + ".newRouter"}},
-			{Type: router + ".outPort", Field: "occ",
-				Writers: []string{router + ".Router.occDelta"}},
-			{Type: router + ".outPort", Field: "credits",
-				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
-					router + ".Router.unreserve"}},
-			{Type: router + ".outPort", Field: "outFree",
-				Writers: []string{router + ".newRouter", router + ".Router.grant", router + ".Network.handle",
-					router + ".Router.unreserve"}},
-			{Type: router + ".activeSet", Field: "words",
-				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop", router + ".activeSet.clear"}},
-			{Type: router + ".activeSet", Field: "count",
-				Writers: []string{router + ".activeSet.add", router + ".activeSet.drop", router + ".activeSet.clear"}},
-			{Type: router + ".netShard", Field: "freeChunks",
-				Writers: []string{router + ".netShard.extend", router + ".netShard.release"}},
-			{Type: router + ".calBucket", Field: "n",
-				Writers: []string{router + ".netShard.push"}},
-		},
-
-		// --- shardisolation (see shardiso.go) ---
-
-		// The Network (one instance, back-pointed from every router) and
-		// the GroupDirty flags (one instance, written from every shard,
-		// each to its own groups' bytes) are the globally shared types:
-		// holding one never proves locality.
-		GlobalStateTypes: []string{
-			router + ".Network",
-			core + ".GroupDirty",
-		},
-		// The id-partitioned tables: shards own contiguous router, node
-		// and group ranges, so indexing with a locally-derived id lands
-		// in the executing shard.
-		ShardTables: []FieldRef{
-			{Type: router + ".Network", Field: "Routers"},
-			{Type: router + ".Network", Field: "nics"},
-			{Type: router + ".Network", Field: "groups"},
-			{Type: router + ".Network", Field: "shards"},
-		},
-		// Values that point across the shard boundary: a packet's
-		// endpoints and the fixed upstream/peer coordinates of ports.
-		// Indexing a shard table with one of these is exactly the
-		// cross-shard touch the parallel sections must not make.
-		CrossShardFields: []FieldRef{
-			{Type: router + ".Packet", Field: "Src"},
-			{Type: router + ".Packet", Field: "Dst"},
-			{Type: router + ".Packet", Field: "DstRouter"},
-			{Type: router + ".Packet", Field: "Inter"},
-			{Type: router + ".inPort", Field: "upRouter"},
-			{Type: router + ".inPort", Field: "upPort"},
-			{Type: router + ".outPort", Field: "peerRouter"},
-			{Type: router + ".outPort", Field: "peerPort"},
-		},
-		// The reviewed cross-shard channels. scheduleFrom routes a
-		// cross-shard event into the per-(src,dst) mailbox drained at the
-		// cycle barrier; GroupDirty.Mark writes the marking group's own
-		// flag byte, and a group never spans shards. Direction-1 topology
-		// backends must register their equivalents here.
-		ShardConduits: []string{
-			router + ".Network.scheduleFrom",
-			core + ".GroupDirty.Mark",
-		},
-		// Pure id arithmetic: these map a shard-local id to another id of
-		// the same component (a node's router, a router's group, …),
-		// never leaving the owning shard (shards hold whole groups).
-		IndexPreservingFuncs: []string{
-			topo + ".Dragonfly.RouterOfNode",
-			topo + ".Dragonfly.ChannelOfNode",
-			topo + ".Dragonfly.NodeID",
-			topo + ".Dragonfly.GroupOf",
-			topo + ".Dragonfly.GroupOfNode",
-			topo + ".Dragonfly.PosOf",
-			topo + ".Dragonfly.RouterID",
-		},
 
 		// --- allocfree (see allocfree.go) ---
 
@@ -414,10 +162,13 @@ func DefaultConfig() *Config {
 			router + ".Network.NextEventCycle",
 			traffic + ".Injector.NextArrival",
 		},
-		// The hook surface runs per packet inside the phase graphs;
-		// BeginCycle hosts the per-cycle group exchanges and NextAlgCycle
-		// is the per-span elision horizon query.
-		HotPathMethods: append(slices.Clip(hooks), "BeginCycle", "NextAlgCycle"),
+		// The Algorithm hook surface runs per packet inside the route,
+		// allocation and link phases; BeginCycle hosts the per-cycle group
+		// exchanges and NextAlgCycle is the per-span elision horizon query.
+		HotPathMethods: []string{
+			"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant",
+			"BeginCycle", "NextAlgCycle",
+		},
 		// Reviewed cold boundaries: fault application runs only when a
 		// plan event or kill is due, and the invariant sweeps are
 		// debug/test machinery.
@@ -444,10 +195,9 @@ func DefaultConfig() *Config {
 
 // Run loads the packages matched by patterns under dir and applies the
 // full suite — the per-package analyzers to each deterministic package
-// and the whole-program analyzers to the cross-package call graph —
-// returning the findings sorted by position. Packages are loaded and
-// type-checked exactly once, shared by all analyzers; the Program is
-// built once and shared by all program analyzers.
+// and allocfree to the cross-package call graph — returning the findings
+// sorted by position. Packages are loaded and type-checked exactly once,
+// shared by all analyzers.
 func Run(dir string, cfg *Config, patterns ...string) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
@@ -460,8 +210,7 @@ func Run(dir string, cfg *Config, patterns ...string) ([]Diagnostic, error) {
 		}
 		diags = append(diags, RunAnalyzers(pkg, cfg, Analyzers)...)
 	}
-	prog := NewProgram(pkgs, cfg)
-	diags = append(diags, RunProgramAnalyzers(prog, cfg, ProgramAnalyzers)...)
+	diags = append(diags, AllocFree(NewProgram(pkgs, cfg))...)
 	sortDiagnostics(diags)
 	return diags, nil
 }
@@ -552,39 +301,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// declIndex locates the FuncDecl lexically enclosing a position, per
-// file. Function literals attribute to their enclosing declaration.
-type declIndex struct {
-	fset  *token.FileSet
-	decls []*ast.FuncDecl
-}
-
-func newDeclIndex(pkg *Package, testsToo bool) *declIndex {
-	idx := &declIndex{fset: pkg.Fset}
-	for i, f := range pkg.Syntax {
-		if pkg.TestFile[i] && !testsToo {
-			continue
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				idx.decls = append(idx.decls, fd)
-			}
-		}
-	}
-	return idx
-}
-
-// enclosing returns the FuncDecl containing pos, or nil (package-level
-// initializer expressions).
-func (idx *declIndex) enclosing(pos token.Pos) *ast.FuncDecl {
-	for _, d := range idx.decls {
-		if d.Pos() <= pos && pos <= d.End() {
-			return d
-		}
-	}
-	return nil
-}
-
 // declKey returns funcKey for a declaration, via its Defs entry.
 func declKey(info *types.Info, d *ast.FuncDecl) string {
 	if fn, ok := info.Defs[d.Name].(*types.Func); ok {
@@ -615,4 +331,21 @@ func isChanType(t types.Type) bool {
 // (contains "seed", case-insensitive): net.seed, fc.RandomSeed, seed.
 func hasSeedName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
+}
+
+// namedTypeKey renders the "<pkgpath>.<TypeName>" key of a (possibly
+// pointer-wrapped) named type, or "" when the type is unnamed.
+func namedTypeKey(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
 }

@@ -50,9 +50,9 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// annotations maps file → source line → the //lint:<directive>
-	// annotations found there (see annotations.go).
-	annotations map[*ast.File]map[int][]*Annotation
+	// annotations maps file → source line → the //lint:alloc annotation
+	// found there (see annotations.go).
+	annotations map[*ast.File]map[int]*Annotation
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
@@ -151,8 +151,6 @@ func newInfo() *types.Info {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 }
 

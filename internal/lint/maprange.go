@@ -10,33 +10,31 @@ import (
 // range whose visit order can reach simulation state (counters,
 // schedules, RNG draws and stream assignment, float accumulation, output
 // rows) breaks the bit-identical-trace contract. Rejecting the range
-// itself covers every order-sensitive effect in its body at once. A range
-// that provably normalizes the order carries a `//lint:ordered <reason>`
-// annotation stating why the order does not escape.
+// itself covers every order-sensitive effect in its body at once. There
+// is no annotation to excuse one: iterate sorted keys
+// (slices.Sorted(maps.Keys(m))) or keep the data in a slice.
 var MapRange = &Analyzer{
-	Name:  "maprange",
-	Doc:   "forbid unordered map and channel iteration in deterministic packages",
-	Tests: true,
-	Run:   runMapRange,
+	Name: "maprange",
+	Doc:  "forbid unordered map and channel iteration in deterministic packages",
+	Run:  runMapRange,
 }
 
 func runMapRange(pass *Pass) {
-	pkg := pass.Pkg
-	pass.files(func(f *ast.File) {
+	for _, f := range pass.Pkg.Syntax {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
-			if !ok || pkg.orderedFor(f, rs) != nil {
-				return true // annotated ranges: the annotation analyzer vets the reason
+			if !ok {
+				return true
 			}
-			switch t := pkg.Info.TypeOf(rs.X); {
+			switch t := pass.Pkg.Info.TypeOf(rs.X); {
 			case isMapType(t):
 				pass.Reportf(rs.For,
-					"range over map: iteration order is nondeterministic; sort the keys, or annotate the statement with `//lint:ordered <reason>` proving the order does not escape")
+					"range over map: iteration order is nondeterministic; iterate sorted keys (slices.Sorted(maps.Keys(m))) or a slice")
 			case isChanType(t):
 				pass.Reportf(rs.For,
-					"range over channel: receive order follows the senders' scheduling; collect and sort, or annotate the statement with `//lint:ordered <reason>` proving the order does not escape")
+					"range over channel: receive order follows the senders' scheduling; collect and sort, or receive in a fixed order")
 			}
 			return true
 		})
-	})
+	}
 }

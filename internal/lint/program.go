@@ -1,54 +1,18 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"sort"
 )
 
 // The whole-program layer. The per-package analyzers (lint.go) see one
-// package at a time; the two dataflow analyzers added in detlint v2
-// (shardisolation, allocfree) reason about reachability from the
-// parallel roots and the hot-path roots across package boundaries —
-// routing-algorithm hooks in cbar/internal/routing run inside
-// cbar/internal/router's phase graphs, and core's counters are mutated
-// from both. Program is the shared substrate: every module package of
-// one Load, a funcKey-indexed declaration table, and the call graph over
-// it. It is built once per detlint invocation and shared by every
-// program analyzer, so the load/type-check cost is paid once.
-
-// ProgramAnalyzer is one named check over a whole Program.
-type ProgramAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*ProgramPass)
-}
-
-// ProgramAnalyzers is the whole-program half of the detlint suite.
-var ProgramAnalyzers = []*ProgramAnalyzer{
-	SequentialReach,
-	ShardIsolation,
-	AllocFree,
-}
-
-// ProgramPass carries one program analyzer run.
-type ProgramPass struct {
-	Analyzer *ProgramAnalyzer
-	Cfg      *Config
-	Prog     *Program
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos. All packages of one Load share one
-// FileSet, so any position from any package resolves.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
+// package at a time; allocfree reasons about reachability from the
+// hot-path roots across package boundaries — routing-algorithm hooks in
+// cbar/internal/routing run inside cbar/internal/router's phase graphs.
+// Program is the substrate: every module package of one Load, a
+// funcKey-indexed declaration table, and the call graph over it, built
+// once per detlint invocation so the load/type-check cost is paid once.
 
 // FuncInfo is one analyzable function body: a declared function or
 // method.
@@ -65,15 +29,15 @@ type CallEdge struct {
 	Pos    token.Pos
 }
 
-// Program is the cross-package view shared by the program analyzers.
+// Program is the cross-package view allocfree walks.
 type Program struct {
 	Fset *token.FileSet
 	Cfg  *Config
 	Pkgs []*Package
 
 	// Funcs maps funcKey → declaration info for every function declared
-	// in a loaded module package (test files excluded: tests run at
-	// sequential points and poke state by design).
+	// in a loaded module package (test files excluded: tests run
+	// single-goroutine and poke state by design).
 	Funcs map[string]*FuncInfo
 
 	// Calls is the call graph: caller funcKey → resolved call sites.
@@ -129,26 +93,15 @@ func (p *Program) indexBody(pkg *Package, owner string, body ast.Node) {
 	})
 }
 
-// parallelRootKeys resolves the configured parallel roots over the whole
-// program: exact ParallelRoots keys plus any declared method whose name
-// is in ParallelRootMethods (in a deterministic package).
-func (p *Program) parallelRootKeys() []string {
-	return p.rootKeys(p.Cfg.ParallelRoots, p.Cfg.ParallelRootMethods)
-}
-
 // hotRootKeys resolves the hot-path roots: exact HotPath keys plus any
 // declared method whose name is in HotPathMethods.
 func (p *Program) hotRootKeys() []string {
-	return p.rootKeys(p.Cfg.HotPath, p.Cfg.HotPathMethods)
-}
-
-func (p *Program) rootKeys(exact, methods []string) []string {
-	exactSet := make(map[string]bool, len(exact))
-	for _, r := range exact {
+	exactSet := make(map[string]bool, len(p.Cfg.HotPath))
+	for _, r := range p.Cfg.HotPath {
 		exactSet[r] = true
 	}
-	methodSet := make(map[string]bool, len(methods))
-	for _, m := range methods {
+	methodSet := make(map[string]bool, len(p.Cfg.HotPathMethods))
+	for _, m := range p.Cfg.HotPathMethods {
 		methodSet[m] = true
 	}
 	var roots []string
@@ -167,7 +120,7 @@ func (p *Program) rootKeys(exact, methods []string) []string {
 }
 
 // reachable BFS-walks the call graph from roots, stopping at the keys in
-// stop (reviewed cold or conduit boundaries). It returns, for every
+// stop (reviewed cold boundaries). It returns, for every
 // reached function key, the root it was first reached from (roots map to
 // themselves) — the witness for diagnostics.
 func (p *Program) reachable(roots []string, stop map[string]bool) map[string]string {
@@ -201,16 +154,4 @@ func sortedReached(via map[string]string) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// RunProgramAnalyzers applies the given program analyzers to one
-// program.
-func RunProgramAnalyzers(prog *Program, cfg *Config, analyzers []*ProgramAnalyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &ProgramPass{Analyzer: a, Cfg: cfg, Prog: prog, diags: &diags}
-		a.Run(pass)
-	}
-	sortDiagnostics(diags)
-	return diags
 }

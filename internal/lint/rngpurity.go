@@ -24,10 +24,9 @@ import (
 // Seeding inside an unordered map or channel range needs no rule here:
 // maprange rejects the range itself.
 var RNGPurity = &Analyzer{
-	Name:  "rngpurity",
-	Doc:   "forbid wall-clock and unseeded/misseeded randomness in deterministic packages",
-	Tests: true,
-	Run:   runRNGPurity,
+	Name: "rngpurity",
+	Doc:  "forbid wall-clock and unseeded/misseeded randomness in deterministic packages",
+	Run:  runRNGPurity,
 }
 
 // bannedImports are rejected in deterministic packages.
@@ -41,7 +40,7 @@ var bannedImports = map[string]string{
 var bannedTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func runRNGPurity(pass *Pass) {
-	pass.files(func(f *ast.File) {
+	for _, f := range pass.Pkg.Syntax {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -57,7 +56,7 @@ func runRNGPurity(pass *Pass) {
 			}
 			return true
 		})
-	})
+	}
 }
 
 // checkRNGCall vets one call: banned time calls, and seeding calls.

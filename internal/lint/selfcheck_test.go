@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/types"
-	"maps"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -27,8 +25,7 @@ func TestRepositoryIsClean(t *testing.T) {
 }
 
 // TestDefaultConfigIsCoherent guards the registry against editing
-// accidents: every sanctioned caller of a barrier-only function, every
-// parallel root and every field writer must live in a deterministic
+// accidents: every allocfree registry key must live in a deterministic
 // package — a typoed path would silently disable its rule.
 func TestDefaultConfigIsCoherent(t *testing.T) {
 	cfg := DefaultConfig()
@@ -40,45 +37,10 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 		}
 		return false
 	}
-	for barrier, callers := range cfg.BarrierOnly {
-		if !inDet(barrier) {
-			t.Errorf("barrier-only %q is not in a deterministic package", barrier)
-		}
-		for _, c := range callers {
-			if !inDet(c) {
-				t.Errorf("sanctioned caller %q of %q is not in a deterministic package", c, barrier)
-			}
-		}
-	}
-	for _, r := range cfg.ParallelRoots {
-		if !inDet(r) {
-			t.Errorf("parallel root %q is not in a deterministic package", r)
-		}
-	}
-	for _, f := range cfg.Fields {
-		if !inDet(f.Type) {
-			t.Errorf("field rule type %q is not in a deterministic package", f.Type)
-		}
-		if len(f.Writers) == 0 {
-			t.Errorf("field rule %s.%s has no sanctioned writers", f.Type, f.Field)
-		}
-		for _, w := range f.Writers {
-			if !inDet(w) {
-				t.Errorf("writer %q of %s.%s is not in a deterministic package", w, f.Type, f.Field)
-			}
-		}
-	}
-
-	// The whole-program registries: every key must resolve inside a
-	// deterministic package, or its rule silently never fires.
-	keyed := map[string][]string{
-		"GlobalStateTypes":     cfg.GlobalStateTypes,
-		"ShardConduits":        cfg.ShardConduits,
-		"IndexPreservingFuncs": cfg.IndexPreservingFuncs,
-		"HotPath":              cfg.HotPath,
-		"ColdPath":             cfg.ColdPath,
-	}
-	for reg, keys := range keyed {
+	for reg, keys := range map[string][]string{
+		"HotPath":  cfg.HotPath,
+		"ColdPath": cfg.ColdPath,
+	} {
 		if len(keys) == 0 {
 			t.Errorf("%s registry is empty", reg)
 		}
@@ -88,37 +50,22 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 			}
 		}
 	}
-	fields := map[string][]FieldRef{
-		"ShardTables":      cfg.ShardTables,
-		"CrossShardFields": cfg.CrossShardFields,
-		"PooledSlices":     cfg.PooledSlices,
+	if len(cfg.PooledSlices) == 0 {
+		t.Error("PooledSlices registry is empty")
 	}
-	for reg, refs := range fields {
-		if len(refs) == 0 {
-			t.Errorf("%s registry is empty", reg)
+	for _, r := range cfg.PooledSlices {
+		if !inDet(r.Type) {
+			t.Errorf("PooledSlices entry %q is not in a deterministic package", r.Type)
 		}
-		for _, r := range refs {
-			if !inDet(r.Type) {
-				t.Errorf("%s entry %q is not in a deterministic package", reg, r.Type)
-			}
-			if r.Field == "" {
-				t.Errorf("%s entry %q has an empty field name", reg, r.Type)
-			}
+		if r.Field == "" {
+			t.Errorf("PooledSlices entry %q has an empty field name", r.Type)
 		}
 	}
-	// Root-method registries hold bare method names, matched per
-	// declaration: a fully-qualified key here would never match anything.
-	for reg, names := range map[string][]string{
-		"ParallelRootMethods": cfg.ParallelRootMethods,
-		"HotPathMethods":      cfg.HotPathMethods,
-	} {
-		for _, m := range names {
-			for i := 0; i < len(m); i++ {
-				if m[i] == '.' {
-					t.Errorf("%s entry %q must be a bare method name, not a qualified key", reg, m)
-					break
-				}
-			}
+	// HotPathMethods holds bare method names, matched per declaration: a
+	// fully-qualified key there would never match anything.
+	for _, m := range cfg.HotPathMethods {
+		if strings.Contains(m, ".") {
+			t.Errorf("HotPathMethods entry %q must be a bare method name, not a qualified key", m)
 		}
 	}
 }
@@ -126,11 +73,8 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 // TestRegistryRowsAreLive resolves every registry row against the loaded
 // repository. TestDefaultConfigIsCoherent only checks path prefixes, so a
 // renamed or deleted function, field or type would silently disable its
-// rule; here every function key must name a declared function (an
-// interface method resolves through the interface's method set), every
-// sanctioned caller must actually call its barrier function, every field
-// entry must name a field of its type, and every globally-shared type
-// must be declared.
+// rule; here every function key must name a declared function and every
+// field entry must name a field of its type.
 func TestRegistryRowsAreLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
@@ -146,9 +90,8 @@ func TestRegistryRowsAreLive(t *testing.T) {
 		byPath[p.Path] = p
 	}
 
-	// split cuts a key at its last dot: "<pkgpath>.<Type>" into the
-	// package path and the type name, "<pkgpath>.<Type>.<member>" into
-	// the type key and the member name.
+	// split cuts a type key "<pkgpath>.<Type>" at its last dot into the
+	// package path and the type name.
 	split := func(key string) (string, string) {
 		i := strings.LastIndex(key, ".")
 		if i < 0 {
@@ -169,27 +112,7 @@ func TestRegistryRowsAreLive(t *testing.T) {
 		}
 		return tn
 	}
-	declared := func(key string) bool {
-		if prog.Funcs[key] != nil {
-			return true
-		}
-		typ, method := split(key)
-		tn := typeNamed(typ)
-		if tn == nil || !types.IsInterface(tn.Type()) {
-			return false
-		}
-		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), false, tn.Pkg(), method)
-		_, ok := obj.(*types.Func)
-		return ok
-	}
-	calls := func(caller, callee string) bool {
-		for _, e := range prog.Calls[caller] {
-			if e.Callee == callee {
-				return true
-			}
-		}
-		return false
-	}
+	declared := func(key string) bool { return prog.Funcs[key] != nil }
 	isField := func(typ, field string) bool {
 		tn := typeNamed(typ)
 		if tn == nil {
@@ -200,25 +123,9 @@ func TestRegistryRowsAreLive(t *testing.T) {
 		return ok && v.IsField()
 	}
 
-	for _, barrier := range slices.Sorted(maps.Keys(cfg.BarrierOnly)) {
-		if !declared(barrier) {
-			t.Errorf("BarrierOnly key %q is not a declared function", barrier)
-		}
-		for _, c := range cfg.BarrierOnly[barrier] {
-			switch {
-			case !declared(c):
-				t.Errorf("sanctioned caller %q of %q is not a declared function", c, barrier)
-			case !calls(c, barrier):
-				t.Errorf("sanctioned caller %q does not call %q", c, barrier)
-			}
-		}
-	}
 	for reg, keys := range map[string][]string{
-		"ParallelRoots":        cfg.ParallelRoots,
-		"HotPath":              cfg.HotPath,
-		"ColdPath":             cfg.ColdPath,
-		"ShardConduits":        cfg.ShardConduits,
-		"IndexPreservingFuncs": cfg.IndexPreservingFuncs,
+		"HotPath":  cfg.HotPath,
+		"ColdPath": cfg.ColdPath,
 	} {
 		for _, k := range keys {
 			if !declared(k) {
@@ -226,30 +133,9 @@ func TestRegistryRowsAreLive(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range cfg.Fields {
-		if !isField(f.Type, f.Field) {
-			t.Errorf("Fields entry %s.%s does not name a field of its type", f.Type, f.Field)
-		}
-		for _, w := range f.Writers {
-			if !declared(w) {
-				t.Errorf("writer %q of %s.%s is not a declared function", w, f.Type, f.Field)
-			}
-		}
-	}
-	for reg, refs := range map[string][]FieldRef{
-		"ShardTables":      cfg.ShardTables,
-		"CrossShardFields": cfg.CrossShardFields,
-		"PooledSlices":     cfg.PooledSlices,
-	} {
-		for _, r := range refs {
-			if !isField(r.Type, r.Field) {
-				t.Errorf("%s entry %s.%s does not name a field of its type", reg, r.Type, r.Field)
-			}
-		}
-	}
-	for _, g := range cfg.GlobalStateTypes {
-		if typeNamed(g) == nil {
-			t.Errorf("GlobalStateTypes entry %q is not a declared type", g)
+	for _, r := range cfg.PooledSlices {
+		if !isField(r.Type, r.Field) {
+			t.Errorf("PooledSlices entry %s.%s does not name a field of its type", r.Type, r.Field)
 		}
 	}
 }

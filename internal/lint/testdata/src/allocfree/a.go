@@ -106,3 +106,15 @@ func (a *alg) Route(e *Engine, p *Pkt) int {
 	hops := []int{p.id}                     // want `slice literal allocates`
 	return hops[0]
 }
+
+// valiant's Route is a hot root by method name too. Cut down from a
+// defect seeded in routing's VAL that no other check fails on: a scratch
+// slice per injection decision, in a mechanism no gated benchmark row
+// runs.
+type valiant struct{}
+
+func (valiant) Route(e *Engine, p *Pkt) int {
+	tried := make([]int, 0, p.id) // want `make allocates`
+	_ = tried
+	return p.id
+}

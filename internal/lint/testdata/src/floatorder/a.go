@@ -1,10 +1,13 @@
 // Package floatorder pins that the float accumulation-order hazard is
 // still rejected now that maprange guards it: a compound float assignment
-// inside an unannotated map (or channel) range fails the gate at the
-// range; integer accumulation, ordered loops, and annotated ranges pass.
+// inside a map (or channel) range fails the gate at the range; sorted-key
+// and slice loops pass.
 package floatorder
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 func badSum(lat map[int]float64) float64 {
 	total := 0.0
@@ -33,22 +36,15 @@ func badChan(ch chan float64) float64 {
 }
 
 func goodSorted(lat map[int]float64) float64 {
-	keys := make([]int, 0, len(lat))
-	//lint:ordered collecting keys for sorting; values untouched
-	for k := range lat {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	total := 0.0
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(lat)) {
 		total += lat[k]
 	}
 	return total
 }
 
-func goodAnnotated(bins map[int]float64) float64 {
+func goodSlice(bins []float64) float64 {
 	total := 0.0
-	//lint:ordered bin values are exact small integers; addition is associative in range
 	for _, v := range bins {
 		total += v
 	}

@@ -3,6 +3,8 @@ package router_test
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"cbar/internal/rng"
@@ -229,8 +231,8 @@ func requireSame(t testing.TB, label string, ref, got record) {
 	if len(got.hist) != len(ref.hist) {
 		t.Fatalf("%s: histogram has %d latencies, want %d", label, len(got.hist), len(ref.hist))
 	}
-	//lint:ordered per-bin histogram equality; order cannot affect outcomes
-	for lat, cnt := range ref.hist {
+	for _, lat := range slices.Sorted(maps.Keys(ref.hist)) {
+		cnt := ref.hist[lat]
 		if got.hist[lat] != cnt {
 			t.Fatalf("%s: latency %d count %d, want %d", label, lat, got.hist[lat], cnt)
 		}

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"cbar/internal/router"
@@ -21,7 +23,8 @@ func helperNet(t *testing.T, a Algo) *router.Network {
 
 func TestLocalVCBase(t *testing.T) {
 	cases := map[int8]int{0: 0, 1: 1, 2: 3, 3: 3}
-	for gh, want := range cases { //lint:ordered per-key assertion on a pure function; order cannot affect outcomes
+	for _, gh := range slices.Sorted(maps.Keys(cases)) {
+		want := cases[gh]
 		if got := router.LocalVCBase(gh); got != want {
 			t.Errorf("LocalVCBase(%d) = %d, want %d", gh, got, want)
 		}
@@ -189,7 +192,8 @@ func TestPickLocalUniformity(t *testing.T) {
 	if len(counts) != topo.A-1 {
 		t.Fatalf("picked %d distinct locals, want %d", len(counts), topo.A-1)
 	}
-	for port, c := range counts { //lint:ordered independent per-port starvation checks; any order finds the same violations
+	for _, port := range slices.Sorted(maps.Keys(counts)) {
+		c := counts[port]
 		if c < 3000/(topo.A-1)/2 {
 			t.Fatalf("port %d starved: %d", port, c)
 		}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -101,12 +102,13 @@ func TestParseAndString(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, %v", a.String(), got, err)
 		}
 	}
-	//lint:ordered per-key Parse assertion; order cannot affect outcomes
-	for name, want := range map[string]Algo{
+	names := map[string]Algo{
 		"min": Min, "MINIMAL": Min, "val": Valiant, "Valiant": Valiant,
 		"pb": PB, "piggybacking": PB, "olm": OLM,
 		"base": Base, "hybrid": Hybrid, "ECTN": ECtN,
-	} {
+	}
+	for _, name := range slices.Sorted(maps.Keys(names)) {
+		want := names[name]
 		got, err := Parse(name)
 		if err != nil || got != want {
 			t.Errorf("Parse(%q) = %v, %v", name, got, err)

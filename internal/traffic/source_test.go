@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,8 +116,8 @@ func TestCalendarCycleExactVsNaiveScan(t *testing.T) {
 		seed   = 99
 		cycles = 1200
 	)
-	//lint:ordered each subtest is self-contained and seeded by constants; order only permutes independent t.Run calls
-	for name, spec := range specs {
+	for _, name := range slices.Sorted(maps.Keys(specs)) {
+		spec := specs[name]
 		t.Run(name, func(t *testing.T) {
 			netA, traceA := traceNet(t, 3)
 			patA, err := NewUniform(netA.Topo)
@@ -225,8 +227,9 @@ func TestOnOffStatisticallyMatched(t *testing.T) {
 	// Burst correlation inflates the count variance well beyond
 	// Poisson; a generous ±10% band still catches rate bugs (a duty
 	// cycle or peak-rate error shifts the mean by 2x-4x).
-	//lint:ordered independent per-series band checks; order cannot affect outcomes
-	for name, got := range map[string]int64{"sampled": sampled, "naive": naive} {
+	series := map[string]int64{"sampled": sampled, "naive": naive}
+	for _, name := range slices.Sorted(maps.Keys(series)) {
+		got := series[name]
 		if math.Abs(float64(got)-mean) > 0.10*mean {
 			t.Errorf("%s injections %d, want %.0f +-10%%", name, got, mean)
 		}
@@ -378,8 +381,8 @@ func TestSourceInjectorValidation(t *testing.T) {
 		"zero weights":      {Weights: make([]float64, n.Topo.Nodes)},
 		"unknown kind":      {Kind: SourceKind(9)},
 	}
-	//lint:ordered independent per-spec rejection checks; order cannot affect outcomes
-	for name, spec := range cases {
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		spec := cases[name]
 		load := 0.5
 		if _, err := NewSourceInjector(n, sched, load, 1, spec); err == nil {
 			t.Errorf("%s: accepted", name)

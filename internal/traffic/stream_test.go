@@ -78,28 +78,27 @@ func TestOnOffArrivalStreamPinned(t *testing.T) {
 
 // drawWalkFrom is nextFrom as it was before the silent-walk kernel:
 // every phase length and gap drawn one at a time, up to budget ON
-// phases. It also returns how many ON phases it drew a gap in.
-func drawWalkFrom(s *onOffSource, n int, from int64, budget int) (t int64, ok bool, walked int) {
+// phases.
+func drawWalkFrom(s *onOffSource, n int, from int64, budget int) (t int64, ok bool) {
 	st := &s.state[n]
 	r := &s.rngs[n]
 	gap := s.gapOn[n]
 	if gap.Never() || !st.started {
-		return 0, false, 0
+		return 0, false
 	}
 	pos := from
-	for walked < budget {
+	for walked := 0; walked < budget; walked++ {
 		for !st.on || pos >= st.phaseEnd {
 			pos = max(pos, st.phaseEnd)
 			st.on = !st.on
 			st.phaseEnd += s.phases.Len(st.on, r)
 		}
-		walked++
 		if k, below := gap.DrawBelow(r, st.phaseEnd-pos); below {
-			return pos + int64(k), true, walked
+			return pos + int64(k), true
 		}
 		pos = st.phaseEnd
 	}
-	return 0, false, walked
+	return 0, false
 }
 
 // TestSilentWalkMatchesDrawWalk: nextFrom, which hands silent stretches
@@ -139,10 +138,10 @@ func TestSilentWalkMatchesDrawWalk(t *testing.T) {
 					st, r := &ref.state[n], &ref.rngs[n] // First's prologue
 					st.on, st.started = r.Bernoulli(ref.duty), true
 					st.phaseEnd = ref.phases.Len(st.on, r)
-					want, wantOK, _ = drawWalkFrom(ref, n, 0, maxPhaseWalk)
+					want, wantOK = drawWalkFrom(ref, n, 0, maxPhaseWalk)
 				} else {
 					got, gotOK = kernel.nextFrom(n, from, tc.budget)
-					want, wantOK, _ = drawWalkFrom(ref, n, from, tc.budget)
+					want, wantOK = drawWalkFrom(ref, n, from, tc.budget)
 				}
 				if got != want || gotOK != wantOK || kernel.state[n] != ref.state[n] || kernel.rngs[n] != ref.rngs[n] {
 					t.Fatalf("%+v load %g budget %d node %d call %d from %d: (%d, %v) state %+v, per-draw walk (%d, %v) state %+v (generators equal: %v)",

@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"cbar/internal/rng"
@@ -133,8 +135,8 @@ func TestScheduleSwitching(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[int64]Pattern{0: u, 99: u, 100: a, 199: a, 200: u, 5000: u}
-	//lint:ordered per-key assertion on a pure lookup; order cannot affect outcomes
-	for cyc, want := range cases {
+	for _, cyc := range slices.Sorted(maps.Keys(cases)) {
+		want := cases[cyc]
 		if got := s.At(cyc); got != want {
 			t.Fatalf("At(%d) = %+v, want %+v", cyc, got, want)
 		}
