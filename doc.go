@@ -235,6 +235,22 @@
 // counted Unroutable at injection (and in-flight ones at their next
 // routing decision) instead of wandering a fabric with no path.
 //
+// Under faults, neither the ascending-VC ladder nor the escape budget
+// guarantees progress. An escape, and the policy hops of a packet it
+// detoured, take the ladder's VC, which caps at the class's top VC, so
+// the channel dependency graph has cycles; a head blocked in such a
+// cycle wins no grant, so it spends no escape and is never dropped. The
+// ladder has cycles with faults off too (TestChannelDependencyAcyclic
+// logs them): at three local VCs the destination-group hop after two
+// global hops is capped to the VC an intermediate-group local misroute
+// takes before its second global hop, and a VAL or PB path whose
+// intermediate lies in the source group takes a second source-group hop
+// on the first VC after a global hop. A progress watchdog is the planned
+// backstop (ROADMAP 3(c)); a ladder and an escape that are acyclic by
+// construction are the planned fix (ROADMAP 9(b)), which changes the
+// golden streams and so waits for a statistical-equivalence gate
+// (ROADMAP 8(a)).
+//
 // Faults.RetryLimit enables the optional source-side reaction:
 // dropped packets are re-offered by the NIC up to the limit with
 // exponential backoff (SteadyResult.Retried); the default mode is
@@ -683,7 +699,8 @@
 // internal/{router,routing,sim,traffic,core,topology}. The others are
 // held by the dynamic checks named with them:
 //
-//   - Iteration order (maprange): no `range` over a map or a channel.
+//   - Iteration order (maprange): no `range` over a map, a map
+//     iterator (maps.All, maps.Keys, maps.Values) or a channel.
 //     Go randomizes map iteration order per run and a channel delivers
 //     in its senders' scheduling order, so any such range whose visit
 //     order can reach simulation state — counters, schedules, RNG
@@ -760,8 +777,8 @@
 //     registered as pooled (or compacted via [:0]), closures, fmt
 //     calls, string concatenation and interface boxing are findings;
 //     panic arguments are exempt, registered ColdPath functions
-//     (fault application, invariant sweeps) prune the walk, and a
-//     reviewed `//lint:alloc <reason>` states why a remaining
+//     (a fault event's application, invariant sweeps) prune the walk,
+//     and a reviewed `//lint:alloc <reason>` states why a remaining
 //     allocation is not steady-state (freelist warm-up, the per-cycle
 //     worker fork, non-escaping predicates). Stale or reason-less
 //     annotations are findings themselves.

@@ -39,8 +39,8 @@ import (
 // doubling, per-cycle coordinator cost measured in the baselines). A
 // stale annotation — one suppressing nothing — is a finding, so the
 // escape hatches cannot outlive the code they excuse. The ColdPath
-// registry prunes reachability at reviewed cold boundaries (fault
-// application, invariant sweeps). It returns the findings sorted by
+// registry prunes reachability at reviewed cold boundaries (a fault
+// event's application, invariant sweeps). It returns the findings sorted by
 // position.
 func AllocFree(prog *Program) []Diagnostic {
 	cfg := prog.Cfg

@@ -9,8 +9,8 @@
 // none of them fails on, each pinned by a fixture case cut down from
 // such a defect seeded in the real code:
 //
-//   - maprange: no `range` over a map or a channel in the deterministic
-//     packages, test files included. Rejecting the range covers every
+//   - maprange: no `range` over a map, a maps iterator or a channel in
+//     the deterministic packages, test files included. Rejecting the range covers every
 //     order-sensitive effect in its body (float accumulation, stream
 //     seeding, output rows) at once, on paths no golden pins — a
 //     figure's rows in map order. There is no escape hatch: sort the
@@ -108,8 +108,8 @@ type Config struct {
 	// implementations inherit the rule without a config edit.
 	HotPathMethods []string
 
-	// ColdPath lists reviewed cold boundaries (fault application,
-	// invariant sweeps): hot-path reachability stops there.
+	// ColdPath lists reviewed cold boundaries (a fault event's
+	// application, invariant sweeps): hot-path reachability stops there.
 	ColdPath []string
 
 	// PooledSlices lists slice fields with pooled backing arrays:
@@ -169,11 +169,12 @@ func DefaultConfig() *Config {
 			"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant",
 			"BeginCycle", "NextAlgCycle",
 		},
-		// Reviewed cold boundaries: fault application runs only when a
-		// plan event or kill is due, and the invariant sweeps are
-		// debug/test machinery.
+		// Reviewed cold boundaries: a fault-plan event is applied once
+		// per event (applyFaults, which Step calls on every non-quiet
+		// cycle of a faulted run, is not cold), and the invariant sweeps
+		// are debug/test machinery.
 		ColdPath: []string{
-			router + ".Network.applyFaults",
+			router + ".Network.applyFaultEvent",
 			router + ".Network.CheckInvariants",
 		},
 		// Slice fields with pooled backing arrays: appends reuse

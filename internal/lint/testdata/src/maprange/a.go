@@ -1,5 +1,5 @@
-// Package maprange exercises the maprange analyzer: map and channel
-// ranges are findings — whatever their bodies do with the order, float
+// Package maprange exercises the maprange analyzer: map, channel and
+// maps-iterator ranges are findings — whatever their bodies do with the order, float
 // accumulation included — and slice/array/string ranges are not.
 package maprange
 
@@ -28,6 +28,21 @@ func badFloatSum(lat map[int]float64) float64 {
 	total := 0.0
 	for _, v := range lat { // want `range over map`
 		total += v
+	}
+	return total
+}
+
+// Go 1.23's map iterators yield in map order too.
+func badIterators(lat map[int]float64) float64 {
+	total := 0.0
+	for _, v := range maps.All(lat) { // want `range over a maps iterator`
+		total += v
+	}
+	for k := range maps.Keys(lat) { // want `range over a maps iterator`
+		total -= float64(k)
+	}
+	for v := range maps.Values(lat) { // want `range over a maps iterator`
+		total *= v
 	}
 	return total
 }

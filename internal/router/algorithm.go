@@ -123,12 +123,15 @@ func (NopHooks) OnDequeue(*Router, *Packet, int, int) {}
 // LocalVCBase positions local hops on the ascending-VC ladder by path
 // stage: source-group hops use class 0; hops after the first global hop
 // start at class 1; hops after a second global hop (Valiant-style paths)
-// start at class 3, above every intermediate-group class, so
-// destination-group traffic never shares a lane with in-transit traffic.
-// The per-packet VC index is then base + local hops already taken in the
-// current group, which strictly increases along any legal path — the
-// Dragonfly deadlock-avoidance scheme of Kim et al. as implemented in
-// FOGSim.
+// start at class 3, above every intermediate-group class. The per-packet
+// VC index is then base + local hops already taken in the current group
+// — the Dragonfly deadlock-avoidance scheme of Kim et al. as implemented
+// in FOGSim. The ladder is not acyclic as taken, faults off included
+// (TestChannelDependencyAcyclic): at three local VCs class 3 is capped to
+// VC 2, which an intermediate-group local misroute takes before its
+// second global hop, and a VAL or PB intermediate in the source group
+// puts a second source-group hop on VC 1, the class after the first
+// global hop.
 func LocalVCBase(globalHops int8) int {
 	switch globalHops {
 	case 0:
@@ -141,11 +144,12 @@ func LocalVCBase(globalHops int8) int {
 }
 
 // LadderVC returns the VC to request on output `out` under the
-// ascending-VC discipline, capped at the port's VC count. The misrouting
-// policies of package routing are restricted so the cap is only reached
-// on a path's final, ejection-bound hop; the fault escape (faults.go)
-// takes the same ladder and relies on its detour budget where the cap
-// bites.
+// ascending-VC discipline, capped at the port's VC count. With faults off
+// the misrouting policies of package routing reach the cap only on a
+// path's final, ejection-bound hop; with faults on, the fault escape
+// (faultAdjust) and the later hops of a packet it detoured reach it too.
+// A capped hop shares its VC with hops that are not final, so the cap
+// closes dependency cycles (TestChannelDependencyAcyclic).
 func (r *Router) LadderVC(p *Packet, out int) int {
 	var vc int
 	switch r.out[out].kind {

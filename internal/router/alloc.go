@@ -124,7 +124,7 @@ func (r *Router) grant(port, vc, out int) {
 	}
 	if rq.escape {
 		// The grant went through the fault escape path: spend one unit
-		// of the packet's detour budget (see faults.go).
+		// of the packet's detour budget (see faultAdjust).
 		p.FaultDetours++
 	}
 	// Granted: the head stays until its tail leaves, no longer unrouted,

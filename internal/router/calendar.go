@@ -66,6 +66,9 @@ func (sh *netShard) extend(b *calBucket) {
 // release returns a chunk that is on no bucket's chain to the pool.
 func (sh *netShard) release(c *eventChunk) { c.next, sh.freeChunks = sh.freeChunks, c }
 
+// isVictim reports whether ev carries a packet of a fault's victim set.
+func (ev *event) isVictim() bool { return ev.pkt != nil && ev.pkt.killed }
+
 // filterBucket removes the events that carry a fault victim from the
 // bucket at ring index idx, keeping the rest in order: the chain is
 // taken off and its survivors pushed back. Each chunk is released

@@ -39,7 +39,7 @@ type Config struct {
 
 	// Virtual channels per input port, by port class (Table I: 3 for
 	// local and injection ports, 2 for global ports; VAL and PB raise
-	// local ports to 4 to stay deadlock-free on their longer paths).
+	// local ports to 4 for their longer paths).
 	VCsInjection int
 	VCsLocal     int
 	VCsGlobal    int
@@ -84,7 +84,7 @@ type Config struct {
 	// bit-identical to a configuration without the subsystem.
 	Congestion CongestionConfig
 
-	// Faults is the fault-injection plan (see faults.go). The zero
+	// Faults is the fault-injection plan (see faultplan.go). The zero
 	// value schedules nothing, leaving results bit-identical to a
 	// configuration without the subsystem.
 	Faults FaultConfig

@@ -337,7 +337,7 @@ func portKind(t *topology.Dragonfly, port int) PortKind {
 func (n *Network) Inject(src, dst int) bool { return n.inject(src, dst, 0) }
 
 // InjectRetry is Inject for a retransmission: the packet carries the
-// given attempt number (see the RetryLimit fault mode in faults.go).
+// given attempt number (see FaultConfig.RetryLimit).
 func (n *Network) InjectRetry(src, dst int, attempt int8) bool {
 	return n.inject(src, dst, attempt)
 }
@@ -756,82 +756,6 @@ func (n *Network) replayNotifications() {
 // handle barrier.
 func (n *Network) noticeDue() bool {
 	return n.notices.len() > 0 && n.notices.front().at <= n.now
-}
-
-// CheckInvariants validates credit/buffer accounting across the whole
-// network plus packet conservation, and cross-checks any incremental
-// algorithm state (StateChecker). Tests call it liberally; it is not
-// on the simulation fast path. It must be called between Steps (the
-// network is quiescent then, at any worker count); after a parallel
-// cycle it additionally verifies that every cross-shard mailbox was
-// drained at the cycle barrier.
-func (n *Network) CheckInvariants() error {
-	for _, r := range n.Routers {
-		if err := r.checkInvariants(); err != nil {
-			return err
-		}
-	}
-	if sc, ok := n.Alg.(StateChecker); ok {
-		if err := sc.CheckState(n); err != nil {
-			return err
-		}
-	}
-	if n.InFlight < 0 {
-		return fmt.Errorf("router: negative in-flight count %d", n.InFlight)
-	}
-	for i := range n.nics {
-		if n.nics[i].len() > 0 {
-			sh := n.Routers[n.Topo.RouterOfNode(i)].shard
-			if !sh.nicActive.has(int32(i)) {
-				return fmt.Errorf("router: NIC %d has backlog %d but is not in shard %d's NIC set", i, n.nics[i].len(), sh.id)
-			}
-		}
-	}
-	for s := range n.shards {
-		sh := &n.shards[s]
-		// Every event chunk is on one bucket's chain or in the pool.
-		held := 0
-		for c := sh.freeChunks; c != nil && held <= sh.numChunks; c = c.next {
-			held++
-		}
-		for b := range sh.cal {
-			held += (int(sh.cal[b].n) + chunkEvents - 1) / chunkEvents
-		}
-		if held != sh.numChunks {
-			return fmt.Errorf("router: shard %d: calendar holds or pools %d event chunks, allocated %d", s, held, sh.numChunks)
-		}
-		if len(sh.delivered) != 0 {
-			return fmt.Errorf("router: shard %d holds %d unreplayed deliveries between cycles", s, len(sh.delivered))
-		}
-		for t, mb := range sh.outbox {
-			if len(mb) != 0 {
-				return fmt.Errorf("router: mailbox %d->%d holds %d undrained events between cycles", s, t, len(mb))
-			}
-		}
-	}
-	// The notices are in due order, and none is overdue: a notice due at
-	// an earlier cycle was delivered at that cycle's barrier.
-	due := n.now
-	for _, nt := range n.notices.buf[n.notices.head:] {
-		if nt.at < due {
-			return fmt.Errorf("router: congestion notice for node %d due at cycle %d, behind cycle %d", nt.node, nt.at, due)
-		}
-		due = nt.at
-	}
-	// Conservation: every generated packet is delivered, killed by a
-	// fault, discarded as unroutable, or still in flight. The fault
-	// counters are identically zero without a plan, reducing this to the
-	// original generated = delivered + in-flight.
-	if n.NumGenerated-n.NumDelivered-n.NumDropped-n.NumUnroutable != uint64(n.InFlight) {
-		return fmt.Errorf("router: conservation violated: generated %d - delivered %d - dropped %d - unroutable %d != in-flight %d",
-			n.NumGenerated, n.NumDelivered, n.NumDropped, n.NumUnroutable, n.InFlight)
-	}
-	if n.faults != nil {
-		if err := n.checkFaultState(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LinkBusy sums the cycles spent serializing phits, per port class,

@@ -86,7 +86,7 @@ type Packet struct {
 
 	// FaultDetours counts the grants this packet won through the fault
 	// escape path (its requested port was dead and faultAdjust redirected
-	// it); at maxFaultDetours the packet is dropped (see faults.go).
+	// it); at maxFaultDetours the packet is dropped (see faultAdjust).
 	FaultDetours int8
 
 	// Attempt is the retransmission attempt number: 0 for an original

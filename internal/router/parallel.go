@@ -118,7 +118,7 @@ type netShard struct {
 
 	// pendingKills collects the head packets this shard's route phase
 	// flagged for removal (unreachable destination, exhausted detour
-	// budget — see faults.go), resolved at the next sequential point in
+	// budget — see faultAdjust), resolved at the next sequential point in
 	// ascending shard order. Always empty without a fault plan.
 	pendingKills []pendingKill
 }

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"fmt"
 	"math"
 
 	"cbar/internal/core"
@@ -31,7 +30,7 @@ type inPort struct {
 }
 
 // headReq is a head slot's stored allocation request, escape marking a
-// fault-escape redirect (faults.go). routePhase rewrites it on every
+// fault-escape redirect (faultAdjust). routePhase rewrites it on every
 // visit, grant and dequeue clear it, so a valid request is always that of
 // the slot's present, ungranted head: the allocator need not look.
 type headReq struct {
@@ -524,132 +523,83 @@ func (r *Router) decide(alg Algorithm, faults bool, p *Packet, port, vc int) (re
 	return req, false
 }
 
-// checkInvariants verifies credit and buffer accounting; used by tests.
-func (r *Router) checkInvariants() error {
-	outCap := int32(r.net.Cfg.BufOut)
-	for port := range r.out {
-		o := &r.out[port]
-		if o.outFree < 0 || o.outFree > outCap {
-			return fmt.Errorf("router %d out %d: outFree %d of cap %d", r.ID, port, o.outFree, outCap)
-		}
-		// The class's credit cap bounds each counter; the incremental
-		// occupancy equals a fresh recompute.
-		vcCap := r.class(port).vcCap
-		occ := outCap - o.outFree
-		for v, c := range o.credits {
-			if c < 0 || c > vcCap {
-				return fmt.Errorf("router %d out %d vc %d: credits %d of cap %d", r.ID, port, v, c, vcCap)
-			}
-			occ += vcCap - c
-		}
-		if occ != o.occ {
-			return fmt.Errorf("router %d out %d: incremental occupancy %d but recompute %d", r.ID, port, o.occ, occ)
-		}
+// maxFaultDetours caps the escape redirections a single packet may
+// accumulate before it is dropped as unable to make progress around the
+// fault pattern.
+const maxFaultDetours = 16
+
+// faultAdjust post-processes a routing decision when a fault plan is
+// active. It runs inside the shard-parallel route phase but touches only
+// the deciding router's state (its RNG, its shard's pendingKills list),
+// preserving the parallel determinism contract. It also keeps the
+// parking rule's side of the Route contract: the two outcomes that are
+// not repeatable leave a trace routePhase sees (a flagged kill, a random
+// draw), so the router stays in the route set; the pass-through reads
+// only liveness and reachability, which change only with an applied
+// fault event — and that wakes every parked router. Three outcomes:
+//
+//   - The destination is unreachable: flag the head for an Unroutable
+//     kill at the next sequential point and request nothing.
+//   - The requested port is dead but the destination reachable: redirect
+//     through a uniformly random live transit port (every live port
+//     leads into this router's own component, so any of them can make
+//     progress), on the VC the ascending discipline assigns that hop
+//     (LadderVC; escape paths are longer than the ladder was sized for,
+//     so its cap is routinely reached). The grant will count a
+//     FaultDetour; past maxFaultDetours the packet is flagged for a
+//     Dropped kill instead.
+//   - The requested port is alive: the decision passes through
+//     untouched, and — because the RNG is only consumed on the dead-port
+//     path — the router's random stream stays identical to a fault-free
+//     run until a fault actually bites.
+func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) (_ Request, escape bool) {
+	n := r.net
+	if !n.reachableRouters(int32(r.ID), p.DstRouter) {
+		return r.flagKill(p, port, vc, killUnreachable), false
 	}
-	// The head table against the queues it summarises, slot by slot.
-	unrouted, grantable := 0, 0
-	for slot := range r.vqs {
-		port, v := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
-		if int(r.in[port].slot0)+v != slot {
-			return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
-		}
-		head := r.vqs[slot].headPkt()
-		if r.heads[slot] != head {
-			return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
-		}
-		isUnrouted := r.unroutedHeads.has(int32(slot))
-		switch {
-		case isUnrouted && head == nil:
-			return fmt.Errorf("router %d in %d vc %d: unrouted head on an empty queue", r.ID, port, v)
-		case isUnrouted:
-			unrouted++
-		case head != nil && !head.HeadSeen:
-			return fmt.Errorf("router %d in %d vc %d: head counts as granted but was never routed", r.ID, port, v)
-		case r.req[slot].valid:
-			return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
-		}
-		// Between Steps credits have only fallen since the slot's last
-		// routePhase, so every admissible request is still grantable.
-		rq := r.req[slot]
-		switch {
-		case r.grantable.has(int32(slot)):
-			grantable++
-			if !isUnrouted || !rq.valid || !r.reqPorts.has(int32(port)) {
-				return fmt.Errorf("router %d in %d vc %d: grantable, but unrouted %v, request %+v, port in reqPorts %v",
-					r.ID, port, v, isUnrouted, rq, r.reqPorts.has(int32(port)))
-			}
-		case isUnrouted && rq.valid && r.CanAccept(int(rq.out), int(rq.vc)):
-			return fmt.Errorf("router %d in %d vc %d: request %+v is admissible but not grantable", r.ID, port, v, rq)
-		}
+	if !req.OK || !r.out[req.Out].dead {
+		return req, false
 	}
-	if r.unroutedHeads.count != unrouted {
-		return fmt.Errorf("router %d: unrouted-head count %d but %d bits set", r.ID, r.unroutedHeads.count, unrouted)
+	if p.FaultDetours >= maxFaultDetours {
+		return r.flagKill(p, port, vc, killDetourCap), false
 	}
-	if r.grantable.count != grantable {
-		return fmt.Errorf("router %d: grantable count %d but %d bits set", r.ID, r.grantable.count, grantable)
+	first := n.Topo.FirstLocalPort()
+	pick, ok := r.PickPort(first, len(r.out)-first, -1, nil)
+	if !ok {
+		// No live link at all, yet the destination looked reachable:
+		// only possible when the destination is this router itself —
+		// but then the minimal request is the (never dead) ejection
+		// channel and we would not be here. Treat as partitioned.
+		return r.flagKill(p, port, vc, killUnreachable), false
 	}
-	// A router with routable work must be on the route set's radar, or
-	// parked: in-set flags are cleared only when the last unrouted head
-	// goes or when the router parks.
-	inSet := r.shard.routeActive.has(int32(r.ID))
-	if unrouted > 0 && !inSet && !r.parked {
-		return fmt.Errorf("router %d: %d unrouted heads but neither in route set nor parked", r.ID, unrouted)
-	}
-	if r.parked {
-		if unrouted == 0 || inSet {
-			return fmt.Errorf("router %d: parked with %d unrouted heads, in route set %v", r.ID, unrouted, inSet)
-		}
-		if err := r.checkParked(); err != nil {
-			return err
-		}
-	}
-	for port := range r.out {
-		if staged := r.out[port].qLen(); (staged > 0) != r.stagedPorts.has(int32(port)) {
-			return fmt.Errorf("router %d out %d: %d staged packets, on stagedPorts %v", r.ID, port, staged, r.stagedPorts.has(int32(port)))
-		}
-	}
-	if r.stagedPorts.count > 0 && !r.shard.linkActive.has(int32(r.ID)) {
-		return fmt.Errorf("router %d: %d ports with staged packets but not in link set", r.ID, r.stagedPorts.count)
-	}
-	return nil
+	return Request{Out: pick, VC: r.LadderVC(p, pick), OK: true}, true
 }
 
-// checkParked audits a parked router against the parking rule: no head
-// holds a request the allocator could grant, and a fresh routing
-// decision on a copy of each head reproduces the stored request without
-// touching the router's random stream or flagging a kill. A failure
-// means a wake is missing from some mutation point, or an algorithm
-// breaks the Route contract.
-func (r *Router) checkParked() error {
-	alg := r.net.Alg
-	faults := r.net.faults != nil
-	rng0 := *r.RNG
-	kills0 := len(r.shard.pendingKills)
-	var cp Packet // the replayed decision's copy of the head, one per sweep
-	for wi, w := range r.unroutedHeads.scan() {
-		for ; w != 0; w &= w - 1 {
-			slot := r.unroutedHeads.idAt(wi, w)
-			p, stored := r.heads[slot], r.req[slot]
-			port, vc := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
-			if !p.HeadSeen {
-				return fmt.Errorf("router %d in %d vc %d: parked with a head whose OnHead never fired", r.ID, port, vc)
-			}
-			if stored.valid && r.CanAccept(int(stored.out), int(stored.vc)) {
-				return fmt.Errorf("router %d in %d vc %d: parked but its request %+v is grantable", r.ID, port, vc, stored)
-			}
-			cp = *p
-			req, escape := r.decide(alg, faults, &cp, port, vc)
-			drew, killed := *r.RNG != rng0, len(r.shard.pendingKills) != kills0
-			*r.RNG = rng0
-			r.shard.pendingKills = r.shard.pendingKills[:kills0]
-			if drew || killed {
-				return fmt.Errorf("router %d in %d vc %d: parked but a fresh decision drew a random number (%v) or flagged a kill (%v)",
-					r.ID, port, vc, drew, killed)
-			}
-			if fresh := newHeadReq(req, escape); fresh != stored {
-				return fmt.Errorf("router %d in %d vc %d: parked with stored request %+v but a fresh decision gives %+v", r.ID, port, vc, stored, fresh)
-			}
-		}
-	}
-	return nil
+// flagKill flags head packet p of input VC (port, vc) for removal at the
+// next sequential point and requests nothing for it.
+func (r *Router) flagKill(p *Packet, port, vc int, reason uint8) Request {
+	r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
+		router: int32(r.ID), port: int16(port), vc: int8(vc), reason: reason, pkt: p,
+	})
+	return Request{}
+}
+
+// pendingKill reasons.
+const (
+	killUnreachable uint8 = iota // destination partitioned: NumUnroutable
+	killDetourCap                // detour cap exhausted: NumDropped
+)
+
+// pendingKill is a head packet flagged for removal by a routing decision
+// (unreachable destination or exhausted detour budget). The flag is
+// raised during the shard-parallel route phase and resolved at the next
+// sequential point, after re-verifying that the packet is still the
+// ungranted head (and, for unreachable kills, that no repair restored
+// the path in between).
+type pendingKill struct {
+	router int32
+	port   int16
+	vc     int8
+	reason uint8
+	pkt    *Packet
 }
