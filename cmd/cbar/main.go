@@ -175,7 +175,7 @@ func (c *cli) setup() error {
 		return err
 	}
 	c.steady = cbar.SteadyOptions{Warmup: c.warmup, Measure: c.measure, Seeds: c.seeds, Adaptive: c.adaptive, Ctx: c.ctx}
-	c.trans = cbar.TransientOptions{Warmup: c.warmup, Post: c.post, Bucket: c.bucket, Seeds: c.seeds}
+	c.trans = cbar.TransientOptions{Warmup: c.warmup, Post: c.post, Bucket: c.bucket, Seeds: c.seeds, Ctx: c.ctx}
 	c.exp = cbar.ExperimentOptions{Seeds: c.seeds, Workers: c.workers, Adaptive: c.adaptive, Congestion: c.cong, Faults: c.faults, Ctx: c.ctx}
 	if c.sub == "figures" {
 		return nil // every experiment builds its own networks
@@ -266,8 +266,6 @@ func (c *cli) point() error {
 func (c *cli) transient() error {
 	cfg := c.cfgs[0]
 	c.header(cfg)
-	// RunTransient takes no context, so a signal ends the process at once.
-	defer context.AfterFunc(c.ctx, func() { os.Exit(130) })()
 	res, err := cbar.RunTransient(cfg, c.traf, c.traf2, c.load, c.trans)
 	if err != nil {
 		return err

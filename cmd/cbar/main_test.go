@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,6 +125,38 @@ func TestCommandLineRejected(t *testing.T) {
 			t.Errorf("cbar %s: exit %d, stdout %q, stderr %q; want exit %d, no output, stderr containing %q",
 				tc.line, code, stdout, stderr, tc.code, tc.stderr)
 		}
+	}
+}
+
+// TestTransientCancelKeepsProfiles: a cancelled transient run ends
+// through run's return path, status 130, so its profiles are finished —
+// the CPU profile is a whole gzip stream and the heap profile is
+// written. It runs under an already-cancelled context, so it stops
+// before its first seed.
+func TestTransientCancelKeepsProfiles(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	line := "transient -scale tiny -routing base -warmup 100 -post 200 -bucket 50 -seeds 1 -cpuprofile " + cpu + " -memprofile " + mem
+	var out, errOut bytes.Buffer
+	if code := run(ctx, strings.Fields(line), &out, &errOut); code != 130 {
+		t.Fatalf("cbar %s under a cancelled context: exit %d, want 130\n%s", line, code, errOut.String())
+	}
+	f, err := os.Open(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("cpu profile: %v", err)
+	}
+	if data, err := io.ReadAll(zr); err != nil || len(data) == 0 {
+		t.Fatalf("cpu profile: %d bytes decompressed, err %v", len(data), err)
+	}
+	if st, err := os.Stat(mem); err != nil || st.Size() == 0 {
+		t.Fatalf("heap profile not written: %v", err)
 	}
 }
 

@@ -770,18 +770,25 @@
 //     another router of its own group, which shares its shard and does
 //     not move during the route phase.
 //   - Hot-path allocation freedom (allocfree): a whole-program sweep
-//     over the call graph from the hot roots (Step and the parallel
-//     coordinator, event handling, NIC drain, steady-state injection,
-//     the per-cycle traffic driver, the routing hook surface).
-//     make/new, escaping composite literals, appends onto slices not
-//     registered as pooled (or compacted via [:0]), closures, fmt
-//     calls, string concatenation and interface boxing are findings;
-//     panic arguments are exempt, registered ColdPath functions
-//     (a fault event's application, invariant sweeps) prune the walk,
-//     and a reviewed `//lint:alloc <reason>` states why a remaining
-//     allocation is not steady-state (freelist warm-up, the per-cycle
-//     worker fork, non-escaping predicates). Stale or reason-less
-//     annotations are findings themselves.
+//     over the call graph from one root, the driver's cycle loop
+//     (internal/sim's point.advance), which reaches Step, injection,
+//     the elision horizons and the traffic driver. A call through an
+//     interface reaches that method on every type of a deterministic
+//     package whose method set has all the interface's method names,
+//     so every Algorithm hook, Pattern.Dest and Source.First/Next is
+//     swept. make/new, escaping composite literals, appends onto slices
+//     not registered as pooled (or compacted via [:0]), fmt calls,
+//     string concatenation, interface boxing and closures are findings,
+//     except a closure whose every use is a call or an argument to a
+//     parameter its callee only calls, compares with nil or passes on
+//     to another such parameter (the compiler keeps it on the stack).
+//     Panic arguments are exempt, the registered ColdPath function (a
+//     fault event's application) prunes the walk, and a reviewed
+//     `//lint:alloc <reason>` states why a remaining allocation is not
+//     steady-state (freelist and calendar-pool warm-up, the per-cycle
+//     worker fork). Stale or reason-less annotations are findings
+//     themselves. Calls through func-typed fields (Network.OnDeliver,
+//     OnNotify, OnDrop) are not followed.
 //
 // detlint analyses every package `go test` compiles, test files
 // included. An external test package is type-checked the way the go tool
@@ -792,8 +799,8 @@
 //
 // The registry of contracts lives in lint.DefaultConfig; new
 // deterministic packages (e.g. additional topology backends) join by
-// adding their import path, and their hot-path roots, cold boundaries
-// and pooled slices where allocfree needs them. A topology backend that
+// adding their import path, and their cold boundaries and pooled slices
+// where allocfree needs them; allocfree finds their hot functions itself. A topology backend that
 // delivers across shards by a new path adds equivalence-table rows at
 // workers 2–4, which is what the race job and the harness check.
 package cbar

@@ -6,6 +6,8 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 )
 
 // AllocFree checks the static half of the engine's zero-steady-state-
@@ -13,11 +15,9 @@ import (
 // baselines and the construction gate — sees the paths its rows run;
 // this analyzer sees every path, a mechanism no gated row runs (VAL) or
 // a query whose rows only annotate (ElideHorizon) included. Every
-// function reachable through the call graph from a hot-path root
-// (Network.Step and the parallel coordinator, event handling, NIC drain,
-// the routing/allocation/link phases, steady-state Inject, the
-// per-cycle traffic driver, the Algorithm hook surface) is scanned for
-// heap-allocating constructs:
+// function reachable through the call graph from the hot-path root (the
+// driver's cycle loop; a call through an interface reaches every
+// implementation) is scanned for heap-allocating constructs:
 //
 //   - `make` and `new`;
 //   - composite literals whose address escapes (&T{…}) and reference
@@ -27,7 +27,11 @@ import (
 //   - `append` onto anything but a registered pooled backing slice
 //     (PooledSlices) or a local derived from a `x[:0]` compaction
 //     reslice — those reuse steady-state capacity;
-//   - function literals (closure captures allocate);
+//   - function literals (closure captures allocate), unless every use,
+//     direct or through the one local the literal is defined into, is a
+//     call or an argument to a parameter that does not escape (its
+//     function only calls it, compares it with nil or passes it to such
+//     a parameter): those stay on the stack;
 //   - fmt.* calls, string concatenation and conversions to interface
 //     types that box non-pointer values.
 //
@@ -39,24 +43,27 @@ import (
 // doubling, per-cycle coordinator cost measured in the baselines). A
 // stale annotation — one suppressing nothing — is a finding, so the
 // escape hatches cannot outlive the code they excuse. The ColdPath
-// registry prunes reachability at reviewed cold boundaries (a fault
-// event's application, invariant sweeps). It returns the findings sorted by
-// position.
+// registry prunes reachability at a reviewed cold boundary (a fault
+// event's application). It returns the findings sorted by position.
 func AllocFree(prog *Program) []Diagnostic {
 	cfg := prog.Cfg
-	cold := make(map[string]bool, len(cfg.ColdPath))
-	for _, c := range cfg.ColdPath {
-		cold[c] = true
-	}
-	via := prog.reachable(prog.hotRootKeys(), cold)
-
 	af := &allocFree{prog: prog, used: make(map[*Annotation]bool)}
-	for _, key := range sortedReached(via) {
+	var roots []string
+	for _, r := range cfg.HotPath {
+		if prog.Funcs[r] == nil {
+			af.diags = append(af.diags, Diagnostic{Analyzer: "allocfree",
+				Message: "hot-path root " + r + " is not in the load: nothing reachable from it is checked"})
+			continue
+		}
+		roots = append(roots, r)
+	}
+	via := prog.reachable(roots, cfg.ColdPath)
+	for _, key := range slices.Sorted(maps.Keys(via)) {
 		fi := prog.Funcs[key]
 		if fi == nil || !cfg.IsDeterministic(fi.Pkg.Path) {
 			continue
 		}
-		aa := &allocAnalysis{af: af, fi: fi, root: via[key]}
+		aa := &allocAnalysis{af: af, fi: fi, caller: via[key]}
 		aa.run()
 	}
 	af.reportStale()
@@ -109,21 +116,28 @@ func (af *allocFree) reportStale() {
 
 // allocAnalysis scans one hot-path-reachable function.
 type allocAnalysis struct {
-	af   *allocFree
-	fi   *FuncInfo
-	root string
+	af     *allocFree
+	fi     *FuncInfo
+	caller string // the function it was first reached from: the witness
 
 	// compacted holds local slice variables bound from a `x[:0]` reslice
 	// (and kept there by self-appends): appending to them reuses pooled
 	// capacity.
 	compacted map[types.Object]bool
+	// onStack holds the function literals that stay on the stack.
+	onStack map[ast.Expr]bool
 }
 
 func (aa *allocAnalysis) run() {
 	aa.compacted = make(map[types.Object]bool)
-	info := aa.fi.Pkg.Info
+	info, stays := aa.fi.Pkg.Info, aa.af.prog.stays
+	// A function literal stays on the stack when it is used where
+	// stackUses keeps it, or defined into a local every use of which is.
+	aa.onStack = make(map[ast.Expr]bool)
+	stackUses(info, aa.fi.Decl.Body, stays, func(e ast.Expr) { aa.onStack[e] = true })
 
-	// First pass: find the compaction-reslice locals.
+	// First pass: find the compaction-reslice locals and the literals
+	// defined into a local.
 	ast.Inspect(aa.fi.Decl.Body, func(n ast.Node) bool {
 		st, ok := n.(*ast.AssignStmt)
 		if !ok || len(st.Lhs) != len(st.Rhs) {
@@ -134,29 +148,16 @@ func (aa *allocAnalysis) run() {
 			if !isID {
 				continue
 			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
+			obj := info.ObjectOf(id)
 			if obj == nil {
 				continue
 			}
 			switch rhs := ast.Unparen(st.Rhs[i]).(type) {
+			case *ast.FuncLit:
+				aa.onStack[rhs] = st.Tok == token.DEFINE && stackOnly(info, aa.fi.Decl.Body, obj, stays)
 			case *ast.SliceExpr:
 				if isZeroReslice(info, rhs) {
 					aa.compacted[obj] = true
-				}
-			case *ast.CallExpr:
-				// v = append(v, …) keeps v in the compacted set.
-				if fun, isID := ast.Unparen(rhs.Fun).(*ast.Ident); isID && fun.Name == "append" {
-					if _, isB := info.Uses[fun].(*types.Builtin); isB && len(rhs.Args) > 0 {
-						if src, isID := ast.Unparen(rhs.Args[0]).(*ast.Ident); isID {
-							srcObj := info.Uses[src]
-							if srcObj != nil && srcObj == obj {
-								continue // self-append: membership unchanged
-							}
-						}
-					}
 				}
 			}
 		}
@@ -165,20 +166,13 @@ func (aa *allocAnalysis) run() {
 
 	// Second pass: flag the allocating constructs, skipping panic
 	// arguments.
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == nil || m == n {
-				return m == n
-			}
-			if call, ok := m.(*ast.CallExpr); ok && isPanicCall(info, call) {
-				return false // invariant panics are dead on healthy runs
-			}
-			aa.checkNode(m)
-			return true
-		})
-	}
-	walk(aa.fi.Decl.Body)
+	ast.Inspect(aa.fi.Decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isPanicCall(info, call) {
+			return false // invariant panics are dead on healthy runs
+		}
+		aa.checkNode(n)
+		return true
+	})
 }
 
 // checkNode vets one syntax node for hot-path allocation.
@@ -217,13 +211,13 @@ func (aa *allocAnalysis) checkNode(n ast.Node) {
 			}
 		}
 	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-				aa.flag(lit.Pos(), "escaping composite literal (&T{…}) allocates")
-			}
+		if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok && x.Op == token.AND {
+			aa.flag(lit.Pos(), "escaping composite literal (&T{…}) allocates")
 		}
 	case *ast.FuncLit:
-		aa.flag(x.Pos(), "function literal allocates (closure capture)")
+		if !aa.onStack[x] {
+			aa.flag(x.Pos(), "function literal allocates (closure capture)")
+		}
 	case *ast.BinaryExpr:
 		if x.Op == token.ADD && isStringType(info.TypeOf(x)) {
 			aa.flag(x.Pos(), "string concatenation allocates")
@@ -246,23 +240,15 @@ func (aa *allocAnalysis) checkAppend(call *ast.CallExpr) {
 
 	// Strip index expressions: src.outbox[t] pools on (netShard, outbox).
 	base := dst
-	for {
-		if ix, ok := base.(*ast.IndexExpr); ok {
-			base = ast.Unparen(ix.X)
-			continue
-		}
-		break
+	for ix, ok := base.(*ast.IndexExpr); ok; ix, ok = base.(*ast.IndexExpr) {
+		base = ast.Unparen(ix.X)
 	}
 	if owner, field, ok := selectorRef(info, base); ok &&
-		fieldRefIn(aa.af.prog.Cfg.PooledSlices, owner, field) {
+		slices.Contains(aa.af.prog.Cfg.PooledSlices, FieldRef{owner, field}) {
 		return
 	}
 	if id, ok := base.(*ast.Ident); ok {
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if obj != nil && aa.compacted[obj] {
+		if obj := info.ObjectOf(id); obj != nil && aa.compacted[obj] {
 			return
 		}
 	}
@@ -291,22 +277,13 @@ func (aa *allocAnalysis) checkBoxing(call *ast.CallExpr) {
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		if pt == nil {
-			continue
-		}
-		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
-			continue
-		}
 		at := info.TypeOf(arg)
-		if at == nil {
+		if pt == nil || !types.IsInterface(pt) || at == nil || isNil(info, arg) {
 			continue
 		}
 		switch at.Underlying().(type) {
 		case *types.Pointer, *types.Interface, *types.Signature, *types.Chan, *types.Map:
 			continue // pointer-shaped: no box
-		}
-		if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-			continue
 		}
 		aa.flag(arg.Pos(), "interface conversion boxes a non-pointer value")
 	}
@@ -322,8 +299,8 @@ func (aa *allocAnalysis) flag(pos token.Pos, what string) {
 		return
 	}
 	aa.af.reportf(pos,
-		"%s in a hot-path function (reachable from %s); reuse pooled state or annotate //lint:alloc with why this is not steady-state",
-		what, aa.root)
+		"%s in a hot-path function (called from %s); reuse pooled state or annotate //lint:alloc with why this is not steady-state",
+		what, aa.caller)
 }
 
 // isZeroReslice recognizes x[:0] (and x[0:0]): a compaction reslice that
@@ -373,15 +350,6 @@ type FieldRef struct {
 	Type string
 	// Field is the field name.
 	Field string
-}
-
-func fieldRefIn(refs []FieldRef, owner, field string) bool {
-	for _, r := range refs {
-		if r.Type == owner && r.Field == field {
-			return true
-		}
-	}
-	return false
 }
 
 // selectorRef resolves an expression to (owning type key, field name)

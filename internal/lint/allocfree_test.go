@@ -12,7 +12,6 @@ func TestAllocFreeFixture(t *testing.T) {
 	cfg := fixtureConfig()
 	cfg.DeterministicPkgs = []string{p}
 	cfg.HotPath = []string{p + ".Engine.step"}
-	cfg.HotPathMethods = []string{"Route"}
 	cfg.ColdPath = []string{p + ".Engine.audit"}
 	cfg.PooledSlices = []FieldRef{{Type: p + ".Engine", Field: "ring"}}
 	// The fixture package is treated as the entire program.

@@ -22,10 +22,11 @@
 // One whole-program analyzer (see program.go) walks the call graph
 // across package boundaries:
 //
-//   - allocfree: no function reachable from a hot-path root may
-//     heap-allocate in steady state, unless the construct is pooled or
-//     carries `//lint:alloc` — an allocation in a mechanism or on a path
-//     no gated benchmark row runs is a finding.
+//   - allocfree: no function the driver's cycle loop can call, through
+//     interfaces too, may heap-allocate in steady state, unless the
+//     construct is pooled, a closure that stays on the stack, or carries
+//     `//lint:alloc` — an allocation in a mechanism or on a path no
+//     gated benchmark row runs is a finding.
 //
 // The suite is configuration-driven (Config) so the fixture tests can
 // point the same analyzers at small synthetic packages, and so the
@@ -38,6 +39,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -96,20 +98,12 @@ type Config struct {
 	// (its New/Seed entry points are the seeding calls rngpurity vets).
 	RNGPackage string
 
-	// --- allocfree registries (see allocfree.go) ---
-
-	// HotPath lists the function keys forming the zero-steady-state-
-	// allocation hot path; everything reachable from them is scanned.
+	// HotPath lists the allocfree roots' function keys: everything
+	// reachable from them is scanned (see allocfree.go).
 	HotPath []string
 
-	// HotPathMethods lists method names treated as hot-path roots on any
-	// receiver declared in a deterministic package (the Algorithm hook
-	// surface plus BeginCycle and NextAlgCycle) — new algorithm
-	// implementations inherit the rule without a config edit.
-	HotPathMethods []string
-
 	// ColdPath lists reviewed cold boundaries (a fault event's
-	// application, invariant sweeps): hot-path reachability stops there.
+	// application): hot-path reachability stops there.
 	ColdPath []string
 
 	// PooledSlices lists slice fields with pooled backing arrays:
@@ -119,12 +113,7 @@ type Config struct {
 
 // IsDeterministic reports whether pkg path is under contract.
 func (c *Config) IsDeterministic(path string) bool {
-	for _, p := range c.DeterministicPkgs {
-		if path == p {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.DeterministicPkgs, path)
 }
 
 // DefaultConfig returns the registry of determinism contracts for this
@@ -148,35 +137,15 @@ func DefaultConfig() *Config {
 
 		// --- allocfree (see allocfree.go) ---
 
-		// The zero-steady-state-allocation roots: the cycle steppers
-		// (everything per-cycle hangs off Step), steady-state injection,
-		// and the per-cycle traffic driver.
-		HotPath: []string{
-			router + ".Network.Step",
-			router + ".Network.inject",
-			traffic + ".Injector.Cycle",
-			// The elision horizon queries run once per quiet span (or
-			// measurement bucket) on the stepping path; they must stay
-			// allocation-free like the steppers they stand in for.
-			router + ".Network.ElideHorizon",
-			router + ".Network.NextEventCycle",
-			traffic + ".Injector.NextArrival",
-		},
-		// The Algorithm hook surface runs per packet inside the route,
-		// allocation and link phases; BeginCycle hosts the per-cycle group
-		// exchanges and NextAlgCycle is the per-span elision horizon query.
-		HotPathMethods: []string{
-			"Route", "OnHead", "OnArrive", "OnDequeue", "OnGrant",
-			"BeginCycle", "NextAlgCycle",
-		},
-		// Reviewed cold boundaries: a fault-plan event is applied once
+		// The zero-steady-state-allocation root: the driver, the only
+		// cycle loop in a deterministic package. Stepping, injection, the
+		// elision horizons and every Algorithm, Pattern and Source
+		// implementation are reached from it.
+		HotPath: []string{"cbar/internal/sim.point.advance"},
+		// The reviewed cold boundary: a fault-plan event is applied once
 		// per event (applyFaults, which Step calls on every non-quiet
-		// cycle of a faulted run, is not cold), and the invariant sweeps
-		// are debug/test machinery.
-		ColdPath: []string{
-			router + ".Network.applyFaultEvent",
-			router + ".Network.CheckInvariants",
-		},
+		// cycle of a faulted run, is not cold).
+		ColdPath: []string{router + ".Network.applyFaultEvent"},
 		// Slice fields with pooled backing arrays: appends reuse
 		// steady-state capacity (each is compacted with [:0] or popped at
 		// its drain point, never reallocated per cycle).
@@ -308,24 +277,6 @@ func declKey(info *types.Info, d *ast.FuncDecl) string {
 		return funcKey(fn)
 	}
 	return d.Name.Name
-}
-
-// isMapType reports whether t's underlying type is a map.
-func isMapType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// isChanType reports whether t's underlying type is a channel.
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
 }
 
 // hasSeedName reports whether an identifier names a seed by convention

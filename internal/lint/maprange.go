@@ -28,16 +28,18 @@ func runMapRange(pass *Pass) {
 			if !ok {
 				return true
 			}
-			switch t := pass.Pkg.Info.TypeOf(rs.X); {
-			case isMapType(t):
+			switch pass.Pkg.Info.TypeOf(rs.X).Underlying().(type) {
+			case *types.Map:
 				pass.Reportf(rs.For,
 					"range over map: iteration order is nondeterministic; iterate sorted keys (slices.Sorted(maps.Keys(m))) or a slice")
-			case isChanType(t):
+			case *types.Chan:
 				pass.Reportf(rs.For,
 					"range over channel: receive order follows the senders' scheduling; collect and sort, or receive in a fixed order")
-			case callsMaps(pass.Pkg.Info, rs.X):
-				pass.Reportf(rs.For,
-					"range over a maps iterator: it yields in map order; iterate sorted keys (slices.Sorted(maps.Keys(m)))")
+			case *types.Signature: // an iterator
+				if callsMaps(pass.Pkg.Info, rs.X) {
+					pass.Reportf(rs.For,
+						"range over a maps iterator: it yields in map order; iterate sorted keys (slices.Sorted(maps.Keys(m)))")
+				}
 			}
 			return true
 		})

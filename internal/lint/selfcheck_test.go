@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/types"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,20 +62,16 @@ func TestDefaultConfigIsCoherent(t *testing.T) {
 			t.Errorf("PooledSlices entry %q has an empty field name", r.Type)
 		}
 	}
-	// HotPathMethods holds bare method names, matched per declaration: a
-	// fully-qualified key there would never match anything.
-	for _, m := range cfg.HotPathMethods {
-		if strings.Contains(m, ".") {
-			t.Errorf("HotPathMethods entry %q must be a bare method name, not a qualified key", m)
-		}
-	}
 }
 
 // TestRegistryRowsAreLive resolves every registry row against the loaded
-// repository. TestDefaultConfigIsCoherent only checks path prefixes, so a
-// renamed or deleted function, field or type would silently disable its
-// rule; here every function key must name a declared function and every
-// field entry must name a field of its type.
+// repository and requires each to change a verdict.
+// TestDefaultConfigIsCoherent only checks path prefixes, so a renamed or
+// deleted function, field or type would silently disable its rule; here
+// the root must be a function in the load, every ColdPath row a function
+// reachable from it (a row nothing reaches exempts nothing and only hides
+// a later call), and every PooledSlices row a field whose removal from
+// the registry makes the clean tree report an append.
 func TestRegistryRowsAreLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
@@ -133,9 +130,23 @@ func TestRegistryRowsAreLive(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range cfg.PooledSlices {
+	hot := prog.reachable(cfg.HotPath, nil)
+	for _, k := range cfg.ColdPath {
+		if _, ok := hot[k]; !ok {
+			t.Errorf("ColdPath entry %q is not reachable from the hot-path root: it exempts nothing", k)
+		}
+	}
+	for i, r := range cfg.PooledSlices {
 		if !isField(r.Type, r.Field) {
 			t.Errorf("PooledSlices entry %s.%s does not name a field of its type", r.Type, r.Field)
+			continue
+		}
+		without := *cfg
+		without.PooledSlices = slices.Delete(slices.Clone(cfg.PooledSlices), i, i+1)
+		p := *prog
+		p.Cfg = &without
+		if len(AllocFree(&p)) == 0 {
+			t.Errorf("PooledSlices entry %s.%s exempts no append on the hot path", r.Type, r.Field)
 		}
 	}
 }

@@ -206,6 +206,13 @@ func (k PortKind) String() string {
 	return "invalid"
 }
 
+// Shardable reports whether a network under c may step on more than
+// one worker (Build's reason is at its workers > 1 check); the automatic
+// worker split keeps a config that is not sequential.
+func (c Config) Shardable() bool {
+	return c.PipelineLatency+c.LatencyGlobal > c.PacketSize
+}
+
 // VCsFor returns the number of VCs for a port class.
 func (c Config) VCsFor(k PortKind) int {
 	switch k {

@@ -218,7 +218,7 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		// strictly preceding the downstream head-arrival, which holds
 		// exactly when the pipeline plus the link latency exceed the
 		// packet serialization time.
-		if cfg.PipelineLatency+cfg.LatencyGlobal <= cfg.PacketSize {
+		if !cfg.Shardable() {
 			return nil, fmt.Errorf(
 				"router: workers %d needs PipelineLatency+LatencyGlobal (%d) > PacketSize (%d) so cross-shard handoffs are barrier-ordered",
 				workers, cfg.PipelineLatency+cfg.LatencyGlobal, cfg.PacketSize)

@@ -96,7 +96,6 @@ func (a *ectnAlg) BeginCycle(n *router.Network) {
 	if n.Now()%a.period != 0 {
 		return
 	}
-	//lint:alloc non-escaping visitor: Drain only invokes it, so it stays on the stack
 	a.dirty.Drain(func(g int32) {
 		core.CombineGroup(a.combined[g], a.members[g])
 		n.WakeGroup(int(g))
@@ -160,7 +159,6 @@ func (a *ectnAlg) Route(r *router.Router, p *router.Packet, port, vc int) router
 		combined := a.combined[r.Group()]
 		if l, ok := minGlobalLinkIndex(t, r, p); ok && combined[l] > a.thCombined {
 			pos := t.PosOf(r.ID)
-			//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
 			calm := func(out int) bool {
 				return combined[t.GlobalLinkIndex(pos, t.GlobalOrdinal(out))] < a.thCombined
 			}

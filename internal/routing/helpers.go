@@ -99,7 +99,6 @@ func contentionAlternative(r *router.Router, p *router.Packet, min int, th int32
 	if !r.Contention.Exceeds(min, th) {
 		return 0, false
 	}
-	//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
 	return alternative(r, p, min, func(out int) bool { return r.Contention.Get(out) < th })
 }
 
@@ -124,7 +123,6 @@ func creditAlternative(r *router.Router, p *router.Packet, min int, relPct int64
 	// stop all misrouting once the deep global buffers carry a moderate
 	// load.
 	capMin := int64(r.OccupancyCap(min))
-	//lint:alloc non-escaping predicate: the pick helpers only invoke it, so it stays on the stack
 	return alternative(r, p, min, func(out int) bool {
 		return int64(r.Occupancy(out))*capMin*100 < relPct*qMin*int64(r.OccupancyCap(out))
 	})

@@ -118,7 +118,7 @@ func TestAutoWorkersSkipUnshardableConfig(t *testing.T) {
 	c.Router.PacketSize = 15
 	c.Router.PipelineLatency = 5
 	c.Router.LatencyGlobal = 10 // 5+10 == 15: sequentially valid, unshardable
-	if autoShardable(c.Router) {
+	if c.Router.Shardable() {
 		t.Fatal("test config unexpectedly shardable")
 	}
 	rs, err := SweepSteadyBudget(c, UN(), []float64{0.1}, Budget{Warmup: 200, Measure: 200, Seeds: 1})

@@ -104,6 +104,9 @@ type TransientOptions struct {
 	Bucket int64
 	// Seeds is the number of averaged repeats.
 	Seeds int
+	// Ctx, when non-nil, cancels the run cooperatively, as
+	// SteadyOptions.Ctx does: between seeds and every measurement bucket.
+	Ctx context.Context
 }
 
 // budget fills zero-valued windows from the scale defaults. Explicitly
@@ -114,7 +117,7 @@ func (o TransientOptions) budget(c Config) sim.Budget {
 	def := sim.DefaultBudget(scaleOf(c))
 	b := sim.Budget{
 		TransientWarmup: def.TransientWarmup, Pre: def.Pre, Post: def.Post,
-		Bucket: def.Bucket, Seeds: def.Seeds,
+		Bucket: def.Bucket, Seeds: def.Seeds, Ctx: o.Ctx,
 	}
 	setIf(&b.TransientWarmup, o.Warmup)
 	setIf(&b.Pre, o.Pre)
