@@ -237,6 +237,7 @@ func (c *cli) point() error {
 	if err != nil {
 		return err
 	}
+	c.warnStall(cfg, res)
 	w := c.stdout
 	fmt.Fprintf(w, "avg_latency_cycles:   %.2f\n", res.AvgLatency)
 	fmt.Fprintf(w, "p50_latency_cycles:   %d\n", res.P50)
@@ -260,6 +261,23 @@ func (c *cli) point() error {
 		fmt.Fprintf(w, "fault_unroutable:     %d packets\n", res.Unroutable)
 	}
 	return nil
+}
+
+// warnStall tells stderr when a measurement went longer than the
+// fabric's stallBound with packets in flight and no delivery.
+func (c *cli) warnStall(cfg cbar.Config, r cbar.SteadyResult) {
+	if bound := stallBound(cfg); r.StallCycles > bound {
+		fmt.Fprintf(c.stderr, "cbar %s: warning: %s, %s at load %.3f: %d cycles with packets in flight and no delivery (bound %d): the fabric stalled\n",
+			c.sub, r.Algo, r.Workload, r.Load, r.StallCycles, bound)
+	}
+}
+
+// stallBound is ten times the zero-load latency of the longest path a
+// mechanism takes: six router hops (Valiant's four local and two global
+// links), each a pipeline pass and the packet's serialization. A healthy
+// run delivers far more often than that.
+func stallBound(cfg cbar.Config) int64 {
+	return 10 * int64(6*(cfg.PipelineLatency+cfg.PacketSize)+4*cfg.LatencyLocal+2*cfg.LatencyGlobal)
 }
 
 // transient prints a traced response to the -traffic → -traffic2 switch.
@@ -312,6 +330,7 @@ func (c *cli) sweep() error {
 			return err
 		}
 		for _, r := range rs {
+			c.warnStall(cfg, r)
 			row := fmt.Sprintf("%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f",
 				r.Load, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.OverflowFrac)
 			if c.adaptive {

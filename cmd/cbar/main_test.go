@@ -100,6 +100,30 @@ func TestGoldenPointTransient(t *testing.T) {
 // the line would be dropped silently), and a flag the subcommand does
 // not read. Exit 1: a value the flag's parser or the network build
 // rejects.
+// TestPointWarnsOfStall runs the wedge of sim's TestStallCycles (MIN at
+// tiny, UN 0.3, a fifth of the global links failed at cycle 200) and its
+// healthy twin: cbar warns on stderr for the first alone, and stdout,
+// which the goldens pin, does not change.
+func TestPointWarnsOfStall(t *testing.T) {
+	t.Parallel()
+	const line = "point -scale tiny -routing min -traffic un -load 0.3 -warmup 1000 -measure 8000 -seeds 2 -faults "
+	for _, tc := range []struct {
+		faults string
+		warn   bool
+	}{{"random:20%@200", true}, {"off", false}} {
+		code, stdout, stderr := runCLI(strings.Fields(line + tc.faults)...)
+		if code != 0 {
+			t.Fatalf("faults %s: exit %d\n%s", tc.faults, code, stderr)
+		}
+		if got := strings.Contains(stderr, "the fabric stalled"); got != tc.warn {
+			t.Errorf("faults %s: stall warning %v, want %v; stderr:\n%s", tc.faults, got, tc.warn, stderr)
+		}
+		if strings.Contains(stdout, "stall") {
+			t.Errorf("faults %s: the warning reached stdout:\n%s", tc.faults, stdout)
+		}
+	}
+}
+
 func TestCommandLineRejected(t *testing.T) {
 	for _, tc := range []struct {
 		line   string

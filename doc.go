@@ -499,8 +499,8 @@
 // to its own peak and revisited a ring period later (~4 MB, over the
 // L2). A chunk is allocated only when the pool is empty, which happens
 // while the run's live-event peak is still rising and never at Network
-// construction (one reviewed `//lint:alloc`, like the packet
-// freelist's miss); the chunks are separate allocations rather than one
+// construction (one of the growth statements the zero-allocation audit
+// allows, like the packet freelist's miss); the chunks are separate allocations rather than one
 // slab grown by append because the slab's outgrown copies are garbage
 // at exactly the moment the resident set peaks.
 //
@@ -769,26 +769,28 @@
 //     Cross-router reads need an argument: PB reads the occupancy of
 //     another router of its own group, which shares its shard and does
 //     not move during the route phase.
-//   - Hot-path allocation freedom (allocfree): a whole-program sweep
-//     over the call graph from one root, the driver's cycle loop
-//     (internal/sim's point.advance), which reaches Step, injection,
-//     the elision horizons and the traffic driver. A call through an
-//     interface reaches that method on every type of a deterministic
-//     package whose method set has all the interface's method names,
-//     so every Algorithm hook, Pattern.Dest and Source.First/Next is
-//     swept. make/new, escaping composite literals, appends onto slices
-//     not registered as pooled (or compacted via [:0]), fmt calls,
-//     string concatenation, interface boxing and closures are findings,
-//     except a closure whose every use is a call or an argument to a
-//     parameter its callee only calls, compares with nil or passes on
-//     to another such parameter (the compiler keeps it on the stack).
-//     Panic arguments are exempt, the registered ColdPath function (a
-//     fault event's application) prunes the walk, and a reviewed
-//     `//lint:alloc <reason>` states why a remaining allocation is not
-//     steady-state (freelist and calendar-pool warm-up, the per-cycle
-//     worker fork). Stale or reason-less annotations are findings
-//     themselves. Calls through func-typed fields (Network.OnDeliver,
-//     OnNotify, OnDrop) are not followed.
+//   - Steady-state allocation freedom (dynamic): internal/sim's
+//     TestSteadyStateAllocations drives point.advance with a
+//     measurement window open over every mechanism × {UN 0.3, ADV+1
+//     0.5, UN+burst 0.05} × {plain, congestion on, a fault plan whose
+//     link and router failures and repairs fall inside the window}, at
+//     workers 1 and, for UN, 2, plus the traffic grammar's other
+//     patterns and arrival processes and a saturated Small point. It
+//     records every allocation there with runtime.MemProfile at
+//     MemProfileRate 1, attributes each to its allocating statement
+//     (the first frame of this module on its stack) and fails on any
+//     statement outside one table in the test: the pooled growth of
+//     the engine's buffers and freelists (their allocations stop once a
+//     run's peak is reached) and a forked cycle's channel and worker
+//     goroutines at workers > 1, each named by function and statement
+//     text. Allocations the runtime makes for itself (type-assertion
+//     cache refills, sudogs, goroutine descriptors) are skipped. Being
+//     run, it follows what a call graph does not: interface and
+//     func-typed-field calls (Network.OnDeliver reaches sim's window),
+//     standard-library calls and fault events. Its seeds in CI's lint
+//     job are allocations planted in VAL's Route, applyFaults,
+//     uniform.Dest, Step (the invariant audit), PickPort (a stored
+//     predicate), window.deliver and applyFaultEvent.
 //
 // detlint analyses every package `go test` compiles, test files
 // included. An external test package is type-checked the way the go tool
@@ -799,8 +801,7 @@
 //
 // The registry of contracts lives in lint.DefaultConfig; new
 // deterministic packages (e.g. additional topology backends) join by
-// adding their import path, and their cold boundaries and pooled slices
-// where allocfree needs them; allocfree finds their hot functions itself. A topology backend that
+// adding their import path. A topology backend that
 // delivers across shards by a new path adds equivalence-table rows at
 // workers 2–4, which is what the race job and the harness check.
 package cbar

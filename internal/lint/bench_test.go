@@ -4,11 +4,9 @@ import "testing"
 
 // BenchmarkDetlintSelf measures one full detlint invocation over the
 // repository: a single load/type-check (the dominant cost) shared by the
-// two per-package analyzers plus one Program build shared by the two
-// whole-program analyzers. It exists to keep the suite's cost profile
-// honest: an analyzer change that re-type-checks per analyzer, or a
-// registry change that explodes the reachability frontier, shows up here
-// long before the CI gate feels slow.
+// two analyzers. It exists to keep the suite's cost profile honest: an
+// analyzer change that re-type-checks per analyzer shows up here long
+// before the CI gate feels slow.
 func BenchmarkDetlintSelf(b *testing.B) {
 	for b.Loop() {
 		diags, err := Run(moduleDir, DefaultConfig(), "./...")

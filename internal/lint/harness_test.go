@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,11 +19,8 @@ import (
 // as working directory).
 const moduleDir = "../.."
 
-// A want comment expects a finding on its own line; the optional signed
-// offset (`// want+1 ...`) shifts the expected line, for findings that
-// land on comment lines (allocfree reports on a //lint:alloc line
-// itself, which cannot also hold a want).
-var wantRe = regexp.MustCompile("// want([+-][0-9]+)? `([^`]+)`")
+// A want comment expects a finding on its own line.
+var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
 // runFixture applies one analyzer to testdata/src/<name> under cfg and
 // diffs the findings against the fixture's want comments.
@@ -91,27 +87,18 @@ func scanWants(t *testing.T, dir string) map[wantKey]*regexp.Regexp {
 			if m == nil {
 				continue
 			}
-			re, err := regexp.Compile(m[2])
+			re, err := regexp.Compile(m[1])
 			if err != nil {
-				t.Fatalf("%s:%d: bad want regexp %q: %v", e.Name(), i+1, m[2], err)
+				t.Fatalf("%s:%d: bad want regexp %q: %v", e.Name(), i+1, m[1], err)
 			}
-			at := i + 1
-			if m[1] != "" {
-				off, err := strconv.Atoi(m[1])
-				if err != nil {
-					t.Fatalf("%s:%d: bad want offset %q: %v", e.Name(), i+1, m[1], err)
-				}
-				at += off
-			}
-			wants[wantKey{file: e.Name(), line: at}] = re
+			wants[wantKey{file: e.Name(), line: i + 1}] = re
 		}
 	}
 	return wants
 }
 
-// fixtureConfig returns a minimal Config for fixtures: only the RNG
-// package registration is shared with the real registry; the structural
-// registries are built per test.
+// fixtureConfig returns a minimal Config for fixtures: the real
+// registry's RNG package.
 func fixtureConfig() *Config {
 	return &Config{RNGPackage: "cbar/internal/rng"}
 }

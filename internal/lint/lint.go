@@ -3,9 +3,9 @@
 //
 // The simulator's headline promise — bit-identical traces at every
 // worker count and across commits — is guarded dynamically by the
-// differential harness, FuzzEngine, the race job, the goldens and the
-// allocation and work-count gates. Those catch a violation on the
-// inputs they run. detlint keeps only the rules that catch a defect
+// differential harness, FuzzEngine, the race job, the goldens, the
+// zero-allocation audit and the work-count gate. Those catch a violation
+// on the inputs they run. detlint keeps only the rules that catch a defect
 // none of them fails on, each pinned by a fixture case cut down from
 // such a defect seeded in the real code:
 //
@@ -19,14 +19,10 @@
 //     seed argument is not derived from (run seed, entity id) — a
 //     wall-clock cap that no test run reaches is a finding.
 //
-// One whole-program analyzer (see program.go) walks the call graph
-// across package boundaries:
-//
-//   - allocfree: no function the driver's cycle loop can call, through
-//     interfaces too, may heap-allocate in steady state, unless the
-//     construct is pooled, a closure that stays on the stack, or carries
-//     `//lint:alloc` — an allocation in a mechanism or on a path no
-//     gated benchmark row runs is a finding.
+// That steady-state stepping allocates nothing is checked by running it,
+// not here: internal/sim's TestSteadyStateAllocations drives every
+// mechanism and fails on any allocation outside a short table of growth
+// statements.
 //
 // The suite is configuration-driven (Config) so the fixture tests can
 // point the same analyzers at small synthetic packages, and so the
@@ -52,8 +48,7 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Analyzers is the per-package half of the detlint suite, in execution
-// order.
+// Analyzers is the detlint suite, in execution order.
 var Analyzers = []*Analyzer{
 	MapRange,
 	RNGPurity,
@@ -97,18 +92,6 @@ type Config struct {
 	// RNGPackage is the import path of the sanctioned generator package
 	// (its New/Seed entry points are the seeding calls rngpurity vets).
 	RNGPackage string
-
-	// HotPath lists the allocfree roots' function keys: everything
-	// reachable from them is scanned (see allocfree.go).
-	HotPath []string
-
-	// ColdPath lists reviewed cold boundaries (a fault event's
-	// application): hot-path reachability stops there.
-	ColdPath []string
-
-	// PooledSlices lists slice fields with pooled backing arrays:
-	// appending to them reuses steady-state capacity and is exempt.
-	PooledSlices []FieldRef
 }
 
 // IsDeterministic reports whether pkg path is under contract.
@@ -120,10 +103,6 @@ func (c *Config) IsDeterministic(path string) bool {
 // repository. It is the single place the contracts live; doc.go's
 // "Determinism contracts" section documents each entry.
 func DefaultConfig() *Config {
-	const (
-		router  = "cbar/internal/router"
-		traffic = "cbar/internal/traffic"
-	)
 	return &Config{
 		DeterministicPkgs: []string{
 			"cbar/internal/router",
@@ -134,40 +113,13 @@ func DefaultConfig() *Config {
 			"cbar/internal/topology",
 		},
 		RNGPackage: "cbar/internal/rng",
-
-		// --- allocfree (see allocfree.go) ---
-
-		// The zero-steady-state-allocation root: the driver, the only
-		// cycle loop in a deterministic package. Stepping, injection, the
-		// elision horizons and every Algorithm, Pattern and Source
-		// implementation are reached from it.
-		HotPath: []string{"cbar/internal/sim.point.advance"},
-		// The reviewed cold boundary: a fault-plan event is applied once
-		// per event (applyFaults, which Step calls on every non-quiet
-		// cycle of a faulted run, is not cold).
-		ColdPath: []string{router + ".Network.applyFaultEvent"},
-		// Slice fields with pooled backing arrays: appends reuse
-		// steady-state capacity (each is compacted with [:0] or popped at
-		// its drain point, never reallocated per cycle).
-		PooledSlices: []FieldRef{
-			{Type: router + ".netShard", Field: "outbox"},
-			{Type: router + ".netShard", Field: "delivered"},
-			{Type: router + ".netShard", Field: "pendingKills"},
-			{Type: router + ".netShard", Field: "allocList"},
-			{Type: router + ".netShard", Field: "freePkts"},
-			{Type: router + ".fifo", Field: "buf"},
-			{Type: traffic + ".retransmitter", Field: "heap"},
-			{Type: traffic + ".calendar", Field: "heap"},
-			{Type: traffic + ".laChunk", Field: "out"},
-		},
 	}
 }
 
 // Run loads the packages matched by patterns under dir and applies the
-// full suite — the per-package analyzers to each deterministic package
-// and allocfree to the cross-package call graph — returning the findings
-// sorted by position. Packages are loaded and type-checked exactly once,
-// shared by all analyzers.
+// analyzers to each deterministic package, returning the findings sorted
+// by position. Packages are loaded and type-checked exactly once, shared
+// by all analyzers.
 func Run(dir string, cfg *Config, patterns ...string) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
@@ -180,7 +132,6 @@ func Run(dir string, cfg *Config, patterns ...string) ([]Diagnostic, error) {
 		}
 		diags = append(diags, RunAnalyzers(pkg, cfg, Analyzers)...)
 	}
-	diags = append(diags, AllocFree(NewProgram(pkgs, cfg))...)
 	sortDiagnostics(diags)
 	return diags, nil
 }
@@ -217,36 +168,6 @@ func sortDiagnostics(diags []Diagnostic) {
 
 // --- shared helpers ---
 
-// funcKey canonicalizes a function or method for the Config registries:
-// "<pkgpath>.<func>" for package functions, "<pkgpath>.<Recv>.<method>"
-// for methods (pointer receivers are stripped; interface methods use the
-// interface type's name).
-func funcKey(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed {
-			obj := named.Obj()
-			if obj.Pkg() != nil {
-				return obj.Pkg().Path() + "." + obj.Name() + "." + fn.Name()
-			}
-			return obj.Name() + "." + fn.Name()
-		}
-		// Receiver is not a named type (e.g. an unnamed interface).
-		if fn.Pkg() != nil {
-			return fn.Pkg().Path() + ".?." + fn.Name()
-		}
-		return "?." + fn.Name()
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Path() + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
 // calleeFunc resolves the *types.Func a call expression invokes (package
 // function, method, or interface method), or nil for indirect calls
 // through function values, conversions and builtins.
@@ -271,33 +192,8 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// declKey returns funcKey for a declaration, via its Defs entry.
-func declKey(info *types.Info, d *ast.FuncDecl) string {
-	if fn, ok := info.Defs[d.Name].(*types.Func); ok {
-		return funcKey(fn)
-	}
-	return d.Name.Name
-}
-
 // hasSeedName reports whether an identifier names a seed by convention
 // (contains "seed", case-insensitive): net.seed, fc.RandomSeed, seed.
 func hasSeedName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
-}
-
-// namedTypeKey renders the "<pkgpath>.<TypeName>" key of a (possibly
-// pointer-wrapped) named type, or "" when the type is unnamed.
-func namedTypeKey(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }

@@ -44,15 +44,9 @@ type Package struct {
 	Fset *token.FileSet
 	// Syntax holds the parsed files: GoFiles then TestGoFiles.
 	Syntax []*ast.File
-	// TestFile marks, per Syntax entry, whether it is a _test.go file.
-	TestFile []bool
 	// Types and Info are the type-checking results over Syntax.
 	Types *types.Package
 	Info  *types.Info
-
-	// annotations maps file → source line → the //lint:alloc annotation
-	// found there (see annotations.go).
-	annotations map[*ast.File]map[int]*Annotation
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
@@ -314,7 +308,6 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonTest := len(files)
 	testFiles, err := ld.parseFiles(lp.Dir, lp.TestGoFiles)
 	if err != nil {
 		return nil, err
@@ -350,20 +343,7 @@ func (ld *loader) loadFull(path string) (*Package, error) {
 		}
 		files = append(files, xfiles...)
 	}
-	testFile := make([]bool, len(files))
-	for i := nonTest; i < len(files); i++ {
-		testFile[i] = true
-	}
-	pkg := &Package{
-		Path:     path,
-		Fset:     ld.fset,
-		Syntax:   files,
-		TestFile: testFile,
-		Types:    tp,
-		Info:     info,
-	}
-	pkg.scanAnnotations()
-	return pkg, nil
+	return &Package{Path: path, Fset: ld.fset, Syntax: files, Types: tp, Info: info}, nil
 }
 
 // testImporter resolves the imports of an external test package, or of
@@ -438,14 +418,5 @@ func LoadFixture(moduleDir, fixtureDir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking fixture %s: %v", fixtureDir, err)
 	}
-	pkg := &Package{
-		Path:     path,
-		Fset:     ld.fset,
-		Syntax:   files,
-		TestFile: make([]bool, len(files)),
-		Types:    tp,
-		Info:     info,
-	}
-	pkg.scanAnnotations()
-	return pkg, nil
+	return &Package{Path: path, Fset: ld.fset, Syntax: files, Types: tp, Info: info}, nil
 }

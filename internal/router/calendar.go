@@ -51,7 +51,6 @@ func (sh *netShard) extend(b *calBucket) {
 	if c != nil {
 		sh.freeChunks = c.next
 	} else {
-		//lint:alloc pool miss: only while the live-event peak is still rising; steady state recycles drained chunks
 		c = new(eventChunk)
 		sh.numChunks++
 	}

@@ -1,8 +1,8 @@
 package router
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"cbar/internal/topology"
 )
@@ -323,12 +323,16 @@ func (n *Network) finalizeFaultVictims() {
 	if len(f.killed) == 0 {
 		return
 	}
-	sort.Slice(f.killed, func(i, j int) bool { return f.killed[i].ID < f.killed[j].ID })
+	slices.SortFunc(f.killed, byPacketID)
 	for _, p := range f.killed {
 		n.retire(p, false)
 	}
 	f.killed = f.killed[:0]
 }
+
+// byPacketID orders packets by ID. A package-level function: unlike
+// sort.Slice, sorting with it allocates nothing.
+func byPacketID(a, b *Packet) int { return cmp.Compare(a.ID, b.ID) }
 
 // resolvePendingKill kills a routing-flagged head, unless it is no longer
 // the ungranted head it was flagged as (a router death in the same batch

@@ -136,7 +136,6 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		sh.freePkts[k-1] = nil
 		sh.freePkts = sh.freePkts[:k-1]
 	} else {
-		//lint:alloc freelist miss: warm-up only; steady state recycles retired packets
 		p = new(Packet)
 	}
 	*p = Packet{
@@ -175,10 +174,8 @@ type shardFork struct {
 func (n *Network) forkShards(f *shardFork, idx int64) {
 	f.handled.Add(len(n.shards) - 1)
 	f.stepped.Add(len(n.shards) - 1)
-	//lint:alloc per-cycle coordinator channel; fixed cost accounted in the alloc baselines
 	f.resume = make(chan struct{})
 	for s := 1; s < len(n.shards); s++ {
-		//lint:alloc per-cycle worker launch; the goroutine and its closure do not outlive this step
 		go func(sh *netShard, resume <-chan struct{}) {
 			n.handleShardBucket(sh, idx)
 			f.handled.Done()

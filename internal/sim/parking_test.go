@@ -33,8 +33,8 @@ func (a *countingAlg) OnGrant(r *router.Router, p *router.Packet, port, vc, out,
 // under ADV+1 pins at 1/(a·p) with every NIC full and nearly every head
 // blocked, which cost 200+ Route calls per grant when blocked routers
 // were revisited every cycle. With parking it is bounded by the events a
-// blocked router sees between grants. The steady-state Step must also
-// still allocate nothing.
+// blocked router sees between grants. That Step allocates nothing on
+// this point is TestSteadyStateAllocations' Small row.
 func TestParkingCutsRouteCalls(t *testing.T) {
 	c := NewConfig(Small.Params(), routing.Min)
 	alg := &countingAlg{Algorithm: routing.MustNew(routing.Min, c.Opts)}
@@ -55,10 +55,10 @@ func TestParkingCutsRouteCalls(t *testing.T) {
 		net.Step()
 	}
 	alg.routes, alg.grants = 0, 0
-	allocs := testing.AllocsPerRun(1000, func() {
+	for i := 0; i < 1000; i++ {
 		inj.Cycle()
 		net.Step()
-	})
+	}
 	routes, grants := alg.routes, alg.grants // before the sweep below replays parked heads
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,5 @@ func TestParkingCutsRouteCalls(t *testing.T) {
 	if perGrant := float64(routes) / float64(grants); perGrant > 60 {
 		t.Fatalf("%.1f Route calls per grant under saturated MIN/ADV+1, want <= 60 (%d calls, %d grants)",
 			perGrant, routes, grants)
-	}
-	if allocs != 0 {
-		t.Fatalf("saturated Step allocates %.2f times per cycle, want 0", allocs)
 	}
 }

@@ -168,13 +168,21 @@ type window struct {
 	// and count and phits as of it.
 	lapLat             float64
 	lapCount, lapPhits uint64
+	// last is the cycle of the latest delivery (the opening cycle before
+	// the first), drained whether the fabric was empty right after it,
+	// and stall the longest span so far with packets in flight and no
+	// delivery (SteadyResult.StallCycles).
+	last, stall int64
+	drained     bool
 }
 
 // open starts a measurement window at the current cycle. Elided cycles
 // deliver nothing and move no counter, so a window over a jumped span
 // is bit-identical to one over the same span stepped.
 func (p *point) open() *window {
-	w := &window{p: p, start: p.net.Now(), base: p.counters(), hist: stats.NewHistogram(latencyHistCap)}
+	now := p.net.Now()
+	w := &window{p: p, start: now, base: p.counters(), hist: stats.NewHistogram(latencyHistCap),
+		last: now, drained: p.net.InFlight == 0}
 	p.net.OnDeliver = w.deliver
 	return w
 }
@@ -192,6 +200,13 @@ func (w *window) deliver(pkt *router.Packet, now int64) {
 	}
 	w.count++
 	w.lapLat += float64(lat)
+	// The packet was in flight from its generation on, so nothing was
+	// delivered with it in flight since the later of that and the last
+	// delivery.
+	if span := now - max(w.last, pkt.GenTime); span > w.stall {
+		w.stall = span
+	}
+	w.last, w.drained = now, w.p.net.InFlight == 0
 }
 
 // lap returns the latency sum, packet count and phits delivered since
@@ -231,6 +246,13 @@ func (w *window) close() SteadyResult {
 		Dropped:        end.dropped - w.base.dropped,
 		Retried:        end.retried - w.base.retried,
 		Unroutable:     end.unroutable - w.base.unroutable,
+		StallCycles:    w.stall,
+	}
+	// A span still open at the close counts if packets have been in
+	// flight since the last delivery: a fabric that emptied after it may
+	// have idled before its next injection.
+	if !w.drained && p.net.InFlight > 0 {
+		res.StallCycles = max(res.StallCycles, p.net.Now()-w.last)
 	}
 	if w.count > 0 {
 		res.MisroutedGlobal = float64(w.misG) / float64(w.count)

@@ -441,6 +441,11 @@ type SteadyResult struct {
 	Dropped    uint64 // packets killed on failing links/routers
 	Retried    uint64 // killed packets successfully re-injected by their sources
 	Unroutable uint64 // packets aimed at (or caught inside) a partitioned region
+	// StallCycles is the longest span of a measurement window with
+	// packets in flight and no delivery, the largest across seeds. A
+	// healthy fabric delivers every few cycles; a wedged one shows a
+	// span that lasts to the window's end.
+	StallCycles int64
 }
 
 // steadyPoint builds one seed's steady-state system, run to end at most:
@@ -544,6 +549,7 @@ func reduceSteady(rs []SteadyResult, hists []*stats.Histogram) SteadyResult {
 		out.Dropped += r.Dropped
 		out.Retried += r.Retried
 		out.Unroutable += r.Unroutable
+		out.StallCycles = max(out.StallCycles, r.StallCycles)
 	}
 	n := float64(len(rs))
 	out.Accepted /= n

@@ -153,6 +153,36 @@ func TestRunSteadyDeterministicAndSeedsAveraged(t *testing.T) {
 	}
 }
 
+// TestStallCycles pins SteadyResult.StallCycles on a wedge and on its
+// healthy twin. MIN at tiny under UN 0.3 with a fifth of the global
+// links failed at cycle 200 delivers 3 434, 1 059, 8 and then no packets
+// per 1 000 cycles, over 12 000 staying in flight, so its span lasts to
+// the window's end. Without the faults it delivers about 5 400 packets
+// per 1 000 cycles and its longest span is a few cycles. Over two seeds
+// the span is the larger seed's, not their sum.
+func TestStallCycles(t *testing.T) {
+	t.Parallel()
+	b := Budget{Warmup: 1000, Measure: 8000, Seeds: 2}
+	for _, tc := range []struct {
+		faults   string
+		min, max int64
+	}{{"random:20%@200", b.Measure / 2, b.Measure}, {"off", 0, 10}} {
+		c := tinyCfg(routing.Min)
+		fc, err := router.ParseFaultConfig(tc.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Router.Faults = fc
+		r, err := RunSteadyBudget(c, UN(), 0.3, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.StallCycles < tc.min || r.StallCycles > tc.max {
+			t.Errorf("faults %s: StallCycles %d, want in [%d, %d]", tc.faults, r.StallCycles, tc.min, tc.max)
+		}
+	}
+}
+
 // TestFig5aShape_UniformLatency is the paper's headline low-load claim
 // (Fig. 5a): Base and ECtN match MIN's optimal latency under uniform
 // traffic, while the congestion-based adaptives (OLM, PB) pay a
