@@ -264,9 +264,16 @@ func (c *cli) point() error {
 }
 
 // warnStall tells stderr when a measurement went longer than the
-// fabric's stallBound with packets in flight and no delivery.
+// fabric's stallBound, or a quarter of one seed's measurement window if
+// that is shorter, with packets in flight and no delivery: a window
+// shorter than the bound would otherwise hide a wedge that lasts all of
+// it.
 func (c *cli) warnStall(cfg cbar.Config, r cbar.SteadyResult) {
-	if bound := stallBound(cfg); r.StallCycles > bound {
+	bound := stallBound(cfg)
+	if r.Seeds > 0 {
+		bound = min(bound, r.MeasuredCycles/int64(r.Seeds)/4)
+	}
+	if r.StallCycles > bound {
 		fmt.Fprintf(c.stderr, "cbar %s: warning: %s, %s at load %.3f: %d cycles with packets in flight and no delivery (bound %d): the fabric stalled\n",
 			c.sub, r.Algo, r.Workload, r.Load, r.StallCycles, bound)
 	}

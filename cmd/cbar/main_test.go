@@ -103,7 +103,11 @@ func TestGoldenPointTransient(t *testing.T) {
 // TestPointWarnsOfStall runs the wedge of sim's TestStallCycles (MIN at
 // tiny, UN 0.3, a fifth of the global links failed at cycle 200) and its
 // healthy twin: cbar warns on stderr for the first alone, and stdout,
-// which the goldens pin, does not change.
+// which the goldens pin, does not change. Then a sweep at tiny's default
+// budget, whose 1 200-cycle window is shorter than stallBound: PB's
+// ADV+1 wedge at load 0.5 lasts the whole window and warns against a
+// quarter of it, while MIN, Base and ECtN, which deliver every few
+// cycles, do not.
 func TestPointWarnsOfStall(t *testing.T) {
 	t.Parallel()
 	const line = "point -scale tiny -routing min -traffic un -load 0.3 -warmup 1000 -measure 8000 -seeds 2 -faults "
@@ -121,6 +125,18 @@ func TestPointWarnsOfStall(t *testing.T) {
 		if strings.Contains(stdout, "stall") {
 			t.Errorf("faults %s: the warning reached stdout:\n%s", tc.faults, stdout)
 		}
+	}
+
+	code, stdout, stderr := runCLI(strings.Fields("sweep -scale tiny -routing pb,min,base,ectn -traffic adv+1 -loads 0.5 -workers 1")...)
+	if code != 0 {
+		t.Fatalf("sweep: exit %d\n%s", code, stderr)
+	}
+	warnings := strings.Split(strings.TrimSpace(stderr), "\n")
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "PB, ADV+1 at load 0.500") || !strings.Contains(warnings[0], "the fabric stalled") {
+		t.Errorf("sweep: want one stall warning, for PB; stderr:\n%s", stderr)
+	}
+	if rows := strings.Count(stdout, "\n"); rows != 2+4 || strings.Contains(stdout, "stall") {
+		t.Errorf("sweep: stdout is not the comment, the header and four rows:\n%s", stdout)
 	}
 }
 

@@ -453,6 +453,29 @@
 // of the sharded calendar. Together that is ≈ 10 % of a built fabric's
 // bytes per node.
 //
+// Slabs. The fabric's shape is fixed by the configuration, so Build
+// allocates each per-router array kind once for the whole network — the
+// Router structs, ports, VC queues and their rings, head tables,
+// credits, the slot and port sets' words, the allocator's arrays, the
+// contention counters (core.CountersOver) and the PCGs, seeded in place
+// — and cuts every router's share from it (Network.buildRouters); a
+// group's member list is a window of Network.Routers. Building a Small
+// network's 264 routers takes 34 allocations and tiny's 36 takes 31,
+// where one set of arrays per router took 4 806 and 675
+// (TestBuildAllocsDoNotGrowWithFabric holds it under 64), and each kind
+// rounds up to its size class once instead of once per router:
+// bytes_per_node fell 2–4 % (small_un_sweep 2 260 → 2 175). An output
+// stage is a fixed ring of the max(BufOut/PacketSize, 1) entries
+// outFree admits (4 at Table I), not a growing FIFO, and a router's
+// stage rings are cut from one array at its first output push
+// (Router.cutStages), not at Build: pre-sized there they would add
+// ≈ 240 bytes per Small node, +10.6 % bytes_per_node, for routers a
+// near-idle run never reaches. NIC queues keep their growing FIFO: sized
+// to NICQueuePackets at the first push they would add ≈ 1.5 KB per node
+// to a loaded run's resident set. With the packet chunks below, one
+// small_un_sweep pass allocates 1 123 objects per thousand cycles
+// instead of 7 691, most of what is left being NIC FIFO growth.
+//
 // Allocation iterations nominate only what can be granted, and end at
 // the first no-grant. The allocator runs Speedup iterations per cycle,
 // iteration-major across the routers (the order grants append their
@@ -500,7 +523,7 @@
 // L2). A chunk is allocated only when the pool is empty, which happens
 // while the run's live-event peak is still rising and never at Network
 // construction (one of the growth statements the zero-allocation audit
-// allows, like the packet freelist's miss); the chunks are separate allocations rather than one
+// allows, like a shard's packet chunk); the chunks are separate allocations rather than one
 // slab grown by append because the slab's outgrown copies are garbage
 // at exactly the moment the resident set peaks.
 //
@@ -522,9 +545,13 @@
 // kills) returns a packet to the shard that owns its source node — the
 // shard that made it — so each shard gets back what it takes and a
 // steady-state cycle allocates nothing at any worker count; with one
-// worker it is the single LIFO it always was. The lists share one cap
-// (maxFreePackets, split evenly), so a saturation transient's peak
-// population is not retained for ever.
+// worker it is the single LIFO it always was. A miss does not allocate
+// a packet: it takes the next of the shard's current chunk of 64 fresh
+// ones (packetChunk), and only an exhausted chunk allocates, so a run's
+// rising in-flight peak costs one allocation per 64 packets. The lists
+// share one cap (maxFreePackets, split evenly), so a saturation
+// transient's peak population is not retained for ever — though a chunk
+// is released only once none of its packets is referenced.
 //
 // Blocked-router parking. Past saturation most head packets are blocked
 // on credits, and re-evaluating them every cycle is work proportional
@@ -780,8 +807,10 @@
 //     MemProfileRate 1, attributes each to its allocating statement
 //     (the first frame of this module on its stack) and fails on any
 //     statement outside one table in the test: the pooled growth of
-//     the engine's buffers and freelists (their allocations stop once a
-//     run's peak is reached) and a forked cycle's channel and worker
+//     the engine's buffers, freelists and packet chunks (their
+//     allocations stop once a run's peak is reached), a router's output
+//     stage rings, cut at its first output push, and a forked cycle's
+//     channel and worker
 //     goroutines at workers > 1, each named by function and statement
 //     text. Allocations the runtime makes for itself (type-assertion
 //     cache refills, sudogs, goroutine descriptors) are skipped. Being

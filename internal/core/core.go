@@ -42,9 +42,12 @@ type Counters struct {
 	c []int32
 }
 
-// NewCounters returns a bank of `ports` zeroed counters.
-func NewCounters(ports int) *Counters {
-	return &Counters{c: make([]int32, ports)}
+// CountersOver returns a bank of len(c) counters stored in c, which it
+// zeroes: a fabric that builds every router's bank cuts their counters
+// from one array.
+func CountersOver(c []int32) Counters {
+	clear(c)
+	return Counters{c: c}
 }
 
 // Len returns the number of counters in the bank.

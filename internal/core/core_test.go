@@ -7,7 +7,7 @@ import (
 )
 
 func TestCountersIncDecGet(t *testing.T) {
-	k := NewCounters(4)
+	k := CountersOver(make([]int32, 4))
 	if k.Len() != 4 {
 		t.Fatalf("len %d", k.Len())
 	}
@@ -32,11 +32,12 @@ func TestCountersUnderflowPanics(t *testing.T) {
 			t.Fatal("Dec below zero did not panic")
 		}
 	}()
-	NewCounters(2).Dec(0)
+	k := CountersOver(make([]int32, 2))
+	k.Dec(0)
 }
 
 func TestCountersExceeds(t *testing.T) {
-	k := NewCounters(1)
+	k := CountersOver(make([]int32, 1))
 	for i := 0; i < 6; i++ {
 		k.Inc(0)
 	}
@@ -50,7 +51,7 @@ func TestCountersExceeds(t *testing.T) {
 }
 
 func TestCountersReset(t *testing.T) {
-	k := NewCounters(3)
+	k := CountersOver(make([]int32, 3))
 	k.Inc(1)
 	k.Reset()
 	if k.Sum() != 0 {
@@ -58,8 +59,22 @@ func TestCountersReset(t *testing.T) {
 	}
 }
 
+// TestCountersOverSharesCallerSlice: a bank built over a caller's slice
+// starts zeroed, counts in that slice and stays within it.
+func TestCountersOverSharesCallerSlice(t *testing.T) {
+	buf := []int32{7, 7, 7, 7, 7}
+	k := CountersOver(buf[1:3:3])
+	if k.Len() != 2 || k.Sum() != 0 {
+		t.Fatalf("len %d sum %d, want a zeroed bank of 2", k.Len(), k.Sum())
+	}
+	k.Inc(1)
+	if buf[2] != 1 || buf[0] != 7 || buf[3] != 7 {
+		t.Fatalf("backing slice %v after Inc(1)", buf)
+	}
+}
+
 func TestCountersSnapshotIsCopy(t *testing.T) {
-	k := NewCounters(2)
+	k := CountersOver(make([]int32, 2))
 	s := k.Snapshot()
 	s[0] = 99
 	if k.Get(0) != 0 {
@@ -72,7 +87,7 @@ func TestCountersSnapshotIsCopy(t *testing.T) {
 func TestQuickCountersMatchCensus(t *testing.T) {
 	f := func(ops []uint8) bool {
 		const ports = 5
-		k := NewCounters(ports)
+		k := CountersOver(make([]int32, ports))
 		census := make([]int32, ports)
 		for _, op := range ops {
 			port := int(op) % ports
@@ -332,7 +347,7 @@ func TestVerifyGroupFresh(t *testing.T) {
 }
 
 func BenchmarkCountersIncDec(b *testing.B) {
-	k := NewCounters(31)
+	k := CountersOver(make([]int32, 31))
 	for i := 0; i < b.N; i++ {
 		k.Inc(i % 31)
 		k.Dec(i % 31)

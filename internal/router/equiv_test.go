@@ -258,10 +258,12 @@ func TestStepModesInterleaved(t *testing.T) {
 	two.StepFullScan()
 }
 
-// packetStructs counts the Packet structs a network has made and still
-// holds: the packets inside the fabric (in flight but past their NIC
-// queue, where a packet is only a record) plus the shards' freelists.
-// Below the freelist cap it rises by exactly one per freelist miss.
+// packetStructs counts the Packet structs a network has handed out and
+// still holds: the packets inside the fabric (in flight but past their
+// NIC queue, where a packet is only a record) plus the shards' freelists.
+// The unconsumed part of a shard's packet chunk is not among them: those
+// structs have never been a packet. Below the freelist cap it rises by
+// exactly one per freelist miss, whether or not the miss opened a chunk.
 func packetStructs(n *Network) int {
 	pop := int(n.InFlight)
 	for i := range n.nics {

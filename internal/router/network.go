@@ -263,18 +263,13 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 			n.slotVC = append(n.slotVC, int8(vc))
 		}
 	}
-	n.Routers = make([]*Router, topo.Routers)
-	for id := range n.Routers {
-		n.Routers[id] = newRouter(id, n)
-		n.Routers[id].shard = &n.shards[n.shardOf[id]]
-	}
+	n.buildRouters()
+	// A group's routers are consecutive ids (topology.RouterID), as the
+	// shards' blocks assume: its member list is a window of Routers.
 	n.groups = make([][]*Router, topo.Groups)
 	for g := range n.groups {
-		members := make([]*Router, topo.A)
-		for i := 0; i < topo.A; i++ {
-			members[i] = n.Routers[topo.RouterID(g, i)]
-		}
-		n.groups[g] = members
+		lo := topo.RouterID(g, 0)
+		n.groups[g] = n.Routers[lo : lo+topo.A : lo+topo.A]
 	}
 	n.nics = make([]nic, topo.Nodes)
 	if cfg.Faults.Enabled() {
@@ -287,7 +282,10 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 
 // maxFreePackets bounds the packet freelists, summed over the shards
 // (each holds an equal share), so a saturation transient's peak in-flight
-// population is not retained forever.
+// population is not retained forever. Packets come in chunks
+// (packetChunk), and a chunk is released only when none of its packets
+// is referenced: a packet dropped past the cap frees nothing while a
+// chunk-mate is still in the fabric or on a freelist.
 const maxFreePackets = 1 << 15
 
 func max64(a, b int64) int64 {
@@ -650,7 +648,7 @@ func (n *Network) handle(ev *event) {
 
 	case evPipeDone:
 		r := n.Routers[ev.router]
-		r.out[ev.port].qPush(outEntry{pkt: ev.pkt, vc: ev.vc})
+		r.stage(int(ev.port), outEntry{pkt: ev.pkt, vc: ev.vc})
 		r.stagedPorts.add(int32(ev.port))
 		r.shard.linkActive.add(ev.router)
 

@@ -115,6 +115,10 @@ type netShard struct {
 	// inside the parallel section; Network.recycle returns a packet to the
 	// shard of its source node at the sequential points.
 	freePkts []*Packet
+	// pktChunk is the unconsumed part of the shard's current chunk of
+	// fresh packets: a freelist miss takes the next one, and only an
+	// exhausted chunk allocates, packetChunk packets at a time.
+	pktChunk []Packet
 
 	// pendingKills collects the head packets this shard's route phase
 	// flagged for removal (unreachable destination, exhausted detour
@@ -123,8 +127,13 @@ type netShard struct {
 	pendingKills []pendingKill
 }
 
+// packetChunk is how many packets a shard allocates at once when its
+// freelist is empty.
+const packetChunk = 64
+
 // newPacket makes the Packet of a record leaving the NIC queue of src,
-// a node of this shard, on a struct from the shard's freelist: into an
+// a node of this shard, on a struct from the shard's freelist, or from
+// its chunk of fresh ones when the freelist is empty: into an
 // injection VC (nicDrain, inside the parallel section), or into a
 // fault's victim set when src's router dies with the record still
 // queued. The id and generation cycle are the record's, assigned by
@@ -136,7 +145,11 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		sh.freePkts[k-1] = nil
 		sh.freePkts = sh.freePkts[:k-1]
 	} else {
-		p = new(Packet)
+		if len(sh.pktChunk) == 0 {
+			sh.pktChunk = make([]Packet, packetChunk)
+		}
+		p = &sh.pktChunk[0]
+		sh.pktChunk = sh.pktChunk[1:]
 	}
 	*p = Packet{
 		ID:          rec.id,

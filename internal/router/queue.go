@@ -1,11 +1,13 @@
 package router
 
-// fifo is a growable FIFO backing NIC queues, output-port stages and the
-// congestion notices. Its backing slice stays bounded under sustained
-// traffic: pushes compact the dead prefix whenever it reaches the live
-// region's size (amortized O(1)), so capacity stays within a few times
-// the live peak, which admission bounds (NICQueuePackets records a NIC,
-// BufOut/PacketSize entries an output stage).
+// fifo is a growable FIFO backing NIC queues and the congestion notices;
+// output stages are fixed rings (outRing). Its backing slice stays
+// bounded under sustained traffic: pushes compact the dead prefix
+// whenever it reaches the live region's size (amortized O(1)), so
+// capacity stays within a few times the live peak, which admission
+// bounds (NICQueuePackets records a NIC). It grows from empty, so a NIC
+// that never queues more than a few records never holds room for
+// NICQueuePackets.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -102,4 +104,40 @@ func (q *vcQueue) pop() *Packet {
 	}
 	q.n--
 	return p
+}
+
+// outRing is an output stage: the granted packets past the pipeline,
+// waiting for the link, each with its downstream VC. Like vcQueue it is a
+// fixed ring, of the max(BufOut/PacketSize, 1) entries that outFree
+// admits, but it is cut only at its router's first output push
+// (Router.cutStages); until then it has no slots and is empty.
+type outRing struct {
+	buf  []outEntry
+	head int32
+	n    int32
+}
+
+func (q *outRing) len() int { return int(q.n) }
+
+func (q *outRing) push(e outEntry) {
+	if int(q.n) == len(q.buf) {
+		panic("router: output stage overflow; output-buffer accounting is broken")
+	}
+	i := int(q.head + q.n)
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = e
+	q.n++
+}
+
+// pop removes the oldest entry; the stage must not be empty.
+func (q *outRing) pop() outEntry {
+	e := q.buf[q.head]
+	q.buf[q.head] = outEntry{}
+	if q.head++; int(q.head) == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return e
 }

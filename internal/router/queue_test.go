@@ -2,8 +2,8 @@ package router
 
 import "testing"
 
-// newVCQueue builds a stand-alone queue the way newRouter cuts one from
-// its ring array.
+// newVCQueue builds a stand-alone queue the way buildRouters cuts one
+// from the network's ring array.
 func newVCQueue(capPhits, packetSize int) vcQueue {
 	return vcQueue{pkts: make([]*Packet, ringSlots(capPhits, packetSize))}
 }

@@ -106,7 +106,7 @@ type outPort struct {
 	linkFailed bool
 	dead       bool
 
-	q          fifo[outEntry] // output buffer FIFO
+	q          outRing // output stage: granted packets past the pipeline
 	linkFreeAt int64
 
 	rrIn int // output-arbiter round-robin pointer
@@ -116,9 +116,8 @@ type outPort struct {
 	BusyCycles int64
 }
 
-func (o *outPort) qLen() int        { return o.q.len() }
-func (o *outPort) qPush(e outEntry) { o.q.push(e) }
-func (o *outPort) qPop() outEntry   { return o.q.pop() }
+func (o *outPort) qLen() int      { return o.q.len() }
+func (o *outPort) qPop() outEntry { return o.q.pop() }
 
 // Router is one simulated router: input VC buffers and the head table
 // that summarises them for the route phase and the allocator, output
@@ -203,74 +202,131 @@ type Router struct {
 	cand []uint64
 }
 
-func newRouter(id int, net *Network) *Router {
-	cfg := &net.Cfg
-	topo := net.Topo
-	radix := topo.Radix()
-	slots := len(net.slotPort)
-	// A router's VC queues, their rings and its credit counters are one
-	// array per kind, cut port by port below; an ejection channel feeds
-	// one lane where an injection port has VCsInjection.
+// buildRouters makes every router of n. Each per-router array kind — the
+// Router structs, ports, VC queues and their rings, head table, credits,
+// the slot and port sets' words, the allocator's arrays, the contention
+// counters and the PCGs — is one allocation for the whole network, cut
+// router by router (and a router's share port by port), so Build's
+// allocation count does not grow with the fabric. An output stage's ring
+// is not among them: it is cut at the router's first output push
+// (cutStages).
+func (n *Network) buildRouters() {
+	cfg := &n.Cfg
+	topo := n.Topo
+	nr, radix, slots := topo.Routers, topo.Radix(), len(n.slotPort)
+	// An ejection channel feeds one lane where an injection port has
+	// VCsInjection.
 	var ringLen int
-	for _, port := range net.slotPort {
+	for _, port := range n.slotPort {
 		ringLen += ringSlots(cfg.BufFor(portKind(topo, int(port))), cfg.PacketSize)
 	}
-	rings := make([]*Packet, ringLen)
-	credits := make([]int32, slots-topo.P*(cfg.VCsInjection-1))
-	// The two head-slot sets share one allocation.
-	sw := (slots + 63) / 64
-	slotWords := make([]uint64, 2*sw)
-	r := &Router{
-		ID:            id,
-		net:           net,
-		in:            make([]inPort, radix),
-		out:           make([]outPort, radix),
-		group:         int32(topo.GroupOf(id)),
-		vqs:           make([]vcQueue, slots),
-		heads:         make([]*Packet, slots),
-		req:           make([]headReq, slots),
-		unroutedHeads: activeSet{words: slotWords[:sw:sw]},
-		grantable:     activeSet{words: slotWords[sw:]},
-		Contention:    core.NewCounters(radix),
-		RNG:           rng.New(net.seed, uint64(id)+1),
-		stagedPorts:   newActiveSet(0, int32(radix)),
-		reqPorts:      newActiveSet(0, int32(radix)),
-		dirtyOut:      newActiveSet(0, int32(radix)),
-		rrVC:          make([]int8, radix),
-		s1:            make([]int8, radix),
-		cand:          make([]uint64, radix*((radix+63)/64)),
+	credLen := slots - topo.P*(cfg.VCsInjection-1)
+	// Words per router: the two head-slot sets, the three port sets and
+	// cand's radix port sets.
+	sw, pw := (slots+63)/64, (radix+63)/64
+	var (
+		routers  = make([]Router, nr)
+		in       = make([]inPort, nr*radix)
+		out      = make([]outPort, nr*radix)
+		vqs      = make([]vcQueue, nr*slots)
+		heads    = make([]*Packet, nr*slots)
+		req      = make([]headReq, nr*slots)
+		rings    = make([]*Packet, nr*ringLen)
+		credits  = make([]int32, nr*credLen)
+		words    = make([]uint64, nr*(2*sw+(3+radix)*pw))
+		arb      = make([]int8, nr*2*radix) // rrVC and s1
+		counters = make([]int32, nr*radix)
+		banks    = make([]core.Counters, nr)
+		pcgs     = make([]rng.PCG, nr)
+	)
+	n.Routers = make([]*Router, nr)
+	for id := range routers {
+		banks[id] = core.CountersOver(cut(&counters, radix))
+		pcgs[id].Seed(n.seed, uint64(id)+1)
+		r := &routers[id]
+		*r = Router{
+			ID:            id,
+			net:           n,
+			shard:         &n.shards[n.shardOf[id]],
+			in:            cut(&in, radix),
+			out:           cut(&out, radix),
+			group:         int32(topo.GroupOf(id)),
+			vqs:           cut(&vqs, slots),
+			heads:         cut(&heads, slots),
+			req:           cut(&req, slots),
+			unroutedHeads: activeSet{words: cut(&words, sw)},
+			grantable:     activeSet{words: cut(&words, sw)},
+			Contention:    &banks[id],
+			RNG:           &pcgs[id],
+			stagedPorts:   activeSet{words: cut(&words, pw)},
+			reqPorts:      activeSet{words: cut(&words, pw)},
+			dirtyOut:      activeSet{words: cut(&words, pw)},
+			rrVC:          cut(&arb, radix),
+			s1:            cut(&arb, radix),
+			cand:          cut(&words, radix*pw),
+		}
+		slot := 0
+		for port := 0; port < radix; port++ {
+			kind := portKind(topo, port)
+			vcN := cfg.VCsFor(kind)
+			ring := ringSlots(cfg.BufFor(kind), cfg.PacketSize)
+			ip, op := &r.in[port], &r.out[port]
+			ip.kind, ip.nvc, ip.slot0 = kind, int8(vcN), int16(slot)
+			for range vcN {
+				r.vqs[slot].pkts = cut(&rings, ring)
+				slot++
+			}
+			// The link's far end is both the upstream of the input side and
+			// the downstream of the output side, and its input port has the
+			// same class as ours; an ejection channel is a single bottomless
+			// lane.
+			op.kind = kind
+			op.outFree = int32(cfg.BufOut)
+			ip.upRouter, op.peerRouter = -1, -1
+			dn := 1
+			if kind != Injection {
+				peer, peerPort := topo.Neighbor(id, port)
+				ip.upRouter, ip.upPort = int32(peer), int16(peerPort)
+				op.peerRouter, op.peerPort = int32(peer), int16(peerPort)
+				dn = vcN
+			}
+			op.credits = cut(&credits, dn)
+			for v := range op.credits {
+				op.credits[v] = n.classes[kind].vcCap
+			}
+		}
+		n.Routers[id] = r
 	}
-	slot := 0
-	for port := 0; port < radix; port++ {
-		kind := portKind(topo, port)
-		vcN := cfg.VCsFor(kind)
-		ring := ringSlots(cfg.BufFor(kind), cfg.PacketSize)
-		ip, op := &r.in[port], &r.out[port]
-		ip.kind, ip.nvc, ip.slot0 = kind, int8(vcN), int16(slot)
-		for range vcN {
-			r.vqs[slot].pkts, rings = rings[:ring:ring], rings[ring:]
-			slot++
-		}
-		// The link's far end is both the upstream of the input side and
-		// the downstream of the output side, and its input port has the
-		// same class as ours; an ejection channel is a single bottomless
-		// lane.
-		op.kind = kind
-		op.outFree = int32(cfg.BufOut)
-		ip.upRouter, op.peerRouter = -1, -1
-		dn := 1
-		if kind != Injection {
-			peer, peerPort := topo.Neighbor(id, port)
-			ip.upRouter, ip.upPort = int32(peer), int16(peerPort)
-			op.peerRouter, op.peerPort = int32(peer), int16(peerPort)
-			dn = vcN
-		}
-		op.credits, credits = credits[:dn:dn], credits[dn:]
-		for v := range op.credits {
-			op.credits[v] = net.classes[kind].vcCap
-		}
+}
+
+// cut hands out the first k elements of *s, capacity-capped so no append
+// reaches the next share, and advances *s past them.
+func cut[T any](s *[]T, k int) []T {
+	v := (*s)[:k:k]
+	*s = (*s)[k:]
+	return v
+}
+
+// stage pushes e onto output port's stage, cutting r's stage rings at
+// its first output push.
+func (r *Router) stage(port int, e outEntry) {
+	o := &r.out[port]
+	if o.q.buf == nil {
+		r.cutStages()
 	}
-	return r
+	o.q.push(e)
+}
+
+// cutStages gives every output port of r its stage ring at the router's
+// first output push: all of them from one array, each the
+// max(BufOut/PacketSize, 1) entries that outFree admits. A router that
+// never forwards a packet never pays for them.
+func (r *Router) cutStages() {
+	k := max(r.net.Cfg.BufOut/r.net.Cfg.PacketSize, 1)
+	stages := make([]outEntry, len(r.out)*k)
+	for port := range r.out {
+		r.out[port].q.buf = cut(&stages, k)
+	}
 }
 
 // --- accessors used by routing algorithms and tests ---

@@ -205,6 +205,58 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsDoNotGrowWithFabric: Build makes each per-router array
+// kind once for the whole network (buildRouters), so the Small fabric's
+// 264 routers cost as many allocations as tiny's 36. A per-router make
+// creeping back multiplies the count by the router count.
+func TestBuildAllocsDoNotGrowWithFabric(t *testing.T) {
+	for _, p := range []topology.Params{{P: 4, A: 4, H: 2}, {P: 4, A: 8, H: 4}} {
+		cfg := DefaultConfig(p)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Build(cfg, testMin{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%+v: %d routers, %v allocations", p, topology.MustNew(p).Routers, allocs)
+		if allocs >= 64 {
+			t.Errorf("%+v: Build makes %v allocations, want under 64", p, allocs)
+		}
+	}
+}
+
+// TestOutputStagesCutAtFirstPush: a router holds no output stage ring
+// until its first output push, which cuts one for every port, each of
+// BufOut/PacketSize entries and capacity-capped; a router that forwards
+// nothing never gets them.
+func TestOutputStagesCutAtFirstPush(t *testing.T) {
+	n := buildSmall(t)
+	for _, r := range n.Routers {
+		for port := range r.out {
+			if r.out[port].q.buf != nil {
+				t.Fatalf("router %d port %d has a stage ring before any push", r.ID, port)
+			}
+		}
+	}
+	if !n.Inject(0, 1) { // both nodes on router 0
+		t.Fatal("inject refused")
+	}
+	n.Run(40)
+	if n.NumDelivered != 1 {
+		t.Fatalf("%d delivered, want 1", n.NumDelivered)
+	}
+	k := n.Cfg.BufOut / n.Cfg.PacketSize
+	for port, o := range n.Routers[0].out {
+		if len(o.q.buf) != k || cap(o.q.buf) != k {
+			t.Fatalf("port %d: stage ring %d/%d entries, want %d", port, len(o.q.buf), cap(o.q.buf), k)
+		}
+	}
+	for _, r := range n.Routers[1:] {
+		if r.out[0].q.buf != nil {
+			t.Fatalf("router %d forwarded nothing but holds stage rings", r.ID)
+		}
+	}
+}
+
 // TestSameRouterDeliveryTiming pins the end-to-end timing of the simplest
 // possible transfer: src and dst attached to the same router.
 //
