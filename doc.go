@@ -467,14 +467,24 @@
 // bytes_per_node fell 2–4 % (small_un_sweep 2 260 → 2 175). An output
 // stage is a fixed ring of the max(BufOut/PacketSize, 1) entries
 // outFree admits (4 at Table I), not a growing FIFO, and a router's
-// stage rings are cut from one array at its first output push
-// (Router.cutStages), not at Build: pre-sized there they would add
-// ≈ 240 bytes per Small node, +10.6 % bytes_per_node, for routers a
-// near-idle run never reaches. NIC queues keep their growing FIFO: sized
-// to NICQueuePackets at the first push they would add ≈ 1.5 KB per node
-// to a loaded run's resident set. With the packet chunks below, one
-// small_un_sweep pass allocates 1 123 objects per thousand cycles
-// instead of 7 691, most of what is left being NIC FIFO growth.
+// stage rings are cut at its first output push (Router.cutStages), not
+// at Build: pre-sized there they would add ≈ 240 bytes per Small node,
+// +10.6 % bytes_per_node, for routers a near-idle run never reaches.
+// They come from its shard's current batch, each batch the rings of the
+// next 16 of the shard's routers still without any. ECtN's Attach cuts
+// every router's partial array and every group's combined array from
+// one array each (core.ECtNOver). A NIC queue, a calendar bucket and
+// the congestion notices are one chunked FIFO type (router.chunkQueue),
+// whose fixed-size chunks come from a LIFO pool — the shard's for NIC
+// queues and buckets, the network's for the notices — that allocates a
+// batch of chunks when it is empty and nothing at Build: a NIC holds
+// one 16-record chunk per 16 records queued plus a partly read one, not
+// a FIFO grown by doubling (sizing every NIC to NICQueuePackets at its
+// first push would add ≈ 1.5 KB per node to a loaded run's resident
+// set), and a saturated run stops allocating once its pools reach their
+// peak. With the packet chunks below, one small_un_sweep pass allocates
+// 83 objects per thousand cycles, where per-router arrays took 7 691,
+// and a NIC FIFO that grew from empty 1 125.
 //
 // Allocation iterations nominate only what can be granted, and end at
 // the first no-grant. The allocator runs Speedup iterations per cycle,
@@ -506,26 +516,28 @@
 //
 // The event calendar. Between cycles, work in flight in the fabric lives
 // on a calendar: per shard, one bucket per cycle of a ring sized to the
-// maximum link+pipeline horizon (128 slots for Table I). A bucket is an
-// event count and a chain of 680-byte chunks of 42 events drawn from the
-// shard's pool (router/calendar.go). Scheduling appends at the tail
+// maximum link+pipeline horizon (128 slots for Table I). A bucket is a
+// chunkQueue: an event count and a chain of chunks of 42 events (704
+// bytes with the chunk's header) drawn from the shard's pool
+// (router/calendar.go, router/queue.go). Scheduling appends at the tail
 // chunk; event handling reads the chain front to back, and the fault
-// sweep takes a chain off and appends its survivors back in the order
-// it read them, so events leave a bucket in exactly the order they were
+// sweep moves each bucket's survivors up in place in the order it read
+// them, so events leave a bucket in exactly the order they were
 // scheduled — the only ordering the engine relies on, and the same one
 // a plain slice per bucket gave. A chunk goes back to the pool the
 // moment it has been read and the pool is a stack, so the chunk the
 // handlers' own new events need next is the one still in cache, and the
 // memory a loaded run cycles through is its live events plus one partly
-// filled chunk per occupied bucket (~0.39 MB for a Small network at UN
-// 0.5, 1.16x the bytes of its live events) — not 128 slices each grown
+// filled chunk per occupied bucket (~0.41 MB for a Small network at UN
+// 0.5, 1.22x the bytes of its live events) — not 128 slices each grown
 // to its own peak and revisited a ring period later (~4 MB, over the
-// L2). A chunk is allocated only when the pool is empty, which happens
+// L2). Chunks are allocated only when the pool is empty, which happens
 // while the run's live-event peak is still rising and never at Network
-// construction (one of the growth statements the zero-allocation audit
-// allows, like a shard's packet chunk); the chunks are separate allocations rather than one
-// slab grown by append because the slab's outgrown copies are garbage
-// at exactly the moment the resident set peaks.
+// construction, 32 at a time (one of the growth statements the
+// zero-allocation audit allows, like a shard's packet chunk); they come
+// in fixed batches rather than from one slab grown by append because
+// the slab's outgrown copies are garbage at exactly the moment the
+// resident set peaks.
 //
 // NIC records. A packet waiting in its source's NIC queue has met no
 // router: of a Packet's 80 bytes only its id, its generation cycle, its
@@ -537,7 +549,7 @@
 // so OnDrop sees a whole packet either way. Past saturation every NIC
 // holds its full 64-entry backlog, which was 64 pointers and 64 built
 // packets per node (5.9 MB of a Small network); as records it is 1.6 MB,
-// and a packet taken off a LIFO freelist at the moment a router will
+// held in 2.2 MB of 16-record chunks (TestNICPoolSteadyState), and a packet taken off a LIFO freelist at the moment a router will
 // read it is warm in cache where one built 64 queue slots earlier was
 // not. The drain runs inside the parallel section, so the freelist is
 // per shard: netShard.newPacket takes from the executing shard's, and
@@ -807,9 +819,10 @@
 //     MemProfileRate 1, attributes each to its allocating statement
 //     (the first frame of this module on its stack) and fails on any
 //     statement outside one table in the test: the pooled growth of
-//     the engine's buffers, freelists and packet chunks (their
-//     allocations stop once a run's peak is reached), a router's output
-//     stage rings, cut at its first output push, and a forked cycle's
+//     the engine's buffers, freelists, packet chunks and queue-chunk
+//     batches (their allocations stop once a run's peak is reached), the
+//     batches output stage rings are cut from at routers' first output
+//     pushes, and a forked cycle's
 //     channel and worker
 //     goroutines at workers > 1, each named by function and statement
 //     text. Allocations the runtime makes for itself (type-assertion

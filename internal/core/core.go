@@ -156,11 +156,14 @@ type ECtN struct {
 	group int32
 }
 
-// NewECtN returns zeroed ECtN state for a router of `group`, a group
-// with `links` global links (a*h in a canonical Dragonfly), whose every
-// IncPartial/DecPartial marks `group` in dirty.
-func NewECtN(links int, dirty *GroupDirty, group int) *ECtN {
-	return &ECtN{partial: make([]int32, links), dirty: dirty, group: int32(group)}
+// ECtNOver returns the ECtN state of a router of `group` over the
+// caller's partial array, one counter per global link of the group (a*h
+// in a canonical Dragonfly), which it zeroes; every IncPartial/DecPartial
+// marks `group` in dirty. A fabric that attaches every router's state
+// cuts their partial arrays from one array.
+func ECtNOver(partial []int32, dirty *GroupDirty, group int) ECtN {
+	clear(partial)
+	return ECtN{partial: partial, dirty: dirty, group: int32(group)}
 }
 
 // Links returns the number of global links tracked.

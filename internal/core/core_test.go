@@ -59,6 +59,20 @@ func TestCountersReset(t *testing.T) {
 	}
 }
 
+// TestECtNOverSharesCallerSlice: ECtN state built over a caller's slice
+// starts zeroed, counts in that slice and stays within it.
+func TestECtNOverSharesCallerSlice(t *testing.T) {
+	buf := []int32{7, 7, 7, 7, 7}
+	e := ECtNOver(buf[1:3:3], NewGroupDirty(1), 0)
+	if e.Links() != 2 || e.Partial(0) != 0 || e.Partial(1) != 0 {
+		t.Fatalf("%d links, partials %d %d; want a zeroed array of 2", e.Links(), e.Partial(0), e.Partial(1))
+	}
+	e.IncPartial(1)
+	if buf[2] != 1 || buf[0] != 7 || buf[3] != 7 {
+		t.Fatalf("backing slice %v after IncPartial(1)", buf)
+	}
+}
+
 // TestCountersOverSharesCallerSlice: a bank built over a caller's slice
 // starts zeroed, counts in that slice and stays within it.
 func TestCountersOverSharesCallerSlice(t *testing.T) {
@@ -113,7 +127,10 @@ func TestQuickCountersMatchCensus(t *testing.T) {
 
 // newECtN is partial state for a router of group 0 of a one-group
 // dirty-set, for the tests that do not look at the marks.
-func newECtN(links int) *ECtN { return NewECtN(links, NewGroupDirty(1), 0) }
+func newECtN(links int) *ECtN {
+	e := ECtNOver(make([]int32, links), NewGroupDirty(1), 0)
+	return &e
+}
 
 func TestECtNPartial(t *testing.T) {
 	e := newECtN(8)
@@ -316,7 +333,7 @@ func TestGroupDirtySharded(t *testing.T) {
 
 func TestECtNBindDirtyMarksOnMutation(t *testing.T) {
 	d := NewGroupDirty(3)
-	e := NewECtN(4, d, 2)
+	e := ECtNOver(make([]int32, 4), d, 2)
 	e.IncPartial(1)
 	if !d.Marked(2) || d.Marked(0) || d.Marked(1) {
 		t.Fatal("IncPartial did not mark the bound group")

@@ -37,16 +37,20 @@ func (n *Network) CheckInvariants() error {
 	}
 	for s := range n.shards {
 		sh := &n.shards[s]
-		// Every event chunk is on one bucket's chain or in the pool.
+		// Every chunk of the shard's pools is on one queue or pooled.
 		held := 0
-		for c := sh.freeChunks; c != nil && held <= sh.numChunks; c = c.next {
-			held++
-		}
 		for b := range sh.cal {
-			held += (int(sh.cal[b].n) + chunkEvents - 1) / chunkEvents
+			held += sh.cal[b].chunksHeld()
 		}
-		if held != sh.numChunks {
-			return fmt.Errorf("router: shard %d: calendar holds or pools %d event chunks, allocated %d", s, held, sh.numChunks)
+		if err := checkPool(fmt.Sprintf("shard %d calendar", s), &sh.calPool, held); err != nil {
+			return err
+		}
+		held = 0
+		for i := sh.nodeLo; i < sh.nodeHi; i++ {
+			held += n.nics[i].q.chunksHeld()
+		}
+		if err := checkPool(fmt.Sprintf("shard %d NIC", s), &sh.nicPool, held); err != nil {
+			return err
 		}
 		if len(sh.delivered) != 0 {
 			return fmt.Errorf("router: shard %d holds %d unreplayed deliveries between cycles", s, len(sh.delivered))
@@ -60,11 +64,16 @@ func (n *Network) CheckInvariants() error {
 	// The notices are in due order, and none is overdue: a notice due at
 	// an earlier cycle was delivered at that cycle's barrier.
 	due := n.now
-	for _, nt := range n.notices.buf[n.notices.head:] {
-		if nt.at < due {
-			return fmt.Errorf("router: congestion notice for node %d due at cycle %d, behind cycle %d", nt.node, nt.at, due)
+	for run := range n.notices.runs() {
+		for _, nt := range run {
+			if nt.at < due {
+				return fmt.Errorf("router: congestion notice for node %d due at cycle %d, behind cycle %d", nt.node, nt.at, due)
+			}
+			due = nt.at
 		}
-		due = nt.at
+	}
+	if err := checkPool("notice", &n.noticePool, n.notices.chunksHeld()); err != nil {
+		return err
 	}
 	// Conservation: every generated packet is delivered, killed by a
 	// fault, discarded as unroutable, or still in flight. The fault
@@ -271,6 +280,15 @@ func (n *Network) checkFaultState() error {
 	}
 	if len(f.killed) != 0 {
 		return fmt.Errorf("router: fault engine holds %d killed packets between cycles", len(f.killed))
+	}
+	return nil
+}
+
+// checkPool reports a pool whose allocated chunks are not exactly the
+// held ones on its queues plus the pooled ones.
+func checkPool[T any](name string, p *chunkPool[T], held int) error {
+	if free := p.pooled(); held+free != p.chunks {
+		return fmt.Errorf("router: %s pool: %d chunks on queues and %d pooled, allocated %d", name, held, free, p.chunks)
 	}
 	return nil
 }

@@ -11,22 +11,14 @@ import (
 // front to back.
 func bucketEvents(sh *netShard, idx int64) []event {
 	var evs []event
-	c := sh.cal[idx].head
-	for left := sh.cal[idx].n; left > 0; left -= chunkEvents {
-		evs = append(evs, c.ev[:min(left, chunkEvents)]...)
-		c = c.next
+	for run := range sh.cal[idx].runs() {
+		evs = append(evs, run...)
 	}
 	return evs
 }
 
-// pooled counts the chunks in sh's pool.
-func pooled(sh *netShard) int {
-	free := 0
-	for c := sh.freeChunks; c != nil; c = c.next {
-		free++
-	}
-	return free
-}
+// inUse counts the chunks of sh's calendar pool that are on a bucket.
+func inUse(sh *netShard) int { return sh.calPool.chunks - sh.calPool.pooled() }
 
 // liveEvents counts the events scheduled on sh's calendar.
 func liveEvents(sh *netShard) int {
@@ -115,9 +107,10 @@ func TestCalendarChunkReuse(t *testing.T) {
 	}
 	fill(1, 2*chunkEvents)
 	fill(2, 1)
-	if sh.numChunks != 3 {
-		t.Fatalf("3 chunks' worth of events took %d chunks", sh.numChunks)
+	if inUse(sh) != 3 {
+		t.Fatalf("3 chunks' worth of events took %d chunks", inUse(sh))
 	}
+	allocated := sh.calPool.chunks
 	first := sh.cal[(n.now+1)&n.mask].head
 	second := first.next
 	n.now++
@@ -127,8 +120,8 @@ func TestCalendarChunkReuse(t *testing.T) {
 	if b := sh.cal[(n.now+5)&n.mask]; b.head != second || b.tail != first {
 		t.Fatal("a two-chunk bucket filled after a two-chunk drain did not get the drained chunks, last released first")
 	}
-	if sh.numChunks != 3 {
-		t.Fatalf("%d chunks allocated with released chunks in the pool", sh.numChunks)
+	if inUse(sh) != 3 || sh.calPool.chunks != allocated {
+		t.Fatalf("%d chunks in use, %d allocated (%d before) with released chunks in the pool", inUse(sh), sh.calPool.chunks, allocated)
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -148,7 +141,7 @@ func TestCalendarPoolSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.shards[0].numChunks != 0 {
+	if n.shards[0].calPool.chunks != 0 {
 		t.Fatal("Build allocated calendar chunks")
 	}
 	rng := newTestRand(11)
@@ -171,23 +164,79 @@ func TestCalendarPoolSteadyState(t *testing.T) {
 			}
 		}
 		if cycle == warm {
-			warmChunks = sh.numChunks
+			warmChunks = sh.calPool.chunks
 		}
 	}
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if sh.numChunks != warmChunks {
-		t.Errorf("pool grew from %d to %d chunks after warm-up", warmChunks, sh.numChunks)
+	if sh.calPool.chunks != warmChunks {
+		t.Errorf("pool grew from %d to %d chunks after warm-up", warmChunks, sh.calPool.chunks)
 	}
-	pool := sh.numChunks * 704 // the size class a chunk is allocated in
+	pool := sh.calPool.chunks * 704 // a chunk's header and events
 	need := peak * int(unsafe.Sizeof(event{}))
-	t.Logf("pool %d chunks = %d B; peak live events %d = %d B (%.2fx)", sh.numChunks, pool, peak, need, float64(pool)/float64(need))
+	t.Logf("pool %d chunks = %d B; peak live events %d = %d B (%.2fx)", sh.calPool.chunks, pool, peak, need, float64(pool)/float64(need))
 	if peak < 5000 {
 		t.Fatalf("only %d live events at peak: the network is not loaded", peak)
 	}
 	if pool > 2*need {
 		t.Errorf("pool holds %d B for %d B of live events", pool, need)
+	}
+}
+
+// TestNICPoolSteadyState runs the Small system under MIN routing and
+// ADV+1 traffic (every node sends to the next group) at 1 phit/node/cycle,
+// far past MIN's 1/(a*p) ceiling, so every NIC sits at NICQueuePackets:
+// once warm, the NIC pool stops growing, and what it holds is within 2x
+// of the bytes the queued records need (a growing FIFO held up to twice
+// its peak rounded up to a power of two).
+func TestNICPoolSteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2000 saturated cycles at Small scale")
+	}
+	cfg := DefaultConfig(topology.Params{P: 4, A: 8, H: 4})
+	n, err := Build(cfg, testMin{}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &n.shards[0]
+	if sh.nicPool.chunks != 0 {
+		t.Fatal("Build allocated NIC queue chunks")
+	}
+	rng := newTestRand(13)
+	perGroup := uint64(n.Topo.A * n.Topo.P)
+	const warm, measured = 1000, 1000
+	warmChunks := 0
+	for cycle := 0; cycle < warm+measured; cycle++ {
+		for node := 0; node < n.Topo.Nodes; node++ {
+			if rng()%8 == 0 { // one 8-phit packet per 8 cycles: 1 phit/cycle
+				g := (n.Topo.GroupOfNode(node) + 1) % n.Topo.Groups
+				n.Inject(node, g*int(perGroup)+int(rng()%perGroup))
+			}
+		}
+		n.Step()
+		if cycle == warm {
+			warmChunks = sh.nicPool.chunks
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for i := range n.nics {
+		if b := n.nics[i].len(); b < cfg.NICQueuePackets-1 {
+			t.Fatalf("NIC %d holds %d records, not at its bound %d: the network is not saturated", i, b, cfg.NICQueuePackets)
+		}
+		live += n.nics[i].len()
+	}
+	if sh.nicPool.chunks != warmChunks {
+		t.Errorf("pool grew from %d to %d chunks after warm-up", warmChunks, sh.nicPool.chunks)
+	}
+	pool := sh.nicPool.chunks * int(unsafe.Sizeof(chunk[nicRec]{})+nicChunk*unsafe.Sizeof(nicRec{}))
+	need := live * int(unsafe.Sizeof(nicRec{}))
+	t.Logf("pool %d chunks = %d B; %d live records = %d B (%.2fx)", sh.nicPool.chunks, pool, live, need, float64(pool)/float64(need))
+	if pool > 2*need {
+		t.Errorf("pool holds %d B for %d B of queued records", pool, need)
 	}
 }
 
@@ -223,9 +272,10 @@ func TestCalendarFaultFilter(t *testing.T) {
 	for i := 0; i < chunkEvents+3; i++ {
 		put(5, victim, 0)
 	}
-	if sh.numChunks != 5 || pooled(sh) != 0 {
-		t.Fatalf("set-up: %d chunks, %d pooled; want 5 and 0", sh.numChunks, pooled(sh))
+	if inUse(sh) != 5 {
+		t.Fatalf("set-up: %d chunks in use; want 5", inUse(sh))
 	}
+	allocated := sh.calPool.chunks
 
 	if allocs := testing.AllocsPerRun(1, n.sweepFaultVictims); allocs != 0 { // the second sweep finds no victim left to remove
 		t.Fatalf("the fault sweep allocates %v times", allocs)
@@ -244,8 +294,8 @@ func TestCalendarFaultFilter(t *testing.T) {
 			t.Fatalf("survivor %d is tag %d (victim %v), want tag %d", i, ev.vc, ev.pkt == victim, want[i])
 		}
 	}
-	if free := pooled(sh); free != 4 || sh.numChunks != 5 {
-		t.Fatalf("%d of %d chunks pooled, want 4 of 5 (the 31 survivors fit one chunk)", free, sh.numChunks)
+	if used := inUse(sh); used != 1 || sh.calPool.chunks != allocated {
+		t.Fatalf("%d chunks in use, %d allocated; want 1 (the 31 survivors fit one chunk) of %d", used, sh.calPool.chunks, allocated)
 	}
 	if sh.cal[(n.now+5)&n.mask].n != 0 {
 		t.Fatal("all-victim bucket does not read empty")

@@ -183,9 +183,8 @@ func (n *Network) killRouterContents(rt *Router) {
 	t := n.Topo
 	for c := 0; c < t.P; c++ {
 		node := t.NodeID(rt.ID, c)
-		q := &n.nics[node]
-		for q.len() > 0 {
-			n.faults.noteVictim(rt.shard.newPacket(n, node, q.pop()))
+		for q := &n.nics[node].q; q.len() > 0; {
+			n.faults.noteVictim(rt.shard.newPacket(n, node, q.pop(&rt.shard.nicPool)))
 		}
 	}
 	for slot := range rt.vqs {
@@ -256,12 +255,10 @@ func (n *Network) sweepFaultVictims() {
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for b := range sh.cal {
-			c := sh.cal[b].head
-			for left := sh.cal[b].n; left > 0; left -= chunkEvents {
-				for i := range min(left, chunkEvents) {
-					n.faultScanEvent(&c.ev[i])
+			for run := range sh.cal[b].runs() {
+				for i := range run {
+					n.faultScanEvent(&run[i])
 				}
-				c = c.next
 			}
 		}
 		for t := range sh.outbox {

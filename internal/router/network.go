@@ -48,6 +48,9 @@ type notice struct {
 	sev  int8
 }
 
+// noticeChunk is the notices a chunk of Network.notices holds (256 B).
+const noticeChunk = 16
+
 // nicRec is a generated packet waiting in its source's NIC queue: what
 // Inject was told, plus the id and generation cycle it assigned. No
 // router has seen the packet yet, so everything else a Packet carries is
@@ -64,14 +67,17 @@ type nicRec struct {
 
 // nic models a node's network interface: a bounded generation queue
 // draining into the router's injection buffers at one phit per cycle.
+// Its queue's chunks come from the pool of the shard that owns the node
+// (netShard.nicPool).
 type nic struct {
-	q          fifo[nicRec]
+	q          chunkQueue[nicRec]
 	linkFreeAt int64
 }
 
-func (n *nic) len() int      { return n.q.len() }
-func (n *nic) push(r nicRec) { n.q.push(r) }
-func (n *nic) pop() nicRec   { return n.q.pop() }
+func (n *nic) len() int { return n.q.len() }
+
+// nicChunk is the records a NIC queue chunk holds (384 B).
+const nicChunk = 16
 
 // Network is a complete simulated Dragonfly: routers, NICs, the event
 // calendar and cycle loop. With Config.Workers <= 1 a Network is
@@ -144,8 +150,10 @@ type Network struct {
 
 	// notices holds the congestion notifications in flight, in delivery
 	// order, which is due order: each is due Cfg.NotifyDelay() cycles after
-	// its delivery. Made and consumed at sequential points only.
-	notices fifo[notice]
+	// its delivery. Made and consumed at sequential points only, its
+	// chunks from noticePool.
+	notices    chunkQueue[notice]
+	noticePool chunkPool[notice]
 
 	// OnDeliver, when non-nil, observes every delivered packet at its
 	// delivery cycle (tail consumed by the destination node). Deliveries
@@ -196,7 +204,8 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	// Store the fault configuration resolved, so everything downstream
 	// (the retransmit source included) reads concrete values.
 	cfg.Faults = cfg.Faults.Resolved(cfg)
-	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize), shedCap: math.MaxInt}
+	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize), shedCap: math.MaxInt,
+		noticePool: chunkPool[notice]{size: noticeChunk}}
 	for k := range n.classes {
 		n.classes[k] = newPortClass(&cfg, PortKind(k))
 	}
@@ -246,6 +255,9 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		sh.nodeLo = sh.routerLo * int32(topo.P)
 		sh.nodeHi = sh.routerHi * int32(topo.P)
 		sh.cal = make([]calBucket, ringSize)
+		sh.calPool = chunkPool[event]{size: chunkEvents}
+		sh.nicPool = chunkPool[nicRec]{size: nicChunk}
+		sh.uncut = int(sh.routerHi - sh.routerLo)
 		sh.nicActive = newActiveSet(sh.nodeLo, sh.nodeHi)
 		sh.routeActive = newActiveSet(sh.routerLo, sh.routerHi)
 		sh.linkActive = newActiveSet(sh.routerLo, sh.routerHi)
@@ -372,9 +384,10 @@ func (n *Network) inject(src, dst int, attempt int8) bool {
 		n.NumBlocked++
 		return false
 	}
-	q.push(nicRec{id: n.pktID, gen: n.now, dst: int32(dst), attempt: attempt})
+	sh := n.Routers[n.Topo.RouterOfNode(src)].shard
+	n.nics[src].q.push(&sh.nicPool, &nicRec{id: n.pktID, gen: n.now, dst: int32(dst), attempt: attempt})
 	n.pktID++
-	n.Routers[n.Topo.RouterOfNode(src)].shard.nicActive.add(int32(src))
+	sh.nicActive.add(int32(src))
 	n.NumGenerated++
 	n.InFlight++
 	return true
@@ -612,7 +625,7 @@ func (n *Network) nicDrain(i int) {
 		return // injection buffers full; retry next cycle
 	}
 	q.linkFreeAt = n.now + int64(n.size)
-	r.enqueue(r.shard.newPacket(n, i, q.pop()), port, best)
+	r.enqueue(r.shard.newPacket(n, i, q.q.pop(&r.shard.nicPool)), port, best)
 }
 
 // handle applies one scheduled event. Events are also the activation
@@ -720,7 +733,7 @@ func (n *Network) replayDeliveries() {
 				// source, one reverse-path latency later. The notice
 				// carries no packet pointer: the packet is recycled below.
 				n.NumMarked++
-				n.notices.push(notice{at: n.now + n.Cfg.NotifyDelay(), node: p.Src, sev: p.ECNMarks})
+				n.notices.push(&n.noticePool, &notice{at: n.now + n.Cfg.NotifyDelay(), node: p.Src, sev: p.ECNMarks})
 			}
 			if n.OnDeliver != nil {
 				// The packet's fields are stable for the duration of the
@@ -742,7 +755,7 @@ func (n *Network) replayDeliveries() {
 // arbitrary single-threaded code.
 func (n *Network) replayNotifications() {
 	for n.noticeDue() {
-		nt := n.notices.pop()
+		nt := n.notices.pop(&n.noticePool)
 		n.NumNotified++
 		if n.OnNotify != nil {
 			n.OnNotify(int(nt.node), int(nt.sev), n.now)

@@ -86,12 +86,19 @@ type netShard struct {
 	nodeLo, nodeHi     int32 // owned node ids [lo, hi)
 
 	// cal is the calendar of events targeting this shard's routers, one
-	// bucket per ring slot (cycle & mask). freeChunks heads the stack of
-	// the numChunks event chunks allocated so far that are on no bucket's
-	// chain (calendar.go).
-	cal        []calBucket
-	freeChunks *eventChunk
-	numChunks  int
+	// bucket per ring slot (cycle & mask), its chunks from calPool
+	// (calendar.go). nicPool holds the chunks of the shard's NIC queues:
+	// Inject pushes onto them at the sequential point, nicDrain pops in
+	// the shard's own section.
+	cal     []calBucket
+	calPool chunkPool[event]
+	nicPool chunkPool[nicRec]
+
+	// stages is the unconsumed part of the shard's current batch of
+	// output stage rings, and uncut counts its routers that have not cut
+	// theirs yet (Router.cutStages).
+	stages []outEntry
+	uncut  int
 
 	// Active-set scheduler state over the owned id ranges.
 	nicActive   activeSet
@@ -229,15 +236,10 @@ func (n *Network) quietCycle(idx int64) bool {
 // so the events its handlers schedule refill it while it is still in
 // cache; they go to other buckets, never onto the chain being walked.
 func (n *Network) handleShardBucket(sh *netShard, idx int64) {
-	c, left := sh.cal[idx].head, sh.cal[idx].n
-	sh.cal[idx] = calBucket{}
-	for ; left > 0; left -= chunkEvents {
-		for i := range min(left, chunkEvents) {
-			n.handle(&c.ev[i])
+	for run := range sh.cal[idx].drain(&sh.calPool) {
+		for i := range run {
+			n.handle(&run[i])
 		}
-		next := c.next
-		sh.release(c)
-		c = next
 	}
 }
 

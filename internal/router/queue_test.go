@@ -1,6 +1,9 @@
 package router
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // newVCQueue builds a stand-alone queue the way buildRouters cuts one
 // from the network's ring array.
@@ -65,6 +68,82 @@ func TestVCQueueWrapAgainstReference(t *testing.T) {
 			if q.len() != len(ref) || q.free() != int32(slots-len(ref)) {
 				t.Fatalf("%d slots, step %d: len %d free %d with %d queued", slots, step, q.len(), q.free(), len(ref))
 			}
+		}
+	}
+}
+
+// TestChunkQueueAgainstSlice is the model test of the chunked FIFO: a
+// calendar bucket whose pool cuts chunks of 1, 3 or chunkEvents events,
+// driven by a seeded random interleaving of push, pop and filterBucket,
+// holds exactly what a plain slice does after every operation, and every
+// chunk its pool allocated is on the bucket or pooled, the bucket holding
+// no more chunks than its events need plus a partly read head. Pops that
+// empty the head chunk while later chunks stay, filters over a partly
+// read head (when a chunk holds more than one event) and filters that
+// drop every event are each required to happen.
+func TestChunkQueueAgainstSlice(t *testing.T) {
+	for _, size := range []int32{1, 3, chunkEvents} {
+		sh := &netShard{cal: make([]calBucket, 1), calPool: chunkPool[event]{size: size}}
+		q := &sh.cal[0]
+		victim := &Packet{killed: true}
+		var ref []event
+		rng := newTestRand(uint64(size))
+		seq := int32(0)
+		var headEmptied, midFilters, dropAll int
+		for step := 0; step < 20000; step++ {
+			switch r := rng() % 16; {
+			case r < 9 || len(ref) == 0:
+				for k := rng() % (2 * uint64(size)); k < 2*uint64(size); k++ {
+					ev := event{router: seq}
+					if rng()%3 == 0 {
+						ev.pkt = victim
+					}
+					seq++
+					sh.push(0, ev)
+					ref = append(ref, ev)
+				}
+			case r < 14:
+				for k := rng()%uint64(len(ref)) + 1; k > 0; k-- {
+					if q.len() > 1 && int(q.off) == len(q.head.buf)-1 {
+						headEmptied++
+					}
+					if got := q.pop(&sh.calPool); got != ref[0] {
+						t.Fatalf("size %d, step %d: popped event %d, want %d", size, step, got.router, ref[0].router)
+					}
+					ref = ref[1:]
+				}
+			default:
+				if q.off > 0 {
+					midFilters++
+				}
+				if !slices.ContainsFunc(ref, func(ev event) bool { return !ev.isVictim() }) {
+					dropAll++
+				}
+				sh.filterBucket(0)
+				ref = slices.DeleteFunc(ref, func(ev event) bool { return ev.isVictim() })
+			}
+			var got []event
+			for run := range q.runs() {
+				got = append(got, run...)
+			}
+			if q.len() != len(ref) || !slices.Equal(got, ref) {
+				t.Fatalf("size %d, step %d: bucket holds %d events %v, slice %d", size, step, q.len(), got, len(ref))
+			}
+			if len(ref) > 0 && q.front() != ref[0] {
+				t.Fatalf("size %d, step %d: front is event %d, want %d", size, step, q.front().router, ref[0].router)
+			}
+			held := q.chunksHeld()
+			if err := checkPool("model", &sh.calPool, held); err != nil {
+				t.Fatalf("size %d, step %d: %v", size, step, err)
+			}
+			if most := (len(ref)+int(size)-1)/int(size) + 1; held > most {
+				t.Fatalf("size %d, step %d: %d events on %d chunks of %d", size, step, len(ref), held, size)
+			}
+		}
+		t.Logf("size %d: %d head chunks emptied mid-bucket, %d filters over a partly read head, %d that drop every event; %d chunks allocated",
+			size, headEmptied, midFilters, dropAll, sh.calPool.chunks)
+		if headEmptied == 0 || (midFilters == 0 && size > 1) || dropAll == 0 {
+			t.Errorf("size %d: a case went unexercised", size)
 		}
 	}
 }

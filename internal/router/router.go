@@ -318,16 +318,27 @@ func (r *Router) stage(port int, e outEntry) {
 }
 
 // cutStages gives every output port of r its stage ring at the router's
-// first output push: all of them from one array, each the
-// max(BufOut/PacketSize, 1) entries that outFree admits. A router that
-// never forwards a packet never pays for them.
+// first output push, each the max(BufOut/PacketSize, 1) entries that
+// outFree admits, cut from its shard's current batch. An exhausted batch
+// is replaced by one holding the rings of stageBatch routers, or of the
+// shard's routers still without rings when fewer are left: a shard holds
+// no more rings than its routers, and a near-idle run no more than its
+// first forwarding routers need, rounded up to a batch.
 func (r *Router) cutStages() {
 	k := max(r.net.Cfg.BufOut/r.net.Cfg.PacketSize, 1)
-	stages := make([]outEntry, len(r.out)*k)
+	sh := r.shard
+	if len(sh.stages) == 0 {
+		sh.stages = make([]outEntry, min(stageBatch, sh.uncut)*len(r.out)*k)
+	}
+	sh.uncut--
 	for port := range r.out {
-		r.out[port].q.buf = cut(&stages, k)
+		r.out[port].q.buf = cut(&sh.stages, k)
 	}
 }
+
+// stageBatch is how many routers' stage rings a shard allocates at once
+// (15 KB at Small).
+const stageBatch = 16
 
 // --- accessors used by routing algorithms and tests ---
 

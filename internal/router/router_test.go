@@ -205,25 +205,6 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBuildAllocsDoNotGrowWithFabric: Build makes each per-router array
-// kind once for the whole network (buildRouters), so the Small fabric's
-// 264 routers cost as many allocations as tiny's 36. A per-router make
-// creeping back multiplies the count by the router count.
-func TestBuildAllocsDoNotGrowWithFabric(t *testing.T) {
-	for _, p := range []topology.Params{{P: 4, A: 4, H: 2}, {P: 4, A: 8, H: 4}} {
-		cfg := DefaultConfig(p)
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := Build(cfg, testMin{}, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%+v: %d routers, %v allocations", p, topology.MustNew(p).Routers, allocs)
-		if allocs >= 64 {
-			t.Errorf("%+v: Build makes %v allocations, want under 64", p, allocs)
-		}
-	}
-}
-
 // TestOutputStagesCutAtFirstPush: a router holds no output stage ring
 // until its first output push, which cuts one for every port, each of
 // BufOut/PacketSize entries and capacity-capped; a router that forwards

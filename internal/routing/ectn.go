@@ -66,6 +66,17 @@ func (*ectnAlg) Name() string { return ECtN.String() }
 
 func (a *ectnAlg) Attach(n *router.Network) {
 	t := n.Topo
+	links := t.GlobalLinks
+	// Every router's state and partial array, and every group's member
+	// list and combined array, is cut from one array per kind, so
+	// attaching makes as many allocations at any fabric size. A group's
+	// routers are consecutive ids, so its members are a window.
+	var (
+		states   = make([]core.ECtN, t.Routers)
+		partials = make([]int32, t.Routers*links)
+		members  = make([]*core.ECtN, t.Routers)
+		combined = make([]int32, t.Groups*links)
+	)
 	a.members = make([][]*core.ECtN, t.Groups)
 	a.combined = make([][]int32, t.Groups)
 	// Under shard-parallel stepping the partial-counter hooks run on
@@ -73,15 +84,15 @@ func (a *ectnAlg) Attach(n *router.Network) {
 	// lock-free and race-free (a group never spans shards) while
 	// BeginCycle's Drain stays at the sequential barrier.
 	a.dirty = core.NewGroupDirty(t.Groups)
-	for g := 0; g < t.Groups; g++ {
-		members := n.Group(g)
-		states := make([]*core.ECtN, len(members))
-		for i, r := range members {
-			r.Ectn = core.NewECtN(t.GlobalLinks, a.dirty, g)
-			states[i] = r.Ectn
-		}
-		a.members[g] = states
-		a.combined[g] = make([]int32, t.GlobalLinks)
+	for id, r := range n.Routers {
+		states[id] = core.ECtNOver(partials[id*links:(id+1)*links:(id+1)*links], a.dirty, r.Group())
+		r.Ectn = &states[id]
+		members[id] = r.Ectn
+	}
+	for g := range t.Groups {
+		lo := t.RouterID(g, 0)
+		a.members[g] = members[lo : lo+t.A : lo+t.A]
+		a.combined[g] = combined[g*links : (g+1)*links : (g+1)*links]
 	}
 }
 
