@@ -834,12 +834,15 @@
 //     uniform.Dest, Step (the invariant audit), PickPort (a stored
 //     predicate), window.deliver and applyFaultEvent.
 //
-// detlint analyses every package `go test` compiles, test files
-// included. An external test package is type-checked the way the go tool
-// builds it: a module package it imports that depends on the package
-// under test is that package's test variant, recompiled against the
-// with-tests package, so a router_test file may step a network that
-// internal/sim built with a method declared in export_test.go.
+// detlint loads the way `go vet` does: go list compiles every matched
+// package, so a compile error anywhere is a load error, and each
+// deterministic package is type-checked from source once, test files
+// included, with every import read from compiler export data. An
+// external test package is checked the way the go tool builds it: a
+// module package it imports that depends on the package under test is
+// that package's test variant, recompiled against the with-tests
+// package, so a router_test file may step a network that internal/sim
+// built with a method declared in export_test.go.
 //
 // The registry of contracts lives in lint.DefaultConfig; new
 // deterministic packages (e.g. additional topology backends) join by

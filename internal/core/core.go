@@ -50,9 +50,6 @@ func CountersOver(c []int32) Counters {
 	return Counters{c: c}
 }
 
-// Len returns the number of counters in the bank.
-func (k *Counters) Len() int { return len(k.c) }
-
 // Inc registers one more head-of-queue packet whose minimal output is
 // port.
 func (k *Counters) Inc(port int) { k.c[port]++ }

@@ -8,14 +8,14 @@ import (
 
 func TestCountersIncDecGet(t *testing.T) {
 	k := CountersOver(make([]int32, 4))
-	if k.Len() != 4 {
-		t.Fatalf("len %d", k.Len())
+	if len(k.c) != 4 {
+		t.Fatalf("len %d", len(k.c))
 	}
 	k.Inc(2)
 	k.Inc(2)
 	k.Inc(0)
 	if k.Get(2) != 2 || k.Get(0) != 1 || k.Get(1) != 0 {
-		t.Fatalf("snapshot %v", k.Snapshot())
+		t.Fatalf("counters %v", k.c)
 	}
 	k.Dec(2)
 	if k.Get(2) != 1 {
@@ -78,8 +78,8 @@ func TestECtNOverSharesCallerSlice(t *testing.T) {
 func TestCountersOverSharesCallerSlice(t *testing.T) {
 	buf := []int32{7, 7, 7, 7, 7}
 	k := CountersOver(buf[1:3:3])
-	if k.Len() != 2 || k.Sum() != 0 {
-		t.Fatalf("len %d sum %d, want a zeroed bank of 2", k.Len(), k.Sum())
+	if len(k.c) != 2 || k.Sum() != 0 {
+		t.Fatalf("len %d sum %d, want a zeroed bank of 2", len(k.c), k.Sum())
 	}
 	k.Inc(1)
 	if buf[2] != 1 || buf[0] != 7 || buf[3] != 7 {

@@ -23,15 +23,24 @@ const moduleDir = "../.."
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
 // runFixture applies one analyzer to testdata/src/<name> under cfg and
-// diffs the findings against the fixture's want comments.
+// diffs the findings against the fixture's want comments. A fixture is a
+// package of the module that ./... skips (it is under testdata), so it is
+// loaded by its directory.
 func runFixture(t *testing.T, a *Analyzer, cfg *Config, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadFixture(moduleDir, dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffWants(t, dir, RunAnalyzers(pkg, cfg, []*Analyzer{a}))
+	pkgs, err := Load(moduleDir, abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded as %d packages", name, len(pkgs))
+	}
+	diffWants(t, dir, RunAnalyzers(pkgs[0], cfg, []*Analyzer{a}))
 }
 
 // diffWants fails on any finding without a matching want comment and any

@@ -116,20 +116,18 @@ func DefaultConfig() *Config {
 	}
 }
 
-// Run loads the packages matched by patterns under dir and applies the
-// analyzers to each deterministic package, returning the findings sorted
-// by position. Packages are loaded and type-checked exactly once, shared
-// by all analyzers.
+// Run loads the deterministic packages matched by patterns under dir and
+// applies the analyzers to each, returning the findings sorted by
+// position. Each package is type-checked exactly once, shared by all
+// analyzers; go list still compiles every matched package, so a compile
+// error outside the registry is a load error too.
 func Run(dir string, cfg *Config, patterns ...string) ([]Diagnostic, error) {
-	pkgs, err := Load(dir, patterns...)
+	pkgs, err := load(dir, cfg.IsDeterministic, patterns)
 	if err != nil {
 		return nil, err
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		if !cfg.IsDeterministic(pkg.Path) {
-			continue
-		}
 		diags = append(diags, RunAnalyzers(pkg, cfg, Analyzers)...)
 	}
 	sortDiagnostics(diags)

@@ -18,7 +18,7 @@ import (
 //   - rng.New / (*rng.PCG).Seed calls are vetted: the seed argument must
 //     be derived from a seed-named value (net.seed, cfg.Seed,
 //     fc.RandomSeed, a `seed` parameter…), a constant, or another
-//     sanctioned stream (Split-style derivation); neither argument may
+//     sanctioned stream (a draw such as p.Uint64()); neither argument may
 //     contain calls other than conversions and rng-stream methods.
 //
 // Seeding inside an unordered map or channel range needs no rule here:
@@ -84,7 +84,7 @@ func (pass *Pass) checkRNGCall(call *ast.CallExpr) {
 
 // seedDerived reports whether e is acceptably seed-derived: a constant,
 // a seed-named identifier/field, a sanctioned-stream method call
-// (Split-style derivation), a conversion of one of those, or an
+// (a draw from another stream), a conversion of one of those, or an
 // arithmetic combination in which at least one operand is seed-derived
 // and the rest are pure.
 func (pass *Pass) seedDerived(e ast.Expr) bool {
@@ -137,7 +137,7 @@ func (pass *Pass) isConversion(call *ast.CallExpr) bool {
 }
 
 // isRNGStreamCall reports whether call invokes a function or method of
-// the sanctioned RNG package (p.Uint64(), p.Split(), rng.New(...)):
+// the sanctioned RNG package (p.Uint64(), rng.New(...)):
 // deriving new streams from existing ones is the sanctioned pattern.
 func (pass *Pass) isRNGStreamCall(call *ast.CallExpr) bool {
 	fn := calleeFunc(pass.Pkg.Info, call)

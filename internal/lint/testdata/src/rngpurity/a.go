@@ -47,7 +47,7 @@ func goodSeedConst() *rng.PCG {
 	return rng.New(12345, 0)
 }
 
-func goodSplitDerived(p *rng.PCG, id uint64) *rng.PCG {
+func goodStreamDerived(p *rng.PCG, id uint64) *rng.PCG {
 	return rng.New(p.Uint64(), id)
 }
 

@@ -57,13 +57,6 @@ func (p *PCG) Seed(seed, streamID uint64) {
 	p.next()
 }
 
-// Split derives a new independent generator from p, advancing p. It is
-// used to hand child components their own streams without coordinating
-// stream IDs globally.
-func (p *PCG) Split() *PCG {
-	return New(p.Uint64(), p.Uint64())
-}
-
 func (p *PCG) next() uint32 {
 	old := p.state
 	p.state = old*pcgMult + p.inc

@@ -135,21 +135,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(123, 1)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if c1.Uint64() == c2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split children collided %d/1000 times", same)
-	}
-}
-
 func TestQuickIntnAlwaysInRange(t *testing.T) {
 	f := func(seed uint64, stream uint64, n uint16) bool {
 		if n == 0 {

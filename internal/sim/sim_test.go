@@ -196,6 +196,7 @@ func TestFig5aShape_UniformLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoStall(t, a, r, meas)
 		lat[a] = r.AvgLatency
 	}
 	min := lat[routing.Min]
@@ -207,6 +208,16 @@ func TestFig5aShape_UniformLatency(t *testing.T) {
 	}
 	if lat[routing.OLM] < 0.99*min {
 		t.Errorf("OLM latency %.1f below MIN %.1f: suspicious", lat[routing.OLM], min)
+	}
+}
+
+// requireNoStall fails when a shape test's point went a quarter of its
+// measurement window without a delivery: a throughput or latency shape
+// read off a wedged network means nothing.
+func requireNoStall(t *testing.T, a routing.Algo, r SteadyResult, meas int64) {
+	t.Helper()
+	if r.StallCycles >= meas/4 {
+		t.Errorf("%v: StallCycles %d, want < %d", a, r.StallCycles, meas/4)
 	}
 }
 
@@ -223,6 +234,7 @@ func TestFig5bShape_AdversarialThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoStall(t, a, r, meas)
 		acc[a] = r.Accepted
 	}
 	// MIN bound: 1 global link shared by a*p=16 nodes -> 1/16 = 0.0625.

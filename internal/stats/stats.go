@@ -39,9 +39,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Count returns the number of samples.
-func (w *Welford) Count() int64 { return w.n }
-
 // Mean returns the sample mean, or 0 with no samples.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -61,29 +58,6 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest sample, or 0 with no samples.
 func (w *Welford) Max() float64 { return w.max }
-
-// Merge folds accumulator o into w (parallel-run reduction), using the
-// Chan et al. pairwise update.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-}
 
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }
@@ -127,9 +101,6 @@ func (h *Histogram) Add(v int64) {
 	h.bins[v]++
 }
 
-// Count returns the total number of samples.
-func (h *Histogram) Count() int64 { return h.total }
-
 // Mean returns the sample mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -138,12 +109,9 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Overflow returns the number of samples at or above the bin cap.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
 // OverflowFrac returns the fraction of samples at or above the bin cap,
 // or 0 with no samples. A nonzero value means percentiles above
-// 1-OverflowFrac are saturated at Cap and should not be trusted.
+// 1-OverflowFrac are saturated at the cap and should not be trusted.
 func (h *Histogram) OverflowFrac() float64 {
 	if h.total == 0 {
 		return 0
@@ -151,13 +119,9 @@ func (h *Histogram) OverflowFrac() float64 {
 	return float64(h.overflow) / float64(h.total)
 }
 
-// Cap returns the bin cap: the value percentile queries saturate at when
-// they land in the overflow bin.
-func (h *Histogram) Cap() int64 { return h.binCap }
-
 // Percentile returns the smallest value v such that at least q (0..1) of
 // the samples are <= v. Samples in the overflow bin are treated as at the
-// cap, so a query landing there returns exactly Cap. With no samples it
+// cap, so a query landing there returns exactly the cap. With no samples it
 // returns 0.
 func (h *Histogram) Percentile(q float64) int64 {
 	if h.total == 0 {
@@ -201,11 +165,10 @@ func (h *Histogram) Merge(o *Histogram) {
 // Buckets are fixed-width in cycles, offset so that negative times (before
 // the traffic switch) are representable.
 type TimeSeries struct {
-	Start  int64 // first cycle covered (may be negative relative time)
-	Width  int64 // bucket width in cycles
-	sum    []float64
-	count  []int64
-	labels []int64 // bucket center cycle, computed lazily
+	Start int64 // first cycle covered (may be negative relative time)
+	Width int64 // bucket width in cycles
+	sum   []float64
+	count []int64
 }
 
 // NewTimeSeries covers [start, start+n*width) with n buckets of the given

@@ -10,14 +10,14 @@ func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
-	if w.Count() != 0 || w.Mean() != 0 || w.Var() != 0 {
+	if w.n != 0 || w.Mean() != 0 || w.Var() != 0 {
 		t.Fatal("zero value not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.Count() != 8 {
-		t.Fatalf("count %d", w.Count())
+	if w.n != 8 {
+		t.Fatalf("count %d", w.n)
 	}
 	if !almost(w.Mean(), 5, 1e-12) {
 		t.Fatalf("mean %f", w.Mean())
@@ -39,51 +39,11 @@ func TestWelfordSingleSampleVar(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1, 2, 3, 10, 20, 30, -5, 0.5, 7, 9, 11, 13}
-	var all Welford
-	for _, x := range xs {
-		all.Add(x)
-	}
-	var a, b Welford
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d vs %d", a.Count(), all.Count())
-	}
-	if !almost(a.Mean(), all.Mean(), 1e-9) || !almost(a.Var(), all.Var(), 1e-9) {
-		t.Fatalf("merged mean/var %f/%f vs %f/%f", a.Mean(), a.Var(), all.Mean(), all.Var())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(5)
-	a.Merge(&b) // empty other
-	if a.Count() != 1 || a.Mean() != 5 {
-		t.Fatal("merge with empty changed state")
-	}
-	var c Welford
-	c.Merge(&a) // empty receiver
-	if c.Count() != 1 || c.Mean() != 5 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 func TestWelfordReset(t *testing.T) {
 	var w Welford
 	w.Add(1)
 	w.Reset()
-	if w.Count() != 0 || w.Mean() != 0 {
+	if w.n != 0 || w.Mean() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -124,8 +84,8 @@ func TestHistogramMeanAndPercentile(t *testing.T) {
 	for v := int64(1); v <= 10; v++ {
 		h.Add(v)
 	}
-	if h.Count() != 10 {
-		t.Fatalf("count %d", h.Count())
+	if h.total != 10 {
+		t.Fatalf("count %d", h.total)
 	}
 	if !almost(h.Mean(), 5.5, 1e-12) {
 		t.Fatalf("mean %f", h.Mean())
@@ -145,11 +105,11 @@ func TestHistogramOverflowAndClamp(t *testing.T) {
 	h := NewHistogram(10)
 	h.Add(50)
 	h.Add(-3)
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow %d", h.Overflow())
+	if h.overflow != 1 {
+		t.Fatalf("overflow %d", h.overflow)
 	}
-	if h.Count() != 2 {
-		t.Fatalf("count %d", h.Count())
+	if h.total != 2 {
+		t.Fatalf("count %d", h.total)
 	}
 	// Mean still uses true values.
 	if !almost(h.Mean(), 23.5, 1e-12) {
@@ -168,8 +128,8 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(3)
 	b.Add(100)
 	a.Merge(b)
-	if a.Count() != 4 || a.Overflow() != 1 {
-		t.Fatalf("merged count/overflow %d/%d", a.Count(), a.Overflow())
+	if a.total != 4 || a.overflow != 1 {
+		t.Fatalf("merged count/overflow %d/%d", a.total, a.overflow)
 	}
 }
 
@@ -296,8 +256,8 @@ func BenchmarkHistogramAdd(b *testing.B) {
 
 func TestHistogramCapAndOverflowFrac(t *testing.T) {
 	h := NewHistogram(100)
-	if h.Cap() != 100 {
-		t.Fatalf("Cap() = %d", h.Cap())
+	if h.binCap != 100 {
+		t.Fatalf("cap %d", h.binCap)
 	}
 	if h.OverflowFrac() != 0 {
 		t.Fatal("empty histogram has nonzero overflow fraction")
@@ -311,9 +271,9 @@ func TestHistogramCapAndOverflowFrac(t *testing.T) {
 	if got := h.OverflowFrac(); got != 0.25 {
 		t.Fatalf("OverflowFrac = %v, want 0.25", got)
 	}
-	// A percentile landing in the overflow bin saturates at exactly Cap.
-	if p := h.Percentile(0.99); p != h.Cap() {
-		t.Fatalf("saturated percentile %d, want cap %d", p, h.Cap())
+	// A percentile landing in the overflow bin saturates at exactly the cap.
+	if p := h.Percentile(0.99); p != h.binCap {
+		t.Fatalf("saturated percentile %d, want cap %d", p, h.binCap)
 	}
 	// A percentile below the overflow mass is exact.
 	if p := h.Percentile(0.5); p >= 50 {
@@ -326,8 +286,8 @@ func TestHistogramMergePreservesOverflow(t *testing.T) {
 	a.Add(3)
 	b.Add(99)
 	a.Merge(b)
-	if a.Count() != 2 || a.Overflow() != 1 {
-		t.Fatalf("merged count %d overflow %d", a.Count(), a.Overflow())
+	if a.total != 2 || a.overflow != 1 {
+		t.Fatalf("merged count %d overflow %d", a.total, a.overflow)
 	}
 	if a.OverflowFrac() != 0.5 {
 		t.Fatalf("merged OverflowFrac %v", a.OverflowFrac())

@@ -272,15 +272,6 @@ func (d *Dragonfly) MinimalHops(r, dr int) int {
 	return hops
 }
 
-// EntryRouter returns the router of group dg at which the minimal path
-// from group g enters dg (the far endpoint of the g->dg global link).
-func (d *Dragonfly) EntryRouter(g, dg int) int {
-	l := d.GlobalLinkToGroup(g, dg)
-	l2 := d.GlobalLinks - 1 - l
-	pos, _ := d.GlobalLinkOwner(l2)
-	return d.RouterID(dg, pos)
-}
-
 // String summarizes the network size.
 func (d *Dragonfly) String() string {
 	return fmt.Sprintf("dragonfly(p=%d,a=%d,h=%d: %d groups, %d routers, %d nodes, radix %d)",

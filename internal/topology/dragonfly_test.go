@@ -193,6 +193,10 @@ func TestGlobalLinkToGroupConsistent(t *testing.T) {
 	}
 }
 
+// TestEntryRouter: the minimal path from group g enters group dg at the
+// far end of the g->dg global link, so MinimalHops from that link's owner
+// counts the global hop alone to the entry router and one local hop more
+// to every other router of dg.
 func TestEntryRouter(t *testing.T) {
 	d := small()
 	for g := 0; g < d.Groups; g++ {
@@ -200,11 +204,17 @@ func TestEntryRouter(t *testing.T) {
 			if g == dg {
 				continue
 			}
-			l := d.GlobalLinkToGroup(g, dg)
-			pos, k := d.GlobalLinkOwner(l)
-			peer, _ := d.GlobalNeighbor(d.RouterID(g, pos), k)
-			if got := d.EntryRouter(g, dg); got != peer {
-				t.Fatalf("EntryRouter(%d,%d)=%d, want %d", g, dg, got, peer)
+			pos, k := d.GlobalLinkOwner(d.GlobalLinkToGroup(g, dg))
+			owner := d.RouterID(g, pos)
+			entry, _ := d.GlobalNeighbor(owner, k)
+			for p := 0; p < d.A; p++ {
+				want := 2
+				if d.RouterID(dg, p) == entry {
+					want = 1
+				}
+				if got := d.MinimalHops(owner, d.RouterID(dg, p)); got != want {
+					t.Fatalf("MinimalHops(%d,%d)=%d, want %d (entry router %d)", owner, d.RouterID(dg, p), got, want, entry)
+				}
 			}
 		}
 	}
