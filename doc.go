@@ -464,14 +464,24 @@
 // where one set of arrays per router took 4 806 and 675
 // (TestBuildAllocsDoNotGrowWithFabric holds it under 64), and each kind
 // rounds up to its size class once instead of once per router:
-// bytes_per_node fell 2–4 % (small_un_sweep 2 260 → 2 175). An output
+// bytes_per_node fell 2–4 % (small_un_sweep 2 260 → 2 175). Every
+// router lays out its VCs and ports alike, so what a VC or a port holds
+// is a span of its router's rows, placed by network-wide tables, not a
+// slice of its own: a VC queue is a 4-byte head and count
+// (router.vcQueue) over its slot's span of the router's ring row
+// (Router.ring, Network.ringAt), and an output port holds the offset of
+// its credit counters in the router's credit row and its stage's head
+// over its entries of the router's stage row — 48 bytes, where the
+// three slice headers made it 112 and a VC queue 32. Those headers were
+// 840 KB of the 2.19 MB a built Small PB fabric holds; without them
+// bytes_per_node fell 2 167 → 1 609 on small_un_sweep (−26 %). An output
 // stage is a fixed ring of the max(BufOut/PacketSize, 1) entries
 // outFree admits (4 at Table I), not a growing FIFO, and a router's
-// stage rings are cut at its first output push (Router.cutStages), not
-// at Build: pre-sized there they would add ≈ 240 bytes per Small node,
-// +10.6 % bytes_per_node, for routers a near-idle run never reaches.
-// They come from its shard's current batch, each batch the rings of the
-// next 16 of the shard's routers still without any. ECtN's Attach cuts
+// stage row is cut at its first output push (Router.cutStages), not at
+// Build: pre-sized there it would add ≈ 240 bytes per Small node, for
+// routers a near-idle run never reaches. It comes from its shard's
+// current batch, each batch the rows of the next 16 of the shard's
+// routers still without one. ECtN's Attach cuts
 // every router's partial array and every group's combined array from
 // one array each (core.ECtNOver). A NIC queue, a calendar bucket and
 // the congestion notices are one chunked FIFO type (router.chunkQueue),
@@ -483,8 +493,8 @@
 // first push would add ≈ 1.5 KB per node to a loaded run's resident
 // set), and a saturated run stops allocating once its pools reach their
 // peak. With the packet chunks below, one small_un_sweep pass allocates
-// 83 objects per thousand cycles, where per-router arrays took 7 691,
-// and a NIC FIFO that grew from empty 1 125.
+// 55 objects per thousand cycles, where per-router arrays took 7 691,
+// a NIC FIFO that grew from empty 1 125 and chunks of 64 packets 83.
 //
 // Allocation iterations nominate only what can be granted, and end at
 // the first no-grant. The allocator runs Speedup iterations per cycle,
@@ -558,9 +568,9 @@
 // shard that made it — so each shard gets back what it takes and a
 // steady-state cycle allocates nothing at any worker count; with one
 // worker it is the single LIFO it always was. A miss does not allocate
-// a packet: it takes the next of the shard's current chunk of 64 fresh
+// a packet: it takes the next of the shard's current chunk of 256 fresh
 // ones (packetChunk), and only an exhausted chunk allocates, so a run's
-// rising in-flight peak costs one allocation per 64 packets. The lists
+// rising in-flight peak costs one allocation per 256 packets. The lists
 // share one cap (maxFreePackets, split evenly), so a saturation
 // transient's peak population is not retained for ever — though a chunk
 // is released only once none of its packets is referenced.

@@ -81,18 +81,6 @@ func (k *Counters) Sum() int64 {
 	return s
 }
 
-// Reset zeroes the bank.
-func (k *Counters) Reset() {
-	for i := range k.c {
-		k.c[i] = 0
-	}
-}
-
-// Snapshot copies the counter values, for tests and tracing.
-func (k *Counters) Snapshot() []int32 {
-	return append([]int32(nil), k.c...)
-}
-
 // DefaultSatCap is the saturation value of the 4-bit counter fields the
 // paper sizes the ECtN broadcast with (§VI-B): transmitted partial values
 // saturate at 15, enough to exceed the combined threshold of 10.
@@ -227,9 +215,4 @@ func VerifyGroupFresh(combined []int32, members []*ECtN) error {
 		}
 	}
 	return nil
-}
-
-// Reset zeroes the partial array.
-func (e *ECtN) Reset() {
-	clear(e.partial)
 }

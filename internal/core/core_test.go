@@ -50,15 +50,6 @@ func TestCountersExceeds(t *testing.T) {
 	}
 }
 
-func TestCountersReset(t *testing.T) {
-	k := CountersOver(make([]int32, 3))
-	k.Inc(1)
-	k.Reset()
-	if k.Sum() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 // TestECtNOverSharesCallerSlice: ECtN state built over a caller's slice
 // starts zeroed, counts in that slice and stays within it.
 func TestECtNOverSharesCallerSlice(t *testing.T) {
@@ -84,15 +75,6 @@ func TestCountersOverSharesCallerSlice(t *testing.T) {
 	k.Inc(1)
 	if buf[2] != 1 || buf[0] != 7 || buf[3] != 7 {
 		t.Fatalf("backing slice %v after Inc(1)", buf)
-	}
-}
-
-func TestCountersSnapshotIsCopy(t *testing.T) {
-	k := CountersOver(make([]int32, 2))
-	s := k.Snapshot()
-	s[0] = 99
-	if k.Get(0) != 0 {
-		t.Fatal("snapshot aliases internal state")
 	}
 }
 
@@ -196,15 +178,6 @@ func TestCombineGroupEmptyAndMismatch(t *testing.T) {
 		}
 	}()
 	CombineGroup(make([]int32, 2), []*ECtN{newECtN(2), newECtN(3)})
-}
-
-func TestECtNReset(t *testing.T) {
-	e := newECtN(2)
-	e.IncPartial(0)
-	e.Reset()
-	if e.Partial(0) != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 // TestQuickCombineGroupConservation: the sum of the group's combined

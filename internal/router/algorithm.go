@@ -160,7 +160,7 @@ func (r *Router) LadderVC(p *Packet, out int) int {
 	default:
 		return 0 // ejection channels have a single lane
 	}
-	if maxVC := len(r.out[out].credits) - 1; vc > maxVC {
+	if maxVC := int(r.out[out].ncred) - 1; vc > maxVC {
 		vc = maxVC
 	}
 	return vc

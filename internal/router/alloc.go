@@ -71,7 +71,7 @@ func (r *Router) allocate(recheck bool) bool {
 		for ; w != 0; w &= w - 1 {
 			out := int(r.dirtyOut.idAt(wi, w))
 			cand := r.cand[out*cw : (out+1)*cw]
-			pick := rrPick(cand, r.out[out].rrIn)
+			pick := rrPick(cand, int(r.out[out].rrIn))
 			clear(cand)
 			r.grant(pick, int(r.s1[pick]), out)
 		}
@@ -112,7 +112,7 @@ func (r *Router) grant(port, vc, out int) {
 	now := r.net.now
 	cfg := &r.net.Cfg
 
-	o.credits[outVC] -= size
+	r.credits[int(o.cred0)+outVC] -= size
 	o.outFree -= size
 	r.occDelta(out, 2*size) // both the credit and the out-buffer reservation count
 	if o.occ > r.net.classes[o.kind].markTh && p.ECNMarks < 127 {
@@ -160,7 +160,7 @@ func (r *Router) grant(port, vc, out int) {
 		event{kind: evTailLeave, router: int32(r.ID), port: int16(port), vc: int8(vc), pkt: p})
 
 	r.rrVC[port] = int8(vc)
-	o.rrIn = port
+	o.rrIn = int16(port)
 	r.net.Alg.OnGrant(r, p, port, vc, out, outVC)
 }
 
@@ -177,8 +177,8 @@ func (r *Router) linkPhase() {
 			if o.linkFreeAt > now {
 				continue
 			}
-			e := o.qPop()
-			if o.qLen() == 0 {
+			e := o.q.pop(r.stageRing(int(out)))
+			if o.q.len() == 0 {
 				r.stagedPorts.drop(out)
 			}
 			size := int64(r.net.size)

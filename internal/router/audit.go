@@ -103,7 +103,8 @@ func (r *Router) checkInvariants() error {
 		// occupancy equals a fresh recompute.
 		vcCap := r.class(port).vcCap
 		occ := outCap - o.outFree
-		for v, c := range o.credits {
+		for v := range int(o.ncred) {
+			c := *r.cred(port, v)
 			if c < 0 || c > vcCap {
 				return fmt.Errorf("router %d out %d vc %d: credits %d of cap %d", r.ID, port, v, c, vcCap)
 			}
@@ -120,7 +121,7 @@ func (r *Router) checkInvariants() error {
 		if int(r.in[port].slot0)+v != slot {
 			return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
 		}
-		head := r.vqs[slot].headPkt()
+		head := r.vqs[slot].headPkt(r.ring(slot))
 		if r.heads[slot] != head {
 			return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
 		}
@@ -171,7 +172,7 @@ func (r *Router) checkInvariants() error {
 		}
 	}
 	for port := range r.out {
-		if staged := r.out[port].qLen(); (staged > 0) != r.stagedPorts.has(int32(port)) {
+		if staged := r.out[port].q.len(); (staged > 0) != r.stagedPorts.has(int32(port)) {
 			return fmt.Errorf("router %d out %d: %d staged packets, on stagedPorts %v", r.ID, port, staged, r.stagedPorts.has(int32(port)))
 		}
 	}

@@ -141,6 +141,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("router: %s (%d phits) smaller than one packet (%d phits); virtual cut-through needs room for a whole packet",
 				b.name, b.v, c.PacketSize)
 		}
+		// A VC queue or output stage indexes its ring in 16 bits (vcQueue,
+		// outRing).
+		if k := b.v / c.PacketSize; k > math.MaxInt16 {
+			return fmt.Errorf("router: %s holds %d packets, more than the %d a ring indexes", b.name, k, math.MaxInt16)
+		}
 	}
 	if c.LatencyLocal < 1 || c.LatencyGlobal < 1 {
 		return fmt.Errorf("router: link latencies must be >= 1 (local=%d global=%d)",

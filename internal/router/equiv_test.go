@@ -457,14 +457,14 @@ func TestParkedRouterInvariants(t *testing.T) {
 	if !held.valid {
 		t.Fatal("parked router holds no stored request")
 	}
-	o := &parked.out[held.out]
-	credits, outFree, occ := o.credits[held.vc], o.outFree, o.occ
-	o.credits[held.vc], o.outFree = parked.class(int(held.out)).vcCap, int32(n.Cfg.BufOut)
-	o.occ -= (o.credits[held.vc] - credits) + (o.outFree - outFree)
+	o, c := &parked.out[held.out], parked.cred(int(held.out), int(held.vc))
+	credits, outFree, occ := *c, o.outFree, o.occ
+	*c, o.outFree = parked.class(int(held.out)).vcCap, int32(n.Cfg.BufOut)
+	o.occ -= (*c - credits) + (o.outFree - outFree)
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("CheckInvariants accepted a parked router whose stored request is grantable")
 	}
-	o.credits[held.vc], o.outFree, o.occ = credits, outFree, occ
+	*c, o.outFree, o.occ = credits, outFree, occ
 
 	if !n.Drain(1 << 16) {
 		t.Fatalf("parked routers were never woken: %d packets stuck", n.InFlight)

@@ -202,8 +202,8 @@ func (n *Network) killRouterContents(rt *Router) {
 // the staged queue or the wire, so its grant is reversed at most once.
 func (n *Network) killStagedQueue(r *Router, port int) {
 	o := &r.out[port]
-	for o.qLen() > 0 {
-		e := o.qPop()
+	for o.q.len() > 0 {
+		e := o.q.pop(r.stageRing(port))
 		n.reverseGrant(r, port, e.vc, true, e.pkt)
 	}
 	r.stagedPorts.drop(int32(port))

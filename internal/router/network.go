@@ -95,9 +95,14 @@ type Network struct {
 	nics    []nic
 	groups  [][]*Router
 	// slotPort and slotVC map a head slot (inPort.slot0 + vc) back to its
-	// input port and VC; every router is laid out alike, so one copy.
+	// input port and VC, and the ring of slot s's VC queue is entries
+	// [ringAt[s], ringAt[s+1]) of its router's ring row; every router is
+	// laid out alike, so one copy. stageLen is the length of an output
+	// stage, the max(BufOut/PacketSize, 1) packets outFree admits.
 	slotPort []int16
 	slotVC   []int8
+	ringAt   []int32
+	stageLen int
 	// size is Cfg.PacketSize, the one packet size the fabric's phit
 	// arithmetic reads, and classes what every port of a class shares.
 	size    int32
@@ -269,12 +274,19 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 		}
 	}
 
+	slots := topo.P*cfg.VCsInjection + (topo.A-1)*cfg.VCsLocal + topo.H*cfg.VCsGlobal
+	n.slotPort, n.slotVC, n.ringAt = make([]int16, slots), make([]int8, slots), make([]int32, slots+1)
+	slot := 0
 	for port := 0; port < topo.Radix(); port++ {
-		for vc := 0; vc < cfg.VCsFor(portKind(topo, port)); vc++ {
-			n.slotPort = append(n.slotPort, int16(port))
-			n.slotVC = append(n.slotVC, int8(vc))
+		kind := portKind(topo, port)
+		ring := int32(ringSlots(cfg.BufFor(kind), cfg.PacketSize))
+		for vc := range cfg.VCsFor(kind) {
+			n.slotPort[slot], n.slotVC[slot] = int16(port), int8(vc)
+			n.ringAt[slot+1] = n.ringAt[slot] + ring
+			slot++
 		}
 	}
+	n.stageLen = max(cfg.BufOut/cfg.PacketSize, 1)
 	n.buildRouters()
 	// A group's routers are consecutive ids (topology.RouterID), as the
 	// shards' blocks assume: its member list is a window of Routers.
@@ -616,8 +628,9 @@ func (n *Network) nicDrain(i int) {
 	r := n.Routers[n.Topo.RouterOfNode(i)]
 	port := n.Topo.ChannelOfNode(i)
 	best, bestFree := -1, int32(0)
+	slot0 := int(r.in[port].slot0)
 	for vc := range int(r.in[port].nvc) {
-		if f := r.vq(port, vc).free(); f > bestFree {
+		if f := r.vqs[slot0+vc].free(r.ring(slot0 + vc)); f > bestFree {
 			best, bestFree = vc, f
 		}
 	}
@@ -645,7 +658,7 @@ func (n *Network) handle(ev *event) {
 
 	case evTailLeave:
 		r := n.Routers[ev.router]
-		if r.vq(int(ev.port), int(ev.vc)).headPkt() != ev.pkt {
+		if r.HeadPacket(int(ev.port), int(ev.vc)) != ev.pkt {
 			panic("router: tail-leave for a packet not at queue head")
 		}
 		r.dequeue(int(ev.port), int(ev.vc))
@@ -653,7 +666,7 @@ func (n *Network) handle(ev *event) {
 
 	case evCredit:
 		r := n.Routers[ev.router]
-		r.out[ev.port].credits[ev.vc] += n.size
+		*r.cred(int(ev.port), int(ev.vc)) += n.size
 		r.occDelta(int(ev.port), -n.size)
 		// Load-bearing: a router whose heads were all blocked on these
 		// credits has parked, and this is what brings it back.

@@ -136,7 +136,7 @@ type netShard struct {
 
 // packetChunk is how many packets a shard allocates at once when its
 // freelist is empty.
-const packetChunk = 64
+const packetChunk = 256
 
 // newPacket makes the Packet of a record leaving the NIC queue of src,
 // a node of this shard, on a struct from the shard's freelist, or from

@@ -212,14 +212,14 @@ func (q *chunkQueue[T]) filter(p *chunkPool[T], drop func(*T) bool) {
 	}
 }
 
-// vcQueue is one virtual channel's input buffer: a ring of packets.
-// Every packet is Network.size phits, so a VC's phit capacity is a slot
-// count. Capacity admission is enforced by the upstream credit counters,
-// not here; the queue only asserts the invariant.
+// vcQueue is one virtual channel's input buffer: a ring of packets over
+// its slot's span of the router's ring row (Router.ring), which every
+// method takes. Every packet is Network.size phits, so a VC's phit
+// capacity is a slot count. Capacity admission is enforced by the
+// upstream credit counters, not here; the queue only asserts the
+// invariant.
 type vcQueue struct {
-	pkts []*Packet // ring buffer, ringSlots long, cut from the router's one ring array
-	head int32
-	n    int32
+	head, n int16 // a ring holds at most 1<<15 - 1 packets (Config.Validate)
 }
 
 // ringSlots is the ring size of a capPhits-phit VC: the packets of
@@ -229,7 +229,7 @@ func ringSlots(capPhits, packetSize int) int {
 }
 
 // free returns the number of free packet slots.
-func (q *vcQueue) free() int32 { return int32(len(q.pkts)) - q.n }
+func (q *vcQueue) free(ring []*Packet) int32 { return int32(len(ring)) - int32(q.n) }
 
 // empty reports whether no packet is queued.
 func (q *vcQueue) empty() bool { return q.n == 0 }
@@ -238,37 +238,37 @@ func (q *vcQueue) empty() bool { return q.n == 0 }
 func (q *vcQueue) len() int { return int(q.n) }
 
 // headPkt returns the packet at the queue head, or nil.
-func (q *vcQueue) headPkt() *Packet {
+func (q *vcQueue) headPkt(ring []*Packet) *Packet {
 	if q.n == 0 {
 		return nil
 	}
-	return q.pkts[q.head]
+	return ring[q.head]
 }
 
 // push appends a packet whose head has arrived; its slot was reserved by
 // upstream credits when transmission started.
-func (q *vcQueue) push(p *Packet) {
-	if int(q.n) == len(q.pkts) {
+func (q *vcQueue) push(ring []*Packet, p *Packet) {
+	if int(q.n) == len(ring) {
 		panic("router: input VC overflow; upstream credit accounting is broken")
 	}
 	// Ring indices wrap by compare, not %: the slot count is a run-time
 	// value, and a divide per hop is the dearest instruction here.
-	i := int(q.head + q.n)
-	if i >= len(q.pkts) {
-		i -= len(q.pkts)
+	i := int(q.head) + int(q.n)
+	if i >= len(ring) {
+		i -= len(ring)
 	}
-	q.pkts[i] = p
+	ring[i] = p
 	q.n++
 }
 
 // pop removes the head packet once its tail has left the buffer.
-func (q *vcQueue) pop() *Packet {
+func (q *vcQueue) pop(ring []*Packet) *Packet {
 	if q.n == 0 {
 		panic("router: pop from empty VC queue")
 	}
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	if q.head++; int(q.head) == len(q.pkts) {
+	p := ring[q.head]
+	ring[q.head] = nil
+	if q.head++; int(q.head) == len(ring) {
 		q.head = 0
 	}
 	q.n--
@@ -277,34 +277,33 @@ func (q *vcQueue) pop() *Packet {
 
 // outRing is an output stage: the granted packets past the pipeline,
 // waiting for the link, each with its downstream VC. Like vcQueue it is a
-// fixed ring, of the max(BufOut/PacketSize, 1) entries that outFree
-// admits, but it is cut only at its router's first output push
-// (Router.cutStages); until then it has no slots and is empty.
+// fixed ring over a span of its router's row, here the port's
+// Network.stageLen entries of Router.stages (Router.stageRing) that
+// outFree admits; the row is cut only at the router's first output push
+// (Router.cutStages), and until then every stage is empty.
 type outRing struct {
-	buf  []outEntry
-	head int32
-	n    int32
+	head, n int16 // a stage holds at most 1<<15 - 1 entries (Config.Validate)
 }
 
 func (q *outRing) len() int { return int(q.n) }
 
-func (q *outRing) push(e outEntry) {
-	if int(q.n) == len(q.buf) {
+func (q *outRing) push(buf []outEntry, e outEntry) {
+	if int(q.n) == len(buf) {
 		panic("router: output stage overflow; output-buffer accounting is broken")
 	}
-	i := int(q.head + q.n)
-	if i >= len(q.buf) {
-		i -= len(q.buf)
+	i := int(q.head) + int(q.n)
+	if i >= len(buf) {
+		i -= len(buf)
 	}
-	q.buf[i] = e
+	buf[i] = e
 	q.n++
 }
 
 // pop removes the oldest entry; the stage must not be empty.
-func (q *outRing) pop() outEntry {
-	e := q.buf[q.head]
-	q.buf[q.head] = outEntry{}
-	if q.head++; int(q.head) == len(q.buf) {
+func (q *outRing) pop(buf []outEntry) outEntry {
+	e := buf[q.head]
+	buf[q.head] = outEntry{}
+	if q.head++; int(q.head) == len(buf) {
 		q.head = 0
 	}
 	q.n--

@@ -5,11 +5,24 @@ import (
 	"testing"
 )
 
-// newVCQueue builds a stand-alone queue the way buildRouters cuts one
-// from the network's ring array.
-func newVCQueue(capPhits, packetSize int) vcQueue {
-	return vcQueue{pkts: make([]*Packet, ringSlots(capPhits, packetSize))}
+// testVC is a stand-alone VC queue with its own ring, standing in for
+// the span of a router's ring row that Router.ring hands a queue's
+// methods.
+type testVC struct {
+	vcQueue
+	ring []*Packet
 }
+
+// newVCQueue builds a stand-alone queue over a ring of the length
+// Network.ringAt gives a capPhits-phit VC.
+func newVCQueue(capPhits, packetSize int) *testVC {
+	return &testVC{ring: make([]*Packet, ringSlots(capPhits, packetSize))}
+}
+
+func (q *testVC) push(p *Packet)   { q.vcQueue.push(q.ring, p) }
+func (q *testVC) pop() *Packet     { return q.vcQueue.pop(q.ring) }
+func (q *testVC) headPkt() *Packet { return q.vcQueue.headPkt(q.ring) }
+func (q *testVC) free() int32      { return q.vcQueue.free(q.ring) }
 
 // TestVCQueueRingIsFixed: the ring is sized capPhits/packetSize at
 // construction and never grows — filling the queue to its capacity uses
@@ -18,7 +31,7 @@ func newVCQueue(capPhits, packetSize int) vcQueue {
 func TestVCQueueRingIsFixed(t *testing.T) {
 	const capPhits, size = 32, 8
 	q := newVCQueue(capPhits, size)
-	slots := cap(q.pkts)
+	slots := cap(q.ring)
 	// Move the head off slot 0 so the fill wraps.
 	q.push(&Packet{Size: size})
 	q.pop()
@@ -28,8 +41,8 @@ func TestVCQueueRingIsFixed(t *testing.T) {
 	if q.free() != 0 || q.len() != capPhits/size {
 		t.Fatalf("full queue: free %d len %d", q.free(), q.len())
 	}
-	if cap(q.pkts) != slots || len(q.pkts) != slots {
-		t.Fatalf("ring resized: %d/%d slots, built with %d", len(q.pkts), cap(q.pkts), slots)
+	if cap(q.ring) != slots || len(q.ring) != slots {
+		t.Fatalf("ring resized: %d/%d slots, built with %d", len(q.ring), cap(q.ring), slots)
 	}
 	if q.headPkt().ID != 1 {
 		t.Fatalf("head is packet %d after a wrapped fill", q.headPkt().ID)
@@ -49,8 +62,8 @@ func TestVCQueueWrapAgainstReference(t *testing.T) {
 	const size = 8
 	for _, slots := range []int{1, 2, 32} {
 		q := newVCQueue(slots*size, size)
-		if len(q.pkts) != slots {
-			t.Fatalf("built %d slots, want %d", len(q.pkts), slots)
+		if len(q.ring) != slots {
+			t.Fatalf("built %d slots, want %d", len(q.ring), slots)
 		}
 		var ref []*Packet
 		rng := newTestRand(uint64(slots))

@@ -84,20 +84,31 @@ func newPortClass(cfg *Config, kind PortKind) portClass {
 
 // outPort is one output port: credit counters for the downstream input
 // buffer, the output buffer and the link serialization state. What the
-// port's class fixes is in Network.classes.
+// port's class fixes is in Network.classes. Its credits and its stage
+// are spans of its router's rows (Router.credits, Router.stages), so the
+// port holds no slice; the fields are ordered by size to pack 48 bytes.
 type outPort struct {
-	kind       PortKind
+	linkFreeAt int64
+	// BusyCycles accumulates cycles the link spent serializing phits,
+	// for utilization statistics.
+	BusyCycles int64
+
 	peerRouter int32 // -1 for ejection channels
-	peerPort   int16
-
-	credits []int32 // per downstream VC, phits; cut from the router's one credit array
-	outFree int32
-
+	outFree    int32
 	// occ is the running occupancy estimate (staged output phits plus
 	// outstanding downstream credits), maintained incrementally at the
 	// three mutation points (grant, credit return, out-buffer free) so
 	// Occupancy is O(1) instead of a per-call credit-array sum.
 	occ int32
+
+	q        outRing // output stage: granted packets past the pipeline
+	peerPort int16
+	// cred0 is the port's first counter in Router.credits, one per
+	// downstream VC (ncred of them), in phits.
+	cred0 int16
+	rrIn  int16 // output-arbiter round-robin pointer
+	kind  PortKind
+	ncred int8
 
 	// Fault liveness (faults.go): linkFailed records an explicit link
 	// fault on this direction's cable; dead is the effective flag the
@@ -105,19 +116,7 @@ type outPort struct {
 	// down. Both always false without a fault plan.
 	linkFailed bool
 	dead       bool
-
-	q          outRing // output stage: granted packets past the pipeline
-	linkFreeAt int64
-
-	rrIn int // output-arbiter round-robin pointer
-
-	// BusyCycles accumulates cycles the link spent serializing phits,
-	// for utilization statistics.
-	BusyCycles int64
 }
-
-func (o *outPort) qLen() int      { return o.q.len() }
-func (o *outPort) qPop() outEntry { return o.q.pop() }
 
 // Router is one simulated router: input VC buffers and the head table
 // that summarises them for the route phase and the allocator, output
@@ -140,8 +139,10 @@ type Router struct {
 	// empty), the request the last routePhase stored for it, and the set
 	// of slots whose head awaits a grant. enqueue, dequeue and grant keep
 	// them in step, eagerly: no stale members, and a nonzero count means
-	// work until r parks.
+	// work until r parks. A queue's ring is its slot's span of rings
+	// (Router.ring).
 	vqs           []vcQueue
+	rings         []*Packet
 	heads         []*Packet
 	req           []headReq
 	unroutedHeads activeSet
@@ -194,6 +195,12 @@ type Router struct {
 	reqPorts    activeSet
 	dirtyOut    activeSet
 
+	// credits holds the output ports' downstream credit counters, port
+	// by port (outPort.cred0), and stages their output stages, stageLen
+	// entries per port, nil until r's first output push (cutStages).
+	credits []int32
+	stages  []outEntry
+
 	// allocator state and scratch
 	rrVC []int8 // per input port: round-robin pointer over VCs
 	s1   []int8 // per input port: stage-1 winning VC this iteration
@@ -206,20 +213,17 @@ type Router struct {
 // Router structs, ports, VC queues and their rings, head table, credits,
 // the slot and port sets' words, the allocator's arrays, the contention
 // counters and the PCGs — is one allocation for the whole network, cut
-// router by router (and a router's share port by port), so Build's
-// allocation count does not grow with the fabric. An output stage's ring
-// is not among them: it is cut at the router's first output push
-// (cutStages).
+// router by router into rows that its ports and VC queues index, so
+// Build's allocation count does not grow with the fabric. The output
+// stages' row is not among them: it is cut at the router's first output
+// push (cutStages).
 func (n *Network) buildRouters() {
 	cfg := &n.Cfg
 	topo := n.Topo
 	nr, radix, slots := topo.Routers, topo.Radix(), len(n.slotPort)
+	ringLen := int(n.ringAt[slots])
 	// An ejection channel feeds one lane where an injection port has
 	// VCsInjection.
-	var ringLen int
-	for _, port := range n.slotPort {
-		ringLen += ringSlots(cfg.BufFor(portKind(topo, int(port))), cfg.PacketSize)
-	}
 	credLen := slots - topo.P*(cfg.VCsInjection-1)
 	// Words per router: the two head-slot sets, the three port sets and
 	// cand's radix port sets.
@@ -252,6 +256,7 @@ func (n *Network) buildRouters() {
 			out:           cut(&out, radix),
 			group:         int32(topo.GroupOf(id)),
 			vqs:           cut(&vqs, slots),
+			rings:         cut(&rings, ringLen),
 			heads:         cut(&heads, slots),
 			req:           cut(&req, slots),
 			unroutedHeads: activeSet{words: cut(&words, sw)},
@@ -261,21 +266,18 @@ func (n *Network) buildRouters() {
 			stagedPorts:   activeSet{words: cut(&words, pw)},
 			reqPorts:      activeSet{words: cut(&words, pw)},
 			dirtyOut:      activeSet{words: cut(&words, pw)},
+			credits:       cut(&credits, credLen),
 			rrVC:          cut(&arb, radix),
 			s1:            cut(&arb, radix),
 			cand:          cut(&words, radix*pw),
 		}
-		slot := 0
+		slot, cred := 0, 0
 		for port := 0; port < radix; port++ {
 			kind := portKind(topo, port)
 			vcN := cfg.VCsFor(kind)
-			ring := ringSlots(cfg.BufFor(kind), cfg.PacketSize)
 			ip, op := &r.in[port], &r.out[port]
 			ip.kind, ip.nvc, ip.slot0 = kind, int8(vcN), int16(slot)
-			for range vcN {
-				r.vqs[slot].pkts = cut(&rings, ring)
-				slot++
-			}
+			slot += vcN
 			// The link's far end is both the upstream of the input side and
 			// the downstream of the output side, and its input port has the
 			// same class as ours; an ejection channel is a single bottomless
@@ -290,10 +292,11 @@ func (n *Network) buildRouters() {
 				op.peerRouter, op.peerPort = int32(peer), int16(peerPort)
 				dn = vcN
 			}
-			op.credits = cut(&credits, dn)
-			for v := range op.credits {
-				op.credits[v] = n.classes[kind].vcCap
+			op.cred0, op.ncred = int16(cred), int8(dn)
+			for v := range dn {
+				r.credits[cred+v] = n.classes[kind].vcCap
 			}
+			cred += dn
 		}
 		n.Routers[id] = r
 	}
@@ -307,33 +310,37 @@ func cut[T any](s *[]T, k int) []T {
 	return v
 }
 
-// stage pushes e onto output port's stage, cutting r's stage rings at
+// stage pushes e onto output port's stage, cutting r's stage row at
 // its first output push.
 func (r *Router) stage(port int, e outEntry) {
-	o := &r.out[port]
-	if o.q.buf == nil {
+	if r.stages == nil {
 		r.cutStages()
 	}
-	o.q.push(e)
+	r.out[port].q.push(r.stageRing(port), e)
 }
 
-// cutStages gives every output port of r its stage ring at the router's
-// first output push, each the max(BufOut/PacketSize, 1) entries that
-// outFree admits, cut from its shard's current batch. An exhausted batch
-// is replaced by one holding the rings of stageBatch routers, or of the
-// shard's routers still without rings when fewer are left: a shard holds
-// no more rings than its routers, and a near-idle run no more than its
+// stageRing returns the ring of output `port`'s stage: its stageLen
+// entries of r's stage row, which must have been cut.
+func (r *Router) stageRing(port int) []outEntry {
+	k := r.net.stageLen
+	return r.stages[port*k : port*k+k]
+}
+
+// cutStages gives r its stage row at the router's first output push,
+// stageLen entries per output port (the max(BufOut/PacketSize, 1) that
+// outFree admits), cut from its shard's current batch. An exhausted batch
+// is replaced by one holding the rows of stageBatch routers, or of the
+// shard's routers still without rows when fewer are left: a shard holds
+// no more rows than its routers, and a near-idle run no more than its
 // first forwarding routers need, rounded up to a batch.
 func (r *Router) cutStages() {
-	k := max(r.net.Cfg.BufOut/r.net.Cfg.PacketSize, 1)
+	k := r.net.stageLen
 	sh := r.shard
 	if len(sh.stages) == 0 {
 		sh.stages = make([]outEntry, min(stageBatch, sh.uncut)*len(r.out)*k)
 	}
 	sh.uncut--
-	for port := range r.out {
-		r.out[port].q.buf = cut(&sh.stages, k)
-	}
+	r.stages = cut(&sh.stages, len(r.out)*k)
 }
 
 // stageBatch is how many routers' stage rings a shard allocates at once
@@ -368,19 +375,26 @@ func (r *Router) Kind(port int) PortKind { return r.out[port].kind }
 // VCs returns the number of VCs of input port `port`.
 func (r *Router) VCs(port int) int { return int(r.in[port].nvc) }
 
-// vq returns the queue of input VC (port, vc).
-func (r *Router) vq(port, vc int) *vcQueue { return &r.vqs[int(r.in[port].slot0)+vc] }
+// ring returns the ring of head slot `slot`'s VC queue: its span of r's
+// ring row, which Network.ringAt places.
+func (r *Router) ring(slot int) []*Packet {
+	at := r.net.ringAt
+	return r.rings[at[slot]:at[slot+1]]
+}
+
+// cred returns the credit counter of downstream VC vc of output `port`.
+func (r *Router) cred(port, vc int) *int32 { return &r.credits[int(r.out[port].cred0)+vc] }
 
 // class returns what output `port` shares with its class.
 func (r *Router) class(port int) *portClass { return &r.net.classes[r.out[port].kind] }
 
 // OutVCs returns the number of downstream VCs reachable through output
 // `port`.
-func (r *Router) OutVCs(port int) int { return len(r.out[port].credits) }
+func (r *Router) OutVCs(port int) int { return int(r.out[port].ncred) }
 
 // Credits returns the available credits (phits) for downstream VC vc of
 // output port.
-func (r *Router) Credits(port, vc int) int32 { return r.out[port].credits[vc] }
+func (r *Router) Credits(port, vc int) int32 { return *r.cred(port, vc) }
 
 // OutFree returns the free space of the output buffer of `port`.
 func (r *Router) OutFree(port int) int32 { return r.out[port].outFree }
@@ -466,7 +480,7 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 		r.heads[slot] = p
 		r.unroutedHeads.add(int32(slot))
 	}
-	r.vqs[slot].push(p)
+	r.vqs[slot].push(r.ring(slot), p)
 	r.wake()
 	n.Alg.OnArrive(r, p, port, vc)
 }
@@ -482,9 +496,9 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 // (Network.returnCredit).
 func (r *Router) dequeue(port, vc int) *Packet {
 	slot := int32(r.in[port].slot0) + int32(vc)
-	vq := &r.vqs[slot]
-	p := vq.pop()
-	next := vq.headPkt()
+	vq, ring := &r.vqs[slot], r.ring(int(slot))
+	p := vq.pop(ring)
+	next := vq.headPkt(ring)
 	r.heads[slot] = next
 	r.req[slot] = headReq{}
 	r.grantable.drop(slot)
@@ -503,7 +517,7 @@ func (r *Router) dequeue(port, vc int) *Packet {
 // of) a grant's reservation when a fault kills the packet holding it.
 func (r *Router) unreserve(port int, vc int8, outBuf bool) {
 	o, size := &r.out[port], r.net.size
-	o.credits[vc] += size
+	*r.cred(port, int(vc)) += size
 	freed := size
 	if outBuf {
 		o.outFree += size
@@ -516,11 +530,11 @@ func (r *Router) unreserve(port int, vc int8, outBuf bool) {
 // whole packet right now (the VCT admission rule used by the allocator).
 func (r *Router) CanAccept(port, vc int) bool {
 	o, size := &r.out[port], r.net.size
-	return o.outFree >= size && o.credits[vc] >= size
+	return o.outFree >= size && r.credits[int(o.cred0)+vc] >= size
 }
 
 // QueuedPackets returns the number of packets in input VC (port, vc).
-func (r *Router) QueuedPackets(port, vc int) int { return r.vq(port, vc).len() }
+func (r *Router) QueuedPackets(port, vc int) int { return r.vqs[int(r.in[port].slot0)+vc].len() }
 
 // HeadPacket returns the head packet of input VC (port, vc), or nil.
 func (r *Router) HeadPacket(port, vc int) *Packet { return r.heads[int(r.in[port].slot0)+vc] }

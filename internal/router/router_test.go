@@ -1,6 +1,9 @@
 package router
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"cbar/internal/topology"
@@ -105,6 +108,28 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestConfigValidateRingBound: a VC queue and an output stage index
+// their rings in 16 bits, so Validate takes a buffer of math.MaxInt16
+// packets and rejects one packet more, on an input VC and on the output
+// buffer alike.
+func TestConfigValidateRingBound(t *testing.T) {
+	base := smallCfg()
+	for _, buf := range []func(*Config) *int{
+		func(c *Config) *int { return &c.BufGlobal },
+		func(c *Config) *int { return &c.BufOut },
+	} {
+		c := base
+		*buf(&c) = math.MaxInt16 * c.PacketSize
+		if err := c.Validate(); err != nil {
+			t.Fatalf("a ring of %d packets rejected: %v", math.MaxInt16, err)
+		}
+		*buf(&c) += c.PacketSize
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "a ring indexes") {
+			t.Fatalf("a ring of %d packets: Validate returned %v", math.MaxInt16+1, err)
+		}
+	}
+}
+
 func TestPortKindHelpers(t *testing.T) {
 	cfg := smallCfg()
 	if cfg.VCsFor(Injection) != 3 || cfg.VCsFor(Local) != 3 || cfg.VCsFor(Global) != 2 {
@@ -205,17 +230,15 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestOutputStagesCutAtFirstPush: a router holds no output stage ring
-// until its first output push, which cuts one for every port, each of
-// BufOut/PacketSize entries and capacity-capped; a router that forwards
-// nothing never gets them.
+// TestOutputStagesCutAtFirstPush: a router holds no output stage row
+// until its first output push, which cuts one of BufOut/PacketSize
+// entries per port, capacity-capped; a router that forwards nothing
+// never gets one.
 func TestOutputStagesCutAtFirstPush(t *testing.T) {
 	n := buildSmall(t)
 	for _, r := range n.Routers {
-		for port := range r.out {
-			if r.out[port].q.buf != nil {
-				t.Fatalf("router %d port %d has a stage ring before any push", r.ID, port)
-			}
+		if r.stages != nil {
+			t.Fatalf("router %d has a stage row before any push", r.ID)
 		}
 	}
 	if !n.Inject(0, 1) { // both nodes on router 0
@@ -225,17 +248,101 @@ func TestOutputStagesCutAtFirstPush(t *testing.T) {
 	if n.NumDelivered != 1 {
 		t.Fatalf("%d delivered, want 1", n.NumDelivered)
 	}
+	r0 := n.Routers[0]
 	k := n.Cfg.BufOut / n.Cfg.PacketSize
-	for port, o := range n.Routers[0].out {
-		if len(o.q.buf) != k || cap(o.q.buf) != k {
-			t.Fatalf("port %d: stage ring %d/%d entries, want %d", port, len(o.q.buf), cap(o.q.buf), k)
-		}
+	if want := len(r0.out) * k; len(r0.stages) != want || cap(r0.stages) != want {
+		t.Fatalf("stage row %d/%d entries, want %d (%d ports of %d)", len(r0.stages), cap(r0.stages), want, len(r0.out), k)
 	}
 	for _, r := range n.Routers[1:] {
-		if r.out[0].q.buf != nil {
-			t.Fatalf("router %d forwarded nothing but holds stage rings", r.ID)
+		if r.stages != nil {
+			t.Fatalf("router %d forwarded nothing but holds a stage row", r.ID)
 		}
 	}
+}
+
+// TestRouterRowsTile: every router's per-VC and per-port state is spans
+// of its rows, laid out alike in every router. At tiny and Small scale,
+// with 3 and 4 local VCs, the slots' rings tile Router.rings in slot
+// order, each ringSlots(BufFor(kind), PacketSize) long; the output
+// ports' credit spans tile Router.credits in port order, one counter per
+// downstream VC (one on an ejection channel), each starting full; and
+// once cut, the stage rings tile Router.stages, stageLen entries each.
+// Every row is capacity-capped, so no span reaches the next router's.
+func TestRouterRowsTile(t *testing.T) {
+	for _, p := range []topology.Params{{P: 4, A: 4, H: 2}, {P: 4, A: 8, H: 4}} {
+		for _, vcs := range []int{3, 4} {
+			cfg := DefaultConfig(p)
+			cfg.VCsLocal = vcs
+			n, err := Build(cfg, testMin{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%+v, %d local VCs", p, vcs)
+			for _, r := range n.Routers {
+				if err := checkRows(r); err != nil {
+					t.Fatalf("%s: before the first push: %v", name, err)
+				}
+				r.cutStages()
+				if err := checkRows(r); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// checkRows checks that r's queues, ports and stages tile its rows (see
+// TestRouterRowsTile); the stage row only once it is cut.
+func checkRows(r *Router) error {
+	n, cfg := r.net, &r.net.Cfg
+	if len(r.rings) != cap(r.rings) || len(r.credits) != cap(r.credits) || len(r.stages) != cap(r.stages) {
+		return fmt.Errorf("router %d: rows not capacity-capped", r.ID)
+	}
+	at := 0
+	for slot := range r.vqs {
+		ring := r.ring(slot)
+		want := ringSlots(cfg.BufFor(r.in[n.slotPort[slot]].kind), cfg.PacketSize)
+		if len(ring) != want || &ring[0] != &r.rings[at] {
+			return fmt.Errorf("router %d slot %d: ring of %d at %p, want %d at entry %d", r.ID, slot, len(ring), &ring[0], want, at)
+		}
+		at += want
+	}
+	if at != len(r.rings) {
+		return fmt.Errorf("router %d: rings cover %d of %d ring entries", r.ID, at, len(r.rings))
+	}
+	at = 0
+	for port := range r.out {
+		o := &r.out[port]
+		want := cfg.VCsFor(o.kind)
+		if o.kind == Injection {
+			want = 1
+		}
+		if int(o.cred0) != at || int(o.ncred) != want {
+			return fmt.Errorf("router %d out %d: credits [%d, +%d), want [%d, +%d)", r.ID, port, o.cred0, o.ncred, at, want)
+		}
+		for v := range want {
+			if c := r.Credits(port, v); c != r.class(port).vcCap {
+				return fmt.Errorf("router %d out %d vc %d: built with %d credits, want %d", r.ID, port, v, c, r.class(port).vcCap)
+			}
+		}
+		at += want
+	}
+	if at != len(r.credits) {
+		return fmt.Errorf("router %d: ports cover %d of %d credit counters", r.ID, at, len(r.credits))
+	}
+	if r.stages == nil {
+		return nil
+	}
+	k := max(cfg.BufOut/cfg.PacketSize, 1)
+	for port := range r.out {
+		if st := r.stageRing(port); len(st) != k || &st[0] != &r.stages[port*k] {
+			return fmt.Errorf("router %d out %d: stage of %d entries, want %d at entry %d", r.ID, port, len(st), k, port*k)
+		}
+	}
+	if len(r.out)*k != len(r.stages) {
+		return fmt.Errorf("router %d: stages cover %d of %d entries", r.ID, len(r.out)*k, len(r.stages))
+	}
+	return nil
 }
 
 // TestSameRouterDeliveryTiming pins the end-to-end timing of the simplest

@@ -59,9 +59,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest sample, or 0 with no samples.
 func (w *Welford) Max() float64 { return w.max }
 
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.0f max=%.0f",
 		w.n, w.Mean(), w.Std(), w.Min(), w.Max())
@@ -71,8 +68,7 @@ func (w *Welford) String() string {
 // bins up to a cap, with an overflow bin, supporting exact percentiles
 // below the cap. The zero value is not ready; use NewHistogram.
 type Histogram struct {
-	bins     []int64
-	binCap   int64 // the cap passed to NewHistogram; overflow sits at this value
+	bins     []int64 // one per value below the cap, len(bins); overflow sits at the cap
 	overflow int64
 	total    int64
 	sum      float64
@@ -83,7 +79,7 @@ func NewHistogram(max int) *Histogram {
 	if max < 1 {
 		max = 1
 	}
-	return &Histogram{bins: make([]int64, max), binCap: int64(max)}
+	return &Histogram{bins: make([]int64, max)}
 }
 
 // Add records one sample. Negative samples clamp to bin 0; samples >= cap
@@ -144,12 +140,12 @@ func (h *Histogram) Percentile(q float64) int64 {
 			return int64(v)
 		}
 	}
-	return h.binCap
+	return int64(len(h.bins))
 }
 
 // Merge folds histogram o into h. Both must share the same bin cap.
 func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bins) != len(o.bins) || h.binCap != o.binCap {
+	if len(h.bins) != len(o.bins) {
 		panic("stats: merging histograms of different size")
 	}
 	for i, c := range o.bins {
@@ -226,19 +222,6 @@ func (ts *TimeSeries) Merge(o *TimeSeries) {
 		ts.sum[i] += o.sum[i]
 		ts.count[i] += o.count[i]
 	}
-}
-
-// Series flattens the time series into (cycle, mean) pairs, skipping empty
-// buckets.
-func (ts *TimeSeries) Series() (cycles []int64, means []float64) {
-	for i := range ts.sum {
-		if ts.count[i] == 0 {
-			continue
-		}
-		cycles = append(cycles, ts.BucketTime(i)+ts.Width/2)
-		means = append(means, ts.Mean(i))
-	}
-	return cycles, means
 }
 
 // Quantile returns the q-quantile (0..1) of a sample slice, interpolating
