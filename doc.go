@@ -405,7 +405,7 @@
 // The VC queues themselves sit in slot order (Router.vqs: a ring of
 // packets each, whose free slots are its free space — every packet is
 // the same size), and each router holds four more things per slot: the
-// head pointer (Router.heads), the stored request (Router.req: output
+// head's packet ref (Router.heads), the stored request (Router.req: output
 // port, downstream VC, valid, fault-escape), a bit in the unroutedHeads
 // set, which is the same bitset type again — set exactly while the VC
 // has a head that awaits a grant — and a bit in the grantable set, set
@@ -443,7 +443,8 @@
 // Each fact the configuration fixes is held once. Every packet is
 // Config.PacketSize phits, so the fabric's phit arithmetic reads the one
 // size the Network holds (Packet.Size stays for observers), and a
-// calendar event carries no size (16 bytes). What every port of a class
+// calendar event carries no size (12 bytes, its packet a 4-byte ref).
+// What every port of a class
 // shares — link latency, a downstream VC's credit cap, the occupancy
 // cap, the ECN mark threshold — is one portClass per PortKind, filled at
 // Build, not a copy per output port. A VC queue is a ring in slot order
@@ -527,8 +528,8 @@
 // The event calendar. Between cycles, work in flight in the fabric lives
 // on a calendar: per shard, one bucket per cycle of a ring sized to the
 // maximum link+pipeline horizon (128 slots for Table I). A bucket is a
-// chunkQueue: an event count and a chain of chunks of 42 events (704
-// bytes with the chunk's header) drawn from the shard's pool
+// chunkQueue: an event count and a chain of chunks of 56 12-byte events
+// (704 bytes with the chunk's header) drawn from the shard's pool
 // (router/calendar.go, router/queue.go). Scheduling appends at the tail
 // chunk; event handling reads the chain front to back, and the fault
 // sweep moves each bucket's survivors up in place in the order it read
@@ -544,7 +545,7 @@
 // L2). Chunks are allocated only when the pool is empty, which happens
 // while the run's live-event peak is still rising and never at Network
 // construction, 32 at a time (one of the growth statements the
-// zero-allocation audit allows, like a shard's packet chunk); they come
+// zero-allocation audit allows, like a chunk of the packet table); they come
 // in fixed batches rather than from one slab grown by append because
 // the slab's outgrown copies are garbage at exactly the moment the
 // resident set peaks.
@@ -568,12 +569,36 @@
 // shard that made it — so each shard gets back what it takes and a
 // steady-state cycle allocates nothing at any worker count; with one
 // worker it is the single LIFO it always was. A miss does not allocate
-// a packet: it takes the next of the shard's current chunk of 256 fresh
-// ones (packetChunk), and only an exhausted chunk allocates, so a run's
-// rising in-flight peak costs one allocation per 256 packets. The lists
-// share one cap (maxFreePackets, split evenly), so a saturation
-// transient's peak population is not retained for ever — though a chunk
-// is released only once none of its packets is referenced.
+// a packet: it takes the next fresh ref of the shard's newest chunk of
+// the packet table (below), so a run's rising in-flight peak costs one
+// allocation per 256 packets.
+//
+// Packets by reference. Packets live in one network-wide table of
+// 256-packet chunks (Network.pkts), and everything the fabric stores
+// names a packet by a 4-byte pktRef — ref>>8 the chunk, ref&255 the
+// packet, the zero ref none (the table's chunk 0 is never made): the
+// rings and the head table, output stage entries (8 bytes, were 16),
+// calendar and mailbox events (12 bytes, were 16, so a 704-byte calendar
+// chunk holds 56 where it held 42), the delivery, pending-kill and
+// victim lists, and the freelists, which are ref stacks. Network.pkt
+// resolves a ref in two dependent loads; the algorithm hooks,
+// HeadPacket, OnDeliver and OnDrop still see *Packet, and a Packet
+// carries its own ref in its tail padding (still 80 bytes). The rings are
+// most of a built fabric, so bytes_per_node fell 1 609 → 1 143 on
+// small_un_sweep (−29 %). The table grows only at a sequential point:
+// at the handle barrier each shard's reserve — its freelist and its
+// newest chunk's fresh refs — is topped up to one packet per NIC in its
+// NIC set, a bound on the section's drains (Network.reservePackets), and
+// netShard.newPacket, inside the section, never adds a chunk: it panics
+// if the reserve is empty, as a stage overflow does. A chunk belongs to
+// the shard that added it and its packets go back to that shard's
+// freelist, so the table keeps every chunk it made: the packets a run
+// retains are bounded by the fabric's peak occupancy plus the reserves,
+// and a cap on the freelists could no longer release memory. The packet
+// ledger in CheckInvariants holds every ref of the table to exactly one
+// of live (at one place in the fabric), on its shard's freelist or in
+// its fresh reserve, per shard, and every granted head to one
+// tail-leave event.
 //
 // Blocked-router parking. Past saturation most head packets are blocked
 // on credits, and re-evaluating them every cycle is work proportional

@@ -105,7 +105,8 @@ func rrPick(cand []uint64, rr int) int {
 // the algorithm.
 func (r *Router) grant(port, vc, out int) {
 	slot := int(r.in[port].slot0) + vc
-	p, rq := r.heads[slot], r.req[slot]
+	ref, rq := r.heads[slot], r.req[slot]
+	p := r.net.pkt(ref)
 	outVC := int(rq.vc)
 	o := &r.out[out]
 	size := r.net.size
@@ -146,7 +147,7 @@ func (r *Router) grant(port, vc, out int) {
 
 	// Header reaches the output buffer after the router pipeline.
 	r.net.scheduleFrom(r.shard, now+int64(cfg.PipelineLatency),
-		event{kind: evPipeDone, router: int32(r.ID), port: int16(out), vc: int8(outVC), pkt: p})
+		event{kind: evPipeDone, router: int32(r.ID), port: int16(out), vc: int8(outVC), pkt: ref})
 
 	// The tail leaves the input buffer once it has both arrived
 	// (cut-through) and streamed through the crossbar at the internal
@@ -157,7 +158,7 @@ func (r *Router) grant(port, vc, out int) {
 		tail = p.TailArrive + 1
 	}
 	r.net.scheduleFrom(r.shard, tail,
-		event{kind: evTailLeave, router: int32(r.ID), port: int16(port), vc: int8(vc), pkt: p})
+		event{kind: evTailLeave, router: int32(r.ID), port: int16(port), vc: int8(vc), pkt: ref})
 
 	r.rrVC[port] = int8(vc)
 	o.rrIn = int16(port)

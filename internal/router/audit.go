@@ -75,6 +75,9 @@ func (n *Network) CheckInvariants() error {
 	if err := checkPool("notice", &n.noticePool, n.notices.chunksHeld()); err != nil {
 		return err
 	}
+	if err := n.checkPackets(); err != nil {
+		return err
+	}
 	// Conservation: every generated packet is delivered, killed by a
 	// fault, discarded as unroutable, or still in flight. The fault
 	// counters are identically zero without a plan, reducing this to the
@@ -123,15 +126,15 @@ func (r *Router) checkInvariants() error {
 		}
 		head := r.vqs[slot].headPkt(r.ring(slot))
 		if r.heads[slot] != head {
-			return fmt.Errorf("router %d in %d vc %d: head table holds %v but the queue's head is %v", r.ID, port, v, r.heads[slot], head)
+			return fmt.Errorf("router %d in %d vc %d: head table holds packet ref %d but the queue's head is %d", r.ID, port, v, r.heads[slot], head)
 		}
 		isUnrouted := r.unroutedHeads.has(int32(slot))
 		switch {
-		case isUnrouted && head == nil:
+		case isUnrouted && head == noPkt:
 			return fmt.Errorf("router %d in %d vc %d: unrouted head on an empty queue", r.ID, port, v)
 		case isUnrouted:
 			unrouted++
-		case head != nil && !head.HeadSeen:
+		case head != noPkt && !r.net.pkt(head).HeadSeen:
 			return fmt.Errorf("router %d in %d vc %d: head counts as granted but was never routed", r.ID, port, v)
 		case r.req[slot].valid:
 			return fmt.Errorf("router %d in %d vc %d: stored request %+v outlived its head's grant or departure", r.ID, port, v, r.req[slot])
@@ -197,7 +200,7 @@ func (r *Router) checkParked() error {
 	for wi, w := range r.unroutedHeads.scan() {
 		for ; w != 0; w &= w - 1 {
 			slot := r.unroutedHeads.idAt(wi, w)
-			p, stored := r.heads[slot], r.req[slot]
+			p, stored := r.net.pkt(r.heads[slot]), r.req[slot]
 			port, vc := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
 			if !p.HeadSeen {
 				return fmt.Errorf("router %d in %d vc %d: parked with a head whose OnHead never fired", r.ID, port, vc)
@@ -281,6 +284,199 @@ func (n *Network) checkFaultState() error {
 	}
 	if len(f.killed) != 0 {
 		return fmt.Errorf("router: fault engine holds %d killed packets between cycles", len(f.killed))
+	}
+	return nil
+}
+
+// The packet ledger's states of a ref (checkPackets).
+const (
+	refUnseen uint8 = iota
+	refLive
+	refFree
+	refFresh
+)
+
+var refStates = [...]string{"nowhere", "live", "on its freelist", "in its fresh reserve"}
+
+// checkPackets is the packet ledger. Every ref of every chunk of the
+// packet table is in exactly one state: live, at exactly one place where
+// the packet is — an input ring entry other than a granted head, an
+// output stage entry, a head-arrival, pipeline or delivery event on a
+// calendar or in a mailbox, a delivery or kill list — on its shard's
+// freelist once, or in its shard's fresh reserve. The other mentions of a
+// packet must name a live one: a granted head, whose tail still streams
+// out of its ring, with exactly one tail-leave event, and a pending kill.
+// Per shard, the packets made — its chunks' packets less its fresh
+// reserve — are its freelist plus its live packets, a live packet counting
+// for the shard of its source node, which made it (newPacket) and gets it
+// back (recycle). Credit and output-free events carry no packet.
+func (n *Network) checkPackets() error {
+	l := packetLedger{state: make([]uint8, len(n.pkts)<<packetShift), slots: len(n.slotPort), ports: n.Routers[0].in}
+	l.granted = make([]pktRef, len(n.Routers)*l.slots)
+	for _, r := range n.Routers {
+		for slot := range r.vqs {
+			vq := &r.vqs[slot]
+			if vq.empty() {
+				continue
+			}
+			ring := r.ring(slot)
+			for i := range vq.len() {
+				ref := vq.at(ring, i)
+				if i == 0 && r.slotGranted(slot) {
+					l.granted[r.ID*l.slots+slot] = ref
+					l.mentions = append(l.mentions, ref)
+					l.heads++
+					continue
+				}
+				if err := l.put(ref, refLive); err != nil {
+					return fmt.Errorf("router: router %d's ring of slot %d, entry %d: %w", r.ID, slot, i, err)
+				}
+			}
+		}
+		if r.stages == nil {
+			continue
+		}
+		for port := range r.out {
+			q, buf := &r.out[port].q, r.stageRing(port)
+			for i := range q.len() {
+				if err := l.put(q.at(buf, i).pkt, refLive); err != nil {
+					return fmt.Errorf("router: router %d's output stage %d, entry %d: %w", r.ID, port, i, err)
+				}
+			}
+		}
+	}
+	for s := range n.shards {
+		sh := &n.shards[s]
+		for b := range sh.cal {
+			if sh.cal[b].n == 0 {
+				continue
+			}
+			for run := range sh.cal[b].runs() {
+				for i := range run {
+					if err := l.event(&run[i]); err != nil {
+						return fmt.Errorf("router: shard %d bucket %d: %w", s, b, err)
+					}
+				}
+			}
+		}
+		for t := range sh.outbox {
+			for i := range sh.outbox[t] {
+				if err := l.event(&sh.outbox[t][i].ev); err != nil {
+					return fmt.Errorf("router: mailbox %d->%d: %w", s, t, err)
+				}
+			}
+		}
+		for _, ref := range sh.delivered {
+			if err := l.put(ref, refLive); err != nil {
+				return fmt.Errorf("router: shard %d's delivery list: %w", s, err)
+			}
+		}
+		for i := range sh.pendingKills {
+			l.mentions = append(l.mentions, sh.pendingKills[i].pkt)
+		}
+	}
+	if l.heads != 0 {
+		return fmt.Errorf("router: %d granted heads have no tail-leave event", l.heads)
+	}
+	if n.faults != nil {
+		for _, ref := range n.faults.killed {
+			if err := l.put(ref, refLive); err != nil {
+				return fmt.Errorf("router: the fault engine's victim set: %w", err)
+			}
+		}
+	}
+	for _, ref := range l.mentions {
+		if int(ref) >= len(l.state) || l.state[ref] != refLive {
+			return fmt.Errorf("router: packet ref %d is a granted head or a pending kill but not live", ref)
+		}
+	}
+	made, chunks := make([]int, len(n.shards)), 0
+	for s := range n.shards {
+		sh := &n.shards[s]
+		for _, ref := range sh.freePkts {
+			if err := l.put(ref, refFree); err != nil {
+				return fmt.Errorf("router: shard %d's freelist: %w", s, err)
+			}
+		}
+		for ref := sh.fresh; ref < sh.freshEnd; ref++ {
+			if err := l.put(ref, refFresh); err != nil {
+				return fmt.Errorf("router: shard %d's fresh reserve: %w", s, err)
+			}
+		}
+		made[s] = sh.chunks*packetChunk - int(sh.freshEnd-sh.fresh) - len(sh.freePkts)
+		chunks += sh.chunks
+	}
+	if chunks != len(n.pkts)-1 {
+		return fmt.Errorf("router: the shards added %d chunks to a %d-chunk packet table", chunks, len(n.pkts)-1)
+	}
+	for ref := pktRef(packetChunk); int(ref) < len(l.state); ref++ {
+		switch l.state[ref] {
+		case refUnseen:
+			return fmt.Errorf("router: packet ref %d is nowhere: not live, not on a freelist, not in a reserve", ref)
+		case refLive:
+			// The shard owning the source node: shards own ascending node blocks.
+			s, src := 0, n.pkt(ref).Src
+			for src >= n.shards[s].nodeHi {
+				s++
+			}
+			made[s]--
+		}
+	}
+	for s, left := range made {
+		if left != 0 {
+			sh := &n.shards[s]
+			total := sh.chunks*packetChunk - int(sh.freshEnd-sh.fresh)
+			return fmt.Errorf("router: shard %d made %d packets (%d chunks, %d fresh refs) but holds %d on its freelist and %d live",
+				s, total, sh.chunks, sh.freshEnd-sh.fresh, len(sh.freePkts), total-len(sh.freePkts)-left)
+		}
+	}
+	return nil
+}
+
+// packetLedger is checkPackets' scratch: each ref's state, the granted
+// heads by router and slot (router*slots + slot) until their tail-leave
+// events are found, and the refs that must turn out live.
+type packetLedger struct {
+	state    []uint8
+	granted  []pktRef
+	slots    int
+	ports    []inPort // every router's input ports lay out its slots alike
+	heads    int      // granted heads whose tail-leave event is still unfound
+	mentions []pktRef
+}
+
+// put enters ref in state st. A ref that resolves to no chunk, or that
+// already has a state, is an error.
+func (l *packetLedger) put(ref pktRef, st uint8) error {
+	if ref>>packetShift == 0 || int(ref) >= len(l.state) {
+		return fmt.Errorf("packet ref %d resolves to no chunk of the %d-chunk table", ref, len(l.state)>>packetShift-1)
+	}
+	if prev := l.state[ref]; prev != refUnseen {
+		return fmt.Errorf("packet ref %d is already %s", ref, refStates[prev])
+	}
+	l.state[ref] = st
+	return nil
+}
+
+// event enters the packet of one calendar or mailbox event.
+func (l *packetLedger) event(ev *event) error {
+	switch ev.kind {
+	case evCredit, evOutFree:
+		if ev.pkt != noPkt {
+			return fmt.Errorf("event kind %d for router %d carries packet ref %d", ev.kind, ev.router, ev.pkt)
+		}
+	case evTailLeave:
+		key := int(ev.router)*l.slots + int(l.ports[ev.port].slot0) + int(ev.vc)
+		if head := l.granted[key]; head == noPkt || head != ev.pkt {
+			return fmt.Errorf("tail-leave of packet ref %d at router %d in %d vc %d, whose granted head is %d",
+				ev.pkt, ev.router, ev.port, ev.vc, head)
+		}
+		l.granted[key] = noPkt
+		l.heads--
+	default:
+		if err := l.put(ev.pkt, refLive); err != nil {
+			return fmt.Errorf("event kind %d for router %d port %d: %w", ev.kind, ev.router, ev.port, err)
+		}
 	}
 	return nil
 }

@@ -15,21 +15,29 @@ package router
 // while the live-event peak is still rising, never at Build — as the NIC
 // queues' pool (nicChunk records a chunk) and the notices' do.
 
-// chunkEvents sizes a calendar chunk at 704 B: a 32-byte header and 42
-// 16-byte events.
-const chunkEvents = 42
+// chunkEvents sizes a calendar chunk at 704 B: a 32-byte header and 56
+// 12-byte events.
+const chunkEvents = 56
 
 // calBucket is one ring slot's event FIFO.
 type calBucket = chunkQueue[event]
 
-// push appends ev to the bucket at ring index idx.
-func (sh *netShard) push(idx int64, ev event) { sh.cal[idx].push(&sh.calPool, &ev) }
+// push appends ev to the bucket at ring index idx. scheduleFrom, the hot
+// caller, spells it out: this body is over the inliner's budget, its
+// store alone is not.
+func (sh *netShard) push(idx int64, ev *event) {
+	q := &sh.cal[idx]
+	if q.room == 0 {
+		q.extend(&sh.calPool)
+	}
+	q.store(ev)
+}
 
 // isVictim reports whether ev carries a packet of a fault's victim set.
-func (ev *event) isVictim() bool { return ev.pkt != nil && ev.pkt.killed }
+func (n *Network) isVictim(ev *event) bool { return ev.pkt != noPkt && n.pkt(ev.pkt).killed }
 
-// filterBucket removes the events that carry a fault victim from the
+// filterBucket removes the events that carry a fault victim from sh's
 // bucket at ring index idx, keeping the rest in order. Nothing is
 // allocated, the chunks the survivors no longer fill go back to the
 // pool, and a bucket that loses every event is left empty.
-func (sh *netShard) filterBucket(idx int64) { sh.cal[idx].filter(&sh.calPool, (*event).isVictim) }
+func (n *Network) filterBucket(sh *netShard, idx int64) { sh.cal[idx].filter(&sh.calPool, n.isVictim) }

@@ -20,6 +20,23 @@ func bucketEvents(sh *netShard, idx int64) []event {
 // inUse counts the chunks of sh's calendar pool that are on a bucket.
 func inUse(sh *netShard) int { return sh.calPool.chunks - sh.calPool.pooled() }
 
+// testPkt makes a packet of n's table for a hand-built event, as a drain
+// of the first NIC of shard 0 would, carrying id.
+func testPkt(n *Network, id uint64) pktRef {
+	sh := &n.shards[0]
+	n.reserve(sh, 1)
+	return sh.newPacket(n, int(sh.nodeLo), nicRec{id: id}).ref
+}
+
+// recycleDelivered empties sh's delivery list the way the handle
+// barrier's replay does, minus the counters and the observer.
+func recycleDelivered(n *Network, sh *netShard) {
+	for _, ref := range sh.delivered {
+		n.recycle(n.pkt(ref))
+	}
+	sh.delivered = sh.delivered[:0]
+}
+
 // liveEvents counts the events scheduled on sh's calendar.
 func liveEvents(sh *netShard) int {
 	live := 0
@@ -34,7 +51,8 @@ func liveEvents(sh *netShard) int {
 // event) and checks that every bucket drains in exactly the order it was
 // filled, against a plain slice-per-cycle reference. The events are
 // deliveries, which the handler collects in handling order on the shard;
-// the sequence number rides in the probe packet's ID. Every tenth cycle
+// the sequence number rides in the probe packet's ID, and the probes go
+// back to the freelist as the barrier would recycle them. Every tenth cycle
 // adds a burst sized to land one bucket on a chunk boundary
 // (k*chunkEvents-1, k*chunkEvents, k*chunkEvents+1).
 func TestCalendarAppendOrder(t *testing.T) {
@@ -46,7 +64,7 @@ func TestCalendarAppendOrder(t *testing.T) {
 	seq := uint64(0)
 	schedule := func(delay int64) {
 		seq++
-		n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: &Packet{ID: seq}})
+		n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: testPkt(n, seq)})
 		want[n.now+delay] = append(want[n.now+delay], seq)
 	}
 	for ; n.now < cycles; n.now++ {
@@ -58,12 +76,12 @@ func TestCalendarAppendOrder(t *testing.T) {
 		if len(sh.delivered) != len(want[n.now]) {
 			t.Fatalf("cycle %d: drained %d events, scheduled %d", n.now, len(sh.delivered), len(want[n.now]))
 		}
-		for i, p := range sh.delivered {
-			if p.ID != want[n.now][i] {
-				t.Fatalf("cycle %d: event %d is #%d, append order has #%d", n.now, i, p.ID, want[n.now][i])
+		for i, ref := range sh.delivered {
+			if id := n.pkt(ref).ID; id != want[n.now][i] {
+				t.Fatalf("cycle %d: event %d is #%d, append order has #%d", n.now, i, id, want[n.now][i])
 			}
 		}
-		sh.delivered = sh.delivered[:0]
+		recycleDelivered(n, sh)
 		if sh.cal[idx].n != 0 {
 			t.Fatalf("cycle %d: drained bucket does not read empty", n.now)
 		}
@@ -99,10 +117,9 @@ func TestCalendarAppendOrder(t *testing.T) {
 func TestCalendarChunkReuse(t *testing.T) {
 	n := buildSmall(t)
 	sh := &n.shards[0]
-	probe := new(Packet)
 	fill := func(delay int64, count int) {
 		for i := 0; i < count; i++ {
-			n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: probe})
+			n.scheduleFrom(sh, n.now+delay, event{kind: evDeliver, pkt: testPkt(n, 0)})
 		}
 	}
 	fill(1, 2*chunkEvents)
@@ -115,7 +132,7 @@ func TestCalendarChunkReuse(t *testing.T) {
 	second := first.next
 	n.now++
 	n.handleShardBucket(sh, n.now&n.mask) // releases first, then second
-	sh.delivered = sh.delivered[:0]
+	recycleDelivered(n, sh)
 	fill(5, chunkEvents+1)
 	if b := sh.cal[(n.now+5)&n.mask]; b.head != second || b.tail != first {
 		t.Fatal("a two-chunk bucket filled after a two-chunk drain did not get the drained chunks, last released first")
@@ -247,13 +264,22 @@ func TestNICPoolSteadyState(t *testing.T) {
 func TestCalendarFaultFilter(t *testing.T) {
 	n := buildFaulty(t, FaultConfig{Events: []FaultEvent{{Kind: LinkDown, Router: 0, Port: 2, Cycle: 1 << 40}}})
 	sh := &n.shards[0]
-	victim, survivor := &Packet{ID: 1}, &Packet{ID: 2}
-	n.faults.noteVictim(victim)
-	// Tail-leave events are ignored by the sweep's scan phase and carry a
-	// packet; size-only events always survive. The vc field numbers them.
+	victim := testPkt(n, 1)
+	n.faults.noteVictim(n.pkt(victim))
+	// Delivery events at a live router are ignored by the sweep's scan
+	// phase and carry a packet, each survivor its own; size-only events
+	// (noPkt: credits) always survive. The vc field numbers them.
+	const survivor, sizeOnly = pktRef(1), noPkt
 	var want []int8
-	put := func(delay int64, p *Packet, tag int8) {
-		n.scheduleFrom(sh, n.now+delay, event{kind: evTailLeave, vc: tag, pkt: p})
+	put := func(delay int64, p pktRef, tag int8) {
+		ev := event{kind: evDeliver, vc: tag, pkt: p}
+		switch p {
+		case survivor:
+			ev.pkt = testPkt(n, 2)
+		case sizeOnly:
+			ev.kind = evCredit
+		}
+		n.scheduleFrom(sh, n.now+delay, ev)
 		if p != victim {
 			want = append(want, tag)
 		}
@@ -261,13 +287,13 @@ func TestCalendarFaultFilter(t *testing.T) {
 	// Bucket +3: chunk 0 mixed, chunk 1 all victims, chunk 2 mixed with a
 	// survivor last; bucket +5: victims only, two chunks.
 	for i := 0; i < chunkEvents; i++ {
-		put(3, [...]*Packet{victim, survivor, nil}[i%3], int8(i))
+		put(3, [...]pktRef{victim, survivor, sizeOnly}[i%3], int8(i))
 	}
 	for i := 0; i < chunkEvents; i++ {
 		put(3, victim, 0)
 	}
 	for i := 0; i < 5; i++ {
-		put(3, [...]*Packet{survivor, victim}[i%2], int8(100+i))
+		put(3, [...]pktRef{survivor, victim}[i%2], int8(100+i))
 	}
 	for i := 0; i < chunkEvents+3; i++ {
 		put(5, victim, 0)
@@ -280,7 +306,10 @@ func TestCalendarFaultFilter(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, n.sweepFaultVictims); allocs != 0 { // the second sweep finds no victim left to remove
 		t.Fatalf("the fault sweep allocates %v times", allocs)
 	}
-	n.faults.killed = n.faults.killed[:0] // the hand-made victim is no packet of the network's
+	// The victim, out of every event, goes back to the freelist as
+	// finalizeFaultVictims would recycle it, minus the counters.
+	n.faults.killed = n.faults.killed[:0]
+	n.recycle(n.pkt(victim))
 
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -295,7 +324,7 @@ func TestCalendarFaultFilter(t *testing.T) {
 		}
 	}
 	if used := inUse(sh); used != 1 || sh.calPool.chunks != allocated {
-		t.Fatalf("%d chunks in use, %d allocated; want 1 (the 31 survivors fit one chunk) of %d", used, sh.calPool.chunks, allocated)
+		t.Fatalf("%d chunks in use, %d allocated; want 1 (the %d survivors fit one chunk) of %d", used, sh.calPool.chunks, len(want), allocated)
 	}
 	if sh.cal[(n.now+5)&n.mask].n != 0 {
 		t.Fatal("all-victim bucket does not read empty")

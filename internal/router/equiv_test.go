@@ -258,22 +258,50 @@ func TestStepModesInterleaved(t *testing.T) {
 	two.StepFullScan()
 }
 
-// packetStructs counts the Packet structs a network has handed out and
-// still holds: the packets inside the fabric (in flight but past their
-// NIC queue, where a packet is only a record) plus the shards' freelists.
-// The unconsumed part of a shard's packet chunk is not among them: those
-// structs have never been a packet. Below the freelist cap it rises by
-// exactly one per freelist miss, whether or not the miss opened a chunk.
+// packetStructs counts the Packet structs the shards of a network have
+// made and hold: the packets of their chunks less the fresh reserve,
+// which have never been a packet. It is the packets inside the fabric
+// (in flight but past their NIC queue, where a packet is only a record)
+// plus the freelists, and it rises by one per freelist miss.
 func packetStructs(n *Network) int {
-	pop := int(n.InFlight)
-	for i := range n.nics {
-		pop -= n.nics[i].len()
-	}
+	made := 0
 	for s := range n.shards {
-		pop += len(n.shards[s].freePkts)
+		sh := &n.shards[s]
+		made += sh.chunks*packetChunk - int(sh.freshEnd-sh.fresh)
 	}
-	return pop
+	return made
 }
+
+// testTableSpy is testMin watching the packet table: every hook but
+// BeginCycle runs inside a parallel section (the handle and step
+// sections), where the table must have the length it had at the cycle's
+// sequential point, BeginCycle, which records it and the cycles it grew
+// at. Hooks run on every shard's goroutine, so they only read.
+type testTableSpy struct {
+	testMin
+	t      *testing.T
+	chunks *int
+	grewAt *[]int64
+}
+
+func (a testTableSpy) BeginCycle(n *Network) {
+	if len(n.pkts) != *a.chunks {
+		*a.chunks = len(n.pkts)
+		*a.grewAt = append(*a.grewAt, n.now)
+	}
+}
+
+func (a testTableSpy) check(r *Router) {
+	if len(r.net.pkts) != *a.chunks {
+		a.t.Errorf("cycle %d: the packet table is %d chunks long inside a section, %d at its sequential point",
+			r.net.now, len(r.net.pkts), *a.chunks)
+	}
+}
+
+func (a testTableSpy) OnArrive(r *Router, _ *Packet, _, _ int)      { a.check(r) }
+func (a testTableSpy) OnHead(r *Router, _ *Packet, _, _ int)        { a.check(r) }
+func (a testTableSpy) OnGrant(r *Router, _ *Packet, _, _, _, _ int) { a.check(r) }
+func (a testTableSpy) OnDequeue(r *Router, _ *Packet, _, _ int)     { a.check(r) }
 
 // TestPacketFreelistRecycles checks that packets that left the fabric
 // are recycled to the shard that will need them again. A saturating
@@ -283,15 +311,24 @@ func packetStructs(n *Network) int {
 // channel and worker closures). Every packet crosses from the first
 // shard of two to the second, so a freelist that took its packets back
 // on the destination's shard would leave the first shard with none.
+// Through the flood the packet table grows at several cycles, but only
+// at sequential points (testTableSpy), and every ref the fabric holds
+// resolves to a packet of the table (the ledger of CheckInvariants,
+// every 50 cycles).
 func TestPacketFreelistRecycles(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := smallCfg()
 			cfg.Workers = workers
-			n, err := Build(cfg, testMin{}, 1)
+			var (
+				chunks int
+				grewAt []int64
+			)
+			n, err := Build(cfg, testTableSpy{t: t, chunks: &chunks, grewAt: &grewAt}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			chunks = len(n.pkts)
 			// Sources: the first four of nine groups, shard 0 of two.
 			srcs := n.Topo.P * n.Topo.A * (n.Topo.Groups / 2)
 			if workers > 1 && srcs != int(n.shards[0].nodeHi) {
@@ -307,8 +344,13 @@ func TestPacketFreelistRecycles(t *testing.T) {
 				n.Step()
 			}
 			backlog := 0
-			for range 2000 {
+			for c := range 2000 {
 				cycle(10)
+				if c%50 == 0 {
+					if err := n.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", n.now, err)
+					}
+				}
 			}
 			for i := range n.nics {
 				backlog += n.nics[i].len()
@@ -316,10 +358,14 @@ func TestPacketFreelistRecycles(t *testing.T) {
 			if backlog < srcs*cfg.NICQueuePackets/2 {
 				t.Fatalf("NIC backlog %d after the flood: it did not saturate", backlog)
 			}
+			if len(grewAt) < 2 || grewAt[len(grewAt)-1] == 0 {
+				t.Fatalf("the packet table grew at cycles %v: the flood did not step through its growth", grewAt)
+			}
+			t.Logf("the packet table grew to %d chunks at cycles %v", len(n.pkts)-1, grewAt)
 			if !n.Drain(1 << 20) {
 				t.Fatal("did not drain")
 			}
-			made := packetStructs(n)
+			made, tableLen := packetStructs(n), len(n.pkts)
 			for range 500 {
 				cycle(3)
 			}
@@ -331,8 +377,9 @@ func TestPacketFreelistRecycles(t *testing.T) {
 					t.Fatalf("a loaded Step allocates %v times after warm-up", allocs)
 				}
 			}
-			if got := packetStructs(n); got != made {
-				t.Fatalf("%d Packet structs after the flood, %d after a lighter run: the freelists missed", made, got)
+			if got := packetStructs(n); got != made || len(n.pkts) != tableLen {
+				t.Fatalf("%d Packet structs in %d chunks after the flood, %d in %d after a lighter run: the freelists missed",
+					made, tableLen-1, got, len(n.pkts)-1)
 			}
 			if !n.Drain(1 << 20) {
 				t.Fatal("did not drain")
@@ -341,8 +388,8 @@ func TestPacketFreelistRecycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Drained, every packet made is on its source's freelist.
-			if free := len(n.shards[0].freePkts); free != made || free > maxFreePackets/workers {
-				t.Fatalf("%d packets on shard 0's freelist after drain, %d made (cap %d)", free, made, maxFreePackets/workers)
+			if free := len(n.shards[0].freePkts); free != made {
+				t.Fatalf("%d packets on shard 0's freelist after drain, %d made", free, made)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cbar/internal/router"
@@ -64,9 +65,16 @@ var parallelArms = append([]arm{{workers: 1, sweep: 250}}, workerArms(false, 2, 
 // sequential one for every mechanism and workload family: the record
 // must be identical at workers ∈ {2, 3, 4}, swept after every cycle, to
 // the 1-worker run. This is the contract that lets a -workers flag
-// change wall-clock time and nothing else.
+// change wall-clock time and nothing else. The ADV+1 rows also step
+// through the packet table's growth: their backlog rises for hundreds of
+// cycles, so chunks are added between forked cycles, not only at the
+// first, at every worker count (the race job runs this table).
 func TestParallelStepEquivalence(t *testing.T) {
-	pin(t, parallelStepRows(), parallelArms, nil)
+	pin(t, parallelStepRows(), parallelArms, func(t *testing.T, rw row, a arm, r record) {
+		if strings.HasSuffix(rw.name, "-adv1") && (len(r.grewAt) < 3 || r.grewAt[len(r.grewAt)-1] < 100) {
+			t.Fatalf("%v: the packet table grew at cycles %v; the row does not step through its growth", a, r.grewAt)
+		}
+	})
 }
 
 func parallelFaultRows() []row {

@@ -24,6 +24,7 @@ func (n *Network) StepFullScan() {
 	if n.faults != nil {
 		n.applyFaults()
 	}
+	n.reservePackets()
 	n.Alg.BeginCycle(n)
 	for i := range n.nics {
 		n.nicDrain(i)
@@ -66,3 +67,6 @@ func (r *Router) PortAlive(port int) bool { return !r.out[port].dead }
 
 // Alive reports whether the router itself is up.
 func (r *Router) Alive() bool { return !r.down }
+
+// PacketChunks returns the number of chunks in the packet table.
+func (n *Network) PacketChunks() int { return len(n.pkts) - 1 }

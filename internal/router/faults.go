@@ -26,7 +26,7 @@ type faultState struct {
 
 	// Kill machinery scratch, reused across applications: the victims of
 	// the application in progress (each also marked Packet.killed).
-	killed   []*Packet
+	killed   []pktRef
 	bfsQueue []int32
 }
 
@@ -114,7 +114,6 @@ func (n *Network) applyFaults() {
 		sh := &n.shards[s]
 		for i := range sh.pendingKills {
 			n.resolvePendingKill(&sh.pendingKills[i])
-			sh.pendingKills[i].pkt = nil
 		}
 		sh.pendingKills = sh.pendingKills[:0]
 	}
@@ -183,7 +182,9 @@ func (n *Network) killRouterContents(rt *Router) {
 	t := n.Topo
 	for c := 0; c < t.P; c++ {
 		node := t.NodeID(rt.ID, c)
-		for q := &n.nics[node].q; q.len() > 0; {
+		q := &n.nics[node].q
+		n.reserve(rt.shard, q.len())
+		for q.len() > 0 {
 			n.faults.noteVictim(rt.shard.newPacket(n, node, q.pop(&rt.shard.nicPool)))
 		}
 	}
@@ -204,7 +205,7 @@ func (n *Network) killStagedQueue(r *Router, port int) {
 	o := &r.out[port]
 	for o.q.len() > 0 {
 		e := o.q.pop(r.stageRing(port))
-		n.reverseGrant(r, port, e.vc, true, e.pkt)
+		n.reverseGrant(r, port, e.vc, true, n.pkt(e.pkt))
 	}
 	r.stagedPorts.drop(int32(port))
 }
@@ -223,7 +224,7 @@ func (n *Network) reverseGrant(r *Router, port int, vc int8, outBuf bool, p *Pac
 func (n *Network) killGranted(r *Router, p *Packet) {
 	n.faults.noteVictim(p)
 	for slot, head := range r.heads {
-		if head == p {
+		if head == p.ref {
 			n.killQueued(r, int(n.slotPort[slot]), int(n.slotVC[slot]))
 			return
 		}
@@ -273,10 +274,10 @@ func (n *Network) sweepFaultVictims() {
 	for s := range n.shards {
 		sh := &n.shards[s]
 		for b := range sh.cal {
-			sh.filterBucket(int64(b))
+			n.filterBucket(sh, int64(b))
 		}
 		for t := range sh.outbox {
-			sh.outbox[t] = slices.DeleteFunc(sh.outbox[t], func(te timedEvent) bool { return te.ev.isVictim() })
+			sh.outbox[t] = slices.DeleteFunc(sh.outbox[t], func(te timedEvent) bool { return n.isVictim(&te.ev) })
 		}
 	}
 }
@@ -287,18 +288,18 @@ func (n *Network) faultScanEvent(ev *event) {
 	case evPipeDone:
 		u := n.Routers[ev.router]
 		if u.down || u.out[ev.port].dead {
-			n.reverseGrant(u, int(ev.port), ev.vc, true, ev.pkt)
+			n.reverseGrant(u, int(ev.port), ev.vc, true, n.pkt(ev.pkt))
 		}
 	case evHeadArrive:
 		ip := &n.Routers[ev.router].in[ev.port]
 		u := n.Routers[ip.upRouter]
 		if u.out[ip.upPort].dead {
-			n.reverseGrant(u, int(ip.upPort), ev.vc, false, ev.pkt)
+			n.reverseGrant(u, int(ip.upPort), ev.vc, false, n.pkt(ev.pkt))
 		}
 	case evDeliver:
 		u := n.Routers[ev.router]
 		if u.down {
-			n.killGranted(u, ev.pkt)
+			n.killGranted(u, n.pkt(ev.pkt))
 		}
 	}
 }
@@ -309,7 +310,7 @@ func (f *faultState) noteVictim(p *Packet) {
 		return
 	}
 	p.killed = true
-	f.killed = append(f.killed, p)
+	f.killed = append(f.killed, p.ref)
 }
 
 // finalizeFaultVictims retires one application's victims in packet-ID
@@ -320,16 +321,16 @@ func (n *Network) finalizeFaultVictims() {
 	if len(f.killed) == 0 {
 		return
 	}
-	slices.SortFunc(f.killed, byPacketID)
-	for _, p := range f.killed {
-		n.retire(p, false)
+	slices.SortFunc(f.killed, n.byPacketID)
+	for _, ref := range f.killed {
+		n.retire(n.pkt(ref), false)
 	}
 	f.killed = f.killed[:0]
 }
 
-// byPacketID orders packets by ID. A package-level function: unlike
-// sort.Slice, sorting with it allocates nothing.
-func byPacketID(a, b *Packet) int { return cmp.Compare(a.ID, b.ID) }
+// byPacketID orders packet refs by their packets' IDs. Unlike sort.Slice,
+// sorting with it allocates nothing: the method value does not escape.
+func (n *Network) byPacketID(a, b pktRef) int { return cmp.Compare(n.pkt(a).ID, n.pkt(b).ID) }
 
 // resolvePendingKill kills a routing-flagged head, unless it is no longer
 // the ungranted head it was flagged as (a router death in the same batch
@@ -337,11 +338,12 @@ func byPacketID(a, b *Packet) int { return cmp.Compare(a.ID, b.ID) }
 // path.
 func (n *Network) resolvePendingKill(pk *pendingKill) {
 	r := n.Routers[pk.router]
-	p := r.HeadPacket(int(pk.port), int(pk.vc))
-	if p != pk.pkt || r.HeadGranted(int(pk.port), int(pk.vc)) ||
-		pk.reason == killUnreachable && n.reachableRouters(pk.router, p.DstRouter) {
+	slot := int(r.in[pk.port].slot0) + int(pk.vc)
+	if r.heads[slot] != pk.pkt || r.slotGranted(slot) ||
+		pk.reason == killUnreachable && n.reachableRouters(pk.router, n.pkt(pk.pkt).DstRouter) {
 		return
 	}
+	p := n.pkt(pk.pkt)
 	r.dequeue(int(pk.port), int(pk.vc))
 	n.returnCredit(nil, &r.in[pk.port], pk.vc)
 	n.retire(p, pk.reason == killUnreachable)

@@ -75,8 +75,12 @@ type record struct {
 	counters []uint64
 	rngs     []rng.PCG // every router's random stream at the end
 	stepped  int64
-	net      *router.Network
-	inj      *traffic.Injector
+	// grewAt lists the cycles whose step added chunks to the packet
+	// table; it is not compared (a shard's reserve depends on the
+	// sharding).
+	grewAt []int64
+	net    *router.Network
+	inj    *traffic.Injector
 }
 
 var counterNames = []string{"generated", "blocked", "delivered", "phits", "in flight", "dropped", "unroutable",
@@ -193,8 +197,12 @@ func run(t testing.TB, rw row, a arm) record {
 			if inject {
 				inj.Cycle()
 			}
+			chunks := net.PacketChunks()
 			step()
 			rec.stepped++
+			if net.PacketChunks() != chunks {
+				rec.grewAt = append(rec.grewAt, now)
+			}
 			if sweep > 0 && net.Now()%sweep == 0 {
 				check()
 			}

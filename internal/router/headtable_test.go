@@ -113,14 +113,16 @@ func TestStaleRequestNeverNominated(t *testing.T) {
 		t.Fatal("the losing head holds no request")
 	}
 
-	// The loser dies as a fault victim would: dequeued ungranted. An
-	// injection port owes no upstream credit.
-	if victim := r.dequeue(lost, 0); victim.ID != uint64(lost) {
+	// The loser dies as a fault victim would: dequeued ungranted and
+	// recycled. An injection port owes no upstream credit.
+	victim := r.dequeue(lost, 0)
+	if victim.ID != uint64(lost) {
 		t.Fatalf("dequeued packet %d from node %d's port", victim.ID, lost)
 	}
+	n.recycle(victim)
 	n.InFlight--
 	n.NumDropped++
-	if r.req[lostSlot] != (headReq{}) || r.heads[lostSlot] != nil || r.unroutedHeads.has(int32(lostSlot)) {
+	if r.req[lostSlot] != (headReq{}) || r.heads[lostSlot] != noPkt || r.unroutedHeads.has(int32(lostSlot)) {
 		t.Fatalf("killed head left its slot behind: req %+v head %v unrouted %v",
 			r.req[lostSlot], r.heads[lostSlot], r.unroutedHeads.has(int32(lostSlot)))
 	}

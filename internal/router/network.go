@@ -28,15 +28,16 @@ const (
 	evDeliver
 )
 
-// event is one calendar entry. evCredit and evOutFree carry no packet:
-// both can fire after the packet has been delivered and recycled through
-// the freelist, and every packet is Network.size phits anyway.
+// event is one calendar entry, 12 bytes. evCredit and evOutFree carry no
+// packet (noPkt): both can fire after the packet has been delivered and
+// recycled through the freelist, and every packet is Network.size phits
+// anyway.
 type event struct {
 	kind   evKind
 	vc     int8
 	port   int16
 	router int32
-	pkt    *Packet
+	pkt    pktRef
 }
 
 // notice is a congestion notification on its way back to source node
@@ -114,6 +115,16 @@ type Network struct {
 
 	now  int64
 	seed uint64
+
+	// pkts is the packet table every pktRef indexes, a chunk of
+	// packetChunk packets per entry, chunk 0 never made (noPkt). Each
+	// chunk belongs to the shard that added it, and a packet goes back to
+	// that shard's freelist (recycle), so the table keeps every chunk
+	// reachable and never shrinks: the packets it retains are bounded by
+	// the fabric's peak occupancy plus each shard's reserve, not by a cap.
+	// It grows only at sequential points (reserve), so no shard ever
+	// reads a table header another goroutine is appending to.
+	pkts []*[packetChunk]Packet
 
 	mask int64
 
@@ -210,7 +221,7 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	// (the retransmit source included) reads concrete values.
 	cfg.Faults = cfg.Faults.Resolved(cfg)
 	n := &Network{Cfg: cfg, Topo: topo, Alg: alg, seed: seed, size: int32(cfg.PacketSize), shedCap: math.MaxInt,
-		noticePool: chunkPool[notice]{size: noticeChunk}}
+		noticePool: chunkPool[notice]{size: noticeChunk}, pkts: make([]*[packetChunk]Packet, 1, pktTableCap)}
 	for k := range n.classes {
 		n.classes[k] = newPortClass(&cfg, PortKind(k))
 	}
@@ -304,13 +315,9 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	return n, nil
 }
 
-// maxFreePackets bounds the packet freelists, summed over the shards
-// (each holds an equal share), so a saturation transient's peak in-flight
-// population is not retained forever. Packets come in chunks
-// (packetChunk), and a chunk is released only when none of its packets
-// is referenced: a packet dropped past the cap frees nothing while a
-// chunk-mate is still in the fabric or on a freelist.
-const maxFreePackets = 1 << 15
+// pktTableCap is the packet table's capacity at Build: the chunk
+// pointers of 15 chunks, 3 840 packets, before its first growth.
+const pktTableCap = 16
 
 func max64(a, b int64) int64 {
 	if a > b {
@@ -422,7 +429,13 @@ func (n *Network) scheduleFrom(src *netShard, cycle int64, ev event) {
 			return
 		}
 	}
-	src.push(cycle&n.mask, ev)
+	// netShard.push, with the store inlined: one call per chunk filled,
+	// not per event.
+	q := &src.cal[cycle&n.mask]
+	if q.room == 0 {
+		q.extend(&src.calPool)
+	}
+	q.store(&ev)
 }
 
 // badSchedule is scheduleFrom's failure path, out of line so that the
@@ -487,6 +500,7 @@ func (n *Network) Step() {
 	if n.faults != nil {
 		n.applyFaults()
 	}
+	n.reservePackets()
 	n.Alg.BeginCycle(n)
 
 	// Section 2: NIC drain, routing, allocation, link serialization —
@@ -654,11 +668,11 @@ func (n *Network) nicDrain(i int) {
 func (n *Network) handle(ev *event) {
 	switch ev.kind {
 	case evHeadArrive:
-		n.Routers[ev.router].enqueue(ev.pkt, int(ev.port), int(ev.vc))
+		n.Routers[ev.router].enqueue(n.pkt(ev.pkt), int(ev.port), int(ev.vc))
 
 	case evTailLeave:
 		r := n.Routers[ev.router]
-		if r.HeadPacket(int(ev.port), int(ev.vc)) != ev.pkt {
+		if r.heads[int(r.in[ev.port].slot0)+int(ev.vc)] != ev.pkt {
 			panic("router: tail-leave for a packet not at queue head")
 		}
 		r.dequeue(int(ev.port), int(ev.vc))
@@ -717,13 +731,11 @@ func (n *Network) returnCredit(src *netShard, ip *inPort, vc int8) {
 
 // recycle hands a packet that left the fabric — delivered, or killed by a
 // fault — to the freelist of the shard that owns its source node: that
-// shard made it (newPacket), so in steady state every shard gets back
-// what it takes, at any worker count. Sequential points only.
+// shard made it (newPacket) from a chunk it added, so in steady state
+// every shard gets back what it takes, at any worker count, and a chunk's
+// packets stay with its shard. Sequential points only.
 func (n *Network) recycle(p *Packet) {
-	sh := &n.shards[n.shardOf[n.Topo.RouterOfNode(int(p.Src))]]
-	if len(sh.freePkts) < maxFreePackets/len(n.shards) {
-		sh.freePkts = append(sh.freePkts, p)
-	}
+	n.shards[n.shardOf[n.Topo.RouterOfNode(int(p.Src))]].free(p.ref)
 }
 
 // replayDeliveries applies the deliveries collected during the handle
@@ -737,7 +749,8 @@ func (n *Network) replayDeliveries() {
 		if len(sh.delivered) == 0 {
 			continue
 		}
-		for _, p := range sh.delivered {
+		for _, ref := range sh.delivered {
+			p := n.pkt(ref)
 			n.NumDelivered++
 			n.DeliveredPhits += uint64(n.size)
 			n.InFlight--
@@ -754,9 +767,6 @@ func (n *Network) replayDeliveries() {
 				n.OnDeliver(p, n.now)
 			}
 			n.recycle(p)
-		}
-		for i := range sh.delivered {
-			sh.delivered[i] = nil
 		}
 		sh.delivered = sh.delivered[:0]
 	}

@@ -13,6 +13,12 @@ import "fmt"
 // network.go): a packet still waiting at its source is a record, not a
 // Packet.
 //
+// Packets live in the network's packet table (Network.pkts), and the
+// fabric holds none by pointer: rings, the head table, output stages,
+// calendar and mailbox events and the per-shard lists name a packet by
+// its 4-byte pktRef, which Network.pkt resolves. The algorithm hooks,
+// HeadPacket, OnDeliver and OnDrop see *Packet.
+//
 // Delivered packets are recycled through the shards' freelists: a
 // packet's fields are stable until the OnDeliver callback for it
 // returns, after which the struct may be reused by a later NIC drain.
@@ -112,7 +118,31 @@ type Packet struct {
 	// (faults.go), between its discovery and its recycling; newPacket
 	// clears it on reuse.
 	killed bool
+	// ref is the packet's own name in the packet table, set by newPacket
+	// (it sits in the tail padding: the struct stays 80 bytes).
+	ref pktRef
 }
+
+// pktRef names a packet of the network's packet table: ref>>packetShift
+// is its chunk in Network.pkts and ref&(packetChunk-1) its place in the
+// chunk. The table's chunk 0 is never made, so noPkt, the zero ref, names
+// no packet, and a zeroed ring slot, head or event holds none.
+type pktRef uint32
+
+// noPkt is the ref of no packet.
+const noPkt pktRef = 0
+
+// packetShift sizes a chunk of the packet table: packetChunk packets, the
+// number a shard adds at once when its reserve runs short
+// (Network.reserve).
+const (
+	packetShift = 8
+	packetChunk = 1 << packetShift
+)
+
+// pkt resolves ref, which must name a packet: two dependent loads, the
+// chunk pointer and the packet.
+func (n *Network) pkt(ref pktRef) *Packet { return &n.pkts[ref>>packetShift][ref&(packetChunk-1)] }
 
 // resetQueueState prepares per-queue transient state on enqueue.
 func (p *Packet) resetQueueState(tailArrive int64) {

@@ -17,7 +17,9 @@ import "sync"
 //	barrier    deliveries collected by the shards are replayed in
 //	           ascending shard order (counters, OnDeliver, freelist),
 //	           the congestion notices due pop off the network's one
-//	           FIFO (counters, OnNotify), then Alg.BeginCycle runs —
+//	           FIFO (counters, OnNotify), faults apply, every shard's
+//	           packet reserve is topped up (reservePackets: the packet
+//	           table grows here only), then Alg.BeginCycle runs —
 //	           the sequential point hosting the group-wide exchanges
 //	           (the ECtN combine).
 //	section 2  NIC drain → routing → Speedup allocation iterations →
@@ -115,17 +117,20 @@ type netShard struct {
 
 	// delivered collects this shard's delivery events of the current
 	// handle phase, replayed in shard order at the handle barrier.
-	delivered []*Packet
+	delivered []pktRef
 
-	// freePkts recycles the packets that left the fabric, LIFO, so a
-	// steady-state NIC drain allocates nothing. newPacket takes from it
-	// inside the parallel section; Network.recycle returns a packet to the
-	// shard of its source node at the sequential points.
-	freePkts []*Packet
-	// pktChunk is the unconsumed part of the shard's current chunk of
-	// fresh packets: a freelist miss takes the next one, and only an
-	// exhausted chunk allocates, packetChunk packets at a time.
-	pktChunk []Packet
+	// freePkts is the stack of the shard's packets that left the fabric,
+	// LIFO, so a steady-state NIC drain allocates nothing. newPacket pops
+	// it inside the parallel section; Network.recycle pushes a packet
+	// back onto the shard of its source node at the sequential points.
+	freePkts []pktRef
+	// [fresh, freshEnd) are the refs of the shard's newest chunk that
+	// were never handed out: a freelist miss takes the next one. With the
+	// freelist they are the shard's reserve, which only a sequential
+	// point tops up (Network.reserve); chunks counts the chunks the shard
+	// added to the table.
+	fresh, freshEnd pktRef
+	chunks          int
 
 	// pendingKills collects the head packets this shard's route phase
 	// flagged for removal (unreachable destination, exhausted detour
@@ -134,30 +139,27 @@ type netShard struct {
 	pendingKills []pendingKill
 }
 
-// packetChunk is how many packets a shard allocates at once when its
-// freelist is empty.
-const packetChunk = 256
-
 // newPacket makes the Packet of a record leaving the NIC queue of src,
-// a node of this shard, on a struct from the shard's freelist, or from
-// its chunk of fresh ones when the freelist is empty: into an
+// a node of this shard, from the shard's reserve: the freelist's top, or
+// its next fresh ref when the freelist is empty. It goes into an
 // injection VC (nicDrain, inside the parallel section), or into a
 // fault's victim set when src's router dies with the record still
 // queued. The id and generation cycle are the record's, assigned by
-// Inject; the path state starts out empty.
+// Inject; the path state starts out empty. It never grows the packet
+// table, which another shard may be reading: an empty reserve means the
+// sequential point's top-up missed a drain, and panics.
 func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
-	var p *Packet
+	var ref pktRef
 	if k := len(sh.freePkts); k > 0 {
-		p = sh.freePkts[k-1]
-		sh.freePkts[k-1] = nil
+		ref = sh.freePkts[k-1]
 		sh.freePkts = sh.freePkts[:k-1]
+	} else if sh.fresh < sh.freshEnd {
+		ref = sh.fresh
+		sh.fresh++
 	} else {
-		if len(sh.pktChunk) == 0 {
-			sh.pktChunk = make([]Packet, packetChunk)
-		}
-		p = &sh.pktChunk[0]
-		sh.pktChunk = sh.pktChunk[1:]
+		panic("router: packet reserve exhausted; the sequential point's top-up (Network.reserve) missed a drain")
 	}
+	p := n.pkt(ref)
 	*p = Packet{
 		ID:          rec.id,
 		Src:         int32(src),
@@ -171,8 +173,42 @@ func (sh *netShard) newPacket(n *Network, src int, rec nicRec) *Packet {
 		CountedPort: -1,
 		CountedLink: -1,
 		Attempt:     rec.attempt,
+		ref:         ref,
 	}
 	return p
+}
+
+// free pushes ref, a packet of the shard's chunks, onto its freelist.
+func (sh *netShard) free(ref pktRef) {
+	sh.freePkts = append(sh.freePkts, ref)
+}
+
+// reservePackets tops every shard's reserve up to one packet per NIC in
+// its NIC set, a bound on the drains of the section ahead: a NIC drains
+// at most one record a cycle, and only Inject, between Steps, adds to
+// the set. Called at the handle barrier, after fault application.
+func (n *Network) reservePackets() {
+	for s := range n.shards {
+		sh := &n.shards[s]
+		n.reserve(sh, int(sh.nicActive.count))
+	}
+}
+
+// reserve adds chunks to the packet table for sh until it can make k
+// packets. The fresh refs a chunk replaces go onto the freelist first,
+// so every ref stays the shard's. Sequential points only: the table is
+// read by every shard.
+func (n *Network) reserve(sh *netShard, k int) {
+	for len(sh.freePkts)+int(sh.freshEnd-sh.fresh) < k {
+		for ; sh.fresh < sh.freshEnd; sh.fresh++ {
+			sh.free(sh.fresh)
+		}
+		c := new([packetChunk]Packet)
+		sh.fresh = pktRef(len(n.pkts)) << packetShift
+		sh.freshEnd = sh.fresh + packetChunk
+		n.pkts = append(n.pkts, c)
+		sh.chunks++
+	}
 }
 
 // shardFork is the synchronization state of one cycle's fork: the
@@ -260,7 +296,7 @@ func (n *Network) mergeOutboxes() {
 				continue
 			}
 			for i := range mb {
-				dst.push(mb[i].cycle&n.mask, mb[i].ev)
+				dst.push(mb[i].cycle&n.mask, &mb[i].ev)
 			}
 			n.shards[s].outbox[t] = mb[:0]
 		}

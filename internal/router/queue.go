@@ -81,14 +81,22 @@ func (q *chunkQueue[T]) len() int { return int(q.n) }
 func (q *chunkQueue[T]) front() T { return q.head.buf[q.off] }
 
 // push appends *v, extending the queue by a chunk of p when its tail is
-// full (or it has none). The entry comes by pointer: passed by value to
-// a call that is not inlined (push is not), a 16-byte calendar event
-// would be split into registers and reassembled on the stack, a
-// store-forwarding stall on the engine's hottest path.
+// full (or it has none).
 func (q *chunkQueue[T]) push(p *chunkPool[T], v *T) {
 	if q.room == 0 {
 		q.extend(p)
 	}
+	q.store(v)
+}
+
+// store is push's fast path: it stores *v into the tail chunk, which must
+// have room. It fits the inliner's budget, so a caller that tests room
+// and calls extend itself (scheduleFrom) pays no call per event. The
+// entry comes by pointer: passed by value to a call that is not inlined,
+// a 12-byte calendar event would be split into registers and
+// reassembled on the stack, a store-forwarding stall on the engine's
+// hottest path.
+func (q *chunkQueue[T]) store(v *T) {
 	t := q.tail.buf
 	t[len(t)-int(q.room)] = *v
 	q.room--
@@ -212,12 +220,13 @@ func (q *chunkQueue[T]) filter(p *chunkPool[T], drop func(*T) bool) {
 	}
 }
 
-// vcQueue is one virtual channel's input buffer: a ring of packets over
-// its slot's span of the router's ring row (Router.ring), which every
-// method takes. Every packet is Network.size phits, so a VC's phit
+// vcQueue is one virtual channel's input buffer: a ring of packet refs
+// over its slot's span of the router's ring row (Router.ring), which
+// every method takes. Every packet is Network.size phits, so a VC's phit
 // capacity is a slot count. Capacity admission is enforced by the
 // upstream credit counters, not here; the queue only asserts the
-// invariant.
+// invariant. A popped slot keeps its stale ref: only the n refs from head
+// on are read.
 type vcQueue struct {
 	head, n int16 // a ring holds at most 1<<15 - 1 packets (Config.Validate)
 }
@@ -228,8 +237,19 @@ func ringSlots(capPhits, packetSize int) int {
 	return max(capPhits/packetSize, 1)
 }
 
+// ringIndex is the index of entry i, i < size, of a ring of size slots
+// whose oldest entry is at head. It wraps by compare, not %: the slot
+// count is a run-time value, and a divide per hop is the dearest
+// instruction here.
+func ringIndex(head int16, i, size int) int {
+	if i += int(head); i >= size {
+		i -= size
+	}
+	return i
+}
+
 // free returns the number of free packet slots.
-func (q *vcQueue) free(ring []*Packet) int32 { return int32(len(ring)) - int32(q.n) }
+func (q *vcQueue) free(ring []pktRef) int32 { return int32(len(ring)) - int32(q.n) }
 
 // empty reports whether no packet is queued.
 func (q *vcQueue) empty() bool { return q.n == 0 }
@@ -237,37 +257,33 @@ func (q *vcQueue) empty() bool { return q.n == 0 }
 // len returns the number of queued packets.
 func (q *vcQueue) len() int { return int(q.n) }
 
-// headPkt returns the packet at the queue head, or nil.
-func (q *vcQueue) headPkt(ring []*Packet) *Packet {
+// headPkt returns the packet at the queue head, or noPkt.
+func (q *vcQueue) headPkt(ring []pktRef) pktRef {
 	if q.n == 0 {
-		return nil
+		return noPkt
 	}
 	return ring[q.head]
 }
 
+// at returns the i-th queued packet from the head, i < len.
+func (q *vcQueue) at(ring []pktRef, i int) pktRef { return ring[ringIndex(q.head, i, len(ring))] }
+
 // push appends a packet whose head has arrived; its slot was reserved by
 // upstream credits when transmission started.
-func (q *vcQueue) push(ring []*Packet, p *Packet) {
+func (q *vcQueue) push(ring []pktRef, p pktRef) {
 	if int(q.n) == len(ring) {
 		panic("router: input VC overflow; upstream credit accounting is broken")
 	}
-	// Ring indices wrap by compare, not %: the slot count is a run-time
-	// value, and a divide per hop is the dearest instruction here.
-	i := int(q.head) + int(q.n)
-	if i >= len(ring) {
-		i -= len(ring)
-	}
-	ring[i] = p
+	ring[ringIndex(q.head, int(q.n), len(ring))] = p
 	q.n++
 }
 
 // pop removes the head packet once its tail has left the buffer.
-func (q *vcQueue) pop(ring []*Packet) *Packet {
+func (q *vcQueue) pop(ring []pktRef) pktRef {
 	if q.n == 0 {
 		panic("router: pop from empty VC queue")
 	}
 	p := ring[q.head]
-	ring[q.head] = nil
 	if q.head++; int(q.head) == len(ring) {
 		q.head = 0
 	}
@@ -291,18 +307,17 @@ func (q *outRing) push(buf []outEntry, e outEntry) {
 	if int(q.n) == len(buf) {
 		panic("router: output stage overflow; output-buffer accounting is broken")
 	}
-	i := int(q.head) + int(q.n)
-	if i >= len(buf) {
-		i -= len(buf)
-	}
-	buf[i] = e
+	buf[ringIndex(q.head, int(q.n), len(buf))] = e
 	q.n++
 }
 
-// pop removes the oldest entry; the stage must not be empty.
+// at returns the i-th staged entry from the oldest, i < len.
+func (q *outRing) at(buf []outEntry, i int) outEntry { return buf[ringIndex(q.head, i, len(buf))] }
+
+// pop removes the oldest entry; the stage must not be empty. Like a VC
+// queue's, the slot keeps its stale entry.
 func (q *outRing) pop(buf []outEntry) outEntry {
 	e := buf[q.head]
-	buf[q.head] = outEntry{}
 	if q.head++; int(q.head) == len(buf) {
 		q.head = 0
 	}

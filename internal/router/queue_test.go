@@ -7,21 +7,26 @@ import (
 
 // testVC is a stand-alone VC queue with its own ring, standing in for
 // the span of a router's ring row that Router.ring hands a queue's
-// methods.
+// methods, and its own packet table: the ref of the k-th packet pushed
+// is k, so noPkt names the table's nil.
 type testVC struct {
 	vcQueue
-	ring []*Packet
+	ring []pktRef
+	pkts []*Packet
 }
 
 // newVCQueue builds a stand-alone queue over a ring of the length
 // Network.ringAt gives a capPhits-phit VC.
 func newVCQueue(capPhits, packetSize int) *testVC {
-	return &testVC{ring: make([]*Packet, ringSlots(capPhits, packetSize))}
+	return &testVC{ring: make([]pktRef, ringSlots(capPhits, packetSize)), pkts: []*Packet{nil}}
 }
 
-func (q *testVC) push(p *Packet)   { q.vcQueue.push(q.ring, p) }
-func (q *testVC) pop() *Packet     { return q.vcQueue.pop(q.ring) }
-func (q *testVC) headPkt() *Packet { return q.vcQueue.headPkt(q.ring) }
+func (q *testVC) push(p *Packet) {
+	q.pkts = append(q.pkts, p)
+	q.vcQueue.push(q.ring, pktRef(len(q.pkts)-1))
+}
+func (q *testVC) pop() *Packet     { return q.pkts[q.vcQueue.pop(q.ring)] }
+func (q *testVC) headPkt() *Packet { return q.pkts[q.vcQueue.headPkt(q.ring)] }
 func (q *testVC) free() int32      { return q.vcQueue.free(q.ring) }
 
 // TestVCQueueRingIsFixed: the ring is sized capPhits/packetSize at
@@ -95,10 +100,12 @@ func TestVCQueueWrapAgainstReference(t *testing.T) {
 // read head (when a chunk holds more than one event) and filters that
 // drop every event are each required to happen.
 func TestChunkQueueAgainstSlice(t *testing.T) {
+	// A network of one chunk, for isVictim to resolve the victim's ref.
+	n := &Network{pkts: []*[packetChunk]Packet{nil, {{killed: true}}}}
+	victim := pktRef(packetChunk)
 	for _, size := range []int32{1, 3, chunkEvents} {
 		sh := &netShard{cal: make([]calBucket, 1), calPool: chunkPool[event]{size: size}}
 		q := &sh.cal[0]
-		victim := &Packet{killed: true}
 		var ref []event
 		rng := newTestRand(uint64(size))
 		seq := int32(0)
@@ -112,7 +119,7 @@ func TestChunkQueueAgainstSlice(t *testing.T) {
 						ev.pkt = victim
 					}
 					seq++
-					sh.push(0, ev)
+					sh.push(0, &ev)
 					ref = append(ref, ev)
 				}
 			case r < 14:
@@ -129,11 +136,11 @@ func TestChunkQueueAgainstSlice(t *testing.T) {
 				if q.off > 0 {
 					midFilters++
 				}
-				if !slices.ContainsFunc(ref, func(ev event) bool { return !ev.isVictim() }) {
+				if !slices.ContainsFunc(ref, func(ev event) bool { return !n.isVictim(&ev) }) {
 					dropAll++
 				}
-				sh.filterBucket(0)
-				ref = slices.DeleteFunc(ref, func(ev event) bool { return ev.isVictim() })
+				n.filterBucket(sh, 0)
+				ref = slices.DeleteFunc(ref, func(ev event) bool { return n.isVictim(&ev) })
 			}
 			var got []event
 			for run := range q.runs() {

@@ -44,9 +44,10 @@ func newHeadReq(req Request, escape bool) headReq {
 	return headReq{out: int16(req.Out), vc: int8(req.VC), valid: req.OK, escape: escape}
 }
 
-// outEntry is a packet staged in an output buffer with its downstream VC.
+// outEntry is a packet staged in an output buffer with its downstream
+// VC, 8 bytes.
 type outEntry struct {
-	pkt *Packet
+	pkt pktRef
 	vc  int8
 }
 
@@ -135,15 +136,15 @@ type Router struct {
 
 	// The input VC queues and the head table, indexed by head slot
 	// (inPort.slot0 + vc). routePhase and allocate read the table instead
-	// of ports × VCs × *Packet: each input VC's head packet (nil when
+	// of ports × VCs × packets: each input VC's head packet (noPkt when
 	// empty), the request the last routePhase stored for it, and the set
 	// of slots whose head awaits a grant. enqueue, dequeue and grant keep
 	// them in step, eagerly: no stale members, and a nonzero count means
 	// work until r parks. A queue's ring is its slot's span of rings
-	// (Router.ring).
+	// (Router.ring); rings and heads hold packet refs.
 	vqs           []vcQueue
-	rings         []*Packet
-	heads         []*Packet
+	rings         []pktRef
+	heads         []pktRef
 	req           []headReq
 	unroutedHeads activeSet
 	// grantable holds the slots the allocator may nominate: routePhase
@@ -233,9 +234,9 @@ func (n *Network) buildRouters() {
 		in       = make([]inPort, nr*radix)
 		out      = make([]outPort, nr*radix)
 		vqs      = make([]vcQueue, nr*slots)
-		heads    = make([]*Packet, nr*slots)
+		heads    = make([]pktRef, nr*slots)
 		req      = make([]headReq, nr*slots)
-		rings    = make([]*Packet, nr*ringLen)
+		rings    = make([]pktRef, nr*ringLen)
 		credits  = make([]int32, nr*credLen)
 		words    = make([]uint64, nr*(2*sw+(3+radix)*pw))
 		arb      = make([]int8, nr*2*radix) // rrVC and s1
@@ -377,7 +378,7 @@ func (r *Router) VCs(port int) int { return int(r.in[port].nvc) }
 
 // ring returns the ring of head slot `slot`'s VC queue: its span of r's
 // ring row, which Network.ringAt places.
-func (r *Router) ring(slot int) []*Packet {
+func (r *Router) ring(slot int) []pktRef {
 	at := r.net.ringAt
 	return r.rings[at[slot]:at[slot+1]]
 }
@@ -477,10 +478,10 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 	}
 	slot := int(r.in[port].slot0) + vc
 	if r.vqs[slot].empty() {
-		r.heads[slot] = p
+		r.heads[slot] = p.ref
 		r.unroutedHeads.add(int32(slot))
 	}
-	r.vqs[slot].push(r.ring(slot), p)
+	r.vqs[slot].push(r.ring(slot), p.ref)
 	r.wake()
 	n.Alg.OnArrive(r, p, port, vc)
 }
@@ -497,12 +498,12 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 func (r *Router) dequeue(port, vc int) *Packet {
 	slot := int32(r.in[port].slot0) + int32(vc)
 	vq, ring := &r.vqs[slot], r.ring(int(slot))
-	p := vq.pop(ring)
+	p := r.net.pkt(vq.pop(ring))
 	next := vq.headPkt(ring)
 	r.heads[slot] = next
 	r.req[slot] = headReq{}
 	r.grantable.drop(slot)
-	if next == nil {
+	if next == noPkt {
 		r.unroutedHeads.drop(slot)
 	} else {
 		r.unroutedHeads.add(slot)
@@ -537,12 +538,21 @@ func (r *Router) CanAccept(port, vc int) bool {
 func (r *Router) QueuedPackets(port, vc int) int { return r.vqs[int(r.in[port].slot0)+vc].len() }
 
 // HeadPacket returns the head packet of input VC (port, vc), or nil.
-func (r *Router) HeadPacket(port, vc int) *Packet { return r.heads[int(r.in[port].slot0)+vc] }
+func (r *Router) HeadPacket(port, vc int) *Packet {
+	ref := r.heads[int(r.in[port].slot0)+vc]
+	if ref == noPkt {
+		return nil
+	}
+	return r.net.pkt(ref)
+}
 
 // HeadGranted reports whether the head of input VC (port, vc) won switch
 // allocation: it stays, streaming out, but no longer arbitrates.
-func (r *Router) HeadGranted(port, vc int) bool {
-	return r.HeadPacket(port, vc) != nil && !r.unroutedHeads.has(int32(r.in[port].slot0)+int32(vc))
+func (r *Router) HeadGranted(port, vc int) bool { return r.slotGranted(int(r.in[port].slot0) + vc) }
+
+// slotGranted is HeadGranted by head slot.
+func (r *Router) slotGranted(slot int) bool {
+	return r.heads[slot] != noPkt && !r.unroutedHeads.has(int32(slot))
 }
 
 // LinkBusy reports whether the link of output `port` is serializing.
@@ -576,7 +586,7 @@ func (r *Router) routePhase() {
 	for wi, w := range r.unroutedHeads.scan() {
 		for ; w != 0; w &= w - 1 {
 			slot := r.unroutedHeads.idAt(wi, w)
-			p := r.heads[slot]
+			p := n.pkt(r.heads[slot])
 			port, vc := int(n.slotPort[slot]), int(n.slotVC[slot])
 			if !p.HeadSeen {
 				p.HeadSeen = true
@@ -660,7 +670,7 @@ func (r *Router) faultAdjust(p *Packet, port, vc int, req Request) (_ Request, e
 // next sequential point and requests nothing for it.
 func (r *Router) flagKill(p *Packet, port, vc int, reason uint8) Request {
 	r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{
-		router: int32(r.ID), port: int16(port), vc: int8(vc), reason: reason, pkt: p,
+		router: int32(r.ID), port: int16(port), vc: int8(vc), reason: reason, pkt: p.ref,
 	})
 	return Request{}
 }
@@ -682,5 +692,5 @@ type pendingKill struct {
 	port   int16
 	vc     int8
 	reason uint8
-	pkt    *Packet
+	pkt    pktRef
 }

@@ -31,7 +31,7 @@ type allocSite struct{ fn, stmt string }
 
 // allowedAllocs are the statements that may allocate in steady state.
 // All but the last two are pooled growth: a buffer, freelist, chunk of
-// fresh packets or batch of queue chunks (the one chunkPool statement
+// the packet table or batch of queue chunks (the one chunkPool statement
 // serves NIC queues, calendar buckets and notices) that allocates only
 // while its run's peak still rises and is reused, never reallocated,
 // once the peak is reached, and a shard's batch of output stage rings,
@@ -43,10 +43,10 @@ var allowedAllocs = []allocSite{
 	{"cbar/internal/router.(*Network).handle", "sh.delivered = append(sh.delivered, ev.pkt)"},
 	{"cbar/internal/router.(*Router).flagKill", "r.shard.pendingKills = append(r.shard.pendingKills, pendingKill{"},
 	{"cbar/internal/router.(*Network).stepShard", "sh.allocList = append(sh.allocList, r)"},
-	{"cbar/internal/router.(*Network).recycle", "sh.freePkts = append(sh.freePkts, p)"},
-	{"cbar/internal/router.(*faultState).noteVictim", "f.killed = append(f.killed, p)"},
+	{"cbar/internal/router.(*netShard).free", "sh.freePkts = append(sh.freePkts, ref)"},
+	{"cbar/internal/router.(*faultState).noteVictim", "f.killed = append(f.killed, p.ref)"},
 	{"cbar/internal/traffic.(*retransmitter).push", "rt.heap = append(rt.heap, e)"},
-	{"cbar/internal/router.(*netShard).newPacket", "sh.pktChunk = make([]Packet, packetChunk)"},
+	{"cbar/internal/router.(*Network).reserve", "c := new([packetChunk]Packet)"},
 	{"cbar/internal/router.(*Router).cutStages", "sh.stages = make([]outEntry, min(stageBatch, sh.uncut)*len(r.out)*k)"},
 	{"cbar/internal/router.(*chunkPool[...]).grow", "hdrs, ents := make([]chunk[T], chunkBatch), make([]T, chunkBatch*int(p.size))"},
 	{"cbar/internal/router.(*Network).forkShards", "f.resume = make(chan struct{})"},
