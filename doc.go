@@ -398,15 +398,17 @@
 //
 // Head slots. What the route phase and the allocator need to know of an
 // input VC — is there a head, has it been granted, what did it last
-// request — is kept where the router looks, not behind port → VC → ring →
-// *Packet. Every input (port, VC) pair has a slot, numbered port-major
-// (inPort.slot0 + vc; 41 slots at Small, 85 at Paper; the way back is two
-// small maps the Network keeps once, every router being laid out alike).
-// The VC queues themselves sit in slot order (Router.vqs: a ring of
-// packets each, whose free slots are its free space — every packet is
-// the same size), and each router holds four more things per slot: the
-// head's packet ref (Router.heads), the stored request (Router.req: output
-// port, downstream VC, valid, fault-escape), a bit in the unroutedHeads
+// request — is kept where the router looks, not behind port → VC →
+// queue → *Packet. Every input (port, VC) pair has a slot, numbered
+// port-major (inPort.slot0 + vc; 41 slots at Small, 85 at Paper; the way
+// back is two small maps the Network keeps once, every router being laid
+// out alike). The VC queues themselves sit in slot order (Router.vqs: a
+// FIFO linked through its packets each, whose count against its slot's
+// capacity is its free space — every packet is the same size), and each
+// router holds four more things per slot: the head's packet ref
+// (Router.heads, which is the queue's head: the queue keeps only its
+// tail and count), the stored request (Router.req: output port,
+// downstream VC, valid, fault-escape), a bit in the unroutedHeads
 // set, which is the same bitset type again — set exactly while the VC
 // has a head that awaits a grant — and a bit in the grantable set, set
 // by the route phase when the request it just stored passes CanAccept
@@ -435,8 +437,8 @@
 // packet (Router.DstGroup). The table costs about 700 bytes per Small
 // router; it is paid for by what it made unnecessary or exposed — the
 // per-port creditCap slices, 32-bit ring indices, 8-bit round-robin
-// pointers — and by cutting each router's VC queues, rings and credit
-// counters from one array per kind instead of some eighty, so a built
+// pointers — and by cutting each router's VC queues, then rings, and
+// credit counters from one array per kind instead of some eighty, so a built
 // fabric is ≈ 4 % smaller per node than before the table and ≈ 30 %
 // quicker to construct.
 //
@@ -447,8 +449,8 @@
 // What every port of a class
 // shares — link latency, a downstream VC's credit cap, the occupancy
 // cap, the ECN mark threshold — is one portClass per PortKind, filled at
-// Build, not a copy per output port. A VC queue is a ring in slot order
-// with no phit counters and an input port is its VC count, upstream
+// Build, not a copy per output port. A VC queue sits in slot order with
+// no phit counters and an input port is its VC count, upstream
 // endpoint and first slot (12 bytes). Congestion notices, made and
 // consumed at sequential points, wait in one network-wide FIFO instead
 // of the sharded calendar. Together that is ≈ 10 % of a built fabric's
@@ -456,10 +458,9 @@
 //
 // Slabs. The fabric's shape is fixed by the configuration, so Build
 // allocates each per-router array kind once for the whole network — the
-// Router structs, ports, VC queues and their rings, head tables,
-// credits, the slot and port sets' words, the allocator's arrays, the
-// contention counters (core.CountersOver) and the PCGs, seeded in place
-// — and cuts every router's share from it (Network.buildRouters); a
+// Router structs, ports, VC queues, head tables, credits, the slot and
+// port sets' words, the allocator's arrays, the contention counters
+// (core.CountersOver) and the PCGs, seeded in place — and cuts every router's share from it (Network.buildRouters); a
 // group's member list is a window of Network.Routers. Building a Small
 // network's 264 routers takes 34 allocations and tiny's 36 takes 31,
 // where one set of arrays per router took 4 806 and 675
@@ -468,13 +469,12 @@
 // bytes_per_node fell 2–4 % (small_un_sweep 2 260 → 2 175). Every
 // router lays out its VCs and ports alike, so what a VC or a port holds
 // is a span of its router's rows, placed by network-wide tables, not a
-// slice of its own: a VC queue is a 4-byte head and count
-// (router.vcQueue) over its slot's span of the router's ring row
-// (Router.ring, Network.ringAt), and an output port holds the offset of
-// its credit counters in the router's credit row and its stage's head
-// over its entries of the router's stage row — 48 bytes, where the
-// three slice headers made it 112 and a VC queue 32. Those headers were
-// 840 KB of the 2.19 MB a built Small PB fabric holds; without them
+// slice of its own: an output port holds the offset of its credit
+// counters in the router's credit row and its stage's head over its
+// entries of the router's stage row — 48 bytes, where the three slice
+// headers made it 112 — and a VC queue was a 4-byte head and count over
+// its slot's span of a ring row (32 with its slice header). Those headers
+// were 840 KB of the 2.19 MB a built Small PB fabric holds; without them
 // bytes_per_node fell 2 167 → 1 609 on small_un_sweep (−26 %). An output
 // stage is a fixed ring of the max(BufOut/PacketSize, 1) entries
 // outFree admits (4 at Table I), not a growing FIFO, and a router's
@@ -576,15 +576,16 @@
 // Packets by reference. Packets live in one network-wide table of
 // 256-packet chunks (Network.pkts), and everything the fabric stores
 // names a packet by a 4-byte pktRef — ref>>8 the chunk, ref&255 the
-// packet, the zero ref none (the table's chunk 0 is never made): the
-// rings and the head table, output stage entries (8 bytes, were 16),
+// packet, the zero ref none (the table's chunk 0 is never made): the VC
+// queues' rings (linked through the packets since, below) and the head
+// table, output stage entries (8 bytes, were 16),
 // calendar and mailbox events (12 bytes, were 16, so a 704-byte calendar
 // chunk holds 56 where it held 42), the delivery, pending-kill and
 // victim lists, and the freelists, which are ref stacks. Network.pkt
 // resolves a ref in two dependent loads; the algorithm hooks,
 // HeadPacket, OnDeliver and OnDrop still see *Packet, and a Packet
-// carries its own ref in its tail padding (still 80 bytes). The rings are
-// most of a built fabric, so bytes_per_node fell 1 609 → 1 143 on
+// carries its own ref in its tail padding (still 80 bytes). The rings
+// were most of a built fabric, so bytes_per_node fell 1 609 → 1 143 on
 // small_un_sweep (−29 %). The table grows only at a sequential point:
 // at the handle barrier each shard's reserve — its freelist and its
 // newest chunk's fresh refs — is topped up to one packet per NIC in its
@@ -599,6 +600,21 @@
 // of live (at one place in the fabric), on its shard's freelist or in
 // its fresh reserve, per shard, and every granted head to one
 // tail-leave event.
+//
+// Linked VC queues. Table I gives a global input VC 256 phits, 32
+// packets, and a VC mostly holds far fewer, so a ring per VC reserved
+// slots that sat empty: 388 per Small router, ≈ 35 % of a built fabric's
+// bytes. An input VC queue is instead a FIFO linked through its own
+// packets (Packet.next, in padding: still 80 bytes). Its head is its
+// slot's head table entry, so the queue itself is its tail ref and count
+// (router.vcQueue, 8 bytes), and its capacity is one network-wide int16
+// per slot (Network.slotCap), which nicDrain reads for free space and
+// enqueue asserts. enqueue links a packet behind the tail, whose
+// link it cleared on entry (resetQueueState); dequeue follows the head's
+// link. bytes_per_node fell 1 143 → 763 on small_un_sweep (−33 %) with
+// every digest unchanged. CheckInvariants walks each chain from its head,
+// at most the slot's capacity, and checks that it holds the queue's count
+// and ends at its tail; the packet ledger reads the chains.
 //
 // Blocked-router parking. Past saturation most head packets are blocked
 // on credits, and re-evaluating them every cycle is work proportional

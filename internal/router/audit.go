@@ -117,17 +117,15 @@ func (r *Router) checkInvariants() error {
 			return fmt.Errorf("router %d out %d: incremental occupancy %d but recompute %d", r.ID, port, o.occ, occ)
 		}
 	}
-	// The head table against the queues it summarises, slot by slot.
+	// The head table's bookkeeping, slot by slot (the packet ledger walks
+	// the queues behind the heads).
 	unrouted, grantable := 0, 0
 	for slot := range r.vqs {
 		port, v := int(r.net.slotPort[slot]), int(r.net.slotVC[slot])
 		if int(r.in[port].slot0)+v != slot {
 			return fmt.Errorf("router %d in %d vc %d: slot %d maps back elsewhere", r.ID, port, v, slot)
 		}
-		head := r.vqs[slot].headPkt(r.ring(slot))
-		if r.heads[slot] != head {
-			return fmt.Errorf("router %d in %d vc %d: head table holds packet ref %d but the queue's head is %d", r.ID, port, v, r.heads[slot], head)
-		}
+		head := r.heads[slot]
 		isUnrouted := r.unroutedHeads.has(int32(slot))
 		switch {
 		case isUnrouted && head == noPkt:
@@ -288,6 +286,32 @@ func (n *Network) checkFaultState() error {
 	return nil
 }
 
+// checkQueue walks head slot `slot`'s VC queue from its head in the head
+// table, at most slotCap packets, handing visit each packet's place in
+// the queue and its ref, and checks that the chain holds the queue's n
+// packets and ends at its tail (noPkt for an empty queue).
+func (r *Router) checkQueue(slot int, visit func(i int, ref pktRef) error) error {
+	n, q, capacity := r.net, &r.vqs[slot], int(r.net.slotCap[slot])
+	k, last := 0, noPkt
+	for ref := r.heads[slot]; ref != noPkt; ref = n.pkt(ref).next {
+		if k == capacity {
+			return fmt.Errorf("the chain from head %d runs past the capacity of %d packets", r.heads[slot], capacity)
+		}
+		if ref>>packetShift == 0 || int(ref>>packetShift) >= len(n.pkts) {
+			return fmt.Errorf("the chain from head %d reaches packet ref %d, which resolves to no chunk", r.heads[slot], ref)
+		}
+		if err := visit(k, ref); err != nil {
+			return err
+		}
+		k, last = k+1, ref
+	}
+	if k != int(q.n) || last != q.tail {
+		return fmt.Errorf("the chain from head %d holds %d packets and ends at %d, but the queue counts %d with tail %d",
+			r.heads[slot], k, last, q.n, q.tail)
+	}
+	return nil
+}
+
 // The packet ledger's states of a ref (checkPackets).
 const (
 	refUnseen uint8 = iota
@@ -300,12 +324,12 @@ var refStates = [...]string{"nowhere", "live", "on its freelist", "in its fresh 
 
 // checkPackets is the packet ledger. Every ref of every chunk of the
 // packet table is in exactly one state: live, at exactly one place where
-// the packet is — an input ring entry other than a granted head, an
-// output stage entry, a head-arrival, pipeline or delivery event on a
-// calendar or in a mailbox, a delivery or kill list — on its shard's
+// the packet is — an input VC's chain (checkQueue) other than a granted
+// head, an output stage entry, a head-arrival, pipeline or delivery event
+// on a calendar or in a mailbox, a delivery or kill list — on its shard's
 // freelist once, or in its shard's fresh reserve. The other mentions of a
 // packet must name a live one: a granted head, whose tail still streams
-// out of its ring, with exactly one tail-leave event, and a pending kill.
+// out of its queue, with exactly one tail-leave event, and a pending kill.
 // Per shard, the packets made — its chunks' packets less its fresh
 // reserve — are its freelist plus its live packets, a live packet counting
 // for the shard of its source node, which made it (newPacket) and gets it
@@ -315,22 +339,20 @@ func (n *Network) checkPackets() error {
 	l.granted = make([]pktRef, len(n.Routers)*l.slots)
 	for _, r := range n.Routers {
 		for slot := range r.vqs {
-			vq := &r.vqs[slot]
-			if vq.empty() {
-				continue
-			}
-			ring := r.ring(slot)
-			for i := range vq.len() {
-				ref := vq.at(ring, i)
+			err := r.checkQueue(slot, func(i int, ref pktRef) error {
 				if i == 0 && r.slotGranted(slot) {
 					l.granted[r.ID*l.slots+slot] = ref
 					l.mentions = append(l.mentions, ref)
 					l.heads++
-					continue
+					return nil
 				}
 				if err := l.put(ref, refLive); err != nil {
-					return fmt.Errorf("router: router %d's ring of slot %d, entry %d: %w", r.ID, slot, i, err)
+					return fmt.Errorf("packet %d: %w", i, err)
 				}
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("router: router %d's queue of slot %d: %w", r.ID, slot, err)
 			}
 		}
 		if r.stages == nil {

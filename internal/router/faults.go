@@ -189,7 +189,7 @@ func (n *Network) killRouterContents(rt *Router) {
 		}
 	}
 	for slot := range rt.vqs {
-		for !rt.vqs[slot].empty() {
+		for rt.vqs[slot].n > 0 {
 			n.killQueued(rt, int(n.slotPort[slot]), int(n.slotVC[slot]))
 		}
 	}

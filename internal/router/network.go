@@ -96,13 +96,13 @@ type Network struct {
 	nics    []nic
 	groups  [][]*Router
 	// slotPort and slotVC map a head slot (inPort.slot0 + vc) back to its
-	// input port and VC, and the ring of slot s's VC queue is entries
-	// [ringAt[s], ringAt[s+1]) of its router's ring row; every router is
-	// laid out alike, so one copy. stageLen is the length of an output
-	// stage, the max(BufOut/PacketSize, 1) packets outFree admits.
+	// input port and VC, and slotCap is the packet capacity of its VC
+	// queue, the max(BufFor/PacketSize, 1) its credits admit; every
+	// router is laid out alike, so one copy. stageLen is the length of an
+	// output stage, the max(BufOut/PacketSize, 1) packets outFree admits.
 	slotPort []int16
 	slotVC   []int8
-	ringAt   []int32
+	slotCap  []int16
 	stageLen int
 	// size is Cfg.PacketSize, the one packet size the fabric's phit
 	// arithmetic reads, and classes what every port of a class shares.
@@ -286,14 +286,13 @@ func Build(cfg Config, alg Algorithm, seed uint64) (*Network, error) {
 	}
 
 	slots := topo.P*cfg.VCsInjection + (topo.A-1)*cfg.VCsLocal + topo.H*cfg.VCsGlobal
-	n.slotPort, n.slotVC, n.ringAt = make([]int16, slots), make([]int8, slots), make([]int32, slots+1)
+	n.slotPort, n.slotVC, n.slotCap = make([]int16, slots), make([]int8, slots), make([]int16, slots)
 	slot := 0
 	for port := 0; port < topo.Radix(); port++ {
 		kind := portKind(topo, port)
-		ring := int32(ringSlots(cfg.BufFor(kind), cfg.PacketSize))
+		vcCap := int16(max(cfg.BufFor(kind)/cfg.PacketSize, 1))
 		for vc := range cfg.VCsFor(kind) {
-			n.slotPort[slot], n.slotVC[slot] = int16(port), int8(vc)
-			n.ringAt[slot+1] = n.ringAt[slot] + ring
+			n.slotPort[slot], n.slotVC[slot], n.slotCap[slot] = int16(port), int8(vc), vcCap
 			slot++
 		}
 	}
@@ -641,10 +640,10 @@ func (n *Network) nicDrain(i int) {
 	}
 	r := n.Routers[n.Topo.RouterOfNode(i)]
 	port := n.Topo.ChannelOfNode(i)
-	best, bestFree := -1, int32(0)
+	best, bestFree := -1, int16(0)
 	slot0 := int(r.in[port].slot0)
 	for vc := range int(r.in[port].nvc) {
-		if f := r.vqs[slot0+vc].free(r.ring(slot0 + vc)); f > bestFree {
+		if f := n.slotCap[slot0+vc] - r.vqs[slot0+vc].n; f > bestFree {
 			best, bestFree = vc, f
 		}
 	}

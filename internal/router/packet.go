@@ -14,10 +14,11 @@ import "fmt"
 // Packet.
 //
 // Packets live in the network's packet table (Network.pkts), and the
-// fabric holds none by pointer: rings, the head table, output stages,
-// calendar and mailbox events and the per-shard lists name a packet by
-// its 4-byte pktRef, which Network.pkt resolves. The algorithm hooks,
-// HeadPacket, OnDeliver and OnDrop see *Packet.
+// fabric holds none by pointer: the head table, the VC queues' tails and
+// the packets' own queue links (Packet.next), output stages, calendar
+// and mailbox events and the per-shard lists name a packet by its 4-byte
+// pktRef, which Network.pkt resolves. The algorithm hooks, HeadPacket,
+// OnDeliver and OnDrop see *Packet.
 //
 // Delivered packets are recycled through the shards' freelists: a
 // packet's fields are stable until the OnDeliver callback for it
@@ -102,12 +103,11 @@ type Packet struct {
 
 	// --- per-queue transient state (reset on every enqueue) ---
 
-	// minOut memoises Router.MinimalOut for the current queue: the
-	// minimal output port plus one, so the zero value means "not computed
-	// yet" and a hand-built Packet{} is correct. (Declared ahead of
-	// TailArrive so it sits in the padding after Attempt: the struct
-	// stays in its 80-byte size class.)
-	minOut int16
+	// next links the packet to the one behind it in its input VC queue
+	// (vcQueue), noPkt at the tail; it goes stale when the packet leaves
+	// and is cleared on its next enqueue. (It sits in the padding after
+	// Attempt: the struct stays in its 80-byte size class.)
+	next pktRef
 	// TailArrive is the cycle the packet's tail finishes arriving into
 	// its current input queue; the tail cannot leave earlier.
 	TailArrive int64
@@ -118,6 +118,10 @@ type Packet struct {
 	// (faults.go), between its discovery and its recycling; newPacket
 	// clears it on reuse.
 	killed bool
+	// minOut memoises Router.MinimalOut for the current queue: the
+	// minimal output port plus one, so the zero value means "not computed
+	// yet" and a hand-built Packet{} is correct.
+	minOut int16
 	// ref is the packet's own name in the packet table, set by newPacket
 	// (it sits in the tail padding: the struct stays 80 bytes).
 	ref pktRef
@@ -126,7 +130,7 @@ type Packet struct {
 // pktRef names a packet of the network's packet table: ref>>packetShift
 // is its chunk in Network.pkts and ref&(packetChunk-1) its place in the
 // chunk. The table's chunk 0 is never made, so noPkt, the zero ref, names
-// no packet, and a zeroed ring slot, head or event holds none.
+// no packet, and a zeroed link, head or event holds none.
 type pktRef uint32
 
 // noPkt is the ref of no packet.
@@ -146,6 +150,7 @@ func (n *Network) pkt(ref pktRef) *Packet { return &n.pkts[ref>>packetShift][ref
 
 // resetQueueState prepares per-queue transient state on enqueue.
 func (p *Packet) resetQueueState(tailArrive int64) {
+	p.next = noPkt
 	p.TailArrive = tailArrive
 	p.HeadSeen = false
 	p.minOut = 0

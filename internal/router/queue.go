@@ -220,21 +220,18 @@ func (q *chunkQueue[T]) filter(p *chunkPool[T], drop func(*T) bool) {
 	}
 }
 
-// vcQueue is one virtual channel's input buffer: a ring of packet refs
-// over its slot's span of the router's ring row (Router.ring), which
-// every method takes. Every packet is Network.size phits, so a VC's phit
-// capacity is a slot count. Capacity admission is enforced by the
-// upstream credit counters, not here; the queue only asserts the
-// invariant. A popped slot keeps its stale ref: only the n refs from head
-// on are read.
+// vcQueue is one virtual channel's input buffer: a FIFO linked through
+// its packets (Packet.next), head to tail. Its head is the slot's entry
+// of the head table (Router.heads), so the queue itself holds only its
+// tail and its count, and a VC reserves nothing for the packets its
+// credits would admit but it does not hold. Every packet is Network.size
+// phits, so a VC's phit capacity is a packet count (Network.slotCap).
+// Capacity admission is enforced by the upstream credit counters, not
+// here; Router.enqueue, which links a packet behind the tail, only
+// asserts the invariant, and Router.dequeue follows the head's link.
 type vcQueue struct {
-	head, n int16 // a ring holds at most 1<<15 - 1 packets (Config.Validate)
-}
-
-// ringSlots is the ring size of a capPhits-phit VC: the packets of
-// packetSize phits its credits admit.
-func ringSlots(capPhits, packetSize int) int {
-	return max(capPhits/packetSize, 1)
+	tail pktRef // noPkt when empty
+	n    int16  // a VC holds at most 1<<15 - 1 packets (Config.Validate)
 }
 
 // ringIndex is the index of entry i, i < size, of a ring of size slots
@@ -248,55 +245,12 @@ func ringIndex(head int16, i, size int) int {
 	return i
 }
 
-// free returns the number of free packet slots.
-func (q *vcQueue) free(ring []pktRef) int32 { return int32(len(ring)) - int32(q.n) }
-
-// empty reports whether no packet is queued.
-func (q *vcQueue) empty() bool { return q.n == 0 }
-
-// len returns the number of queued packets.
-func (q *vcQueue) len() int { return int(q.n) }
-
-// headPkt returns the packet at the queue head, or noPkt.
-func (q *vcQueue) headPkt(ring []pktRef) pktRef {
-	if q.n == 0 {
-		return noPkt
-	}
-	return ring[q.head]
-}
-
-// at returns the i-th queued packet from the head, i < len.
-func (q *vcQueue) at(ring []pktRef, i int) pktRef { return ring[ringIndex(q.head, i, len(ring))] }
-
-// push appends a packet whose head has arrived; its slot was reserved by
-// upstream credits when transmission started.
-func (q *vcQueue) push(ring []pktRef, p pktRef) {
-	if int(q.n) == len(ring) {
-		panic("router: input VC overflow; upstream credit accounting is broken")
-	}
-	ring[ringIndex(q.head, int(q.n), len(ring))] = p
-	q.n++
-}
-
-// pop removes the head packet once its tail has left the buffer.
-func (q *vcQueue) pop(ring []pktRef) pktRef {
-	if q.n == 0 {
-		panic("router: pop from empty VC queue")
-	}
-	p := ring[q.head]
-	if q.head++; int(q.head) == len(ring) {
-		q.head = 0
-	}
-	q.n--
-	return p
-}
-
 // outRing is an output stage: the granted packets past the pipeline,
-// waiting for the link, each with its downstream VC. Like vcQueue it is a
-// fixed ring over a span of its router's row, here the port's
-// Network.stageLen entries of Router.stages (Router.stageRing) that
-// outFree admits; the row is cut only at the router's first output push
-// (Router.cutStages), and until then every stage is empty.
+// waiting for the link, each with its downstream VC. It is a fixed ring
+// over a span of its router's row, the port's Network.stageLen entries
+// of Router.stages (Router.stageRing) that outFree admits; the row is
+// cut only at the router's first output push (Router.cutStages), and
+// until then every stage is empty.
 type outRing struct {
 	head, n int16 // a stage holds at most 1<<15 - 1 entries (Config.Validate)
 }
@@ -314,8 +268,8 @@ func (q *outRing) push(buf []outEntry, e outEntry) {
 // at returns the i-th staged entry from the oldest, i < len.
 func (q *outRing) at(buf []outEntry, i int) outEntry { return buf[ringIndex(q.head, i, len(buf))] }
 
-// pop removes the oldest entry; the stage must not be empty. Like a VC
-// queue's, the slot keeps its stale entry.
+// pop removes the oldest entry; the stage must not be empty. The slot
+// keeps its stale entry: only the n entries from head on are read.
 func (q *outRing) pop(buf []outEntry) outEntry {
 	e := buf[q.head]
 	if q.head++; int(q.head) == len(buf) {

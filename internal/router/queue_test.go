@@ -5,86 +5,130 @@ import (
 	"testing"
 )
 
-// testVC is a stand-alone VC queue with its own ring, standing in for
-// the span of a router's ring row that Router.ring hands a queue's
-// methods, and its own packet table: the ref of the k-th packet pushed
-// is k, so noPkt names the table's nil.
+// testVC is a real router's input VC: the first global VC of router 0
+// of a network built with global VCs of `capacity` packets, filled
+// through Router.enqueue and drained through Router.dequeue with packets
+// of the network's own table. A popped packet goes back to the test's
+// pool and is pushed again as a later packet, its stale queue link
+// included, as a packet moving on to its next router would be.
 type testVC struct {
-	vcQueue
-	ring []pktRef
-	pkts []*Packet
+	r              *Router
+	port, vc, slot int
+	pool           []*Packet
+	pushed         uint64
 }
 
-// newVCQueue builds a stand-alone queue over a ring of the length
-// Network.ringAt gives a capPhits-phit VC.
-func newVCQueue(capPhits, packetSize int) *testVC {
-	return &testVC{ring: make([]pktRef, ringSlots(capPhits, packetSize)), pkts: []*Packet{nil}}
-}
-
-func (q *testVC) push(p *Packet) {
-	q.pkts = append(q.pkts, p)
-	q.vcQueue.push(q.ring, pktRef(len(q.pkts)-1))
-}
-func (q *testVC) pop() *Packet     { return q.pkts[q.vcQueue.pop(q.ring)] }
-func (q *testVC) headPkt() *Packet { return q.pkts[q.vcQueue.headPkt(q.ring)] }
-func (q *testVC) free() int32      { return q.vcQueue.free(q.ring) }
-
-// TestVCQueueRingIsFixed: the ring is sized capPhits/packetSize at
-// construction and never grows — filling the queue to its capacity uses
-// exactly the slots it was built with, and the next push trips the
-// overflow check instead of reaching past the ring.
-func TestVCQueueRingIsFixed(t *testing.T) {
-	const capPhits, size = 32, 8
-	q := newVCQueue(capPhits, size)
-	slots := cap(q.ring)
-	// Move the head off slot 0 so the fill wraps.
-	q.push(&Packet{Size: size})
-	q.pop()
-	for i := 0; i < capPhits/size; i++ {
-		q.push(&Packet{ID: uint64(i + 1), Size: size})
+func newVCQueue(t *testing.T, capacity int) *testVC {
+	t.Helper()
+	cfg := smallCfg()
+	cfg.BufGlobal = capacity * cfg.PacketSize
+	n, err := Build(cfg, testMin{}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.free() != 0 || q.len() != capPhits/size {
+	r := n.Routers[0]
+	for slot, port := range n.slotPort {
+		if r.in[port].kind == Global {
+			return &testVC{r: r, port: int(port), vc: int(n.slotVC[slot]), slot: slot}
+		}
+	}
+	t.Fatal("no global input VC")
+	return nil
+}
+
+// push enqueues the next packet, its ID the count of pushes so far.
+func (q *testVC) push() *Packet {
+	var p *Packet
+	if k := len(q.pool); k > 0 {
+		p, q.pool = q.pool[k-1], q.pool[:k-1]
+	} else {
+		n := q.r.net
+		n.reserve(q.r.shard, 1)
+		p = q.r.shard.newPacket(n, 0, nicRec{dst: 1})
+	}
+	q.pushed++
+	p.ID = q.pushed
+	q.r.enqueue(p, q.port, q.vc)
+	return p
+}
+
+func (q *testVC) pop() *Packet {
+	p := q.r.dequeue(q.port, q.vc)
+	q.pool = append(q.pool, p)
+	return p
+}
+
+func (q *testVC) head() *Packet { return q.r.HeadPacket(q.port, q.vc) }
+func (q *testVC) len() int      { return q.r.QueuedPackets(q.port, q.vc) }
+func (q *testVC) empty() bool   { return q.len() == 0 }
+func (q *testVC) free() int     { return int(q.r.net.slotCap[q.slot]) - q.len() }
+
+// check is the audit's walk of the queue's chain (checkQueue).
+func (q *testVC) check() error {
+	return q.r.checkQueue(q.slot, func(int, pktRef) error { return nil })
+}
+
+// TestVCQueueRingIsFixed: a VC queue's capacity is its slot's slotCap,
+// fixed at Build, and the queue keeps no ring: filling it to capacity
+// links exactly that many packets from its head table entry to its tail,
+// and the next push trips the overflow check instead of linking one more.
+func TestVCQueueRingIsFixed(t *testing.T) {
+	const capacity = 4
+	q := newVCQueue(t, capacity)
+	// Start from a queue that has held a packet.
+	q.push()
+	q.pop()
+	var first, last *Packet
+	for i := range capacity {
+		last = q.push()
+		if i == 0 {
+			first = last
+		}
+	}
+	if q.free() != 0 || q.len() != capacity {
 		t.Fatalf("full queue: free %d len %d", q.free(), q.len())
 	}
-	if cap(q.ring) != slots || len(q.ring) != slots {
-		t.Fatalf("ring resized: %d/%d slots, built with %d", len(q.ring), cap(q.ring), slots)
+	if q.head() != first || q.r.net.pkt(q.r.vqs[q.slot].tail) != last {
+		t.Fatalf("head %v tail %v after the fill, want %v and %v", q.head(), q.r.net.pkt(q.r.vqs[q.slot].tail), first, last)
 	}
-	if q.headPkt().ID != 1 {
-		t.Fatalf("head is packet %d after a wrapped fill", q.headPkt().ID)
+	if err := q.check(); err != nil {
+		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("push past capPhits did not panic")
+			t.Fatal("push past the capacity did not panic")
 		}
 	}()
-	q.push(&Packet{Size: size})
+	q.push()
 }
 
-// TestVCQueueWrapAgainstReference pins the compare-and-wrap ring
-// indexing at slot counts 1, 2 and 32: a seeded push/pop stream that
-// laps the ring many times pops in exactly the order of a slice FIFO.
+// TestVCQueueWrapAgainstReference pins the linked queue at capacities 1,
+// 2 and 32: a seeded push/pop stream that cycles packets through the
+// queue many times, each popped packet pushed again later with its stale
+// link, pops in exactly the order of a slice FIFO, and the queue's chain
+// passes the audit's walk (checkQueue) after every step.
 func TestVCQueueWrapAgainstReference(t *testing.T) {
-	const size = 8
-	for _, slots := range []int{1, 2, 32} {
-		q := newVCQueue(slots*size, size)
-		if len(q.ring) != slots {
-			t.Fatalf("built %d slots, want %d", len(q.ring), slots)
+	for _, capacity := range []int{1, 2, 32} {
+		q := newVCQueue(t, capacity)
+		if int(q.r.net.slotCap[q.slot]) != capacity {
+			t.Fatalf("built a capacity of %d packets, want %d", q.r.net.slotCap[q.slot], capacity)
 		}
-		var ref []*Packet
-		rng := newTestRand(uint64(slots))
-		for step := 0; step < 50*slots+100; step++ {
-			if len(ref) < slots && (len(ref) == 0 || rng()%2 == 0) {
-				p := &Packet{ID: uint64(step), Size: size}
-				q.push(p)
-				ref = append(ref, p)
+		var ref []uint64
+		rng := newTestRand(uint64(capacity))
+		for step := 0; step < 50*capacity+100; step++ {
+			if len(ref) < capacity && (len(ref) == 0 || rng()%2 == 0) {
+				ref = append(ref, q.push().ID)
 			} else {
-				if q.headPkt() != ref[0] || q.pop() != ref[0] {
-					t.Fatalf("%d slots, step %d: head or pop is not the reference's packet %d", slots, step, ref[0].ID)
+				if q.head().ID != ref[0] || q.pop().ID != ref[0] {
+					t.Fatalf("capacity %d, step %d: head or pop is not the reference's packet %d", capacity, step, ref[0])
 				}
 				ref = ref[1:]
 			}
-			if q.len() != len(ref) || q.free() != int32(slots-len(ref)) {
-				t.Fatalf("%d slots, step %d: len %d free %d with %d queued", slots, step, q.len(), q.free(), len(ref))
+			if q.len() != len(ref) || q.free() != capacity-len(ref) {
+				t.Fatalf("capacity %d, step %d: len %d free %d with %d queued", capacity, step, q.len(), q.free(), len(ref))
+			}
+			if err := q.check(); err != nil {
+				t.Fatalf("capacity %d, step %d: %v", capacity, step, err)
 			}
 		}
 	}

@@ -140,10 +140,9 @@ type Router struct {
 	// empty), the request the last routePhase stored for it, and the set
 	// of slots whose head awaits a grant. enqueue, dequeue and grant keep
 	// them in step, eagerly: no stale members, and a nonzero count means
-	// work until r parks. A queue's ring is its slot's span of rings
-	// (Router.ring); rings and heads hold packet refs.
+	// work until r parks. A queue is linked through its packets, and its
+	// head is its slot's entry of heads (vcQueue).
 	vqs           []vcQueue
-	rings         []pktRef
 	heads         []pktRef
 	req           []headReq
 	unroutedHeads activeSet
@@ -211,7 +210,7 @@ type Router struct {
 }
 
 // buildRouters makes every router of n. Each per-router array kind — the
-// Router structs, ports, VC queues and their rings, head table, credits,
+// Router structs, ports, VC queues, head table, credits,
 // the slot and port sets' words, the allocator's arrays, the contention
 // counters and the PCGs — is one allocation for the whole network, cut
 // router by router into rows that its ports and VC queues index, so
@@ -222,7 +221,6 @@ func (n *Network) buildRouters() {
 	cfg := &n.Cfg
 	topo := n.Topo
 	nr, radix, slots := topo.Routers, topo.Radix(), len(n.slotPort)
-	ringLen := int(n.ringAt[slots])
 	// An ejection channel feeds one lane where an injection port has
 	// VCsInjection.
 	credLen := slots - topo.P*(cfg.VCsInjection-1)
@@ -236,7 +234,6 @@ func (n *Network) buildRouters() {
 		vqs      = make([]vcQueue, nr*slots)
 		heads    = make([]pktRef, nr*slots)
 		req      = make([]headReq, nr*slots)
-		rings    = make([]pktRef, nr*ringLen)
 		credits  = make([]int32, nr*credLen)
 		words    = make([]uint64, nr*(2*sw+(3+radix)*pw))
 		arb      = make([]int8, nr*2*radix) // rrVC and s1
@@ -257,7 +254,6 @@ func (n *Network) buildRouters() {
 			out:           cut(&out, radix),
 			group:         int32(topo.GroupOf(id)),
 			vqs:           cut(&vqs, slots),
-			rings:         cut(&rings, ringLen),
 			heads:         cut(&heads, slots),
 			req:           cut(&req, slots),
 			unroutedHeads: activeSet{words: cut(&words, sw)},
@@ -376,13 +372,6 @@ func (r *Router) Kind(port int) PortKind { return r.out[port].kind }
 // VCs returns the number of VCs of input port `port`.
 func (r *Router) VCs(port int) int { return int(r.in[port].nvc) }
 
-// ring returns the ring of head slot `slot`'s VC queue: its span of r's
-// ring row, which Network.ringAt places.
-func (r *Router) ring(slot int) []pktRef {
-	at := r.net.ringAt
-	return r.rings[at[slot]:at[slot+1]]
-}
-
 // cred returns the credit counter of downstream VC vc of output `port`.
 func (r *Router) cred(port, vc int) *int32 { return &r.credits[int(r.out[port].cred0)+vc] }
 
@@ -476,12 +465,21 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 		p.LocalMisThisGroup = false
 		p.LocalHopsGroup = 0
 	}
+	// Its room was reserved by upstream credits when transmission started,
+	// and resetQueueState cleared p.next.
 	slot := int(r.in[port].slot0) + vc
-	if r.vqs[slot].empty() {
+	q := &r.vqs[slot]
+	switch {
+	case q.n == 0:
 		r.heads[slot] = p.ref
 		r.unroutedHeads.add(int32(slot))
+	case q.n == n.slotCap[slot]:
+		panic("router: input VC overflow; upstream credit accounting is broken")
+	default:
+		n.pkt(q.tail).next = p.ref
 	}
-	r.vqs[slot].push(r.ring(slot), p.ref)
+	q.tail = p.ref
+	q.n++
 	r.wake()
 	n.Alg.OnArrive(r, p, port, vc)
 }
@@ -497,13 +495,16 @@ func (r *Router) enqueue(p *Packet, port, vc int) {
 // (Network.returnCredit).
 func (r *Router) dequeue(port, vc int) *Packet {
 	slot := int32(r.in[port].slot0) + int32(vc)
-	vq, ring := &r.vqs[slot], r.ring(int(slot))
-	p := r.net.pkt(vq.pop(ring))
-	next := vq.headPkt(ring)
-	r.heads[slot] = next
+	q := &r.vqs[slot]
+	if q.n == 0 {
+		panic("router: pop from empty VC queue")
+	}
+	p := r.net.pkt(r.heads[slot])
+	r.heads[slot] = p.next
 	r.req[slot] = headReq{}
 	r.grantable.drop(slot)
-	if next == noPkt {
+	if q.n--; q.n == 0 {
+		q.tail = noPkt
 		r.unroutedHeads.drop(slot)
 	} else {
 		r.unroutedHeads.add(slot)
@@ -535,7 +536,7 @@ func (r *Router) CanAccept(port, vc int) bool {
 }
 
 // QueuedPackets returns the number of packets in input VC (port, vc).
-func (r *Router) QueuedPackets(port, vc int) int { return r.vqs[int(r.in[port].slot0)+vc].len() }
+func (r *Router) QueuedPackets(port, vc int) int { return int(r.vqs[int(r.in[port].slot0)+vc].n) }
 
 // HeadPacket returns the head packet of input VC (port, vc), or nil.
 func (r *Router) HeadPacket(port, vc int) *Packet {

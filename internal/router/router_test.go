@@ -108,10 +108,10 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
-// TestConfigValidateRingBound: a VC queue and an output stage index
-// their rings in 16 bits, so Validate takes a buffer of math.MaxInt16
-// packets and rejects one packet more, on an input VC and on the output
-// buffer alike.
+// TestConfigValidateRingBound: a VC queue counts its packets and an
+// output stage indexes its ring in 16 bits, so Validate takes a buffer
+// of math.MaxInt16 packets and rejects one packet more, on an input VC
+// and on the output buffer alike.
 func TestConfigValidateRingBound(t *testing.T) {
 	base := smallCfg()
 	for _, buf := range []func(*Config) *int{
@@ -124,7 +124,7 @@ func TestConfigValidateRingBound(t *testing.T) {
 			t.Fatalf("a ring of %d packets rejected: %v", math.MaxInt16, err)
 		}
 		*buf(&c) += c.PacketSize
-		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "a ring indexes") {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "a 16-bit count holds") {
 			t.Fatalf("a ring of %d packets: Validate returned %v", math.MaxInt16+1, err)
 		}
 	}
@@ -149,38 +149,34 @@ func TestPortKindHelpers(t *testing.T) {
 }
 
 func TestVCQueueBasics(t *testing.T) {
-	q := newVCQueue(32, 8) // four packet slots
-	if !q.empty() || q.free() != 4 {
+	q := newVCQueue(t, 4)
+	if !q.empty() || q.free() != 4 || q.head() != nil {
 		t.Fatal("fresh queue wrong")
 	}
-	p1 := &Packet{ID: 1, Size: 8}
-	p2 := &Packet{ID: 2, Size: 8}
-	q.push(p1)
-	q.push(p2)
+	p1 := q.push()
+	p2 := q.push()
 	if q.len() != 2 || q.free() != 2 {
 		t.Fatalf("len %d free %d", q.len(), q.free())
 	}
-	if q.headPkt() != p1 {
+	if q.head() != p1 {
 		t.Fatal("head not FIFO")
 	}
 	if got := q.pop(); got != p1 {
 		t.Fatal("pop not FIFO")
 	}
-	if q.headPkt() != p2 || q.free() != 3 {
+	if q.head() != p2 || q.free() != 3 {
 		t.Fatal("after pop wrong")
 	}
 }
 
 func TestVCQueueRingWrap(t *testing.T) {
-	// Capacity 3 packets; interleave push/pop so the ring head wraps
-	// several times while staying within capacity.
-	q := newVCQueue(24, 8)
-	var id uint64
-	mk := func() *Packet { id++; return &Packet{ID: id, Size: 8} }
-	q.push(mk())
+	// Capacity 3 packets; interleave push/pop so packets cycle through
+	// the queue several times while staying within capacity.
+	q := newVCQueue(t, 3)
+	q.push()
 	prev := uint64(0)
 	for round := 0; round < 10; round++ {
-		q.push(mk())
+		q.push()
 		p := q.pop()
 		if p.ID <= prev {
 			t.Fatalf("FIFO violated: %d after %d", p.ID, prev)
@@ -195,24 +191,24 @@ func TestVCQueueRingWrap(t *testing.T) {
 		}
 		prev = p.ID
 	}
-	if q.free() != 3 {
-		t.Fatalf("free %d slots after drain, want 3", q.free())
+	if q.free() != 3 || q.head() != nil {
+		t.Fatalf("free %d slots, head %v after drain, want 3 and none", q.free(), q.head())
 	}
 }
 
 func TestVCQueueOverflowPanics(t *testing.T) {
-	q := newVCQueue(8, 8)
-	q.push(&Packet{Size: 8})
+	q := newVCQueue(t, 1)
+	q.push()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow did not panic")
 		}
 	}()
-	q.push(&Packet{Size: 8})
+	q.push()
 }
 
 func TestVCQueuePopEmptyPanics(t *testing.T) {
-	q := newVCQueue(8, 8)
+	q := newVCQueue(t, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("pop empty did not panic")
@@ -262,12 +258,11 @@ func TestOutputStagesCutAtFirstPush(t *testing.T) {
 
 // TestRouterRowsTile: every router's per-VC and per-port state is spans
 // of its rows, laid out alike in every router. At tiny and Small scale,
-// with 3 and 4 local VCs, the slots' rings tile Router.rings in slot
-// order, each ringSlots(BufFor(kind), PacketSize) long; the output
-// ports' credit spans tile Router.credits in port order, one counter per
-// downstream VC (one on an ejection channel), each starting full; and
-// once cut, the stage rings tile Router.stages, stageLen entries each.
-// Every row is capacity-capped, so no span reaches the next router's.
+// with 3 and 4 local VCs, the output ports' credit spans tile
+// Router.credits in port order, one counter per downstream VC (one on an
+// ejection channel), each starting full; and once cut, the stage rings
+// tile Router.stages, stageLen entries each. Every row is
+// capacity-capped, so no span reaches the next router's.
 func TestRouterRowsTile(t *testing.T) {
 	for _, p := range []topology.Params{{P: 4, A: 4, H: 2}, {P: 4, A: 8, H: 4}} {
 		for _, vcs := range []int{3, 4} {
@@ -291,26 +286,14 @@ func TestRouterRowsTile(t *testing.T) {
 	}
 }
 
-// checkRows checks that r's queues, ports and stages tile its rows (see
+// checkRows checks that r's ports and stages tile its rows (see
 // TestRouterRowsTile); the stage row only once it is cut.
 func checkRows(r *Router) error {
-	n, cfg := r.net, &r.net.Cfg
-	if len(r.rings) != cap(r.rings) || len(r.credits) != cap(r.credits) || len(r.stages) != cap(r.stages) {
+	cfg := &r.net.Cfg
+	if len(r.credits) != cap(r.credits) || len(r.stages) != cap(r.stages) {
 		return fmt.Errorf("router %d: rows not capacity-capped", r.ID)
 	}
 	at := 0
-	for slot := range r.vqs {
-		ring := r.ring(slot)
-		want := ringSlots(cfg.BufFor(r.in[n.slotPort[slot]].kind), cfg.PacketSize)
-		if len(ring) != want || &ring[0] != &r.rings[at] {
-			return fmt.Errorf("router %d slot %d: ring of %d at %p, want %d at entry %d", r.ID, slot, len(ring), &ring[0], want, at)
-		}
-		at += want
-	}
-	if at != len(r.rings) {
-		return fmt.Errorf("router %d: rings cover %d of %d ring entries", r.ID, at, len(r.rings))
-	}
-	at = 0
 	for port := range r.out {
 		o := &r.out[port]
 		want := cfg.VCsFor(o.kind)
