@@ -103,11 +103,10 @@ func TestGoldenPointTransient(t *testing.T) {
 // TestPointWarnsOfStall runs the wedge of sim's TestStallCycles (MIN at
 // tiny, UN 0.3, a fifth of the global links failed at cycle 200) and its
 // healthy twin: cbar warns on stderr for the first alone, and stdout,
-// which the goldens pin, does not change. Then a sweep at tiny's default
-// budget, whose 1 200-cycle window is shorter than stallBound: PB's
-// ADV+1 wedge at load 0.5 lasts the whole window and warns against a
-// quarter of it, while MIN, Base and ECtN, which deliver every few
-// cycles, do not.
+// which the goldens pin, does not change. Then the same fault plan in a
+// sweep at tiny's default budget, whose 1 200-cycle window is shorter
+// than stallBound: MIN's stall warns against a quarter of the window,
+// while Base, which misroutes around the failed links, does not.
 func TestPointWarnsOfStall(t *testing.T) {
 	t.Parallel()
 	const line = "point -scale tiny -routing min -traffic un -load 0.3 -warmup 1000 -measure 8000 -seeds 2 -faults "
@@ -127,16 +126,16 @@ func TestPointWarnsOfStall(t *testing.T) {
 		}
 	}
 
-	code, stdout, stderr := runCLI(strings.Fields("sweep -scale tiny -routing pb,min,base,ectn -traffic adv+1 -loads 0.5 -workers 1")...)
+	code, stdout, stderr := runCLI(strings.Fields("sweep -scale tiny -routing min,base -traffic un -loads 0.3 -faults random:20%@200 -workers 1")...)
 	if code != 0 {
 		t.Fatalf("sweep: exit %d\n%s", code, stderr)
 	}
 	warnings := strings.Split(strings.TrimSpace(stderr), "\n")
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "PB, ADV+1 at load 0.500") || !strings.Contains(warnings[0], "the fabric stalled") {
-		t.Errorf("sweep: want one stall warning, for PB; stderr:\n%s", stderr)
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "MIN, UN at load 0.300") || !strings.Contains(warnings[0], "the fabric stalled") {
+		t.Errorf("sweep: want one stall warning, for MIN; stderr:\n%s", stderr)
 	}
-	if rows := strings.Count(stdout, "\n"); rows != 2+4 || strings.Contains(stdout, "stall") {
-		t.Errorf("sweep: stdout is not the comment, the header and four rows:\n%s", stdout)
+	if rows := strings.Count(stdout, "\n"); rows != 2+2 || strings.Contains(stdout, "stall") {
+		t.Errorf("sweep: stdout is not the comment, the header and two rows:\n%s", stdout)
 	}
 }
 

@@ -204,6 +204,28 @@
 // delivered, which no worker count changes (the OnNotify sequence is
 // pinned by TestParallelCongestionEquivalence).
 //
+// # Valiant intermediates
+//
+// VAL, and PB when it diverts, send a packet through an intermediate
+// node first. The paper takes "an intermediate node ..., not ... the
+// intermediate group" (§V-A): a router is drawn, not a group. The draw
+// (routing's randomInterNode) is uniform over the routers outside the
+// source group, other than the destination router. A source-group
+// intermediate would put a second source-group local hop after the
+// packet turns toward its destination, on local VC 1, the class the
+// ascending-VC ladder keeps for hops after a global hop; that closes the
+// local VC 1 ⇄ global VC 0 cycle, and at tiny scale VAL and PB wedged on
+// it for good (TestValiantMakesProgress). A destination-group
+// intermediate stays: its path takes one global hop and then ascends
+// within the destination group. Excluding that group too, the usual
+// dragonfly Valiant of one intermediate group, would also be acyclic,
+// but the paper draws a node, and only the source group closes a cycle.
+// With VAL and PB at four local VCs, their channel dependency graph is
+// then acyclic with faults off, as MIN's is
+// (TestChannelDependencyAcyclic). Both branches of the draw, with and
+// without an active fault plan, reject the same routers, so a plan armed
+// before its first event draws what no plan draws.
+//
 // # Fault model
 //
 // [Config].Faults (cmd/cbar -faults, every subcommand; specs parsed by
@@ -243,9 +265,7 @@
 // ladder has cycles with faults off too (TestChannelDependencyAcyclic
 // logs them): at three local VCs the destination-group hop after two
 // global hops is capped to the VC an intermediate-group local misroute
-// takes before its second global hop, and a VAL or PB path whose
-// intermediate lies in the source group takes a second source-group hop
-// on the first VC after a global hop. A progress watchdog is the planned
+// takes before its second global hop. A progress watchdog is the planned
 // backstop (ROADMAP 3(c)); a ladder and an escape that are acyclic by
 // construction are the planned fix (ROADMAP 9(b)), which changes the
 // golden streams and so waits for a statistical-equivalence gate
@@ -459,8 +479,8 @@
 // Slabs. The fabric's shape is fixed by the configuration, so Build
 // allocates each per-router array kind once for the whole network — the
 // Router structs, ports, VC queues, head tables, credits, the slot and
-// port sets' words, the allocator's arrays, the contention counters
-// (core.CountersOver) and the PCGs, seeded in place — and cuts every router's share from it (Network.buildRouters); a
+// port sets' words, the allocator's arrays and the PCGs, seeded in
+// place — and cuts every router's share from it (Network.buildRouters); a
 // group's member list is a window of Network.Routers. Building a Small
 // network's 264 routers takes 34 allocations and tiny's 36 takes 31,
 // where one set of arrays per router took 4 806 and 675
@@ -482,9 +502,11 @@
 // Build: pre-sized there it would add ≈ 240 bytes per Small node, for
 // routers a near-idle run never reaches. It comes from its shard's
 // current batch, each batch the rows of the next 16 of the shard's
-// routers still without one. ECtN's Attach cuts
-// every router's partial array and every group's combined array from
-// one array each (core.ECtNOver). A NIC queue, a calendar bucket and
+// routers still without one. The routing state is the mechanism's, not
+// the fabric's: a contention-based mechanism's Attach allocates one
+// counter array for every router's output ports, and ECtN's one partial
+// array for every router and one combined array for every group, each
+// router's or group's row at a fixed offset. A NIC queue, a calendar bucket and
 // the congestion notices are one chunked FIFO type (router.chunkQueue),
 // whose fixed-size chunks come from a LIFO pool — the shard's for NIC
 // queues and buckets, the network's for the notices — that allocates a
@@ -786,7 +808,7 @@
 // a hard CI gate) enforces the ones a defect can break without any
 // dynamic check failing — on a path no golden, benchmark row or
 // multi-worker test runs — over the deterministic packages
-// internal/{router,routing,sim,traffic,core,topology}. The others are
+// internal/{router,routing,sim,traffic,topology}. The others are
 // held by the dynamic checks named with them:
 //
 //   - Iteration order (maprange): no `range` over a map, a map

@@ -109,7 +109,6 @@ func DefaultConfig() *Config {
 			"cbar/internal/routing",
 			"cbar/internal/sim",
 			"cbar/internal/traffic",
-			"cbar/internal/core",
 			"cbar/internal/topology",
 		},
 		RNGPackage: "cbar/internal/rng",

@@ -44,8 +44,8 @@ type Request struct {
 //   - such a call may read only the packet, the topology and
 //     configuration, router r's own fabric state as exposed by Credits,
 //     OutFree, CanAccept, Occupancy, the input-queue accessors and the
-//     port liveness PickPort filters on, r's own algorithm state
-//     (Contention, Ectn) — each of
+//     port liveness PickPort filters on, the algorithm's own state for r
+//     (its contention counters, its ECtN partials) — each of
 //     which changes only through an event that wakes r — and state shared
 //     beyond r whose every change is followed by Network.WakeGroup for
 //     r's group before the next route phase (ECtN's combined arrays);
@@ -129,9 +129,9 @@ func (NopHooks) OnDequeue(*Router, *Packet, int, int) {}
 // in FOGSim. The ladder is not acyclic as taken, faults off included
 // (TestChannelDependencyAcyclic): at three local VCs class 3 is capped to
 // VC 2, which an intermediate-group local misroute takes before its
-// second global hop, and a VAL or PB intermediate in the source group
-// puts a second source-group hop on VC 1, the class after the first
-// global hop.
+// second global hop. VAL and PB draw no intermediate in the source group
+// (doc.go, "Valiant intermediates"), which would put a second
+// source-group hop on VC 1, the class after the first global hop.
 func LocalVCBase(globalHops int8) int {
 	switch globalHops {
 	case 0:

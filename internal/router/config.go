@@ -5,11 +5,11 @@
 // latency-accurate local/global links.
 //
 // The fabric is mechanics only. All routing policy — which output a head
-// packet should request, when to misroute, what the contention counters
-// mean — lives behind the Algorithm interface and is implemented by
-// package routing. The split mirrors the paper's architecture: the
-// contention counters sit beside the router datapath and are consulted by
-// the routing function.
+// packet should request, when to misroute — and all routing state — the
+// contention counters, ECtN's arrays — live behind the Algorithm
+// interface in package routing, fed by its hooks. The split mirrors the
+// paper's architecture: the contention counters sit beside the router
+// datapath and are consulted by the routing function.
 //
 // Stepping is active-set scheduled: each cycle visits only the NICs with
 // backlog, the routers with unrouted head packets and the routers with

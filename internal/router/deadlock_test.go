@@ -112,18 +112,19 @@ func ladderKey(c channel) int {
 // TestChannelDependencyAcyclic drives every mechanism on the tiny fabric
 // under uniform and ADV+1 traffic past saturation, with faults off and
 // on, and builds the channel dependency graph of the grants it makes.
-// The graph is acyclic only for MIN with faults off. Every other cycle
-// goes through a grant that descends the ladder, and the test pins the
-// two ways one does:
+// The graph is acyclic for MIN, VAL and PB with faults off. Every other
+// cycle goes through a grant that descends the ladder, and the test pins
+// the two ways one does:
 //   - onto its class's top VC, where LadderVC caps the hop. With faults
 //     off that is the destination-group hop of a two-global-hop path at
 //     three local VCs; an intermediate-group local misroute takes the
 //     same VC before its second global hop (local VC2 ⇄ global VC1).
 //     With faults on, a fault escape or a detoured packet's later hops
 //     reach the cap too.
-//   - onto global VC 0 after a second source-group local hop: VAL and
-//     PB drawing their intermediate in the source group (local VC1 ⇄
-//     global VC0), or a fault escape.
+//   - onto global VC 0 after a second source-group local hop: a fault
+//     escape. A VAL or PB intermediate in the source group would take
+//     the same hop with faults off (local VC1 ⇄ global VC0), which is
+//     why randomInterNode draws none there.
 //
 // Neither the ladder nor the detour cap therefore guarantees progress
 // (doc.go, "Fault model"); the cycles are logged as witnesses.
@@ -169,13 +170,52 @@ func TestChannelDependencyAcyclic(t *testing.T) {
 					}
 				}
 				edges, witness := rec.cyclicEdges()
-				if algo == routing.Min && !faults && len(edges) > 0 {
-					t.Errorf("MIN's channel dependency graph has a cycle: %s", witness[0])
+				if !faults && len(edges) > 0 && (algo == routing.Min || algo == routing.Valiant || algo == routing.PB) {
+					t.Errorf("%v's channel dependency graph has a cycle with faults off: %s", algo, witness[0])
 				}
 				for _, w := range witness {
 					t.Logf("cycle: %s", w)
 				}
 			})
+		}
+	}
+}
+
+// raceBuild is set when the tests are built with the race detector.
+var raceBuild bool
+
+// TestValiantMakesProgress: VAL and PB route through an intermediate
+// node, and one drawn in the source group would close the local VC1 ⇄
+// global VC0 cycle, on which the tiny fabric wedges for good. Driven at
+// tiny under uniform and ADV+1 traffic at loads 0.3 to 1.0 for 10 000
+// cycles, each must deliver at least one packet in every 1 000-cycle
+// span. The drive is sequential on one worker: a race build, which has
+// nothing to find in it, skips it (race_test.go).
+func TestValiantMakesProgress(t *testing.T) {
+	if raceBuild {
+		t.Skip("sequential single-worker drive: no data race to find")
+	}
+	t.Parallel()
+	const cycles, span = 10000, 1000
+	for _, algo := range []routing.Algo{routing.Valiant, routing.PB} {
+		for _, w := range []sim.Workload{sim.UN(), sim.ADV(1)} {
+			for tenths := 3; tenths <= 10; tenths++ {
+				rw := row{algo: algo, scale: sim.Tiny, w: w, load: float64(tenths) / 10}
+				t.Run(fmt.Sprintf("%v/%s/%.1f", algo, w.Name(), rw.load), func(t *testing.T) {
+					t.Parallel()
+					net, inj := build(t, rw, arm{workers: 1})
+					for end := int64(span); end <= cycles; end += span {
+						before := net.NumDelivered
+						for net.Now() < end {
+							inj.Cycle()
+							net.Step()
+						}
+						if net.NumDelivered == before {
+							t.Fatalf("no delivery in cycles [%d, %d), %d packets in flight", end-span, end, net.InFlight)
+						}
+					}
+				})
+			}
 		}
 	}
 }

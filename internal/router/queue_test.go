@@ -1,7 +1,9 @@
 package router
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -100,6 +102,38 @@ func TestVCQueueRingIsFixed(t *testing.T) {
 		}
 	}()
 	q.push()
+}
+
+// TestVCQueueBrokenLinkPanics: a head whose queue link disagrees with
+// the count fails the pop with a message naming the router, port, VC and
+// count, not a nil dereference further on — both ways round: packets
+// remain but the head has no link, and the queue empties but the head
+// still has one.
+func TestVCQueueBrokenLinkPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		queued  int
+		corrupt func(head *Packet)
+	}{
+		{"link lost", 2, func(head *Packet) { head.next = noPkt }},
+		{"link left over", 1, func(head *Packet) { head.next = head.ref }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newVCQueue(t, 4)
+			for range tc.queued {
+				q.push()
+			}
+			tc.corrupt(q.head())
+			want := fmt.Sprintf("router: router %d input VC (port %d, VC %d) holds %d packets", q.r.ID, q.port, q.vc, tc.queued)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, want) {
+					t.Fatalf("pop of a broken queue: panic %q, want one starting %q", msg, want)
+				}
+			}()
+			q.pop()
+		})
+	}
 }
 
 // TestVCQueueWrapAgainstReference pins the linked queue at capacities 1,

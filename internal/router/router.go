@@ -1,9 +1,9 @@
 package router
 
 import (
+	"fmt"
 	"math"
 
-	"cbar/internal/core"
 	"cbar/internal/rng"
 )
 
@@ -121,8 +121,9 @@ type outPort struct {
 
 // Router is one simulated router: input VC buffers and the head table
 // that summarises them for the route phase and the allocator, output
-// ports with credits, the separable allocator state and the
-// contention-counter banks consulted by the routing algorithms.
+// ports with credits and the separable allocator state. What a routing
+// algorithm keeps per router (contention counters, ECtN partials) is the
+// algorithm's own, not the fabric's.
 type Router struct {
 	ID  int
 	net *Network
@@ -152,15 +153,6 @@ type Router struct {
 	// space only fall between routePhase and the end of the allocation
 	// iterations, so a slot outside it could not be granted.
 	grantable activeSet
-
-	// Contention is the per-output-port counter bank of §III-B. The
-	// fabric allocates it for every router; only contention-based
-	// algorithms update or read it.
-	Contention *core.Counters
-
-	// Ectn is the per-router ECtN state of §III-D (lazily allocated by
-	// the ECtN algorithm's Attach).
-	Ectn *core.ECtN
 
 	// RNG is this router's private random stream (nonminimal port
 	// selection).
@@ -210,11 +202,11 @@ type Router struct {
 }
 
 // buildRouters makes every router of n. Each per-router array kind — the
-// Router structs, ports, VC queues, head table, credits,
-// the slot and port sets' words, the allocator's arrays, the contention
-// counters and the PCGs — is one allocation for the whole network, cut
-// router by router into rows that its ports and VC queues index, so
-// Build's allocation count does not grow with the fabric. The output
+// Router structs, ports, VC queues, head table, credits, the slot and
+// port sets' words, the allocator's arrays and the PCGs — is one
+// allocation for the whole network, cut router by router into rows that
+// its ports and VC queues index, so Build's allocation count does not
+// grow with the fabric. The output
 // stages' row is not among them: it is cut at the router's first output
 // push (cutStages).
 func (n *Network) buildRouters() {
@@ -228,22 +220,19 @@ func (n *Network) buildRouters() {
 	// cand's radix port sets.
 	sw, pw := (slots+63)/64, (radix+63)/64
 	var (
-		routers  = make([]Router, nr)
-		in       = make([]inPort, nr*radix)
-		out      = make([]outPort, nr*radix)
-		vqs      = make([]vcQueue, nr*slots)
-		heads    = make([]pktRef, nr*slots)
-		req      = make([]headReq, nr*slots)
-		credits  = make([]int32, nr*credLen)
-		words    = make([]uint64, nr*(2*sw+(3+radix)*pw))
-		arb      = make([]int8, nr*2*radix) // rrVC and s1
-		counters = make([]int32, nr*radix)
-		banks    = make([]core.Counters, nr)
-		pcgs     = make([]rng.PCG, nr)
+		routers = make([]Router, nr)
+		in      = make([]inPort, nr*radix)
+		out     = make([]outPort, nr*radix)
+		vqs     = make([]vcQueue, nr*slots)
+		heads   = make([]pktRef, nr*slots)
+		req     = make([]headReq, nr*slots)
+		credits = make([]int32, nr*credLen)
+		words   = make([]uint64, nr*(2*sw+(3+radix)*pw))
+		arb     = make([]int8, nr*2*radix) // rrVC and s1
+		pcgs    = make([]rng.PCG, nr)
 	)
 	n.Routers = make([]*Router, nr)
 	for id := range routers {
-		banks[id] = core.CountersOver(cut(&counters, radix))
 		pcgs[id].Seed(n.seed, uint64(id)+1)
 		r := &routers[id]
 		*r = Router{
@@ -258,7 +247,6 @@ func (n *Network) buildRouters() {
 			req:           cut(&req, slots),
 			unroutedHeads: activeSet{words: cut(&words, sw)},
 			grantable:     activeSet{words: cut(&words, sw)},
-			Contention:    &banks[id],
 			RNG:           &pcgs[id],
 			stagedPorts:   activeSet{words: cut(&words, pw)},
 			reqPorts:      activeSet{words: cut(&words, pw)},
@@ -500,6 +488,9 @@ func (r *Router) dequeue(port, vc int) *Packet {
 		panic("router: pop from empty VC queue")
 	}
 	p := r.net.pkt(r.heads[slot])
+	if (p.next == noPkt) != (q.n == 1) {
+		r.badQueue(port, vc, q.n, p.next)
+	}
 	r.heads[slot] = p.next
 	r.req[slot] = headReq{}
 	r.grantable.drop(slot)
@@ -512,6 +503,13 @@ func (r *Router) dequeue(port, vc int) *Packet {
 	r.wake()
 	r.net.Alg.OnDequeue(r, p, port, vc)
 	return p
+}
+
+// badQueue is dequeue's failure path, out of line like badSchedule: the
+// popped head's queue link disagrees with the count.
+func (r *Router) badQueue(port, vc int, n int16, next pktRef) {
+	panic(fmt.Sprintf("router: router %d input VC (port %d, VC %d) holds %d packets but its head links to ref %d (0 = none)",
+		r.ID, port, vc, n, next))
 }
 
 // unreserve gives back one packet's credit on downstream VC vc of output

@@ -46,9 +46,9 @@ func (a *baseProbAlg) Route(r *router.Router, p *router.Packet, port, vc int) ro
 	if r.Kind(min) == router.Injection {
 		return request(r, p, min)
 	}
-	pm := a.misroutePermille(r.Contention.Get(min))
+	pm := a.misroutePermille(a.row(r)[min])
 	if pm > 0 && int32(r.RNG.Intn(1000)) < pm {
-		if out, ok := contentionAlternative(r, p, min, a.th); ok {
+		if out, ok := a.contentionAlternative(r, p, min, a.th); ok {
 			return request(r, p, out)
 		}
 	}

@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"cbar/internal/core"
 	"cbar/internal/router"
 )
 
@@ -24,7 +23,7 @@ import (
 // analytically), so every router of a group would hold the same copy:
 // the array is kept once per group, here. The periodic combine is
 // change-driven: partial mutations set their group's dirty flag
-// (core.GroupDirty) and the exchange visits only the flagged groups — a
+// (ectnAlg.dirty) and the exchange visits only the flagged groups — a
 // group whose partials did not change since its last combine would
 // recompute the identical sums, so skipping it is exact. CheckState is
 // the reference: it recomputes every skipped group's sums on each
@@ -47,16 +46,24 @@ type ectnAlg struct {
 	thLocal    int32
 	thCombined int32
 	period     int64
-	members    [][]*core.ECtN // per group, per member router: the partial arrays
-	// combined is the combined array of each group, indexed by the
-	// group's global-link index. It is written only at the BeginCycle
-	// barrier and read only by the routers of its own group — of one
-	// shard — in the route phase.
-	combined [][]int32
-	// dirty flags the groups whose partial arrays changed since their
-	// last combine.
-	dirty *core.GroupDirty
+	links      int // global links of a group (a*h): every row's length
+	// partials holds every router's partial array, router id's row at
+	// id*links; a group's routers are consecutive ids, so its rows are a
+	// span. combined holds each group's combined array, group g's row at
+	// g*links, written only at the BeginCycle barrier and read only by
+	// the routers of its own group — of one shard — in the route phase.
+	partials, combined []int32
+	// dirty flags the groups whose partials changed since their last
+	// combine. The hooks mark it on each group's owning shard worker; a
+	// byte per group keeps the marks lock-free and race-free (a group
+	// never spans shards), while BeginCycle clears it at the barrier.
+	dirty []bool
 }
+
+// satCap is the saturation value of the 4-bit counter fields the paper
+// sizes the ECtN broadcast with (§VI-B): a partial value is transmitted
+// saturated at 15, enough to exceed the combined threshold of 10.
+const satCap = 15
 
 func newECtN(o Options) *ectnAlg {
 	return &ectnAlg{thLocal: o.BaseTh, thCombined: o.CombinedTh, period: o.ECtNPeriod}
@@ -64,40 +71,52 @@ func newECtN(o Options) *ectnAlg {
 
 func (*ectnAlg) Name() string { return ECtN.String() }
 
+// Attach allocates Base's counter bank and the ECtN arrays, all zero and
+// every group clean.
 func (a *ectnAlg) Attach(n *router.Network) {
+	a.contentionHooks.Attach(n)
 	t := n.Topo
-	links := t.GlobalLinks
-	// Every router's state and partial array, and every group's member
-	// list and combined array, is cut from one array per kind, so
-	// attaching makes as many allocations at any fabric size. A group's
-	// routers are consecutive ids, so its members are a window.
-	var (
-		states   = make([]core.ECtN, t.Routers)
-		partials = make([]int32, t.Routers*links)
-		members  = make([]*core.ECtN, t.Routers)
-		combined = make([]int32, t.Groups*links)
-	)
-	a.members = make([][]*core.ECtN, t.Groups)
-	a.combined = make([][]int32, t.Groups)
-	// Under shard-parallel stepping the partial-counter hooks run on
-	// each group's owning shard worker; a flag per group keeps the marks
-	// lock-free and race-free (a group never spans shards) while
-	// BeginCycle's Drain stays at the sequential barrier.
-	a.dirty = core.NewGroupDirty(t.Groups)
-	for id, r := range n.Routers {
-		states[id] = core.ECtNOver(partials[id*links:(id+1)*links:(id+1)*links], a.dirty, r.Group())
-		r.Ectn = &states[id]
-		members[id] = r.Ectn
-	}
-	for g := range t.Groups {
-		lo := t.RouterID(g, 0)
-		a.members[g] = members[lo : lo+t.A : lo+t.A]
-		a.combined[g] = combined[g*links : (g+1)*links : (g+1)*links]
+	a.links = t.GlobalLinks
+	a.partials = make([]int32, t.Routers*a.links)
+	a.combined = make([]int32, t.Groups*a.links)
+	a.dirty = make([]bool, t.Groups)
+}
+
+// groupCombined returns group g's combined array.
+func (a *ectnAlg) groupCombined(g int) []int32 {
+	return a.combined[g*a.links : (g+1)*a.links : (g+1)*a.links]
+}
+
+// sumGroup models the periodic exchange of partial arrays within group g
+// (§III-D): dst becomes the sum of its routers' partial arrays, each
+// value saturated at satCap.
+func (a *ectnAlg) sumGroup(dst []int32, g int) {
+	clear(dst)
+	span := len(a.partials) / len(a.dirty)
+	for lo := g * span; lo < (g+1)*span; lo += a.links {
+		for l, v := range a.partials[lo : lo+a.links] {
+			dst[l] += min(v, satCap)
+		}
 	}
 }
 
-// BeginCycle runs the periodic group-wide combine of the dirty groups.
-// An idle period — no partial changed anywhere — costs O(1).
+// addPartial adds d (±1) to router r's partial counter for global link
+// l and marks r's group dirty; the mark is only written when unset, so
+// shard workers do not bounce the flags' cache line. It panics on
+// underflow, which is always a bookkeeping bug.
+func (a *ectnAlg) addPartial(r *router.Router, l int, d int32) {
+	i := r.ID*a.links + l
+	if a.partials[i] += d; a.partials[i] < 0 {
+		panic(fmt.Sprintf("routing: router %d: ECtN partial counter for link %d went negative", r.ID, l))
+	}
+	if g := r.Group(); !a.dirty[g] {
+		a.dirty[g] = true
+	}
+}
+
+// BeginCycle runs the periodic group-wide combine of the dirty groups,
+// in ascending group order. An idle period — no partial changed
+// anywhere — costs one pass over the flags.
 //
 // The combined arrays are the one piece of state Route reads that an
 // event at the deciding router does not announce, so every recombined
@@ -107,23 +126,30 @@ func (a *ectnAlg) BeginCycle(n *router.Network) {
 	if n.Now()%a.period != 0 {
 		return
 	}
-	a.dirty.Drain(func(g int32) {
-		core.CombineGroup(a.combined[g], a.members[g])
-		n.WakeGroup(int(g))
-	})
+	for g, dirty := range a.dirty {
+		if dirty {
+			a.dirty[g] = false
+			a.sumGroup(a.groupCombined(g), g)
+			n.WakeGroup(g)
+		}
+	}
 }
 
 // CheckState audits the dirty-group bookkeeping (router.StateChecker):
 // a group the combiner would skip (not marked dirty) must still hold
 // combined sums equal to a fresh recombination of its current partials —
 // a mismatch means a partial mutation missed its dirty mark.
-func (a *ectnAlg) CheckState(n *router.Network) error {
-	for g, members := range a.members {
-		if a.dirty.Marked(int32(g)) {
+func (a *ectnAlg) CheckState(*router.Network) error {
+	fresh := make([]int32, a.links)
+	for g, dirty := range a.dirty {
+		if dirty {
 			continue
 		}
-		if err := core.VerifyGroupFresh(a.combined[g], members); err != nil {
-			return fmt.Errorf("routing: ECtN group %d: %w", g, err)
+		a.sumGroup(fresh, g)
+		for l, have := range a.groupCombined(g) {
+			if have != fresh[l] {
+				return fmt.Errorf("routing: ECtN group %d: combined[%d] = %d stale: fresh partial sum is %d", g, l, have, fresh[l])
+			}
 		}
 	}
 	return nil
@@ -137,28 +163,28 @@ func (a *ectnAlg) OnArrive(r *router.Router, p *router.Packet, port, vc int) {
 		return
 	}
 	if l, ok := minGlobalLinkIndex(t, r, p); ok {
-		r.Ectn.IncPartial(l)
+		a.addPartial(r, l, 1)
 		p.CountedLink = int16(l)
 	}
 }
 
 func (a *ectnAlg) OnHead(r *router.Router, p *router.Packet, port, vc int) {
-	countHead(r, p) // Base local counters
+	a.contentionHooks.OnHead(r, p, port, vc) // Base local counters
 	// Local traffic at the head of an injection queue contributes to
 	// the partial array (§III-D).
 	t := r.Net().Topo
 	if t.IsInjectionPort(port) && p.CountedLink < 0 {
 		if l, ok := minGlobalLinkIndex(t, r, p); ok {
-			r.Ectn.IncPartial(l)
+			a.addPartial(r, l, 1)
 			p.CountedLink = int16(l)
 		}
 	}
 }
 
 func (a *ectnAlg) OnDequeue(r *router.Router, p *router.Packet, port, vc int) {
-	uncount(r, p)
+	a.contentionHooks.OnDequeue(r, p, port, vc)
 	if p.CountedLink >= 0 {
-		r.Ectn.DecPartial(int(p.CountedLink))
+		a.addPartial(r, int(p.CountedLink), -1)
 		p.CountedLink = -1
 	}
 }
@@ -167,7 +193,7 @@ func (a *ectnAlg) Route(r *router.Router, p *router.Packet, port, vc int) router
 	t := r.Net().Topo
 	// Injection decision on the group's combined counters.
 	if t.IsInjectionPort(port) && canGlobalMisroute(r, p) {
-		combined := a.combined[r.Group()]
+		combined := a.groupCombined(r.Group())
 		if l, ok := minGlobalLinkIndex(t, r, p); ok && combined[l] > a.thCombined {
 			pos := t.PosOf(r.ID)
 			calm := func(out int) bool {
@@ -179,5 +205,5 @@ func (a *ectnAlg) Route(r *router.Router, p *router.Packet, port, vc int) router
 		}
 	}
 	// Everywhere else: Base behavior on the local counters.
-	return contentionRoute(r, p, a.thLocal)
+	return a.contentionRoute(r, p, a.thLocal)
 }

@@ -20,8 +20,8 @@ type combineCensus struct {
 
 func (c *combineCensus) BeginCycle(n *router.Network) {
 	if n.Now()%c.period == 0 {
-		for g := range c.members {
-			if c.dirty.Marked(int32(g)) {
+		for _, dirty := range c.dirty {
+			if dirty {
 				c.ran++
 			} else {
 				c.skipped++
@@ -128,10 +128,9 @@ func TestECtNCheckStateCatchesCorruption(t *testing.T) {
 	// Mutate one router's partials behind the dirty-set's back by
 	// resetting it: the stored combined no longer matches a fresh
 	// recombination and the group is not marked dirty.
-	r := n.Group(0)[0]
-	r.Ectn.IncPartial(0)
 	alg := n.Alg.(*ectnAlg)
-	alg.dirty.Drain(func(int32) {}) // discard the legitimate mark
+	alg.addPartial(n.Group(0)[0], 0, 1)
+	clear(alg.dirty) // discard the legitimate mark
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("stale clean-group combine not detected")
 	}
@@ -159,7 +158,8 @@ func TestEveryMechanismDeclaresHorizon(t *testing.T) {
 	o := testOptions()
 	n := build(t, ECtN, o, 3)
 	h := n.Alg.(router.CycleHorizon)
-	n.Routers[0].Ectn.IncPartial(0)
+	alg := n.Alg.(*ectnAlg)
+	alg.addPartial(n.Routers[0], 0, 1)
 	if c, ok := h.NextAlgCycle(n); !ok || c != 0 {
 		t.Fatalf("dirty group at cycle 0: horizon %d ok %v, want the combine due now", c, ok)
 	}
@@ -167,7 +167,7 @@ func TestEveryMechanismDeclaresHorizon(t *testing.T) {
 	if c, ok := h.NextAlgCycle(n); !ok || c != router.NoPendingCycle {
 		t.Fatalf("after the combine: horizon %d ok %v, want NoPendingCycle", c, ok)
 	}
-	n.Routers[0].Ectn.DecPartial(0)
+	alg.addPartial(n.Routers[0], 0, -1)
 	if c, ok := h.NextAlgCycle(n); !ok || c != o.ECtNPeriod {
 		t.Fatalf("dirty group at cycle 1: horizon %d ok %v, want the next combine tick %d", c, ok, o.ECtNPeriod)
 	}

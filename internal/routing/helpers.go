@@ -92,16 +92,6 @@ func alternative(r *router.Router, p *router.Packet, min int, eligible func(port
 	return 0, false
 }
 
-// contentionAlternative is the contention trigger of §III-B and the
-// policy under it: when the minimal port's counter strictly exceeds th,
-// the candidates are the ports whose own counter is under th.
-func contentionAlternative(r *router.Router, p *router.Packet, min int, th int32) (int, bool) {
-	if !r.Contention.Exceeds(min, th) {
-		return 0, false
-	}
-	return alternative(r, p, min, func(out int) bool { return r.Contention.Get(out) < th })
-}
-
 // creditAlternative is the credit trigger of OLM and of Hybrid's second
 // component, and the policy under it: when the minimal port's occupancy
 // estimate is past the floor, the candidates are the ports whose

@@ -1,6 +1,10 @@
 package routing
 
-import "cbar/internal/router"
+import (
+	"slices"
+
+	"cbar/internal/router"
+)
 
 // Quiet-cycle elision horizons (router.CycleHorizon): every shipped
 // policy declares the next cycle its BeginCycle does observable work, so
@@ -28,7 +32,7 @@ import "cbar/internal/router"
 // the horizon is NoPendingCycle. Like every shipped horizon it answers
 // ok=true.
 func (a *ectnAlg) NextAlgCycle(n *router.Network) (int64, bool) {
-	if !a.dirty.Any() {
+	if !slices.Contains(a.dirty, true) {
 		return router.NoPendingCycle, true
 	}
 	now := n.Now()

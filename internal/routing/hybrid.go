@@ -27,7 +27,7 @@ func (a *hybridAlg) Route(r *router.Router, p *router.Packet, port, vc int) rout
 	min := r.MinimalOut(p)
 	if r.Kind(min) != router.Injection {
 		// Base's trigger first, then OLM's: either one misroutes.
-		out, ok := contentionAlternative(r, p, min, a.th)
+		out, ok := a.contentionAlternative(r, p, min, a.th)
 		if !ok {
 			out, ok = creditAlternative(r, p, min, a.relPct)
 		}

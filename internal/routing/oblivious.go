@@ -38,29 +38,32 @@ func (*valiantAlg) Route(r *router.Router, p *router.Packet, port, vc int) route
 	return request(r, p, t.MinimalNextPort(r.ID, phaseDest(r, p)))
 }
 
-// randomInterNode picks a uniform intermediate node on a router other
-// than the source and destination routers. Under an active fault plan
-// the intermediate must additionally be reachable from the deciding
-// router (a packet steered toward a partitioned intermediate would only
-// wander until the detour cap kills it); when the bounded rejection
-// sampling finds no such router, -1 is returned and the caller falls
-// back to the minimal path.
+// randomInterNode picks a uniform intermediate node on a router outside
+// the source group, other than the destination router (doc.go, "Valiant
+// intermediates", says why the source group is excluded and the
+// destination group is not). Under an active fault plan the intermediate
+// must additionally be reachable from the deciding router (a packet
+// steered toward a partitioned intermediate would only wander until the
+// detour cap kills it); when the bounded rejection sampling finds no
+// such router, -1 is returned and the caller falls back to the minimal
+// path. Both branches reject alike, so an armed plan before its first
+// event draws what no plan draws.
 func randomInterNode(r *router.Router, p *router.Packet) int {
 	t := r.Net().Topo
-	srcR := t.RouterOfNode(int(p.Src))
+	srcG := t.GroupOfNode(int(p.Src))
 	dstR := int(p.DstRouter)
 	n := r.Net()
 	if !n.FaultsActive() {
 		for {
 			ir := r.RNG.Intn(t.Routers)
-			if ir != srcR && ir != dstR {
+			if t.GroupOf(ir) != srcG && ir != dstR {
 				return t.NodeID(ir, 0)
 			}
 		}
 	}
 	for tries := 0; tries < 4*t.Routers; tries++ {
 		ir := r.RNG.Intn(t.Routers)
-		if ir != srcR && ir != dstR && n.Reachable(r.ID, ir) {
+		if t.GroupOf(ir) != srcG && ir != dstR && n.Reachable(r.ID, ir) {
 			return t.NodeID(ir, 0)
 		}
 	}

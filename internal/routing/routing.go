@@ -6,7 +6,7 @@
 //     congestion-based adaptive baselines, triggered by credit/occupancy
 //     estimates;
 //   - Base, Hybrid and ECtN, the paper's contention-based mechanisms
-//     (§III), triggered by the contention counters of internal/core.
+//     (§III), triggered by contention counters kept here (contentionHooks).
 //
 // All mechanisms share the Dragonfly misrouting policy of the paper's
 // §IV-A: nonminimal global hops may be taken in the source group (at

@@ -687,7 +687,11 @@ func MeanSaturatedContention(ctx context.Context, c Config, load float64, warmup
 			return 0, err
 		}
 		for _, r := range p.net.Routers {
-			acc.Add(float64(r.Contention.Sum()) / ports)
+			var sum int64
+			for _, c := range routing.Contention(p.net.Alg, r) {
+				sum += int64(c)
+			}
+			acc.Add(float64(sum) / ports)
 		}
 	}
 	return acc.Mean(), nil
